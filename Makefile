@@ -1,20 +1,31 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race verify-gate chaos sim obs bench bench-generate bench-reconcile bench-telemetry bench-scale
+.PHONY: tier1 build vet test race verify-gate fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
 
 # Tier-1 gate: what CI and reviewers run before merging.
-tier1: verify-gate sim obs
+tier1: verify-gate fuzz-smoke sim obs
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
 # Pre-deploy intent verification gate: the invariant checker's mutation
 # tests (flip an ASN, leak a subnet, orphan a circuit, partition a
-# switch) plus the end-to-end rejection contract in core, under the race
+# switch) through a cold and a pre-warmed checker, the warm ≡ cold
+# property over 200 seeded histories, the nesting-index ≡ ipam-replay
+# oracle, plus the end-to-end rejection contract in core, under the race
 # detector. See DESIGN.md §12.
 verify-gate:
-	$(GO) test -race -v -timeout 5m ./internal/verify/
+	$(GO) test -race -v -timeout 10m ./internal/verify/
 	$(GO) test -race -timeout 5m -run 'TestVerifyGate' ./internal/core/
+
+# Native fuzz targets, a few seconds each (go test -fuzz takes one target
+# per run). A crasher is written to the package's testdata/fuzz and fails
+# the run; the corpus cache stays in the Go build cache.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzContainsAddr$$' -fuzztime $(FUZZTIME) ./internal/verify/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCircuitEnd$$' -fuzztime $(FUZZTIME) ./internal/verify/
+	$(GO) test -run '^$$' -fuzz '^FuzzScanConfig$$' -fuzztime $(FUZZTIME) ./internal/verify/
 
 build:
 	$(GO) build ./...
@@ -59,10 +70,28 @@ obs:
 	$(GO) run -race ./cmd/robotron sim run examples/scenarios/bgp-down-alarm-correlated.yaml
 
 # Paper-evaluation and system benchmarks (Figures 12-16, Tables 2-3,
-# materialization, provisioning, parallel deployment), plus the
-# generation-pipeline benchmarks captured to BENCH_generate.json.
+# materialization, provisioning, parallel deployment), plus the per-stage
+# microbenchmark streams below. The benchmark of record is bench-pipeline.
 bench: bench-generate bench-reconcile bench-telemetry bench-scale
 	$(GO) test -bench=. -benchmem .
+
+# The benchmark of record (BENCHMARK.json, bench/README.md): the four
+# intent-to-converged workloads, untraced, through the command the driver
+# runs. Result lines are appended to $(OUT)/results.json; point OUT
+# outside the repository.
+OUT ?= /tmp/robotron-bench
+SEED ?= 1
+bench-pipeline:
+	for w in rack-churn backbone-churn drift-storm monitor-outage; do \
+		bash bench/run.sh -workload $$w -seed $(SEED) -seconds 20 -trace 0 -out $(OUT) || exit 1; \
+	done
+
+# Compare two result files from bench-pipeline runs (say, of the parent
+# commit and of a change): medians, quartile spread and BENCHMARK.json's
+# bounds per workload and metric; exits 1 on a regression.
+#   make bench-check OLD=/tmp/parent/results.json NEW=/tmp/change/results.json
+bench-check:
+	$(GO) run ./bench compare $(OLD) $(NEW)
 
 # Generation + deployment pipeline benchmarks (serial vs parallel vs
 # memoized site generation, planner indexed-vs-scan, deploy engine),
@@ -102,12 +131,13 @@ bench-telemetry:
 	@grep -h '"Output".*ns/op' BENCH_telemetry.json | sed 's/.*"Output":"//;s/\\n"}//;s/\\t/\t/g'
 
 # Hot-path scale benchmarks (DESIGN.md §13): incremental fleet recompute,
-# lock-free relstore epoch reads, zero-alloc template rendering, and the
-# reconcile loop, at fleet/table sizes 256/4096/16384 plus a 100k-device
-# recompute microbench. ROBOTRON_BENCH_LARGE=1 unlocks the 16384 and 100k
-# sizes, which the per-package default runs skip.
+# lock-free relstore epoch reads, zero-alloc template rendering, the
+# reconcile loop, and the delta-driven verify gate (§12), at fleet/table
+# sizes 256/4096/16384 plus a 100k-device recompute microbench.
+# ROBOTRON_BENCH_LARGE=1 unlocks the 16384 and 100k sizes, which the
+# per-package default runs skip.
 bench-scale:
 	ROBOTRON_BENCH_LARGE=1 $(GO) test -json -run '^$$' -benchmem -timeout 30m \
 		-bench 'BenchmarkScale' \
-		./internal/netsim/ ./internal/relstore/ ./internal/configgen/ ./internal/reconcile/ > BENCH_scale.json
+		./internal/netsim/ ./internal/relstore/ ./internal/configgen/ ./internal/reconcile/ ./internal/verify/ > BENCH_scale.json
 	@grep -h '"Output".*ns/op' BENCH_scale.json | sed 's/.*"Output":"//;s/\\n"}//;s/\\t/\t/g'

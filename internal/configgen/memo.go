@@ -46,19 +46,26 @@ type deriveEntry struct {
 	syslog   string // SyslogTarget baked into the derived data
 	rows     map[rowDep]struct{}
 	vals     map[valDep]struct{}
+	tables   map[string]struct{} // tables named by rows and vals
 	data     *DeviceData
 	wire     []byte // thrift wire form of data
 	wireHash string
 }
 
 // invalidatedBy reports whether any binlog entry since the derivation
-// touches its read set. Schema operations invalidate conservatively.
+// touches its read set. Schema operations invalidate conservatively. An
+// entry on a table the derivation never read cannot touch it, and most of
+// a delta is such entries (monitoring's Derived rows), so they are skipped
+// on the table name alone.
 func (e *deriveEntry) invalidatedBy(entries []relstore.LogEntry) bool {
 	for i := range entries {
 		le := &entries[i]
 		switch le.Op {
 		case relstore.OpCreateTable, relstore.OpAlterAddColumn:
 			return true
+		}
+		if _, read := e.tables[le.Table]; !read {
+			continue
 		}
 		if _, ok := e.rows[rowDep{le.Table, le.RowID}]; ok {
 			return true
@@ -175,8 +182,15 @@ func (g *Generator) deriveCached(deviceName string) (*deriveEntry, bool, error) 
 	if err != nil {
 		return nil, false, fmt.Errorf("configgen: serializing device data for %s: %w", deviceName, err)
 	}
+	tables := make(map[string]struct{})
+	for d := range dc.rows {
+		tables[d.table] = struct{}{}
+	}
+	for d := range dc.vals {
+		tables[d.table] = struct{}{}
+	}
 	e = &deriveEntry{
-		seq: seq, syslog: syslog, rows: dc.rows, vals: dc.vals,
+		seq: seq, syslog: syslog, rows: dc.rows, vals: dc.vals, tables: tables,
 		data: data, wire: wire, wireHash: revctl.Hash(string(wire)),
 	}
 	g.memoMu.Lock()

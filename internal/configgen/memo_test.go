@@ -42,10 +42,37 @@ func TestMemoizedSiteRegeneration(t *testing.T) {
 		t.Errorf("render hits = %d, want %d", warm.RenderHits, cold.RenderHits+6)
 	}
 
-	// One device changes: only derivations that read its row re-run (the
-	// device itself plus the 2 PRs that render a description of it), not
-	// the whole site.
+	// Writes to tables no derivation read — what monitoring commits
+	// between two generations — are skipped on the table name: still all
+	// hits, nothing re-derived.
 	_, err := g.store.Mutate(func(m *fbnet.Mutation) error {
+		if _, err := m.Create("DerivedConfig", map[string]any{
+			"device_name": "psw1.pop1-c1", "config_hash": "h", "collected_unix": int64(1), "conforms": true,
+		}); err != nil {
+			return err
+		}
+		_, err := m.Create("OperationalEvent", map[string]any{
+			"device_name": "psw1.pop1-c1", "kind": "config-changed", "at_unix": int64(1),
+		})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.GenerateSite("pop1"); err != nil {
+		t.Fatal(err)
+	}
+	unrelated := g.Stats()
+	if unrelated.Derives != warm.Derives || unrelated.DeriveHits != warm.DeriveHits+6 {
+		t.Errorf("writes to unread tables invalidated the memo: %+v -> %+v", warm, unrelated)
+	}
+	warm = unrelated
+
+	// A write to a table the derivations did read still invalidates, and
+	// precisely: one device changes, and only derivations that read its
+	// row re-run (the device itself plus the 2 PRs that render a
+	// description of it), not the whole site.
+	_, err = g.store.Mutate(func(m *fbnet.Mutation) error {
 		dev, err := m.FindOne("Device", fbnet.Eq("name", "psw1.pop1-c1"))
 		if err != nil {
 			return err

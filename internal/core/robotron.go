@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -752,6 +753,9 @@ func (r *Robotron) verifyGate(configs map[string]string, tr *telemetry.Span) err
 	sp := tr.Child("verify")
 	res, err := r.Verifier.Check(configs)
 	sp.SetAttrInt("violations", int64(len(res.Violations)))
+	sp.SetAttrInt("delta_entries", int64(res.DeltaEntries))
+	sp.SetAttrInt("rechecked", int64(res.Rechecked))
+	sp.SetAttr("rebuilt", strconv.FormatBool(res.Rebuilt))
 	sp.End()
 	if err != nil {
 		return err

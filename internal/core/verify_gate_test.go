@@ -117,6 +117,19 @@ func TestVerifyGateRejectsBeforeAnyManagementSession(t *testing.T) {
 		t.Error("bgp-symmetry violation counter not incremented")
 	}
 
+	// The trace says what the gate run cost: it followed the flipped
+	// session through the binlog (a delta, a few re-evaluated checks) on
+	// the model the provisioning run had built — not a rebuild.
+	trace, _ := r.Tracer.Last()
+	sp, ok := trace.Find("verify")
+	if !ok {
+		t.Fatalf("rejected deploy's trace has no verify span: %+v", trace)
+	}
+	if sp.Attrs["rebuilt"] != "false" || sp.Attrs["delta_entries"] == "" || sp.Attrs["delta_entries"] == "0" ||
+		sp.Attrs["rechecked"] == "" || sp.Attrs["rechecked"] == "0" {
+		t.Errorf("verify span attrs = %v, want rebuilt=false and non-zero delta_entries and rechecked", sp.Attrs)
+	}
+
 	// The escape hatch: with the gate off (-no-verify), the same deploy
 	// goes through — explicitly accepted risk, not a hidden default.
 	r.VerifyIntent = false

@@ -15,8 +15,8 @@
 //     session type, AS numbers, and the neighbor statements each side's
 //     rendered config must carry.
 //   - P2PConsistency: both ends of a point-to-point subnet exist, land on
-//     adjacent devices, and no subnet is reused across circuits (checked
-//     by replaying every allocation into a fresh ipam pool).
+//     adjacent devices, and no subnet is reused across circuits or
+//     contained in another allocation.
 //   - Reachability: every cluster device retains an intact circuit path
 //     to its aggregation layer in the derived topology.
 //   - OrphanRef: every circuit endpoint, prefix binding, session prefix,
@@ -29,17 +29,16 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"net/netip"
 	"regexp"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/robotron-net/robotron/internal/confdiff"
 	"github.com/robotron-net/robotron/internal/fbnet"
-	"github.com/robotron-net/robotron/internal/ipam"
 	"github.com/robotron-net/robotron/internal/telemetry"
 )
 
@@ -91,6 +90,14 @@ type Result struct {
 	Devices int
 	// Elapsed is the gate latency.
 	Elapsed time.Duration
+	// DeltaEntries is how many binlog entries the run read to bring the
+	// resident model up to date, Rechecked how many stored checks it
+	// re-evaluated because the delta touched what they read, and Rebuilt
+	// whether it had to reload the model from the store (the first run,
+	// or a schema change): a slow run is usually a rebuild.
+	DeltaEntries int
+	Rechecked    int
+	Rebuilt      bool
 }
 
 // Pass reports whether the deployment may proceed.
@@ -122,7 +129,10 @@ func (e *RejectionError) Error() string {
 	return fmt.Sprintf("verify: deployment rejected, %d invariant violation(s)%s", n, first)
 }
 
-// Checker verifies rendered configs against FBNet intent.
+// Checker verifies rendered configs against FBNet intent. It keeps a
+// resident model of the object graph (model.go) that follows the store's
+// binlog, so a run costs what the change since the last run touched, not
+// the size of the fleet.
 type Checker struct {
 	store *fbnet.Store
 	// golden returns a device's current golden config (the diff baseline
@@ -130,10 +140,16 @@ type Checker struct {
 	// the whole config is treated as new.
 	golden func(device string) (string, error)
 
+	mu sync.Mutex
+	m  *model // nil until the first run, and after a change it cannot follow
+
 	runs       *telemetry.Counter
 	rejections *telemetry.Counter
 	violations map[Invariant]*telemetry.Counter
 	latency    *telemetry.Histogram
+	entries    *telemetry.Counter
+	rechecked  map[Invariant]*telemetry.Counter
+	rebuilds   *telemetry.Counter
 }
 
 // NewChecker builds a gate over the store. golden may be nil when no
@@ -148,14 +164,22 @@ func (c *Checker) Instrument(reg *telemetry.Registry) {
 	reg.Help("robotron_verify_rejections_total", "Gate runs that rejected a deployment.")
 	reg.Help("robotron_verify_violations_total", "Invariant violations found by the gate, by invariant.")
 	reg.Help("robotron_verify_seconds", "Verification gate latency in seconds.")
+	reg.Help("robotron_verify_delta_entries_total", "Binlog entries read to bring the gate's resident model up to date.")
+	reg.Help("robotron_verify_rechecked_keys_total", "Stored checks re-evaluated because the delta touched what they read, by invariant.")
+	reg.Help("robotron_verify_model_rebuilds_total", "Gate runs that rebuilt the resident model from the store (first run, schema change).")
 	c.runs = reg.Counter("robotron_verify_runs_total")
 	c.rejections = reg.Counter("robotron_verify_rejections_total")
 	c.violations = map[Invariant]*telemetry.Counter{}
+	c.rechecked = map[Invariant]*telemetry.Counter{}
 	for _, inv := range Invariants {
 		c.violations[inv] = reg.Counter("robotron_verify_violations_total",
 			telemetry.L("invariant", string(inv))...)
+		c.rechecked[inv] = reg.Counter("robotron_verify_rechecked_keys_total",
+			telemetry.L("invariant", string(inv))...)
 	}
 	c.latency = reg.Histogram("robotron_verify_seconds")
+	c.entries = reg.Counter("robotron_verify_delta_entries_total")
+	c.rebuilds = reg.Counter("robotron_verify_model_rebuilds_total")
 }
 
 // Check verifies the rendered configs (device name → config text) against
@@ -165,35 +189,23 @@ func (c *Checker) Instrument(reg *telemetry.Registry) {
 func (c *Checker) Check(configs map[string]string) (Result, error) {
 	start := time.Now()
 	c.runs.Inc()
-	net, err := c.loadNetwork()
+	res := Result{Devices: len(configs)}
+	ran, err := c.collect(configs, &res)
 	if err != nil {
 		return Result{}, err
 	}
-	var vs []Violation
-	for _, pass := range []func(*network, map[string]string) ([]Violation, error){
-		c.checkBGPSymmetry,
-		c.checkP2PConsistency,
-		c.checkReachability,
-		c.checkOrphanRefs,
-	} {
-		found, err := pass(net, configs)
-		if err != nil {
-			return Result{}, err
-		}
-		vs = append(vs, found...)
+	slices.SortFunc(res.Violations, compareViolations)
+	c.attachHunks(configs, res.Violations)
+	res.Elapsed = time.Since(start)
+	c.entries.Add(int64(res.DeltaEntries))
+	for inv, n := range ran {
+		res.Rechecked += n
+		c.rechecked[inv].Add(int64(n))
 	}
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].Invariant != vs[j].Invariant {
-			return vs[i].Invariant < vs[j].Invariant
-		}
-		if vs[i].Device != vs[j].Device {
-			return vs[i].Device < vs[j].Device
-		}
-		return vs[i].Detail < vs[j].Detail
-	})
-	c.attachHunks(configs, vs)
-	res := Result{Violations: vs, Devices: len(configs), Elapsed: time.Since(start)}
-	for _, v := range vs {
+	if res.Rebuilt {
+		c.rebuilds.Inc()
+	}
+	for _, v := range res.Violations {
 		c.violations[v.Invariant].Inc()
 	}
 	if !res.Pass() {
@@ -203,487 +215,145 @@ func (c *Checker) Check(configs map[string]string) (Result, error) {
 	return res, nil
 }
 
-// network is the resolved object graph every pass walks.
-type network struct {
-	devByID   map[int64]fbnet.Object
-	devByName map[string]fbnet.Object
-	devIDs    []int64 // sorted for deterministic iteration
-	aggDev    map[int64]int64
-	aggName   map[int64]string
-	pifDev    map[int64]int64
-	pifName   map[int64]string
-	syntax    map[int64]string // device → vendor syntax ("vendor1"/"vendor2")
-}
-
-func (n *network) devName(id int64) string {
-	if d, ok := n.devByID[id]; ok {
-		return d.String("name")
-	}
-	return fmt.Sprintf("device#%d", id)
-}
-
-func (c *Checker) loadNetwork() (*network, error) {
-	net := &network{
-		devByID:   map[int64]fbnet.Object{},
-		devByName: map[string]fbnet.Object{},
-		aggDev:    map[int64]int64{},
-		aggName:   map[int64]string{},
-		pifDev:    map[int64]int64{},
-		pifName:   map[int64]string{},
-		syntax:    map[int64]string{},
-	}
-	devs, err := c.store.Find("Device", nil)
-	if err != nil {
+// collect is the part of a run that touches the resident model: bring it
+// up to date, re-evaluate what the delta marked, and gather the stored
+// and the candidate-set violations. It returns how many checks ran per
+// invariant.
+func (c *Checker) collect(configs map[string]string, res *Result) (map[Invariant]int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.sync(res); err != nil {
 		return nil, err
 	}
-	hwVendor := map[int64]int64{}
-	if hws, err := c.store.Find("HardwareProfile", nil); err == nil {
-		for _, hw := range hws {
-			hwVendor[hw.ID] = hw.Ref("vendor")
+	ran := c.m.recheck()
+	res.Violations = append(c.m.violations(), c.m.checkCandidates(configs)...)
+	return ran, nil
+}
+
+// compareViolations is the report order: invariant, device, detail, then
+// the object at fault, so the order never depends on how violations were
+// collected.
+func compareViolations(a, b Violation) int {
+	return cmp.Or(
+		cmp.Compare(a.Invariant, b.Invariant),
+		cmp.Compare(a.Device, b.Device),
+		cmp.Compare(a.Detail, b.Detail),
+		cmp.Compare(a.Model, b.Model),
+		cmp.Compare(a.ID, b.ID),
+	)
+}
+
+// sync brings the resident model to the store's current binlog sequence.
+// The sequence is captured first and entries are applied only up to it
+// (commits publish whole transactions, so it is a transaction boundary):
+// the model is the store at one sequence. A store that is down is an
+// error even though a warm model needs no rows from it — the gate never
+// vouches for a store it cannot read.
+func (c *Checker) sync(res *Result) error {
+	db := c.store.DB()
+	if !db.Healthy() {
+		return fmt.Errorf("verify: store %s is down", db.Name())
+	}
+	if c.m != nil {
+		seq := db.Seq()
+		followed := true
+		entries := db.EntriesSince(c.m.seq)
+		for i := 0; i < len(entries) && entries[i].Seq <= seq && followed; i++ {
+			res.DeltaEntries++
+			followed = c.m.apply(&entries[i])
+		}
+		if followed {
+			c.m.seq = seq
+			return nil
+		}
+		c.m = nil
+	}
+	// Rebuild inside one store transaction: it holds the write lock, so
+	// the Finds read one committed state and Seq names it.
+	res.Rebuilt = true
+	_, err := c.store.Mutate(func(tx *fbnet.Mutation) error {
+		m, err := load(tx)
+		if err == nil {
+			m.seq = db.Seq()
+			c.m = m
+		}
+		return err
+	})
+	return err
+}
+
+// checkCandidates runs the checks that read the rendered configs and are
+// therefore never stored: each endpoint in the set carries the neighbor
+// statement the other end of its sessions expects (the §1 failure class
+// "iBGP sessions configured on only one peer"), and every interface or
+// neighbor a config names resolves back to FBNet intent.
+func (m *model) checkCandidates(configs map[string]string) []Violation {
+	var vs []Violation
+	for name, cfg := range configs {
+		dev, ok := m.devByName[name]
+		if !ok {
+			vs = append(vs, Violation{
+				Invariant: OrphanRef, Device: name,
+				Detail: "config rendered for a device that does not exist in FBNet",
+			})
+			continue
+		}
+		for _, k := range m.sessByDev[dev] {
+			s := m.sess[k]
+			if !s.internal() {
+				continue
+			}
+			if s.local == dev && s.remoteAddr != "" && !containsAddr(cfg, s.remoteAddr) {
+				vs = append(vs, Violation{
+					Invariant: BGPSymmetry, Device: name, Model: k.sessionModel(), ID: k.id,
+					Detail: fmt.Sprintf("rendered config omits neighbor %s (session to %s)",
+						s.remoteAddr, m.devName(s.remote)),
+					needle: s.remoteAddr,
+				})
+			}
+			if addr := m.localSideAddr(k, s); s.remote == dev && addr != "" && !containsAddr(cfg, addr) {
+				vs = append(vs, Violation{
+					Invariant: BGPSymmetry, Device: name, Model: k.sessionModel(), ID: k.id,
+					Detail: fmt.Sprintf("rendered config omits neighbor %s (session from %s)",
+						addr, m.devName(s.local)),
+					needle: addr,
+				})
+			}
+		}
+		vs = append(vs, m.scanConfig(dev, name, cfg)...)
+	}
+	return vs
+}
+
+// expectedNeighbors returns every neighbor address the device's designed
+// sessions can render: remote_addr where it is the local side, and the
+// far side's prefix address or loopback where it is the remote side.
+func (m *model) expectedNeighbors(dev int64) map[string]bool {
+	out := map[string]bool{}
+	for _, k := range m.sessByDev[dev] {
+		s := m.sess[k]
+		if s.local == dev && s.remoteAddr != "" {
+			out[s.remoteAddr] = true
+		}
+		if addr := m.localSideAddr(k, s); s.remote == dev && addr != "" {
+			out[addr] = true
 		}
 	}
-	vendorSyntax := map[int64]string{}
-	if vendors, err := c.store.Find("Vendor", nil); err == nil {
-		for _, v := range vendors {
-			vendorSyntax[v.ID] = v.String("syntax")
-		}
-	}
-	for _, d := range devs {
-		net.devByID[d.ID] = d
-		net.devByName[d.String("name")] = d
-		net.devIDs = append(net.devIDs, d.ID)
-		net.syntax[d.ID] = vendorSyntax[hwVendor[d.Ref("hw_profile")]]
-	}
-	sort.Slice(net.devIDs, func(i, j int) bool { return net.devIDs[i] < net.devIDs[j] })
-	lcDev := map[int64]int64{}
-	lcs, err := c.store.Find("Linecard", nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, lc := range lcs {
-		lcDev[lc.ID] = lc.Ref("device")
-	}
-	pifs, err := c.store.Find("PhysicalInterface", nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range pifs {
-		net.pifDev[p.ID] = lcDev[p.Ref("linecard")]
-		net.pifName[p.ID] = p.String("name")
-	}
-	aggs, err := c.store.Find("AggregatedInterface", nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range aggs {
-		net.aggDev[a.ID] = a.Ref("device")
-		net.aggName[a.ID] = a.String("name")
-	}
-	return net, nil
-}
-
-// sessionPrefixModel maps a session model to its address-family prefix
-// model.
-func sessionPrefixModel(model string) string {
-	if model == "BgpV4Session" {
-		return "V4Prefix"
-	}
-	return "V6Prefix"
+	return out
 }
 
 // localSideAddr resolves the address the *remote* peer must configure as
 // its neighbor statement for this session: the local side's p2p prefix
 // address (eBGP over a bundle) or its loopback (iBGP mesh) — mirroring
 // exactly what configgen renders.
-func (c *Checker) localSideAddr(net *network, s fbnet.Object, model string) string {
-	if pfxID := s.Ref("local_prefix"); pfxID != 0 {
-		pfx, err := c.store.GetByID(sessionPrefixModel(model), pfxID)
-		if err != nil {
-			return ""
-		}
-		return addrOf(pfx.String("prefix"))
+func (m *model) localSideAddr(k rowKey, s session) string {
+	if s.localPrefix != 0 {
+		return addrOf(m.pfxs[rowKey{k.v4, s.localPrefix}].text)
 	}
-	local, ok := net.devByID[s.Ref("local_device")]
-	if !ok {
-		return ""
+	if k.v4 {
+		return addrOf(m.devs[s.local].lo4)
 	}
-	lo := local.String("loopback_v6")
-	if model == "BgpV4Session" {
-		lo = local.String("loopback_v4")
-	}
-	return addrOf(lo)
-}
-
-// checkBGPSymmetry verifies every session is consistent on both endpoints:
-// the session-type/AS relationship holds, each device claims a single
-// local AS across its internal sessions, and the rendered config of each
-// endpoint in the deploy set carries the neighbor statement the other end
-// expects. Two exemptions mirror legitimate design idioms: sessions to
-// external peers (no remote_device, e.g. an ISP interconnect) are excluded
-// from per-device AS aggregation, since operators present a different AS
-// to partners; and AS claims are aggregated per session type, because
-// cluster edge routers run their fabric eBGP AS while also joining the
-// backbone's private-AS iBGP overlay.
-func (c *Checker) checkBGPSymmetry(net *network, configs map[string]string) ([]Violation, error) {
-	var vs []Violation
-	type claimKey struct {
-		dev   int64
-		sType string
-	}
-	// (device, session type) → AS → number of internal sessions claiming it.
-	claims := map[claimKey]map[int64]int{}
-	claim := func(dev int64, sType string, as int64) {
-		if as == 0 {
-			return
-		}
-		k := claimKey{dev, sType}
-		if claims[k] == nil {
-			claims[k] = map[int64]int{}
-		}
-		claims[k][as]++
-	}
-	for _, model := range []string{"BgpV6Session", "BgpV4Session"} {
-		sessions, err := c.store.Find(model, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sessions {
-			l, r := s.Ref("local_device"), s.Ref("remote_device")
-			la, ra := s.Int("local_as"), s.Int("remote_as")
-			internal := l != 0 && r != 0
-			if l != 0 && l == r {
-				vs = append(vs, Violation{
-					Invariant: BGPSymmetry, Device: net.devName(l), Model: model, ID: s.ID,
-					Detail: "session peers with itself",
-				})
-				continue
-			}
-			switch s.String("session_type") {
-			case "ibgp":
-				if la != ra {
-					vs = append(vs, Violation{
-						Invariant: BGPSymmetry, Device: net.devName(l), Model: model, ID: s.ID,
-						Detail: fmt.Sprintf("iBGP session with asymmetric AS numbers %d != %d", la, ra),
-						needle: strconv.FormatInt(ra, 10),
-					})
-				}
-			case "ebgp":
-				if internal && la == ra {
-					vs = append(vs, Violation{
-						Invariant: BGPSymmetry, Device: net.devName(l), Model: model, ID: s.ID,
-						Detail: fmt.Sprintf("eBGP session between %s and %s inside one AS %d",
-							net.devName(l), net.devName(r), la),
-						needle: strconv.FormatInt(la, 10),
-					})
-				}
-			}
-			if internal {
-				claim(l, s.String("session_type"), la)
-				claim(r, s.String("session_type"), ra)
-			}
-			// Both-endpoint config symmetry for the deploy set: the §1
-			// failure class "iBGP sessions configured on only one peer".
-			if internal {
-				lName, rName := net.devName(l), net.devName(r)
-				if cfg, ok := configs[lName]; ok {
-					if raddr := s.String("remote_addr"); raddr != "" && !containsAddr(cfg, raddr) {
-						vs = append(vs, Violation{
-							Invariant: BGPSymmetry, Device: lName, Model: model, ID: s.ID,
-							Detail: fmt.Sprintf("rendered config omits neighbor %s (session to %s)", raddr, rName),
-							needle: raddr,
-						})
-					}
-				}
-				if cfg, ok := configs[rName]; ok {
-					if laddr := c.localSideAddr(net, s, model); laddr != "" && !containsAddr(cfg, laddr) {
-						vs = append(vs, Violation{
-							Invariant: BGPSymmetry, Device: rName, Model: model, ID: s.ID,
-							Detail: fmt.Sprintf("rendered config omits neighbor %s (session from %s)", laddr, lName),
-							needle: laddr,
-						})
-					}
-				}
-			}
-		}
-	}
-	for _, devID := range net.devIDs {
-		for _, sType := range []string{"ebgp", "ibgp"} {
-			byAS := claims[claimKey{devID, sType}]
-			if len(byAS) <= 1 {
-				continue
-			}
-			var asns []int64
-			for as := range byAS {
-				asns = append(asns, as)
-			}
-			sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-			// The minority AS is the likeliest flip; point the hunk at it.
-			minority := asns[0]
-			for _, as := range asns {
-				if byAS[as] < byAS[minority] {
-					minority = as
-				}
-			}
-			parts := make([]string, len(asns))
-			for i, as := range asns {
-				parts[i] = fmt.Sprintf("%d (%d sessions)", as, byAS[as])
-			}
-			vs = append(vs, Violation{
-				Invariant: BGPSymmetry, Device: net.devName(devID), Model: "Device", ID: devID,
-				Detail: fmt.Sprintf("device claims %d different AS numbers across internal %s sessions: %s",
-					len(asns), sType, strings.Join(parts, ", ")),
-				needle: strconv.FormatInt(minority, 10),
-			})
-		}
-	}
-	return vs, nil
-}
-
-// checkP2PConsistency groups every p2p prefix by its subnet and verifies
-// each subnet has exactly two ends on exactly two adjacent devices, then
-// replays all allocations (p2p and external interconnects) into fresh
-// ipam pools to reject overlap/reuse across circuits — including
-// different-length overlaps a same-subnet grouping cannot see.
-func (c *Checker) checkP2PConsistency(net *network, _ map[string]string) ([]Violation, error) {
-	var vs []Violation
-	adjacent, err := c.adjacencyPairs(net)
-	if err != nil {
-		return nil, err
-	}
-	type end struct {
-		dev    int64
-		addr   netip.Addr
-		prefix netip.Prefix
-		model  string
-		id     int64
-	}
-	groups := map[netip.Prefix][]end{}
-	var allSubnets []netip.Prefix
-	subnetOwner := map[netip.Prefix]string{}
-	for _, model := range []string{"V6Prefix", "V4Prefix"} {
-		pfxs, err := c.store.Find(model, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range pfxs {
-			purpose := p.String("purpose")
-			if purpose != "p2p" && purpose != "external" {
-				continue
-			}
-			pfx, err := netip.ParsePrefix(p.String("prefix"))
-			if err != nil {
-				vs = append(vs, Violation{
-					Invariant: P2PConsistency, Device: net.devName(net.aggDev[p.Ref("interface")]),
-					Model: model, ID: p.ID,
-					Detail: fmt.Sprintf("stored prefix %q does not parse: %v", p.String("prefix"), err),
-				})
-				continue
-			}
-			subnet := pfx.Masked()
-			if _, seen := subnetOwner[subnet]; !seen {
-				allSubnets = append(allSubnets, subnet)
-				subnetOwner[subnet] = net.devName(net.aggDev[p.Ref("interface")])
-			}
-			if purpose != "p2p" {
-				continue // external: one side is an ISP we do not model
-			}
-			dev := net.aggDev[p.Ref("interface")]
-			groups[subnet] = append(groups[subnet], end{
-				dev: dev, addr: pfx.Addr(), prefix: pfx, model: model, id: p.ID,
-			})
-		}
-	}
-	var subnets []netip.Prefix
-	for s := range groups {
-		subnets = append(subnets, s)
-	}
-	sort.Slice(subnets, func(i, j int) bool {
-		if subnets[i].Addr() != subnets[j].Addr() {
-			return subnets[i].Addr().Less(subnets[j].Addr())
-		}
-		return subnets[i].Bits() < subnets[j].Bits()
-	})
-	for _, subnet := range subnets {
-		ends := groups[subnet]
-		switch {
-		case len(ends) == 1:
-			e := ends[0]
-			vs = append(vs, Violation{
-				Invariant: P2PConsistency, Device: net.devName(e.dev), Model: e.model, ID: e.id,
-				Detail: fmt.Sprintf("p2p subnet %s is addressed on only one end (%s on %s)",
-					subnet, e.prefix, net.devName(e.dev)),
-				needle: e.addr.String(),
-			})
-		case len(ends) > 2:
-			names := make([]string, len(ends))
-			for i, e := range ends {
-				names[i] = net.devName(e.dev)
-			}
-			sort.Strings(names)
-			vs = append(vs, Violation{
-				Invariant: P2PConsistency, Device: names[0], Model: ends[0].model, ID: ends[0].id,
-				Detail: fmt.Sprintf("p2p subnet %s is addressed on %d interfaces (%s); a point-to-point subnet has exactly two ends",
-					subnet, len(ends), strings.Join(names, ", ")),
-				needle: subnet.Addr().String(),
-			})
-		default: // two ends
-			a, z := ends[0], ends[1]
-			if a.dev == z.dev {
-				vs = append(vs, Violation{
-					Invariant: P2PConsistency, Device: net.devName(a.dev), Model: a.model, ID: a.id,
-					Detail: fmt.Sprintf("both ends of p2p subnet %s land on device %s", subnet, net.devName(a.dev)),
-					needle: a.addr.String(),
-				})
-			} else if !adjacent[pairKey(a.dev, z.dev)] {
-				vs = append(vs, Violation{
-					Invariant: P2PConsistency, Device: net.devName(a.dev), Model: a.model, ID: a.id,
-					Detail: fmt.Sprintf("p2p subnet %s spans %s and %s, which share no circuit — address reuse across circuits",
-						subnet, net.devName(a.dev), net.devName(z.dev)),
-					needle: a.addr.String(),
-				})
-			}
-		}
-	}
-	// Replay every subnet into a fresh pool per family: overlapping
-	// allocations of different lengths (a /126 swallowing a /127) collide
-	// here even though they group separately above.
-	sort.Slice(allSubnets, func(i, j int) bool {
-		if allSubnets[i].Addr() != allSubnets[j].Addr() {
-			return allSubnets[i].Addr().Less(allSubnets[j].Addr())
-		}
-		return allSubnets[i].Bits() < allSubnets[j].Bits()
-	})
-	pool4, pool6 := ipam.MustPool("0.0.0.0/0"), ipam.MustPool("::/0")
-	for _, subnet := range allSubnets {
-		pool := pool6
-		if subnet.Addr().Is4() {
-			pool = pool4
-		}
-		if err := pool.Reserve(subnet, subnetOwner[subnet]); err != nil {
-			vs = append(vs, Violation{
-				Invariant: P2PConsistency, Device: subnetOwner[subnet],
-				Detail: fmt.Sprintf("subnet %s overlaps another circuit's allocation: %v", subnet, err),
-				needle: subnet.Addr().String(),
-			})
-		}
-	}
-	return vs, nil
-}
-
-// adjacencyPairs collects every device pair connected by a link group or
-// a non-decommissioned circuit.
-func (c *Checker) adjacencyPairs(net *network) (map[[2]int64]bool, error) {
-	pairs := map[[2]int64]bool{}
-	lgs, err := c.store.Find("LinkGroup", nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, lg := range lgs {
-		a, z := lg.Ref("a_device"), lg.Ref("z_device")
-		if a != 0 && z != 0 {
-			pairs[pairKey(a, z)] = true
-		}
-	}
-	circuits, err := c.store.Find("Circuit", fbnet.Ne("status", "decommissioned"))
-	if err != nil {
-		return nil, err
-	}
-	for _, cir := range circuits {
-		a, z := net.pifDev[cir.Ref("a_interface")], net.pifDev[cir.Ref("z_interface")]
-		if a != 0 && z != 0 {
-			pairs[pairKey(a, z)] = true
-		}
-	}
-	return pairs, nil
-}
-
-func pairKey(a, z int64) [2]int64 {
-	if a > z {
-		a, z = z, a
-	}
-	return [2]int64{a, z}
-}
-
-// roleRank orders roles bottom-up; a device's "aggregation layer" is any
-// same-cluster device of strictly higher rank.
-var roleRank = map[string]int{
-	"tor": 0, "fsw": 1, "psw": 1, "ssw": 2, "dr": 3, "pr": 3, "bb": 4,
-}
-
-// checkReachability verifies every cluster device below its cluster's top
-// tier can reach a higher-rank device of the same cluster over
-// non-decommissioned circuits. Backbone routers (no cluster) are exempt:
-// they are legitimately built out before their circuits exist.
-func (c *Checker) checkReachability(net *network, _ map[string]string) ([]Violation, error) {
-	var vs []Violation
-	circuits, err := c.store.Find("Circuit", fbnet.Ne("status", "decommissioned"))
-	if err != nil {
-		return nil, err
-	}
-	adj := map[int64][]int64{}
-	for _, cir := range circuits {
-		a, z := net.pifDev[cir.Ref("a_interface")], net.pifDev[cir.Ref("z_interface")]
-		if a == 0 || z == 0 || a == z {
-			continue
-		}
-		adj[a] = append(adj[a], z)
-		adj[z] = append(adj[z], a)
-	}
-	clusterMax := map[int64]int{}
-	for _, devID := range net.devIDs {
-		d := net.devByID[devID]
-		cl := d.Ref("cluster")
-		if cl == 0 {
-			continue
-		}
-		if rank, ok := roleRank[d.String("role")]; ok && rank > clusterMax[cl] {
-			clusterMax[cl] = rank
-		}
-	}
-	for _, devID := range net.devIDs {
-		d := net.devByID[devID]
-		cl := d.Ref("cluster")
-		if cl == 0 {
-			continue
-		}
-		rank, ok := roleRank[d.String("role")]
-		if !ok || rank >= clusterMax[cl] {
-			continue // top tier (or unranked role): nothing above it
-		}
-		if c.reaches(net, adj, devID, cl, rank) {
-			continue
-		}
-		vs = append(vs, Violation{
-			Invariant: Reachability, Device: d.String("name"), Model: "Device", ID: devID,
-			Detail: fmt.Sprintf("%s (%s) has no intact circuit path to its aggregation layer",
-				d.String("name"), d.String("role")),
-		})
-	}
-	return vs, nil
-}
-
-// reaches BFSes from start and reports whether any same-cluster device of
-// strictly higher rank is connected.
-func (c *Checker) reaches(net *network, adj map[int64][]int64, start, cluster int64, rank int) bool {
-	seen := map[int64]bool{start: true}
-	queue := []int64{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, next := range adj[cur] {
-			if seen[next] {
-				continue
-			}
-			seen[next] = true
-			if d, ok := net.devByID[next]; ok && d.Ref("cluster") == cluster {
-				if r, ok := roleRank[d.String("role")]; ok && r > rank {
-					return true
-				}
-			}
-			queue = append(queue, next)
-		}
-	}
-	return false
+	return addrOf(m.devs[s.local].lo6)
 }
 
 var (
@@ -693,135 +363,26 @@ var (
 	neighborV2Re = regexp.MustCompile(`^\s*neighbor +(\S+) +\{`)
 )
 
-// checkOrphanRefs verifies referential integrity in both directions:
-// FBNet objects a deployment depends on still resolve (circuit endpoints,
-// prefix→interface bindings, session local prefixes), and every interface
-// or BGP neighbor named in a rendered config resolves back to FBNet
-// intent.
-func (c *Checker) checkOrphanRefs(net *network, configs map[string]string) ([]Violation, error) {
-	var vs []Violation
-	// Active circuits must keep both endpoints; a deleted interface
-	// nulls the reference (SetNull) and leaves a half-connected circuit.
-	circuits, err := c.store.Find("Circuit", fbnet.In("status", "provisioning", "production"))
-	if err != nil {
-		return nil, err
-	}
-	for _, cir := range circuits {
-		a, z := cir.Ref("a_interface"), cir.Ref("z_interface")
-		if a != 0 && z != 0 {
-			continue
-		}
-		missingDev, missingIf := parseCircuitEnd(cir.String("circuit_id"), a == 0)
-		vs = append(vs, Violation{
-			Invariant: OrphanRef, Device: missingDev, Model: "Circuit", ID: cir.ID,
-			Detail: fmt.Sprintf("%s circuit %s lost endpoint %s:%s — interface no longer resolves in FBNet",
-				cir.String("status"), cir.String("circuit_id"), missingDev, missingIf),
-			needle: missingIf,
-		})
-	}
-	// p2p/external prefixes must stay bound to an existing interface.
-	for _, model := range []string{"V6Prefix", "V4Prefix"} {
-		pfxs, err := c.store.Find(model, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range pfxs {
-			purpose := p.String("purpose")
-			if purpose != "p2p" && purpose != "external" {
-				continue
-			}
-			aggID := p.Ref("interface")
-			if aggID == 0 {
-				vs = append(vs, Violation{
-					Invariant: OrphanRef, Model: model, ID: p.ID,
-					Detail: fmt.Sprintf("%s prefix %s is bound to no interface", purpose, p.String("prefix")),
-					needle: addrOf(p.String("prefix")),
-				})
-			} else if net.aggDev[aggID] == 0 {
-				vs = append(vs, Violation{
-					Invariant: OrphanRef, Model: model, ID: p.ID,
-					Detail: fmt.Sprintf("%s prefix %s is bound to interface %d which resolves to no device",
-						purpose, p.String("prefix"), aggID),
-					needle: addrOf(p.String("prefix")),
-				})
-			}
-		}
-	}
-	// Session local prefixes must resolve onto the session's own device.
-	for _, model := range []string{"BgpV6Session", "BgpV4Session"} {
-		sessions, err := c.store.Find(model, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sessions {
-			pfxID := s.Ref("local_prefix")
-			l := s.Ref("local_device")
-			if pfxID == 0 || l == 0 {
-				continue
-			}
-			pfx, err := c.store.GetByID(sessionPrefixModel(model), pfxID)
-			if err != nil {
-				vs = append(vs, Violation{
-					Invariant: OrphanRef, Device: net.devName(l), Model: model, ID: s.ID,
-					Detail: fmt.Sprintf("session references local prefix #%d which no longer exists", pfxID),
-				})
-				continue
-			}
-			if dev := net.aggDev[pfx.Ref("interface")]; dev != l {
-				vs = append(vs, Violation{
-					Invariant: OrphanRef, Device: net.devName(l), Model: model, ID: s.ID,
-					Detail: fmt.Sprintf("session's local prefix %s is not addressed on %s",
-						pfx.String("prefix"), net.devName(l)),
-					needle: addrOf(pfx.String("prefix")),
-				})
-			}
-		}
-	}
-	// Rendered-config side: every named interface and neighbor resolves.
-	names := make([]string, 0, len(configs))
-	for name := range configs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		dev, ok := net.devByName[name]
-		if !ok {
-			vs = append(vs, Violation{
-				Invariant: OrphanRef, Device: name,
-				Detail: "config rendered for a device that does not exist in FBNet",
-			})
-			continue
-		}
-		vs = append(vs, c.scanConfig(net, dev, name, configs[name])...)
-	}
-	return vs, nil
-}
-
 // scanConfig cross-checks one rendered config against FBNet: interface
 // stanzas must name interfaces of the device, neighbor statements must
 // correspond to designed sessions.
-func (c *Checker) scanConfig(net *network, dev fbnet.Object, name, cfg string) []Violation {
+func (m *model) scanConfig(dev int64, name, cfg string) []Violation {
 	var vs []Violation
 	valid := map[string]bool{"lo0": true}
-	for pifID, d := range net.pifDev {
-		if d == dev.ID {
-			valid[net.pifName[pifID]] = true
-		}
+	for _, port := range m.portNames[dev] {
+		valid[port] = true
 	}
-	for aggID, d := range net.aggDev {
-		if d == dev.ID {
-			valid[net.aggName[aggID]] = true
-		}
+	for _, id := range m.aggsByDev[dev] {
+		valid[m.aggs[id].name] = true
 	}
-	expectedNbrs, err := c.expectedNeighbors(net, dev.ID)
-	if err != nil {
-		return vs
-	}
+	expectedNbrs := m.expectedNeighbors(dev)
 	ifaceRe, nbrRe := ifaceV1Re, neighborV1Re
-	if net.syntax[dev.ID] == "vendor2" {
+	if m.vendors[m.hws[m.devs[dev].hw].vendor].syntax == "vendor2" {
 		ifaceRe, nbrRe = ifaceV2Re, neighborV2Re
 	}
-	for _, line := range strings.Split(cfg, "\n") {
+	for len(cfg) > 0 {
+		var line string
+		line, cfg, _ = strings.Cut(cfg, "\n")
 		if m := ifaceRe.FindStringSubmatch(line); m != nil {
 			iface := m[1]
 			if strings.HasPrefix(iface, "tunnel-te") || strings.HasPrefix(iface, "lo") {
@@ -847,32 +408,6 @@ func (c *Checker) scanConfig(net *network, dev fbnet.Object, name, cfg string) [
 		}
 	}
 	return vs
-}
-
-// expectedNeighbors returns every neighbor address the device's designed
-// sessions can render: remote_addr where it is the local side, and the
-// far side's prefix address or loopback where it is the remote side.
-func (c *Checker) expectedNeighbors(net *network, devID int64) (map[string]bool, error) {
-	out := map[string]bool{}
-	for _, model := range []string{"BgpV6Session", "BgpV4Session"} {
-		sessions, err := c.store.Find(model, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sessions {
-			if s.Ref("local_device") == devID {
-				if addr := s.String("remote_addr"); addr != "" {
-					out[addr] = true
-				}
-			}
-			if s.Ref("remote_device") == devID {
-				if addr := c.localSideAddr(net, s, model); addr != "" {
-					out[addr] = true
-				}
-			}
-		}
-	}
-	return out, nil
 }
 
 // attachHunks computes, for each device-attributed violation whose config
@@ -927,6 +462,9 @@ func addrOf(pfx string) string {
 // containsAddr reports whether cfg contains addr as a whole token (not as
 // a substring of a longer address: "10.0.0.1" must not match "10.0.0.10").
 func containsAddr(cfg, addr string) bool {
+	if addr == "" {
+		return false
+	}
 	for i := 0; ; {
 		j := strings.Index(cfg[i:], addr)
 		if j < 0 {

@@ -1,7 +1,11 @@
 package verify
 
 import (
+	"fmt"
+	"math/rand"
 	"net/netip"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -9,6 +13,7 @@ import (
 	"github.com/robotron-net/robotron/internal/configgen"
 	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/ipam"
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/revctl"
 	"github.com/robotron-net/robotron/internal/telemetry"
@@ -75,10 +80,31 @@ func byInvariant(vs []Violation, inv Invariant) []Violation {
 	return out
 }
 
+// eachChecker runs a case twice on a fresh fleet: through a cold checker,
+// whose first run loads the store, and through a pre-warmed one, whose
+// resident model has to follow the case's mutation through the binlog.
+func eachChecker(t *testing.T, run func(t *testing.T, d *design.Designer, g *configgen.Generator, c *Checker)) {
+	for _, warm := range []bool{false, true} {
+		name := "cold"
+		if warm {
+			name = "warm"
+		}
+		t.Run(name, func(t *testing.T) {
+			d, g, c := newFleet(t)
+			if warm {
+				if res, err := c.Check(renderSite(t, g)); err != nil || !res.Pass() {
+					t.Fatalf("warming check: res=%+v err=%v", res, err)
+				}
+			}
+			run(t, d, g, c)
+		})
+	}
+}
+
 // TestCleanFleetPasses: a freshly designed cluster has zero violations,
 // and the gate records its run in telemetry.
 func TestCleanFleetPasses(t *testing.T) {
-	_, g, c := newFleet(t)
+	d, g, c := newFleet(t)
 	reg := telemetry.NewRegistry()
 	c.Instrument(reg)
 	res, err := c.Check(renderSite(t, g))
@@ -102,6 +128,51 @@ func TestCleanFleetPasses(t *testing.T) {
 	if got := reg.Histogram("robotron_verify_seconds").Count(); got != 1 {
 		t.Errorf("latency histogram count = %d, want 1", got)
 	}
+	// The first run is a cold rebuild: it reads no delta and re-evaluates
+	// every stored check. A second run over an unchanged store reads
+	// nothing and re-evaluates nothing — what tells an operator that a
+	// slow run was a rebuild.
+	if !res.Rebuilt || res.DeltaEntries != 0 || res.Rechecked == 0 {
+		t.Errorf("first run: rebuilt=%v delta=%d rechecked=%d, want a rebuild of every check",
+			res.Rebuilt, res.DeltaEntries, res.Rechecked)
+	}
+	rechecked := func() (n int64) {
+		for _, inv := range Invariants {
+			v := reg.Counter("robotron_verify_rechecked_keys_total", telemetry.L("invariant", string(inv))...).Value()
+			if v == 0 {
+				t.Errorf("cold run rechecked no %s key", inv)
+			}
+			n += v
+		}
+		return n
+	}
+	cold := rechecked()
+	if cold != int64(res.Rechecked) {
+		t.Errorf("rechecked counters sum to %d, result says %d", cold, res.Rechecked)
+	}
+	if got := reg.Counter("robotron_verify_model_rebuilds_total").Value(); got != 1 {
+		t.Errorf("rebuilds counter = %d, want 1", got)
+	}
+	if _, err := d.AddRack(testCtx("pop"), "pop1-c1", "TOR_Vendor1", "psw", 2, true, false); err != nil {
+		t.Fatal(err)
+	}
+	res, err = c.Check(renderSite(t, g))
+	if err != nil || !res.Pass() {
+		t.Fatalf("check after add-rack: res=%+v err=%v", res, err)
+	}
+	if res.Rebuilt || res.DeltaEntries == 0 || res.Rechecked == 0 {
+		t.Errorf("run after add-rack: rebuilt=%v delta=%d rechecked=%d, want a delta and no rebuild",
+			res.Rebuilt, res.DeltaEntries, res.Rechecked)
+	}
+	if got := reg.Counter("robotron_verify_delta_entries_total").Value(); got != int64(res.DeltaEntries) {
+		t.Errorf("delta entries counter = %d, want %d", got, res.DeltaEntries)
+	}
+	if got := rechecked() - cold; got != int64(res.Rechecked) || got >= cold {
+		t.Errorf("warm run rechecked %d keys (result says %d), cold run %d: want fewer", got, res.Rechecked, cold)
+	}
+	if got := reg.Counter("robotron_verify_model_rebuilds_total").Value(); got != 1 {
+		t.Errorf("rebuilds counter = %d after a warm run, want 1", got)
+	}
 }
 
 // TestUninstrumentedCheckerWorks: the gate must not require telemetry.
@@ -116,7 +187,10 @@ func TestUninstrumentedCheckerWorks(t *testing.T) {
 // name the device now claiming two AS numbers, with the confdiff hunk of
 // its pending change carrying the flipped value.
 func TestFlippedASNRejected(t *testing.T) {
-	d, g, c := newFleet(t)
+	eachChecker(t, testFlippedASNRejected)
+}
+
+func testFlippedASNRejected(t *testing.T, d *design.Designer, g *configgen.Generator, c *Checker) {
 	store := d.Store()
 	reg := telemetry.NewRegistry()
 	c.Instrument(reg)
@@ -172,7 +246,10 @@ func TestFlippedASNRejected(t *testing.T) {
 // that swallows another link's subnet. Both the one-sided original subnet
 // and the cross-circuit overlap must surface, naming the device.
 func TestLeakedSubnetRejected(t *testing.T) {
-	d, g, c := newFleet(t)
+	eachChecker(t, testLeakedSubnetRejected)
+}
+
+func testLeakedSubnetRejected(t *testing.T, d *design.Designer, g *configgen.Generator, c *Checker) {
 	store := d.Store()
 	pfxs, err := store.Find("V6Prefix", fbnet.Eq("purpose", "p2p"))
 	if err != nil || len(pfxs) < 4 {
@@ -234,7 +311,10 @@ func TestLeakedSubnetRejected(t *testing.T) {
 // circuit endpoint; the gate must name the device and port recovered from
 // the circuit id, and the hunk must show the port leaving the config.
 func TestOrphanedCircuitRejected(t *testing.T) {
-	d, g, c := newFleet(t)
+	eachChecker(t, testOrphanedCircuitRejected)
+}
+
+func testOrphanedCircuitRejected(t *testing.T, d *design.Designer, g *configgen.Generator, c *Checker) {
 	store := d.Store()
 	circuits, err := store.Find("Circuit", fbnet.Eq("status", "provisioning"))
 	if err != nil || len(circuits) == 0 {
@@ -279,7 +359,10 @@ func TestOrphanedCircuitRejected(t *testing.T) {
 // TestPartitionedDeviceRejected: decommissioning every circuit of one
 // switch strands it below its aggregation layer.
 func TestPartitionedDeviceRejected(t *testing.T) {
-	d, g, c := newFleet(t)
+	eachChecker(t, testPartitionedDeviceRejected)
+}
+
+func testPartitionedDeviceRejected(t *testing.T, d *design.Designer, g *configgen.Generator, c *Checker) {
 	store := d.Store()
 	victim, err := store.FindOne("Device", fbnet.Eq("name", "psw1.pop1-c1"))
 	if err != nil {
@@ -377,5 +460,213 @@ func TestParseCircuitEnd(t *testing.T) {
 	dev, iface = parseCircuitEnd("pr1.c1:et1/1--psw1.c1:et2/2", false)
 	if dev != "psw1.c1" || iface != "et2/2" {
 		t.Errorf("z side = %s:%s", dev, iface)
+	}
+}
+
+// TestDownStoreFailsClosed: the gate never vouches for a store it cannot
+// read. A cold checker fails on its first Find; a warm one needs no rows,
+// so it must notice for itself.
+func TestDownStoreFailsClosed(t *testing.T) {
+	eachChecker(t, func(t *testing.T, d *design.Designer, g *configgen.Generator, c *Checker) {
+		configs := renderSite(t, g)
+		db := d.Store().DB()
+		db.SetDown(true)
+		if res, err := c.Check(configs); err == nil {
+			t.Fatalf("check against a down store returned no error (pass=%v)", res.Pass())
+		}
+		db.SetDown(false)
+		if res, err := c.Check(configs); err != nil || !res.Pass() {
+			t.Fatalf("check after recovery: res=%+v err=%v", res, err)
+		}
+	})
+}
+
+// TestWarmCheckReadsNoRows: a cold run issues one Find per tracked model;
+// a warm run — even one that has a design change to absorb and a
+// violation to find — issues no store query at all.
+func TestWarmCheckReadsNoRows(t *testing.T) {
+	d, g, c := newFleet(t)
+	store := d.Store()
+	reg := telemetry.NewRegistry()
+	store.Instrument(reg)
+	queries := func() int64 {
+		return reg.Counter("robotron_fbnet_queries_planned_total", telemetry.L("strategy", "indexed")...).Value() +
+			reg.Counter("robotron_fbnet_queries_planned_total", telemetry.L("strategy", "scan")...).Value()
+	}
+	configs := renderSite(t, g)
+	before := queries()
+	if _, err := c.Check(configs); err != nil {
+		t.Fatal(err)
+	}
+	if got := queries() - before; got != int64(len(trackedModels)) {
+		t.Errorf("cold check issued %d queries, want one per tracked model (%d)", got, len(trackedModels))
+	}
+	s, err := store.FindOne("BgpV6Session", fbnet.Eq("id", int64(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Mutate(func(m *fbnet.Mutation) error {
+		return m.Update("BgpV6Session", s.ID, map[string]any{"remote_as": int64(65999)})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before = queries()
+	res, err := c.Check(configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := queries() - before; got != 0 {
+		t.Errorf("warm check issued %d store queries, want 0", got)
+	}
+	if res.Pass() || res.Rebuilt {
+		t.Errorf("warm check: pass=%v rebuilt=%v, want a rejection from the delta alone", res.Pass(), res.Rebuilt)
+	}
+}
+
+// TestThreeEndedSubnetRejected: widening three prefixes into one /126
+// gives a "point-to-point" subnet three ends.
+func TestThreeEndedSubnetRejected(t *testing.T) {
+	eachChecker(t, func(t *testing.T, d *design.Designer, g *configgen.Generator, c *Checker) {
+		store := d.Store()
+		pfxs, err := store.Find("V6Prefix", fbnet.Eq("purpose", "p2p"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		byQuad := map[netip.Prefix][]fbnet.Object{}
+		var quad netip.Prefix
+		for _, p := range pfxs {
+			q := netip.PrefixFrom(netip.MustParsePrefix(p.String("prefix")).Addr(), 126).Masked()
+			if byQuad[q] = append(byQuad[q], p); len(byQuad[q]) == 3 {
+				quad = q
+			}
+		}
+		if !quad.IsValid() {
+			t.Fatal("no three p2p prefixes share a /126")
+		}
+		if _, err := store.Mutate(func(m *fbnet.Mutation) error {
+			for _, p := range byQuad[quad][:3] {
+				wide := netip.PrefixFrom(netip.MustParsePrefix(p.String("prefix")).Addr(), 126)
+				if err := m.Update("V6Prefix", p.ID, map[string]any{"prefix": wide.String()}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Check(renderSite(t, g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, v := range byInvariant(res.Violations, P2PConsistency) {
+			if strings.Contains(v.Detail, quad.String()+" is addressed on 3 interfaces") {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("three-ended %s not reported: %v", quad, res.Violations)
+		}
+	})
+}
+
+// ipamReplay is the oracle the nesting index replaced: every subnet
+// replayed, in (address, length) order, into a fresh ipam pool per family;
+// the ones the pool rejects, with the violation text the rejection gave.
+func ipamReplay(subnets []netip.Prefix) map[netip.Prefix]string {
+	subnets = slices.Clone(subnets)
+	slices.SortFunc(subnets, compareSubnets)
+	rejected := map[netip.Prefix]string{}
+	pool4, pool6 := ipam.MustPool("0.0.0.0/0"), ipam.MustPool("::/0")
+	for _, subnet := range slices.Compact(subnets) {
+		pool := pool6
+		if subnet.Addr().Is4() {
+			pool = pool4
+		}
+		if err := pool.Reserve(subnet, "owner"); err != nil {
+			rejected[subnet] = fmt.Sprintf("subnet %s overlaps another circuit's allocation: %v", subnet, err)
+		}
+	}
+	return rejected
+}
+
+// TestNestingIndexMatchesIpamReplay pins the overlap verdicts, their text,
+// and the dirtying rule of the nesting index over random prefix sets —
+// both families, duplicates, mixed lengths, inserts and deletes.
+func TestNestingIndexMatchesIpamReplay(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := newModel()
+		live := map[rowKey]netip.Prefix{}
+		nextID := int64(0)
+		for step := 0; step < 60; step++ {
+			m.recheck()
+			var changed netip.Prefix
+			before := len(m.subnets)
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				var keys []rowKey
+				for k := range live {
+					keys = append(keys, k)
+				}
+				slices.SortFunc(keys, compareRowKeys)
+				k := keys[rng.Intn(len(keys))]
+				changed = live[k].Masked()
+				delete(live, k)
+				m.apply(&relstore.LogEntry{Op: relstore.OpDelete, Table: k.prefixModel(), RowID: k.id})
+			} else {
+				// A few bits of address under a long common prefix, so
+				// that containment and duplicates are the common case.
+				var p netip.Prefix
+				if rng.Intn(3) == 0 {
+					p = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, 0, byte(rng.Intn(32))}), 26+rng.Intn(7))
+				} else {
+					a := netip.MustParseAddr("2401:db00::").As16()
+					a[15] = byte(rng.Intn(32))
+					p = netip.PrefixFrom(netip.AddrFrom16(a), 122+rng.Intn(7))
+				}
+				nextID++
+				k := rowKey{p.Addr().Is4(), nextID}
+				live[k], changed = p, p.Masked()
+				m.apply(&relstore.LogEntry{Op: relstore.OpInsert, Table: k.prefixModel(), RowID: k.id, Values: map[string]any{
+					"prefix": p.String(), "purpose": []string{"p2p", "external"}[rng.Intn(2)],
+				}})
+			}
+			var subnets []netip.Prefix
+			for _, p := range live {
+				subnets = append(subnets, p.Masked())
+			}
+			// Dirtying: the changed subnet itself and, when it appeared or
+			// disappeared, exactly the tracked subnets it contains.
+			wantDirty := map[netip.Prefix]bool{changed: true}
+			if len(m.subnets) != before {
+				for _, s := range subnets {
+					if changed.Bits() < s.Bits() && changed.Contains(s.Addr()) {
+						wantDirty[s] = true
+					}
+				}
+			}
+			gotDirty := map[netip.Prefix]bool{}
+			for k := range m.dirty {
+				if k.kind == checkSubnet {
+					gotDirty[k.subnet] = true
+				}
+			}
+			if !reflect.DeepEqual(gotDirty, wantDirty) {
+				t.Fatalf("seed %d step %d: change of %s marked %v, want %v", seed, step, changed, gotDirty, wantDirty)
+			}
+			m.recheck()
+			got := map[netip.Prefix]string{}
+			for k, vs := range m.found {
+				for _, v := range vs {
+					if k.kind == checkSubnet && strings.Contains(v.Detail, "overlaps") {
+						got[k.subnet] = v.Detail
+					}
+				}
+			}
+			if want := ipamReplay(subnets); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: nesting index and ipam replay disagree over %v\nindex: %v\nipam:  %v",
+					seed, step, subnets, got, want)
+			}
+		}
 	}
 }
