@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race verify-gate fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
+.PHONY: tier1 build vet test race loc verify-gate fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
 
 # Tier-1 gate: what CI and reviewers run before merging.
 tier1: verify-gate fuzz-smoke sim obs
@@ -39,20 +39,29 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Non-test Go lines in the tree: "net lines removed is a reported metric"
+# (ROADMAP), and this is the command that reports it.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l
+
 # Chaos suite: the fleet-scale fault-injection soak (64 devices, 4 fault
 # kinds on a fixed seed, convergence-or-quarantine acceptance) plus the
 # /metrics scrape check, under the race detector. See DESIGN.md §11.
-# The same acceptance criteria also exist declaratively as
-# examples/scenarios/ambiguous-commit-chaos.yaml (run by `make sim`).
+# examples/scenarios/ambiguous-commit-chaos.yaml (run by `make sim`) drills
+# the same faults on one goroutine for a byte-stable journal; only this
+# soak runs *parallel* deploys and remediations against the fault engine,
+# so it is where the race detector meets the chaos path.
 chaos:
 	$(GO) test -race -v -timeout 10m ./internal/chaos/
 
 # Scenario harness: static-validate and execute every example scenario
 # under the race detector (the engine tests double-run each for
-# byte-identical journals), then the same through the CLI entry point.
+# byte-identical journals), the CLI's own tests (usage, exit codes,
+# golden listing), then every drill through the CLI entry point.
 # See DESIGN.md §14 and README "Writing scenarios".
 sim:
 	$(GO) test -race -timeout 10m ./internal/scenario/
+	$(GO) test -race -timeout 5m ./cmd/robotron/
 	$(GO) run -race ./cmd/robotron sim validate examples/scenarios/*.yaml
 	$(GO) run -race ./cmd/robotron sim run examples/scenarios/*.yaml
 

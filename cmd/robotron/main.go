@@ -1,430 +1,52 @@
-// Command robotron runs end-to-end management scenarios against a
-// simulated network, exercising the full life cycle: network design →
-// config generation → deployment → monitoring (SIGCOMM '16, §5).
+// Command robotron is the operator's front door to the simulated
+// network: declarative drills in, verdicts and views out. A drill file
+// (examples/scenarios/*.yaml, grammar in DESIGN.md §14) declares a fleet,
+// a fault schedule, timed events and assertions; the scenario engine
+// builds the whole stack — design → FBNet → generate → verify → deploy →
+// monitor → reconcile (SIGCOMM '16, §5) — and runs it on a deterministic
+// virtual clock. There is no other way to script a run.
 //
-// Usage:
-//
-//	robotron -scenario lifecycle   # build a POP end to end, audit it
-//	robotron -scenario backbone    # incremental backbone changes
-//	robotron -scenario drift       # manual-change detection and restore
-//	robotron -scenario outage      # fiber cut detected by audit
-//	robotron -scenario distributed # every stage boundary over a real socket
-//	robotron -scenario firewall    # phased ACL rollout across a cluster
-//	robotron -reconcile            # closed-loop drift reconciliation demo
-//
-// The sim noun group drives the declarative scenario harness
-// (internal/scenario): timed events and assertions from a YAML file,
-// executed on a deterministic virtual clock.
-//
-//	robotron sim run [-realtime] [-v] [-journal] <file>...
+//	robotron sim run [-realtime] [-v] [-journal] [-metrics-addr A] [-no-verify] <file>...
 //	robotron sim validate <file>...
 //	robotron sim list [dir]
+//	robotron obs <alarms|timeline|series|jobs|reconcile> [-v] [file]
+//
+// Exit codes: 0 ok, 1 a drill failed, 2 a file is invalid or usage is
+// wrong.
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
-	"time"
-
-	"github.com/robotron-net/robotron/internal/core"
-	"github.com/robotron-net/robotron/internal/deploy"
-	"github.com/robotron-net/robotron/internal/design"
-	"github.com/robotron-net/robotron/internal/fbnet"
-	"github.com/robotron-net/robotron/internal/netsim"
-	"github.com/robotron-net/robotron/internal/reconcile"
 )
 
+const usage = `usage: robotron <noun> <verb> [flags] [args]
+
+  sim run [flags] <file>...   execute drills (examples/scenarios/*.yaml)
+  sim validate <file>...      static checking only
+  sim list [dir]              enumerate the drills in a directory
+  obs <view> [-v] [file]      replay a drill, print a view of the finished world
+                              (alarms, timeline, series, jobs, reconcile)
+
+Run "robotron sim" or "robotron obs" for the flags of each noun.
+`
+
 func main() {
-	// Noun groups dispatch before flag parsing: `robotron sim ...` is
-	// the declarative scenario harness.
-	if len(os.Args) > 1 && os.Args[1] == "sim" {
-		os.Exit(runSim(os.Args[2:]))
-	}
-	// `robotron obs ...` is the observability surface: alarms, the
-	// operational timeline, series, and derived jobs of a finished run.
-	if len(os.Args) > 1 && os.Args[1] == "obs" {
-		os.Exit(runObs(os.Args[2:]))
-	}
-	scenario := flag.String("scenario", "lifecycle", "scenario: lifecycle, backbone, drift, outage, distributed, firewall, reconcile")
-	reconcileMode := flag.Bool("reconcile", false, "shorthand for -scenario reconcile")
-	employee := flag.String("employee", "e-cli", "employee id recorded on design changes")
-	ticket := flag.String("ticket", "T-cli", "ticket id recorded on design changes")
-	parallel := flag.Int("parallel", 0, "max concurrent device commits per deployment phase and concurrent config generations (0 = auto, min(8, n))")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /traces (JSON) and /healthz on this address (e.g. :9090); empty disables")
-	chaosRate := flag.Float64("chaos-rate", 0, "probability of an injected transport fault per management operation (0 disables fault injection)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the deterministic fault-injection schedule (printed so failures reproduce)")
-	noVerify := flag.Bool("no-verify", false, "bypass the pre-deploy intent verification gate (emergency escape hatch; deployments proceed even when network invariants fail)")
-	flag.Parse()
-	if *reconcileMode {
-		*scenario = "reconcile"
-	}
-
-	var faults *netsim.FaultPolicy
-	var retry *deploy.RetryPolicy
-	if *chaosRate > 0 {
-		// Split the rate across the three transport fault kinds and arm
-		// the retrying transport so scenarios survive the chaos.
-		faults = netsim.NewFaultPolicy(*chaosSeed)
-		faults.Add(netsim.FaultRule{Kind: netsim.FaultTransient, Probability: *chaosRate / 2})
-		faults.Add(netsim.FaultRule{Kind: netsim.FaultDropBefore, Probability: *chaosRate / 4})
-		faults.Add(netsim.FaultRule{Kind: netsim.FaultDropAfter, Probability: *chaosRate / 4})
-		retry = &deploy.RetryPolicy{Seed: *chaosSeed}
-	}
-
-	verifyIntent := !*noVerify
-	r, err := core.New(core.Options{
-		FaultPolicy:         faults,
-		DeployRetry:         retry,
-		VerifyIntent:        &verifyIntent,
-		DeployParallelism:   *parallel,
-		GenerateParallelism: *parallel,
-		EnableReconciler:    *scenario == "reconcile",
-		Reconcile: reconcile.Config{
-			BackoffBase: 20 * time.Millisecond, BackoffMax: 200 * time.Millisecond,
-			DampingWindow: time.Hour, DampingThreshold: 3,
-			// The demo drifts two devices at once; the default budget of
-			// min(4, 25% of a 6-device fleet) = 1 would trip the breaker.
-			BudgetMaxDevices: 3, BudgetMaxFraction: 0.5,
-		},
-		Logf: func(format string, args ...any) {
-			fmt.Printf("  | "+format+"\n", args...)
-		}})
-	if err != nil {
-		fatal(err)
-	}
-	if faults != nil {
-		fmt.Printf("  | chaos: %s rate=%.3f\n", faults, *chaosRate)
-	}
-	if *noVerify {
-		fmt.Println("  | verify: pre-deploy intent verification DISABLED (-no-verify)")
-	}
-	if *metricsAddr != "" {
-		srv, err := r.ServeMetrics(*metricsAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Printf("  | telemetry: serving /metrics, /traces, /healthz on %s\n", srv.Addr)
-	}
-	ctx := func(domain string) design.ChangeContext {
-		return design.ChangeContext{
-			EmployeeID: *employee, TicketID: *ticket,
-			Description: "cli scenario " + *scenario, Domain: domain, NowUnix: 1_750_000_000,
-		}
-	}
-	switch *scenario {
-	case "lifecycle":
-		scenarioLifecycle(r, ctx)
-	case "backbone":
-		scenarioBackbone(r, ctx)
-	case "drift":
-		scenarioDrift(r, ctx)
-	case "outage":
-		scenarioOutage(r, ctx)
-	case "distributed":
-		scenarioDistributed(*employee, *ticket)
-	case "firewall":
-		scenarioFirewall(r, ctx)
-	case "reconcile":
-		scenarioReconcile(r, ctx)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scenario %q\n", *scenario)
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "error:", err)
-	os.Exit(1)
-}
-
-func header(s string) { fmt.Printf("\n== %s ==\n", s) }
-
-func scenarioLifecycle(r *core.Robotron, ctx func(string) design.ChangeContext) {
-	header("design + provision a 4-post POP cluster")
-	if _, err := r.Designer.EnsureSite("pop1", "pop", "apac"); err != nil {
-		fatal(err)
-	}
-	res, err := r.ProvisionCluster(ctx("pop"), "pop1", "pop1-c1", design.POPGen1())
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("devices: %s\n", strings.Join(res.Devices, ", "))
-	fmt.Printf("objects created: %d (change #%d)\n", len(res.Build.Stats.Created), res.Build.ChangeID)
-
-	header("sample generated config (first 24 lines)")
-	cfg, err := r.Generator.GenerateDevice(res.Devices[0])
-	if err != nil {
-		fatal(err)
-	}
-	lines := strings.Split(cfg, "\n")
-	if len(lines) > 24 {
-		lines = lines[:24]
-	}
-	fmt.Println(strings.Join(lines, "\n"))
-
-	header("monitoring cycle + audit")
-	if err := r.InstallStandardMonitoring(); err != nil {
-		fatal(err)
-	}
-	if err := r.CollectOnce(); err != nil {
-		fatal(err)
-	}
-	derived, _ := r.Store.Count("DerivedCircuit")
-	fmt.Printf("derived circuits from LLDP: %d\n", derived)
-	rep, err := r.Audit()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("audit anomalies: %d (clean=%v)\n", len(rep.Anomalies), rep.Clean())
-}
-
-func scenarioBackbone(r *core.Robotron, ctx func(string) design.ChangeContext) {
-	header("bootstrap a backbone mesh")
-	if _, err := r.Designer.EnsureSite("bb-east", "backbone", "nam"); err != nil {
-		fatal(err)
-	}
-	for _, n := range []string{"bb1", "bb2", "bb3"} {
-		cr, err := r.Designer.AddBackboneRouter(ctx("backbone"), n, "bb-east", "Backbone_Vendor2", "dr")
-		if err != nil {
-			fatal(err)
+// run dispatches the noun groups; anything else is a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		switch args[0] {
+		case "sim":
+			return runSim(args[1:], stdout, stderr)
+		case "obs":
+			return runObs(args[1:], stdout, stderr)
 		}
-		fmt.Printf("added %s: %d objects changed (iBGP mesh + TE tunnels)\n", n, cr.Stats.Total())
+		fmt.Fprintf(stderr, "robotron: unknown noun %q\n", args[0])
 	}
-	if err := r.SyncFleet(); err != nil {
-		fatal(err)
-	}
-	if _, err := r.GenerateAndDeploy([]string{"bb1", "bb2", "bb3"}, deploy.Options{}, "cli"); err != nil {
-		fatal(err)
-	}
-
-	header("add a circuit and deploy atomically with dryrun review")
-	cr, err := r.Designer.AddBackboneCircuit(ctx("backbone"), "bb1", "bb2", 2)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("circuit add touched %d objects\n", cr.Stats.Total())
-	if err := r.SyncFleet(); err != nil {
-		fatal(err)
-	}
-	rep, err := r.GenerateAndDeploy([]string{"bb1", "bb2"}, deploy.Options{
-		Atomic: true,
-		Review: func(device, diff string) bool {
-			fmt.Printf("--- dryrun diff for %s ---\n%s", device, diff)
-			return true
-		},
-	}, "cli")
-	if err != nil {
-		fatal(err)
-	}
-	for _, res := range rep.Results {
-		fmt.Printf("%s: %s (+%d/-%d lines)\n", res.Device, res.Action, res.Added, res.Removed)
-	}
-
-	header("provision a bb2--bb3 circuit, then migrate its far end to bb1")
-	if _, err := r.Designer.AddBackboneCircuit(ctx("backbone"), "bb2", "bb3", 1); err != nil {
-		fatal(err)
-	}
-	cir, err := r.Store.FindOne("Circuit", fbnet.And(
-		fbnet.Contains("circuit_id", "bb2"), fbnet.Contains("circuit_id", "bb3")))
-	if err != nil {
-		fatal(err)
-	}
-	mig, err := r.Designer.MigrateCircuit(ctx("backbone"), cir.String("circuit_id"), "bb1")
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("migration touched %d objects (created %d, modified %d, deleted %d)\n",
-		mig.Stats.Total(), len(mig.Stats.Created), len(mig.Stats.Modified), len(mig.Stats.Deleted))
-	violations, err := design.ValidateDesign(r.Store)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("design rule violations after migration: %d\n", len(violations))
-}
-
-func scenarioDrift(r *core.Robotron, ctx func(string) design.ChangeContext) {
-	header("provision, then bypass Robotron with a manual change")
-	if _, err := r.Designer.EnsureSite("pop1", "pop", "apac"); err != nil {
-		fatal(err)
-	}
-	res, err := r.ProvisionCluster(ctx("pop"), "pop1", "pop1-c1", design.POPGen1())
-	if err != nil {
-		fatal(err)
-	}
-	victim := res.Devices[0]
-	dev, _ := r.Fleet.Device(victim)
-	fmt.Printf("engineer manually edits %s on the box...\n", victim)
-	if err := dev.ApplyManualChange("snmp-server community leaked RW"); err != nil {
-		fatal(err)
-	}
-	for _, d := range r.ConfigMon.Deviations() {
-		fmt.Printf("config monitoring detected deviation on %s:\n%s", d.Device, d.Diff)
-	}
-	header("restore golden config")
-	if err := r.ConfigMon.Restore(victim, dev); err != nil {
-		fatal(err)
-	}
-	fmt.Println("restored; device conforms again")
-}
-
-func scenarioFirewall(r *core.Robotron, ctx func(string) design.ChangeContext) {
-	header("provision a POP and protect every control plane")
-	if _, err := r.Designer.EnsureSite("pop1", "pop", "apac"); err != nil {
-		fatal(err)
-	}
-	res, err := r.ProvisionCluster(ctx("pop"), "pop1", "pop1-c1", design.POPGen1())
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := r.Designer.EnsureFirewallPolicy(ctx("pop"), design.FirewallSpec{
-		Name: "cp-protect", Direction: "in",
-		Rules: []design.FirewallRuleSpec{
-			{Action: "permit", Protocol: "tcp", SrcPrefix: "2401:db00::/32", DstPort: 179},
-			{Action: "deny", Protocol: "any"},
-		},
-	}); err != nil {
-		fatal(err)
-	}
-	if _, err := r.Designer.AttachFirewall(ctx("pop"), "cp-protect", res.Devices); err != nil {
-		fatal(err)
-	}
-	if _, err := r.GenerateAndDeploy(res.Devices, deploy.Options{}, "cli"); err != nil {
-		fatal(err)
-	}
-	fmt.Println("baseline filter deployed to all 6 devices")
-
-	header("firewall rule change, rolled out in phases (§5.3.2)")
-	if _, err := r.Designer.EnsureFirewallPolicy(ctx("pop"), design.FirewallSpec{
-		Name: "cp-protect", Direction: "in",
-		Rules: []design.FirewallRuleSpec{
-			{Action: "permit", Protocol: "tcp", SrcPrefix: "2401:db00::/32", DstPort: 179},
-			{Action: "permit", Protocol: "tcp", SrcPrefix: "2401:db00:aa::/48", DstPort: 22},
-			{Action: "deny", Protocol: "any"},
-		},
-	}); err != nil {
-		fatal(err)
-	}
-	rep, err := r.GenerateAndDeploy(res.Devices, deploy.Options{
-		Phases: []deploy.Phase{
-			{Name: "canary", Percent: 25},
-			{Name: "half", Percent: 50},
-			{Name: "rest"},
-		},
-		HealthCheck: core.MetricHealthCheck(95),
-		Notify:      func(f string, a ...any) { fmt.Printf("  | "+f+"\n", a...) },
-	}, "cli")
-	if err != nil {
-		fatal(err)
-	}
-	for _, r := range rep.Results {
-		fmt.Printf("%s: %s (+%d/-%d lines)\n", r.Device, r.Action, r.Added, r.Removed)
-	}
-}
-
-func scenarioReconcile(r *core.Robotron, ctx func(string) design.ChangeContext) {
-	header("provision a POP with the closed-loop reconciler enabled")
-	if _, err := r.Designer.EnsureSite("pop1", "pop", "apac"); err != nil {
-		fatal(err)
-	}
-	res, err := r.ProvisionCluster(ctx("pop"), "pop1", "pop1-c1", design.POPGen1())
-	if err != nil {
-		fatal(err)
-	}
-	if err := r.InstallStandardMonitoring(); err != nil {
-		fatal(err)
-	}
-	rec := r.Reconciler
-	defer rec.Stop()
-
-	header("engineers bypass Robotron on two devices")
-	for i, name := range res.Devices[:2] {
-		dev, _ := r.Fleet.Device(name)
-		fmt.Printf("manual change on %s...\n", name)
-		if err := dev.ApplyManualChange(fmt.Sprintf("snmp-server community leaked%d RW", i)); err != nil {
-			fatal(err)
-		}
-	}
-	waitConverged(r, res.Devices[:2])
-	fmt.Println("both devices remediated automatically (regenerate + redeploy + confirm)")
-
-	header("one device keeps flapping: damped into quarantine")
-	flapper := res.Devices[2]
-	dev, _ := r.Fleet.Device(flapper)
-	for round := 0; ; round++ {
-		if err := dev.ApplyManualChange(fmt.Sprintf("username flapper%d secret", round)); err != nil {
-			fatal(err)
-		}
-		if rec.States()[flapper] == reconcile.StateQuarantined {
-			fmt.Printf("%s quarantined after %d drifts inside the damping window\n", flapper, round+1)
-			break
-		}
-		waitConverged(r, []string{flapper})
-	}
-
-	header("per-device state table")
-	fmt.Print(rec.DeviceTable())
-	header("reconciliation journal")
-	fmt.Print(rec.Journal().Format())
-	header("counters")
-	fmt.Println(rec.Stats())
-}
-
-// waitConverged polls until every named device is back in converged
-// state (the reconciler runs on the real clock in CLI mode).
-func waitConverged(r *core.Robotron, devices []string) {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		done := true
-		states := r.Reconciler.States()
-		for _, name := range devices {
-			if states[name] != reconcile.StateConverged {
-				done = false
-			}
-		}
-		if done {
-			return
-		}
-		if time.Now().After(deadline) {
-			fatal(fmt.Errorf("devices %v did not converge; table:\n%s", devices, r.Reconciler.DeviceTable()))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func scenarioOutage(r *core.Robotron, ctx func(string) design.ChangeContext) {
-	header("provision a POP, then cut a fiber")
-	if _, err := r.Designer.EnsureSite("pop1", "pop", "apac"); err != nil {
-		fatal(err)
-	}
-	res, err := r.ProvisionCluster(ctx("pop"), "pop1", "pop1-c1", design.POPGen1())
-	if err != nil {
-		fatal(err)
-	}
-	if err := r.InstallStandardMonitoring(); err != nil {
-		fatal(err)
-	}
-	d, _ := r.Fleet.Device(res.Devices[0])
-	ifaces, _ := d.ShowInterfaces()
-	var port string
-	for _, ifc := range ifaces {
-		if strings.HasPrefix(ifc.Name, "et") {
-			port = ifc.Name
-			break
-		}
-	}
-	fmt.Printf("cutting %s:%s\n", d.Name(), port)
-	r.Fleet.Uncable(d.Name(), port)
-	if err := r.CollectOnce(); err != nil {
-		fatal(err)
-	}
-	rep, err := r.Audit()
-	if err != nil {
-		fatal(err)
-	}
-	for _, a := range rep.Anomalies {
-		fmt.Println(" ", a)
-	}
+	fmt.Fprint(stderr, usage)
+	return 2
 }

@@ -3,7 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -31,11 +31,12 @@ const defaultObsScenario = "examples/scenarios/bgp-down-alarm-correlated.yaml"
 //
 // Exit codes mirror `robotron sim`: 0 ok, 1 the scenario failed, 2 the
 // file is invalid or usage is wrong.
-func runObs(args []string) int {
-	fs := flag.NewFlagSet("obs", flag.ExitOnError)
+func runObs(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("obs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	verbose := fs.Bool("v", false, "verbose progress output")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: robotron obs <alarms|timeline|series|jobs|reconcile> [flags] [scenario-file]\n")
+		fmt.Fprintf(stderr, "usage: robotron obs <alarms|timeline|series|jobs|reconcile> [flags] [scenario-file]\n")
 		fs.PrintDefaults()
 	}
 	if len(args) == 0 {
@@ -46,7 +47,7 @@ func runObs(args []string) int {
 	switch view {
 	case "alarms", "timeline", "series", "jobs", "reconcile":
 	default:
-		fmt.Fprintf(os.Stderr, "obs: unknown view %q (want alarms, timeline, series, jobs, or reconcile)\n", view)
+		fmt.Fprintf(stderr, "obs: unknown view %q (want alarms, timeline, series, jobs, or reconcile)\n", view)
 		return 2
 	}
 	if err := fs.Parse(args[1:]); err != nil {
@@ -58,85 +59,77 @@ func runObs(args []string) int {
 	}
 	f, err := scenario.Load(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "INVALID %s\n  %v\n", path, err)
+		fmt.Fprintf(stderr, "INVALID %s\n  %v\n", path, err)
 		return 2
 	}
-	var logf func(string, ...any)
-	if *verbose {
-		logf = func(format string, args ...any) {
-			fmt.Printf("  | "+format+"\n", args...)
-		}
-	}
-	printed := false
 	_, err = scenario.Run(f, scenario.Options{
-		Logf: logf,
-		OnFinish: func(r *core.Robotron) {
-			printed = true
-			obsPrint(view, r)
+		Logf: verboseLogf(*verbose, stdout),
+		Attach: func(r *core.Robotron) (func(error), error) {
+			return func(runErr error) {
+				if runErr == nil {
+					obsPrint(stdout, view, r)
+				}
+			}, nil
 		},
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL    %s\n  %v\n", path, err)
-		return 1
-	}
-	if !printed {
-		fmt.Fprintln(os.Stderr, "obs: scenario finished but produced no world to inspect")
+		fmt.Fprintf(stderr, "FAIL    %s\n  %v\n", path, err)
 		return 1
 	}
 	return 0
 }
 
-func obsPrint(view string, r *core.Robotron) {
+func obsPrint(w io.Writer, view string, r *core.Robotron) {
 	switch view {
 	case "alarms":
 		if r.Alarms == nil {
-			fmt.Println("alarm engine disabled")
+			fmt.Fprintln(w, "alarm engine disabled")
 			return
 		}
-		fmt.Print(monitor.FormatAlarms(r.Alarms.Snapshot()))
+		fmt.Fprint(w, monitor.FormatAlarms(r.Alarms.Snapshot()))
 	case "timeline":
 		if r.Alarms == nil {
-			fmt.Println("alarm engine disabled")
+			fmt.Fprintln(w, "alarm engine disabled")
 			return
 		}
 		for _, e := range r.Alarms.Timeline(time.Time{}, time.Time{}) {
-			fmt.Println(e.String())
+			fmt.Fprintln(w, e.String())
 		}
 	case "series":
 		keys := r.Timeseries.Keys()
-		fmt.Printf("%d series collected\n", len(keys))
+		fmt.Fprintf(w, "%d series collected\n", len(keys))
 		for _, k := range keys {
 			last := r.Timeseries.Last(k, 1)
 			if len(last) == 0 {
 				continue
 			}
-			fmt.Printf("%-48s n=%-5d last=%g\n", k, len(r.Timeseries.Series(k)), last[0].Value)
+			fmt.Fprintf(w, "%-48s n=%-5d last=%g\n", k, len(r.Timeseries.Series(k)), last[0].Value)
 		}
 	case "reconcile":
 		if r.Reconciler == nil {
-			fmt.Println("reconciler disabled")
+			fmt.Fprintln(w, "reconciler disabled")
 			return
 		}
-		fmt.Print(reconcile.FormatSnapshot(r.Reconciler.Snapshot()))
-		fmt.Println()
-		fmt.Print(reconcile.FormatDeviceTable(r.Reconciler.Devices()))
+		fmt.Fprint(w, reconcile.FormatSnapshot(r.Reconciler.Snapshot()))
+		fmt.Fprintln(w)
+		fmt.Fprint(w, reconcile.FormatDeviceTable(r.Reconciler.Devices()))
 	case "jobs":
 		jobs := r.JobManager.Jobs()
 		sort.Slice(jobs, func(i, j int) bool { return jobs[i].Name < jobs[j].Name })
-		fmt.Printf("%d collection jobs\n", len(jobs))
+		fmt.Fprintf(w, "%d collection jobs\n", len(jobs))
 		for _, j := range jobs {
 			target := "fleet"
 			if !j.AllDevices {
 				target = strings.Join(j.Devices, ",")
 			}
-			fmt.Printf("%-36s %-8s %-12s every %-6s -> %s\n",
+			fmt.Fprintf(w, "%-36s %-8s %-12s every %-6s -> %s\n",
 				j.Name, j.Engine, j.Data, j.Period, target)
 		}
 		if r.Alarms != nil {
 			rules := r.Alarms.Rules()
-			fmt.Printf("%d alarm rules\n", len(rules))
+			fmt.Fprintf(w, "%d alarm rules\n", len(rules))
 			for _, rl := range rules {
-				fmt.Printf("%-24s %-10s %-16s %s\n", rl.Name, rl.Kind, rl.Device, rl.Key)
+				fmt.Fprintf(w, "%-24s %-10s %-16s %s\n", rl.Name, rl.Kind, rl.Device, rl.Key)
 			}
 		}
 	}

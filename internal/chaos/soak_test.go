@@ -10,6 +10,7 @@ import (
 	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/reconcile"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // soakSeed fixes the entire fault schedule: every injection decision is
@@ -71,7 +72,7 @@ func TestChaosSoak(t *testing.T) {
 	policy := soakPolicy()
 	policy.SetDisabled(true) // provision a clean baseline first
 	retry := &deploy.RetryPolicy{Seed: soakSeed, MaxAttempts: 6, Sleep: func(time.Duration) {}}
-	clk := reconcile.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
+	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 
 	r, err := core.New(core.Options{
 		FaultPolicy:      policy,

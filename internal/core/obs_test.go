@@ -81,7 +81,7 @@ func TestObsEndpointsMatchSnapshot(t *testing.T) {
 // failure domain comes from FBNet membership, not name parsing), and a
 // device drift shows up as backlog in the served document.
 func TestObsReconcileEndpointMatchesSnapshot(t *testing.T) {
-	clk := reconcile.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
+	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 	off := false
 	r, err := New(Options{
 		EnableReconciler: true,

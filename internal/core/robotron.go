@@ -88,10 +88,6 @@ type Robotron struct {
 
 // Options configure construction.
 type Options struct {
-	// DBName names the master database server.
-	DBName string
-	// Pools overrides the default address pools.
-	Pools *design.Pools
 	// Logf receives progress output.
 	Logf func(format string, args ...any)
 	// Store attaches to an existing FBNet store (e.g. a service
@@ -117,9 +113,6 @@ type Options struct {
 	// (e.g. one shared with a service deployment); nil creates a private
 	// one. All subsystems are instrumented either way.
 	Telemetry *telemetry.Registry
-	// TraceRing caps how many completed pipeline traces the tracer
-	// retains for /traces; 0 uses telemetry.DefaultTraceRing.
-	TraceRing int
 	// FaultPolicy, when non-nil, arms deterministic fault injection on
 	// every simulated device (present and future) and instruments the
 	// injected-fault counters on the registry. Chaos tests construct a
@@ -153,23 +146,15 @@ type Options struct {
 
 // New builds a complete Robotron instance over fresh state.
 func New(opts Options) (*Robotron, error) {
-	if opts.DBName == "" {
-		opts.DBName = "fbnet-master"
-	}
 	store := opts.Store
 	if store == nil {
-		db := relstore.NewDB(opts.DBName)
 		var err error
-		store, err = fbnet.Open(db, fbnet.NewCatalog())
+		store, err = fbnet.Open(relstore.NewDB("fbnet-master"), fbnet.NewCatalog())
 		if err != nil {
 			return nil, err
 		}
 	}
-	pools := design.DefaultPools()
-	if opts.Pools != nil {
-		pools = *opts.Pools
-	}
-	designer, err := design.NewDesigner(store, pools)
+	designer, err := design.NewDesigner(store, design.DefaultPools())
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +211,7 @@ func New(opts Options) (*Robotron, error) {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	tracer := telemetry.NewTracer(opts.TraceRing)
+	tracer := telemetry.NewTracer(telemetry.DefaultTraceRing)
 	reg.Help("robotron_traces_started_total", "pipeline traces started")
 	tracer.SetStartedCounter(reg.Counter("robotron_traces_started_total"))
 	store.Instrument(reg)

@@ -13,6 +13,7 @@ import (
 	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/reconcile"
 	"github.com/robotron-net/robotron/internal/telemetry"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // newTracedPOP provisions a 6-device POP with the reconciler enabled on
@@ -21,7 +22,7 @@ import (
 // phases.
 func newTracedPOP(t *testing.T) (*Robotron, []string) {
 	t.Helper()
-	clk := reconcile.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
+	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 	r, err := New(Options{
 		EnableReconciler: true,
 		Reconcile:        reconcile.Config{Clock: clk},

@@ -251,6 +251,7 @@ type JobManager struct {
 	specs       []JobSpec
 	stats       *EventStats
 	stopCh      chan struct{}
+	wake        chan struct{} // kicked when the job set changes
 	wg          sync.WaitGroup
 	running     bool
 	clock       vclock.Clock // nil: collections keep engine wall-clock stamps
@@ -263,6 +264,15 @@ func NewJobManager(resolve DeviceResolver) *JobManager {
 		engines:  NewEngines(),
 		backends: make(map[string]Backend),
 		stats:    newEventStats(),
+		wake:     make(chan struct{}, 1),
+	}
+}
+
+// jobsChanged nudges a started manager to re-plan its next fire.
+func (jm *JobManager) jobsChanged() {
+	select {
+	case jm.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -307,6 +317,7 @@ func (jm *JobManager) AddJob(spec JobSpec) error {
 		}
 	}
 	jm.specs = append(jm.specs, spec)
+	jm.jobsChanged()
 	return nil
 }
 
@@ -340,6 +351,7 @@ func (jm *JobManager) ReplaceJobs(prefix string, specs []JobSpec) error {
 		}
 	}
 	jm.specs = append(kept, specs...)
+	jm.jobsChanged()
 	return nil
 }
 
@@ -454,8 +466,43 @@ func (jm *JobManager) execute(spec JobSpec) []Collection {
 	return out
 }
 
-// Start launches one goroutine per job spec, polling on its period, until
-// Stop.
+// nextDue is the one scheduler behind Start and RunVirtual: it returns
+// the installed job that fires earliest (ties broken by name) and its
+// fire offset. It reads the live job list on every call, so AddJob and
+// ReplaceJobs take effect at the next fire: a job first seen at offset
+// now is scheduled one period later, and one no longer installed is
+// forgotten. due is the caller's per-run schedule, job name -> next
+// fire offset.
+func (jm *JobManager) nextDue(due map[string]time.Duration, now time.Duration) (spec JobSpec, at time.Duration, ok bool) {
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	for _, s := range jm.specs {
+		d, seen := due[s.Name]
+		if !seen {
+			d = now + s.Period
+			due[s.Name] = d
+		}
+		if !ok || d < at || (d == at && s.Name < spec.Name) {
+			spec, at, ok = s, d, true
+		}
+	}
+	if len(due) > len(jm.specs) { // names are unique: some entry is stale
+		live := make(map[string]bool, len(jm.specs))
+		for _, s := range jm.specs {
+			live[s.Name] = true
+		}
+		for name := range due {
+			if !live[name] {
+				delete(due, name)
+			}
+		}
+	}
+	return spec, at, ok
+}
+
+// Start launches periodic polling of the installed jobs, each on its
+// period, until Stop. The job set is live: jobs swapped in by
+// ReplaceJobs after Start are polled, swapped-out ones stop.
 func (jm *JobManager) Start() {
 	jm.mu.Lock()
 	if jm.running {
@@ -463,25 +510,47 @@ func (jm *JobManager) Start() {
 		return
 	}
 	jm.running = true
-	jm.stopCh = make(chan struct{})
-	specs := append([]JobSpec(nil), jm.specs...)
+	stop := make(chan struct{})
+	jm.stopCh = stop
 	jm.mu.Unlock()
-	for _, spec := range specs {
-		jm.wg.Add(1)
-		go func(spec JobSpec) {
-			defer jm.wg.Done()
-			t := time.NewTicker(spec.Period)
-			defer t.Stop()
-			for {
-				select {
-				case <-jm.stopCh:
-					return
-				case <-t.C:
-					jm.execute(spec)
-				}
+	jm.wg.Add(1)
+	go func() {
+		defer jm.wg.Done()
+		begin := time.Now()
+		due := make(map[string]time.Duration)
+		for {
+			now := time.Since(begin)
+			spec, at, ok := jm.nextDue(due, now)
+			if ok && at <= now {
+				jm.execute(spec)
+				// Like a ticker, a slow poll drops missed fires
+				// instead of bursting to catch up.
+				due[spec.Name] = max(at+spec.Period, time.Since(begin))
+				continue
 			}
-		}(spec)
+			if !jm.sleep(stop, at-now, ok) {
+				return
+			}
+		}
+	}()
+}
+
+// sleep blocks until d elapses (forever when nothing is due), the job
+// set changes, or stop closes; it reports whether to keep running.
+func (jm *JobManager) sleep(stop <-chan struct{}, d time.Duration, due bool) bool {
+	var fire <-chan time.Time
+	if due {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		fire = t.C
 	}
+	select {
+	case <-stop:
+		return false
+	case <-jm.wake:
+	case <-fire:
+	}
+	return true
 }
 
 // Stop halts periodic polling.
@@ -501,34 +570,16 @@ func (jm *JobManager) Stop() {
 // executes as many times as its period fits into the window, interleaved
 // in fire-time order. Deterministic; used by the Table 2 experiment.
 func (jm *JobManager) RunVirtual(window time.Duration) {
-	jm.mu.Lock()
-	specs := append([]JobSpec(nil), jm.specs...)
-	jm.mu.Unlock()
-	type fire struct {
-		next time.Duration
-		spec JobSpec
-	}
-	queue := make([]fire, 0, len(specs))
-	for _, s := range specs {
-		queue = append(queue, fire{next: s.Period, spec: s})
-	}
+	due := make(map[string]time.Duration)
+	now := time.Duration(0)
 	for {
-		// Pop the earliest next fire.
-		best := -1
-		for i := range queue {
-			if queue[i].next > window {
-				continue
-			}
-			if best == -1 || queue[i].next < queue[best].next ||
-				(queue[i].next == queue[best].next && queue[i].spec.Name < queue[best].spec.Name) {
-				best = i
-			}
-		}
-		if best == -1 {
+		spec, at, ok := jm.nextDue(due, now)
+		if !ok || at > window {
 			return
 		}
-		jm.execute(queue[best].spec)
-		queue[best].next += queue[best].spec.Period
+		jm.execute(spec)
+		due[spec.Name] = at + spec.Period
+		now = at
 	}
 }
 

@@ -356,6 +356,45 @@ func TestStartStopRealTime(t *testing.T) {
 	}
 }
 
+// TestStartedManagerFollowsLiveJobSet pins the stale-job-set fix: core
+// calls ReplaceJobs("derived-", ...) after every provision and deploy, so
+// a started manager must poll a job swapped in after Start and stop
+// polling the one swapped out.
+func TestStartedManagerFollowsLiveJobSet(t *testing.T) {
+	_, jm, _, _ := newMonitoredFleet(t, 2)
+	snmp := JobSpec{Name: "derived-old", Period: 5 * time.Millisecond, Engine: EngineSNMP,
+		Data: DataCounters, Devices: []string{"dev00"}}
+	cli := JobSpec{Name: "derived-new", Period: 5 * time.Millisecond, Engine: EngineCLI,
+		Data: DataConfig, Devices: []string{"dev01"}}
+	if err := jm.ReplaceJobs("derived-", []JobSpec{snmp}); err != nil {
+		t.Fatal(err)
+	}
+	jm.Start()
+	defer jm.Stop()
+	waitFor := func(e EngineType, n int64) bool {
+		deadline := time.Now().Add(2 * time.Second)
+		for jm.Stats().Counts()[e] < n && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		return jm.Stats().Counts()[e] >= n
+	}
+	if !waitFor(EngineSNMP, 2) {
+		t.Fatal("the job installed before Start was never polled")
+	}
+	if err := jm.ReplaceJobs("derived-", []JobSpec{cli}); err != nil {
+		t.Fatal(err)
+	}
+	if !waitFor(EngineCLI, 3) {
+		t.Fatalf("job swapped in after Start was polled %d time(s)", jm.Stats().Counts()[EngineCLI])
+	}
+	// At most one in-flight poll of the old job may land after the swap.
+	old := jm.Stats().Counts()[EngineSNMP]
+	waitFor(EngineCLI, jm.Stats().Counts()[EngineCLI]+4)
+	if got := jm.Stats().Counts()[EngineSNMP]; got > old+1 {
+		t.Errorf("swapped-out job kept polling: %d -> %d", old, got)
+	}
+}
+
 func TestUnreachableDeviceCountsError(t *testing.T) {
 	fleet, jm, _, _ := newMonitoredFleet(t, 2)
 	d, _ := fleet.Device("dev01")

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/monitor"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // BenchmarkReconcileConverge measures time-to-convergence of the control
@@ -26,7 +27,7 @@ func BenchmarkReconcileConverge(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				w := newFakeWorld(names...)
-				clk := NewVirtualClock(t0)
+				clk := vclock.NewVirtualClock(t0)
 				r := New(Deps{
 					Golden:   w,
 					Deployer: deployerFunc(w.deployClock(clk)),

@@ -15,6 +15,7 @@ import (
 	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/reconcile"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 var e2eT0 = time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
@@ -79,7 +80,7 @@ func mustConform(t testing.TB, r *core.Robotron, name string) {
 // devices and expects the closed loop to restore all of them with zero
 // manual remediation calls.
 func TestE2EDriftConvergesWithoutManualIntervention(t *testing.T) {
-	clk := reconcile.NewVirtualClock(e2eT0)
+	clk := vclock.NewVirtualClock(e2eT0)
 	r := newReconciledPOP(t, reconcile.Config{
 		Clock: clk, BackoffBase: time.Second, DampingThreshold: -1,
 		BudgetMaxDevices: 10, BudgetMaxFraction: 1.0,
@@ -114,7 +115,7 @@ func TestE2EDriftConvergesWithoutManualIntervention(t *testing.T) {
 // damping window: the third lands it in quarantine and it is never
 // redeployed.
 func TestE2EFlapDampingQuarantine(t *testing.T) {
-	clk := reconcile.NewVirtualClock(e2eT0)
+	clk := vclock.NewVirtualClock(e2eT0)
 	r := newReconciledPOP(t, reconcile.Config{
 		Clock: clk, BackoffBase: time.Second,
 		DampingWindow: time.Hour, DampingThreshold: 3,
@@ -161,7 +162,7 @@ func TestE2EFlapDampingQuarantine(t *testing.T) {
 // budget of 2: the breaker trips, nothing deploys, and after an operator
 // ResetBreaker the backlog drains without ever exceeding the budget.
 func TestE2EBudgetBreakerUnderMassDrift(t *testing.T) {
-	clk := reconcile.NewVirtualClock(e2eT0)
+	clk := vclock.NewVirtualClock(e2eT0)
 	var alerts []string
 	var mu sync.Mutex
 	r := newReconciledPOP(t, reconcile.Config{
@@ -214,7 +215,7 @@ func TestE2EBudgetBreakerUnderMassDrift(t *testing.T) {
 // device errors the triggered check; the reconciler queues a retry and
 // finds the drift once the device is back.
 func TestE2ECheckErrorRetryQueue(t *testing.T) {
-	clk := reconcile.NewVirtualClock(e2eT0)
+	clk := vclock.NewVirtualClock(e2eT0)
 	r := newReconciledPOP(t, reconcile.Config{
 		Clock: clk, BackoffBase: time.Second, DampingThreshold: -1, MaxCheckRetries: 5,
 	})
@@ -258,7 +259,7 @@ func TestE2ECheckErrorRetryQueue(t *testing.T) {
 // TestE2ESweepCatchesLostEvent: drift whose syslog never reached the
 // classifier is found by the periodic full-fleet sweep.
 func TestE2ESweepCatchesLostEvent(t *testing.T) {
-	clk := reconcile.NewVirtualClock(e2eT0)
+	clk := vclock.NewVirtualClock(e2eT0)
 	r := newReconciledPOP(t, reconcile.Config{
 		Clock: clk, BackoffBase: time.Second, SweepInterval: 5 * time.Minute,
 		DampingThreshold: -1,

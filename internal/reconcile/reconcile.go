@@ -42,6 +42,7 @@ import (
 	"github.com/robotron-net/robotron/internal/monitor"
 	"github.com/robotron-net/robotron/internal/revctl"
 	"github.com/robotron-net/robotron/internal/telemetry"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // GoldenSource regenerates and records a device's intended config;
@@ -90,7 +91,7 @@ type Deps struct {
 type Reconciler struct {
 	deps    Deps
 	cfg     Config
-	clock   Clock
+	clock   vclock.Clock
 	journal *Journal
 
 	mu            sync.Mutex
@@ -104,7 +105,7 @@ type Reconciler struct {
 	stopped       bool
 	met           reconcileMetrics
 	reg           *telemetry.Registry // per-shard metric home; swapped by Instrument
-	sweepTimer    Timer
+	sweepTimer    vclock.Timer
 
 	wg sync.WaitGroup // in-flight remediations
 }

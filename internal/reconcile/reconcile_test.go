@@ -11,6 +11,7 @@ import (
 	"github.com/robotron-net/robotron/internal/deploy"
 	"github.com/robotron-net/robotron/internal/monitor"
 	"github.com/robotron-net/robotron/internal/revctl"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // fakeWorld implements GoldenSource, ConfigDeployer, and Checker over two
@@ -65,7 +66,7 @@ func (w *fakeWorld) CommitGolden(device, config, author, message string) (revctl
 	return revctl.Revision{}, nil
 }
 
-func (w *fakeWorld) deployClock(clk Clock) func(map[string]string, deploy.Options) (deploy.Report, error) {
+func (w *fakeWorld) deployClock(clk vclock.Clock) func(map[string]string, deploy.Options) (deploy.Report, error) {
 	return func(configs map[string]string, opts deploy.Options) (deploy.Report, error) {
 		var rep deploy.Report
 		w.mu.Lock()
@@ -117,8 +118,8 @@ func (f deployerFunc) Deploy(c map[string]string, o deploy.Options) (deploy.Repo
 var t0 = time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 
 // newTestRec wires a reconciler over a fakeWorld and a virtual clock.
-func newTestRec(w *fakeWorld, cfg Config) (*Reconciler, *VirtualClock) {
-	clk := NewVirtualClock(t0)
+func newTestRec(w *fakeWorld, cfg Config) (*Reconciler, *vclock.VirtualClock) {
+	clk := vclock.NewVirtualClock(t0)
 	cfg.Clock = clk
 	r := New(Deps{
 		Golden:   w,
@@ -313,7 +314,7 @@ func TestBudgetTripOnMassDrift(t *testing.T) {
 // TestBudgetFractionOfFleet: the fractional term tightens the budget.
 func TestBudgetFractionOfFleet(t *testing.T) {
 	w := newFakeWorld("d1", "d2")
-	clk := NewVirtualClock(t0)
+	clk := vclock.NewVirtualClock(t0)
 	r := New(Deps{
 		Golden:   w,
 		Deployer: deployerFunc(w.deployClock(clk)),
@@ -405,7 +406,7 @@ func TestCheckErrorRetriesBounded(t *testing.T) {
 
 func TestSweepFindsSilentDrift(t *testing.T) {
 	w := newFakeWorld("d1", "d2")
-	clk := NewVirtualClock(t0)
+	clk := vclock.NewVirtualClock(t0)
 	r := New(Deps{
 		Golden:    w,
 		Deployer:  deployerFunc(w.deployClock(clk)),
@@ -466,7 +467,7 @@ func TestStopCancelsPendingWork(t *testing.T) {
 func TestJournalSinkReceivesLines(t *testing.T) {
 	var buf bytes.Buffer
 	w := newFakeWorld("d1")
-	clk := NewVirtualClock(t0)
+	clk := vclock.NewVirtualClock(t0)
 	r := New(Deps{Golden: w, Deployer: deployerFunc(w.deployClock(clk)), Checker: w},
 		Config{Clock: clk, BackoffBase: time.Second, JournalSink: &buf})
 	driftAndNotify(w, r, "d1")
@@ -527,7 +528,7 @@ func TestTokenBucketDeterminism(t *testing.T) {
 }
 
 func TestVirtualClockOrdersTimers(t *testing.T) {
-	clk := NewVirtualClock(t0)
+	clk := vclock.NewVirtualClock(t0)
 	var order []string
 	clk.AfterFunc(2*time.Second, func() { order = append(order, "b") })
 	clk.AfterFunc(time.Second, func() { order = append(order, "a") })

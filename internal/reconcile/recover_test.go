@@ -3,6 +3,8 @@ package reconcile
 import (
 	"testing"
 	"time"
+
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // resumeWorld builds the scripted multi-shard world the kill-and-resume
@@ -21,8 +23,8 @@ func resumeWorld() (*fakeWorld, Config, []string) {
 	return w, cfg, devs
 }
 
-func newResumeRec(w *fakeWorld, cfg Config, devs []string) (*Reconciler, *VirtualClock) {
-	clk := NewVirtualClock(t0)
+func newResumeRec(w *fakeWorld, cfg Config, devs []string) (*Reconciler, *vclock.VirtualClock) {
+	clk := vclock.NewVirtualClock(t0)
 	cfg.Clock = clk
 	r := New(Deps{
 		Golden:    w,
@@ -38,7 +40,7 @@ func newResumeRec(w *fakeWorld, cfg Config, devs []string) (*Reconciler, *Virtua
 // point at t0+74s: three notified drifts at t0, a silent drift and a
 // scripted check error at t0+30s (both surfaced by the t0+60s sweep),
 // and a fresh drift at t0+74s whose backoff timer is still pending.
-func driveToKillPoint(w *fakeWorld, r *Reconciler, clk *VirtualClock) {
+func driveToKillPoint(w *fakeWorld, r *Reconciler, clk *vclock.VirtualClock) {
 	driftAndNotify(w, r, "psw1.a-c1")
 	driftAndNotify(w, r, "psw2.a-c1")
 	driftAndNotify(w, r, "psw3.b-c1")
@@ -110,11 +112,11 @@ func TestResumeRestoresBreakerQuarantineAndDamping(t *testing.T) {
 	devs := []string{"psw1.a-c1", "psw2.a-c1", "psw1.b-c1"}
 	w := newFakeWorld(devs...)
 	cfg := Config{
-		BackoffBase: time.Second,
+		BackoffBase:   time.Second,
 		DampingWindow: 15 * time.Minute, DampingThreshold: 3,
 		BudgetMaxDevices: 1, BudgetMaxFraction: 1,
 	}
-	clk := NewVirtualClock(t0)
+	clk := vclock.NewVirtualClock(t0)
 	cfg.Clock = clk
 	deps := Deps{Golden: w, Deployer: deployerFunc(w.deployClock(clk)), Checker: w}
 	r := New(deps, cfg)
@@ -171,7 +173,7 @@ func TestResumeRestoresBreakerQuarantineAndDamping(t *testing.T) {
 func TestResumeInterruptedInFlight(t *testing.T) {
 	w := newFakeWorld("psw1.a-c1")
 	w.drift("psw1.a-c1")
-	clk := NewVirtualClock(t0.Add(time.Second))
+	clk := vclock.NewVirtualClock(t0.Add(time.Second))
 	cfg := Config{BackoffBase: time.Second, DampingThreshold: -1, Clock: clk}
 	deps := Deps{Golden: w, Deployer: deployerFunc(w.deployClock(clk)), Checker: w}
 	events := []Event{

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/monitor"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // BenchmarkScaleReconcileConverge extends the convergence benchmark to
@@ -44,7 +45,7 @@ func BenchmarkScaleReconcileConverge(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					w := newFakeWorld(names...)
-					clk := NewVirtualClock(t0)
+					clk := vclock.NewVirtualClock(t0)
 					d := deps
 					d.Golden = w
 					d.Deployer = deployerFunc(w.deployClock(clk))

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/monitor"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 func TestDeriveShard(t *testing.T) {
@@ -318,7 +319,7 @@ func TestConcurrentShardsUnderRace(t *testing.T) {
 		}
 	}
 	w := newFakeWorld(all...)
-	clk := NewVirtualClock(t0)
+	clk := vclock.NewVirtualClock(t0)
 	r := New(Deps{
 		Golden:   w,
 		Deployer: deployerFunc(w.deployClock(clk)),

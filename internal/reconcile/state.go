@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/deploy"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // State is a device's position in the reconciliation state machine:
@@ -51,13 +52,13 @@ const (
 // guarded by Reconciler.mu.
 type deviceState struct {
 	name             string
-	shard            *shard      // the device's failure domain (never nil once tracked)
+	shard            *shard // the device's failure domain (never nil once tracked)
 	state            State
-	attempt          int         // failed remediation attempts this episode
-	checkAttempt     int         // consecutive conformance-check errors
-	transportAttempt int         // consecutive transport-layer remediation failures
-	detections       []time.Time // drift detections inside the damping window
-	timer            Timer       // pending backoff timer, nil when none
+	attempt          int          // failed remediation attempts this episode
+	checkAttempt     int          // consecutive conformance-check errors
+	transportAttempt int          // consecutive transport-layer remediation failures
+	detections       []time.Time  // drift detections inside the damping window
+	timer            vclock.Timer // pending backoff timer, nil when none
 	timerArmed       bool
 	lastDetail       string
 	changedAt        time.Time
@@ -65,16 +66,16 @@ type deviceState struct {
 	// Replay scratch: the due time and journal position of the pending
 	// backoff/recheck timer, reconstructed by ResumeFromJournal and used
 	// only while re-arming. Zero outside recovery.
-	pendingFire     time.Time
-	pendingFireSeq  int64
-	pendingRecheck  time.Time
+	pendingFire       time.Time
+	pendingFireSeq    int64
+	pendingRecheck    time.Time
 	pendingRecheckSeq int64
 }
 
 // DeviceStatus is the exported view of one tracked device.
 type DeviceStatus struct {
 	Device     string
-	Shard      string    // failure domain
+	Shard      string // failure domain
 	State      State
 	Attempts   int       // failed remediation attempts this episode
 	Detections int       // drift detections inside the damping window
@@ -86,7 +87,7 @@ type DeviceStatus struct {
 type Config struct {
 	// Clock drives all scheduling; nil uses the wall clock. Tests pass a
 	// VirtualClock for deterministic runs.
-	Clock Clock
+	Clock vclock.Clock
 
 	// SweepInterval is the period of the full-fleet conformance sweep
 	// that catches drift whose syslog never arrived. 0 disables it.
@@ -196,7 +197,7 @@ const (
 
 func (c Config) withDefaults() Config {
 	if c.Clock == nil {
-		c.Clock = RealClock()
+		c.Clock = vclock.RealClock()
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = DefaultBackoffBase

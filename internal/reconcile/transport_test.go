@@ -9,6 +9,7 @@ import (
 	"github.com/robotron-net/robotron/internal/deploy"
 	"github.com/robotron-net/robotron/internal/monitor"
 	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // transportFlaky wraps a deployer so its first n calls fail with a
@@ -35,8 +36,8 @@ func (f *transportFlaky) Deploy(c map[string]string, o deploy.Options) (deploy.R
 	return f.next(c, o)
 }
 
-func newTransportRec(w *fakeWorld, cfg Config, fails int) (*Reconciler, *VirtualClock, *transportFlaky) {
-	clk := NewVirtualClock(t0)
+func newTransportRec(w *fakeWorld, cfg Config, fails int) (*Reconciler, *vclock.VirtualClock, *transportFlaky) {
+	clk := vclock.NewVirtualClock(t0)
 	cfg.Clock = clk
 	fd := &transportFlaky{fails: fails, next: w.deployClock(clk)}
 	r := New(Deps{Golden: w, Deployer: fd, Checker: w}, cfg)

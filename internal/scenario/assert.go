@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/robotron-net/robotron/internal/audit"
 	"github.com/robotron-net/robotron/internal/confdiff"
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/monitor"
@@ -234,6 +235,30 @@ func (e *engine) check(a *AssertionSpec, eventIdx, assertIdx int) error {
 			err.Context = alarmContext(e.r.Alarms.Snapshot())
 			return err
 		}
+	case AssertAudit:
+		rep, err := e.adhocAudit()
+		if err != nil {
+			return fail(a.Device, "audit: %v", err)
+		}
+		if a.Clean {
+			if !rep.Clean() {
+				ferr := fail("", "audit found %d anomaly(ies), want a clean network", len(rep.Anomalies))
+				ferr.Context = auditContext(rep)
+				return ferr
+			}
+			break
+		}
+		n := 0
+		for _, an := range rep.Anomalies {
+			if string(an.Kind) == a.AnomalyKind && (a.Device == "" || a.Device == "all" || an.Device == a.Device) {
+				n++
+			}
+		}
+		if n < a.MinCount {
+			ferr := fail(a.Device, "audit found %d %q anomaly(ies), want >= %d", n, a.AnomalyKind, a.MinCount)
+			ferr.Context = auditContext(rep)
+			return ferr
+		}
 	case AssertGoldenStable:
 		if e.goldenBase == nil {
 			return fail("", "golden-unchanged needs a prior snapshot event")
@@ -251,6 +276,40 @@ func (e *engine) check(a *AssertionSpec, eventIdx, assertIdx int) error {
 		}
 	}
 	return nil
+}
+
+// adhocAudit is the paper's on-demand audit path (§5.4.2): ad-hoc jobs
+// collect what the audit reads and the intent-derived periodic jobs do
+// not carry — LLDP adjacency and OS version, fleet-wide — derived
+// circuits are rebuilt from the adjacencies, and Desired is audited
+// against Derived. Interface and BGP state come from whatever the last
+// collect event stored.
+func (e *engine) adhocAudit() (audit.Report, error) {
+	for _, job := range []monitor.JobSpec{
+		{Name: "adhoc-audit-lldp", Engine: monitor.EngineCLI, Data: monitor.DataLLDP},
+		{Name: "adhoc-audit-version", Engine: monitor.EngineThrift, Data: monitor.DataVersion},
+	} {
+		job.Devices, job.Backends = e.devices, []string{"fbnet-derived"}
+		if _, err := e.r.JobManager.RunOnce(job); err != nil {
+			return audit.Report{}, err
+		}
+	}
+	if _, err := monitor.DeriveCircuits(e.r.Store); err != nil {
+		return audit.Report{}, err
+	}
+	return e.r.Audit()
+}
+
+// auditContext renders an audit report for a failure message.
+func auditContext(rep audit.Report) string {
+	if rep.Clean() {
+		return "audit: (clean)"
+	}
+	lines := make([]string, 0, len(rep.Anomalies))
+	for _, an := range rep.Anomalies {
+		lines = append(lines, "  "+an.String())
+	}
+	return "audit anomalies:\n" + strings.Join(lines, "\n")
 }
 
 func compare(got float64, op string, want float64) bool {

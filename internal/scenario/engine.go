@@ -27,10 +27,14 @@ type Options struct {
 	Realtime bool
 	// Logf receives verbose progress; nil silences it.
 	Logf func(format string, args ...any)
-	// OnFinish, when non-nil, runs against the assembled world after a
-	// successful run, before teardown — the hook `robotron obs` uses to
-	// print alarms/timeline/series views of a finished scenario.
-	OnFinish func(*core.Robotron)
+	// Attach, when non-nil, is the caller's hook into the run's world. It
+	// is called once the core instance is assembled, before the baseline
+	// fleet provisions, and may adjust it (`sim run -no-verify`) or serve
+	// from it (`-metrics-addr`); an error aborts the run. The function it
+	// returns, if any, is called when the run ends — with nil after a
+	// passed run, else the failure — before teardown: `robotron obs`
+	// prints its view of the finished world there.
+	Attach func(*core.Robotron) (detach func(runErr error), err error)
 }
 
 // Result reports a passed run.
@@ -94,7 +98,8 @@ type engine struct {
 	dep     *service.Deployment
 	policy  *netsim.FaultPolicy
 	reg     *telemetry.Registry
-	armed   bool // current chaos arming (survives assertion pauses)
+	detach  func(runErr error) // from Options.Attach; may be nil
+	armed   bool               // current chaos arming (survives assertion pauses)
 	devices []string
 	sites   map[string][]string // site -> its sorted devices ("site:x" selectors)
 
@@ -105,7 +110,7 @@ type engine struct {
 }
 
 // Run executes a validated scenario.
-func Run(f *File, opts Options) (*Result, error) {
+func Run(f *File, opts Options) (_ *Result, err error) {
 	e := &engine{file: f, opts: opts, start: f.Start}
 	if opts.Realtime {
 		e.clock = vclock.RealClock()
@@ -114,12 +119,22 @@ func Run(f *File, opts Options) (*Result, error) {
 		e.vc = vclock.NewVirtualClock(f.Start)
 		e.clock = e.vc
 	}
+	// Teardown runs on every exit, a failed build included; the caller's
+	// detach hook sees the world and the run's verdict before the service
+	// tier closes and the reconciler stops.
+	defer func() {
+		if e.detach != nil {
+			e.detach(err)
+		}
+		if e.dep != nil {
+			e.dep.Close()
+		}
+		if e.r != nil {
+			e.r.Reconciler.Stop()
+		}
+	}()
 	if err := e.build(); err != nil {
 		return nil, err
-	}
-	defer e.r.Reconciler.Stop()
-	if e.dep != nil {
-		defer e.dep.Close()
 	}
 
 	e.logf("scenario %s: %d device(s) provisioned, %d event(s)", f.Name, len(e.devices), len(f.Events))
@@ -152,9 +167,6 @@ func Run(f *File, opts Options) (*Result, error) {
 	}
 	if err := e.checkAll(f.Assert, -1); err != nil {
 		return partial(err)
-	}
-	if e.opts.OnFinish != nil {
-		e.opts.OnFinish(e.r)
 	}
 	e.finishJournal()
 	return &Result{Scenario: f.Name, Events: len(f.Events), Journal: e.journal.String()}, nil
@@ -253,18 +265,63 @@ func (e *engine) build() error {
 		return e.setup("core", err)
 	}
 	e.r = r
+	if e.opts.Attach != nil {
+		if e.detach, err = e.opts.Attach(r); err != nil {
+			return e.setup("attach", err)
+		}
+	}
 
-	e.sites = map[string][]string{}
 	for _, fl := range append([]FleetSpec{f.Fleet}, f.ExtraFleets...) {
 		if _, err := r.Designer.EnsureSite(fl.Site, fl.Kind, fl.Region); err != nil {
 			return e.setup("site", err)
 		}
-		if _, err := r.ProvisionCluster(e.ctx(), fl.Site, fl.Cluster, fleetTemplate(fl)); err != nil {
+		if fl.Kind == kindBackbone {
+			err = e.provisionBackbone(fl)
+		} else {
+			_, err = r.ProvisionCluster(e.ctx(), fl.Site, fl.Cluster, fleetTemplate(fl))
+		}
+		if err != nil {
 			return e.setup("provision", err)
 		}
-		devices, err := r.DevicesOfSite(fl.Site)
+	}
+	if err := e.refreshDevices(); err != nil {
+		return e.setup("device list", err)
+	}
+	return nil
+}
+
+// provisionBackbone builds a backbone fleet: there is no cluster template,
+// so each router joins the mesh as its own design change, the simulated
+// plant follows, and one generate-verify-deploy brings the mesh up.
+func (e *engine) provisionBackbone(fl FleetSpec) error {
+	for _, name := range fl.Routers {
+		if _, err := e.r.Designer.AddBackboneRouter(e.ctx(), name, fl.Site, backboneProfile, backboneRole); err != nil {
+			return err
+		}
+	}
+	if err := e.r.SyncFleet(); err != nil {
+		return err
+	}
+	_, err := e.r.GenerateAndDeploy(fl.Routers, deploy.Options{}, "sim")
+	return err
+}
+
+// Every backbone router a drill adds is an edge router on the vendor2
+// backbone chassis: full iBGP mesh plus MPLS-TE tunnels to every peer.
+const (
+	backboneProfile = "Backbone_Vendor2"
+	backboneRole    = "dr"
+)
+
+// refreshDevices re-reads the device lists "all" and "site:<x>" resolve
+// to — after provisioning, and after a design event adds a router.
+func (e *engine) refreshDevices() error {
+	e.sites = map[string][]string{}
+	e.devices = nil
+	for _, fl := range append([]FleetSpec{e.file.Fleet}, e.file.ExtraFleets...) {
+		devices, err := e.r.DevicesOfSite(fl.Site)
 		if err != nil {
-			return e.setup("device list", err)
+			return err
 		}
 		sort.Strings(devices)
 		e.sites[fl.Site] = devices
@@ -339,10 +396,23 @@ func describeEvent(ev *EventSpec) string {
 		return fmt.Sprintf("drift %s", ev.Device)
 	case ActDeploy:
 		mode := "execute"
-		if ev.DryRun {
+		switch {
+		case ev.DryRun:
 			mode = "dryrun"
+		case ev.Atomic:
+			mode = "atomic"
+		case len(ev.Phases) > 0:
+			mode = "phased"
 		}
 		return fmt.Sprintf("deploy %s %s", mode, strings.Join(ev.Devices, ","))
+	case ActDesign:
+		what := "design " + ev.Op + " " + ev.Device + strings.Join(ev.Devices, "--")
+		if ev.To != "" {
+			what += " -> " + ev.To
+		}
+		return what
+	case ActCut:
+		return "cut " + ev.Device
 	case ActChaos:
 		if ev.Armed {
 			return "chaos armed"
@@ -443,6 +513,27 @@ func (e *engine) exec(ev *EventSpec) error {
 		if _, err := e.r.Designer.AttachFirewall(e.ctx(), ev.FirewallName, e.devices); err != nil {
 			return fail("attach: %v", err)
 		}
+	case ActDesign:
+		return e.execDesign(ev, fail)
+	case ActCut:
+		// A fiber cut is physical: nothing tells the control plane but
+		// the devices' own link-down syslogs and the next LLDP poll.
+		d, ok := e.r.Fleet.Device(ev.Device)
+		if !ok {
+			return fail("device not in fleet")
+		}
+		ifaces, err := d.ShowInterfaces()
+		if err != nil {
+			return fail("show interfaces: %v", err)
+		}
+		for _, ifc := range ifaces {
+			if far, farIf, cabled := e.r.Fleet.CableOf(ev.Device, ifc.Name); cabled {
+				e.r.Fleet.Uncable(ev.Device, ifc.Name)
+				e.note("[%s]   cut %s:%s -- %s:%s", e.elapsed(), ev.Device, ifc.Name, far, farIf)
+				return nil
+			}
+		}
+		return fail("no cabled port to cut")
 	case ActKillMaster:
 		e.dep.KillMaster()
 	case ActPromote:
@@ -548,7 +639,21 @@ func (e *engine) execDeploy(ev *EventSpec, fail func(string, ...any) *RunError) 
 		e.note("[%s]   dryrun: %d device(s) staged, %d with pending diff", e.elapsed(), len(diffs), changed)
 		return nil
 	}
-	rep, err := e.r.GenerateAndDeploy(targets, deploy.Options{}, "sim")
+	opts := deploy.Options{Atomic: ev.Atomic}
+	if len(ev.Phases) > 0 {
+		// A phased roll-out advances only while the previous phase's
+		// devices pass the metric health gate (§5.3.2); its progress
+		// lines are part of the run record.
+		for _, pct := range ev.Phases {
+			opts.Phases = append(opts.Phases, deploy.Phase{Percent: pct})
+		}
+		opts.HealthCheck = core.MetricHealthCheck(phaseGateMaxCPU)
+		opts.Notify = func(format string, args ...any) {
+			e.note("[%s]   "+format, append([]any{e.elapsed()}, args...)...)
+			e.logf(format, args...)
+		}
+	}
+	rep, err := e.r.GenerateAndDeploy(targets, opts, "sim")
 	switch {
 	case ev.ExpectReject:
 		var rej *verify.RejectionError
@@ -571,6 +676,54 @@ func (e *engine) execDeploy(ev *EventSpec, fail func(string, ...any) *RunError) 
 		return fail("deploy: %v", err)
 	default:
 		e.note("[%s]   deployed %d device(s)", e.elapsed(), len(targets))
+	}
+	return nil
+}
+
+// phaseGateMaxCPU is the health gate of phased deploys: a phase passes
+// when its devices are reachable, run the intended config, and sit below
+// this CPU utilization (percent).
+const phaseGateMaxCPU = 95
+
+// execDesign applies one backbone design change the way an operator
+// would: the design tool call, the cabling work order that makes the
+// plant follow (new cables in, contradicted ones out), and the design
+// rule check — a change that leaves FBNet invalid fails the event.
+func (e *engine) execDesign(ev *EventSpec, fail func(string, ...any) *RunError) error {
+	var cr design.ChangeResult
+	var err error
+	switch ev.Op {
+	case OpAddRouter:
+		cr, err = e.r.Designer.AddBackboneRouter(e.ctx(), ev.Device, e.file.Fleet.Site, backboneProfile, backboneRole)
+	case OpAddCircuit:
+		cr, err = e.r.Designer.AddBackboneCircuit(e.ctx(), ev.Devices[0], ev.Devices[1], 1)
+	case OpMigrateCircuit:
+		var cir fbnet.Object
+		cir, err = e.r.Store.FindOne("Circuit", fbnet.And(
+			fbnet.Contains("circuit_id", ev.Devices[0]+":"), fbnet.Contains("circuit_id", ev.Devices[1]+":")))
+		if err != nil {
+			return fail("no single circuit between %s and %s: %v", ev.Devices[0], ev.Devices[1], err)
+		}
+		cr, err = e.r.Designer.MigrateCircuit(e.ctx(), cir.String("circuit_id"), ev.To)
+	}
+	if err != nil {
+		return fail("%s: %v", ev.Op, err)
+	}
+	moved, err := e.r.ApplyRecabling()
+	if err != nil {
+		return fail("recabling: %v", err)
+	}
+	violations, err := design.ValidateDesign(e.r.Store)
+	if err != nil {
+		return fail("design validation: %v", err)
+	}
+	if len(violations) > 0 {
+		return fail("design is invalid after %s: %v", ev.Op, violations)
+	}
+	e.note("[%s]   design change #%d: %d object(s) changed, %d cable(s) moved, design valid",
+		e.elapsed(), cr.ChangeID, cr.Stats.Total(), moved)
+	if err := e.refreshDevices(); err != nil {
+		return fail("device list: %v", err)
 	}
 	return nil
 }

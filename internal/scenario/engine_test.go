@@ -3,7 +3,10 @@ package scenario
 import (
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"github.com/robotron-net/robotron/internal/core"
 )
 
 // tinyScenario is a fast end-to-end drill: drift one device, let the
@@ -198,6 +201,125 @@ assert:
 	}
 }
 
+// TestAuditAssertionNamesTheAnomalies cuts a fiber and then wrongly
+// asserts a clean audit: the failure must be the audit assertion's, and
+// carry the anomalies the operator would go and look at.
+func TestAuditAssertionNamesTheAnomalies(t *testing.T) {
+	const src = `name: cut-not-clean
+fleet:
+  site: pop1
+  cluster: pop1-c1
+  template: pop-gen1
+events:
+  - at: 1m
+    action: cut
+    device: pr1.pop1-c1
+  - at: 2m
+    action: collect
+    expect:
+      - type: audit
+        clean: true
+`
+	_, err := Run(loadSrc(t, src), Options{})
+	var re *RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("want *RunError, got %v", err)
+	}
+	if re.EventIdx != 1 || re.AssertIdx != 0 || re.Kind != AssertAudit {
+		t.Errorf("violation = event %d expect %d (%s)", re.EventIdx, re.AssertIdx, re.Kind)
+	}
+	for _, want := range []string{"[circuit-missing] pr1.pop1-c1", "[interface-down] psw1.pop1-c1"} {
+		if !strings.Contains(re.Context, want) {
+			t.Errorf("context lacks %q:\n%s", want, re.Context)
+		}
+	}
+}
+
+// TestDesignEventFailsOnImpossibleChange: a design op the Designer
+// refuses (there is no circuit between bb1 and bb2 to migrate) fails its
+// event, naming the action.
+func TestDesignEventFailsOnImpossibleChange(t *testing.T) {
+	const src = `name: no-such-circuit
+fleet:
+  site: bb
+  kind: backbone
+  routers: [bb1, bb2, bb3]
+events:
+  - at: 1m
+    action: design
+    op: migrate-circuit
+    devices: [bb1, bb2]
+    to: bb3
+`
+	_, err := Run(loadSrc(t, src), Options{})
+	var re *RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("want *RunError, got %v", err)
+	}
+	if re.EventIdx != 0 || re.AssertIdx != -1 || re.Kind != ActDesign {
+		t.Errorf("violation = event %d assert %d (%s): %s", re.EventIdx, re.AssertIdx, re.Kind, re.Msg)
+	}
+}
+
+// TestPhasedDeployJournalsPhaseOrder pins how the firewall drill proves
+// its phase order: the deploy engine's progress lines land in the run
+// journal, canary first, each phase complete before the next starts.
+func TestPhasedDeployJournalsPhaseOrder(t *testing.T) {
+	f, err := Load(filepath.Join("..", "..", "examples", "scenarios", "firewall-phased-rollout.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest := res.Journal
+	for _, want := range []string{
+		"deploy phased all",
+		"phase 1/3 (phase-1): 2 device(s)", "phase 1/3 (phase-1): 2/2 committed",
+		"phase 2/3 (phase-2): 2 device(s)", "phase 2/3 (phase-2): 2/2 committed",
+		"phase 3/3 (final): 2 device(s)", "phase 3/3 (final): 2/2 committed",
+		"deployed 6 device(s)",
+	} {
+		i := strings.Index(rest, want)
+		if i < 0 {
+			t.Fatalf("journal lacks %q after the previous phase line:\n%s", want, res.Journal)
+		}
+		rest = rest[i+len(want):]
+	}
+}
+
+// TestAttachHook: Attach sees the world before anything is provisioned,
+// its detach sees the run's verdict, and an Attach error aborts the run.
+func TestAttachHook(t *testing.T) {
+	var devicesAtAttach int
+	var verdicts []error
+	opts := Options{Attach: func(r *core.Robotron) (func(error), error) {
+		devicesAtAttach = len(r.Fleet.Devices())
+		return func(runErr error) { verdicts = append(verdicts, runErr) }, nil
+	}}
+	if _, err := Run(loadSrc(t, tinyScenario), opts); err != nil {
+		t.Fatal(err)
+	}
+	broken := strings.Replace(tinyScenario, "state: converged", "state: quarantined", 1)
+	if _, err := Run(loadSrc(t, broken), opts); err == nil {
+		t.Fatal("broken scenario passed")
+	}
+	if devicesAtAttach != 0 {
+		t.Errorf("Attach ran after provisioning: %d device(s) already in the fleet", devicesAtAttach)
+	}
+	var re *RunError
+	if len(verdicts) != 2 || verdicts[0] != nil || !errors.As(verdicts[1], &re) {
+		t.Errorf("detach verdicts = %v, want [nil, *RunError]", verdicts)
+	}
+	_, err := Run(loadSrc(t, tinyScenario), Options{Attach: func(*core.Robotron) (func(error), error) {
+		return nil, errors.New("address already in use")
+	}})
+	if !errors.As(err, &re) || re.Kind != "setup" || !strings.Contains(re.Msg, "address already in use") {
+		t.Errorf("Attach error surfaced as %v", err)
+	}
+}
+
 // TestExampleScenarios loads and runs every shipped example, in sorted
 // order, under whatever -race the test binary was built with. Each must
 // validate and pass.
@@ -206,8 +328,8 @@ func TestExampleScenarios(t *testing.T) {
 	if err != nil || len(matches) == 0 {
 		t.Fatalf("no example scenarios found: %v", err)
 	}
-	if len(matches) < 6 {
-		t.Fatalf("expected at least 6 example scenarios, found %d", len(matches))
+	if len(matches) < 11 {
+		t.Fatalf("expected at least 11 example scenarios, found %d", len(matches))
 	}
 	for _, path := range matches {
 		path := path

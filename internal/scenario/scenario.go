@@ -34,14 +34,16 @@ type File struct {
 	Assert      []AssertionSpec // final assertions, evaluated at End
 }
 
-// FleetSpec declares the cluster the scenario provisions at t=0.
+// FleetSpec declares what the scenario provisions at t=0: a templated
+// cluster, or (kind "backbone") named routers meshed on one site.
 type FleetSpec struct {
 	Site     string
-	Kind     string // "pop" or "dc"; defaulted from the template
+	Kind     string // "pop" or "dc" (defaulted from the template), or "backbone"
 	Region   string
 	Cluster  string
-	Template string // pop-gen1, pop-gen2, dc-gen1, dc-gen2, dc-gen3
-	Racks    int    // dc templates only: server racks with TORs
+	Template string   // pop-gen1, pop-gen2, dc-gen1, dc-gen2, dc-gen3
+	Racks    int      // dc templates only: server racks with TORs
+	Routers  []string // backbone only: router names, added in order
 	Line     int
 }
 
@@ -110,6 +112,15 @@ const (
 	ActWait          = "wait"           // advance to `at`, then just assert
 	ActSnapshot      = "snapshot"       // record mgmt-op and golden baselines
 	ActCollect       = "collect"        // one monitoring cycle + alarm evaluation
+	ActDesign        = "design"         // backbone design change (op) + physical sync
+	ActCut           = "cut"            // fiber cut on a device's first cabled port
+)
+
+// Design ops.
+const (
+	OpAddRouter      = "add-router"      // device: the new router's name
+	OpAddCircuit     = "add-circuit"     // devices: [a, z]
+	OpMigrateCircuit = "migrate-circuit" // devices: [a, z] names the circuit; to: the new z
 )
 
 // EventSpec is one timed step of the sequence.
@@ -119,14 +130,19 @@ type EventSpec struct {
 	Idx    int // position in the events list (0-based), for reporting
 	Line   int
 
-	Device  string   // drift, release
-	Devices []string // deploy; ["all"] targets the whole fleet
+	Device  string   // drift, release, cut, design add-router
+	Devices []string // deploy (["all"] targets the whole fleet); design circuit ends
 	Text    string   // drift: the injected line
 	Cut     string   // drift: remove golden lines containing this substring
 
-	DryRun       bool // deploy: stage + diff + discard, commit nothing
-	MayFail      bool // deploy: tolerate failure (chaos leaves drift behind)
-	ExpectReject bool // deploy: the verify gate MUST reject it
+	DryRun       bool  // deploy: stage + diff + discard, commit nothing
+	MayFail      bool  // deploy: tolerate failure (chaos leaves drift behind)
+	ExpectReject bool  // deploy: the verify gate MUST reject it
+	Atomic       bool  // deploy: all devices commit or all roll back
+	Phases       []int // deploy: percent per phase, behind the metric health gate
+
+	Op string // design: add-router, add-circuit, migrate-circuit
+	To string // design migrate-circuit: the circuit's new far end
 
 	Armed bool // chaos
 
@@ -156,6 +172,7 @@ const (
 	AssertNoNewMgmtOps  = "no-new-mgmt-ops"
 	AssertGoldenStable  = "golden-unchanged"
 	AssertAlarm         = "alarm"
+	AssertAudit         = "audit"
 )
 
 // AssertionSpec is one declarative check.
@@ -176,7 +193,10 @@ type AssertionSpec struct {
 	Value  float64  // metric: threshold
 
 	Event    string // journal: event type (quarantined, budget-trip, ...)
-	MinCount int    // journal: at least this many entries (default 1)
+	MinCount int    // journal, alarm, audit: at least this many (default 1)
+
+	Clean       bool   // audit: the Desired-vs-Derived audit finds nothing
+	AnomalyKind string // audit: anomalies of this kind exist (on Device, if set)
 
 	Verdict string // verify-verdict: "rejected" or "passed"
 
@@ -204,6 +224,10 @@ var templateDevices = map[string][]struct {
 	"dc-gen3":  {{"dr", 4}, {"ssw", 4}, {"fsw", 16}},
 }
 
+// kindBackbone is the fleet kind with no cluster template: named routers
+// meshed on one site.
+const kindBackbone = "backbone"
+
 // templateKind maps templates to the site kind they imply.
 var templateKind = map[string]string{
 	"pop-gen1": "pop", "pop-gen2": "pop",
@@ -216,6 +240,9 @@ var templateKind = map[string]string{
 // checks device references against this set, and the engine's "all"
 // resolves to it (sorted) at run time.
 func FleetDevices(f FleetSpec) []string {
+	if f.Kind == kindBackbone {
+		return f.Routers
+	}
 	scope := strings.ReplaceAll(f.Cluster, "/", "-")
 	var out []string
 	for _, g := range templateDevices[f.Template] {
@@ -458,7 +485,7 @@ func (d *decoder) decodeFile(root *node) *File {
 }
 
 func (d *decoder) decodeFleet(n *node) FleetSpec {
-	if !d.fields(n, "fleet", "site", "kind", "region", "cluster", "template", "racks") {
+	if !d.fields(n, "fleet", "site", "kind", "region", "cluster", "template", "racks", "routers") {
 		return FleetSpec{}
 	}
 	f := FleetSpec{Line: n.line, Region: "apac"}
@@ -472,6 +499,7 @@ func (d *decoder) decodeFleet(n *node) FleetSpec {
 	f.Cluster = d.str(n, "cluster")
 	f.Template = d.str(n, "template")
 	f.Racks = int(d.integer(n, "racks"))
+	f.Routers = d.strings(n, "routers")
 	if f.Kind == "" {
 		f.Kind = templateKind[f.Template]
 	}
@@ -572,8 +600,8 @@ func (d *decoder) decodeEvents(n *node) []EventSpec {
 func (d *decoder) decodeEvent(n *node, idx int) EventSpec {
 	if !d.fields(n, "event",
 		"at", "action", "device", "devices", "line", "cut", "dryrun", "may_fail",
-		"expect_reject", "armed", "what", "name", "rounds", "step", "shard",
-		"expect") {
+		"expect_reject", "atomic", "phases", "op", "to", "armed", "what", "name",
+		"rounds", "step", "shard", "expect") {
 		return EventSpec{}
 	}
 	ev := EventSpec{Idx: idx, Line: n.line}
@@ -597,6 +625,18 @@ func (d *decoder) decodeEvent(n *node, idx int) EventSpec {
 	if _, ok := n.children["expect_reject"]; ok {
 		ev.ExpectReject = d.boolean(n, "expect_reject")
 	}
+	if _, ok := n.children["atomic"]; ok {
+		ev.Atomic = d.boolean(n, "atomic")
+	}
+	for _, p := range d.strings(n, "phases") {
+		pct, err := strconv.Atoi(p)
+		if err != nil {
+			d.errorf(n.children["phases"].line, "field \"phases\": %q is not an integer percent", p)
+		}
+		ev.Phases = append(ev.Phases, pct)
+	}
+	ev.Op = d.str(n, "op")
+	ev.To = d.str(n, "to")
 	if _, ok := n.children["armed"]; ok {
 		ev.Armed = d.boolean(n, "armed")
 	}
@@ -631,7 +671,8 @@ func (d *decoder) decodeAssertion(n *node, idx int) AssertionSpec {
 	if !d.fields(n, "assertion",
 		"type", "device", "state", "skip_quarantined", "metric", "labels",
 		"op", "value", "event", "min_count", "verdict", "tripped", "shard",
-		"min_kinds", "min_total", "rule", "correlates_kind", "correlates_device") {
+		"min_kinds", "min_total", "rule", "correlates_kind", "correlates_device",
+		"clean", "anomaly_kind") {
 		return AssertionSpec{}
 	}
 	a := AssertionSpec{Idx: idx, Line: n.line, MinCount: 1, MinTotal: 1}
@@ -665,5 +706,9 @@ func (d *decoder) decodeAssertion(n *node, idx int) AssertionSpec {
 	a.Rule = d.str(n, "rule")
 	a.CorrelatesKind = d.str(n, "correlates_kind")
 	a.CorrelatesDevice = d.str(n, "correlates_device")
+	if _, ok := n.children["clean"]; ok {
+		a.Clean = d.boolean(n, "clean")
+	}
+	a.AnomalyKind = d.str(n, "anomaly_kind")
 	return a
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"github.com/robotron-net/robotron/internal/audit"
 )
 
 // Static validation: everything checkable without building a world.
@@ -35,7 +37,7 @@ var validActions = map[string]bool{
 	ActDrift: true, ActDeploy: true, ActChaos: true, ActCorruptDesign: true,
 	ActFirewall: true, ActKillMaster: true, ActPromote: true, ActRelease: true,
 	ActResetBreaker: true, ActSweep: true, ActConverge: true, ActWait: true,
-	ActSnapshot: true, ActCollect: true,
+	ActSnapshot: true, ActCollect: true, ActDesign: true, ActCut: true,
 }
 
 var validAsserts = map[string]bool{
@@ -43,6 +45,14 @@ var validAsserts = map[string]bool{
 	AssertNoConfirms: true, AssertBreaker: true, AssertMetric: true,
 	AssertJournal: true, AssertVerify: true, AssertFaultsFired: true,
 	AssertNoNewMgmtOps: true, AssertGoldenStable: true, AssertAlarm: true,
+	AssertAudit: true,
+}
+
+var validAnomalyKinds = map[string]bool{
+	string(audit.DeviceSilent): true, string(audit.CircuitMissing): true,
+	string(audit.CircuitUnexpected): true, string(audit.InterfaceDown): true,
+	string(audit.BGPDown): true, string(audit.ConfigDeviates): true,
+	string(audit.OSMismatch): true,
 }
 
 var validAlarmStates = map[string]bool{
@@ -101,10 +111,14 @@ func Validate(f *File) error {
 			known[name] = true
 		}
 	}
+	provisions := fmt.Sprintf("template %s, cluster %s", fl.Template, fl.Cluster)
+	if fl.Kind == kindBackbone {
+		provisions = "backbone routers " + strings.Join(fl.Routers, ", ")
+	}
 	checkDevice := func(line int, name, context string) error {
 		if name != "all" && !known[name] {
-			return e(line, "%s references device %q, which the fleet (template %s, cluster %s) does not provision",
-				context, name, fl.Template, fl.Cluster)
+			return e(line, "%s references device %q, which the fleet (%s) does not provision",
+				context, name, provisions)
 		}
 		return nil
 	}
@@ -218,6 +232,14 @@ func Validate(f *File) error {
 				return err
 			}
 		}
+		if ev.Action == ActDesign && ev.Op == OpAddRouter {
+			// The file is the source of later device references: a router
+			// added here is known to every event and assertion after it.
+			if known[ev.Device] {
+				return e(ev.Line, "%s: add-router %q is already provisioned", ctx, ev.Device)
+			}
+			known[ev.Device] = true
+		}
 		if ev.Device != "" {
 			if err := checkDevice(ev.Line, ev.Device, ctx); err != nil {
 				return err
@@ -253,6 +275,25 @@ func Validate(f *File) error {
 func validateFleet(e func(int, string, ...any) error, fl FleetSpec, ctx string) error {
 	if fl.Site == "" {
 		return e(fl.Line, "%s is missing the required \"site\"", ctx)
+	}
+	if fl.Kind == kindBackbone {
+		if fl.Cluster != "" || fl.Template != "" || fl.Racks != 0 {
+			return e(fl.Line, "%s kind backbone takes \"routers\", not cluster/template/racks", ctx)
+		}
+		if len(fl.Routers) == 0 {
+			return e(fl.Line, "%s kind backbone needs at least one name in \"routers\"", ctx)
+		}
+		seen := map[string]bool{}
+		for _, name := range fl.Routers {
+			if seen[name] || name == "all" {
+				return e(fl.Line, "%s router name %q is reserved or declared twice", ctx, name)
+			}
+			seen[name] = true
+		}
+		return nil
+	}
+	if len(fl.Routers) > 0 {
+		return e(fl.Line, "%s \"routers\" is only valid with kind backbone", ctx)
 	}
 	if fl.Cluster == "" {
 		return e(fl.Line, "%s is missing the required \"cluster\"", ctx)
@@ -301,16 +342,25 @@ func validateEventFields(e func(int, string, ...any) error, ev *EventSpec, ctx s
 			field string
 			have  bool
 		}{
-			{"devices", len(ev.Devices) > 0}, {"dryrun", ev.DryRun},
+			{"devices", len(ev.Devices) > 0 && ev.Action != ActDesign}, {"dryrun", ev.DryRun},
 			{"may_fail", ev.MayFail}, {"expect_reject", ev.ExpectReject},
+			{"atomic", ev.Atomic}, {"phases", len(ev.Phases) > 0},
 		} {
 			if err := reject(c.have, c.field); err != nil {
 				return err
 			}
 		}
 	}
-	if ev.Action != ActDrift && ev.Action != ActRelease {
+	if ev.Action != ActDrift && ev.Action != ActRelease && ev.Action != ActCut && ev.Action != ActDesign {
 		if err := reject(ev.Device != "", "device"); err != nil {
+			return err
+		}
+	}
+	if ev.Action != ActDesign {
+		if err := reject(ev.Op != "", "op"); err != nil {
+			return err
+		}
+		if err := reject(ev.To != "", "to"); err != nil {
 			return err
 		}
 	}
@@ -351,13 +401,20 @@ func validateEventFields(e func(int, string, ...any) error, ev *EventSpec, ctx s
 		if ev.ExpectReject && ev.MayFail {
 			return e(ev.Line, "%s: expect_reject and may_fail are mutually exclusive", ctx)
 		}
-	case ActRelease:
+		for _, pct := range ev.Phases {
+			if pct <= 0 || pct > 100 {
+				return e(ev.Line, "%s: phase percent %d is outside (0, 100]", ctx, pct)
+			}
+		}
+	case ActRelease, ActCut:
 		if err := need(ev.Device != "", "device"); err != nil {
 			return err
 		}
 		if ev.Device == "all" {
-			return e(ev.Line, "%s: release targets one device, not \"all\"", ctx)
+			return e(ev.Line, "%s: %s targets one device, not \"all\"", ctx, ev.Action)
 		}
+	case ActDesign:
+		return validateDesignOp(e, ev, ctx, f)
 	case ActCorruptDesign:
 		if ev.What != "flip-asn" {
 			return e(ev.Line, "%s: unknown corruption %q (known: flip-asn)", ctx, ev.What)
@@ -381,6 +438,34 @@ func validateEventFields(e func(int, string, ...any) error, ev *EventSpec, ctx s
 		if len(f.Faults.Rules) == 0 {
 			return e(ev.Line, "%s: chaos event without fault rules", ctx)
 		}
+	}
+	return nil
+}
+
+// validateDesignOp checks the design action: backbone changes need a
+// backbone fleet, add-router names the new device, the circuit ops name
+// two distinct routers (and migrate-circuit a third as the new far end).
+// That the named routers exist is the event loop's device check.
+func validateDesignOp(e func(int, string, ...any) error, ev *EventSpec, ctx string, f *File) error {
+	if f.Fleet.Kind != kindBackbone {
+		return e(ev.Line, "%s: action %q needs a fleet of kind backbone", ctx, ActDesign)
+	}
+	ends := len(ev.Devices) == 2 && ev.Devices[0] != ev.Devices[1] && ev.Devices[0] != "all" && ev.Devices[1] != "all"
+	switch ev.Op {
+	case OpAddRouter:
+		if ev.Device == "" || ev.Device == "all" || len(ev.Devices) > 0 || ev.To != "" {
+			return e(ev.Line, "%s: add-router needs \"device\" (the new router's name) and nothing else", ctx)
+		}
+	case OpAddCircuit:
+		if !ends || ev.Device != "" || ev.To != "" {
+			return e(ev.Line, "%s: add-circuit needs \"devices\": two distinct routers, and nothing else", ctx)
+		}
+	case OpMigrateCircuit:
+		if !ends || ev.Device != "" || ev.To == "" || ev.To == ev.Devices[0] || ev.To == ev.Devices[1] {
+			return e(ev.Line, "%s: migrate-circuit needs \"devices\": the circuit's two routers, and \"to\": a third", ctx)
+		}
+	default:
+		return e(ev.Line, "%s: unknown design op %q (known: %s, %s, %s)", ctx, ev.Op, OpAddCircuit, OpAddRouter, OpMigrateCircuit)
 	}
 	return nil
 }
@@ -444,6 +529,16 @@ func validateAssertion(e func(int, string, ...any) error, a *AssertionSpec, ctx 
 		if a.MinKinds < 1 && a.MinTotal < 1 {
 			return e(a.Line, "%s: faults-fired needs min_kinds or min_total >= 1", ctx)
 		}
+	case AssertAudit:
+		if a.Clean == (a.AnomalyKind != "") {
+			return e(a.Line, "%s: audit needs exactly one of \"clean: true\" or \"anomaly_kind\"", ctx)
+		}
+		if a.AnomalyKind != "" && !validAnomalyKinds[a.AnomalyKind] {
+			return e(a.Line, "%s: unknown anomaly kind %q (known: %s)", ctx, a.AnomalyKind, sortedKeys(validAnomalyKinds))
+		}
+		if a.MinCount < 1 {
+			return e(a.Line, "%s: min_count must be >= 1", ctx)
+		}
 	case AssertAlarm:
 		if a.Rule == "" {
 			return e(a.Line, "%s: alarm assertion needs \"rule\"", ctx)
@@ -457,6 +552,9 @@ func validateAssertion(e func(int, string, ...any) error, a *AssertionSpec, ctx 
 		if a.CorrelatesDevice != "" && a.CorrelatesKind == "" {
 			return e(a.Line, "%s: correlates_device needs correlates_kind", ctx)
 		}
+	}
+	if a.Type != AssertAudit && (a.Clean || a.AnomalyKind != "") {
+		return e(a.Line, "%s: fields \"clean\" and \"anomaly_kind\" are only valid on audit assertions", ctx)
 	}
 	if a.Type != AssertAlarm {
 		if a.Rule != "" {

@@ -39,6 +39,8 @@ func TestValidateAcceptsBase(t *testing.T) {
 func TestValidateGolden(t *testing.T) {
 	fleet := "fleet:\n  site: pop1\n  cluster: pop1-c1\n  template: pop-gen1\n"
 	tail := "events:\n  - at: 1m\n    action: wait\n"
+	backbone := "fleet:\n  site: bb\n  kind: backbone\n  routers: [bb1, bb1]\n"
+	mesh := "fleet:\n  site: bb\n  kind: backbone\n  routers: [bb1, bb2]\n"
 	cases := []struct {
 		name string
 		src  string
@@ -107,7 +109,7 @@ func TestValidateGolden(t *testing.T) {
 		{
 			"unknown action",
 			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: explode\n",
-			`s.yaml:7: event 0: unknown action "explode" (known: chaos, collect, converge, corrupt-design, deploy, drift, firewall, kill-master, promote, release, reset-breaker, snapshot, sweep, wait)`,
+			`s.yaml:7: event 0: unknown action "explode" (known: chaos, collect, converge, corrupt-design, cut, deploy, design, drift, firewall, kill-master, promote, release, reset-breaker, snapshot, sweep, wait)`,
 		},
 		{
 			"events out of order",
@@ -157,7 +159,7 @@ func TestValidateGolden(t *testing.T) {
 		{
 			"unknown assertion type",
 			"name: x\n" + fleet + tail + "assert:\n  - type: vibes\n",
-			`s.yaml:10: assert 0: unknown assertion type "vibes" (known: alarm, breaker, device-state, faults-fired, golden-unchanged, journal, metric, no-candidates, no-new-mgmt-ops, no-pending-confirms, running-matches-golden, verify-verdict)`,
+			`s.yaml:10: assert 0: unknown assertion type "vibes" (known: alarm, audit, breaker, device-state, faults-fired, golden-unchanged, journal, metric, no-candidates, no-new-mgmt-ops, no-pending-confirms, running-matches-golden, verify-verdict)`,
 		},
 		{
 			"bad state",
@@ -183,6 +185,114 @@ func TestValidateGolden(t *testing.T) {
 			"expect checked too",
 			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: wait\n    expect:\n      - type: journal\n        event: quarantined\n        min_count: 0\n",
 			`s.yaml:10: event 0 expect 0: min_count must be >= 1`,
+		},
+		// The backbone fleet kind, the design/cut actions, deploy's
+		// atomic/phases and the audit assertion: every new field is
+		// rejected when malformed.
+		{
+			"backbone with a template",
+			"name: x\nfleet:\n  site: s\n  kind: backbone\n  template: pop-gen1\n  routers: [bb1]\n" + tail,
+			`s.yaml:3: fleet kind backbone takes "routers", not cluster/template/racks`,
+		},
+		{
+			"backbone without routers",
+			"name: x\nfleet:\n  site: s\n  kind: backbone\n" + tail,
+			`s.yaml:3: fleet kind backbone needs at least one name in "routers"`,
+		},
+		{
+			"backbone duplicate router",
+			"name: x\n" + backbone + tail,
+			`s.yaml:3: fleet router name "bb1" is reserved or declared twice`,
+		},
+		{
+			"routers on a pop",
+			"name: x\nfleet:\n  site: s\n  cluster: c1\n  template: pop-gen1\n  routers: [bb1]\n" + tail,
+			`s.yaml:3: fleet "routers" is only valid with kind backbone`,
+		},
+		{
+			"design unknown op",
+			"name: x\n" + mesh + "events:\n  - at: 1m\n    action: design\n    op: remove-router\n    device: bb1\n",
+			`s.yaml:7: event 0: unknown design op "remove-router" (known: add-circuit, add-router, migrate-circuit)`,
+		},
+		{
+			"design on a pop fleet",
+			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: design\n    op: add-router\n    device: bb9\n",
+			`s.yaml:7: event 0: action "design" needs a fleet of kind backbone`,
+		},
+		{
+			"add-router twice",
+			"name: x\n" + mesh + "events:\n  - at: 1m\n    action: design\n    op: add-router\n    device: bb2\n",
+			`s.yaml:7: event 0: add-router "bb2" is already provisioned`,
+		},
+		{
+			"add-circuit between undeclared routers",
+			"name: x\n" + mesh + "events:\n  - at: 1m\n    action: design\n    op: add-circuit\n    devices: [bb1, bb7]\n",
+			`s.yaml:7: event 0 references device "bb7", which the fleet (backbone routers bb1, bb2) does not provision`,
+		},
+		{
+			"add-circuit to itself",
+			"name: x\n" + mesh + "events:\n  - at: 1m\n    action: design\n    op: add-circuit\n    devices: [bb1, bb1]\n",
+			`s.yaml:7: event 0: add-circuit needs "devices": two distinct routers, and nothing else`,
+		},
+		{
+			"added router is known only afterwards",
+			"name: x\n" + mesh + "events:\n  - at: 1m\n    action: deploy\n    devices: [bb3]\n  - at: 2m\n    action: design\n    op: add-router\n    device: bb3\n",
+			`s.yaml:7: event 0 references device "bb3", which the fleet (backbone routers bb1, bb2) does not provision`,
+		},
+		{
+			"migrate-circuit without to",
+			"name: x\n" + mesh + "events:\n  - at: 1m\n    action: design\n    op: migrate-circuit\n    devices: [bb1, bb2]\n",
+			`s.yaml:7: event 0: migrate-circuit needs "devices": the circuit's two routers, and "to": a third`,
+		},
+		{
+			"op outside design",
+			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: wait\n    op: add-router\n",
+			`s.yaml:7: event 0: field "op" is not valid for action "wait"`,
+		},
+		{
+			"phases out of range",
+			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: deploy\n    devices: [all]\n    phases: [25, 120]\n",
+			`s.yaml:7: event 0: phase percent 120 is outside (0, 100]`,
+		},
+		{
+			"phases zero",
+			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: deploy\n    devices: [all]\n    phases: [0]\n",
+			`s.yaml:7: event 0: phase percent 0 is outside (0, 100]`,
+		},
+		{
+			"atomic outside deploy",
+			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: sweep\n    atomic: true\n",
+			`s.yaml:7: event 0: field "atomic" is not valid for action "sweep"`,
+		},
+		{
+			"cut on a device the fleet does not provision",
+			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: cut\n    device: pr9.pop1-c1\n",
+			`s.yaml:7: event 0 references device "pr9.pop1-c1", which the fleet (template pop-gen1, cluster pop1-c1) does not provision`,
+		},
+		{
+			"cut all",
+			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: cut\n    device: all\n",
+			`s.yaml:7: event 0: cut targets one device, not "all"`,
+		},
+		{
+			"audit with both clean and anomaly_kind",
+			"name: x\n" + fleet + tail + "assert:\n  - type: audit\n    clean: true\n    anomaly_kind: circuit-missing\n",
+			`s.yaml:10: assert 0: audit needs exactly one of "clean: true" or "anomaly_kind"`,
+		},
+		{
+			"audit with neither",
+			"name: x\n" + fleet + tail + "assert:\n  - type: audit\n",
+			`s.yaml:10: assert 0: audit needs exactly one of "clean: true" or "anomaly_kind"`,
+		},
+		{
+			"audit unknown kind",
+			"name: x\n" + fleet + tail + "assert:\n  - type: audit\n    anomaly_kind: gremlins\n",
+			`s.yaml:10: assert 0: unknown anomaly kind "gremlins" (known: bgp-down, circuit-missing, circuit-unexpected, config-deviates, device-silent, interface-down, os-mismatch)`,
+		},
+		{
+			"clean outside audit",
+			"name: x\n" + fleet + tail + "assert:\n  - type: breaker\n    clean: true\n",
+			`s.yaml:10: assert 0: fields "clean" and "anomaly_kind" are only valid on audit assertions`,
 		},
 		{
 			"nothing to do",
