@@ -11,9 +11,11 @@ tier1: verify-gate fuzz-smoke sim obs
 # Pre-deploy intent verification gate: the invariant checker's mutation
 # tests (flip an ASN, leak a subnet, orphan a circuit, partition a
 # switch) through a cold and a pre-warmed checker, the warm ≡ cold
-# property over 200 seeded histories, the nesting-index ≡ ipam-replay
-# oracle, plus the end-to-end rejection contract in core, under the race
-# detector. See DESIGN.md §12.
+# property over 200 seeded histories (model, violations, and the view the
+# derivations read ≡ the store-scan oracle), the nesting-index ≡
+# ipam-replay oracle, plus the end-to-end rejection contract and the
+# shared-model contracts (one rebuild, fail-closed) in core, under the
+# race detector. See DESIGN.md §12.
 verify-gate:
 	$(GO) test -race -v -timeout 10m ./internal/verify/
 	$(GO) test -race -timeout 5m -run 'TestVerifyGate' ./internal/core/
@@ -67,7 +69,8 @@ sim:
 
 # Intent-derived observability: the alarm engine, job/rule derivation,
 # and correlation tests under the race detector, the HTTP/CLI parity
-# contract in core, then the end-to-end drill — drift cuts psw1's
+# contract and the derive-without-store-reads contract in core, then the
+# end-to-end drill — drift cuts psw1's
 # addresses, the derived bgp-session-down alarm fires correlated with the
 # causing config-changed event, and resolves after reconciliation. See
 # DESIGN.md §15 and README "Operational timeline".
@@ -75,7 +78,7 @@ obs:
 	$(GO) test -race -timeout 5m \
 		-run 'Alarm|Derive|ReplaceJobs|Timeseries|Timeline|Correlation|Classifier' \
 		./internal/monitor/
-	$(GO) test -race -timeout 5m -run 'TestObs|TestAlarms' ./internal/core/
+	$(GO) test -race -timeout 5m -run 'TestObs|TestAlarms|TestDerive' ./internal/core/
 	$(GO) run -race ./cmd/robotron sim run examples/scenarios/bgp-down-alarm-correlated.yaml
 
 # Paper-evaluation and system benchmarks (Figures 12-16, Tables 2-3,

@@ -82,16 +82,8 @@ func runObs(args []string, stdout, stderr io.Writer) int {
 func obsPrint(w io.Writer, view string, r *core.Robotron) {
 	switch view {
 	case "alarms":
-		if r.Alarms == nil {
-			fmt.Fprintln(w, "alarm engine disabled")
-			return
-		}
 		fmt.Fprint(w, monitor.FormatAlarms(r.Alarms.Snapshot()))
 	case "timeline":
-		if r.Alarms == nil {
-			fmt.Fprintln(w, "alarm engine disabled")
-			return
-		}
 		for _, e := range r.Alarms.Timeline(time.Time{}, time.Time{}) {
 			fmt.Fprintln(w, e.String())
 		}
@@ -125,12 +117,10 @@ func obsPrint(w io.Writer, view string, r *core.Robotron) {
 			fmt.Fprintf(w, "%-36s %-8s %-12s every %-6s -> %s\n",
 				j.Name, j.Engine, j.Data, j.Period, target)
 		}
-		if r.Alarms != nil {
-			rules := r.Alarms.Rules()
-			fmt.Fprintf(w, "%d alarm rules\n", len(rules))
-			for _, rl := range rules {
-				fmt.Fprintf(w, "%-24s %-10s %-16s %s\n", rl.Name, rl.Kind, rl.Device, rl.Key)
-			}
+		rules := r.Alarms.Rules()
+		fmt.Fprintf(w, "%d alarm rules\n", len(rules))
+		for _, rl := range rules {
+			fmt.Fprintf(w, "%-24s %-10s %-16s %s\n", rl.Name, rl.Kind, rl.Device, rl.Key)
 		}
 	}
 }

@@ -489,33 +489,6 @@ func (g *Generator) compile(path, body string) (*tmpl.Template, error) {
 	return t, nil
 }
 
-// GenerateSite generates configs for every device at a site ("for a given
-// location such as a POP or DC, Robotron fetches all related objects from
-// FBNet") through the parallel worker pool, returned as device name ->
-// config. One broken device does not block the rest of the site: the map
-// holds every config that generated successfully, and the error — a
-// DeviceErrors when generation failed — names each failing device.
-func (g *Generator) GenerateSite(siteName string) (map[string]string, error) {
-	return g.GenerateSiteParallel(siteName, 0)
-}
-
-// GenerateSiteParallel is GenerateSite with an explicit worker count;
-// parallelism <= 0 selects the default.
-func (g *Generator) GenerateSiteParallel(siteName string, parallelism int) (map[string]string, error) {
-	devs, err := g.store.Find("Device", fbnet.Eq("site.name", siteName))
-	if err != nil {
-		return nil, err
-	}
-	if len(devs) == 0 {
-		return nil, fmt.Errorf("configgen: no devices at site %q", siteName)
-	}
-	names := make([]string, len(devs))
-	for i, dev := range devs {
-		names[i] = dev.String("name")
-	}
-	return g.GenerateMany(names, parallelism)
-}
-
 // GoldenPath is the config-repository path of a device's golden config.
 func GoldenPath(deviceName string) string { return "golden/" + deviceName }
 

@@ -225,15 +225,14 @@ func (e DeviceErrors) Error() string {
 // parallelism <= 0 selects the default of 8 workers; the pool never
 // exceeds len(names). The returned map holds every device that generated
 // successfully; if any failed, err is a DeviceErrors with one entry per
-// failed device.
-func (g *Generator) GenerateMany(names []string, parallelism int) (map[string]string, error) {
-	return g.GenerateManyTraced(names, parallelism, nil)
-}
-
-// GenerateManyTraced is GenerateMany recording one child span per
-// device under parent (memo/render hit attrs per device); a nil parent
-// is the untraced fast path.
-func (g *Generator) GenerateManyTraced(names []string, parallelism int, parent *telemetry.Span) (map[string]string, error) {
+// failed device. A span passed after parallelism becomes the parent of one
+// child span per device (memo/render hit attrs); without one generation is
+// untraced.
+func (g *Generator) GenerateMany(names []string, parallelism int, span ...*telemetry.Span) (map[string]string, error) {
+	var parent *telemetry.Span
+	if len(span) > 0 {
+		parent = span[0]
+	}
 	if parallelism <= 0 {
 		parallelism = 8
 	}

@@ -16,7 +16,7 @@ import (
 // affected derivations re-run.
 func TestMemoizedSiteRegeneration(t *testing.T) {
 	_, g := newPOP(t)
-	if _, err := g.GenerateSite("pop1"); err != nil {
+	if _, err := generateSite(g, "pop1", 0); err != nil {
 		t.Fatal(err)
 	}
 	cold := g.Stats()
@@ -25,7 +25,7 @@ func TestMemoizedSiteRegeneration(t *testing.T) {
 	}
 
 	// Unchanged store: everything hits.
-	if _, err := g.GenerateSite("pop1"); err != nil {
+	if _, err := generateSite(g, "pop1", 0); err != nil {
 		t.Fatal(err)
 	}
 	warm := g.Stats()
@@ -59,7 +59,7 @@ func TestMemoizedSiteRegeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.GenerateSite("pop1"); err != nil {
+	if _, err := generateSite(g, "pop1", 0); err != nil {
 		t.Fatal(err)
 	}
 	unrelated := g.Stats()
@@ -82,7 +82,7 @@ func TestMemoizedSiteRegeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.GenerateSite("pop1"); err != nil {
+	if _, err := generateSite(g, "pop1", 0); err != nil {
 		t.Fatal(err)
 	}
 	after := g.Stats()
@@ -218,7 +218,7 @@ func TestGenerateSitePartialErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs, err := g.GenerateSite("pop1")
+	cfgs, err := generateSite(g, "pop1", 0)
 	if err == nil {
 		t.Fatal("broken device did not surface an error")
 	}
@@ -269,7 +269,7 @@ func TestGeneratorConcurrentUse(t *testing.T) {
 					return
 				}
 				if i%10 == 0 {
-					if _, err := g.GenerateSiteParallel("pop1", 4); err != nil {
+					if _, err := generateSite(g, "pop1", 4); err != nil {
 						errCh <- fmt.Errorf("worker %d: site: %w", w, err)
 						return
 					}
@@ -309,7 +309,7 @@ func TestGeneratorConcurrentUse(t *testing.T) {
 	}
 	// The dust settles: a final full regeneration is coherent.
 	g.ResetMemo()
-	if _, err := g.GenerateSite("pop1"); err != nil {
+	if _, err := generateSite(g, "pop1", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -354,7 +354,7 @@ func BenchmarkGenerateSiteSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.ResetMemo()
-		if _, err := g.GenerateSiteParallel("bench", 1); err != nil {
+		if _, err := generateSite(g, "bench", 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -368,7 +368,7 @@ func BenchmarkGenerateSiteParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.ResetMemo()
-		if _, err := g.GenerateSiteParallel("bench", 8); err != nil {
+		if _, err := generateSite(g, "bench", 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -398,7 +398,7 @@ func BenchmarkGenerateSiteMemoized(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := g.GenerateSiteParallel("bench", 1); err != nil {
+	if _, err := generateSite(g, "bench", 1); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -411,7 +411,7 @@ func BenchmarkGenerateSiteMemoized(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := g.GenerateSiteParallel("bench", 1); err != nil {
+		if _, err := generateSite(g, "bench", 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,7 +31,7 @@ func benchMemoizedRegen(b *testing.B, reg *telemetry.Registry) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := g.GenerateSiteParallel("bench", 1); err != nil {
+	if _, err := generateSite(g, "bench", 1); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -44,7 +44,7 @@ func benchMemoizedRegen(b *testing.B, reg *telemetry.Registry) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := g.GenerateSiteParallel("bench", 1); err != nil {
+		if _, err := generateSite(g, "bench", 1); err != nil {
 			b.Fatal(err)
 		}
 	}

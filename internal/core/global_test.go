@@ -96,9 +96,7 @@ func TestGlobalNetworkOfNetworks(t *testing.T) {
 	// Full monitoring cycle over everything; the audit is clean except for
 	// the external peering session (its far side is an ISP we don't
 	// simulate), which should be the ONLY anomaly class.
-	if err := r.InstallStandardMonitoring(); err != nil {
-		t.Fatal(err)
-	}
+	installAuditJobs(t, r)
 	if err := r.CollectOnce(); err != nil {
 		t.Fatal(err)
 	}

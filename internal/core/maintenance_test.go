@@ -81,8 +81,8 @@ func TestMaintenanceWithDrainProcedure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved == 0 {
-		t.Error("recabling moved no cables")
+	if moved != 1 {
+		t.Errorf("recabling moved %d cables, want exactly the migrated one", moved)
 	}
 	if _, err := r.GenerateAndDeploy([]string{"bb1", "bb2", "bb3"}, deploy.Options{Atomic: true}, "e1"); err != nil {
 		t.Fatal(err)

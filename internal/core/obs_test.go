@@ -82,10 +82,8 @@ func TestObsEndpointsMatchSnapshot(t *testing.T) {
 // device drift shows up as backlog in the served document.
 func TestObsReconcileEndpointMatchesSnapshot(t *testing.T) {
 	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
-	off := false
 	r, err := New(Options{
 		EnableReconciler: true,
-		EnableAlarms:     &off, // /reconcile must not depend on the alarm engine
 		Reconcile:        reconcile.Config{Clock: clk},
 	})
 	if err != nil {
@@ -137,33 +135,6 @@ func TestObsReconcileEndpointMatchesSnapshot(t *testing.T) {
 	}
 	if sh.Budget <= 0 {
 		t.Errorf("pop1 budget = %d, want > 0 (ShardFleetSize wired)", sh.Budget)
-	}
-}
-
-// TestAlarmsDisabledOmitsEndpoints: with EnableAlarms off the engine is
-// absent and the observability endpoints 404 rather than serving stale
-// empty documents.
-func TestAlarmsDisabledOmitsEndpoints(t *testing.T) {
-	off := false
-	r, err := New(Options{EnableAlarms: &off})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Alarms != nil {
-		t.Fatal("alarm engine present despite EnableAlarms=false")
-	}
-	srv, err := r.ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + srv.Addr + "/alarms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/alarms status = %d with alarms disabled, want 404", resp.StatusCode)
 	}
 }
 

@@ -50,13 +50,15 @@ type Robotron struct {
 	Reconciler *reconcile.Reconciler
 
 	// Alarms evaluates the intent-derived alarm rules over collected
-	// data and assembles the operational timeline; nil only when
-	// Options.EnableAlarms was explicitly false.
+	// data and assembles the operational timeline.
 	Alarms *monitor.AlarmEngine
 
 	// Verifier is the pre-deploy intent verification gate; VerifyIntent
 	// controls whether GenerateAndDeploy/ProvisionCluster run it before
-	// opening any management session.
+	// opening any management session. Its resident model is also the one
+	// place Desired topology is resolved: SyncFleet, ApplyRecabling and
+	// DeriveMonitoring read it through Verifier.Intent whether or not the
+	// gate is on.
 	Verifier     *verify.Checker
 	VerifyIntent bool
 
@@ -123,12 +125,6 @@ type Options struct {
 	// it, commits are single-shot and any injected fault fails the
 	// device's deployment.
 	DeployRetry *deploy.RetryPolicy
-	// EnableAlarms controls the intent-derived alarm engine: collection
-	// jobs and alarm rules are re-derived from FBNet after every
-	// provisioning or deployment, collected data is evaluated against
-	// them, and firing alarms are correlated with the operational
-	// timeline. nil means ON; pass an explicit false to opt out.
-	EnableAlarms *bool
 	// Clock, when non-nil, becomes the time source for the whole
 	// instance: device syslog/counter timestamps, collection stamps,
 	// audit events, the reconciler, and alarm evaluation. Simulations
@@ -224,12 +220,9 @@ func New(opts Options) (*Robotron, error) {
 	jm.Instrument(reg)
 	verifier := verify.NewChecker(store, gen.Golden)
 	verifier.Instrument(reg)
-	var alarms *monitor.AlarmEngine
-	if opts.EnableAlarms == nil || *opts.EnableAlarms {
-		alarms = monitor.NewAlarmEngine(opts.Clock, ts, store)
-		alarms.Instrument(reg)
-		alarms.Subscribe(cls)
-	}
+	alarms := monitor.NewAlarmEngine(opts.Clock, ts, store)
+	alarms.Instrument(reg)
+	alarms.Subscribe(cls)
 	r := &Robotron{
 		Store:      store,
 		Designer:   designer,
@@ -314,19 +307,17 @@ func New(opts Options) (*Robotron, error) {
 		rec.Instrument(reg)
 		rec.Start()
 		r.Reconciler = rec
-		if alarms != nil {
-			alarms.SetJournalSource(func() []monitor.JournalEntry {
-				evs := rec.Journal().Events()
-				out := make([]monitor.JournalEntry, len(evs))
-				for i, ev := range evs {
-					out[i] = monitor.JournalEntry{
-						At: ev.At, Device: ev.Device,
-						Type: string(ev.Type), Detail: ev.Detail,
-					}
+		alarms.SetJournalSource(func() []monitor.JournalEntry {
+			evs := rec.Journal().Events()
+			out := make([]monitor.JournalEntry, len(evs))
+			for i, ev := range evs {
+				out[i] = monitor.JournalEntry{
+					At: ev.At, Device: ev.Device,
+					Type: string(ev.Type), Detail: ev.Detail,
 				}
-				return out
-			})
-		}
+			}
+			return out
+		})
 	}
 	return r, nil
 }
@@ -339,10 +330,10 @@ func (r *Robotron) ServeMetrics(addr string) (*telemetry.Server, error) {
 	return telemetry.ListenAndServeWith(addr, r.Telemetry, r.Tracer, r.obsHandlers())
 }
 
-// obsHandlers exposes the optional engines beside /metrics: /alarms is
-// the full alarm snapshot (lifecycle states + correlations), /timeline
-// the merged operational stream, /reconcile the reconciler's per-shard
-// breaker/budget snapshot — each only when its engine is enabled.
+// obsHandlers exposes the engines beside /metrics: /alarms is the full
+// alarm snapshot (lifecycle states + correlations), /timeline the merged
+// operational stream, /reconcile the reconciler's per-shard breaker/budget
+// snapshot — the last only when the reconciler is enabled.
 func (r *Robotron) obsHandlers() []telemetry.ExtraHandler {
 	writeJSON := func(w http.ResponseWriter, v any) {
 		w.Header().Set("Content-Type", "application/json")
@@ -350,24 +341,21 @@ func (r *Robotron) obsHandlers() []telemetry.ExtraHandler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(v)
 	}
-	var hs []telemetry.ExtraHandler
-	if r.Alarms != nil {
-		hs = append(hs,
-			telemetry.ExtraHandler{Pattern: "/alarms", Handler: func(w http.ResponseWriter, _ *http.Request) {
-				alarms := r.Alarms.Snapshot()
-				if alarms == nil {
-					alarms = []monitor.Alarm{}
-				}
-				writeJSON(w, alarms)
-			}},
-			telemetry.ExtraHandler{Pattern: "/timeline", Handler: func(w http.ResponseWriter, _ *http.Request) {
-				tl := r.Alarms.Timeline(time.Time{}, time.Time{})
-				if tl == nil {
-					tl = []monitor.TimelineEntry{}
-				}
-				writeJSON(w, tl)
-			}},
-		)
+	hs := []telemetry.ExtraHandler{
+		{Pattern: "/alarms", Handler: func(w http.ResponseWriter, _ *http.Request) {
+			alarms := r.Alarms.Snapshot()
+			if alarms == nil {
+				alarms = []monitor.Alarm{}
+			}
+			writeJSON(w, alarms)
+		}},
+		{Pattern: "/timeline", Handler: func(w http.ResponseWriter, _ *http.Request) {
+			tl := r.Alarms.Timeline(time.Time{}, time.Time{})
+			if tl == nil {
+				tl = []monitor.TimelineEntry{}
+			}
+			writeJSON(w, tl)
+		}},
 	}
 	if r.Reconciler != nil {
 		hs = append(hs,
@@ -394,23 +382,15 @@ func (r *Robotron) now() time.Time {
 	return time.Now()
 }
 
-// vendorOf resolves a device's netsim vendor personality from its FBNet
-// hardware profile.
-func (r *Robotron) vendorOf(dev fbnet.Object) (netsim.Vendor, error) {
-	hw, err := r.Store.GetByID("HardwareProfile", dev.Ref("hw_profile"))
-	if err != nil {
-		return "", err
-	}
-	vendor, err := r.Store.GetByID("Vendor", hw.Ref("vendor"))
-	if err != nil {
-		return "", err
-	}
-	switch vendor.String("syntax") {
-	case "vendor2":
-		return netsim.Vendor2, nil
-	default:
-		return netsim.Vendor1, nil
-	}
+// desired copies the Desired devices (sorted by name) and cabled circuits
+// (id order) out of the resident model's view, synced to the store's
+// current sequence; it fails when the store is down.
+func (r *Robotron) desired() (devs []verify.Device, circuits []verify.Circuit, err error) {
+	err = r.Verifier.Intent(func(in verify.Intent) error {
+		devs, circuits = in.Devices(), in.Circuits()
+		return nil
+	})
+	return devs, circuits, err
 }
 
 // SyncFleet materializes the physical network implied by FBNet Desired
@@ -419,29 +399,19 @@ func (r *Robotron) vendorOf(dev fbnet.Object) (netsim.Vendor, error) {
 // the part of the world Robotron does NOT control — racking and cabling —
 // which is why design changes and deployments are decoupled (§8).
 func (r *Robotron) SyncFleet() error {
-	devs, err := r.Store.Find("Device", nil)
+	devs, circuits, err := r.desired()
 	if err != nil {
 		return err
 	}
-	siteOf := map[int64]string{}
 	for _, dev := range devs {
-		name := dev.String("name")
-		if _, exists := r.Fleet.Device(name); exists {
+		if _, exists := r.Fleet.Device(dev.Name); exists {
 			continue
 		}
-		siteID := dev.Ref("site")
-		if _, ok := siteOf[siteID]; !ok {
-			site, err := r.Store.GetByID("Site", siteID)
-			if err != nil {
-				return err
-			}
-			siteOf[siteID] = site.String("name")
+		vendor := netsim.Vendor1
+		if dev.Syntax == "vendor2" {
+			vendor = netsim.Vendor2
 		}
-		vendor, err := r.vendorOf(dev)
-		if err != nil {
-			return err
-		}
-		d, err := r.Fleet.AddDevice(name, vendor, dev.String("role"), siteOf[siteID])
+		d, err := r.Fleet.AddDevice(dev.Name, vendor, dev.Role, dev.Site)
 		if err != nil {
 			return err
 		}
@@ -451,54 +421,19 @@ func (r *Robotron) SyncFleet() error {
 		}
 	}
 	// Cable per Desired circuit.
-	circuits, err := r.Store.Find("Circuit", fbnet.Ne("status", "decommissioned"))
-	if err != nil {
-		return err
-	}
 	for _, c := range circuits {
-		aDev, aIf, ok1, err := r.circuitEnd(c, "a_interface")
-		if err != nil {
-			return err
-		}
-		zDev, zIf, ok2, err := r.circuitEnd(c, "z_interface")
-		if err != nil {
-			return err
-		}
-		if !ok1 || !ok2 {
-			continue
-		}
-		if far, farIf, cabled := r.Fleet.CableOf(aDev, aIf); cabled {
-			if far != zDev || farIf != zIf {
+		if far, farIf, cabled := r.Fleet.CableOf(c.ADevice, c.AInterface); cabled {
+			if far != c.ZDevice || farIf != c.ZInterface {
 				return fmt.Errorf("core: %s:%s is cabled to %s:%s but the design wants %s:%s",
-					aDev, aIf, far, farIf, zDev, zIf)
+					c.ADevice, c.AInterface, far, farIf, c.ZDevice, c.ZInterface)
 			}
 			continue
 		}
-		if err := r.Fleet.Wire(aDev, aIf, zDev, zIf); err != nil {
+		if err := r.Fleet.Wire(c.ADevice, c.AInterface, c.ZDevice, c.ZInterface); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (r *Robotron) circuitEnd(c fbnet.Object, field string) (dev, iface string, ok bool, err error) {
-	pifID := c.Ref(field)
-	if pifID == 0 {
-		return "", "", false, nil
-	}
-	pif, err := r.Store.GetByID("PhysicalInterface", pifID)
-	if err != nil {
-		return "", "", false, err
-	}
-	lc, err := r.Store.GetByID("Linecard", pif.Ref("linecard"))
-	if err != nil {
-		return "", "", false, err
-	}
-	d, err := r.Store.GetByID("Device", lc.Ref("device"))
-	if err != nil {
-		return "", "", false, err
-	}
-	return d.String("name"), pif.String("name"), true, nil
 }
 
 // ApplyRecabling reconciles the physical cabling with the Desired
@@ -506,35 +441,22 @@ func (r *Robotron) circuitEnd(c fbnet.Object, field string) (dev, iface string, 
 // ones installed — the field technician executing a cabling work order
 // after a circuit migration. Returns the number of cables moved.
 func (r *Robotron) ApplyRecabling() (int, error) {
-	circuits, err := r.Store.Find("Circuit", fbnet.Ne("status", "decommissioned"))
+	_, circuits, err := r.desired()
 	if err != nil {
 		return 0, err
 	}
 	moved := 0
+	// uncable removes the cable on dev:iface unless it runs where the
+	// design says.
+	uncable := func(dev, iface, wantFar, wantFarIf string) {
+		if far, farIf, cabled := r.Fleet.CableOf(dev, iface); cabled && (far != wantFar || farIf != wantFarIf) {
+			r.Fleet.Uncable(dev, iface)
+			moved++
+		}
+	}
 	for _, c := range circuits {
-		aDev, aIf, ok1, err := r.circuitEnd(c, "a_interface")
-		if err != nil {
-			return moved, err
-		}
-		zDev, zIf, ok2, err := r.circuitEnd(c, "z_interface")
-		if err != nil {
-			return moved, err
-		}
-		if !ok1 || !ok2 {
-			continue
-		}
-		for _, end := range [][2]string{{aDev, aIf}, {zDev, zIf}} {
-			if far, farIf, cabled := r.Fleet.CableOf(end[0], end[1]); cabled {
-				wantFar, wantFarIf := zDev, zIf
-				if end[0] == zDev && end[1] == zIf {
-					wantFar, wantFarIf = aDev, aIf
-				}
-				if far != wantFar || farIf != wantFarIf {
-					r.Fleet.Uncable(end[0], end[1])
-					moved++
-				}
-			}
-		}
+		uncable(c.ADevice, c.AInterface, c.ZDevice, c.ZInterface)
+		uncable(c.ZDevice, c.ZInterface, c.ADevice, c.AInterface)
 	}
 	if err := r.SyncFleet(); err != nil {
 		return moved, err
@@ -576,7 +498,7 @@ func (r *Robotron) ProvisionCluster(ctx design.ChangeContext, siteName, clusterN
 		return out, fmt.Errorf("core: physical build-out failed: %w", err)
 	}
 	gsp := tr.Child("generate")
-	configs, err := r.Generator.GenerateManyTraced(build.DeviceNames, r.GenerateParallelism, gsp)
+	configs, err := r.Generator.GenerateMany(build.DeviceNames, r.GenerateParallelism, gsp)
 	gsp.End()
 	if err != nil {
 		tr.SetAttr("error", err.Error())
@@ -664,7 +586,7 @@ func (r *Robotron) GenerateAndDeploy(devices []string, opts deploy.Options, auth
 	tr.SetAttrInt("devices", int64(len(devices)))
 
 	gsp := tr.Child("generate")
-	configs, err := r.Generator.GenerateManyTraced(devices, r.GenerateParallelism, gsp)
+	configs, err := r.Generator.GenerateMany(devices, r.GenerateParallelism, gsp)
 	gsp.End()
 	if err != nil {
 		tr.SetAttr("error", err.Error())
@@ -725,15 +647,10 @@ func (r *Robotron) GenerateAndDeploy(devices []string, opts deploy.Options, auth
 // rejection — carrying every counterexample — is returned before a single
 // management session is opened.
 func (r *Robotron) verifyGate(configs map[string]string, tr *telemetry.Span) error {
-	if !r.VerifyIntent || r.Verifier == nil {
-		if r.Verifier != nil {
-			// A bypassed gate still leaves a visible trail in the
-			// operational record.
-			if err := audit.RecordGateBypass(r.Store, len(configs), r.now().Unix()); err != nil {
-				return err
-			}
-		}
-		return nil
+	if !r.VerifyIntent {
+		// A bypassed gate still leaves a visible trail in the operational
+		// record.
+		return audit.RecordGateBypass(r.Store, len(configs), r.now().Unix())
 	}
 	sp := tr.Child("verify")
 	res, err := r.Verifier.Check(configs)
@@ -799,45 +716,6 @@ func (r *Robotron) DevicesOfSite(site string) ([]string, error) {
 	return names, nil
 }
 
-// InstallStandardMonitoring registers the standard periodic jobs with the
-// Table 2-shaped engine mix. The jobs target the whole fleet *as of each
-// execution*, so clusters provisioned later are monitored automatically.
-func (r *Robotron) InstallStandardMonitoring() error {
-	if len(r.Fleet.Devices()) == 0 {
-		return fmt.Errorf("core: no devices to monitor")
-	}
-	for _, j := range StandardJobs(nil) {
-		if err := r.JobManager.AddJob(j); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// StandardJobs returns the standard job mix: SNMP counters dominate, CLI
-// covers the vendor gaps, RPC/XML and Thrift carry structured state
-// (§5.4.2, Table 2). A nil device list targets the whole fleet at each
-// execution.
-func StandardJobs(devices []string) []monitor.JobSpec {
-	all := devices == nil
-	return []monitor.JobSpec{
-		{Name: "snmp-counters", Period: 1 * time.Minute, Engine: monitor.EngineSNMP,
-			Data: monitor.DataCounters, Devices: devices, AllDevices: all, Backends: []string{"timeseries"}},
-		{Name: "snmp-interfaces", Period: 2 * time.Minute, Engine: monitor.EngineSNMP,
-			Data: monitor.DataInterfaces, Devices: devices, AllDevices: all, Backends: []string{"timeseries", "fbnet-derived"}},
-		{Name: "cli-lldp", Period: 10 * time.Minute, Engine: monitor.EngineCLI,
-			Data: monitor.DataLLDP, Devices: devices, AllDevices: all, Backends: []string{"fbnet-derived"}},
-		{Name: "cli-config-backup", Period: 60 * time.Minute, Engine: monitor.EngineCLI,
-			Data: monitor.DataConfig, Devices: devices, AllDevices: all, Backends: []string{"config-backup"}},
-		{Name: "rpcxml-interfaces", Period: 15 * time.Minute, Engine: monitor.EngineRPCXML,
-			Data: monitor.DataInterfaces, Devices: devices, AllDevices: all, Backends: []string{"fbnet-derived"}},
-		{Name: "thrift-bgp", Period: 5 * time.Minute, Engine: monitor.EngineThrift,
-			Data: monitor.DataBGP, Devices: devices, AllDevices: all, Backends: []string{"fbnet-derived"}},
-		{Name: "thrift-version", Period: 30 * time.Minute, Engine: monitor.EngineThrift,
-			Data: monitor.DataVersion, Devices: devices, AllDevices: all, Backends: []string{"fbnet-derived"}},
-	}
-}
-
 // CollectOnce runs every installed job once and refreshes derived
 // circuits, the "one monitoring cycle" primitive used by audits and
 // examples.
@@ -856,16 +734,17 @@ func (r *Robotron) CollectOnce() error {
 }
 
 // DeriveMonitoring regenerates the intent-derived monitoring config:
-// collection jobs and alarm rules are recomputed from FBNet and swapped
-// in atomically (jobs under the "derived-" prefix, the full alarm rule
-// set). No-op when the alarm engine is disabled. Called automatically
-// after ProvisionCluster and GenerateAndDeploy.
+// collection jobs and alarm rules are recomputed from the resident model's
+// view of FBNet and swapped in atomically (jobs under the "derived-"
+// prefix, the full alarm rule set). Called automatically after
+// ProvisionCluster and GenerateAndDeploy.
 func (r *Robotron) DeriveMonitoring() error {
-	if r.Alarms == nil {
+	var jobs []monitor.JobSpec
+	var rules []monitor.AlarmRule
+	if err := r.Verifier.Intent(func(in verify.Intent) error {
+		jobs, rules = monitor.DeriveJobs(in)
 		return nil
-	}
-	jobs, rules, err := monitor.DeriveJobs(r.Store)
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	if err := r.JobManager.ReplaceJobs("derived-", jobs); err != nil {
@@ -882,9 +761,6 @@ func (r *Robotron) DeriveMonitoring() error {
 func (r *Robotron) ObserveOnce() ([]monitor.Alarm, error) {
 	if err := r.CollectOnce(); err != nil {
 		return nil, err
-	}
-	if r.Alarms == nil {
-		return nil, nil
 	}
 	return r.Alarms.Evaluate(), nil
 }

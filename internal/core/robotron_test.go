@@ -39,10 +39,34 @@ func provisionPOP(t testing.TB, r *Robotron) ProvisionResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.InstallStandardMonitoring(); err != nil {
-		t.Fatal(err)
-	}
+	installAuditJobs(t, r)
 	return res
+}
+
+// installAuditJobs adds the periodic jobs the audit reads and the
+// intent-derived set does not carry: LLDP adjacency and OS version. They
+// target the whole fleet as of each execution, so clusters provisioned
+// later are covered.
+func installAuditJobs(t testing.TB, r *Robotron) {
+	t.Helper()
+	for _, j := range []monitor.JobSpec{
+		{Name: "cli-lldp", Period: 10 * time.Minute, Engine: monitor.EngineCLI,
+			Data: monitor.DataLLDP, AllDevices: true, Backends: []string{"fbnet-derived"}},
+		{Name: "thrift-version", Period: 30 * time.Minute, Engine: monitor.EngineThrift,
+			Data: monitor.DataVersion, AllDevices: true, Backends: []string{"fbnet-derived"}},
+	} {
+		if err := r.JobManager.AddJob(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// circuitAEnd names a circuit's a-side (device, interface) from the
+// circuit_id convention "aDev:aIf--zDev:zIf".
+func circuitAEnd(c fbnet.Object) (dev, iface string) {
+	a, _, _ := strings.Cut(c.String("circuit_id"), "--")
+	dev, iface, _ = strings.Cut(a, ":")
+	return dev, iface
 }
 
 // TestFullLifeCycle drives design → generation → deployment → monitoring
@@ -105,10 +129,7 @@ func TestFiberCutDetectedByAudit(t *testing.T) {
 	if len(circuits) == 0 {
 		t.Fatal("no circuits")
 	}
-	aDev, aIf, _, err := r.circuitEnd(circuits[0], "a_interface")
-	if err != nil {
-		t.Fatal(err)
-	}
+	aDev, aIf := circuitAEnd(circuits[0])
 	if !r.Fleet.Uncable(aDev, aIf) {
 		t.Fatal("uncable failed")
 	}
@@ -340,7 +361,7 @@ func TestSyncFleetDetectsMiscabling(t *testing.T) {
 	}
 	// A tech cables bb1's port to bb3 instead.
 	cir, _ := r.Store.FindOne("Circuit", nil)
-	aDev, aIf, _, _ := r.circuitEnd(cir, "a_interface")
+	aDev, aIf := circuitAEnd(cir)
 	// Pre-create the devices so we can miswire before SyncFleet.
 	if err := r.SyncFleet(); err != nil {
 		t.Fatal(err)

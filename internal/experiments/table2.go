@@ -58,11 +58,7 @@ func table2Jobs(devices []string) []monitor.JobSpec {
 // RunTable2 provisions a POP, runs the virtual day, and merges the passive
 // stream.
 func RunTable2(cfg Table2Config) (Table2Result, error) {
-	// Intent-derived monitoring off: this harness measures a curated job
-	// mix calibrated to the paper's shares, so the auto-derived jobs a
-	// provision normally installs would skew the distribution.
-	noAlarms := false
-	r, err := core.New(core.Options{EnableAlarms: &noAlarms})
+	r, err := core.New(core.Options{})
 	if err != nil {
 		return Table2Result{}, err
 	}
@@ -72,6 +68,12 @@ func RunTable2(cfg Table2Config) (Table2Result, error) {
 	ctx := design.ChangeContext{EmployeeID: "exp", TicketID: "T-2", Description: "table2",
 		Domain: "pop", NowUnix: 1_750_000_000}
 	if _, err := r.ProvisionCluster(ctx, "pop1", "pop1-c1", design.POPGen1()); err != nil {
+		return Table2Result{}, err
+	}
+	// This harness measures a curated job mix calibrated to the paper's
+	// shares; the intent-derived jobs the provision installed would skew
+	// the distribution, so they are cleared first.
+	if err := r.JobManager.ReplaceJobs("derived-", nil); err != nil {
 		return Table2Result{}, err
 	}
 	devices := monitor.SortedDeviceNames(r.Fleet)

@@ -168,7 +168,7 @@ func (cm *ConfigMonitor) CheckDevice(device string) (dev *Deviation, err error) 
 	}
 	d := confdiff.Compute(golden, running)
 	conforms := d.Empty()
-	if err := cm.recordConformance(device, running, conforms); err != nil {
+	if err := cm.recordConformance(device, running, conforms, cols[0].At); err != nil {
 		return nil, err
 	}
 	if conforms {
@@ -190,15 +190,16 @@ func (cm *ConfigMonitor) CheckDevice(device string) (dev *Deviation, err error) 
 	return &found, nil
 }
 
-// recordConformance updates the DerivedConfig object for the device.
-func (cm *ConfigMonitor) recordConformance(device, running string, conforms bool) error {
+// recordConformance updates the DerivedConfig object for the device,
+// stamped with the collection's time like every other Derived row.
+func (cm *ConfigMonitor) recordConformance(device, running string, conforms bool, at time.Time) error {
 	if cm.store == nil {
 		return nil
 	}
 	_, err := cm.store.Mutate(func(m *fbnet.Mutation) error {
 		return upsert(m, "DerivedConfig", fbnet.Eq("device_name", device), map[string]any{
 			"device_name": device, "config_hash": revctl.Hash(running),
-			"collected_unix": time.Now().Unix(), "conforms": conforms,
+			"collected_unix": at.Unix(), "conforms": conforms,
 		})
 	})
 	return err

@@ -6,6 +6,7 @@ import (
 
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/relstore"
+	"github.com/robotron-net/robotron/internal/verify"
 )
 
 // deriveFixture builds a two-device design: sw1 on a vendor1 profile with
@@ -72,12 +73,22 @@ func deriveFixture(t *testing.T) *fbnet.Store {
 	return store
 }
 
-func TestDeriveJobsFollowsDesign(t *testing.T) {
-	store := deriveFixture(t)
-	jobs, rules, err := DeriveJobs(store)
+// deriveFrom derives jobs and rules from a cold-loaded view of the store.
+func deriveFrom(t *testing.T, store *fbnet.Store) (jobs []JobSpec, rules []AlarmRule) {
+	t.Helper()
+	err := verify.NewChecker(store, nil).Intent(func(in verify.Intent) error {
+		jobs, rules = DeriveJobs(in)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return jobs, rules
+}
+
+func TestDeriveJobsFollowsDesign(t *testing.T) {
+	store := deriveFixture(t)
+	jobs, rules := deriveFrom(t, store)
 
 	byName := make(map[string]JobSpec, len(jobs))
 	for _, j := range jobs {
@@ -141,10 +152,7 @@ func TestDeriveJobsFollowsDesign(t *testing.T) {
 	}
 
 	// The derivation is deterministic: a second run yields the same order.
-	jobs2, rules2, err := DeriveJobs(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs2, rules2 := deriveFrom(t, store)
 	for i := range jobs {
 		if jobs[i].Name != jobs2[i].Name {
 			t.Fatalf("job order unstable at %d: %s vs %s", i, jobs[i].Name, jobs2[i].Name)
@@ -159,10 +167,7 @@ func TestDeriveJobsFollowsDesign(t *testing.T) {
 
 func TestReplaceJobsSwapsDerivedPrefix(t *testing.T) {
 	store := deriveFixture(t)
-	jobs, _, err := DeriveJobs(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs, _ := deriveFrom(t, store)
 	jm := NewJobManager(nil)
 	if err := jm.RegisterBackend(NewTimeseriesBackend()); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/revctl"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 func msg(host, text string) netsim.SyslogMessage {
@@ -479,6 +480,8 @@ func TestConfigMonitorConformingChangeIsQuiet(t *testing.T) {
 	cm := NewConfigMonitor(jm, repo, store, func(d string) (string, error) {
 		return repo.GetHead("golden/" + d)
 	})
+	at := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	jm.SetClock(vclock.NewVirtualClock(at))
 	devn, err := cm.CheckDevice("dev00")
 	if err != nil {
 		t.Fatal(err)
@@ -488,6 +491,15 @@ func TestConfigMonitorConformingChangeIsQuiet(t *testing.T) {
 	}
 	if len(cm.Deviations()) != 0 {
 		t.Error("deviation recorded for conforming device")
+	}
+	// The conformance record carries the collection's (virtual) time, not
+	// the wall clock.
+	obj, err := store.FindOne("DerivedConfig", fbnet.Eq("device_name", "dev00"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obj.Int("collected_unix"); got != at.Unix() {
+		t.Errorf("collected_unix = %d, want the check's virtual time %d", got, at.Unix())
 	}
 }
 

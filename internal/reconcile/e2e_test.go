@@ -42,9 +42,6 @@ func newReconciledPOP(t testing.TB, cfg reconcile.Config) *core.Robotron {
 	if len(res.Devices) != 6 {
 		t.Fatalf("devices = %v", res.Devices)
 	}
-	if err := r.InstallStandardMonitoring(); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(r.Reconciler.Stop)
 	return r
 }

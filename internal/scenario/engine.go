@@ -783,12 +783,10 @@ func (e *engine) finishJournal() {
 		}
 		e.note("device %s state=%s", name, st)
 	}
-	if e.r.Alarms != nil {
-		if alarms := e.r.Alarms.Snapshot(); len(alarms) > 0 {
-			e.note("alarms (%d):", len(alarms))
-			for _, al := range alarms {
-				e.note("  %-8s %s %s %s correlated=%d", string(al.State), al.Rule, al.Device, al.Key, len(al.Correlated))
-			}
+	if alarms := e.r.Alarms.Snapshot(); len(alarms) > 0 {
+		e.note("alarms (%d):", len(alarms))
+		for _, al := range alarms {
+			e.note("  %-8s %s %s %s correlated=%d", string(al.State), al.Rule, al.Device, al.Key, len(al.Correlated))
 		}
 	}
 	e.note("reconciler journal (%d events):", e.r.Reconciler.Journal().Len())

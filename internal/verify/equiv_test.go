@@ -388,8 +388,13 @@ func canonical(m *model) *model {
 	return m
 }
 
+// AlsoEquivalent extends assertEquivalent to what is derived from the
+// model's view. intent_test.go sets it from package verify_test, which —
+// unlike this package — may import internal/monitor, a client of the view.
+var AlsoEquivalent func(t *testing.T, store *fbnet.Store, warm, cold *Checker, step string)
+
 // assertEquivalent runs the long-lived checker and a fresh one over the
-// same candidate set and requires identical violations and models.
+// same candidate set and requires identical violations, models and views.
 func assertEquivalent(t *testing.T, h *history, warm *Checker, step string) {
 	t.Helper()
 	configs := h.candidates()
@@ -412,6 +417,7 @@ func assertEquivalent(t *testing.T, h *history, warm *Checker, step string) {
 	if !reflect.DeepEqual(canonical(warm.m), canonical(fresh.m)) {
 		t.Fatalf("after %s: resident model differs from a from-scratch load\nwarm: %+v\ncold: %+v", step, warm.m, fresh.m)
 	}
+	AlsoEquivalent(t, h.store, warm, fresh, step)
 }
 
 func renderViolations(vs []Violation) string {

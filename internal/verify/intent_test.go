@@ -1,0 +1,251 @@
+package verify_test
+
+import (
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/monitor"
+	"github.com/robotron-net/robotron/internal/verify"
+)
+
+// The view half of the warm ≡ cold property (equiv_test.go): after every
+// step of every seeded history, what the long-lived checker's view yields
+// — devices, ports, peers, circuits, and the monitoring config derived
+// from them — equals what a cold-loaded view yields, and equals what the
+// store itself says: the fleet-wide scan DeriveJobs used to run lives on
+// below as its oracle, and the read API's relation paths answer for the
+// topology.
+
+func init() { verify.AlsoEquivalent = assertViewsEquivalent }
+
+// viewCopy is everything a view exposes, copied out.
+type viewCopy struct {
+	Devices  []verify.Device
+	Ports    map[string][]string
+	Peers    map[string][]string
+	Circuits []verify.Circuit
+	Jobs     []monitor.JobSpec
+	Rules    []monitor.AlarmRule
+}
+
+func copyView(t *testing.T, c *verify.Checker, step string) viewCopy {
+	t.Helper()
+	v := viewCopy{Ports: map[string][]string{}, Peers: map[string][]string{}}
+	err := c.Intent(func(in verify.Intent) error {
+		v.Devices, v.Circuits = in.Devices(), in.Circuits()
+		for _, d := range v.Devices {
+			v.Ports[d.Name], v.Peers[d.Name] = in.Ports(d), in.Peers(d)
+		}
+		v.Jobs, v.Rules = monitor.DeriveJobs(in)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("after %s: reading the view: %v", step, err)
+	}
+	return v
+}
+
+func assertViewsEquivalent(t *testing.T, store *fbnet.Store, warm, cold *verify.Checker, step string) {
+	t.Helper()
+	got, fresh := copyView(t, warm, step), copyView(t, cold, step)
+	if !reflect.DeepEqual(got, fresh) {
+		t.Fatalf("after %s: followed view differs from a cold-loaded one\nwarm: %+v\ncold: %+v", step, got, fresh)
+	}
+	jobs, rules, err := scanDeriveJobs(store)
+	if err != nil {
+		t.Fatalf("after %s: scan oracle: %v", step, err)
+	}
+	if len(jobs) == 0 || len(rules) == 0 {
+		t.Fatalf("after %s: oracle derived nothing", step)
+	}
+	if !reflect.DeepEqual(got.Jobs, jobs) {
+		t.Fatalf("after %s: jobs derived from the view differ from the store scan\nview: %+v\nscan: %+v", step, got.Jobs, jobs)
+	}
+	if !reflect.DeepEqual(got.Rules, rules) {
+		t.Fatalf("after %s: rules derived from the view differ from the store scan\nview: %+v\nscan: %+v", step, got.Rules, rules)
+	}
+	devs, circuits, err := scanTopology(store)
+	if err != nil {
+		t.Fatalf("after %s: scan oracle: %v", step, err)
+	}
+	viewDevs := make([][4]string, len(got.Devices))
+	for i, d := range got.Devices {
+		viewDevs[i] = [4]string{d.Name, d.Role, d.Site, d.Syntax}
+	}
+	if !reflect.DeepEqual(viewDevs, devs) {
+		t.Fatalf("after %s: view devices differ from the store scan\nview: %v\nscan: %v", step, viewDevs, devs)
+	}
+	if !reflect.DeepEqual(got.Circuits, circuits) {
+		t.Fatalf("after %s: view circuits differ from the store scan\nview: %v\nscan: %v", step, got.Circuits, circuits)
+	}
+}
+
+// --- the oracles ---
+
+// scanDeriveJobs is monitor.DeriveJobs as it was before it read the view:
+// five whole-table Finds plus two GetByIDs per device.
+func scanDeriveJobs(store *fbnet.Store) ([]monitor.JobSpec, []monitor.AlarmRule, error) {
+	devices, err := store.Find("Device", nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	sort.Slice(devices, func(i, j int) bool {
+		return devices[i].String("name") < devices[j].String("name")
+	})
+
+	// device id -> name, and vendor syntax per device.
+	devName := make(map[int64]string, len(devices))
+	for _, d := range devices {
+		devName[d.ID] = d.String("name")
+	}
+	syntax := vendorSyntax(store, devices)
+
+	// Which devices terminate BGP sessions, and the session endpoints.
+	type session struct{ dev, peer string }
+	var sessions []session
+	hasBGP := make(map[string]bool)
+	for _, model := range []string{"BgpV6Session", "BgpV4Session"} {
+		rows, err := store.Find(model, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, s := range rows {
+			dev := devName[s.Ref("local_device")]
+			if dev == "" {
+				continue
+			}
+			hasBGP[dev] = true
+			if peer := s.String("remote_addr"); peer != "" {
+				sessions = append(sessions, session{dev: dev, peer: peer})
+			}
+		}
+	}
+	sort.Slice(sessions, func(i, j int) bool {
+		if sessions[i].dev != sessions[j].dev {
+			return sessions[i].dev < sessions[j].dev
+		}
+		return sessions[i].peer < sessions[j].peer
+	})
+
+	// Interfaces per device via linecard parentage.
+	cards, err := store.Find("Linecard", nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	cardDev := make(map[int64]string, len(cards))
+	for _, c := range cards {
+		cardDev[c.ID] = devName[c.Ref("device")]
+	}
+	ifaces, err := store.Find("PhysicalInterface", nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	type port struct{ dev, ifc string }
+	ports := make([]port, 0, len(ifaces))
+	for _, ifc := range ifaces {
+		if dev := cardDev[ifc.Ref("linecard")]; dev != "" {
+			ports = append(ports, port{dev: dev, ifc: ifc.String("name")})
+		}
+	}
+	sort.Slice(ports, func(i, j int) bool {
+		if ports[i].dev != ports[j].dev {
+			return ports[i].dev < ports[j].dev
+		}
+		return ports[i].ifc < ports[j].ifc
+	})
+
+	var jobs []monitor.JobSpec
+	var rules []monitor.AlarmRule
+	for _, d := range devices {
+		name := d.String("name")
+		v2 := syntax[name] == "vendor2"
+		countersEngine, ifaceEngine, bgpEngine := monitor.EngineSNMP, monitor.EngineSNMP, monitor.EngineCLI
+		if v2 {
+			countersEngine, ifaceEngine, bgpEngine = monitor.EngineThrift, monitor.EngineRPCXML, monitor.EngineThrift
+		}
+		jobs = append(jobs,
+			monitor.JobSpec{Name: "derived-counters-" + name, Period: 1 * time.Minute,
+				Engine: countersEngine, Data: monitor.DataCounters,
+				Devices: []string{name}, Backends: []string{"timeseries"}},
+			monitor.JobSpec{Name: "derived-interfaces-" + name, Period: 2 * time.Minute,
+				Engine: ifaceEngine, Data: monitor.DataInterfaces,
+				Devices: []string{name}, Backends: []string{"timeseries", "fbnet-derived"}},
+		)
+		if hasBGP[name] {
+			jobs = append(jobs, monitor.JobSpec{Name: "derived-bgp-" + name, Period: 5 * time.Minute,
+				Engine: bgpEngine, Data: monitor.DataBGP,
+				Devices: []string{name}, Backends: []string{"fbnet-derived"}})
+		}
+		rules = append(rules, monitor.AlarmRule{
+			Name: "device-unreachable", Kind: monitor.KindAbsence, Device: name,
+			Key: "cpu_util", Window: 5 * time.Minute, Urgency: monitor.Critical,
+		})
+	}
+	for _, s := range sessions {
+		rules = append(rules, monitor.AlarmRule{
+			Name: "bgp-session-down", Kind: monitor.KindBGPState,
+			Device: s.dev, Key: s.peer, Urgency: monitor.Major,
+		})
+	}
+	for _, p := range ports {
+		rules = append(rules,
+			monitor.AlarmRule{Name: "interface-flatline", Kind: monitor.KindAbsence, Device: p.dev,
+				Key: p.ifc + "/in_octets", Window: 10 * time.Minute, Urgency: monitor.Warning},
+			monitor.AlarmRule{Name: "flatline-octets", Kind: monitor.KindFlatline, Device: p.dev,
+				Key: p.ifc + "/out_octets", Urgency: monitor.Minor},
+		)
+	}
+	return jobs, rules, nil
+}
+
+// vendorSyntax resolves each device's Vendor syntax string through its
+// hardware profile; devices with no resolvable profile default to the
+// vendor1 personality, matching the fleet materializer.
+func vendorSyntax(store *fbnet.Store, devices []fbnet.Object) map[string]string {
+	out := make(map[string]string, len(devices))
+	for _, d := range devices {
+		out[d.String("name")] = "vendor1"
+		hw, err := store.GetByID("HardwareProfile", d.Ref("hw_profile"))
+		if err != nil {
+			continue
+		}
+		vendor, err := store.GetByID("Vendor", hw.Ref("vendor"))
+		if err != nil {
+			continue
+		}
+		out[d.String("name")] = vendor.String("syntax")
+	}
+	return out
+}
+
+// scanTopology answers what core.SyncFleet needs — every device as {name,
+// role, site name, vendor syntax}, sorted by name, and every
+// non-decommissioned circuit with both ends as (device, interface) names,
+// in id order — through the read API's relation paths, a resolver that
+// shares nothing with the model.
+func scanTopology(store *fbnet.Store) (devs [][4]string, circuits []verify.Circuit, err error) {
+	str := func(r fbnet.Result, field string) string { s, _ := r.Fields[field].(string); return s }
+	rows, err := store.Get("Device", []string{"name", "role", "site.name", "hw_profile.vendor.syntax"}, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, r := range rows {
+		devs = append(devs, [4]string{str(r, "name"), str(r, "role"), str(r, "site.name"), str(r, "hw_profile.vendor.syntax")})
+	}
+	sort.Slice(devs, func(i, j int) bool { return devs[i][0] < devs[j][0] })
+
+	ends := []string{"a_interface.linecard.device.name", "a_interface.name", "z_interface.linecard.device.name", "z_interface.name"}
+	rows, err = store.Get("Circuit", ends, fbnet.And(fbnet.Ne("status", "decommissioned"),
+		fbnet.Not(fbnet.IsNull("a_interface")), fbnet.Not(fbnet.IsNull("z_interface"))))
+	if err != nil {
+		return nil, nil, err
+	}
+	circuits = make([]verify.Circuit, len(rows))
+	for i, r := range rows {
+		circuits[i] = verify.Circuit{ADevice: str(r, ends[0]), AInterface: str(r, ends[1]), ZDevice: str(r, ends[2]), ZInterface: str(r, ends[3])}
+	}
+	return devs, circuits, nil
+}

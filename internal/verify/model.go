@@ -14,21 +14,21 @@ import (
 
 // The resident network model (DESIGN.md §12, "Wiring").
 //
-// The gate used to reload the whole FBNet graph for every run. It now
-// keeps the handful of fields its invariants read, for the twelve models
-// below, in compact rows with the secondary indexes the checks need, and
-// follows the store through its binlog: each run folds the entries since
-// the last one into the rows. Every row that changes marks the checks
-// that read it (old and new key when it moves), and only marked checks
-// are re-evaluated; their violations are stored per check and the result
-// of a run is the stored violations plus the candidate-set checks. A cold
-// model is the same code fed one insert per stored row, which marks every
-// check.
+// The model is the system's one in-memory copy of the Desired topology:
+// the handful of fields the invariants and the derivations outside the
+// gate (intent.go) read, for the thirteen models below, in compact rows
+// with the secondary indexes the checks need. It follows the store through
+// its binlog: each sync folds the entries since the last one into the rows.
+// Every row that changes marks the checks that read it (old and new key
+// when it moves), and only marked checks are re-evaluated; their violations
+// are stored per check and the result of a run is the stored violations
+// plus the candidate-set checks. A cold model is the same code fed one
+// insert per stored row, which marks every check.
 
-// trackedModels are the FBNet models the invariants read, referenced
-// models first (the order a cold load feeds them in).
+// trackedModels are the FBNet models the model keeps, referenced models
+// first (the order a cold load feeds them in).
 var trackedModels = []string{
-	"Vendor", "HardwareProfile", "Device", "Linecard", "AggregatedInterface",
+	"Site", "Vendor", "HardwareProfile", "Device", "Linecard", "AggregatedInterface",
 	"PhysicalInterface", "LinkGroup", "Circuit",
 	"V6Prefix", "V4Prefix", "BgpV6Session", "BgpV4Session",
 }
@@ -68,14 +68,16 @@ func (k rowKey) prefixModel() string {
 
 // --- rows: only the columns an invariant reads ---
 
+type site struct{ name string }
+
 type vendor struct{ syntax string }
 
 type hwProfile struct{ vendor int64 }
 
 type device struct {
-	name, role  string
-	cluster, hw int64
-	lo4, lo6    string
+	name, role        string
+	site, cluster, hw int64
+	lo4, lo6          string
 }
 
 type linecard struct{ dev int64 }
@@ -126,6 +128,12 @@ func asString(v any) string {
 	return s
 }
 
+func (r *site) set(col string, v any) {
+	if col == "name" {
+		r.name = asString(v)
+	}
+}
+
 func (r *vendor) set(col string, v any) {
 	if col == "syntax" {
 		r.syntax = asString(v)
@@ -144,6 +152,8 @@ func (r *device) set(col string, v any) {
 		r.name = asString(v)
 	case "role":
 		r.role = asString(v)
+	case "site":
+		r.site = asInt(v)
 	case "cluster":
 		r.cluster = asInt(v)
 	case "hw_profile":
@@ -272,6 +282,7 @@ type peer struct {
 type model struct {
 	seq uint64 // binlog sequence the rows reflect
 
+	sites   map[int64]site
 	vendors map[int64]vendor
 	hws     map[int64]hwProfile
 	devs    map[int64]device
@@ -309,6 +320,7 @@ type model struct {
 
 func newModel() *model {
 	return &model{
+		sites:   map[int64]site{},
 		vendors: map[int64]vendor{}, hws: map[int64]hwProfile{},
 		devs: map[int64]device{}, lcs: map[int64]linecard{},
 		aggs: map[int64]bundle{}, ports: map[int64]port{},
@@ -353,6 +365,8 @@ func (m *model) apply(e *relstore.LogEntry) bool {
 	}
 	id := e.RowID
 	switch e.Table {
+	case "Site":
+		return applyRow(m, m.sites, id, e, (*site).set, nil)
 	case "Vendor":
 		return applyRow(m, m.vendors, id, e, (*vendor).set, nil)
 	case "HardwareProfile":

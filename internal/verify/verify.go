@@ -90,11 +90,12 @@ type Result struct {
 	Devices int
 	// Elapsed is the gate latency.
 	Elapsed time.Duration
-	// DeltaEntries is how many binlog entries the run read to bring the
-	// resident model up to date, Rechecked how many stored checks it
+	// DeltaEntries is how many binlog entries this run read to bring the
+	// resident model up to date (none when another reader of the model,
+	// see Intent, already had), Rechecked how many stored checks it
 	// re-evaluated because the delta touched what they read, and Rebuilt
-	// whether it had to reload the model from the store (the first run,
-	// or a schema change): a slow run is usually a rebuild.
+	// whether this run had to reload the model from the store (the first
+	// sync, or a schema change): a slow run is usually a rebuild.
 	DeltaEntries int
 	Rechecked    int
 	Rebuilt      bool
@@ -166,7 +167,7 @@ func (c *Checker) Instrument(reg *telemetry.Registry) {
 	reg.Help("robotron_verify_seconds", "Verification gate latency in seconds.")
 	reg.Help("robotron_verify_delta_entries_total", "Binlog entries read to bring the gate's resident model up to date.")
 	reg.Help("robotron_verify_rechecked_keys_total", "Stored checks re-evaluated because the delta touched what they read, by invariant.")
-	reg.Help("robotron_verify_model_rebuilds_total", "Gate runs that rebuilt the resident model from the store (first run, schema change).")
+	reg.Help("robotron_verify_model_rebuilds_total", "Reloads of the resident model from the store (first sync, schema change).")
 	c.runs = reg.Counter("robotron_verify_runs_total")
 	c.rejections = reg.Counter("robotron_verify_rejections_total")
 	c.violations = map[Invariant]*telemetry.Counter{}
@@ -197,13 +198,9 @@ func (c *Checker) Check(configs map[string]string) (Result, error) {
 	slices.SortFunc(res.Violations, compareViolations)
 	c.attachHunks(configs, res.Violations)
 	res.Elapsed = time.Since(start)
-	c.entries.Add(int64(res.DeltaEntries))
 	for inv, n := range ran {
 		res.Rechecked += n
 		c.rechecked[inv].Add(int64(n))
-	}
-	if res.Rebuilt {
-		c.rebuilds.Inc()
 	}
 	for _, v := range res.Violations {
 		c.violations[v.Invariant].Inc()
@@ -222,7 +219,8 @@ func (c *Checker) Check(configs map[string]string) (Result, error) {
 func (c *Checker) collect(configs map[string]string, res *Result) (map[Invariant]int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.sync(res); err != nil {
+	var err error
+	if res.DeltaEntries, res.Rebuilt, err = c.sync(); err != nil {
 		return nil, err
 	}
 	ran := c.m.recheck()
@@ -243,43 +241,46 @@ func compareViolations(a, b Violation) int {
 	)
 }
 
-// sync brings the resident model to the store's current binlog sequence.
-// The sequence is captured first and entries are applied only up to it
-// (commits publish whole transactions, so it is a transaction boundary):
-// the model is the store at one sequence. A store that is down is an
-// error even though a warm model needs no rows from it — the gate never
-// vouches for a store it cannot read.
-func (c *Checker) sync(res *Result) error {
+// sync brings the resident model to the store's current binlog sequence
+// and reports what that cost: entries applied, and whether the model had to
+// be reloaded. The sequence is captured first and entries are applied only
+// up to it (commits publish whole transactions, so it is a transaction
+// boundary): the model is the store at one sequence. A store that is down
+// is an error even though a warm model needs no rows from it — neither the
+// gate nor a derivation vouches for a store it cannot read. The delta and
+// rebuild counters advance here, whichever reader paid for the sync.
+func (c *Checker) sync() (applied int, rebuilt bool, err error) {
 	db := c.store.DB()
 	if !db.Healthy() {
-		return fmt.Errorf("verify: store %s is down", db.Name())
+		return 0, false, fmt.Errorf("verify: store %s is down", db.Name())
 	}
 	if c.m != nil {
 		seq := db.Seq()
 		followed := true
 		entries := db.EntriesSince(c.m.seq)
 		for i := 0; i < len(entries) && entries[i].Seq <= seq && followed; i++ {
-			res.DeltaEntries++
+			applied++
 			followed = c.m.apply(&entries[i])
 		}
+		c.entries.Add(int64(applied))
 		if followed {
 			c.m.seq = seq
-			return nil
+			return applied, false, nil
 		}
 		c.m = nil
 	}
 	// Rebuild inside one store transaction: it holds the write lock, so
 	// the Finds read one committed state and Seq names it.
-	res.Rebuilt = true
-	_, err := c.store.Mutate(func(tx *fbnet.Mutation) error {
+	_, err = c.store.Mutate(func(tx *fbnet.Mutation) error {
 		m, err := load(tx)
 		if err == nil {
 			m.seq = db.Seq()
 			c.m = m
+			c.rebuilds.Inc()
 		}
 		return err
 	})
-	return err
+	return applied, true, err
 }
 
 // checkCandidates runs the checks that read the rendered configs and are

@@ -53,7 +53,7 @@ func newFleet(t *testing.T) (*design.Designer, *configgen.Generator, *Checker) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, cfg := range renderSite(t, g) {
+	for name, cfg := range renderSite(t, store, g) {
 		if _, err := g.CommitGolden(name, cfg, "e1", "seed golden"); err != nil {
 			t.Fatal(err)
 		}
@@ -61,9 +61,17 @@ func newFleet(t *testing.T) (*design.Designer, *configgen.Generator, *Checker) {
 	return d, g, NewChecker(store, g.Golden)
 }
 
-func renderSite(t *testing.T, g *configgen.Generator) map[string]string {
+func renderSite(t *testing.T, store *fbnet.Store, g *configgen.Generator) map[string]string {
 	t.Helper()
-	cfgs, err := g.GenerateSite("pop1")
+	devs, err := store.Find("Device", fbnet.Eq("site.name", "pop1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(devs))
+	for i, dev := range devs {
+		names[i] = dev.String("name")
+	}
+	cfgs, err := g.GenerateMany(names, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +100,7 @@ func eachChecker(t *testing.T, run func(t *testing.T, d *design.Designer, g *con
 		t.Run(name, func(t *testing.T) {
 			d, g, c := newFleet(t)
 			if warm {
-				if res, err := c.Check(renderSite(t, g)); err != nil || !res.Pass() {
+				if res, err := c.Check(renderSite(t, c.store, g)); err != nil || !res.Pass() {
 					t.Fatalf("warming check: res=%+v err=%v", res, err)
 				}
 			}
@@ -107,7 +115,7 @@ func TestCleanFleetPasses(t *testing.T) {
 	d, g, c := newFleet(t)
 	reg := telemetry.NewRegistry()
 	c.Instrument(reg)
-	res, err := c.Check(renderSite(t, g))
+	res, err := c.Check(renderSite(t, c.store, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +164,7 @@ func TestCleanFleetPasses(t *testing.T) {
 	if _, err := d.AddRack(testCtx("pop"), "pop1-c1", "TOR_Vendor1", "psw", 2, true, false); err != nil {
 		t.Fatal(err)
 	}
-	res, err = c.Check(renderSite(t, g))
+	res, err = c.Check(renderSite(t, c.store, g))
 	if err != nil || !res.Pass() {
 		t.Fatalf("check after add-rack: res=%+v err=%v", res, err)
 	}
@@ -178,7 +186,7 @@ func TestCleanFleetPasses(t *testing.T) {
 // TestUninstrumentedCheckerWorks: the gate must not require telemetry.
 func TestUninstrumentedCheckerWorks(t *testing.T) {
 	_, g, c := newFleet(t)
-	if res, err := c.Check(renderSite(t, g)); err != nil || !res.Pass() {
+	if res, err := c.Check(renderSite(t, c.store, g)); err != nil || !res.Pass() {
 		t.Fatalf("uninstrumented check: res=%+v err=%v", res, err)
 	}
 }
@@ -208,7 +216,7 @@ func testFlippedASNRejected(t *testing.T, d *design.Designer, g *configgen.Gener
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Check(renderSite(t, g))
+	res, err := c.Check(renderSite(t, c.store, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +284,7 @@ func testLeakedSubnetRejected(t *testing.T, d *design.Designer, g *configgen.Gen
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Check(renderSite(t, g))
+	res, err := c.Check(renderSite(t, c.store, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +342,7 @@ func testOrphanedCircuitRejected(t *testing.T, d *design.Designer, g *configgen.
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Check(renderSite(t, g))
+	res, err := c.Check(renderSite(t, c.store, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +411,7 @@ func testPartitionedDeviceRejected(t *testing.T, d *design.Designer, g *configge
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Check(renderSite(t, g))
+	res, err := c.Check(renderSite(t, c.store, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +476,7 @@ func TestParseCircuitEnd(t *testing.T) {
 // so it must notice for itself.
 func TestDownStoreFailsClosed(t *testing.T) {
 	eachChecker(t, func(t *testing.T, d *design.Designer, g *configgen.Generator, c *Checker) {
-		configs := renderSite(t, g)
+		configs := renderSite(t, c.store, g)
 		db := d.Store().DB()
 		db.SetDown(true)
 		if res, err := c.Check(configs); err == nil {
@@ -493,7 +501,7 @@ func TestWarmCheckReadsNoRows(t *testing.T) {
 		return reg.Counter("robotron_fbnet_queries_planned_total", telemetry.L("strategy", "indexed")...).Value() +
 			reg.Counter("robotron_fbnet_queries_planned_total", telemetry.L("strategy", "scan")...).Value()
 	}
-	configs := renderSite(t, g)
+	configs := renderSite(t, c.store, g)
 	before := queries()
 	if _, err := c.Check(configs); err != nil {
 		t.Fatal(err)
@@ -554,7 +562,7 @@ func TestThreeEndedSubnetRejected(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Check(renderSite(t, g))
+		res, err := c.Check(renderSite(t, c.store, g))
 		if err != nil {
 			t.Fatal(err)
 		}
