@@ -68,12 +68,15 @@ sim:
 	$(GO) run -race ./cmd/robotron sim run examples/scenarios/*.yaml
 
 # Intent-derived observability: the alarm engine, job/rule derivation,
-# and correlation tests under the race detector, the HTTP/CLI parity
-# contract and the derive-without-store-reads contract in core, then the
-# end-to-end drill — drift cuts psw1's
-# addresses, the derived bgp-session-down alarm fires correlated with the
-# causing config-changed event, and resolves after reconciliation. See
-# DESIGN.md §15 and README "Operational timeline".
+# and correlation tests under the race detector, the observed-state write
+# rule (the `Derive` pattern also selects the TestDerived* tests: Derived
+# tables ≡ latest observation over seeded histories in monitor, the
+# steady-cycle binlog counter in core; DESIGN.md §15.5), the HTTP/CLI
+# parity contract and the derive-without-store-reads contract in core,
+# then the end-to-end drill — drift cuts psw1's addresses, the derived
+# bgp-session-down alarm fires correlated with the causing config-changed
+# event, and resolves after reconciliation. See DESIGN.md §15 and README
+# "Operational timeline".
 obs:
 	$(GO) test -race -timeout 5m \
 		-run 'Alarm|Derive|ReplaceJobs|Timeseries|Timeline|Correlation|Classifier' \

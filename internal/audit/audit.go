@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/verify"
 )
 
 // Kind classifies an anomaly.
@@ -66,6 +67,22 @@ func (r Report) ByKind() map[Kind]int {
 	return out
 }
 
+// recordEvent appends one OperationalEvent, the row every Record* helper
+// leaves in the operational record.
+func recordEvent(store *fbnet.Store, device, kind, urgency, detail string, atUnix int64) error {
+	_, err := store.Mutate(func(m *fbnet.Mutation) error {
+		_, err := m.Create("OperationalEvent", map[string]any{
+			"device_name": device,
+			"kind":        kind,
+			"detail":      detail,
+			"urgency":     urgency,
+			"at_unix":     atUnix,
+		})
+		return err
+	})
+	return err
+}
+
 // RecordGate persists one pre-deploy verification-gate decision as an
 // OperationalEvent, so gate history is queryable next to the rest of the
 // operational record (who was rejected, when, and why).
@@ -77,34 +94,15 @@ func RecordGate(store *fbnet.Store, devices int, violations []string, atUnix int
 		detail = fmt.Sprintf("rejected deployment of %d devices, %d violation(s): %s",
 			devices, len(violations), strings.Join(violations, "; "))
 	}
-	_, err := store.Mutate(func(m *fbnet.Mutation) error {
-		_, err := m.Create("OperationalEvent", map[string]any{
-			"device_name": "verify-gate",
-			"kind":        "verify-gate",
-			"detail":      detail,
-			"urgency":     urgency,
-			"at_unix":     atUnix,
-		})
-		return err
-	})
-	return err
+	return recordEvent(store, "verify-gate", "verify-gate", urgency, detail, atUnix)
 }
 
 // RecordGateBypass persists a deployment that skipped verification
 // (-no-verify): habitual bypasses must be visible in the operational
 // record even though no invariants were checked.
 func RecordGateBypass(store *fbnet.Store, devices int, atUnix int64) error {
-	_, err := store.Mutate(func(m *fbnet.Mutation) error {
-		_, err := m.Create("OperationalEvent", map[string]any{
-			"device_name": "verify-gate",
-			"kind":        "verify-gate",
-			"detail":      fmt.Sprintf("gate BYPASSED for deployment of %d devices (-no-verify)", devices),
-			"urgency":     "WARNING",
-			"at_unix":     atUnix,
-		})
-		return err
-	})
-	return err
+	return recordEvent(store, "verify-gate", "verify-gate", "WARNING",
+		fmt.Sprintf("gate BYPASSED for deployment of %d devices (-no-verify)", devices), atUnix)
 }
 
 // RecordDeploy persists one deployment (or initial provisioning) as an
@@ -112,26 +110,49 @@ func RecordGateBypass(store *fbnet.Store, devices int, atUnix int64) error {
 // between the verify verdict and whatever alarmed afterwards. kind is
 // "deploy" or "provision".
 func RecordDeploy(store *fbnet.Store, kind string, devices int, detail string, atUnix int64) error {
-	_, err := store.Mutate(func(m *fbnet.Mutation) error {
-		_, err := m.Create("OperationalEvent", map[string]any{
-			"device_name": "deployer",
-			"kind":        kind,
-			"detail":      fmt.Sprintf("%s of %d device(s): %s", kind, devices, detail),
-			"urgency":     "NOTICE",
-			"at_unix":     atUnix,
-		})
-		return err
-	})
-	return err
+	return recordEvent(store, "deployer", kind, "NOTICE",
+		fmt.Sprintf("%s of %d device(s): %s", kind, devices, detail), atUnix)
 }
 
-// Run executes all audits over the store.
-func Run(store *fbnet.Store) (Report, error) {
+// desired is the Desired side of the comparison, copied out of the
+// resident model's view (the one resolver of Desired topology, DESIGN.md
+// §12) before any Derived table is read.
+type desired struct {
+	devices  []string         // names, sorted
+	circuits []verify.Circuit // production circuits with both ends
+	sessions []session        // sessions with a local device and a remote address
+}
+
+type session struct{ device, addr, kind string }
+
+// Run executes all audits: Desired topology through intent's view, observed
+// state from the store's Derived models.
+func Run(store *fbnet.Store, intent *verify.Checker) (Report, error) {
+	var want desired
+	err := intent.Intent(func(in verify.Intent) error {
+		for _, d := range in.Devices() {
+			want.devices = append(want.devices, d.Name)
+			for _, p := range in.Peers(d) {
+				if p.Addr != "" {
+					want.sessions = append(want.sessions, session{d.Name, p.Addr, p.Type})
+				}
+			}
+		}
+		for _, c := range in.Circuits() {
+			if c.Status == "production" {
+				want.circuits = append(want.circuits, c)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return Report{}, err
+	}
 	var rep Report
-	for _, f := range []func(*fbnet.Store, *Report) error{
+	for _, f := range []func(*fbnet.Store, *desired, *Report) error{
 		auditDevices, auditCircuits, auditInterfaces, auditBGP, auditConfigs, auditOS,
 	} {
-		if err := f(store, &rep); err != nil {
+		if err := f(store, &want, &rep); err != nil {
 			return Report{}, err
 		}
 	}
@@ -148,11 +169,7 @@ func Run(store *fbnet.Store) (Report, error) {
 }
 
 // auditDevices flags Desired devices with no Derived record.
-func auditDevices(store *fbnet.Store, rep *Report) error {
-	desired, err := store.Find("Device", nil)
-	if err != nil {
-		return err
-	}
+func auditDevices(store *fbnet.Store, want *desired, rep *Report) error {
 	derived, err := store.Find("DerivedDevice", nil)
 	if err != nil {
 		return err
@@ -161,10 +178,10 @@ func auditDevices(store *fbnet.Store, rep *Report) error {
 	for _, d := range derived {
 		seen[d.String("name")] = true
 	}
-	for _, d := range desired {
-		if !seen[d.String("name")] {
+	for _, name := range want.devices {
+		if !seen[name] {
 			rep.Anomalies = append(rep.Anomalies, Anomaly{
-				Kind: DeviceSilent, Device: d.String("name"),
+				Kind: DeviceSilent, Device: name,
 				Detail: "designed device has no operational record",
 			})
 		}
@@ -172,34 +189,9 @@ func auditDevices(store *fbnet.Store, rep *Report) error {
 	return nil
 }
 
-// desiredCircuitEnds resolves a Desired circuit to (device, interface)
-// endpoint pairs.
-func desiredCircuitEnds(store *fbnet.Store, c fbnet.Object) (ends [2][2]string, ok bool, err error) {
-	for i, field := range []string{"a_interface", "z_interface"} {
-		pifID := c.Ref(field)
-		if pifID == 0 {
-			return ends, false, nil
-		}
-		pif, err := store.GetByID("PhysicalInterface", pifID)
-		if err != nil {
-			return ends, false, err
-		}
-		lc, err := store.GetByID("Linecard", pif.Ref("linecard"))
-		if err != nil {
-			return ends, false, err
-		}
-		dev, err := store.GetByID("Device", lc.Ref("device"))
-		if err != nil {
-			return ends, false, err
-		}
-		ends[i] = [2]string{dev.String("name"), pif.String("name")}
-	}
-	return ends, true, nil
-}
-
 // auditCircuits cross-checks Desired production circuits against LLDP-
 // derived circuits, in both directions.
-func auditCircuits(store *fbnet.Store, rep *Report) error {
+func auditCircuits(store *fbnet.Store, want *desired, rep *Report) error {
 	observed, err := store.Find("DerivedCircuit", nil)
 	if err != nil {
 		return err
@@ -209,25 +201,14 @@ func auditCircuits(store *fbnet.Store, rep *Report) error {
 		key := circuitKey(o.String("a_device"), o.String("a_interface"), o.String("z_device"), o.String("z_interface"))
 		obsSet[key] = true
 	}
-	desired, err := store.Find("Circuit", fbnet.Eq("status", "production"))
-	if err != nil {
-		return err
-	}
 	desSet := map[string]bool{}
-	for _, c := range desired {
-		ends, ok, err := desiredCircuitEnds(store, c)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		key := circuitKey(ends[0][0], ends[0][1], ends[1][0], ends[1][1])
+	for _, c := range want.circuits {
+		key := circuitKey(c.ADevice, c.AInterface, c.ZDevice, c.ZInterface)
 		desSet[key] = true
 		if !obsSet[key] {
 			rep.Anomalies = append(rep.Anomalies, Anomaly{
-				Kind: CircuitMissing, Device: ends[0][0],
-				Detail: fmt.Sprintf("circuit %s not observed via LLDP (%s)", c.String("circuit_id"), key),
+				Kind: CircuitMissing, Device: c.ADevice,
+				Detail: fmt.Sprintf("circuit %s not observed via LLDP (%s)", c.ID, key),
 			})
 		}
 	}
@@ -254,7 +235,7 @@ func circuitKey(aDev, aIf, zDev, zIf string) string {
 }
 
 // auditInterfaces flags production-circuit endpoints that are down.
-func auditInterfaces(store *fbnet.Store, rep *Report) error {
+func auditInterfaces(store *fbnet.Store, want *desired, rep *Report) error {
 	derived, err := store.Find("DerivedInterface", nil)
 	if err != nil {
 		return err
@@ -263,25 +244,13 @@ func auditInterfaces(store *fbnet.Store, rep *Report) error {
 	for _, d := range derived {
 		status[d.String("device_name")+":"+d.String("name")] = d.String("oper_status")
 	}
-	circuits, err := store.Find("Circuit", fbnet.Eq("status", "production"))
-	if err != nil {
-		return err
-	}
-	for _, c := range circuits {
-		ends, ok, err := desiredCircuitEnds(store, c)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		for _, end := range ends {
-			key := end[0] + ":" + end[1]
-			if st, polled := status[key]; polled && st != "up" {
+	for _, c := range want.circuits {
+		for _, end := range [2][2]string{{c.ADevice, c.AInterface}, {c.ZDevice, c.ZInterface}} {
+			if st, polled := status[end[0]+":"+end[1]]; polled && st != "up" {
 				rep.Anomalies = append(rep.Anomalies, Anomaly{
 					Kind: InterfaceDown, Device: end[0],
 					Detail: fmt.Sprintf("interface %s terminates production circuit %s but is %s",
-						end[1], c.String("circuit_id"), st),
+						end[1], c.ID, st),
 				})
 			}
 		}
@@ -290,7 +259,7 @@ func auditInterfaces(store *fbnet.Store, rep *Report) error {
 }
 
 // auditBGP flags designed sessions whose derived state is not Established.
-func auditBGP(store *fbnet.Store, rep *Report) error {
+func auditBGP(store *fbnet.Store, want *desired, rep *Report) error {
 	derived, err := store.Find("DerivedBgpSession", nil)
 	if err != nil {
 		return err
@@ -299,28 +268,12 @@ func auditBGP(store *fbnet.Store, rep *Report) error {
 	for _, d := range derived {
 		state[d.String("device_name")+"|"+d.String("peer_addr")] = d.String("state")
 	}
-	for _, model := range []string{"BgpV6Session", "BgpV4Session"} {
-		sessions, err := store.Find(model, nil)
-		if err != nil {
-			return err
-		}
-		for _, s := range sessions {
-			localID := s.Ref("local_device")
-			remoteAddr := s.String("remote_addr")
-			if localID == 0 || remoteAddr == "" {
-				continue
-			}
-			local, err := store.GetByID("Device", localID)
-			if err != nil {
-				return err
-			}
-			key := local.String("name") + "|" + remoteAddr
-			if st, polled := state[key]; polled && st != "Established" {
-				rep.Anomalies = append(rep.Anomalies, Anomaly{
-					Kind: BGPDown, Device: local.String("name"),
-					Detail: fmt.Sprintf("designed %s session to %s is %s", s.String("session_type"), remoteAddr, st),
-				})
-			}
+	for _, s := range want.sessions {
+		if st, polled := state[s.device+"|"+s.addr]; polled && st != "Established" {
+			rep.Anomalies = append(rep.Anomalies, Anomaly{
+				Kind: BGPDown, Device: s.device,
+				Detail: fmt.Sprintf("designed %s session to %s is %s", s.kind, s.addr, st),
+			})
 		}
 	}
 	return nil
@@ -328,7 +281,7 @@ func auditBGP(store *fbnet.Store, rep *Report) error {
 
 // auditOS flags devices whose collected OS version differs from the
 // version of their assigned image.
-func auditOS(store *fbnet.Store, rep *Report) error {
+func auditOS(store *fbnet.Store, _ *desired, rep *Report) error {
 	derived, err := store.Find("DerivedDevice", nil)
 	if err != nil {
 		return err
@@ -362,7 +315,7 @@ func auditOS(store *fbnet.Store, rep *Report) error {
 }
 
 // auditConfigs surfaces recorded config non-conformance.
-func auditConfigs(store *fbnet.Store, rep *Report) error {
+func auditConfigs(store *fbnet.Store, _ *desired, rep *Report) error {
 	records, err := store.Find("DerivedConfig", fbnet.Eq("conforms", false))
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/relstore"
+	"github.com/robotron-net/robotron/internal/verify"
 )
 
 // seed builds a two-device design with one production circuit, plus
@@ -81,9 +82,14 @@ func mutate(t *testing.T, store *fbnet.Store, fn func(*fbnet.Mutation) error) {
 	}
 }
 
+// run audits the store through a fresh checker's view of it.
+func run(store *fbnet.Store) (Report, error) {
+	return Run(store, verify.NewChecker(store, nil))
+}
+
 func TestHealthyNetworkIsClean(t *testing.T) {
 	store := seed(t)
-	rep, err := Run(store)
+	rep, err := run(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,7 @@ func TestDeviceSilent(t *testing.T) {
 		obj, _ := m.FindOne("DerivedDevice", fbnet.Eq("name", "devB"))
 		return m.Delete("DerivedDevice", obj.ID)
 	})
-	rep, _ := Run(store)
+	rep, _ := run(store)
 	if rep.ByKind()[DeviceSilent] != 1 {
 		t.Errorf("anomalies = %v", rep.Anomalies)
 	}
@@ -114,7 +120,7 @@ func TestCircuitMissing(t *testing.T) {
 		obj, _ := m.FindOne("DerivedCircuit", nil)
 		return m.Delete("DerivedCircuit", obj.ID)
 	})
-	rep, _ := Run(store)
+	rep, _ := run(store)
 	if rep.ByKind()[CircuitMissing] != 1 {
 		t.Errorf("anomalies = %v", rep.Anomalies)
 	}
@@ -132,7 +138,7 @@ func TestCircuitUnexpected(t *testing.T) {
 			"z_device": "rogue", "z_interface": "et1/1", "source": "lldp"})
 		return err
 	})
-	rep, _ := Run(store)
+	rep, _ := run(store)
 	if rep.ByKind()[CircuitUnexpected] != 1 {
 		t.Errorf("anomalies = %v", rep.Anomalies)
 	}
@@ -152,7 +158,7 @@ func TestCircuitOrientationIndependent(t *testing.T) {
 			"z_device": "devA", "z_interface": "et1/1", "source": "lldp"})
 		return err
 	})
-	rep, _ := Run(store)
+	rep, _ := run(store)
 	if !rep.Clean() {
 		t.Errorf("reversed orientation flagged: %v", rep.Anomalies)
 	}
@@ -164,7 +170,7 @@ func TestInterfaceDown(t *testing.T) {
 		obj, _ := m.FindOne("DerivedInterface", fbnet.Eq("device_name", "devA"))
 		return m.Update("DerivedInterface", obj.ID, map[string]any{"oper_status": "down"})
 	})
-	rep, _ := Run(store)
+	rep, _ := run(store)
 	if rep.ByKind()[InterfaceDown] != 1 {
 		t.Errorf("anomalies = %v", rep.Anomalies)
 	}
@@ -176,7 +182,7 @@ func TestBGPDown(t *testing.T) {
 		obj, _ := m.FindOne("DerivedBgpSession", nil)
 		return m.Update("DerivedBgpSession", obj.ID, map[string]any{"state": "Active"})
 	})
-	rep, _ := Run(store)
+	rep, _ := run(store)
 	if rep.ByKind()[BGPDown] != 1 {
 		t.Errorf("anomalies = %v", rep.Anomalies)
 	}
@@ -188,7 +194,7 @@ func TestConfigDeviates(t *testing.T) {
 		obj, _ := m.FindOne("DerivedConfig", nil)
 		return m.Update("DerivedConfig", obj.ID, map[string]any{"conforms": false})
 	})
-	rep, _ := Run(store)
+	rep, _ := run(store)
 	if rep.ByKind()[ConfigDeviates] != 1 {
 		t.Errorf("anomalies = %v", rep.Anomalies)
 	}
@@ -207,7 +213,7 @@ func TestPlannedCircuitNotAudited(t *testing.T) {
 		obj, _ := m.FindOne("DerivedCircuit", nil)
 		return m.Delete("DerivedCircuit", obj.ID)
 	})
-	rep, _ := Run(store)
+	rep, _ := run(store)
 	if rep.ByKind()[CircuitMissing] != 0 {
 		t.Errorf("planned circuit audited as missing: %v", rep.Anomalies)
 	}
@@ -225,7 +231,7 @@ func TestUnpolledInterfaceNotFlagged(t *testing.T) {
 		}
 		return nil
 	})
-	rep, _ := Run(store)
+	rep, _ := run(store)
 	if rep.ByKind()[InterfaceDown] != 0 {
 		t.Errorf("unpolled interfaces flagged: %v", rep.Anomalies)
 	}
@@ -242,8 +248,8 @@ func TestReportOrderingDeterministic(t *testing.T) {
 		}
 		return nil
 	})
-	rep1, _ := Run(store)
-	rep2, _ := Run(store)
+	rep1, _ := run(store)
+	rep2, _ := run(store)
 	if len(rep1.Anomalies) != 2 || len(rep2.Anomalies) != 2 {
 		t.Fatalf("anomalies = %d/%d", len(rep1.Anomalies), len(rep2.Anomalies))
 	}

@@ -1,0 +1,53 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"github.com/robotron-net/robotron/internal/design"
+	"github.com/robotron-net/robotron/internal/relstore"
+	"github.com/robotron-net/robotron/internal/vclock"
+)
+
+// TestDerivedSteadyCycleWritesDerivedDeviceOnly pins the steady-state cost
+// of a monitoring cycle (DESIGN.md §15.5): on a 64-device DCGen3(40)
+// cluster where nothing changes between polls, the third full ObserveOnce
+// appends one update per device — its DerivedDevice row's uptime and
+// last-seen stamp — and nothing else: no interface, BGP, LLDP or circuit
+// row is rewritten or re-created.
+func TestDerivedSteadyCycleWritesDerivedDeviceOnly(t *testing.T) {
+	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC))
+	r, err := New(Options{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Designer.EnsureSite("dc1", "dc", "apac"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ProvisionCluster(testCtx("dc"), "dc1", "dc1-c1", design.DCGen3(40)); err != nil {
+		t.Fatal(err)
+	}
+	installAuditJobs(t, r)
+	devices, err := r.Store.Count("Device")
+	if err != nil || devices != 64 {
+		t.Fatalf("devices = %d (%v), want 64", devices, err)
+	}
+	var seq uint64
+	for cycle := 1; cycle <= 3; cycle++ {
+		clk.Advance(time.Minute)
+		seq = r.Store.DB().Seq()
+		if _, err := r.ObserveOnce(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+	}
+	byTable := map[string]int{}
+	for _, e := range r.Store.DB().EntriesSince(seq) {
+		byTable[e.Table]++
+		if e.Table == "DerivedDevice" && e.Op != relstore.OpUpdate {
+			t.Errorf("DerivedDevice row %d: %s on a steady cycle", e.RowID, e.Op)
+		}
+	}
+	if len(byTable) != 1 || byTable["DerivedDevice"] != devices {
+		t.Errorf("third identical cycle appended %v, want %d DerivedDevice updates and nothing else", byTable, devices)
+	}
+}

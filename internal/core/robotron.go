@@ -767,7 +767,7 @@ func (r *Robotron) ObserveOnce() ([]monitor.Alarm, error) {
 
 // Audit runs the Desired-vs-Derived anomaly detection.
 func (r *Robotron) Audit() (audit.Report, error) {
-	return audit.Run(r.Store)
+	return audit.Run(r.Store, r.Verifier)
 }
 
 // MetricHealthCheck returns a phased-deployment health gate that requires

@@ -646,10 +646,7 @@ func (d *Deployer) runPhase(phase phaseSet, targets map[string]Target, configs m
 	// failure while the in-flight commit keeps running on its own
 	// goroutine, handed back as a straggler to drain later.
 	commit := func(t Target, cfg string) error {
-		if opts.Retry != nil {
-			return commitOneRetry(t, cfg, opts.ConfirmGrace, pending, *opts.Retry, d.met, nf)
-		}
-		return commitOne(t, cfg, opts.ConfirmGrace, pending)
+		return commitOneRetry(t, cfg, opts.ConfirmGrace, pending, opts.Retry, d.met, nf)
 	}
 	commitWithDeadline := func(t Target, cfg string) (error, <-chan error) {
 		if opts.CommitTimeout <= 0 {
@@ -722,29 +719,6 @@ func (d *Deployer) runPhase(phase phaseSet, targets map[string]Target, configs m
 		}
 	}
 	return out
-}
-
-// commitOne commits one device, provisionally when grace > 0. Vendor2
-// uses the device's native commit-confirmed; other platforms are emulated
-// by the deployer's rollback timer.
-func commitOne(t Target, cfg string, grace time.Duration, pending *Pending) error {
-	if err := t.LoadConfig(cfg); err != nil {
-		return err
-	}
-	if grace <= 0 {
-		return t.Commit()
-	}
-	if err := t.CommitConfirmed(grace); err == nil {
-		pending.add(t, true)
-		return nil
-	} else if !errors.Is(err, netsim.ErrNotSupported) {
-		return err
-	}
-	if err := t.Commit(); err != nil {
-		return err
-	}
-	pending.add(t, false)
-	return nil
 }
 
 func defaultHealthCheck(t Target, intended string) error {
@@ -978,11 +952,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -162,7 +162,9 @@ const (
 	stageCommit
 )
 
-// commitAttemptOnce drives one load+commit pass, reporting the failing
+// commitAttemptOnce drives one load+commit pass, provisionally when grace
+// > 0: vendor2 uses the device's native commit-confirmed, other platforms
+// are emulated by the deployer's rollback timer. It reports the failing
 // stage and whether the device-native commit-confirmed path was in play
 // (it decides how a resolved ambiguous commit registers with pending).
 func commitAttemptOnce(t Target, cfg string, grace time.Duration, pending *Pending) (commitStage, bool, error) {
@@ -187,17 +189,23 @@ func commitAttemptOnce(t Target, cfg string, grace time.Duration, pending *Pendi
 	return stageCommit, false, nil
 }
 
-// commitOneRetry is commitOne under a retry budget. Transient errors
-// back off and retry; ambiguous commit errors are resolved by reading
-// the running config back — if it already matches the intent the commit
-// landed and is reported as success without being driven again; if not,
-// the commit demonstrably did not apply and is retried. Permanent
+// commitOneRetry commits one device under a retry budget. Transient
+// errors back off and retry; ambiguous commit errors are resolved by
+// reading the running config back — if it already matches the intent the
+// commit landed and is reported as success without being driven again; if
+// not, the commit demonstrably did not apply and is retried. Permanent
 // errors, and an exhausted budget, fail into the caller's existing
-// rollback/settlement paths.
+// rollback/settlement paths. A nil policy is a budget of one attempt with
+// nothing left for a retry or a readback: the device's own error is the
+// result.
 func commitOneRetry(t Target, cfg string, grace time.Duration, pending *Pending,
-	rp RetryPolicy, met deployMetrics, nf *notifier) error {
+	policy *RetryPolicy, met deployMetrics, nf *notifier) error {
 
-	rp = rp.withDefaults()
+	if policy == nil {
+		_, _, err := commitAttemptOnce(t, cfg, grace, pending)
+		return err
+	}
+	rp := policy.withDefaults()
 	rng := rp.rng(t.Name())
 	var lastErr error
 	for attempt := 1; attempt <= rp.MaxAttempts; attempt++ {

@@ -68,7 +68,8 @@ func FleetDeviceResolver(f *netsim.Fleet) DeviceResolver {
 	}
 }
 
-// Collection is one polled result handed to backends.
+// Collection is one polled result handed to backends. Engines leave At
+// zero: the job manager stamps every collection from its one clock.
 type Collection struct {
 	Device     string
 	Engine     EngineType
@@ -106,7 +107,7 @@ func (e *baseEngine) Poll(dev DeviceAPI, d DataType) (Collection, error) {
 	if !e.supports[d] {
 		return Collection{}, fmt.Errorf("monitor: %s engine does not support %s", e.typ, d)
 	}
-	col := Collection{Device: dev.Name(), Engine: e.typ, Data: d, At: time.Now()}
+	col := Collection{Device: dev.Name(), Engine: e.typ, Data: d}
 	var err error
 	switch d {
 	case DataCounters:
@@ -254,7 +255,7 @@ type JobManager struct {
 	wake        chan struct{} // kicked when the job set changes
 	wg          sync.WaitGroup
 	running     bool
-	clock       vclock.Clock // nil: collections keep engine wall-clock stamps
+	clock       vclock.Clock // stamps every collection; the wall clock until SetClock
 }
 
 // NewJobManager creates a job manager with the standard engines.
@@ -265,6 +266,7 @@ func NewJobManager(resolve DeviceResolver) *JobManager {
 		backends: make(map[string]Backend),
 		stats:    newEventStats(),
 		wake:     make(chan struct{}, 1),
+		clock:    vclock.RealClock(),
 	}
 }
 
@@ -285,8 +287,8 @@ func (jm *JobManager) SetDeviceLister(list func() []string) {
 }
 
 // SetClock makes every collection timestamp come from clock instead of
-// the engines' wall clock, so sample ages and alarm windows line up with
-// a virtual clock in simulation.
+// the wall clock, so sample ages and alarm windows line up with a virtual
+// clock in simulation.
 func (jm *JobManager) SetClock(clock vclock.Clock) {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
@@ -441,15 +443,9 @@ func (jm *JobManager) execute(spec JobSpec) []Collection {
 			jm.stats.addError()
 			continue
 		}
+		jm.stats.add(spec.Engine, 1)
 		jm.mu.Lock()
 		clock := jm.clock
-		jm.mu.Unlock()
-		if clock != nil {
-			col.At = clock.Now()
-		}
-		jm.stats.add(spec.Engine, 1)
-		out = append(out, col)
-		jm.mu.Lock()
 		backends := make([]Backend, 0, len(spec.Backends))
 		for _, bn := range spec.Backends {
 			if b, ok := jm.backends[bn]; ok {
@@ -457,6 +453,8 @@ func (jm *JobManager) execute(spec JobSpec) []Collection {
 			}
 		}
 		jm.mu.Unlock()
+		col.At = clock.Now()
+		out = append(out, col)
 		for _, b := range backends {
 			if err := b.Store(col); err != nil {
 				jm.stats.addError()

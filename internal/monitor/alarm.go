@@ -266,6 +266,15 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 	if ae.mEvals != nil {
 		ae.mEvals.Inc()
 	}
+	// Every alarm that fires in this pass looks back over the same window:
+	// assemble it on the first fire, and not at all on a quiet pass.
+	correlated := sync.OnceValue(func() []TimelineEntry {
+		tl := ae.timelineLocked(now.Add(-ae.window), now, false)
+		if n := len(tl); n > DefaultCorrelationLimit {
+			tl = tl[n-DefaultCorrelationLimit:]
+		}
+		return tl
+	})
 	for i := range ae.rules {
 		r := &ae.rules[i]
 		breached, detail := ae.evalLocked(r, now)
@@ -279,10 +288,10 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 				Detail: detail, Since: now,
 			}
 			ae.active[id] = al
-			ae.maybeFireLocked(r, al, now)
+			ae.maybeFireLocked(r, al, now, correlated)
 		case breached:
 			al.Detail = detail
-			ae.maybeFireLocked(r, al, now)
+			ae.maybeFireLocked(r, al, now, correlated)
 		case al != nil && al.State == AlarmFiring:
 			al.State = AlarmResolved
 			al.ResolvedAt = now
@@ -300,16 +309,13 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 	return ae.firingLocked()
 }
 
-func (ae *AlarmEngine) maybeFireLocked(r *AlarmRule, al *Alarm, now time.Time) {
+func (ae *AlarmEngine) maybeFireLocked(r *AlarmRule, al *Alarm, now time.Time, correlated func() []TimelineEntry) {
 	if al.State != AlarmPending || now.Sub(al.Since) < r.PendingFor {
 		return
 	}
 	al.State = AlarmFiring
 	al.FiredAt = now
-	al.Correlated = ae.timelineLocked(now.Add(-ae.window), now, false)
-	if n := len(al.Correlated); n > DefaultCorrelationLimit {
-		al.Correlated = al.Correlated[n-DefaultCorrelationLimit:]
-	}
+	al.Correlated = correlated()
 	if ae.mFiring != nil {
 		ae.mFiring.Inc()
 		ae.ruleCounter(ae.mFired, "robotron_alarms_fired_total", r.Name).Inc()

@@ -159,11 +159,8 @@ func TestBGPStateAlarm(t *testing.T) {
 		t.Fatalf("alarmed without observation: %+v", got)
 	}
 	setState := func(state string) {
-		if _, err := store.Mutate(func(m *fbnet.Mutation) error {
-			return upsert(m, "DerivedBgpSession",
-				fbnet.And(fbnet.Eq("device_name", "dev1"), fbnet.Eq("peer_addr", "10.0.0.2")),
-				map[string]any{"device_name": "dev1", "peer_addr": "10.0.0.2", "family": "v4", "state": state})
-		}); err != nil {
+		if err := NewDerivedBackend(store).Store(Collection{Device: "dev1", Data: DataBGP,
+			BGP: []netsim.BGPPeerStatus{{PeerAddr: "10.0.0.2", Family: "v4", State: state}}}); err != nil {
 			t.Fatal(err)
 		}
 	}

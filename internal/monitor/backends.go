@@ -1,8 +1,8 @@
 package monitor
 
 import (
-	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/robotron-net/robotron/internal/fbnet"
@@ -168,84 +168,128 @@ func NewDerivedBackend(store *fbnet.Store) *DerivedBackend {
 // Name implements Backend.
 func (b *DerivedBackend) Name() string { return "fbnet-derived" }
 
-// Store implements Backend, upserting the matching Derived objects.
+// Store implements Backend: the Derived rows of the collection's device
+// become what the collection reports.
 func (b *DerivedBackend) Store(col Collection) error {
+	byDevice := fbnet.Eq("device_name", col.Device)
+	at := col.At.Unix()
 	_, err := b.store.Mutate(func(m *fbnet.Mutation) error {
 		switch col.Data {
 		case DataVersion:
-			return upsert(m, "DerivedDevice", fbnet.Eq("name", col.Device), map[string]any{
-				"name": col.Device, "vendor": col.Version.Vendor,
-				"os_version": col.Version.OSVersion,
-				"uptime_s":   col.Version.UptimeS, "last_seen_unix": col.At.Unix(),
-			})
+			return syncDerived(m, "DerivedDevice", fbnet.Eq("name", col.Device), []string{"name"}, "",
+				[]map[string]any{{
+					"name": col.Device, "vendor": col.Version.Vendor,
+					"os_version": col.Version.OSVersion,
+					"uptime_s":   col.Version.UptimeS, "last_seen_unix": at,
+				}})
 		case DataInterfaces:
-			for _, ifc := range col.Interfaces {
-				err := upsert(m, "DerivedInterface",
-					fbnet.And(fbnet.Eq("device_name", col.Device), fbnet.Eq("name", ifc.Name)),
-					map[string]any{
-						"device_name": col.Device, "name": ifc.Name,
-						"oper_status": ifc.OperStatus, "speed_mbps": ifc.SpeedMbps,
-						"last_change_unix": col.At.Unix(),
-					})
-				if err != nil {
-					return err
+			rows := make([]map[string]any, len(col.Interfaces))
+			for i, ifc := range col.Interfaces {
+				rows[i] = map[string]any{
+					"device_name": col.Device, "name": ifc.Name,
+					"oper_status": ifc.OperStatus, "speed_mbps": ifc.SpeedMbps,
+					"last_change_unix": at,
 				}
 			}
+			return syncDerived(m, "DerivedInterface", byDevice, []string{"name"}, "last_change_unix", rows)
 		case DataLLDP:
-			// Replace this device's adjacency rows wholesale.
-			old, err := m.Find("DerivedLldpNeighbor", fbnet.Eq("device_name", col.Device))
-			if err != nil {
-				return err
-			}
-			for _, o := range old {
-				if err := m.Delete("DerivedLldpNeighbor", o.ID); err != nil {
-					return err
-				}
-			}
-			for _, n := range col.LLDP {
-				if _, err := m.Create("DerivedLldpNeighbor", map[string]any{
+			rows := make([]map[string]any, len(col.LLDP))
+			for i, n := range col.LLDP {
+				rows[i] = map[string]any{
 					"device_name": col.Device, "interface_name": n.LocalInterface,
 					"neighbor_device": n.NeighborDevice, "neighbor_interface": n.NeighborInterface,
-				}); err != nil {
-					return err
 				}
 			}
+			return syncDerived(m, "DerivedLldpNeighbor", byDevice,
+				[]string{"interface_name", "neighbor_device", "neighbor_interface"}, "", rows)
 		case DataBGP:
-			for _, p := range col.BGP {
-				err := upsert(m, "DerivedBgpSession",
-					fbnet.And(fbnet.Eq("device_name", col.Device), fbnet.Eq("peer_addr", p.PeerAddr)),
-					map[string]any{
-						"device_name": col.Device, "peer_addr": p.PeerAddr,
-						"family": p.Family, "state": p.State,
-					})
-				if err != nil {
-					return err
+			rows := make([]map[string]any, len(col.BGP))
+			for i, p := range col.BGP {
+				rows[i] = map[string]any{
+					"device_name": col.Device, "peer_addr": p.PeerAddr,
+					"family": p.Family, "state": p.State,
 				}
 			}
+			return syncDerived(m, "DerivedBgpSession", byDevice, []string{"peer_addr"}, "", rows)
 		}
 		return nil
 	})
 	return err
 }
 
-// upsert creates or updates one object matching q.
-func upsert(m *fbnet.Mutation, model string, q fbnet.Query, fields map[string]any) error {
-	existing, err := m.Find(model, q)
+// syncDerived is the one writer of observed state (DESIGN.md §15.5): it
+// makes the rows of a Derived model inside scope — one device's rows, or
+// the whole table when scope is nil — equal to want, the set the latest
+// collection reports. Rows are matched by the string columns named in key.
+// A reported row that is missing is created, one that is stored has only
+// its differing columns updated, and a stored row no longer reported is
+// deleted; when nothing differs nothing is written, so an unchanged
+// observation appends no binlog entry and every row keeps its id. stamp
+// names a column that records when the row last changed ("" for none): it
+// is written when the row is created or another column moves, never alone.
+// Values must be in stored form (string, int64, bool).
+func syncDerived(m *fbnet.Mutation, model string, scope fbnet.Query, key []string, stamp string, want []map[string]any) error {
+	keyOf := func(fields map[string]any) string {
+		parts := make([]string, len(key))
+		for i, col := range key {
+			parts[i], _ = fields[col].(string)
+		}
+		return strings.Join(parts, "\x00")
+	}
+	stored, err := m.Find(model, scope)
 	if err != nil {
 		return err
 	}
-	switch len(existing) {
-	case 0:
-		_, err := m.Create(model, fields)
-		return err
-	case 1:
-		return m.Update(model, existing[0].ID, fields)
-	default:
-		return fmt.Errorf("monitor: %d %s objects match upsert key", len(existing), model)
+	storedKeys := make([]string, len(stored))
+	current := make(map[string]fbnet.Object, len(stored))
+	for i, o := range stored {
+		storedKeys[i] = keyOf(o.Fields)
+		current[storedKeys[i]] = o
 	}
+	reported := make(map[string]bool, len(want))
+	for _, row := range want { // a key reported twice: the last row wins
+		k := keyOf(row)
+		reported[k] = true
+		cur, ok := current[k]
+		if !ok {
+			id, err := m.Create(model, row)
+			if err != nil {
+				return err
+			}
+			current[k] = fbnet.Object{Model: model, ID: id, Fields: row}
+			continue
+		}
+		var changes map[string]any
+		for col, v := range row {
+			if col != stamp && cur.Fields[col] != v {
+				if changes == nil {
+					changes = make(map[string]any)
+				}
+				changes[col] = v
+			}
+		}
+		if changes == nil {
+			continue
+		}
+		if stamp != "" {
+			changes[stamp] = row[stamp]
+		}
+		if err := m.Update(model, cur.ID, changes); err != nil {
+			return err
+		}
+		current[k] = fbnet.Object{Model: model, ID: cur.ID, Fields: row}
+	}
+	for i, o := range stored {
+		if !reported[storedKeys[i]] {
+			if err := m.Delete(model, o.ID); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
-// DeriveCircuits rebuilds DerivedCircuit objects from LLDP adjacency: "a
+// DeriveCircuits syncs the DerivedCircuit objects to LLDP adjacency: "a
 // circuit object is created if the LLDP data from two devices shows that
 // the physical interfaces connected to both ends are neighbors to each
 // other" (§4.1.2). Only adjacencies confirmed from both sides produce a
@@ -280,26 +324,17 @@ func DeriveCircuits(store *fbnet.Store) (int, error) {
 		}
 		return confirmed[i][0].ifc < confirmed[j][0].ifc
 	})
+	rows := make([]map[string]any, len(confirmed))
+	for i, pair := range confirmed {
+		rows[i] = map[string]any{
+			"a_device": pair[0].dev, "a_interface": pair[0].ifc,
+			"z_device": pair[1].dev, "z_interface": pair[1].ifc,
+			"source": "lldp",
+		}
+	}
 	_, err = store.Mutate(func(m *fbnet.Mutation) error {
-		old, err := m.Find("DerivedCircuit", nil)
-		if err != nil {
-			return err
-		}
-		for _, o := range old {
-			if err := m.Delete("DerivedCircuit", o.ID); err != nil {
-				return err
-			}
-		}
-		for _, pair := range confirmed {
-			if _, err := m.Create("DerivedCircuit", map[string]any{
-				"a_device": pair[0].dev, "a_interface": pair[0].ifc,
-				"z_device": pair[1].dev, "z_interface": pair[1].ifc,
-				"source": "lldp",
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
+		return syncDerived(m, "DerivedCircuit", nil,
+			[]string{"a_device", "a_interface", "z_device", "z_interface"}, "", rows)
 	})
 	if err != nil {
 		return 0, err

@@ -190,17 +190,18 @@ func (cm *ConfigMonitor) CheckDevice(device string) (dev *Deviation, err error) 
 	return &found, nil
 }
 
-// recordConformance updates the DerivedConfig object for the device,
+// recordConformance syncs the DerivedConfig object for the device,
 // stamped with the collection's time like every other Derived row.
 func (cm *ConfigMonitor) recordConformance(device, running string, conforms bool, at time.Time) error {
 	if cm.store == nil {
 		return nil
 	}
 	_, err := cm.store.Mutate(func(m *fbnet.Mutation) error {
-		return upsert(m, "DerivedConfig", fbnet.Eq("device_name", device), map[string]any{
-			"device_name": device, "config_hash": revctl.Hash(running),
-			"collected_unix": at.Unix(), "conforms": conforms,
-		})
+		return syncDerived(m, "DerivedConfig", fbnet.Eq("device_name", device), []string{"device_name"}, "",
+			[]map[string]any{{
+				"device_name": device, "config_hash": revctl.Hash(running),
+				"collected_unix": at.Unix(), "conforms": conforms,
+			}})
 	})
 	return err
 }

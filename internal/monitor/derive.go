@@ -50,10 +50,10 @@ func DeriveJobs(in verify.Intent) ([]JobSpec, []AlarmRule) {
 			Key: "cpu_util", Window: 5 * time.Minute, Urgency: Critical,
 		})
 		for _, peer := range peers {
-			if peer != "" {
+			if peer.Addr != "" {
 				sessionRules = append(sessionRules, AlarmRule{
 					Name: "bgp-session-down", Kind: KindBGPState,
-					Device: name, Key: peer, Urgency: Major,
+					Device: name, Key: peer.Addr, Urgency: Major,
 				})
 			}
 		}

@@ -1,0 +1,386 @@
+package monitor
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/relstore"
+	"github.com/robotron-net/robotron/internal/revctl"
+	"github.com/robotron-net/robotron/internal/vclock"
+)
+
+// The observed-state write rule (DESIGN.md §15.5), checked against a naive
+// model: every Derived table is the latest observation per scope, nothing
+// is written when an observation repeats, row ids are stable, and
+// last_change_unix moves only with what it describes.
+
+// derivedColumns lists, per Derived model, the columns the model below
+// keeps; the first keyLen of them are the row's identity.
+var derivedColumns = map[string]struct {
+	cols   []string
+	keyLen int
+}{
+	"DerivedDevice":       {[]string{"name", "vendor", "os_version", "uptime_s", "last_seen_unix"}, 1},
+	"DerivedInterface":    {[]string{"device_name", "name", "oper_status", "speed_mbps", "last_change_unix"}, 2},
+	"DerivedLldpNeighbor": {[]string{"device_name", "interface_name", "neighbor_device", "neighbor_interface"}, 4},
+	"DerivedBgpSession":   {[]string{"device_name", "peer_addr", "family", "state"}, 2},
+	"DerivedCircuit":      {[]string{"a_device", "a_interface", "z_device", "z_interface", "source"}, 4},
+	"DerivedConfig":       {[]string{"device_name", "config_hash", "collected_unix", "conforms"}, 1},
+}
+
+// mirror is the naive model: table -> row key -> the row's columns in
+// derivedColumns order.
+type mirror map[string]map[string][]any
+
+func mirrorKey(table string, row []any) string {
+	parts := make([]string, derivedColumns[table].keyLen)
+	for i := range parts {
+		parts[i] = row[i].(string)
+	}
+	return strings.Join(parts, "|")
+}
+
+// observe replaces the rows of one scope (the rows whose first column is
+// device; every row when device is "") with rows.
+func (m mirror) observe(table, device string, rows [][]any) {
+	for k, row := range m[table] {
+		if device == "" || row[0] == device {
+			delete(m[table], k)
+		}
+	}
+	for _, row := range rows {
+		m[table][mirrorKey(table, row)] = row
+	}
+}
+
+// readDerived reads every Derived table into mirror form, with the row ids
+// on the side.
+func readDerived(t *testing.T, store *fbnet.Store) (mirror, map[string]int64) {
+	t.Helper()
+	got, ids := mirror{}, map[string]int64{}
+	for table, spec := range derivedColumns {
+		got[table] = map[string][]any{}
+		objs, err := store.Find(table, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range objs {
+			row := make([]any, len(spec.cols))
+			for i, col := range spec.cols {
+				row[i] = o.Fields[col]
+			}
+			k := mirrorKey(table, row)
+			if _, dup := got[table][k]; dup {
+				t.Fatalf("%s holds two rows for %s", table, k)
+			}
+			got[table][k] = row
+			ids[table+"/"+k] = o.ID
+		}
+	}
+	return got, ids
+}
+
+// observedWorld is what the simulated devices would report if polled now.
+type observedWorld struct {
+	ifaces map[string]map[string]netsim.IfaceStatus
+	bgp    map[string]map[string]netsim.BGPPeerStatus
+	cables map[[2]string][2]string // (device, interface) -> far end, both directions
+	config map[string]string
+}
+
+var (
+	worldDevices = []string{"d0", "d1", "d2", "d3"}
+	worldPorts   = []string{"et1", "et2", "et3", "et4"}
+	worldPeers   = []string{"10.0.0.1", "10.0.0.2", "2401:db00::1"}
+)
+
+func pick(rng *rand.Rand, xs []string) string { return xs[rng.Intn(len(xs))] }
+
+// perturb changes one thing in the world: an interface flaps, changes
+// speed, appears or vanishes; a BGP session changes state, appears or
+// vanishes; a cable is plugged or pulled; a config is edited.
+func (w *observedWorld) perturb(rng *rand.Rand) {
+	dev := pick(rng, worldDevices)
+	switch rng.Intn(4) {
+	case 0:
+		name := pick(rng, worldPorts)
+		ifc, ok := w.ifaces[dev][name]
+		switch {
+		case !ok:
+			w.ifaces[dev][name] = netsim.IfaceStatus{Name: name, OperStatus: "up", SpeedMbps: 10000}
+		case rng.Intn(4) == 0:
+			delete(w.ifaces[dev], name)
+		case rng.Intn(3) == 0:
+			ifc.SpeedMbps = []int64{10000, 40000, 100000}[rng.Intn(3)]
+			w.ifaces[dev][name] = ifc
+		default:
+			ifc.OperStatus = map[string]string{"up": "down", "down": "up"}[ifc.OperStatus]
+			w.ifaces[dev][name] = ifc
+		}
+	case 1:
+		addr := pick(rng, worldPeers)
+		family := "v4"
+		if strings.Contains(addr, ":") {
+			family = "v6"
+		}
+		if _, ok := w.bgp[dev][addr]; ok && rng.Intn(4) == 0 {
+			delete(w.bgp[dev], addr)
+			return
+		}
+		w.bgp[dev][addr] = netsim.BGPPeerStatus{PeerAddr: addr, Family: family,
+			State: []string{"Established", "Active", "Idle"}[rng.Intn(3)]}
+	case 2:
+		a := [2]string{dev, pick(rng, worldPorts)}
+		if z, ok := w.cables[a]; ok {
+			delete(w.cables, a)
+			delete(w.cables, z)
+			return
+		}
+		z := [2]string{pick(rng, worldDevices), pick(rng, worldPorts)}
+		if _, busy := w.cables[z]; !busy && z[0] != a[0] {
+			w.cables[a], w.cables[z] = z, a
+		}
+	case 3:
+		w.config[dev] = fmt.Sprintf("hostname %s\nrev %d\n", dev, rng.Intn(3))
+	}
+}
+
+// poll reports one data type of one device, in a shuffled order (the sync
+// must not depend on the order a device lists its rows in).
+func (w *observedWorld) poll(rng *rand.Rand, dev string, data DataType, at time.Time) Collection {
+	col := Collection{Device: dev, Engine: EngineCLI, Data: data, At: at}
+	switch data {
+	case DataVersion:
+		col.Version = &netsim.VersionInfo{Name: dev, Vendor: "vendor1", OSVersion: "1.0",
+			UptimeS: at.Unix() - 1_000_000}
+	case DataInterfaces:
+		for _, name := range worldPorts {
+			if ifc, ok := w.ifaces[dev][name]; ok {
+				col.Interfaces = append(col.Interfaces, ifc)
+			}
+		}
+		rng.Shuffle(len(col.Interfaces), func(i, j int) {
+			col.Interfaces[i], col.Interfaces[j] = col.Interfaces[j], col.Interfaces[i]
+		})
+	case DataBGP:
+		for _, addr := range worldPeers {
+			if p, ok := w.bgp[dev][addr]; ok {
+				col.BGP = append(col.BGP, p)
+			}
+		}
+		rng.Shuffle(len(col.BGP), func(i, j int) { col.BGP[i], col.BGP[j] = col.BGP[j], col.BGP[i] })
+	case DataLLDP:
+		for _, port := range worldPorts {
+			if z, ok := w.cables[[2]string{dev, port}]; ok {
+				col.LLDP = append(col.LLDP, netsim.LLDPNeighbor{
+					LocalInterface: port, NeighborDevice: z[0], NeighborInterface: z[1]})
+			}
+		}
+		rng.Shuffle(len(col.LLDP), func(i, j int) { col.LLDP[i], col.LLDP[j] = col.LLDP[j], col.LLDP[i] })
+	}
+	return col
+}
+
+// mirrorCollection folds a collection into the model the way the rule
+// reads: the scope's rows become the reported rows; an interface's
+// last_change_unix is the time of the first observation that differs from
+// the one before it in status or speed.
+func (m mirror) mirrorCollection(col Collection) {
+	at := col.At.Unix()
+	switch col.Data {
+	case DataVersion:
+		m.observe("DerivedDevice", col.Device, [][]any{{col.Device, col.Version.Vendor,
+			col.Version.OSVersion, col.Version.UptimeS, at}})
+	case DataInterfaces:
+		var rows [][]any
+		for _, ifc := range col.Interfaces {
+			changed := at
+			if prev, ok := m["DerivedInterface"][col.Device+"|"+ifc.Name]; ok &&
+				prev[2] == ifc.OperStatus && prev[3] == ifc.SpeedMbps {
+				changed = prev[4].(int64)
+			}
+			rows = append(rows, []any{col.Device, ifc.Name, ifc.OperStatus, ifc.SpeedMbps, changed})
+		}
+		m.observe("DerivedInterface", col.Device, rows)
+	case DataBGP:
+		var rows [][]any
+		for _, p := range col.BGP {
+			rows = append(rows, []any{col.Device, p.PeerAddr, p.Family, p.State})
+		}
+		m.observe("DerivedBgpSession", col.Device, rows)
+	case DataLLDP:
+		var rows [][]any
+		for _, n := range col.LLDP {
+			rows = append(rows, []any{col.Device, n.LocalInterface, n.NeighborDevice, n.NeighborInterface})
+		}
+		m.observe("DerivedLldpNeighbor", col.Device, rows)
+	}
+}
+
+// mirrorCircuits derives the circuits the model's LLDP rows confirm from
+// both sides, a-end the smaller (device, interface).
+func (m mirror) mirrorCircuits() {
+	var rows [][]any
+	for _, n := range m["DerivedLldpNeighbor"] {
+		back := mirrorKey("DerivedLldpNeighbor", []any{n[2], n[3], n[0], n[1]})
+		if _, mutual := m["DerivedLldpNeighbor"][back]; !mutual {
+			continue
+		}
+		if a, z := n[0].(string)+"|"+n[1].(string), n[2].(string)+"|"+n[3].(string); a < z {
+			rows = append(rows, []any{n[0], n[1], n[2], n[3], "lldp"})
+		}
+	}
+	m.observe("DerivedCircuit", "", rows)
+}
+
+func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
+	populated := map[string]bool{} // tables some step compared at least one row of
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			store, err := fbnet.Open(relstore.NewDB("derived-sync"), fbnet.NewCatalog())
+			if err != nil {
+				t.Fatal(err)
+			}
+			backend := NewDerivedBackend(store)
+			cm := &ConfigMonitor{store: store}
+			w := &observedWorld{
+				ifaces: map[string]map[string]netsim.IfaceStatus{},
+				bgp:    map[string]map[string]netsim.BGPPeerStatus{},
+				cables: map[[2]string][2]string{},
+				config: map[string]string{},
+			}
+			for _, d := range worldDevices {
+				w.ifaces[d] = map[string]netsim.IfaceStatus{}
+				w.bgp[d] = map[string]netsim.BGPPeerStatus{}
+			}
+			want := mirror{}
+			for table := range derivedColumns {
+				want[table] = map[string][]any{}
+			}
+			at := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+			var prevIDs map[string]int64
+			for step := 0; step < 60; step++ {
+				for n := rng.Intn(3); n > 0; n-- {
+					w.perturb(rng)
+				}
+				at = at.Add(time.Duration(1+rng.Intn(90)) * time.Second)
+				dev := pick(rng, worldDevices)
+				data := []DataType{DataVersion, DataInterfaces, DataBGP, DataLLDP, DataConfig}[rng.Intn(5)]
+				col := w.poll(rng, dev, data, at)
+				write := func() {
+					t.Helper()
+					var err error
+					if data == DataConfig {
+						err = cm.recordConformance(dev, w.config[dev], w.config[dev] == "", at)
+					} else {
+						err = backend.Store(col)
+					}
+					if err != nil {
+						t.Fatalf("step %d: storing %s of %s: %v", step, data, dev, err)
+					}
+					if _, err := DeriveCircuits(store); err != nil {
+						t.Fatalf("step %d: DeriveCircuits: %v", step, err)
+					}
+				}
+				write()
+				if data == DataConfig {
+					want.observe("DerivedConfig", dev, [][]any{{dev, revctl.Hash(w.config[dev]), at.Unix(), w.config[dev] == ""}})
+				} else {
+					want.mirrorCollection(col)
+				}
+				want.mirrorCircuits()
+
+				got, ids := readDerived(t, store)
+				if !reflect.DeepEqual(got, want) {
+					for table := range derivedColumns {
+						if !reflect.DeepEqual(got[table], want[table]) {
+							t.Errorf("step %d (%s of %s): %s\n got %v\nwant %v", step, data, dev, table, got[table], want[table])
+						}
+					}
+					t.FailNow()
+				}
+				for table, rows := range want {
+					if len(rows) > 0 {
+						populated[table] = true
+					}
+				}
+				// A row that is still reported is the same row.
+				for k, id := range ids {
+					if prev, ok := prevIDs[k]; ok && prev != id {
+						t.Fatalf("step %d: %s moved from id %d to %d", step, k, prev, id)
+					}
+				}
+				prevIDs = ids
+
+				// The same observation again writes nothing.
+				seq := store.DB().Seq()
+				write()
+				if moved := store.DB().Seq() - seq; moved != 0 {
+					t.Fatalf("step %d: replaying %s of %s appended %d binlog entries", step, data, dev, moved)
+				}
+				if _, again := readDerived(t, store); !reflect.DeepEqual(again, ids) {
+					t.Fatalf("step %d: row ids changed on an unchanged cycle", step)
+				}
+			}
+		})
+	}
+	for table := range derivedColumns {
+		if !populated[table] {
+			t.Errorf("no history ever had a %s row to compare", table)
+		}
+	}
+}
+
+// TestDerivedRowsCarryNoWallTime: engines do not stamp collections — the
+// job manager does, from its clock — so under a virtual clock no time a
+// Derived row records can be the wall clock's, and an engine polled
+// outside a job carries no time at all.
+func TestDerivedRowsCarryNoWallTime(t *testing.T) {
+	fleet, jm, store, _ := newMonitoredFleet(t, 1)
+	at := time.Date(2001, 9, 9, 1, 46, 40, 0, time.UTC)
+	jm.SetClock(vclock.NewVirtualClock(at))
+	dev, _ := fleet.Device("dev00")
+	for typ, eng := range NewEngines() {
+		for _, data := range []DataType{DataCounters, DataInterfaces, DataLLDP, DataBGP, DataConfig, DataVersion} {
+			if !eng.Supports(data) {
+				continue
+			}
+			col, err := eng.Poll(dev, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !col.At.IsZero() {
+				t.Errorf("%s engine stamped its %s collection %v", typ, data, col.At)
+			}
+			cols, err := jm.RunOnce(JobSpec{Name: "adhoc", Engine: typ, Data: data,
+				Devices: []string{"dev00"}, Backends: []string{"fbnet-derived"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cols) != 1 || !cols[0].At.Equal(at) {
+				t.Errorf("%s/%s: job collections = %+v, want one stamped %v", typ, data, cols, at)
+			}
+		}
+	}
+	for table, col := range map[string]string{"DerivedDevice": "last_seen_unix", "DerivedInterface": "last_change_unix"} {
+		rows, err := store.Find(table, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) == 0 {
+			t.Errorf("no %s rows written", table)
+		}
+		for _, r := range rows {
+			if got := r.Int(col); got != at.Unix() {
+				t.Errorf("%s %d: %s = %d, want the virtual clock's %d", table, r.ID, col, got, at.Unix())
+			}
+		}
+	}
+}

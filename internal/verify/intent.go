@@ -21,11 +21,17 @@ type Device struct {
 	id         int64
 }
 
-// Circuit is one circuit's two ends as (device, interface) names.
+// Circuit is one circuit: its circuit_id, its status, and its two ends as
+// (device, interface) names.
 type Circuit struct {
+	ID, Status          string
 	ADevice, AInterface string
 	ZDevice, ZInterface string
 }
+
+// Peer is one BGP session seen from its local end: the remote address
+// ("" when the session names none) and the session type.
+type Peer struct{ Addr, Type string }
 
 // Intent brings the resident model to the store's current sequence exactly
 // as Check does — the same sync, failing closed on a store that is down,
@@ -63,18 +69,20 @@ func (in Intent) Ports(d Device) []string {
 	return names
 }
 
-// Peers returns the remote address of every BGP session the device is the
-// local end of, sorted; a session that names no address contributes "".
-func (in Intent) Peers(d Device) []string {
+// Peers returns every BGP session the device is the local end of, sorted
+// by remote address.
+func (in Intent) Peers(d Device) []Peer {
 	m := in.m
-	var addrs []string
+	var peers []Peer
 	for _, k := range m.sessByDev[d.id] {
 		if s := m.sess[k]; s.local == d.id {
-			addrs = append(addrs, s.remoteAddr)
+			peers = append(peers, Peer{Addr: s.remoteAddr, Type: s.kind})
 		}
 	}
-	slices.Sort(addrs)
-	return addrs
+	slices.SortFunc(peers, func(a, b Peer) int {
+		return cmp.Or(cmp.Compare(a.Addr, b.Addr), cmp.Compare(a.Type, b.Type))
+	})
+	return peers
 }
 
 // Circuits returns the non-decommissioned circuits that have both ends, in
@@ -92,6 +100,7 @@ func (in Intent) Circuits() []Circuit {
 	for i, id := range ids {
 		c := m.circs[id]
 		out[i] = Circuit{
+			ID: c.name, Status: c.status,
 			ADevice: m.devs[m.portDev(c.a)].name, AInterface: m.ports[c.a].name,
 			ZDevice: m.devs[m.portDev(c.z)].name, ZInterface: m.ports[c.z].name,
 		}

@@ -25,7 +25,7 @@ func init() { verify.AlsoEquivalent = assertViewsEquivalent }
 type viewCopy struct {
 	Devices  []verify.Device
 	Ports    map[string][]string
-	Peers    map[string][]string
+	Peers    map[string][]verify.Peer
 	Circuits []verify.Circuit
 	Jobs     []monitor.JobSpec
 	Rules    []monitor.AlarmRule
@@ -33,7 +33,7 @@ type viewCopy struct {
 
 func copyView(t *testing.T, c *verify.Checker, step string) viewCopy {
 	t.Helper()
-	v := viewCopy{Ports: map[string][]string{}, Peers: map[string][]string{}}
+	v := viewCopy{Ports: map[string][]string{}, Peers: map[string][]verify.Peer{}}
 	err := c.Intent(func(in verify.Intent) error {
 		v.Devices, v.Circuits = in.Devices(), in.Circuits()
 		for _, d := range v.Devices {
@@ -223,8 +223,8 @@ func vendorSyntax(store *fbnet.Store, devices []fbnet.Object) map[string]string 
 
 // scanTopology answers what core.SyncFleet needs — every device as {name,
 // role, site name, vendor syntax}, sorted by name, and every
-// non-decommissioned circuit with both ends as (device, interface) names,
-// in id order — through the read API's relation paths, a resolver that
+// non-decommissioned circuit with its id, status and both ends as (device,
+// interface) names, in id order — through the read API's relation paths, a resolver that
 // shares nothing with the model.
 func scanTopology(store *fbnet.Store) (devs [][4]string, circuits []verify.Circuit, err error) {
 	str := func(r fbnet.Result, field string) string { s, _ := r.Fields[field].(string); return s }
@@ -238,14 +238,14 @@ func scanTopology(store *fbnet.Store) (devs [][4]string, circuits []verify.Circu
 	sort.Slice(devs, func(i, j int) bool { return devs[i][0] < devs[j][0] })
 
 	ends := []string{"a_interface.linecard.device.name", "a_interface.name", "z_interface.linecard.device.name", "z_interface.name"}
-	rows, err = store.Get("Circuit", ends, fbnet.And(fbnet.Ne("status", "decommissioned"),
+	rows, err = store.Get("Circuit", append([]string{"circuit_id", "status"}, ends...), fbnet.And(fbnet.Ne("status", "decommissioned"),
 		fbnet.Not(fbnet.IsNull("a_interface")), fbnet.Not(fbnet.IsNull("z_interface"))))
 	if err != nil {
 		return nil, nil, err
 	}
 	circuits = make([]verify.Circuit, len(rows))
 	for i, r := range rows {
-		circuits[i] = verify.Circuit{ADevice: str(r, ends[0]), AInterface: str(r, ends[1]), ZDevice: str(r, ends[2]), ZInterface: str(r, ends[3])}
+		circuits[i] = verify.Circuit{ID: str(r, "circuit_id"), Status: str(r, "status"), ADevice: str(r, ends[0]), AInterface: str(r, ends[1]), ZDevice: str(r, ends[2]), ZInterface: str(r, ends[3])}
 	}
 	return devs, circuits, nil
 }
