@@ -15,10 +15,15 @@ tier1: verify-gate fuzz-smoke sim obs
 # derivations read ≡ the store-scan oracle), the nesting-index ≡
 # ipam-replay oracle, plus the end-to-end rejection contract and the
 # shared-model contracts (one rebuild, fail-closed) in core, under the
-# race detector. See DESIGN.md §12.
+# race detector. See DESIGN.md §12. The gate checks what the generator
+# hands it, so the generator's own follower rides along: memo ≡ cold over
+# 40 seeded histories with the read-set oracle's derive counts, one log
+# read per generation, and nothing cached unchecked under a racing writer
+# (DESIGN.md §8).
 verify-gate:
 	$(GO) test -race -v -timeout 10m ./internal/verify/
 	$(GO) test -race -timeout 5m -run 'TestVerifyGate' ./internal/core/
+	$(GO) test -race -timeout 5m -run 'TestMemo|TestGenerateFollows|TestGeneratorConcurrentUse' ./internal/configgen/
 
 # Native fuzz targets, a few seconds each (go test -fuzz takes one target
 # per run). A crasher is written to the package's testdata/fuzz and fails
@@ -28,6 +33,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzContainsAddr$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCircuitEnd$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzScanConfig$$' -fuzztime $(FUZZTIME) ./internal/verify/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/thriftlite/
 
 build:
 	$(GO) build ./...

@@ -29,6 +29,8 @@ type Generator struct {
 	// (metrics field) and are atomic.
 	memoMu   sync.Mutex
 	derived  map[string]*deriveEntry // device name -> memoized derivation
+	index    map[dep][]*deriveEntry  // read-set dep -> derivations holding it
+	cursor   uint64                  // binlog sequence followed so far
 	rendered map[string]string       // template hash + wire hash -> config
 
 	// metrics is bound to a private registry until Instrument rebinds it
@@ -47,12 +49,14 @@ type genMetrics struct {
 	renders    *telemetry.Counter
 	renderHits *telemetry.Counter
 	roundTrips *telemetry.Counter
+	followed   *telemetry.Counter
 	deviceSec  *telemetry.Histogram
 }
 
 func bindGenMetrics(reg *telemetry.Registry) genMetrics {
 	reg.Help("robotron_generate_derives_total", "full derivations executed")
 	reg.Help("robotron_generate_derive_hits_total", "derivations answered from the memo cache")
+	reg.Help("robotron_generate_log_entries_followed_total", "binlog entries read to keep the derivation memo current")
 	reg.Help("robotron_generate_device_seconds", "per-device config generation latency")
 	return genMetrics{
 		derives:    reg.Counter("robotron_generate_derives_total"),
@@ -60,6 +64,7 @@ func bindGenMetrics(reg *telemetry.Registry) genMetrics {
 		renders:    reg.Counter("robotron_generate_renders_total"),
 		renderHits: reg.Counter("robotron_generate_render_hits_total"),
 		roundTrips: reg.Counter("robotron_generate_roundtrips_total"),
+		followed:   reg.Counter("robotron_generate_log_entries_followed_total"),
 		deviceSec:  reg.Histogram("robotron_generate_device_seconds"),
 	}
 }
@@ -79,10 +84,10 @@ func NewGenerator(store *fbnet.Store, repo *revctl.Repo) (*Generator, error) {
 	g := &Generator{
 		store: store, repo: repo,
 		cache:    make(map[string]*tmpl.Template),
-		derived:  make(map[string]*deriveEntry),
 		rendered: make(map[string]string),
 		metrics:  bindGenMetrics(telemetry.NewRegistry()),
 	}
+	g.forgetAllLocked()
 	for syntax, body := range map[string]string{
 		"vendor1": Vendor1FullTemplate,
 		"vendor2": Vendor2FullTemplate,
@@ -418,15 +423,15 @@ func addrOfPrefix(pfx string) string {
 // and rendered; when the exact (template, wire) pair was rendered before,
 // both the round-trip and the render are skipped.
 func (g *Generator) GenerateDevice(deviceName string) (string, error) {
-	return g.generateDevice(deviceName, nil)
+	return g.generateDevice(deviceName, g.followLog(), nil)
 }
 
-// generateDevice is GenerateDevice recording memo/render outcomes onto
-// an optional span (nil span = untraced).
-func (g *Generator) generateDevice(deviceName string, sp *telemetry.Span) (string, error) {
+// generateDevice is GenerateDevice at a followed log position, recording
+// memo/render outcomes onto an optional span (nil span = untraced).
+func (g *Generator) generateDevice(deviceName string, at uint64, sp *telemetry.Span) (string, error) {
 	start := time.Now()
 	defer g.metrics.deviceSec.ObserveSince(start)
-	e, memoHit, err := g.deriveCached(deviceName)
+	e, memoHit, err := g.deriveCached(deviceName, at)
 	if err != nil {
 		return "", err
 	}

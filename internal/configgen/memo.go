@@ -2,6 +2,7 @@ package configgen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,96 +18,126 @@ import (
 // FBNet objects; regenerating a whole site after one small design change
 // used to redo that walk for every device. The generator instead caches
 // each derivation together with its read set — the rows it fetched and
-// the reverse-index lookups it issued — and revalidates against the
-// store's binlog: a cached derivation is reused unless some entry since
-// it was computed touches a row it read (row dep) or inserts/updates a
-// row into one of its reverse lookups (value dep). Regeneration cost is
-// then O(changed devices), not O(site).
+// the reverse-index lookups it issued — and follows the store's binlog
+// with one cursor: every generate call first reads the entries logged
+// since the last one, once, and drops each derivation an entry touches.
+// What is still cached afterwards is current, so a hit reads no log at all
+// and regeneration costs O(new entries + changed devices), not O(site).
 
-// rowDep identifies one row a derivation read.
-type rowDep struct {
-	table string
-	id    int64
+// dep is one element of a read set, in the shape a binlog entry names it.
+// With col == "" it is the row whose id is val: a row the derivation
+// fetched. Otherwise it is a reverse (or unique) lookup it issued: any entry
+// whose Values carry col=val can add a row to its result and invalidates.
+type dep struct {
+	table, col string
+	val        any
 }
 
-// valDep identifies one reverse-lookup (or unique-lookup) a derivation
-// issued: any binlog entry whose Values carry col=val for the table can
-// add a row to that lookup's result and must invalidate.
-type valDep struct {
-	table string
-	col   string
-	val   any
-}
-
-// deriveEntry is one memoized derivation. All fields except seq are
-// immutable after construction; seq is advanced under Generator.memoMu as
-// revalidations prove newer binlog prefixes harmless.
+// deriveEntry is one memoized derivation, immutable after construction.
 type deriveEntry struct {
-	seq      uint64 // store sequence captured before the derive read anything
+	name     string // device name, its key in Generator.derived
 	syslog   string // SyslogTarget baked into the derived data
-	rows     map[rowDep]struct{}
-	vals     map[valDep]struct{}
-	tables   map[string]struct{} // tables named by rows and vals
+	deps     map[dep]struct{}
 	data     *DeviceData
 	wire     []byte // thrift wire form of data
 	wireHash string
 }
 
-// invalidatedBy reports whether any binlog entry since the derivation
-// touches its read set. Schema operations invalidate conservatively. An
-// entry on a table the derivation never read cannot touch it, and most of
-// a delta is such entries (monitoring's Derived rows), so they are skipped
-// on the table name alone.
-func (e *deriveEntry) invalidatedBy(entries []relstore.LogEntry) bool {
+// followLog brings the memo up to the store's log and returns the cursor:
+// the sequence every derivation still cached is current at. It stops where
+// the read path does, so a derive that starts now reads rows no older.
+func (g *Generator) followLog() uint64 {
+	db := g.store.DB()
+	g.memoMu.Lock()
+	defer g.memoMu.Unlock()
+	visible, start := db.ReadSeq(), g.cursor
+	entries := db.EntriesSince(g.cursor)
 	for i := range entries {
 		le := &entries[i]
+		if le.Seq > visible {
+			break
+		}
+		g.cursor = le.Seq
 		switch le.Op {
 		case relstore.OpCreateTable, relstore.OpAlterAddColumn:
-			return true
-		}
-		if _, read := e.tables[le.Table]; !read {
+			g.forgetAllLocked() // schema operations invalidate conservatively
 			continue
 		}
-		if _, ok := e.rows[rowDep{le.Table, le.RowID}]; ok {
-			return true
-		}
+		g.forgetLocked(dep{le.Table, "", le.RowID})
 		for col, v := range le.Values {
-			if _, ok := e.vals[valDep{le.Table, col, v}]; ok {
-				return true
-			}
+			g.forgetLocked(dep{le.Table, col, v})
 		}
 	}
-	return false
+	g.metrics.followed.Add(int64(g.cursor - start)) // seqs are dense
+	return g.cursor
+}
+
+// forgetLocked drops every derivation whose read set holds d.
+func (g *Generator) forgetLocked(d dep) {
+	for len(g.index[d]) > 0 {
+		g.unindexLocked(g.index[d][0])
+	}
+}
+
+// indexLocked caches e, replacing the device's previous derivation, under
+// every dep of its read set.
+func (g *Generator) indexLocked(e *deriveEntry) {
+	if old := g.derived[e.name]; old != nil {
+		g.unindexLocked(old)
+	}
+	g.derived[e.name] = e
+	for d := range e.deps {
+		g.index[d] = append(g.index[d], e)
+	}
+}
+
+func (g *Generator) unindexLocked(e *deriveEntry) {
+	delete(g.derived, e.name)
+	for d := range e.deps {
+		es := g.index[d]
+		last := len(es) - 1
+		if last == 0 {
+			delete(g.index, d)
+			continue
+		}
+		i := slices.Index(es, e)
+		es[i], es[last] = es[last], nil // order is immaterial
+		g.index[d] = es[:last]
+	}
+}
+
+func (g *Generator) forgetAllLocked() {
+	g.derived = make(map[string]*deriveEntry)
+	g.index = make(map[dep][]*deriveEntry)
 }
 
 // deriveCtx routes one derivation's store reads, recording its read set.
 type deriveCtx struct {
 	g    *Generator
-	rows map[rowDep]struct{}
-	vals map[valDep]struct{}
+	deps map[dep]struct{}
 }
 
 func (g *Generator) newDeriveCtx() *deriveCtx {
-	return &deriveCtx{g: g, rows: make(map[rowDep]struct{}), vals: make(map[valDep]struct{})}
+	return &deriveCtx{g: g, deps: make(map[dep]struct{})}
 }
 
 func (dc *deriveCtx) getByID(model string, id int64) (fbnet.Object, error) {
-	dc.rows[rowDep{model, id}] = struct{}{}
+	dc.deps[dep{model, "", id}] = struct{}{}
 	return dc.g.store.GetByID(model, id)
 }
 
 func (dc *deriveCtx) referencing(model, fkCol string, id int64) ([]int64, error) {
-	dc.vals[valDep{model, fkCol, id}] = struct{}{}
+	dc.deps[dep{model, fkCol, id}] = struct{}{}
 	return dc.g.store.DB().Referencing(model, fkCol, id)
 }
 
 func (dc *deriveCtx) findDevice(name string) (fbnet.Object, error) {
 	// A later insert (or rename) of a device with this name must
-	// invalidate, so the unique lookup is a value dep on Device.name.
-	dc.vals[valDep{"Device", "name", name}] = struct{}{}
+	// invalidate, so the unique lookup is a dep on Device.name.
+	dc.deps[dep{"Device", "name", name}] = struct{}{}
 	dev, err := dc.g.store.FindOne("Device", fbnet.Eq("name", name))
 	if err == nil {
-		dc.rows[rowDep{"Device", dev.ID}] = struct{}{}
+		dc.deps[dep{"Device", "", dev.ID}] = struct{}{}
 	}
 	return dev, err
 }
@@ -140,35 +171,19 @@ func (g *Generator) Stats() GenStats {
 func (g *Generator) ResetMemo() {
 	g.memoMu.Lock()
 	defer g.memoMu.Unlock()
-	g.derived = make(map[string]*deriveEntry)
+	g.forgetAllLocked()
 	g.rendered = make(map[string]string)
 }
 
-// deriveCached returns the device's derivation, reusing the memoized one
-// when the binlog proves nothing it read has changed. hit reports
-// whether the memo answered.
-func (g *Generator) deriveCached(deviceName string) (*deriveEntry, bool, error) {
-	// Capture the sequence before reading anything: writes that land
-	// mid-derive stay in EntriesSince(seq) and force a (safe, possibly
-	// spurious) re-derive next time.
-	db := g.store.DB()
-	seq := db.Seq()
+// deriveCached returns the device's derivation: the memoized one when the
+// log followed so far (at, from followLog) left it standing, a fresh one
+// otherwise. hit reports whether the memo answered.
+func (g *Generator) deriveCached(deviceName string, at uint64) (*deriveEntry, bool, error) {
 	syslog := g.SyslogTarget
-
 	g.memoMu.Lock()
-	e, ok := g.derived[deviceName]
-	var eseq uint64
-	if ok {
-		eseq = e.seq
-	}
+	e := g.derived[deviceName]
 	g.memoMu.Unlock()
-
-	if ok && e.syslog == syslog && !e.invalidatedBy(db.EntriesSince(eseq)) {
-		g.memoMu.Lock()
-		if g.derived[deviceName] == e && seq > e.seq {
-			e.seq = seq // checked prefix is harmless: shorten the next scan
-		}
-		g.memoMu.Unlock()
+	if e != nil && e.syslog == syslog {
 		g.metrics.deriveHits.Inc()
 		return e, true, nil
 	}
@@ -182,19 +197,18 @@ func (g *Generator) deriveCached(deviceName string) (*deriveEntry, bool, error) 
 	if err != nil {
 		return nil, false, fmt.Errorf("configgen: serializing device data for %s: %w", deviceName, err)
 	}
-	tables := make(map[string]struct{})
-	for d := range dc.rows {
-		tables[d.table] = struct{}{}
-	}
-	for d := range dc.vals {
-		tables[d.table] = struct{}{}
-	}
 	e = &deriveEntry{
-		seq: seq, syslog: syslog, rows: dc.rows, vals: dc.vals, tables: tables,
+		name: deviceName, syslog: syslog, deps: dc.deps,
 		data: data, wire: wire, wireHash: revctl.Hash(string(wire)),
 	}
 	g.memoMu.Lock()
-	g.derived[deviceName] = e
+	// The derive read rows at least as new as at, and whatever is logged
+	// past the cursor will still be followed: at == cursor means nothing can
+	// slip by. If a concurrent call moved the cursor meanwhile, the entries
+	// in between were never held against this read set — return, don't cache.
+	if at == g.cursor {
+		g.indexLocked(e)
+	}
 	g.memoMu.Unlock()
 	g.metrics.derives.Inc()
 	return e, false, nil
@@ -236,12 +250,8 @@ func (g *Generator) GenerateMany(names []string, parallelism int, span ...*telem
 	if parallelism <= 0 {
 		parallelism = 8
 	}
-	if parallelism > len(names) {
-		parallelism = len(names)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
+	parallelism = max(1, min(parallelism, len(names)))
+	at := g.followLog()
 	configs := make([]string, len(names))
 	errs := make([]error, len(names))
 	work := make(chan int)
@@ -256,7 +266,7 @@ func (g *Generator) GenerateMany(names []string, parallelism int, span ...*telem
 					sp = parent.Child("generate-device")
 					sp.SetAttr("device", names[i])
 				}
-				configs[i], errs[i] = g.generateDevice(names[i], sp)
+				configs[i], errs[i] = g.generateDevice(names[i], at, sp)
 				if errs[i] != nil {
 					sp.SetAttr("error", errs[i].Error())
 				}

@@ -3,6 +3,7 @@ package configgen
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -307,11 +308,34 @@ func TestGeneratorConcurrentUse(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	// The dust settles: a final full regeneration is coherent.
-	g.ResetMemo()
-	if _, err := generateSite(g, "pop1", 0); err != nil {
+	// The dust settles: what the memo kept through the churn — nothing was
+	// reset — is what a generator that never saw it produces.
+	assertMemoEqualsCold(t, g, devices, "after concurrent churn")
+}
+
+// assertMemoEqualsCold generates names on g and on a fresh generator over
+// the same store and repository and requires identical configs and
+// identical per-device failures.
+func assertMemoEqualsCold(t *testing.T, g *Generator, names []string, step string) map[string]string {
+	t.Helper()
+	cold, err := NewGenerator(g.store, g.repo)
+	if err != nil {
 		t.Fatal(err)
 	}
+	cold.SyslogTarget = g.SyslogTarget
+	got, gotErr := g.GenerateMany(names, 4)
+	want, wantErr := cold.GenerateMany(names, 4)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: memoized errors\n%v\ncold errors\n%v", step, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		for _, n := range names {
+			if got[n] != want[n] {
+				t.Fatalf("%s: memoized config for %s differs from a cold generator's\nmemo:\n%s\ncold:\n%s", step, n, got[n], want[n])
+			}
+		}
+	}
+	return got
 }
 
 // benchTopology is a 16-device single-site cluster (4 PRs x 12 PSWs) used

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -70,8 +71,15 @@ type AlarmRule struct {
 	PendingFor time.Duration
 }
 
-// id is the deduplication key: one active alarm per (rule, device, key).
-func (r *AlarmRule) id() string { return r.Name + "|" + r.Device + "|" + r.Key }
+// alarmKey is the deduplication key — one active alarm per (rule, device,
+// key) — and the order rules are evaluated and alarms listed in.
+type alarmKey struct{ name, device, key string }
+
+func (r *AlarmRule) key() alarmKey { return alarmKey{r.Name, r.Device, r.Key} }
+
+func (a alarmKey) less(b alarmKey) bool {
+	return cmp.Or(cmp.Compare(a.name, b.name), cmp.Compare(a.device, b.device), cmp.Compare(a.key, b.key)) < 0
+}
 
 // TimelineEntry is one event of the merged operational timeline: the
 // design → generate → verify → deploy → alarm → reconcile stream, ordered
@@ -126,9 +134,6 @@ const DefaultCorrelationWindow = 15 * time.Minute
 // alarm (the most recent win).
 const DefaultCorrelationLimit = 8
 
-// defaultAlertRing bounds the syslog alert history kept for flap rules.
-const defaultAlertRing = 4096
-
 // AlarmEngine evaluates rules over the timeseries store, the Derived
 // models, and the syslog alert stream, all on a shared clock.
 type AlarmEngine struct {
@@ -138,9 +143,9 @@ type AlarmEngine struct {
 
 	mu       sync.Mutex
 	rules    []AlarmRule
-	active   map[string]*Alarm // pending + firing, by rule id
-	resolved []Alarm           // resolved history, oldest first
-	alerts   []Alert           // recent syslog alerts, for flap rules
+	active   map[alarmKey]*Alarm // pending + firing
+	resolved ring[Alarm]         // resolved history, oldest first
+	alerts   ring[Alert]         // recent syslog alerts, for flap rules
 	journal  func() []JournalEntry
 	window   time.Duration // correlation look-back
 
@@ -163,7 +168,7 @@ func NewAlarmEngine(clock vclock.Clock, ts *TimeseriesBackend, store *fbnet.Stor
 		clock:  clock,
 		ts:     ts,
 		store:  store,
-		active: make(map[string]*Alarm),
+		active: make(map[alarmKey]*Alarm),
 		window: DefaultCorrelationWindow,
 	}
 }
@@ -197,10 +202,7 @@ func (ae *AlarmEngine) Subscribe(cls *Classifier) {
 func (ae *AlarmEngine) ObserveAlert(a Alert) {
 	ae.mu.Lock()
 	defer ae.mu.Unlock()
-	ae.alerts = append(ae.alerts, a)
-	if len(ae.alerts) > defaultAlertRing {
-		ae.alerts = append([]Alert(nil), ae.alerts[len(ae.alerts)-defaultAlertRing:]...)
-	}
+	ae.alerts.push(a)
 }
 
 // Instrument mirrors alarm lifecycle transitions onto reg.
@@ -223,21 +225,13 @@ func (ae *AlarmEngine) Instrument(reg *telemetry.Registry) {
 // the design no longer declares the thing they watched.
 func (ae *AlarmEngine) ReplaceRules(rules []AlarmRule) {
 	sorted := append([]AlarmRule(nil), rules...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Name != sorted[j].Name {
-			return sorted[i].Name < sorted[j].Name
-		}
-		if sorted[i].Device != sorted[j].Device {
-			return sorted[i].Device < sorted[j].Device
-		}
-		return sorted[i].Key < sorted[j].Key
-	})
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key().less(sorted[j].key()) })
 	ae.mu.Lock()
 	defer ae.mu.Unlock()
 	ae.rules = sorted
-	known := make(map[string]bool, len(sorted))
+	known := make(map[alarmKey]bool, len(sorted))
 	for i := range sorted {
-		known[sorted[i].id()] = true
+		known[sorted[i].key()] = true
 	}
 	for id, al := range ae.active {
 		if !known[id] {
@@ -278,7 +272,7 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 	for i := range ae.rules {
 		r := &ae.rules[i]
 		breached, detail := ae.evalLocked(r, now)
-		id := r.id()
+		id := r.key()
 		al := ae.active[id]
 		switch {
 		case breached && al == nil:
@@ -295,7 +289,7 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 		case al != nil && al.State == AlarmFiring:
 			al.State = AlarmResolved
 			al.ResolvedAt = now
-			ae.resolved = append(ae.resolved, *al)
+			ae.resolved.push(*al)
 			delete(ae.active, id)
 			if ae.mFiring != nil {
 				ae.mFiring.Dec()
@@ -373,8 +367,8 @@ func (ae *AlarmEngine) evalLocked(r *AlarmRule, now time.Time) (bool, string) {
 		}
 	case KindFlap:
 		n := 0
-		for i := range ae.alerts {
-			a := &ae.alerts[i]
+		for i := range ae.alerts.buf {
+			a := &ae.alerts.buf[i]
 			if a.Rule != r.Key {
 				continue
 			}
@@ -423,13 +417,7 @@ func (ae *AlarmEngine) firingLocked() []Alarm {
 
 func sortAlarms(xs []Alarm) {
 	sort.Slice(xs, func(i, j int) bool {
-		if xs[i].Rule != xs[j].Rule {
-			return xs[i].Rule < xs[j].Rule
-		}
-		if xs[i].Device != xs[j].Device {
-			return xs[i].Device < xs[j].Device
-		}
-		return xs[i].Key < xs[j].Key
+		return alarmKey{xs[i].Rule, xs[i].Device, xs[i].Key}.less(alarmKey{xs[j].Rule, xs[j].Device, xs[j].Key})
 	})
 }
 
@@ -456,7 +444,7 @@ func (ae *AlarmEngine) Snapshot() []Alarm {
 	}
 	sortAlarms(firing)
 	sortAlarms(pending)
-	resolved := append([]Alarm(nil), ae.resolved...)
+	resolved := ae.resolved.all()
 	sortAlarms(resolved)
 	out := append(firing, pending...)
 	return append(out, resolved...)
@@ -536,7 +524,7 @@ func (ae *AlarmEngine) timelineLocked(from, to time.Time, withAlarms bool) []Tim
 		for _, al := range ae.active {
 			emit(*al)
 		}
-		for _, al := range ae.resolved {
+		for _, al := range ae.resolved.buf {
 			emit(al)
 		}
 	}

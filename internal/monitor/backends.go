@@ -16,12 +16,12 @@ import (
 const DefaultSeriesRetention = 1024
 
 // TimeseriesBackend stores numeric samples in memory, the stand-in for the
-// metric storage active monitoring feeds. Each series is a fixed-size ring:
-// once a series reaches the retention cap, the oldest sample is overwritten.
+// metric storage active monitoring feeds. Each series is a ring: once it
+// reaches the retention cap, the oldest sample is overwritten.
 type TimeseriesBackend struct {
 	mu        sync.Mutex
 	retention int
-	series    map[string]*sampleRing // key: device/metric
+	series    map[string]*ring[Sample] // key: device/metric
 }
 
 // Sample is one datapoint.
@@ -30,51 +30,54 @@ type Sample struct {
 	Value  float64 `json:"value"`
 }
 
-// sampleRing is a circular buffer of samples; buf never exceeds its
-// retention capacity, so a series costs O(retention) memory regardless of
-// how many polls have fed it.
-type sampleRing struct {
-	buf   []Sample
-	start int // index of the oldest sample
-	n     int
+// historyLimit bounds the in-memory histories nothing ever trims: syslog
+// alerts kept for flap rules, resolved alarms, recorded deviations.
+const historyLimit = 4096
+
+// ring is the package's one bounded history. It grows on demand up to
+// limit elements and then overwrites the oldest, so a history costs what
+// it holds and never more than its limit. The zero value is ready to use.
+type ring[T any] struct {
+	buf   []T
+	start int // index of the oldest element once buf is full
+	limit int // 0 means historyLimit
 }
 
-func (r *sampleRing) push(s Sample) {
-	if r.n < cap(r.buf) {
-		r.buf = r.buf[:r.n+1]
-		r.buf[(r.start+r.n)%cap(r.buf)] = s
-		r.n++
+func (r *ring[T]) push(v T) {
+	if r.limit == 0 {
+		r.limit = historyLimit
+	}
+	if len(r.buf) < r.limit {
+		r.buf = append(r.buf, v)
 		return
 	}
-	r.buf[r.start] = s
-	r.start = (r.start + 1) % cap(r.buf)
+	r.buf[r.start] = v
+	r.start = (r.start + 1) % r.limit
 }
 
-func (r *sampleRing) snapshot() []Sample {
-	out := make([]Sample, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%cap(r.buf)]
+// last returns a copy of the k newest elements (all of them when fewer
+// are held), oldest first.
+func (r *ring[T]) last(k int) []T {
+	n := len(r.buf)
+	if k > n {
+		k = n
+	}
+	out := make([]T, k)
+	for i := range out {
+		out[i] = r.buf[(r.start+n-k+i)%n]
 	}
 	return out
 }
 
-func (r *sampleRing) last(k int) []Sample {
-	if k > r.n {
-		k = r.n
-	}
-	out := make([]Sample, k)
-	for i := 0; i < k; i++ {
-		out[i] = r.buf[(r.start+r.n-k+i)%cap(r.buf)]
-	}
-	return out
-}
+// all returns a copy of everything held, oldest first.
+func (r *ring[T]) all() []T { return r.last(len(r.buf)) }
 
 // NewTimeseriesBackend returns an empty timeseries store with the default
 // per-series retention.
 func NewTimeseriesBackend() *TimeseriesBackend {
 	return &TimeseriesBackend{
 		retention: DefaultSeriesRetention,
-		series:    make(map[string]*sampleRing),
+		series:    make(map[string]*ring[Sample]),
 	}
 }
 
@@ -95,7 +98,7 @@ func (b *TimeseriesBackend) Name() string { return "timeseries" }
 func (b *TimeseriesBackend) pushLocked(key string, s Sample) {
 	r, ok := b.series[key]
 	if !ok {
-		r = &sampleRing{buf: make([]Sample, 0, b.retention)}
+		r = &ring[Sample]{limit: b.retention}
 		b.series[key] = r
 	}
 	r.push(s)
@@ -127,7 +130,7 @@ func (b *TimeseriesBackend) Series(key string) []Sample {
 	if !ok {
 		return nil
 	}
-	return r.snapshot()
+	return r.all()
 }
 
 // Last returns up to k most recent samples of a series, oldest first.

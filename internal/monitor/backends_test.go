@@ -1,6 +1,9 @@
 package monitor
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -80,7 +83,54 @@ func TestTimeseriesRetentionRing(t *testing.T) {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if got := cap(ts.series["sw2/cpu_util"].buf); got != DefaultSeriesRetention {
-		t.Fatalf("new series cap = %d, want default %d", got, DefaultSeriesRetention)
+	if got := ts.series["sw2/cpu_util"].limit; got != DefaultSeriesRetention {
+		t.Fatalf("new series limit = %d, want default %d", got, DefaultSeriesRetention)
+	}
+}
+
+// TestHistoriesCostWhatTheyHold guards the one ring every in-memory
+// history rides: a series is not charged its retention up front, and a full
+// alert history takes the next alert without copying itself.
+func TestHistoriesCostWhatTheyHold(t *testing.T) {
+	ts := NewTimeseriesBackend()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		err := ts.Store(Collection{
+			Device: fmt.Sprintf("sw%d", i), Data: DataCounters, At: time.Unix(1, 0),
+			Counters: map[string]float64{"cpu_util": 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("1,000 one-sample series allocated %d bytes, want under 1 MB", got)
+	}
+
+	ae := NewAlarmEngine(nil, ts, nil)
+	alert := Alert{Rule: "link-flap", Message: netsim.SyslogMessage{Host: "sw1", Time: time.Unix(1, 0)}}
+	for i := 0; i < 10000; i++ {
+		ae.ObserveAlert(alert)
+	}
+	if n := testing.AllocsPerRun(100, func() { ae.ObserveAlert(alert) }); n != 0 {
+		t.Errorf("ObserveAlert on a full history allocates %v times", n)
+	}
+	if got := len(ae.alerts.all()); got != historyLimit {
+		t.Errorf("alert history holds %d, want %d", got, historyLimit)
+	}
+
+	// Past its limit a ring keeps the newest elements, oldest first.
+	r := ring[int]{limit: 3}
+	for i := 1; i <= 8; i++ {
+		r.push(i)
+		want := []int{i - 2, i - 1, i}[max(0, 3-i):]
+		if got := r.all(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d pushes ring holds %v, want %v", i, got, want)
+		}
+	}
+	if got := r.last(2); !reflect.DeepEqual(got, []int{7, 8}) {
+		t.Errorf("last(2) = %v", got)
 	}
 }

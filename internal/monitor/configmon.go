@@ -23,7 +23,7 @@ type ConfigMonitor struct {
 	golden func(device string) (string, error)
 
 	mu          sync.Mutex
-	deviations  []Deviation
+	deviations  ring[Deviation]
 	handlers    []func(Deviation)
 	checkErrs   int64
 	checkPanics int64
@@ -180,7 +180,7 @@ func (cm *ConfigMonitor) CheckDevice(device string) (dev *Deviation, err error) 
 		Added: stats.Added, Removed: stats.Removed, At: cols[0].At,
 	}
 	cm.mu.Lock()
-	cm.deviations = append(cm.deviations, found)
+	cm.deviations.push(found)
 	cm.mDeviations.Inc()
 	handlers := cm.handlers
 	cm.mu.Unlock()
@@ -206,11 +206,12 @@ func (cm *ConfigMonitor) recordConformance(device, running string, conforms bool
 	return err
 }
 
-// Deviations returns all recorded deviations.
+// Deviations returns the recorded deviations (the newest historyLimit of
+// them), oldest first.
 func (cm *ConfigMonitor) Deviations() []Deviation {
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
-	return append([]Deviation(nil), cm.deviations...)
+	return cm.deviations.all()
 }
 
 // Restore pushes the golden config back to a deviating device ("restore

@@ -404,44 +404,38 @@ func (db *DB) Seq() uint64 {
 	return db.committed.Load()
 }
 
-// EntriesSince returns the binlog entries with Seq > after. Consumers such
-// as the config generator's memoization layer use it to decide whether
-// anything relevant changed since a cached derivation; the returned slice
-// shares value maps with the binlog and must be treated as read-only.
+// ReadSeq returns the binlog sequence the lock-free read path reflects. It
+// trails Seq between a commit's log append and its epoch publish, so a
+// follower that also reads rows follows the log only this far: what it
+// reads next is then at least as new as what it has followed.
+func (db *DB) ReadSeq() uint64 {
+	e := db.readEpoch()
+	defer e.release()
+	return e.seq
+}
+
+// EntriesSince returns the binlog entries with Seq > after, for followers
+// (replicas, the epoch builder, the verify model, the config generator's
+// memo) that tail the log from their own cursor. The result is the log's
+// own suffix, not a copy: the binlog is append-only and entries are
+// immutable once appended, so reading it after binlogMu is released races
+// only with writes past its length, and it is capped so an append through
+// it cannot reach the log.
 func (db *DB) EntriesSince(after uint64) []LogEntry {
-	return db.entriesSince(after)
-}
-
-// entriesSince returns binlog entries with Seq > after.
-func (db *DB) entriesSince(after uint64) []LogEntry {
 	db.binlogMu.RLock()
-	defer db.binlogMu.RUnlock()
-	entries := db.entriesSinceLocked(after)
-	if len(entries) == 0 {
+	log := db.binlog
+	db.binlogMu.RUnlock()
+	if len(log) == 0 {
 		return nil
 	}
-	out := make([]LogEntry, len(entries))
-	copy(out, entries)
-	return out
-}
-
-// entriesSinceLocked returns the binlog suffix with Seq > after, sharing
-// the backing array. Callers hold binlogMu (at least for reading).
-func (db *DB) entriesSinceLocked(after uint64) []LogEntry {
-	if len(db.binlog) == 0 {
-		return nil
-	}
-	// Binlog seqs are dense and ascending; index directly. The returned
-	// suffix shares the backing array: the binlog is append-only and
-	// entries are immutable once appended, so reading the suffix after
-	// binlogMu is released races only with writes past its length.
-	first := db.binlog[0].Seq
+	// Binlog seqs are dense and ascending; index directly.
+	first := log[0].Seq
 	if after < first-1 {
 		after = first - 1
 	}
 	idx := int(after - (first - 1))
-	if idx >= len(db.binlog) {
+	if idx >= len(log) {
 		return nil
 	}
-	return db.binlog[idx:]
+	return log[idx:len(log):len(log)]
 }

@@ -62,10 +62,7 @@ func (db *DB) advanceEpochs(target uint64) {
 	}
 	next := db.spare
 	db.spare = nil
-	db.binlogMu.RLock()
-	entries := db.entriesSinceLocked(next.seq)
-	db.binlogMu.RUnlock()
-	for _, e := range entries {
+	for _, e := range db.EntriesSince(next.seq) {
 		// Entries were validated when first committed; replay onto the
 		// read store cannot fail.
 		if err := applyEntryToTables(next.tables, e); err != nil {

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -227,5 +228,52 @@ func TestReplicaEpochConsistencyAndPromotion(t *testing.T) {
 	}
 	if got := row.Values["val"].(int64); got != 2099 {
 		t.Fatalf("promoted master lost writes: val=%d, want 2099", got)
+	}
+}
+
+// TestEntriesSinceSharesAnImmutableSuffix: followers are handed the log's
+// own suffix, not a copy. That is safe only while nothing they can do with
+// the slice reaches the log — an append through it must reallocate
+// (cap == len) — and while a suffix taken earlier keeps reading the entries
+// it was taken over however far the log has grown since.
+func TestEntriesSinceSharesAnImmutableSuffix(t *testing.T) {
+	db := newPairDB(t)
+	bump := func(v int64) {
+		t.Helper()
+		err := db.WithTx(func(tx *Tx) error { return tx.Update("pair", 1, map[string]any{"val": v}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	bump(1)
+	early := db.EntriesSince(0)
+	if len(early) == 0 || cap(early) != len(early) {
+		t.Fatalf("suffix len=%d cap=%d: an append through it would land in the log", len(early), cap(early))
+	}
+	want := append([]LogEntry(nil), early...)
+	_ = append(early, LogEntry{Seq: 999, Table: "forged"})
+	for i := int64(2); i < 200; i++ { // far enough for the log to reallocate
+		bump(i)
+	}
+	if !reflect.DeepEqual(early, want) {
+		t.Error("a suffix taken before later commits no longer reads its original entries")
+	}
+	if db.ReadSeq() != db.Seq() {
+		t.Errorf("read path at seq %d after the commit at %d returned", db.ReadSeq(), db.Seq())
+	}
+	all := db.EntriesSince(0)
+	if uint64(len(all)) != db.Seq() {
+		t.Fatalf("log holds %d entries at seq %d", len(all), db.Seq())
+	}
+	for i, e := range all {
+		if e.Seq != uint64(i+1) || e.Table == "forged" {
+			t.Fatalf("log entry %d = %+v after appending through a follower's slice", i, e)
+		}
+	}
+	if tail := db.EntriesSince(db.Seq() - 3); len(tail) != 3 || &tail[0] != &all[len(all)-3] {
+		t.Error("EntriesSince copied the log instead of sharing it")
+	}
+	if n := testing.AllocsPerRun(100, func() { db.EntriesSince(db.Seq() / 2) }); n != 0 {
+		t.Errorf("EntriesSince allocates %v times per call", n)
 	}
 }

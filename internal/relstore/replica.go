@@ -95,7 +95,7 @@ func (r *Replica) catchUpLocked() error {
 	if !r.master.Healthy() {
 		return fmt.Errorf("%w: replica %s cannot pull from %s", ErrMasterDown, r.db.Name(), r.master.Name())
 	}
-	entries := r.master.entriesSince(r.applied)
+	entries := r.master.EntriesSince(r.applied)
 	return r.applyGroupsLocked(entries)
 }
 
@@ -135,7 +135,7 @@ func txGroupEnd(entries []LogEntry, start int) int {
 func (r *Replica) ApplyN(n int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	entries := r.master.entriesSince(r.applied)
+	entries := r.master.EntriesSince(r.applied)
 	if n <= 0 || len(entries) == 0 {
 		return nil
 	}

@@ -70,6 +70,20 @@ func (d *decoder) readBytes(n uint64) ([]byte, error) {
 	return b, nil
 }
 
+// readCount reads a list or map element count. Every element occupies at
+// least one byte, so a count beyond the bytes remaining is malformed — and
+// is refused here, before anything is sized by it.
+func (d *decoder) readCount() (int, error) {
+	n, err := d.readUvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(d.buf)-d.pos) {
+		return 0, fmt.Errorf("thriftlite: count %d exceeds remaining data %d", n, len(d.buf)-d.pos)
+	}
+	return int(n), nil
+}
+
 func (d *decoder) readStruct(rv reflect.Value) error {
 	fields, err := structFields(rv.Type())
 	if err != nil {
@@ -168,7 +182,7 @@ func (d *decoder) readValue(fv reflect.Value, wt byte) error {
 		if err != nil {
 			return err
 		}
-		n, err := d.readUvarint()
+		n, err := d.readCount()
 		if err != nil {
 			return err
 		}
@@ -179,8 +193,8 @@ func (d *decoder) readValue(fv reflect.Value, wt byte) error {
 		if declared != elemWT {
 			return fmt.Errorf("list element wire type %d does not match declared %s", elemWT, fv.Type().Elem())
 		}
-		sl := reflect.MakeSlice(fv.Type(), int(n), int(n))
-		for i := 0; i < int(n); i++ {
+		sl := reflect.MakeSlice(fv.Type(), n, n)
+		for i := 0; i < n; i++ {
 			ev := sl.Index(i)
 			if ev.Kind() == reflect.Pointer {
 				ev.Set(reflect.New(ev.Type().Elem()))
@@ -195,7 +209,7 @@ func (d *decoder) readValue(fv reflect.Value, wt byte) error {
 		if err != nil {
 			return err
 		}
-		n, err := d.readUvarint()
+		n, err := d.readCount()
 		if err != nil {
 			return err
 		}
@@ -206,8 +220,8 @@ func (d *decoder) readValue(fv reflect.Value, wt byte) error {
 		if declared != valWT {
 			return fmt.Errorf("map value wire type %d does not match declared %s", valWT, fv.Type().Elem())
 		}
-		m := reflect.MakeMapWithSize(fv.Type(), int(n))
-		for i := 0; i < int(n); i++ {
+		m := reflect.MakeMapWithSize(fv.Type(), n)
+		for i := 0; i < n; i++ {
 			klen, err := d.readUvarint()
 			if err != nil {
 				return err
@@ -273,11 +287,11 @@ func (d *decoder) skipValue(wt byte) error {
 		if err != nil {
 			return err
 		}
-		n, err := d.readUvarint()
+		n, err := d.readCount()
 		if err != nil {
 			return err
 		}
-		for i := 0; i < int(n); i++ {
+		for i := 0; i < n; i++ {
 			if err := d.skipValue(elemWT); err != nil {
 				return err
 			}
@@ -288,11 +302,11 @@ func (d *decoder) skipValue(wt byte) error {
 		if err != nil {
 			return err
 		}
-		n, err := d.readUvarint()
+		n, err := d.readCount()
 		if err != nil {
 			return err
 		}
-		for i := 0; i < int(n); i++ {
+		for i := 0; i < n; i++ {
 			klen, err := d.readUvarint()
 			if err != nil {
 				return err
