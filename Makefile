@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race loc verify-gate fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
+.PHONY: tier1 build vet test race loc verify-gate store fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
 
 # Tier-1 gate: what CI and reviewers run before merging.
-tier1: verify-gate fuzz-smoke sim obs
+tier1: verify-gate store fuzz-smoke sim obs
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -24,6 +24,17 @@ verify-gate:
 	$(GO) test -race -v -timeout 10m ./internal/verify/
 	$(GO) test -race -timeout 5m -run 'TestVerifyGate' ./internal/core/
 	$(GO) test -race -timeout 5m -run 'TestMemo|TestGenerateFollows|TestGeneratorConcurrentUse' ./internal/configgen/
+
+# The store every follower tails, under the race detector: relstore's
+# two-table-set protocol and row sharing (every committed row stored once,
+# log entries never change, store ≡ naive model over seeded histories with
+# a concurrent reader, replication and promotion; DESIGN.md §13.2), the
+# fbnet service that serves it over the wire, and the follower that leans
+# on ReadSeq — the generator's memo caching nothing it has not checked
+# against the log.
+store:
+	$(GO) test -race -timeout 5m ./internal/relstore/ ./internal/fbnet/service/
+	$(GO) test -race -timeout 5m -run 'TestMemoNeverCachesUnchecked|TestGeneratorConcurrentUse' ./internal/configgen/
 
 # Native fuzz targets, a few seconds each (go test -fuzz takes one target
 # per run). A crasher is written to the package's testdata/fuzz and fails

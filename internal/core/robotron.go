@@ -55,10 +55,11 @@ type Robotron struct {
 
 	// Verifier is the pre-deploy intent verification gate; VerifyIntent
 	// controls whether GenerateAndDeploy/ProvisionCluster run it before
-	// opening any management session. Its resident model is also the one
-	// place Desired topology is resolved: SyncFleet, ApplyRecabling and
-	// DeriveMonitoring read it through Verifier.Intent whether or not the
-	// gate is on.
+	// opening any management session. New turns it on: bypassing the gate
+	// is the exceptional case (`sim run -no-verify` clears the field). Its
+	// resident model is also the one place Desired topology is resolved:
+	// SyncFleet, ApplyRecabling and DeriveMonitoring read it through
+	// Verifier.Intent whether or not the gate is on.
 	Verifier     *verify.Checker
 	VerifyIntent bool
 
@@ -131,13 +132,6 @@ type Options struct {
 	// pass a VirtualClock for deterministic, byte-identical runs; nil
 	// keeps the wall clock.
 	Clock vclock.Clock
-	// VerifyIntent controls the pre-deploy verification gate that checks
-	// network-wide invariants (BGP symmetry, p2p subnet consistency,
-	// reachability, orphan references) over the candidate configs before
-	// any device is touched. nil means ON — bypassing the gate is the
-	// exceptional case (the CLI's -no-verify), so it takes an explicit
-	// false.
-	VerifyIntent *bool
 }
 
 // New builds a complete Robotron instance over fresh state.
@@ -239,7 +233,7 @@ func New(opts Options) (*Robotron, error) {
 		Tracer:    tracer,
 
 		Verifier:     verifier,
-		VerifyIntent: opts.VerifyIntent == nil || *opts.VerifyIntent,
+		VerifyIntent: true,
 
 		Alarms: alarms,
 		clock:  opts.Clock,

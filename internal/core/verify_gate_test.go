@@ -152,25 +152,23 @@ func TestVerifyGateRejectsBeforeAnyManagementSession(t *testing.T) {
 	}
 }
 
-// TestVerifyGateOptionDisables covers the Options plumbing for -no-verify.
+// TestVerifyGateOptionDisables: every new instance has the gate on, and
+// the VerifyIntent field — what `sim run -no-verify` clears — is the one
+// switch: with it off the gate checks nothing and records the bypass.
 func TestVerifyGateOptionDisables(t *testing.T) {
-	off := false
-	r, err := New(Options{VerifyIntent: &off})
+	r, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.VerifyIntent {
-		t.Error("VerifyIntent=false option did not disable the gate")
-	}
-	on := true
-	r2, err := New(Options{VerifyIntent: &on})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.VerifyIntent {
-		t.Error("VerifyIntent=true option did not enable the gate")
-	}
-	if r3 := newRobotron(t); !r3.VerifyIntent {
+	if !r.VerifyIntent || !newRobotron(t).VerifyIntent {
 		t.Error("gate is not on by default")
+	}
+	r.VerifyIntent = false
+	if err := r.verifyGate(map[string]string{"dev1": "garbage"}, nil); err != nil {
+		t.Fatalf("gate with VerifyIntent cleared: %v", err)
+	}
+	events, err := r.Store.Find("OperationalEvent", fbnet.Eq("kind", "verify-gate"))
+	if err != nil || len(events) != 1 || !strings.Contains(events[0].String("detail"), "BYPASSED") {
+		t.Errorf("bypassed gate recorded %v, %v; want one BYPASSED event", events, err)
 	}
 }

@@ -3,6 +3,7 @@ package monitor
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -77,8 +78,8 @@ type alarmKey struct{ name, device, key string }
 
 func (r *AlarmRule) key() alarmKey { return alarmKey{r.Name, r.Device, r.Key} }
 
-func (a alarmKey) less(b alarmKey) bool {
-	return cmp.Or(cmp.Compare(a.name, b.name), cmp.Compare(a.device, b.device), cmp.Compare(a.key, b.key)) < 0
+func (a alarmKey) compare(b alarmKey) int {
+	return cmp.Or(cmp.Compare(a.name, b.name), cmp.Compare(a.device, b.device), cmp.Compare(a.key, b.key))
 }
 
 // TimelineEntry is one event of the merged operational timeline: the
@@ -220,21 +221,21 @@ func (ae *AlarmEngine) Instrument(reg *telemetry.Registry) {
 	ae.mEvals = reg.Counter("robotron_alarm_evaluations_total")
 }
 
-// ReplaceRules swaps the full derived rule set (sorted for deterministic
-// evaluation order). Active alarms whose rule disappeared are dropped:
-// the design no longer declares the thing they watched.
+// ReplaceRules swaps the full rule set, kept in alarmKey order (DeriveJobs
+// emits it; anything else is sorted into it). Active alarms whose rule
+// disappeared are dropped: the design no longer declares what they watched.
 func (ae *AlarmEngine) ReplaceRules(rules []AlarmRule) {
-	sorted := append([]AlarmRule(nil), rules...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key().less(sorted[j].key()) })
+	sorted := slices.Clone(rules)
+	byKey := func(a, b AlarmRule) int { return a.key().compare(b.key()) }
+	if !slices.IsSortedFunc(sorted, byKey) {
+		slices.SortFunc(sorted, byKey)
+	}
 	ae.mu.Lock()
 	defer ae.mu.Unlock()
 	ae.rules = sorted
-	known := make(map[alarmKey]bool, len(sorted))
-	for i := range sorted {
-		known[sorted[i].key()] = true
-	}
 	for id, al := range ae.active {
-		if !known[id] {
+		_, known := slices.BinarySearchFunc(sorted, id, func(r AlarmRule, id alarmKey) int { return r.key().compare(id) })
+		if !known {
 			if al.State == AlarmFiring && ae.mFiring != nil {
 				ae.mFiring.Dec()
 			}
@@ -269,9 +270,15 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 		}
 		return tl
 	})
+	// Observed BGP sessions are read once, at the pass's first bgp-state
+	// rule, and kept no longer than the pass.
+	sessions := sync.OnceValues(ae.sessionStates)
 	for i := range ae.rules {
 		r := &ae.rules[i]
-		breached, detail := ae.evalLocked(r, now)
+		breached, detail, err := ae.evalLocked(r, now, sessions)
+		if err != nil {
+			continue // a failed read says nothing about the rule: its alarm stays as it is
+		}
 		id := r.key()
 		al := ae.active[id]
 		switch {
@@ -325,46 +332,55 @@ func (ae *AlarmEngine) ruleCounter(m map[string]*telemetry.Counter, metric, rule
 	return c
 }
 
-// evalLocked decides whether one rule is breached right now.
-func (ae *AlarmEngine) evalLocked(r *AlarmRule, now time.Time) (bool, string) {
+// sessionStates reads every observed BGP session's state, keyed (device,
+// peer address); of several rows for one session the first in id order wins.
+func (ae *AlarmEngine) sessionStates() (map[[2]string]string, error) {
+	if ae.store == nil {
+		return nil, nil
+	}
+	rows, err := ae.store.Find("DerivedBgpSession", nil)
+	states := make(map[[2]string]string, len(rows))
+	for i := len(rows) - 1; i >= 0; i-- {
+		states[[2]string{rows[i].String("device_name"), rows[i].String("peer_addr")}] = rows[i].String("state")
+	}
+	return states, err
+}
+
+// evalLocked decides whether one rule is breached right now; an error
+// means what the rule observes could not be read.
+func (ae *AlarmEngine) evalLocked(r *AlarmRule, now time.Time, sessions func() (map[[2]string]string, error)) (bool, string, error) {
 	switch r.Kind {
 	case KindThreshold:
 		last := ae.ts.Last(r.Device+"/"+r.Key, 1)
 		if len(last) == 0 {
-			return false, ""
+			return false, "", nil
 		}
 		if compareFloat(last[0].Value, r.Op, r.Value) {
-			return true, fmt.Sprintf("%s = %g, breaching %s %g", r.Key, last[0].Value, r.Op, r.Value)
+			return true, fmt.Sprintf("%s = %g, breaching %s %g", r.Key, last[0].Value, r.Op, r.Value), nil
 		}
 	case KindAbsence:
 		last := ae.ts.Last(r.Device+"/"+r.Key, 1)
 		if len(last) == 0 {
-			return false, "" // never reported: nothing to go silent
+			return false, "", nil // never reported: nothing to go silent
 		}
 		age := now.Sub(time.Unix(last[0].AtUnix, 0))
 		if age > r.Window {
-			return true, fmt.Sprintf("%s silent for %s (window %s)", r.Key, age.Round(time.Second), r.Window)
+			return true, fmt.Sprintf("%s silent for %s (window %s)", r.Key, age.Round(time.Second), r.Window), nil
 		}
 	case KindFlatline:
 		last := ae.ts.Last(r.Device+"/"+r.Key, 2)
 		if len(last) < 2 {
-			return false, ""
+			return false, "", nil
 		}
 		if last[1].Value <= last[0].Value {
-			return true, fmt.Sprintf("%s flat at %g across the last two samples", r.Key, last[1].Value)
+			return true, fmt.Sprintf("%s flat at %g across the last two samples", r.Key, last[1].Value), nil
 		}
 	case KindBGPState:
-		if ae.store == nil {
-			return false, ""
+		states, err := sessions() // empty when the read failed
+		if st, observed := states[[2]string{r.Device, r.Key}]; observed && st != "Established" {
+			return true, fmt.Sprintf("session to %s observed %s", r.Key, st), nil
 		}
-		rows, err := ae.store.Find("DerivedBgpSession", fbnet.And(
-			fbnet.Eq("device_name", r.Device), fbnet.Eq("peer_addr", r.Key)))
-		if err != nil || len(rows) == 0 {
-			return false, ""
-		}
-		if st := rows[0].String("state"); st != "Established" {
-			return true, fmt.Sprintf("session to %s observed %s", r.Key, st)
-		}
+		return false, "", err
 	case KindFlap:
 		n := 0
 		for i := range ae.alerts.buf {
@@ -380,10 +396,10 @@ func (ae *AlarmEngine) evalLocked(r *AlarmRule, now time.Time) (bool, string) {
 			}
 		}
 		if n >= r.FlapCount {
-			return true, fmt.Sprintf("%d %q alerts within %s", n, r.Key, r.Window)
+			return true, fmt.Sprintf("%d %q alerts within %s", n, r.Key, r.Window), nil
 		}
 	}
-	return false, ""
+	return false, "", nil
 }
 
 func compareFloat(got float64, op string, want float64) bool {
@@ -416,8 +432,8 @@ func (ae *AlarmEngine) firingLocked() []Alarm {
 }
 
 func sortAlarms(xs []Alarm) {
-	sort.Slice(xs, func(i, j int) bool {
-		return alarmKey{xs[i].Rule, xs[i].Device, xs[i].Key}.less(alarmKey{xs[j].Rule, xs[j].Device, xs[j].Key})
+	slices.SortFunc(xs, func(a, b Alarm) int {
+		return alarmKey{a.Rule, a.Device, a.Key}.compare(alarmKey{b.Rule, b.Device, b.Key})
 	})
 }
 

@@ -347,3 +347,72 @@ func BenchmarkAlarmEvaluate(b *testing.B) {
 		}
 	}
 }
+
+// bgpDownFixture observes n sessions on dev1 in state Active and installs
+// one bgp-state rule per session.
+func bgpDownFixture(t *testing.T, n int) (*vclock.VirtualClock, *fbnet.Store, *AlarmEngine) {
+	t.Helper()
+	vc, _, store, ae := alarmFixture(t)
+	rules := make([]AlarmRule, n)
+	_, err := store.Mutate(func(m *fbnet.Mutation) error {
+		for i := range rules {
+			peer := fmt.Sprintf("10.0.0.%d", i+2)
+			rules[i] = AlarmRule{Name: "bgp-session-down", Kind: KindBGPState, Device: "dev1", Key: peer, Urgency: Major}
+			if _, err := m.Create("DerivedBgpSession", map[string]any{
+				"device_name": "dev1", "peer_addr": peer, "family": "v4", "state": "Active"}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ae.ReplaceRules(rules)
+	return vc, store, ae
+}
+
+// TestBGPStateAlarmSurvivesStoreOutage: a pass that cannot read observed
+// sessions knows nothing about them, so it neither resolves a firing
+// bgp-state alarm nor, when the store is back, fires it anew.
+func TestBGPStateAlarmSurvivesStoreOutage(t *testing.T) {
+	vc, store, ae := bgpDownFixture(t, 1)
+	fired := ae.Evaluate()
+	if len(fired) != 1 {
+		t.Fatalf("want 1 firing alarm, got %+v", fired)
+	}
+	for _, down := range []bool{true, false} {
+		store.DB().SetDown(down)
+		vc.Advance(time.Minute)
+		got := ae.Evaluate()
+		if len(got) != 1 || !got[0].FiredAt.Equal(fired[0].FiredAt) {
+			t.Fatalf("store down=%v: firing = %+v, want the alarm fired at %s", down, got, fired[0].FiredAt)
+		}
+		if snap := ae.Snapshot(); len(snap) != 1 {
+			t.Fatalf("store down=%v: %d alarms known, want only the firing one: %+v", down, len(snap), snap)
+		}
+	}
+}
+
+// TestEvaluatePlansOneQueryForAllSessionRules: however many bgp-state
+// rules a pass evaluates, it reads observed sessions once.
+func TestEvaluatePlansOneQueryForAllSessionRules(t *testing.T) {
+	_, store, ae := bgpDownFixture(t, 12)
+	reg := telemetry.NewRegistry()
+	store.Instrument(reg)
+	planned := func() (n float64) {
+		for _, strategy := range []string{"indexed", "scan"} {
+			v, _ := reg.Value("robotron_fbnet_queries_planned_total", telemetry.L("strategy", strategy)...)
+			n += v
+		}
+		return n
+	}
+	ae.Evaluate() // fires all twelve, reading the timeline to correlate them
+	before := planned()
+	if got := ae.Evaluate(); len(got) != 12 {
+		t.Fatalf("want 12 firing alarms, got %d", len(got))
+	}
+	if n := planned() - before; n != 1 {
+		t.Errorf("one pass over 12 bgp-state rules planned %v queries, want 1", n)
+	}
+}

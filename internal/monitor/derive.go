@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"time"
 
 	"github.com/robotron-net/robotron/internal/verify"
@@ -24,7 +25,7 @@ import (
 // (counter frozen) per physical interface.
 func DeriveJobs(in verify.Intent) ([]JobSpec, []AlarmRule) {
 	var jobs []JobSpec
-	var rules, sessionRules, portRules []AlarmRule
+	var sessions, devices, octets, flatline []AlarmRule
 	for _, d := range in.Devices() {
 		name := d.Name
 		countersEngine, ifaceEngine, bgpEngine := EngineSNMP, EngineSNMP, EngineCLI
@@ -45,28 +46,26 @@ func DeriveJobs(in verify.Intent) ([]JobSpec, []AlarmRule) {
 				Engine: bgpEngine, Data: DataBGP,
 				Devices: []string{name}, Backends: []string{"fbnet-derived"}})
 		}
-		rules = append(rules, AlarmRule{
+		devices = append(devices, AlarmRule{
 			Name: "device-unreachable", Kind: KindAbsence, Device: name,
 			Key: "cpu_util", Window: 5 * time.Minute, Urgency: Critical,
 		})
 		for _, peer := range peers {
 			if peer.Addr != "" {
-				sessionRules = append(sessionRules, AlarmRule{
+				sessions = append(sessions, AlarmRule{
 					Name: "bgp-session-down", Kind: KindBGPState,
 					Device: name, Key: peer.Addr, Urgency: Major,
 				})
 			}
 		}
 		for _, ifc := range in.Ports(d) {
-			portRules = append(portRules,
-				AlarmRule{Name: "interface-flatline", Kind: KindAbsence, Device: name,
-					Key: ifc + "/in_octets", Window: 10 * time.Minute, Urgency: Warning},
-				AlarmRule{Name: "flatline-octets", Kind: KindFlatline, Device: name,
-					Key: ifc + "/out_octets", Urgency: Minor},
-			)
+			flatline = append(flatline, AlarmRule{Name: "interface-flatline", Kind: KindAbsence, Device: name,
+				Key: ifc + "/in_octets", Window: 10 * time.Minute, Urgency: Warning})
+			octets = append(octets, AlarmRule{Name: "flatline-octets", Kind: KindFlatline, Device: name,
+				Key: ifc + "/out_octets", Urgency: Minor})
 		}
 	}
-	// Rule order: every device rule, then every session rule, then every
-	// interface rule, each group by device name.
-	return jobs, append(append(rules, sessionRules...), portRules...)
+	// The alarm engine's own order — rule family, device, key — so that
+	// ReplaceRules installs the set as it is.
+	return jobs, slices.Concat(sessions, devices, octets, flatline)
 }

@@ -1,11 +1,16 @@
 package monitor
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/relstore"
+	"github.com/robotron-net/robotron/internal/vclock"
 	"github.com/robotron-net/robotron/internal/verify"
 )
 
@@ -201,5 +206,80 @@ func TestReplaceJobsSwapsDerivedPrefix(t *testing.T) {
 	if err := jm.ReplaceJobs("derived-", []JobSpec{{Name: "rogue", Period: time.Minute,
 		Engine: EngineSNMP, Data: DataCounters, Devices: []string{"sw1"}}}); err == nil {
 		t.Fatal("ReplaceJobs accepted a spec outside its prefix")
+	}
+}
+
+// TestReplaceRulesKeepsDerivedOrder: DeriveJobs emits rules in the alarm
+// engine's own order, so a derived set installs as it is; any other order
+// of the same set installs to the same slice; and the swap drops exactly
+// the active alarms whose rule is gone.
+func TestReplaceRulesKeepsDerivedOrder(t *testing.T) {
+	store, err := fbnet.Open(relstore.NewDB("order-test"), fbnet.NewCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := design.NewDesigner(store, design.DefaultPools())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := func(domain string) design.ChangeContext {
+		return design.ChangeContext{EmployeeID: "e1", TicketID: "T-1", Description: "test", Domain: domain, NowUnix: 1_700_000_000}
+	}
+	must := func(_ any, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(nil, d.EnsureStandardHardware())
+	for _, s := range [][2]string{{"pop1", "pop"}, {"dc1", "dc"}, {"bb1", "backbone"}} {
+		must(d.EnsureSite(s[0], s[1], "nam"))
+	}
+	must(d.BuildCluster(ctx("pop"), "pop1", "pop1-c1", design.POPGen1()))
+	must(d.BuildCluster(ctx("dc"), "dc1", "dc1-c1", design.DCGen3(12)))
+	for _, name := range []string{"bb1.bb1", "bb2.bb1", "pr1.bb1"} {
+		must(d.AddBackboneRouter(ctx("backbone"), name, "bb1", "Backbone_Vendor2", name[:2]))
+	}
+	must(d.AddBackboneCircuit(ctx("backbone"), "bb1.bb1", "bb2.bb1", 2))
+
+	_, rules := deriveFrom(t, store)
+	vc := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
+	ae := NewAlarmEngine(vc, NewTimeseriesBackend(), store)
+	ae.ReplaceRules(rules)
+	if !reflect.DeepEqual(ae.Rules(), rules) {
+		t.Fatal("rules as DeriveJobs emits them are not in the engine's order")
+	}
+	shuffled := slices.Clone(rules)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	ae.ReplaceRules(shuffled)
+	if !reflect.DeepEqual(ae.Rules(), rules) {
+		t.Fatal("a shuffled rule set installed in a different order")
+	}
+
+	// Two sessions observed down: both fire; the rule of one then vanishes.
+	var down []AlarmRule
+	for _, r := range rules {
+		if r.Kind == KindBGPState && len(down) < 2 {
+			down = append(down, r)
+		}
+	}
+	must(store.Mutate(func(m *fbnet.Mutation) error {
+		for _, r := range down {
+			if _, err := m.Create("DerivedBgpSession", map[string]any{
+				"device_name": r.Device, "peer_addr": r.Key, "family": "v6", "state": "Idle"}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}))
+	fired := ae.Evaluate()
+	if len(fired) != 2 {
+		t.Fatalf("want 2 firing alarms, got %+v", fired)
+	}
+	vc.Advance(time.Minute)
+	ae.ReplaceRules(slices.DeleteFunc(slices.Clone(rules), func(r AlarmRule) bool { return r == down[0] }))
+	kept := ae.Firing()
+	if len(kept) != 1 || kept[0].Key != down[1].Key || !kept[0].Since.Equal(fired[1].Since) || !kept[0].FiredAt.Equal(fired[1].FiredAt) {
+		t.Fatalf("after dropping %s/%s the firing alarms are %+v, want %+v unchanged", down[0].Device, down[0].Key, kept, fired[1])
 	}
 }

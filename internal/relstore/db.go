@@ -90,34 +90,31 @@ func (t *table) unindexSecondary(col string, v any, rowID int64) {
 // server"; replication across servers is provided by Replica.
 //
 // Writes serialize on mu (a transaction holds it from Begin to Commit,
-// matching §4.3.2's no-partial-state guarantee). Reads never take mu:
-// they run against an immutable epoch snapshot — see epoch.go — that a
-// reader advances on demand by replaying the binlog delta, so read
-// throughput is unaffected by open write transactions.
+// matching §4.3.2's no-partial-state guarantee) and go to the spare of the
+// two table sets. Reads never take mu: they run against the published set
+// — see epoch.go — which no writer touches, so read throughput is
+// unaffected by open write transactions.
 type DB struct {
 	mu     sync.RWMutex
-	tables map[string]*table
 	seq    uint64
 	txSeq  uint64 // transaction counter; stamps LogEntry.TxID groups
 	closed bool
 	// name identifies this server in errors and logs (e.g. "master.ash1").
 	name string
 
-	// binlogMu guards binlog separately from mu so epoch refresh and
-	// replication can read the log without blocking behind an open write
-	// transaction; committers append under it (whole tx groups at a time,
-	// keeping every prefix transaction-consistent) and then publish the
-	// new sequence to committed.
+	// binlogMu guards binlog separately from mu so followers can read the
+	// log without blocking behind an open write transaction; committers
+	// append under it (whole tx groups at a time, keeping every prefix
+	// transaction-consistent) and then publish the new sequence to
+	// committed.
 	binlogMu  sync.RWMutex
 	binlog    []LogEntry
 	committed atomic.Uint64 // last binlog seq visible to readers
 	downFlag  atomic.Bool   // lock-free mirror of closed for the read path
 
-	// Epoch read stores: epochPtr is the published snapshot readers pin;
-	// spare is the other buffer of the left-right pair, caught up and
-	// swapped in by advanceEpochs (serialized by epochMu, which also
-	// guards spare).
-	epochMu  sync.Mutex
+	// The two table sets: epochPtr is the published one readers pin; spare
+	// is the other of the left-right pair, written by whoever holds mu and
+	// swapped in by publish.
 	epochPtr atomic.Pointer[epoch]
 	spare    *epoch
 
@@ -128,7 +125,7 @@ type DB struct {
 
 // NewDB creates an empty database server with the given name.
 func NewDB(name string) *DB {
-	db := &DB{tables: make(map[string]*table), name: name}
+	db := &DB{name: name}
 	db.epochPtr.Store(&epoch{tables: make(map[string]*table)})
 	db.spare = &epoch{tables: make(map[string]*table)}
 	return db
@@ -156,32 +153,18 @@ func (db *DB) CreateTable(def TableDef) error {
 	if db.closed {
 		return fmt.Errorf("relstore: %s is down", db.name)
 	}
-	if _, dup := db.tables[def.Name]; dup {
+	tables := db.writeSet()
+	if _, dup := tables[def.Name]; dup {
 		return fmt.Errorf("relstore: table %q already exists", def.Name)
 	}
-	if err := validateDef(&def, db.tables); err != nil {
+	if err := validateDef(&def, tables); err != nil {
 		return err
 	}
-	db.tables[def.Name] = newTable(def)
+	tables[def.Name] = newTable(def)
 	db.seq++
 	db.txSeq++
-	db.appendBinlog(LogEntry{Seq: db.seq, TxID: db.txSeq, Op: OpCreateTable, Table: def.Name, Def: &def})
-	db.advanceEpochs(db.seq)
+	db.publish(LogEntry{Seq: db.seq, TxID: db.txSeq, Op: OpCreateTable, Table: def.Name, Def: &def})
 	return nil
-}
-
-// appendBinlog publishes committed entries: append under binlogMu, then
-// advance the committed watermark. The order matters — a reader that
-// observes the new watermark is guaranteed to find every entry up to it
-// in the log. Callers hold db.mu, which serializes committers.
-func (db *DB) appendBinlog(entries ...LogEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	db.binlogMu.Lock()
-	db.binlog = append(db.binlog, entries...)
-	db.binlogMu.Unlock()
-	db.committed.Store(db.seq)
 }
 
 // AlterAddColumn adds a column to an existing table; live schema change
@@ -194,18 +177,16 @@ func (db *DB) AlterAddColumn(tableName string, col Column) error {
 	if db.closed {
 		return fmt.Errorf("relstore: %s is down", db.name)
 	}
-	t, ok := db.tables[tableName]
+	t, ok := db.writeSet()[tableName]
 	if !ok {
 		return fmt.Errorf("relstore: no such table %q", tableName)
 	}
 	if err := t.addColumn(col); err != nil {
 		return err
 	}
-	cp := col
 	db.seq++
 	db.txSeq++
-	db.appendBinlog(LogEntry{Seq: db.seq, TxID: db.txSeq, Op: OpAlterAddColumn, Table: tableName, Col: &cp})
-	db.advanceEpochs(db.seq)
+	db.publish(LogEntry{Seq: db.seq, TxID: db.txSeq, Op: OpAlterAddColumn, Table: tableName, Col: &col})
 	return nil
 }
 
@@ -273,7 +254,9 @@ func (db *DB) Get(tableName string, id int64) (Row, error) {
 }
 
 // Select returns snapshots of all rows matching pred (nil matches all),
-// in ascending id order.
+// in ascending id order. pred runs with the read epoch pinned, and a
+// commit waits for that pin while holding the write lock: pred must not
+// call back into the DB.
 func (db *DB) Select(tableName string, pred func(Row) bool) ([]Row, error) {
 	if db.downFlag.Load() {
 		return nil, fmt.Errorf("relstore: %s is down", db.name)
@@ -415,7 +398,7 @@ func (db *DB) ReadSeq() uint64 {
 }
 
 // EntriesSince returns the binlog entries with Seq > after, for followers
-// (replicas, the epoch builder, the verify model, the config generator's
+// (replicas, the spare table set, the verify model, the config generator's
 // memo) that tail the log from their own cursor. The result is the log's
 // own suffix, not a copy: the binlog is append-only and entries are
 // immutable once appended, so reading it after binlogMu is released races

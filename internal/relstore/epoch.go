@@ -6,16 +6,23 @@ import (
 	"sync/atomic"
 )
 
-// epoch is one of the two read stores of a DB (a left-right pair).
-// Readers access the published epoch lock-free — an atomic pointer load
-// plus a reference count — and never block behind write transactions.
-// Committers advance the pair: the spare store catches up by replaying
-// the binlog delta, gets published with an atomic pointer swap, and the
-// previous store becomes the spare once its last reader leaves. An epoch
-// is only ever mutated while unpublished and reference-free, so readers
-// never observe a store mid-apply; and because commits append whole
-// transaction groups to the binlog atomically, every replayed prefix —
-// and therefore every epoch — is transaction-consistent (no torn reads).
+// epoch is one of the two table sets of a DB (a left-right pair): one is
+// published for readers, the other is the spare the writer holding db.mu
+// writes. Readers access the published epoch lock-free — an atomic pointer
+// load plus a reference count — and never block behind write
+// transactions. A writer first replays onto the spare the one group it
+// missed (the previous writer's, committed while this set was the
+// published one), writes it directly, and on commit publishes it with an
+// atomic pointer swap; the previous epoch becomes the spare once its last
+// reader leaves. An epoch is only ever mutated while unpublished and
+// reference-free, so readers never observe a store mid-apply; and because
+// a writer's whole group is in the set before the swap, every epoch is
+// transaction-consistent (no torn reads).
+//
+// Rows are immutable once stored: an update installs a new map, so both
+// sets, the binlog entry that inserted a row and every in-process replica
+// hold the same map, and copies are made only where a row leaves the
+// package (Get and Select on DB and Tx).
 type epoch struct {
 	seq    uint64 // binlog sequence this store reflects
 	tables map[string]*table
@@ -48,42 +55,46 @@ func (db *DB) readEpoch() *epoch {
 	}
 }
 
-// advanceEpochs brings the published epoch to at least target by
-// replaying the binlog delta onto the spare store and swapping it in.
-// Called by committers after their group is in the binlog; epochMu
-// serializes concurrent committers, and a committer whose target was
-// already covered by a concurrent advance returns immediately.
-func (db *DB) advanceEpochs(target uint64) {
-	db.epochMu.Lock()
-	defer db.epochMu.Unlock()
-	cur := db.epochPtr.Load()
-	if cur.seq >= target {
-		return
-	}
-	next := db.spare
-	db.spare = nil
-	for _, e := range db.EntriesSince(next.seq) {
-		// Entries were validated when first committed; replay onto the
-		// read store cannot fail.
-		if err := applyEntryToTables(next.tables, e); err != nil {
-			panic(fmt.Sprintf("relstore: %s: epoch replay of seq %d: %v", db.name, e.Seq, err))
+// writeSet returns the spare's tables for the caller, who holds db.mu, to
+// write directly, after replaying onto them the entries committed since
+// that set was last written: the previous writer's group.
+func (db *DB) writeSet() map[string]*table {
+	w := db.spare
+	for _, e := range db.EntriesSince(w.seq) {
+		// Entries were validated when first committed; replay cannot fail.
+		if err := applyEntryToTables(w.tables, e); err != nil {
+			panic(fmt.Sprintf("relstore: %s: replay of seq %d: %v", db.name, e.Seq, err))
 		}
-		next.seq = e.Seq
+		w.seq = e.Seq
 	}
-	db.epochPtr.Store(next)
-	// Readers pinned the old epoch before the swap; they are short point
-	// reads, so spin-wait for them to drain rather than paying for a
-	// heavier handoff. New readers land on the published epoch and never
-	// delay us further.
-	for cur.refs.Load() != 0 {
+	return w.tables
+}
+
+// publish commits what the caller, who holds db.mu, wrote to the spare:
+// the entries go to the binlog, the spare is swapped in as the read epoch,
+// and the previous epoch becomes the next spare once the readers pinned
+// to it have left. Waiting for them under mu costs nothing the next writer
+// would not pay — it needs that drained set before it can write. They are
+// short point reads, so spin rather than pay for a heavier handoff; new
+// readers land on the published epoch and never delay us further.
+func (db *DB) publish(entries ...LogEntry) {
+	db.binlogMu.Lock()
+	db.binlog = append(db.binlog, entries...)
+	db.binlogMu.Unlock()
+	// A reader that observes the new watermark finds every entry up to it
+	// in the log.
+	db.committed.Store(db.seq)
+	db.spare.seq = db.seq
+	prev := db.epochPtr.Swap(db.spare)
+	for prev.refs.Load() != 0 {
 		runtime.Gosched()
 	}
-	db.spare = cur
+	db.spare = prev
 }
 
 // applyEntryToTables replays one binlog record onto a table set.
 // Constraints were validated when the entry was first committed, so this
-// path maintains rows and indexes directly. Shared by the epoch builder
+// path maintains rows and indexes directly. Shared by the spare's catch-up
 // and replica replication.
 func applyEntryToTables(tables map[string]*table, e LogEntry) error {
 	switch e.Op {
@@ -100,7 +111,7 @@ func applyEntryToTables(tables map[string]*table, e LogEntry) error {
 		if !ok {
 			return fmt.Errorf("no such table %q", e.Table)
 		}
-		t.restoreRow(e.RowID, copyValues(e.Values))
+		t.restoreRow(e.RowID, e.Values)
 	case OpUpdate:
 		t, ok := tables[e.Table]
 		if !ok {
@@ -109,7 +120,7 @@ func applyEntryToTables(tables map[string]*table, e LogEntry) error {
 		if _, ok := t.rows[e.RowID]; !ok {
 			return fmt.Errorf("%s: no row with id %d", e.Table, e.RowID)
 		}
-		t.applyUpdate(e.RowID, copyValues(e.Values))
+		t.applyUpdate(e.RowID, e.Values)
 	case OpDelete:
 		t, ok := tables[e.Table]
 		if !ok {

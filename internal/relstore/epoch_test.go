@@ -3,6 +3,7 @@ package relstore
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -275,5 +276,104 @@ func TestEntriesSinceSharesAnImmutableSuffix(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { db.EntriesSince(db.Seq() / 2) }); n != 0 {
 		t.Errorf("EntriesSince allocates %v times per call", n)
+	}
+}
+
+// TestCommittedRowIsStoredOnce: a committed row is one map, shared by the
+// published table set, the spare, the binlog entry that inserted it and a
+// caught-up replica. An update installs a different map and leaves the
+// shared one — and so the insert's log entry — as it was.
+func TestCommittedRowIsStoredOnce(t *testing.T) {
+	db := newTestDB(t)
+	rep := NewReplica(db, "replica-1")
+	id := insertDevice(t, db, "psw1.pop1")
+	insertDevice(t, db, "psw2.pop1") // the next writer replays the first insert onto the other set
+	if err := rep.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	mapID := func(m map[string]any) uintptr { return reflect.ValueOf(m).Pointer() }
+	stored := func(d *DB) (published, spare map[string]any) {
+		return d.epochPtr.Load().tables["device"].rows[id], d.spare.tables["device"].rows[id]
+	}
+	var insert LogEntry
+	for _, e := range db.EntriesSince(0) {
+		if e.Op == OpInsert && e.Table == "device" && e.RowID == id {
+			insert = e
+		}
+	}
+	pub, spare := stored(db)
+	repPub, _ := stored(rep.DB())
+	for where, m := range map[string]map[string]any{"spare": spare, "log entry": insert.Values, "replica": repPub} {
+		if m == nil || mapID(m) != mapID(pub) {
+			t.Errorf("the %s holds its own copy of the row (%v), not the published set's map", where, m)
+		}
+	}
+
+	err := db.WithTx(func(tx *Tx) error { return tx.Update("device", id, map[string]any{"role": "rsw"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertDevice(t, db, "psw3.pop1")
+	pub, spare = stored(db)
+	for where, m := range map[string]map[string]any{"published set": pub, "spare": spare} {
+		if mapID(m) == mapID(insert.Values) || m["role"] != "rsw" {
+			t.Errorf("after an update the %s reads %v from the map the insert shared", where, m)
+		}
+	}
+	if insert.Values["role"] != "psw" {
+		t.Errorf("the update rewrote the insert's log entry: %v", insert.Values)
+	}
+	if err := rep.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	if row, err := rep.DB().Get("device", id); err != nil || row.String("role") != "rsw" {
+		t.Errorf("replica reads %v, %v after the update", row, err)
+	}
+}
+
+// TestPinnedReaderDelaysCommitNotReads: a Select still running on the
+// epoch a commit replaces holds that commit — which must drain the old set
+// before the next writer can have it — but not a Get, which lands on the
+// epoch the commit has already published.
+func TestPinnedReaderDelaysCommitNotReads(t *testing.T) {
+	db := newPairDB(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	selected := make(chan error, 1)
+	go func() {
+		_, err := db.Select("pair", func(Row) bool {
+			once.Do(func() { close(entered) })
+			<-release
+			return true
+		})
+		selected <- err
+	}()
+	<-entered
+	committed := make(chan error, 1)
+	go func() {
+		committed <- db.WithTx(func(tx *Tx) error {
+			if err := tx.Update("pair", 1, map[string]any{"val": int64(7)}); err != nil {
+				return err
+			}
+			return tx.Update("pair", 2, map[string]any{"val": int64(-7)})
+		})
+	}()
+	for db.ReadSeq() != db.Seq() || db.Seq() < 5 { // 1 DDL + 2 inserts + this group of 2
+		runtime.Gosched()
+	}
+	if row, err := db.Get("pair", 1); err != nil || row.Int("val") != 7 {
+		t.Errorf("Get beside the pinned reader = %v, %v; want the committed val 7", row, err)
+	}
+	select {
+	case err := <-committed:
+		t.Errorf("Commit returned (%v) while a reader still pinned the set the next writer needs", err)
+	default:
+	}
+	close(release)
+	if err := <-committed; err != nil {
+		t.Error(err)
+	}
+	if err := <-selected; err != nil {
+		t.Error(err)
 	}
 }

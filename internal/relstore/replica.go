@@ -218,11 +218,12 @@ func (db *DB) applyTxGroup(entries []LogEntry) error {
 	if db.closed {
 		return fmt.Errorf("relstore: %s is down", db.name)
 	}
+	tables := db.writeSet()
 	for _, e := range entries {
 		// Constraints were validated on the master, so replay maintains
 		// rows and indexes directly (applyEntryToTables, shared with the
-		// epoch builder).
-		if err := applyEntryToTables(db.tables, e); err != nil {
+		// spare's catch-up).
+		if err := applyEntryToTables(tables, e); err != nil {
 			return err
 		}
 		db.seq = e.Seq
@@ -235,9 +236,6 @@ func (db *DB) applyTxGroup(entries []LogEntry) error {
 	// The group also lands on the local binlog — atomically, like a local
 	// commit — so the replica can itself be a replication source after
 	// promotion and its own epoch readers never see a torn group.
-	db.appendBinlog(entries...)
-	if len(entries) > 0 {
-		db.advanceEpochs(db.seq)
-	}
+	db.publish(entries...)
 	return nil
 }

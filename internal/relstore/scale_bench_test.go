@@ -3,6 +3,7 @@ package relstore
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -137,4 +138,50 @@ func BenchmarkScaleRelstoreReadUnderWriter(b *testing.B) {
 			wg.Wait()
 		})
 	}
+}
+
+// TestStoreAllocationGuard pins what storing each committed row once buys:
+// BenchmarkInsert's operation (one insert, one commit) allocates at most 12
+// objects, and a 10,000-row table — both table sets caught up, the binlog
+// holding every insert — retains under retainedPerRowMax bytes per row,
+// indexes included.
+func TestStoreAllocationGuard(t *testing.T) {
+	db := newTestDB(t)
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		i++
+		err := db.WithTx(func(tx *Tx) error {
+			_, err := tx.Insert("device", map[string]any{"name": fmt.Sprintf("d%d", i), "role": "psw"})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 12 {
+		t.Errorf("insert + commit allocates %v objects, want <= 12", allocs)
+	}
+
+	// With every row held four times (write side, log entry, two epochs)
+	// this measured 1,741 bytes per row; stored once, 650. The bound is 60 %
+	// of the former.
+	const rows, retainedPerRowMax = 10000, 1044
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	big := buildScaleDB(t, rows)
+	err := big.WithTx(func(tx *Tx) error { // a second commit: the other set catches up
+		return tx.Update("device", 1, map[string]any{"version": int64(1)})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perRow := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / rows
+	t.Logf("insert + commit: %v allocs; %d-row table retains %d bytes/row", allocs, rows, perRow)
+	if perRow >= retainedPerRowMax {
+		t.Errorf("a %d-row table retains %d bytes per row, want < %d", rows, perRow, retainedPerRowMax)
+	}
+	runtime.KeepAlive(big)
 }

@@ -3,6 +3,7 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 )
 
 // Op is the kind of a binlog entry.
@@ -70,20 +71,21 @@ type undoEntry struct {
 // applications before the API call completes" (§4.3.2).
 type Tx struct {
 	db      *DB
+	tables  map[string]*table // the DB's spare table set, written in place
 	undo    []undoEntry
 	pending []LogEntry
 	done    bool
 }
 
-// Begin starts a transaction, blocking other writers and readers until it
-// finishes. Returns an error if the server is down.
+// Begin starts a transaction on the spare table set, blocking other
+// writers until it finishes. Returns an error if the server is down.
 func (db *DB) Begin() (*Tx, error) {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
 		return nil, fmt.Errorf("relstore: %s is down", db.name)
 	}
-	return &Tx{db: db}, nil
+	return &Tx{db: db, tables: db.writeSet()}, nil
 }
 
 // WithTx runs fn inside a transaction, committing on nil return and rolling
@@ -108,7 +110,6 @@ func (tx *Tx) Commit() error {
 	}
 	tx.done = true
 	db := tx.db
-	seq := uint64(0)
 	if len(tx.pending) > 0 {
 		db.txSeq++
 		for i := range tx.pending {
@@ -118,19 +119,13 @@ func (tx *Tx) Commit() error {
 		}
 		// The whole group lands in the binlog atomically (under binlogMu)
 		// before the committed watermark advances, so every binlog prefix
-		// a reader can observe is transaction-consistent.
-		db.appendBinlog(tx.pending...)
-		seq = db.seq
+		// a reader can observe is transaction-consistent; readers observe
+		// the new state the moment the table set is swapped in — before
+		// Commit returns, preserving read-your-writes.
+		db.publish(tx.pending...)
 	}
 	db.mCommits.Inc()
 	db.mu.Unlock()
-	if seq != 0 {
-		// Publish the read epoch after releasing the write lock: the next
-		// writer can begin while we catch the spare store up, and readers
-		// observe the new state the moment it is swapped in — before
-		// Commit returns, preserving read-your-writes.
-		db.advanceEpochs(seq)
-	}
 	return nil
 }
 
@@ -143,10 +138,11 @@ func (tx *Tx) Rollback() error {
 	db := tx.db
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		u := tx.undo[i]
-		t := db.tables[u.table]
+		t := tx.tables[u.table]
 		switch u.op {
-		case OpInsert: // undo an insert: remove the row
+		case OpInsert: // undo an insert: remove the row and hand its id back
 			t.removeRow(u.rowID)
+			t.nextID = u.rowID - 1
 		case OpUpdate: // undo an update: restore previous column values
 			t.applyUpdate(u.rowID, u.values)
 		case OpDelete: // undo a delete: restore the row with its old id
@@ -162,7 +158,7 @@ func (tx *Tx) table(name string) (*table, error) {
 	if tx.done {
 		return nil, ErrTxDone
 	}
-	t, ok := tx.db.tables[name]
+	t, ok := tx.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("relstore: no such table %q", name)
 	}
@@ -270,7 +266,9 @@ func (tx *Tx) Insert(tableName string, values map[string]any) (int64, error) {
 	t.rows[id] = norm
 	t.indexRow(id, norm)
 	tx.undo = append(tx.undo, undoEntry{op: OpInsert, table: tableName, rowID: id})
-	tx.pending = append(tx.pending, LogEntry{Op: OpInsert, Table: tableName, RowID: id, Values: copyValues(norm)})
+	// norm is never written again: it is the row here, the entry's Values,
+	// and through replay the row in the other table set and every replica.
+	tx.pending = append(tx.pending, LogEntry{Op: OpInsert, Table: tableName, RowID: id, Values: norm})
 	return id, nil
 }
 
@@ -301,13 +299,9 @@ func (tx *Tx) Update(tableName string, id int64, changes map[string]any) error {
 	if err := tx.checkChangedConstraints(t, norm, id); err != nil {
 		return err
 	}
-	t.unindexRow(id, cur, norm)
-	for k, v := range norm {
-		cur[k] = v
-	}
-	t.reindexRow(id, cur, norm)
+	t.applyUpdate(id, norm)
 	tx.undo = append(tx.undo, undoEntry{op: OpUpdate, table: tableName, rowID: id, values: prev})
-	tx.pending = append(tx.pending, LogEntry{Op: OpUpdate, Table: tableName, RowID: id, Values: copyValues(norm)})
+	tx.pending = append(tx.pending, LogEntry{Op: OpUpdate, Table: tableName, RowID: id, Values: norm})
 	return nil
 }
 
@@ -323,7 +317,7 @@ func (tx *Tx) Delete(tableName string, id int64) error {
 		return fmt.Errorf("relstore: %s: no row with id %d", tableName, id)
 	}
 	// Resolve referencing rows across all tables.
-	for refName, rt := range tx.db.tables {
+	for refName, rt := range tx.tables {
 		for _, fk := range rt.def.ForeignKeys {
 			if fk.RefTable != tableName {
 				continue
@@ -388,7 +382,7 @@ func (tx *Tx) checkChangedConstraints(t *table, changes map[string]any, selfID i
 			continue
 		}
 		refID := v.(int64)
-		ref := tx.db.tables[fk.RefTable]
+		ref := tx.tables[fk.RefTable]
 		if _, ok := ref.rows[refID]; !ok {
 			return fmt.Errorf("relstore: %s.%s: foreign key violation: %s id %d does not exist",
 				t.def.Name, fk.Column, fk.RefTable, refID)
@@ -416,7 +410,7 @@ func (tx *Tx) checkConstraints(t *table, vals map[string]any, selfID int64) erro
 			continue
 		}
 		refID := v.(int64)
-		ref := tx.db.tables[fk.RefTable]
+		ref := tx.tables[fk.RefTable]
 		if _, ok := ref.rows[refID]; !ok {
 			return fmt.Errorf("relstore: %s.%s: foreign key violation: %s id %d does not exist",
 				t.def.Name, fk.Column, fk.RefTable, refID)
@@ -490,14 +484,12 @@ func (t *table) reindexRow(id int64, vals map[string]any, changed map[string]any
 }
 
 // removeRow deletes a row and its index entries (rollback/replication path;
-// constraints were already enforced).
+// constraints were already enforced). nextID stays: a committed delete
+// never frees an id, on the set that ran it or on one that replays it.
 func (t *table) removeRow(id int64) {
 	if vals, ok := t.rows[id]; ok {
 		t.unindexRow(id, vals, vals)
 		delete(t.rows, id)
-		if t.nextID == id {
-			t.nextID--
-		}
 	}
 }
 
@@ -510,15 +502,19 @@ func (t *table) restoreRow(id int64, vals map[string]any) {
 	}
 }
 
-// applyUpdate overwrites columns of a row (rollback/replication path).
+// applyUpdate replaces a row with a new map — its columns plus changes —
+// leaving the stored one, which the other table set, the binlog and
+// replicas may share, as it was.
 func (t *table) applyUpdate(id int64, changes map[string]any) {
 	cur, ok := t.rows[id]
 	if !ok {
 		return
 	}
-	t.unindexRow(id, cur, changes)
+	next := maps.Clone(cur)
 	for k, v := range changes {
-		cur[k] = v
+		next[k] = v
 	}
-	t.reindexRow(id, cur, changes)
+	t.unindexRow(id, cur, changes)
+	t.rows[id] = next
+	t.reindexRow(id, next, changes)
 }

@@ -2,6 +2,7 @@ package verify_test
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -158,7 +159,7 @@ func scanDeriveJobs(store *fbnet.Store) ([]monitor.JobSpec, []monitor.AlarmRule,
 	})
 
 	var jobs []monitor.JobSpec
-	var rules []monitor.AlarmRule
+	var sessionRules, deviceRules, octets, flatline []monitor.AlarmRule
 	for _, d := range devices {
 		name := d.String("name")
 		v2 := syntax[name] == "vendor2"
@@ -179,26 +180,25 @@ func scanDeriveJobs(store *fbnet.Store) ([]monitor.JobSpec, []monitor.AlarmRule,
 				Engine: bgpEngine, Data: monitor.DataBGP,
 				Devices: []string{name}, Backends: []string{"fbnet-derived"}})
 		}
-		rules = append(rules, monitor.AlarmRule{
+		deviceRules = append(deviceRules, monitor.AlarmRule{
 			Name: "device-unreachable", Kind: monitor.KindAbsence, Device: name,
 			Key: "cpu_util", Window: 5 * time.Minute, Urgency: monitor.Critical,
 		})
 	}
 	for _, s := range sessions {
-		rules = append(rules, monitor.AlarmRule{
+		sessionRules = append(sessionRules, monitor.AlarmRule{
 			Name: "bgp-session-down", Kind: monitor.KindBGPState,
 			Device: s.dev, Key: s.peer, Urgency: monitor.Major,
 		})
 	}
 	for _, p := range ports {
-		rules = append(rules,
-			monitor.AlarmRule{Name: "interface-flatline", Kind: monitor.KindAbsence, Device: p.dev,
-				Key: p.ifc + "/in_octets", Window: 10 * time.Minute, Urgency: monitor.Warning},
-			monitor.AlarmRule{Name: "flatline-octets", Kind: monitor.KindFlatline, Device: p.dev,
-				Key: p.ifc + "/out_octets", Urgency: monitor.Minor},
-		)
+		flatline = append(flatline, monitor.AlarmRule{Name: "interface-flatline", Kind: monitor.KindAbsence, Device: p.dev,
+			Key: p.ifc + "/in_octets", Window: 10 * time.Minute, Urgency: monitor.Warning})
+		octets = append(octets, monitor.AlarmRule{Name: "flatline-octets", Kind: monitor.KindFlatline, Device: p.dev,
+			Key: p.ifc + "/out_octets", Urgency: monitor.Minor})
 	}
-	return jobs, rules, nil
+	// The alarm engine's order: family, device, key.
+	return jobs, slices.Concat(sessionRules, deviceRules, octets, flatline), nil
 }
 
 // vendorSyntax resolves each device's Vendor syntax string through its
