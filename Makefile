@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race loc verify-gate store fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
+.PHONY: tier1 build vet test race loc verify-gate store reconcile fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
 
 # Tier-1 gate: what CI and reviewers run before merging.
-tier1: verify-gate store fuzz-smoke sim obs
+tier1: verify-gate store reconcile fuzz-smoke sim obs
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -35,6 +35,16 @@ verify-gate:
 store:
 	$(GO) test -race -timeout 5m ./internal/relstore/ ./internal/fbnet/service/
 	$(GO) test -race -timeout 5m -run 'TestMemoNeverCachesUnchecked|TestGeneratorConcurrentUse' ./internal/configgen/
+
+# The drift reconciler under the race detector: the per-shard safety
+# budget and breaker (a storm trips only its own shard, in-flight
+# remediations never exceed the budget), paced drain on reset, flap
+# damping and quarantine, the check-error and transport retry queues, and
+# journal replay — a reconciler killed after any step of 200 seeded
+# histories and rebuilt by ResumeFromJournal ends with the journal, states
+# and stats of the run that was never killed (DESIGN.md §16).
+reconcile:
+	$(GO) test -race -timeout 5m ./internal/reconcile/
 
 # Native fuzz targets, a few seconds each (go test -fuzz takes one target
 # per run). A crasher is written to the package's testdata/fuzz and fails
@@ -138,8 +148,9 @@ bench-generate:
 # Reconciliation-loop benchmark: time-to-convergence when the whole
 # fleet drifts at once, vs fleet size (8/64/256), captured as a go-test
 # JSON event stream for trend tracking, then the storm sizes
-# (256/4096/16384) in single-domain vs 64-site sharded mode —
-# ROBOTRON_BENCH_LARGE=1 unlocks the 16384 rows.
+# (256/4096/16384) in `global` vs `sharded` mode. The `global` rows are
+# the one-shard case (the whole fleet is one site), `sharded` spreads it
+# over 64 sites. ROBOTRON_BENCH_LARGE=1 unlocks the 16384 rows.
 bench-reconcile:
 	$(GO) test -json -run '^$$' -benchmem \
 		-bench 'BenchmarkReconcileConverge' \

@@ -181,7 +181,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	if !ok {
 		t.Fatalf("seed=%d: %d device(s) neither converged nor quarantined: %v\n%s",
-			soakSeed, len(unconverged), unconverged, r.Reconciler.DeviceTable())
+			soakSeed, len(unconverged), unconverged, reconcile.FormatDeviceTable(r.Reconciler.Devices()))
 	}
 
 	// No device may be left holding a provisional commit: every

@@ -136,6 +136,11 @@ func TestObsReconcileEndpointMatchesSnapshot(t *testing.T) {
 	if sh.Budget <= 0 {
 		t.Errorf("pop1 budget = %d, want > 0 (ShardFleetSize wired)", sh.Budget)
 	}
+	// The fleet-wide fields are the shards' sum and any open breaker.
+	if httpSnap.Open != sh.Open || httpSnap.Tripped != sh.Tripped {
+		t.Errorf("snapshot open=%d tripped=%v, want pop1's open=%d tripped=%v",
+			httpSnap.Open, httpSnap.Tripped, sh.Open, sh.Tripped)
+	}
 }
 
 func getJSON(t *testing.T, url string, v any) {

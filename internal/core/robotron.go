@@ -109,7 +109,7 @@ type Options struct {
 	// machinery configured by Reconcile.
 	EnableReconciler bool
 	// Reconcile tunes the reconciler (safety budget, flap damping,
-	// backoff, rate limit); the zero value selects the package defaults.
+	// backoff, sweep); the zero value selects the package defaults.
 	// Alert defaults to Logf when unset.
 	Reconcile reconcile.Config
 	// Telemetry attaches the instance to an existing metrics registry

@@ -147,7 +147,9 @@ func TestFiberCutDetectedByAudit(t *testing.T) {
 }
 
 // TestDriftDetectionAndRestore covers the §8 automation-fallback story:
-// manual change → config monitoring alert → restore to golden.
+// manual change → config monitoring alert → restore to golden, here by
+// redeploying the generated config (the reconciler's remediation does the
+// same when it is enabled).
 func TestDriftDetectionAndRestore(t *testing.T) {
 	r := newRobotron(t)
 	res := provisionPOP(t, r)
@@ -164,8 +166,7 @@ func TestDriftDetectionAndRestore(t *testing.T) {
 	if !strings.Contains(devs[0].Diff, "+ username backdoor secret") {
 		t.Errorf("diff = %q", devs[0].Diff)
 	}
-	// Restore golden.
-	if err := r.ConfigMon.Restore(victim, d); err != nil {
+	if _, err := r.GenerateAndDeploy([]string{victim}, deploy.Options{}, "restore"); err != nil {
 		t.Fatal(err)
 	}
 	cfg, _ := d.RunningConfig()

@@ -78,14 +78,6 @@ type RetryPolicy struct {
 	// MaxAttempts is the per-device attempt budget per operation
 	// (first try included). 0 defaults to 4.
 	MaxAttempts int
-	// BaseDelay seeds the exponential backoff (doubled per retry).
-	// 0 defaults to 50ms.
-	BaseDelay time.Duration
-	// MaxDelay caps a single backoff sleep. 0 defaults to 2s.
-	MaxDelay time.Duration
-	// Jitter is the fraction of each delay randomized away (0..1).
-	// 0 defaults to 0.5; negative disables jitter entirely.
-	Jitter float64
 	// Seed makes the jitter stream reproducible; combined with the
 	// device name so concurrent devices draw independent streams.
 	Seed int64
@@ -93,24 +85,17 @@ type RetryPolicy struct {
 	Sleep func(time.Duration)
 }
 
+// The backoff before retry n is retryBaseDelay·2ⁿ⁻¹, capped at
+// retryMaxDelay, with up to retryJitter of it randomized away.
+const (
+	retryBaseDelay = 50 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+	retryJitter    = 0.5
+)
+
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 50 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.5
-	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
-	if p.Jitter > 1 {
-		p.Jitter = 1
 	}
 	return p
 }
@@ -126,14 +111,11 @@ func (p RetryPolicy) rng(device string) *rand.Rand {
 // delay computes the backoff before retry number n (1-based), jittered
 // downward so synchronized failures fan out instead of thundering back.
 func (p RetryPolicy) delay(n int, rng *rand.Rand) time.Duration {
-	d := p.BaseDelay << (n - 1)
-	if d > p.MaxDelay || d <= 0 {
-		d = p.MaxDelay
+	d := retryBaseDelay << (n - 1)
+	if d > retryMaxDelay || d <= 0 {
+		d = retryMaxDelay
 	}
-	if p.Jitter > 0 {
-		d = time.Duration(float64(d) * (1 - p.Jitter*rng.Float64()))
-	}
-	return d
+	return time.Duration(float64(d) * (1 - retryJitter*rng.Float64()))
 }
 
 func (p RetryPolicy) sleep(d time.Duration) {

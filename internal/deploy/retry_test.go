@@ -35,7 +35,7 @@ func TestRetryPolicyDelaysDeterministic(t *testing.T) {
 	seq := func(seed int64) []time.Duration {
 		rp := RetryPolicy{Seed: seed}.withDefaults()
 		rng := rp.rng("dev01")
-		out := make([]time.Duration, 6)
+		out := make([]time.Duration, 8) // the last two reach the cap
 		for i := range out {
 			out[i] = rp.delay(i+1, rng)
 		}
@@ -46,15 +46,12 @@ func TestRetryPolicyDelaysDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("same seed, delay %d differs: %v vs %v", i, a[i], b[i])
 		}
-		if a[i] > 2*time.Second {
-			t.Errorf("delay %d = %v exceeds MaxDelay", i, a[i])
+		// Retry n backs off 50ms·2ⁿ⁻¹ capped at 2s, jittered down by at
+		// most half.
+		d := min(50*time.Millisecond<<i, 2*time.Second)
+		if a[i] < d/2 || a[i] > d {
+			t.Errorf("delay %d = %v, want within [%v, %v]", i+1, a[i], d/2, d)
 		}
-	}
-	// Jitter disabled: pure exponential, so ordering is strict until the cap.
-	rp := RetryPolicy{Jitter: -1}.withDefaults()
-	rng := rp.rng("dev01")
-	if d1, d2 := rp.delay(1, rng), rp.delay(2, rng); d2 != 2*d1 {
-		t.Errorf("jitter-free backoff not doubling: %v then %v", d1, d2)
 	}
 }
 

@@ -127,8 +127,8 @@ type JournalEntry struct {
 	Detail string
 }
 
-// DefaultCorrelationWindow is how far back an alarm looks for its causing
-// events when no window is configured.
+// DefaultCorrelationWindow is how far back a firing alarm looks for its
+// causing events.
 const DefaultCorrelationWindow = 15 * time.Minute
 
 // DefaultCorrelationLimit caps how many correlated events ride on one
@@ -148,7 +148,6 @@ type AlarmEngine struct {
 	resolved ring[Alarm]         // resolved history, oldest first
 	alerts   ring[Alert]         // recent syslog alerts, for flap rules
 	journal  func() []JournalEntry
-	window   time.Duration // correlation look-back
 
 	// metrics, nil (no-op) until Instrument
 	reg       *telemetry.Registry
@@ -170,19 +169,7 @@ func NewAlarmEngine(clock vclock.Clock, ts *TimeseriesBackend, store *fbnet.Stor
 		ts:     ts,
 		store:  store,
 		active: make(map[alarmKey]*Alarm),
-		window: DefaultCorrelationWindow,
 	}
-}
-
-// SetCorrelationWindow changes the look-back window used when annotating
-// a firing alarm; d <= 0 restores the default.
-func (ae *AlarmEngine) SetCorrelationWindow(d time.Duration) {
-	ae.mu.Lock()
-	defer ae.mu.Unlock()
-	if d <= 0 {
-		d = DefaultCorrelationWindow
-	}
-	ae.window = d
 }
 
 // SetJournalSource installs the reconcile-journal reader used for the
@@ -264,7 +251,7 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 	// Every alarm that fires in this pass looks back over the same window:
 	// assemble it on the first fire, and not at all on a quiet pass.
 	correlated := sync.OnceValue(func() []TimelineEntry {
-		tl := ae.timelineLocked(now.Add(-ae.window), now, false)
+		tl := ae.timelineLocked(now.Add(-DefaultCorrelationWindow), now, false)
 		if n := len(tl); n > DefaultCorrelationLimit {
 			tl = tl[n-DefaultCorrelationLimit:]
 		}

@@ -208,7 +208,6 @@ func TestFlapAlarm(t *testing.T) {
 
 func TestCorrelationWindow(t *testing.T) {
 	vc, _, store, ae := alarmFixture(t)
-	ae.SetCorrelationWindow(10 * time.Minute)
 	addEvent := func(kind, device string, at time.Time) {
 		if _, err := store.Mutate(func(m *fbnet.Mutation) error {
 			_, err := m.Create("OperationalEvent", map[string]any{
@@ -220,7 +219,7 @@ func TestCorrelationWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One event outside the look-back, one inside.
+	// One event outside the 15-minute look-back, one inside.
 	addEvent("config-changed", "ancient", vc.Now())
 	vc.Advance(30 * time.Minute)
 	addEvent("config-changed", "dev9", vc.Now().Add(-time.Minute))

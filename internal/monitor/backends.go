@@ -17,11 +17,10 @@ const DefaultSeriesRetention = 1024
 
 // TimeseriesBackend stores numeric samples in memory, the stand-in for the
 // metric storage active monitoring feeds. Each series is a ring: once it
-// reaches the retention cap, the oldest sample is overwritten.
+// holds DefaultSeriesRetention samples, the oldest is overwritten.
 type TimeseriesBackend struct {
-	mu        sync.Mutex
-	retention int
-	series    map[string]*ring[Sample] // key: device/metric
+	mu     sync.Mutex
+	series map[string]*ring[Sample] // key: device/metric
 }
 
 // Sample is one datapoint.
@@ -72,24 +71,9 @@ func (r *ring[T]) last(k int) []T {
 // all returns a copy of everything held, oldest first.
 func (r *ring[T]) all() []T { return r.last(len(r.buf)) }
 
-// NewTimeseriesBackend returns an empty timeseries store with the default
-// per-series retention.
+// NewTimeseriesBackend returns an empty timeseries store.
 func NewTimeseriesBackend() *TimeseriesBackend {
-	return &TimeseriesBackend{
-		retention: DefaultSeriesRetention,
-		series:    make(map[string]*ring[Sample]),
-	}
-}
-
-// SetRetention changes the per-series sample cap for series created after
-// the call; n <= 0 restores the default. Existing series keep their rings.
-func (b *TimeseriesBackend) SetRetention(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n <= 0 {
-		n = DefaultSeriesRetention
-	}
-	b.retention = n
+	return &TimeseriesBackend{series: make(map[string]*ring[Sample])}
 }
 
 // Name implements Backend.
@@ -98,7 +82,7 @@ func (b *TimeseriesBackend) Name() string { return "timeseries" }
 func (b *TimeseriesBackend) pushLocked(key string, s Sample) {
 	r, ok := b.series[key]
 	if !ok {
-		r = &ring[Sample]{limit: b.retention}
+		r = &ring[Sample]{limit: DefaultSeriesRetention}
 		b.series[key] = r
 	}
 	r.push(s)

@@ -36,8 +36,7 @@ func TestTimeseriesStoreBothOctetDirections(t *testing.T) {
 
 func TestTimeseriesRetentionRing(t *testing.T) {
 	ts := NewTimeseriesBackend()
-	const retention = 8
-	ts.SetRetention(retention)
+	const retention = DefaultSeriesRetention
 	for i := 0; i < retention*3; i++ {
 		err := ts.Store(Collection{
 			Device: "sw1", Data: DataCounters, At: time.Unix(int64(i), 0),
@@ -59,32 +58,19 @@ func TestTimeseriesRetentionRing(t *testing.T) {
 			t.Fatalf("sample %d = %+v, want value %g", i, s, want)
 		}
 	}
-	// Alloc guard: the ring never grows past its capacity no matter how
-	// many polls feed it.
+	// Alloc guard: the ring stops growing at its limit no matter how many
+	// polls feed it.
 	ts.mu.Lock()
 	r := ts.series["sw1/cpu_util"]
-	if cap(r.buf) != retention || len(r.buf) != retention {
+	if len(r.buf) != retention || r.limit != retention {
 		ts.mu.Unlock()
-		t.Fatalf("ring buf len=%d cap=%d, want both %d", len(r.buf), cap(r.buf), retention)
+		t.Fatalf("ring buf len=%d limit=%d, want both %d", len(r.buf), r.limit, retention)
 	}
 	ts.mu.Unlock()
 	// Last respects ring order across the wrap point.
 	last := ts.Last("sw1/cpu_util", 3)
 	if len(last) != 3 || last[2].Value != float64(retention*3-1) {
 		t.Fatalf("Last(3) = %+v", last)
-	}
-	// SetRetention(<=0) restores the default for new series.
-	ts.SetRetention(0)
-	if err := ts.Store(Collection{
-		Device: "sw2", Data: DataCounters, At: time.Unix(0, 0),
-		Counters: map[string]float64{"cpu_util": 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if got := ts.series["sw2/cpu_util"].limit; got != DefaultSeriesRetention {
-		t.Fatalf("new series limit = %d, want default %d", got, DefaultSeriesRetention)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"github.com/robotron-net/robotron/internal/confdiff"
 	"github.com/robotron-net/robotron/internal/fbnet"
-	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/revctl"
 	"github.com/robotron-net/robotron/internal/telemetry"
 )
@@ -213,36 +212,3 @@ func (cm *ConfigMonitor) Deviations() []Deviation {
 	defer cm.mu.Unlock()
 	return cm.deviations.all()
 }
-
-// Restore pushes the golden config back to a deviating device ("restore
-// device running configs to Robotron-generated configs", §8) and
-// re-checks conformance.
-func (cm *ConfigMonitor) Restore(device string, target RestoreTarget) error {
-	golden, err := cm.golden(device)
-	if err != nil {
-		return err
-	}
-	if err := target.LoadConfig(golden); err != nil {
-		return err
-	}
-	if err := target.Commit(); err != nil {
-		return err
-	}
-	dev, err := cm.CheckDevice(device)
-	if err != nil {
-		return err
-	}
-	if dev != nil {
-		return fmt.Errorf("monitor: %s still deviates after restore", device)
-	}
-	return nil
-}
-
-// RestoreTarget is the config-push surface Restore needs; *netsim.Device
-// implements it.
-type RestoreTarget interface {
-	LoadConfig(string) error
-	Commit() error
-}
-
-var _ RestoreTarget = (*netsim.Device)(nil)

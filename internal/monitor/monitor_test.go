@@ -458,13 +458,16 @@ func TestConfigMonitorDetectsDriftAndRestores(t *testing.T) {
 	if err != nil || !strings.Contains(backup, "leaked") {
 		t.Errorf("drifted config not archived: %v", err)
 	}
-	// Restore pushes golden back and conformance recovers.
-	if err := cm.Restore("dev00", dev); err != nil {
+	// Pushing golden back (what the reconciler's remediation does) makes
+	// the next check conform, and the Derived record follows.
+	if err := dev.LoadConfig(goldenCfg); err != nil {
 		t.Fatal(err)
 	}
-	cur, _ := dev.RunningConfig()
-	if cur != goldenCfg {
-		t.Error("restore did not reinstate golden config")
+	if err := dev.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := cm.CheckDevice("dev00"); err != nil || d != nil {
+		t.Fatalf("check after restoring golden = %+v, %v; want conforming", d, err)
 	}
 	obj, _ = store.FindOne("DerivedConfig", fbnet.Eq("device_name", "dev00"))
 	if !obj.Bool("conforms") {

@@ -325,7 +325,7 @@ func TestE2EConcurrentDeviationsRace(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet did not converge\n%s", rec.DeviceTable())
+			t.Fatalf("fleet did not converge\n%s", reconcile.FormatDeviceTable(rec.Devices()))
 		}
 		rec.Sweep() // belt and braces: pick up anything a lost race dropped
 		time.Sleep(5 * time.Millisecond)

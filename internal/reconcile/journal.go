@@ -22,30 +22,27 @@ const (
 	EvQuarantined     EventType = "quarantined"      // device parked for operator review
 	EvReleased        EventType = "released"         // operator released a quarantined device
 	EvSuppressed      EventType = "suppressed"       // drift ignored (quarantined device)
-	EvRateLimited     EventType = "rate-limited"     // deploy token bucket empty, deferred
-	EvBudgetTrip      EventType = "budget-trip"      // safety budget exceeded, breaker opened
-	EvBreakerReset    EventType = "breaker-reset"    // operator re-armed the loop
+	EvBudgetTrip      EventType = "budget-trip"      // safety budget exceeded, shard breaker opened
+	EvBreakerReset    EventType = "breaker-reset"    // operator re-armed a shard breaker
 	EvCheckError      EventType = "check-error"      // conformance check failed (device unreachable...)
 	EvTransportRetry  EventType = "transport-retry"  // remediation hit a transport fault; rescheduled without penalty
 	EvTransportGiveUp EventType = "transport-giveup" // transport retries exhausted; device re-enters via next sweep
 	EvSweep           EventType = "sweep"            // periodic full-fleet conformance sweep ran
 	EvHalted          EventType = "halted"           // drift seen while the breaker is open
-	EvAggregateTrip   EventType = "aggregate-trip"   // global last-resort breaker opened
 	EvResumed         EventType = "resumed"          // in-flight remediation interrupted by a restart, rescheduled
 )
 
 // Event is one journal entry. Active and ShardActive snapshot the
 // in-flight remediation counts (fleet-wide and in the device's shard) at
 // append time, so budget compliance is auditable from the journal alone
-// at both levels. FireAt records when a pending timer is due (scheduled,
-// rate-limited, and retried check-error entries) — the field
-// ResumeFromJournal replays to re-arm timers exactly where a killed
-// process left them.
+// at both levels. FireAt records when a pending timer is due (scheduled
+// and retried check-error entries) — the field ResumeFromJournal replays
+// to re-arm timers exactly where a killed process left them.
 type Event struct {
 	Seq         int64
 	At          time.Time
 	Device      string // empty for loop-wide events (sweep, breaker-reset)
-	Shard       string // failure domain; empty for loop-wide events
+	Shard       string // failure domain; empty for sweeps
 	Type        EventType
 	Detail      string
 	Active      int
@@ -176,11 +173,9 @@ type ReconcileStats struct {
 	Quarantined      int64 // devices parked for operator review
 	BudgetTrips      int64 // circuit-breaker openings
 	Retries          int64 // failed remediation attempts rescheduled
-	RateLimited      int64 // remediations deferred by the deploy token bucket
 	CheckErrors      int64 // conformance checks that errored (retried)
 	Suppressed       int64 // deviations ignored on quarantined devices
 	TransportRetries int64 // remediations rescheduled after transport faults
-	GlobalTrips      int64 // aggregate (fleet-wide) breaker openings
 
 	// ShardTrips counts breaker openings per failure domain; shards that
 	// never tripped are omitted.
@@ -201,6 +196,6 @@ func (s ReconcileStats) String() string {
 		}
 		fmt.Fprintf(&b, "%s:%d", name, s.ShardTrips[name])
 	}
-	return fmt.Sprintf("detected=%d remediated=%d converged=%d quarantined=%d budget-trips=%d retries=%d rate-limited=%d check-errors=%d suppressed=%d transport-retries=%d global-trips=%d shard-trips{%s}",
-		s.Detected, s.Remediated, s.Converged, s.Quarantined, s.BudgetTrips, s.Retries, s.RateLimited, s.CheckErrors, s.Suppressed, s.TransportRetries, s.GlobalTrips, b.String())
+	return fmt.Sprintf("detected=%d remediated=%d converged=%d quarantined=%d budget-trips=%d retries=%d check-errors=%d suppressed=%d transport-retries=%d shard-trips{%s}",
+		s.Detected, s.Remediated, s.Converged, s.Quarantined, s.BudgetTrips, s.Retries, s.CheckErrors, s.Suppressed, s.TransportRetries, b.String())
 }

@@ -12,16 +12,13 @@
 //     window is quarantined for operator review instead of being fought.
 //   - Failure-domain sharding: every device maps to a shard (its FBNet
 //     site, or a deterministic name-prefix fallback) that owns its own
-//     safety budget min(K, X·shard_fleet), circuit breaker, and deploy
-//     token bucket — a drift storm in one site trips only that shard
-//     while every other domain keeps converging. A global aggregate
-//     breaker (≥N shards open, or fleet-wide demand over a global cap)
-//     remains as the last-resort halt; mass drift usually means the
-//     *desired* state is wrong, and redeploying it everywhere would
-//     propagate the error.
-//   - Paced drain on breaker reset: the backlog is released DrainBatch
-//     devices per DrainEvery per shard instead of re-arming everything
-//     at once.
+//     safety budget min(K, X·shard_fleet) and circuit breaker — a drift
+//     storm in one site trips only that shard while every other domain
+//     keeps converging. Mass drift usually means the *desired* state is
+//     wrong, and redeploying it everywhere would propagate the error. A
+//     single-domain loop is the one-shard case.
+//   - Paced drain on breaker reset: the backlog is released one device
+//     per second per shard instead of re-arming everything at once.
 //   - A durable event journal and counters, so every decision the loop
 //     made is auditable after the fact — and replayable: a restarted
 //     reconciler built with ResumeFromJournal picks up exactly where the
@@ -98,10 +95,7 @@ type Reconciler struct {
 	devices       map[string]*deviceState
 	shards        map[string]*shard
 	active        int // devices in remediating|confirming, fleet-wide
-	open          int // devices in detected|backoff|remediating|confirming, fleet-wide
 	trippedShards int // shards whose breaker is currently open
-	globalTripped bool
-	globalTrips   int64
 	stopped       bool
 	met           reconcileMetrics
 	reg           *telemetry.Registry // per-shard metric home; swapped by Instrument
@@ -137,15 +131,17 @@ func (r *Reconciler) Start() {
 	if r.stopped || r.cfg.SweepInterval <= 0 || r.deps.SweepList == nil || r.sweepTimer != nil {
 		return
 	}
-	r.armSweepLocked()
+	r.armSweepLocked(r.cfg.SweepInterval)
 }
 
-func (r *Reconciler) armSweepLocked() {
-	r.sweepTimer = r.clock.AfterFunc(r.cfg.SweepInterval, func() {
+// armSweepLocked schedules the next sweep after delay; each sweep then
+// arms the one a SweepInterval later.
+func (r *Reconciler) armSweepLocked(delay time.Duration) {
+	r.sweepTimer = r.clock.AfterFunc(delay, func() {
 		r.Sweep()
 		r.mu.Lock()
 		if !r.stopped {
-			r.armSweepLocked()
+			r.armSweepLocked(r.cfg.SweepInterval)
 		}
 		r.mu.Unlock()
 	})
@@ -214,7 +210,7 @@ func (r *Reconciler) noteDrift(name, detail string) {
 		return
 	}
 	sh := ds.shard
-	if r.globalTripped || sh.tripped {
+	if sh.tripped {
 		r.eventLocked(name, sh, EvHalted, "breaker open: drift recorded, remediation not scheduled")
 		r.mu.Unlock()
 		return
@@ -228,14 +224,6 @@ func (r *Reconciler) noteDrift(name, detail string) {
 		r.tripShardLocked(sh, name,
 			fmt.Sprintf("%d device(s) need remediation in shard %s, budget %d: shard halted", sh.open, sh.name, budget),
 			&alerts)
-		r.mu.Unlock()
-		r.fire(alerts)
-		return
-	}
-	// Fleet-wide demand cap: many shards drifting at once, each inside
-	// its own budget, is still a fleet-wide event.
-	if gcap := r.globalCapLocked(); gcap > 0 && r.open > gcap {
-		r.tripGlobalLocked(fmt.Sprintf("%d device(s) need remediation fleet-wide, global cap %d: loop halted", r.open, gcap), &alerts)
 		r.mu.Unlock()
 		r.fire(alerts)
 		return
@@ -291,36 +279,37 @@ func (r *Reconciler) recheck(device string) {
 		r.HandleCheckError(device, err)
 		return
 	}
+	r.checkPassed(device)
+	if dev != nil {
+		r.noteDrift(dev.Device, fmt.Sprintf("recheck: drift +%d/-%d lines", dev.Added, dev.Removed))
+	}
+}
+
+// checkPassed zeroes a device's check-retry count after a conformance
+// check that did not error. Nothing is journaled; ResumeFromJournal
+// infers it.
+func (r *Reconciler) checkPassed(device string) {
 	r.mu.Lock()
 	if ds := r.devices[device]; ds != nil {
 		ds.checkAttempt = 0
 	}
 	r.mu.Unlock()
-	if dev != nil {
-		r.noteDrift(dev.Device, fmt.Sprintf("recheck: drift +%d/-%d lines", dev.Added, dev.Removed))
-	}
 }
 
 // Sweep runs one full-fleet conformance pass now, feeding any drift (or
 // check error) into the loop. Returns the number of devices checked.
 func (r *Reconciler) Sweep() int {
 	r.mu.Lock()
-	if r.stopped || r.globalTripped || r.deps.SweepList == nil {
+	if r.stopped || r.deps.SweepList == nil {
 		r.mu.Unlock()
 		return 0
 	}
 	skip := make(map[string]bool, len(r.devices))
 	for name, ds := range r.devices {
-		if ds.shard.tripped {
-			// Shard breaker open: drift there is already known en masse;
-			// checking would only journal halted-spam.
-			skip[name] = true
-			continue
-		}
-		switch ds.state {
-		case StateDetected, StateBackoff, StateRemediating, StateConfirming, StateQuarantined:
-			skip[name] = true
-		}
+		// Devices in the loop or parked need no check. Behind an open
+		// shard breaker drift is already known en masse; checking would
+		// only journal halted-spam.
+		skip[name] = ds.shard.tripped || isOpenState(ds.state) || ds.state == StateQuarantined
 	}
 	trippedShards := make(map[string]bool)
 	for name, sh := range r.shards {
@@ -345,11 +334,7 @@ func (r *Reconciler) Sweep() int {
 			r.HandleCheckError(name, err)
 			continue
 		}
-		r.mu.Lock()
-		if ds := r.devices[name]; ds != nil {
-			ds.checkAttempt = 0
-		}
-		r.mu.Unlock()
+		r.checkPassed(name)
 		if dev != nil {
 			r.noteDrift(dev.Device, fmt.Sprintf("sweep: drift +%d/-%d lines", dev.Added, dev.Removed))
 		}
@@ -372,7 +357,7 @@ func (r *Reconciler) tryRemediate(name string) {
 	ds.timerArmed = false
 	ds.timer = nil
 	sh := ds.shard
-	if r.globalTripped || sh.tripped {
+	if sh.tripped {
 		// Breaker opened while we waited; park in backoff (no timer) for
 		// ResetBreaker to resume.
 		r.mu.Unlock()
@@ -389,16 +374,6 @@ func (r *Reconciler) tryRemediate(name string) {
 		r.mu.Unlock()
 		r.fire(alerts)
 		return
-	}
-	if sh.bucket != nil {
-		now := r.clock.Now()
-		if wait := sh.bucket.take(now); wait > 0 {
-			r.met.rateLimited.Inc()
-			r.eventAtLocked(name, sh, EvRateLimited, fmt.Sprintf("deploy token in %v", wait), now.Add(wait))
-			r.rearmLocked(ds, wait)
-			r.mu.Unlock()
-			return
-		}
 	}
 	r.active++
 	sh.active++
@@ -541,27 +516,22 @@ func (r *Reconciler) Release(name string) error {
 	return nil
 }
 
-// Tripped reports whether any safety-budget circuit breaker — shard or
-// global — is open.
+// Tripped reports whether any shard's safety-budget circuit breaker is
+// open.
 func (r *Reconciler) Tripped() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.globalTripped || r.trippedShards > 0
+	return r.trippedShards > 0
 }
 
-// ResetBreaker re-arms every tripped breaker (global and per-shard): the
-// operator has inspected the mass drift and wants the backlog drained —
-// paced, DrainBatch devices per DrainEvery per shard, on top of each
-// device's own backoff.
+// ResetBreaker re-arms every tripped shard breaker: the operator has
+// inspected the mass drift and wants the backlog drained — paced, one
+// device per shard per drainEvery, on top of each device's own backoff.
 func (r *Reconciler) ResetBreaker() {
 	r.mu.Lock()
-	if !r.globalTripped && r.trippedShards == 0 {
+	if r.trippedShards == 0 {
 		r.mu.Unlock()
 		return
-	}
-	if r.globalTripped {
-		r.globalTripped = false
-		r.eventLocked("", nil, EvBreakerReset, "operator re-armed the loop")
 	}
 	for _, name := range r.sortedShardNamesLocked() {
 		sh := r.shards[name]
@@ -596,19 +566,11 @@ func (r *Reconciler) ResetShardBreaker(name string) error {
 
 // drainLocked releases the parked backlog: every open device without an
 // armed timer (in only, when non-nil) is rescheduled at its own backoff
-// plus a per-shard pacing offset — DrainBatch devices per DrainEvery —
+// plus a per-shard pacing offset — drainBatch devices per drainEvery —
 // so a reset never re-creates the storm it is recovering from. Sorted
 // order: timer order is remediation order, and map iteration would make
 // the drain order (and the journal) differ run to run.
 func (r *Reconciler) drainLocked(only *shard) {
-	if r.globalTripped {
-		return // still halted fleet-wide; the global reset drains
-	}
-	every := r.cfg.DrainEvery
-	if every < 0 {
-		every = 0
-	}
-	batch := r.cfg.DrainBatch
 	names := make([]string, 0, len(r.devices))
 	for name := range r.devices {
 		names = append(names, name)
@@ -626,7 +588,7 @@ func (r *Reconciler) drainLocked(only *shard) {
 		if (ds.state == StateDetected || ds.state == StateBackoff) && !ds.timerArmed {
 			i := idx[ds.shard]
 			idx[ds.shard]++
-			pace := time.Duration(i/batch) * every
+			pace := time.Duration(i/drainBatch) * drainEvery
 			r.scheduleLocked(ds, r.cfg.backoff(ds.attempt)+pace)
 		}
 	}
@@ -652,7 +614,6 @@ func (r *Reconciler) Stats() ReconcileStats {
 			shardTrips[name] = sh.trips
 		}
 	}
-	globalTrips := r.globalTrips
 	r.mu.Unlock()
 	return ReconcileStats{
 		Detected:         m.detected.Value(),
@@ -661,11 +622,9 @@ func (r *Reconciler) Stats() ReconcileStats {
 		Quarantined:      m.quarantined.Value(),
 		BudgetTrips:      m.budgetTrips.Value(),
 		Retries:          m.retries.Value(),
-		RateLimited:      m.rateLimited.Value(),
 		CheckErrors:      m.checkErrors.Value(),
 		Suppressed:       m.suppressed.Value(),
 		TransportRetries: m.transportRetries.Value(),
-		GlobalTrips:      globalTrips,
 		ShardTrips:       shardTrips,
 	}
 }
@@ -704,11 +663,6 @@ func (r *Reconciler) Devices() []DeviceStatus {
 	return out
 }
 
-// DeviceTable renders the per-state device table for operators.
-func (r *Reconciler) DeviceTable() string {
-	return FormatDeviceTable(r.Devices())
-}
-
 // --- internals ---
 
 func (r *Reconciler) ensureLocked(name string) *deviceState {
@@ -716,7 +670,7 @@ func (r *Reconciler) ensureLocked(name string) *deviceState {
 	if ds == nil {
 		now := r.clock.Now()
 		ds = &deviceState{name: name, state: StateConverged, changedAt: now}
-		ds.shard = r.shardLocked(r.shardNameOf(name), now)
+		ds.shard = r.shardLocked(r.shardNameOf(name))
 		ds.shard.devices++
 		r.devices[name] = ds
 	}
@@ -748,18 +702,16 @@ func (r *Reconciler) setStateLocked(ds *deviceState, s State, typ EventType, det
 }
 
 // applyStateLocked moves the device's state machine, maintaining the
-// incremental open-device counters (shard and fleet-wide) that replaced
-// the per-event fleet scan — O(1) per transition, which is what makes
-// the budget math flat at 100k devices.
+// shard's incremental open-device count that replaced the per-event
+// fleet scan — O(1) per transition, which is what makes the budget math
+// flat at 100k devices.
 func (r *Reconciler) applyStateLocked(ds *deviceState, s State) {
 	was, is := isOpenState(ds.state), isOpenState(s)
 	if is && !was {
 		ds.shard.open++
-		r.open++
 	}
 	if was && !is {
 		ds.shard.open--
-		r.open--
 	}
 	ds.state = s
 }

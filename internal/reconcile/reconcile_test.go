@@ -10,6 +10,7 @@ import (
 
 	"github.com/robotron-net/robotron/internal/deploy"
 	"github.com/robotron-net/robotron/internal/monitor"
+	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/revctl"
 	"github.com/robotron-net/robotron/internal/vclock"
 )
@@ -23,6 +24,7 @@ type fakeWorld struct {
 	running    map[string]string
 	genFail    map[string]int // fail next N generates per device
 	deployFail map[string]int // fail next N deploys per device
+	deployDrop map[string]int // drop the session on the next N deploys per device
 	checkFail  map[string]int // fail next N checks per device
 	deploys    []deployRec
 	commits    int
@@ -36,7 +38,8 @@ type deployRec struct {
 func newFakeWorld(devices ...string) *fakeWorld {
 	w := &fakeWorld{
 		golden: map[string]string{}, running: map[string]string{},
-		genFail: map[string]int{}, deployFail: map[string]int{}, checkFail: map[string]int{},
+		genFail: map[string]int{}, deployFail: map[string]int{}, deployDrop: map[string]int{},
+		checkFail: map[string]int{},
 	}
 	for _, d := range devices {
 		w.golden[d] = "hostname " + d + "\n"
@@ -75,6 +78,10 @@ func (w *fakeWorld) deployClock(clk vclock.Clock) func(map[string]string, deploy
 			if w.deployFail[name] > 0 {
 				w.deployFail[name]--
 				return rep, fmt.Errorf("fake deploy failure on %s", name)
+			}
+			if w.deployDrop[name] > 0 {
+				w.deployDrop[name]--
+				return rep, fmt.Errorf("fake deploy on %s: %w", name, netsim.ErrInjectedTransient)
 			}
 			w.running[name] = cfg
 			w.deploys = append(w.deploys, deployRec{device: name, at: clk.Now()})
@@ -332,39 +339,6 @@ func TestBudgetFractionOfFleet(t *testing.T) {
 	}
 }
 
-// TestDeployRateLimit: the token bucket spaces remediation deploys.
-func TestDeployRateLimit(t *testing.T) {
-	w := newFakeWorld("d1", "d2", "d3")
-	r, clk := newTestRec(w, Config{
-		BackoffBase: time.Second, DeployEvery: 10 * time.Second, DeployBurst: 1,
-		DampingThreshold: -1,
-	})
-	for _, d := range []string{"d1", "d2", "d3"} {
-		driftAndNotify(w, r, d)
-	}
-	clk.Advance(time.Minute)
-	for _, d := range []string{"d1", "d2", "d3"} {
-		wantState(t, r, d, StateConverged)
-	}
-	w.mu.Lock()
-	times := append([]deployRec(nil), w.deploys...)
-	w.mu.Unlock()
-	if len(times) != 3 {
-		t.Fatalf("deploys = %d, want 3", len(times))
-	}
-	// Bucket epoch t0, 1 token / 10s: deploys land at exactly 1s (initial
-	// token), 10s (first refill), 20s (second refill).
-	want := []time.Duration{time.Second, 10 * time.Second, 20 * time.Second}
-	for i, rec := range times {
-		if got := rec.at.Sub(t0); got != want[i] {
-			t.Errorf("deploy %d at %v, want %v", i, got, want[i])
-		}
-	}
-	if s := r.Stats(); s.RateLimited == 0 {
-		t.Error("no rate-limited events recorded")
-	}
-}
-
 // TestCheckErrorRetryQueue: errored conformance checks are retried with
 // backoff instead of being dropped, and a drift found on retry enters
 // the loop.
@@ -486,7 +460,7 @@ func TestDeviceTableRendersStates(t *testing.T) {
 	r, clk := newTestRec(w, Config{BackoffBase: time.Second, DampingThreshold: -1})
 	driftAndNotify(w, r, "d1")
 	clk.Advance(time.Second)
-	tbl := r.DeviceTable()
+	tbl := FormatDeviceTable(r.Devices())
 	if !strings.Contains(tbl, "d1") || !strings.Contains(tbl, string(StateConverged)) {
 		t.Errorf("device table missing content:\n%s", tbl)
 	}
@@ -501,29 +475,6 @@ func TestGenerateFailureRetries(t *testing.T) {
 	wantState(t, r, "d1", StateConverged)
 	if s := r.Stats(); s.Retries != 1 {
 		t.Errorf("retries = %d, want 1", s.Retries)
-	}
-}
-
-func TestTokenBucketDeterminism(t *testing.T) {
-	b := newTokenBucket(2, 10*time.Second, t0)
-	if w := b.take(t0); w != 0 {
-		t.Errorf("first take wait = %v", w)
-	}
-	if w := b.take(t0); w != 0 {
-		t.Errorf("second take wait = %v", w)
-	}
-	if w := b.take(t0); w != 10*time.Second {
-		t.Errorf("empty-bucket wait = %v, want 10s", w)
-	}
-	if w := b.take(t0.Add(10 * time.Second)); w != 0 {
-		t.Errorf("post-refill take wait = %v", w)
-	}
-	// Tokens cap at capacity after a long idle.
-	b2 := newTokenBucket(2, time.Second, t0)
-	b2.take(t0)
-	b2.refill(t0.Add(time.Hour))
-	if b2.tokens != 2 {
-		t.Errorf("tokens = %d, want capped at 2", b2.tokens)
 	}
 }
 

@@ -1,38 +1,54 @@
 package reconcile
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 )
 
 // ResumeFromJournal builds a reconciler that picks up exactly where a
-// killed process stopped, by replaying its append-only journal: per-device
-// state machines, damping history, in-flight remediation slots, breaker
-// positions (shard and global), deploy token buckets, and pending timers
-// are all reconstructed from the events alone. The adopted events keep
-// their sequence numbers and the new journal appends after them, so a
-// resumed run's journal is the uninterrupted run's journal — byte for
-// byte — when the kill happened at a quiescent point.
+// killed process stopped, by replaying its append-only journal. From the
+// events alone it rebuilds:
+//
+//   - every device's state machine, remediation and transport attempt
+//     counts, check-retry count, and flap-damping history;
+//   - each shard's open and in-flight counts, breaker position and trip
+//     count;
+//   - the outcome counters behind Stats();
+//   - the pending timers: backoff, check retries, and the sweep chain.
+//
+// The adopted events keep their sequence numbers and the new journal
+// appends after them, so a resumed run's journal is the uninterrupted
+// run's journal, byte for byte.
 //
 // Contract:
 //
-//   - cfg must match the killed process's config (budgets, backoff, and
-//     bucket shapes are not journaled), and cfg.Clock must read at or
-//     after the last event's At.
+//   - cfg must match the killed process's config (budgets and backoff
+//     are not journaled), and cfg.Clock must read the instant of the kill
+//     or later.
 //   - deps must address the same fleet; devices keep the shard recorded
 //     in their events.
-//   - Pending backoff/rate-limit/check-retry timers are re-armed at
-//     their journaled due times (immediately when already past), in
-//     journal order, so the virtual-clock firing order is reproduced.
+//   - Pending timers are re-armed at their journaled due times, in
+//     journal order, so the virtual-clock firing order is reproduced. A
+//     backoff timer past due with its shard's breaker open fired and
+//     parked; a reset drains it.
+//   - The next sweep is due one SweepInterval after the last journaled
+//     sweep, by the chain or by hand. Before the first one the journal
+//     does not say when the chain started, so it restarts one interval
+//     after the resume.
+//   - A passing check journals nothing but zeroes the device's retry
+//     count. Replay takes the count from the last check error's detail
+//     and zeroes it when a check retry or a sweep checked the device
+//     after that error. A check retry due by the resume instant has run,
+//     unless it was armed at that instant: resuming later than the kill
+//     skips the retries due in between, and the next sweep re-checks
+//     those devices. A passing VerifyDevices check is not replayed.
 //   - A device killed mid-remediation (journal ends remediating or
 //     confirming) is journaled as resumed and rescheduled immediately:
 //     remediation is idempotent (regenerate + redeploy golden), so
 //     re-running the interrupted attempt is safe.
-//   - A recheck due between the last journaled check error and the kill
-//     re-runs on resume; a successful silent recheck just resets the
-//     retry counter again, converging the in-memory state with the
-//     uninterrupted run.
 //   - The journal sink is not re-fed the adopted prefix: resuming from a
 //     sink file leaves the file correct.
 //
@@ -42,220 +58,263 @@ import (
 func ResumeFromJournal(deps Deps, cfg Config, events []Event) *Reconciler {
 	r := New(deps, cfg)
 	r.mu.Lock()
-	var lastSweepAt time.Time
-	var lastSweepSeq int64
+	p := &replayer{Reconciler: r,
+		backoff: map[string]*Event{}, rechecks: map[string][]*Event{},
+		lastError: map[string]time.Time{}, sweepError: map[string]time.Time{},
+		sweepTrip: map[string]time.Time{}}
 	for i := range events {
-		r.replayLocked(&events[i], &lastSweepAt, &lastSweepSeq)
+		p.apply(&events[i])
 	}
 	r.journal.restore(events)
-	r.armReplayedLocked(lastSweepAt, lastSweepSeq)
+	p.arm()
 	r.mu.Unlock()
 	return r
 }
 
-// replayLocked applies one journaled event to the in-memory state,
-// without journaling anything.
-func (r *Reconciler) replayLocked(e *Event, lastSweepAt *time.Time, lastSweepSeq *int64) {
+// replayer is ResumeFromJournal's scratch: what the journal says about
+// timers and check retries that the live state does not keep. Devices and
+// shards are keyed by name.
+type replayer struct {
+	*Reconciler
+	lastSweep  *Event
+	backoff    map[string]*Event    // the scheduled event behind a device's backoff timer
+	rechecks   map[string][]*Event  // check retries armed and not matched to a check error
+	lastError  map[string]time.Time // a device's last check error
+	sweepError map[string]time.Time // its last check error no retry accounts for
+	sweepTrip  map[string]time.Time // a shard's last trip by a sweep's detection
+}
+
+// recheckDue is when the check retry an event armed is due: a check
+// error's FireAt, or a release's own instant.
+func recheckDue(e *Event) time.Time {
+	if e.FireAt.IsZero() {
+		return e.At
+	}
+	return e.FireAt
+}
+
+// apply replays one journaled event onto the in-memory state, without
+// journaling anything.
+func (p *replayer) apply(e *Event) {
 	var ds *deviceState
 	if e.Device != "" {
-		ds = r.devices[e.Device]
+		ds = p.devices[e.Device]
 		if ds == nil {
-			// Shard creation time is the event's At — the same instant
-			// the live reconciler created it, so the token bucket epoch
-			// matches (see shardLocked).
 			shName := e.Shard
 			if shName == "" {
-				shName = r.shardNameOf(e.Device)
+				shName = p.shardNameOf(e.Device)
 			}
 			ds = &deviceState{name: e.Device, state: StateConverged, changedAt: e.At}
-			ds.shard = r.shardLocked(shName, e.At)
+			ds.shard = p.shardLocked(shName)
 			ds.shard.devices++
-			r.devices[e.Device] = ds
+			p.devices[e.Device] = ds
 		}
 	}
 	// settle releases the budget slot an outcome event implies: the live
 	// path decrements active before journaling the outcome.
 	settle := func() {
 		if ds.state == StateRemediating || ds.state == StateConfirming {
-			r.active--
+			p.active--
 			ds.shard.active--
 		}
 	}
 	switch e.Type {
 	case EvDetected:
-		ds.detections = pruneWindow(append(ds.detections, e.At), e.At, r.cfg.DampingWindow)
-		r.met.detected.Inc()
+		ds.detections = pruneWindow(append(ds.detections, e.At), e.At, p.cfg.DampingWindow)
+		p.met.detected.Inc()
 		// A detection via recheck/sweep/verify implies the conformance
 		// check succeeded, which reset the retry counter.
 		if strings.HasPrefix(e.Detail, "recheck:") || strings.HasPrefix(e.Detail, "sweep:") ||
 			strings.HasPrefix(e.Detail, "post-deploy verify:") {
 			ds.checkAttempt = 0
 		}
-		ds.pendingRecheck = time.Time{}
-		r.applyReplayLocked(ds, StateDetected, e)
+		p.setState(ds, StateDetected, e)
 	case EvScheduled:
-		r.applyReplayLocked(ds, StateBackoff, e)
-		ds.pendingFire = e.FireAt
-		ds.pendingFireSeq = e.Seq
-	case EvRateLimited:
-		r.met.rateLimited.Inc()
-		if ds.shard.bucket != nil {
-			ds.shard.bucket.take(e.At) // mirrors the live failed take's refill
-		}
-		ds.pendingFire = e.FireAt
-		ds.pendingFireSeq = e.Seq
+		p.setState(ds, StateBackoff, e)
+		p.backoff[ds.name] = e
 	case EvRemediate:
-		if ds.shard.bucket != nil {
-			ds.shard.bucket.take(e.At)
-		}
-		r.active++
+		p.active++
 		ds.shard.active++
-		r.applyReplayLocked(ds, StateRemediating, e)
+		p.setState(ds, StateRemediating, e)
 	case EvConfirming:
-		r.applyReplayLocked(ds, StateConfirming, e)
+		p.setState(ds, StateConfirming, e)
 	case EvConverged:
 		settle()
 		ds.attempt, ds.checkAttempt, ds.transportAttempt = 0, 0, 0
-		r.met.remediated.Inc()
-		r.met.converged.Inc()
-		r.applyReplayLocked(ds, StateConverged, e)
+		p.met.remediated.Inc()
+		p.met.converged.Inc()
+		p.setState(ds, StateConverged, e)
 	case EvRetry:
 		settle()
 		ds.attempt++
-		r.met.retries.Inc()
+		p.met.retries.Inc()
 		// The live path journals scheduled in the same critical section;
 		// park as detected so the slot can't be released twice.
-		r.applyReplayLocked(ds, StateDetected, e)
+		p.setState(ds, StateDetected, e)
 	case EvTransportRetry:
 		settle()
 		ds.transportAttempt++
-		r.met.transportRetries.Inc()
-		r.applyReplayLocked(ds, StateDetected, e)
+		p.met.transportRetries.Inc()
+		p.setState(ds, StateDetected, e)
 	case EvTransportGiveUp:
 		settle()
 		ds.transportAttempt = 0
-		r.met.transportRetries.Inc()
-		r.applyReplayLocked(ds, StateConverged, e)
+		p.met.transportRetries.Inc()
+		p.setState(ds, StateConverged, e)
 	case EvQuarantined:
 		if ds.state == StateRemediating || ds.state == StateConfirming {
 			settle()
 			ds.attempt++ // live: attempt++ preceded the quarantine check
 		}
-		r.met.quarantined.Inc()
-		r.applyReplayLocked(ds, StateQuarantined, e)
+		p.met.quarantined.Inc()
+		p.setState(ds, StateQuarantined, e)
 	case EvReleased:
 		ds.attempt, ds.checkAttempt = 0, 0
 		ds.detections = nil
-		r.applyReplayLocked(ds, StateConverged, e)
-		// Release armed an immediate recheck.
-		ds.pendingRecheck = e.At
-		ds.pendingRecheckSeq = e.Seq
+		p.setState(ds, StateConverged, e)
+		p.rechecks[ds.name] = append(p.rechecks[ds.name], e) // an immediate recheck
 	case EvSuppressed:
-		r.met.suppressed.Inc()
+		p.met.suppressed.Inc()
 	case EvCheckError:
-		r.met.checkErrors.Inc()
-		ds.checkAttempt++
-		if e.FireAt.IsZero() {
-			// Gave up until the next sweep.
-			ds.checkAttempt = 0
-			ds.pendingRecheck = time.Time{}
-		} else {
-			ds.pendingRecheck = e.FireAt
-			ds.pendingRecheckSeq = e.Seq
+		p.met.checkErrors.Inc()
+		if !p.matchRecheck(ds.name, e.At) {
+			p.sweepError[ds.name] = e.At
+		}
+		p.lastError[ds.name] = e.At
+		// Passing checks reset the live count silently; the event carries
+		// the count it reached. A zero FireAt marks the give-up, which
+		// resets it.
+		ds.checkAttempt = 0
+		if !e.FireAt.IsZero() {
+			// A detail without a count leaves it at zero.
+			_, _ = fmt.Sscanf(e.Detail, "attempt %d:", &ds.checkAttempt)
+			p.rechecks[ds.name] = append(p.rechecks[ds.name], e)
 		}
 	case EvBudgetTrip:
-		sh := r.shardLocked(e.Shard, e.At)
+		sh := p.shardLocked(e.Shard)
 		if !sh.tripped {
 			sh.tripped = true
-			r.trippedShards++
+			p.trippedShards++
 		}
 		sh.trips++
 		sh.tripsCounter.Inc()
-		r.met.budgetTrips.Inc()
-	case EvAggregateTrip:
-		r.globalTripped = true
-		r.globalTrips++
-		r.met.globalTrips.Inc()
+		p.met.budgetTrips.Inc()
+		if ds != nil && strings.HasPrefix(ds.lastDetail, "sweep:") {
+			p.sweepTrip[sh.name] = e.At
+		}
 	case EvBreakerReset:
-		if e.Shard != "" {
-			if sh := r.shards[e.Shard]; sh != nil && sh.tripped {
-				sh.tripped = false
-				r.trippedShards--
-			}
-		} else {
-			r.globalTripped = false
+		if sh := p.shards[e.Shard]; sh != nil && sh.tripped {
+			sh.tripped = false
+			p.trippedShards--
 		}
 	case EvSweep:
-		*lastSweepAt = e.At
-		*lastSweepSeq = e.Seq
+		p.sweepPassed(e)
+		p.lastSweep = e
 	case EvHalted, EvResumed:
 		// State already captured by the surrounding events.
 	}
 }
 
-// applyReplayLocked is setStateLocked without the journal append: the
-// event already exists.
-func (r *Reconciler) applyReplayLocked(ds *deviceState, s State, e *Event) {
-	r.applyStateLocked(ds, s)
+// setState is setStateLocked without the journal append: the event
+// already exists.
+func (p *replayer) setState(ds *deviceState, s State, e *Event) {
+	p.applyStateLocked(ds, s)
 	ds.changedAt = e.At
 	ds.lastDetail = e.Detail
 	if s != StateBackoff {
-		ds.pendingFire = time.Time{}
+		delete(p.backoff, ds.name)
 	}
 }
 
-// armReplayedLocked re-creates the pending timers the killed process
-// held, in journal-sequence order — the virtual clock breaks equal due
-// times by timer creation order, so arming in the order the live process
-// armed reproduces its firing order exactly. Devices caught mid-flight
-// are settled and rescheduled.
-func (r *Reconciler) armReplayedLocked(lastSweepAt time.Time, lastSweepSeq int64) {
-	now := r.clock.Now()
+// sweepDue is when the sweep chain's next run is due; zero when unknown.
+func (p *replayer) sweepDue() time.Time {
+	if p.lastSweep == nil || p.cfg.SweepInterval <= 0 || p.deps.SweepList == nil {
+		return time.Time{}
+	}
+	return p.lastSweep.At.Add(p.cfg.SweepInterval)
+}
+
+// matchRecheck pairs a check error of device at t with a retry of it
+// due then, and reports whether one was found. Timers due at one instant
+// fire in arming order, so a candidate must have been armed before t (a
+// release's immediate recheck fires only on the clock's next advance),
+// and not after a sweep due at t that has not run yet.
+func (p *replayer) matchRecheck(device string, t time.Time) bool {
+	sweepPending := p.sweepDue().Equal(t)
+	for i, rc := range p.rechecks[device] {
+		if recheckDue(rc).Equal(t) && rc.At.Before(t) && !(sweepPending && rc.Seq > p.lastSweep.Seq) {
+			p.rechecks[device] = slices.Delete(p.rechecks[device], i, i+1)
+			return true
+		}
+	}
+	return false
+}
+
+// sweepPassed replays what a sweep leaves unjournaled: each device it
+// checked without an error has a zero retry count. It checked every
+// listed device that was neither open nor quarantined, in a shard whose
+// breaker was closed when it started — or tripped only by its own
+// detections.
+func (p *replayer) sweepPassed(e *Event) {
+	var listed map[string]bool
+	for name, ds := range p.devices {
+		if ds.checkAttempt == 0 || isOpenState(ds.state) || ds.state == StateQuarantined ||
+			p.sweepError[name].Equal(e.At) ||
+			(ds.shard.tripped && !p.sweepTrip[ds.shard.name].Equal(e.At)) {
+			continue
+		}
+		if listed == nil {
+			listed = map[string]bool{}
+			for _, n := range p.deps.SweepList() {
+				listed[n] = true
+			}
+		}
+		if listed[name] {
+			ds.checkAttempt = 0
+		}
+	}
+}
+
+// arm re-creates the pending timers the killed process held, in
+// journal-sequence order — the virtual clock breaks equal due times by
+// timer creation order, so arming in the order the live process armed
+// reproduces its firing order exactly. Devices caught mid-flight are
+// settled and rescheduled.
+func (p *replayer) arm() {
+	now := p.clock.Now()
 	type arm struct {
 		seq int64
 		fn  func()
 	}
 	var arms []arm
-	names := make([]string, 0, len(r.devices))
-	for name := range r.devices {
+	names := make([]string, 0, len(p.devices))
+	for name := range p.devices {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		ds := r.devices[name]
-		if ds.state == StateBackoff && !ds.pendingFire.IsZero() {
-			if !ds.pendingFire.After(now) && (r.globalTripped || ds.shard.tripped) {
-				// The timer fired before the kill and parked against the
-				// open breaker; ResetBreaker drains it.
-				ds.pendingFire = time.Time{}
-				continue
-			}
-			d, delay := ds, ds.pendingFire.Sub(now)
-			if delay < 0 {
-				delay = 0
-			}
-			arms = append(arms, arm{ds.pendingFireSeq, func() { r.rearmLocked(d, delay) }})
+		ds := p.devices[name]
+		// A backoff timer past due with the breaker open fired before the
+		// kill and parked; ResetBreaker drains it.
+		if e := p.backoff[name]; e != nil && (e.FireAt.After(now) || !ds.shard.tripped) {
+			delay := max(0, e.FireAt.Sub(now))
+			arms = append(arms, arm{e.Seq, func() { p.rearmLocked(ds, delay) }})
 		}
-		if !ds.pendingRecheck.IsZero() {
-			device, delay := name, ds.pendingRecheck.Sub(now)
-			if delay < 0 {
-				delay = 0
+		for _, rc := range p.rechecks[name] {
+			due := recheckDue(rc)
+			if due.After(now) || rc.At.Equal(now) {
+				arms = append(arms, arm{rc.Seq, func() {
+					p.clock.AfterFunc(due.Sub(now), func() { p.recheck(name) })
+				}})
+			} else if !due.Before(p.lastError[name]) {
+				ds.checkAttempt = 0 // ran after the last check error and passed
 			}
-			arms = append(arms, arm{ds.pendingRecheckSeq, func() {
-				r.clock.AfterFunc(delay, func() { r.recheck(device) })
-			}})
 		}
 	}
-	if r.cfg.SweepInterval > 0 && r.deps.SweepList != nil {
-		next := now.Add(r.cfg.SweepInterval)
-		if !lastSweepAt.IsZero() {
-			next = lastSweepAt.Add(r.cfg.SweepInterval)
-		}
-		delay := next.Sub(now)
-		if delay < 0 {
-			delay = 0
-		}
-		arms = append(arms, arm{lastSweepSeq, func() { r.armSweepDelayLocked(delay) }})
+	if next := p.sweepDue(); !next.IsZero() {
+		arms = append(arms, arm{p.lastSweep.Seq, func() { p.armSweepLocked(max(0, next.Sub(now))) }})
+	} else if p.cfg.SweepInterval > 0 && p.deps.SweepList != nil {
+		arms = append(arms, arm{0, func() { p.armSweepLocked(p.cfg.SweepInterval) }})
 	}
 	sort.SliceStable(arms, func(i, j int) bool { return arms[i].seq < arms[j].seq })
 	for _, a := range arms {
@@ -265,28 +324,13 @@ func (r *Reconciler) armReplayedLocked(lastSweepAt time.Time, lastSweepSeq int64
 	// held and redo the attempt — remediation regenerates and redeploys
 	// golden, so repeating it is safe.
 	for _, name := range names {
-		ds := r.devices[name]
+		ds := p.devices[name]
 		if ds.state == StateRemediating || ds.state == StateConfirming {
-			r.active--
+			p.active--
 			ds.shard.active--
-			r.applyStateLocked(ds, StateDetected)
-			r.eventLocked(ds.name, ds.shard, EvResumed, "in-flight remediation interrupted by restart")
-			r.scheduleLocked(ds, 0)
+			p.applyStateLocked(ds, StateDetected)
+			p.eventLocked(ds.name, ds.shard, EvResumed, "in-flight remediation interrupted by restart")
+			p.scheduleLocked(ds, 0)
 		}
-		ds.pendingFire, ds.pendingRecheck = time.Time{}, time.Time{}
-		ds.pendingFireSeq, ds.pendingRecheckSeq = 0, 0
 	}
-}
-
-// armSweepDelayLocked arms the sweep timer with a custom first delay
-// (resume honours the last journaled sweep time), then the normal chain.
-func (r *Reconciler) armSweepDelayLocked(delay time.Duration) {
-	r.sweepTimer = r.clock.AfterFunc(delay, func() {
-		r.Sweep()
-		r.mu.Lock()
-		if !r.stopped {
-			r.armSweepLocked()
-		}
-		r.mu.Unlock()
-	})
 }

@@ -14,10 +14,10 @@ import (
 // query-storm fleet sizes: the whole fleet drifts at once and the loop
 // drives every device back. Uses the fake world + virtual clock so the
 // number isolates reconciler overhead (state machine, journal, budget
-// math, scheduling). Two modes: "global" keeps the fleet in one failure
-// domain (every name derives to the same shard), "sharded" spreads it
-// over 64 sites via the SiteOf dependency — the budget/breaker math then
-// runs on per-shard counters. The 16384 size is gated behind
+// math, scheduling). Two modes: "global" is the one-shard case — SiteOf
+// puts the whole fleet in one site and ShardFleetSize reports the fleet —
+// and "sharded" spreads it over 64 sites, so the budget/breaker math runs
+// on per-shard counters. The 16384 size is gated behind
 // ROBOTRON_BENCH_LARGE=1; `make bench-reconcile` and `make bench-scale`
 // set the variable.
 func BenchmarkScaleReconcileConverge(b *testing.B) {
@@ -35,7 +35,10 @@ func BenchmarkScaleReconcileConverge(b *testing.B) {
 		}
 		for _, mode := range []string{"global", "sharded"} {
 			b.Run(fmt.Sprintf("fleet=%d/%s", fleet, mode), func(b *testing.B) {
-				deps := Deps{}
+				deps := Deps{
+					SiteOf:         func(string) string { return "fleet" },
+					ShardFleetSize: func(string) int { return fleet },
+				}
 				if mode == "sharded" {
 					deps.SiteOf = func(d string) string { return siteOf[d] }
 					deps.ShardFleetSize = func(string) int { return fleet / sites }

@@ -4,16 +4,14 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/robotron-net/robotron/internal/telemetry"
 )
 
 // shard is one failure domain's slice of the reconciler: its own safety
-// budget, circuit breaker, deploy token bucket, and in-flight/backlog
-// accounting. A drift storm in one site trips only that shard's breaker;
-// every other domain keeps converging. All fields are guarded by
-// Reconciler.mu.
+// budget, circuit breaker, and in-flight/backlog accounting. A drift
+// storm in one site trips only that shard's breaker; every other domain
+// keeps converging. All fields are guarded by Reconciler.mu.
 type shard struct {
 	name    string
 	tripped bool  // this shard's circuit breaker is open
@@ -21,7 +19,6 @@ type shard struct {
 	open    int   // devices in detected|backoff|remediating|confirming
 	active  int   // devices in remediating|confirming
 	devices int   // devices ever tracked in this shard
-	bucket  *tokenBucket
 
 	tripsCounter *telemetry.Counter
 }
@@ -65,15 +62,11 @@ func (r *Reconciler) shardNameOf(device string) string {
 	return DeriveShard(device)
 }
 
-// shardLocked returns (creating on first use) the named shard. The token
-// bucket's epoch is the shard's creation instant, which by construction
-// equals the At of the shard's first journal event — the invariant
-// ResumeFromJournal relies on to rebuild bucket state exactly.
-func (r *Reconciler) shardLocked(name string, now time.Time) *shard {
+// shardLocked returns (creating on first use) the named shard.
+func (r *Reconciler) shardLocked(name string) *shard {
 	sh := r.shards[name]
 	if sh == nil {
 		sh = &shard{name: name}
-		sh.bucket = newTokenBucket(r.cfg.DeployBurst, r.cfg.DeployEvery, now)
 		sh.tripsCounter = r.reg.Counter("robotron_reconcile_shard_trips_total",
 			telemetry.Label{Key: "shard", Value: name})
 		r.shards[name] = sh
@@ -87,54 +80,19 @@ func (r *Reconciler) shardLocked(name string, now time.Time) *shard {
 // fraction falls back to the fleet-wide size, preserving the historical
 // single-domain behaviour.
 func (r *Reconciler) shardBudgetLocked(sh *shard) int {
-	b := r.cfg.BudgetMaxDevices
-	if r.cfg.BudgetMaxFraction > 0 {
-		n := 0
-		if r.deps.ShardFleetSize != nil {
-			n = r.deps.ShardFleetSize(sh.name)
-		} else if r.deps.FleetSize != nil {
-			n = r.deps.FleetSize()
-		}
-		if n > 0 {
-			f := int(r.cfg.BudgetMaxFraction * float64(n))
-			if f < 1 {
-				f = 1
-			}
-			if f < b {
-				b = f
-			}
-		}
+	n := 0
+	if r.deps.ShardFleetSize != nil {
+		n = r.deps.ShardFleetSize(sh.name)
+	} else if r.deps.FleetSize != nil {
+		n = r.deps.FleetSize()
 	}
-	if b < 1 {
-		b = 1
+	if n <= 0 {
+		return r.cfg.BudgetMaxDevices
 	}
-	return b
+	return min(r.cfg.BudgetMaxDevices, max(1, int(r.cfg.BudgetMaxFraction*float64(n))))
 }
 
-// globalCapLocked resolves the fleet-wide demand cap behind the
-// aggregate breaker: min of GlobalBudgetMaxDevices and
-// GlobalBudgetMaxFraction·fleet, 0 when both are unset (disabled).
-func (r *Reconciler) globalCapLocked() int {
-	c := 0
-	if r.cfg.GlobalBudgetMaxDevices > 0 {
-		c = r.cfg.GlobalBudgetMaxDevices
-	}
-	if r.cfg.GlobalBudgetMaxFraction > 0 && r.deps.FleetSize != nil {
-		if n := r.deps.FleetSize(); n > 0 {
-			f := int(r.cfg.GlobalBudgetMaxFraction * float64(n))
-			if f < 1 {
-				f = 1
-			}
-			if c == 0 || f < c {
-				c = f
-			}
-		}
-	}
-	return c
-}
-
-// tripShardLocked opens one shard's breaker and, when enough shards are
-// open, escalates to the global aggregate breaker.
+// tripShardLocked opens one shard's breaker.
 func (r *Reconciler) tripShardLocked(sh *shard, device, detail string, alerts *[]string) {
 	sh.tripped = true
 	sh.trips++
@@ -145,20 +103,6 @@ func (r *Reconciler) tripShardLocked(sh *shard, device, detail string, alerts *[
 	*alerts = append(*alerts, fmt.Sprintf(
 		"reconcile: safety budget exceeded in shard %s (%s) — shard halted; mass drift usually means the desired state is wrong. Inspect and ResetBreaker().",
 		sh.name, detail))
-	if n := r.cfg.AggregateTripShards; n > 0 && r.trippedShards >= n && !r.globalTripped {
-		r.tripGlobalLocked(fmt.Sprintf("%d shard breaker(s) open, aggregate threshold %d: loop halted fleet-wide",
-			r.trippedShards, n), alerts)
-	}
-}
-
-// tripGlobalLocked opens the last-resort fleet-wide breaker.
-func (r *Reconciler) tripGlobalLocked(detail string, alerts *[]string) {
-	r.globalTripped = true
-	r.globalTrips++
-	r.met.globalTrips.Inc()
-	r.eventLocked("", nil, EvAggregateTrip, detail)
-	*alerts = append(*alerts, fmt.Sprintf(
-		"reconcile: %s — inspect drift fleet-wide and ResetBreaker()", detail))
 }
 
 // isOpenState reports whether a state counts against the demand-side
@@ -171,34 +115,12 @@ func isOpenState(s State) bool {
 	return false
 }
 
-// ShardOf reports which failure domain a device name maps to.
-func (r *Reconciler) ShardOf(device string) string { return r.shardNameOf(device) }
-
-// Shards returns the names of every shard seen so far, sorted.
-func (r *Reconciler) Shards() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.shards))
-	for name := range r.shards {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ShardTripped reports whether the named shard's breaker is open.
 func (r *Reconciler) ShardTripped(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	sh := r.shards[name]
 	return sh != nil && sh.tripped
-}
-
-// GlobalTripped reports whether the fleet-wide aggregate breaker is open.
-func (r *Reconciler) GlobalTripped() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.globalTripped
 }
 
 // ShardStatus is the exported view of one shard, served on /reconcile
@@ -216,13 +138,11 @@ type ShardStatus struct {
 
 // Snapshot is the reconciler's point-in-time operational state.
 type Snapshot struct {
-	Tripped       bool          `json:"tripped"`        // any breaker open (shard or global)
-	GlobalTripped bool          `json:"global_tripped"` // aggregate breaker open
-	GlobalTrips   int64         `json:"global_trips"`
-	Active        int           `json:"active"` // fleet-wide in-flight remediations
-	Open          int           `json:"open"`   // fleet-wide open devices
-	Devices       int           `json:"devices"`
-	Shards        []ShardStatus `json:"shards"`
+	Tripped bool          `json:"tripped"` // any shard breaker open
+	Active  int           `json:"active"`  // fleet-wide in-flight remediations
+	Open    int           `json:"open"`    // fleet-wide open devices
+	Devices int           `json:"devices"`
+	Shards  []ShardStatus `json:"shards"`
 }
 
 // Snapshot captures per-shard breaker position, budget occupancy, and
@@ -232,15 +152,13 @@ func (r *Reconciler) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Snapshot{
-		Tripped:       r.globalTripped || r.trippedShards > 0,
-		GlobalTripped: r.globalTripped,
-		GlobalTrips:   r.globalTrips,
-		Active:        r.active,
-		Open:          r.open,
-		Devices:       len(r.devices),
-		Shards:        make([]ShardStatus, 0, len(r.shards)),
+		Tripped: r.trippedShards > 0,
+		Active:  r.active,
+		Devices: len(r.devices),
+		Shards:  make([]ShardStatus, 0, len(r.shards)),
 	}
 	for name, sh := range r.shards {
+		s.Open += sh.open
 		s.Shards = append(s.Shards, ShardStatus{
 			Shard:   name,
 			Tripped: sh.tripped,
@@ -260,9 +178,7 @@ func (r *Reconciler) Snapshot() Snapshot {
 func FormatSnapshot(s Snapshot) string {
 	var b strings.Builder
 	breaker := "closed"
-	if s.GlobalTripped {
-		breaker = "OPEN (aggregate)"
-	} else if s.Tripped {
+	if s.Tripped {
 		breaker = "OPEN (shard)"
 	}
 	fmt.Fprintf(&b, "breaker=%s active=%d open=%d devices=%d shards=%d\n",

@@ -16,27 +16,15 @@ import (
 //	detected → backoff → remediating → confirming → converged
 //	                                             ↘ quarantined
 //
-// detected:    drift observed; not yet scheduled (only while the breaker
-//
-//	is open — normally a device moves to backoff immediately).
-//
-// backoff:     remediation queued behind the deterministic backoff delay
-//
-//	(or a deploy-rate token).
-//
-// remediating: golden regenerated and deploying with commit-confirm.
-// confirming:  provisionally committed; health check decides confirm vs
-//
-//	rollback.
-//
-// converged:   running config matches golden again; the device stays
-//
-//	tracked so flap damping spans episodes.
-//
-// quarantined: flap damping or repeated failure parked the device for
-//
-//	operator review; further drift is suppressed until
-//	Release.
+// A detected device has drifted but is not yet scheduled, which lasts
+// only while its shard's breaker is open; normally it moves to backoff at
+// once. In backoff, remediation waits out the deterministic backoff
+// delay. Remediating regenerates golden and deploys it with
+// commit-confirm; confirming holds the provisional commit while a health
+// check decides confirm or rollback. A converged device matches golden
+// again and stays tracked so flap damping spans episodes. Flap damping or
+// repeated failure quarantines a device for operator review; further
+// drift is suppressed until Release.
 type State string
 
 const (
@@ -62,14 +50,6 @@ type deviceState struct {
 	timerArmed       bool
 	lastDetail       string
 	changedAt        time.Time
-
-	// Replay scratch: the due time and journal position of the pending
-	// backoff/recheck timer, reconstructed by ResumeFromJournal and used
-	// only while re-arming. Zero outside recovery.
-	pendingFire       time.Time
-	pendingFireSeq    int64
-	pendingRecheck    time.Time
-	pendingRecheckSeq int64
 }
 
 // DeviceStatus is the exported view of one tracked device.
@@ -124,31 +104,6 @@ type Config struct {
 	BudgetMaxDevices  int
 	BudgetMaxFraction float64
 
-	// AggregateTripShards escalates to the global last-resort breaker
-	// when at least this many shard breakers are open at once — a storm
-	// that crosses failure domains is a fleet-wide problem. 0 (default)
-	// disables the aggregate breaker.
-	AggregateTripShards int
-
-	// GlobalBudgetMaxDevices and GlobalBudgetMaxFraction bound fleet-wide
-	// *demand*: when the total number of open devices across all shards
-	// exceeds min of the two, the global breaker opens even if no single
-	// shard exceeded its own budget. 0 (default) disables each bound.
-	GlobalBudgetMaxDevices  int
-	GlobalBudgetMaxFraction float64
-
-	// DrainEvery and DrainBatch pace the backlog release when a breaker
-	// is reset: DrainBatch devices per shard are scheduled per DrainEvery
-	// interval instead of re-arming the whole backlog at once (thundering
-	// herd). Defaults: 1s, 1. DrainEvery < 0 disables pacing.
-	DrainEvery time.Duration
-	DrainBatch int
-
-	// DeployEvery rate-limits remediation deploys: one token per
-	// interval, bucket capacity DeployBurst (default 1). 0 disables.
-	DeployEvery time.Duration
-	DeployBurst int
-
 	// ConfirmGrace is the commit-confirm window handed to the deployer;
 	// a remediation that fails its health check rolls back inside it.
 	// Default 30s.
@@ -191,8 +146,14 @@ const (
 	DefaultBudgetFraction   = 0.25
 	DefaultConfirmGrace     = 30 * time.Second
 	DefaultMaxCheckRetries  = 3
-	DefaultDrainEvery       = time.Second
-	DefaultDrainBatch       = 1
+)
+
+// A breaker reset releases the parked backlog drainBatch devices per
+// shard every drainEvery, instead of re-arming it all at once (thundering
+// herd).
+const (
+	drainEvery = time.Second
+	drainBatch = 1
 )
 
 func (c Config) withDefaults() Config {
@@ -220,15 +181,6 @@ func (c Config) withDefaults() Config {
 	if c.BudgetMaxFraction <= 0 {
 		c.BudgetMaxFraction = DefaultBudgetFraction
 	}
-	if c.DeployBurst <= 0 {
-		c.DeployBurst = 1
-	}
-	if c.DrainEvery == 0 {
-		c.DrainEvery = DefaultDrainEvery
-	}
-	if c.DrainBatch <= 0 {
-		c.DrainBatch = DefaultDrainBatch
-	}
 	if c.ConfirmGrace <= 0 {
 		c.ConfirmGrace = DefaultConfirmGrace
 	}
@@ -245,16 +197,10 @@ func (c Config) withDefaults() Config {
 // base·2ⁿ capped at BackoffMax.
 func (c Config) backoff(attempt int) time.Duration {
 	d := c.BackoffBase
-	for i := 0; i < attempt; i++ {
+	for i := 0; i < attempt && d < c.BackoffMax; i++ {
 		d *= 2
-		if d >= c.BackoffMax {
-			return c.BackoffMax
-		}
 	}
-	if d > c.BackoffMax {
-		d = c.BackoffMax
-	}
-	return d
+	return min(d, c.BackoffMax)
 }
 
 // FormatDeviceTable renders per-device states as an operator table,

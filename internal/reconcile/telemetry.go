@@ -19,11 +19,9 @@ type reconcileMetrics struct {
 	quarantined      *telemetry.Counter
 	budgetTrips      *telemetry.Counter
 	retries          *telemetry.Counter
-	rateLimited      *telemetry.Counter
 	checkErrors      *telemetry.Counter
 	suppressed       *telemetry.Counter
 	transportRetries *telemetry.Counter
-	globalTrips      *telemetry.Counter
 }
 
 func bindReconcileMetrics(reg *telemetry.Registry) reconcileMetrics {
@@ -38,11 +36,9 @@ func bindReconcileMetrics(reg *telemetry.Registry) reconcileMetrics {
 		quarantined:      c("robotron_reconcile_quarantined_total", "devices parked for operator review"),
 		budgetTrips:      c("robotron_reconcile_budget_trips_total", "safety-budget circuit-breaker openings"),
 		retries:          c("robotron_reconcile_retries_total", "failed remediation attempts rescheduled"),
-		rateLimited:      c("robotron_reconcile_rate_limited_total", "remediations deferred by the deploy token bucket"),
 		checkErrors:      c("robotron_reconcile_check_errors_total", "conformance checks that errored (retried)"),
 		suppressed:       c("robotron_reconcile_suppressed_total", "deviations ignored on quarantined devices"),
 		transportRetries: c("robotron_reconcile_transport_retries_total", "remediations rescheduled after transport faults (no quarantine credit)"),
-		globalTrips:      c("robotron_reconcile_global_trips_total", "aggregate (fleet-wide) circuit-breaker openings"),
 	}
 }
 
@@ -68,21 +64,13 @@ func (r *Reconciler) Instrument(reg *telemetry.Registry) {
 	}
 	reg.Help("robotron_reconcile_devices", "tracked devices by reconciliation state")
 	for _, s := range []State{StateDetected, StateBackoff, StateRemediating, StateConfirming, StateConverged, StateQuarantined} {
-		s := s
 		reg.GaugeFunc("robotron_reconcile_devices",
 			func() float64 { return float64(r.countState(s)) },
 			telemetry.Label{Key: "state", Value: string(s)})
 	}
-	reg.Help("robotron_reconcile_breaker_open", "1 while any safety-budget circuit breaker (shard or global) is open")
+	reg.Help("robotron_reconcile_breaker_open", "1 while any shard's safety-budget circuit breaker is open")
 	reg.GaugeFunc("robotron_reconcile_breaker_open", func() float64 {
 		if r.Tripped() {
-			return 1
-		}
-		return 0
-	})
-	reg.Help("robotron_reconcile_global_breaker_open", "1 while the global aggregate breaker is open")
-	reg.GaugeFunc("robotron_reconcile_global_breaker_open", func() float64 {
-		if r.GlobalTripped() {
 			return 1
 		}
 		return 0
@@ -176,11 +164,7 @@ func (r *Reconciler) VerifyDevices(devices []string, span *telemetry.Span) int {
 			r.noteDrift(dev.Device, fmt.Sprintf("post-deploy verify: drift +%d/-%d lines", dev.Added, dev.Removed))
 		default:
 			sp.SetAttr("result", "conforming")
-			r.mu.Lock()
-			if ds := r.devices[name]; ds != nil {
-				ds.checkAttempt = 0
-			}
-			r.mu.Unlock()
+			r.checkPassed(name)
 		}
 		sp.End()
 	}
