@@ -100,15 +100,19 @@ sim:
 # tables ≡ latest observation over seeded histories in monitor, the
 # steady-cycle binlog counter in core; DESIGN.md §15.5), the HTTP/CLI
 # parity contract and the derive-without-store-reads contract in core,
-# then the end-to-end drill — drift cuts psw1's addresses, the derived
-# bgp-session-down alarm fires correlated with the causing config-changed
-# event, and resolves after reconciliation. See DESIGN.md §15 and README
-# "Operational timeline".
+# delta ≡ cold for what DeriveMonitoring, SyncFleet and ApplyRecabling keep
+# by visiting only what a design change touched (TestDelta*: jobs, rules,
+# alarm states and the fleet over seeded histories; TestDerive*: the
+# re-derived device counts, and the cold answer after a wholesale swap;
+# DESIGN.md §12 "Who follows the model"), then the end-to-end drill —
+# drift cuts psw1's addresses, the derived bgp-session-down alarm fires
+# correlated with the causing config-changed event, and resolves after
+# reconciliation. See DESIGN.md §15 and README "Operational timeline".
 obs:
 	$(GO) test -race -timeout 5m \
 		-run 'Alarm|Derive|ReplaceJobs|Timeseries|Timeline|Correlation|Classifier' \
 		./internal/monitor/
-	$(GO) test -race -timeout 5m -run 'TestObs|TestAlarms|TestDerive' ./internal/core/
+	$(GO) test -race -timeout 5m -run 'TestObs|TestAlarms|TestDerive|TestDelta' ./internal/core/
 	$(GO) run -race ./cmd/robotron sim run examples/scenarios/bgp-down-alarm-correlated.yaml
 
 # Paper-evaluation and system benchmarks (Figures 12-16, Tables 2-3,

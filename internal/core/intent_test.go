@@ -7,6 +7,7 @@ import (
 	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/telemetry"
+	"github.com/robotron-net/robotron/internal/verify"
 )
 
 // The resident model's view (verify.Intent) is the only way core resolves
@@ -48,9 +49,16 @@ func newTwoSites(t *testing.T) *Robotron {
 
 // TestDeriveMonitoringAndSyncFleetPlanNoQueries: on a warm instance a rack
 // change is materialized into the fleet and into the monitoring config
-// from the binlog delta alone — neither call plans a single FBNet query.
+// from the binlog delta alone — neither call plans a single FBNet query —
+// and each call visits what the rack touched: the new TOR and the fsws it
+// uplinks to, and the uplinks. Repeated, they visit nothing.
 func TestDeriveMonitoringAndSyncFleetPlanNoQueries(t *testing.T) {
 	r := newTwoSites(t)
+	// Provisioning ends by promoting the cluster's circuits, after its own
+	// sync: the plant catches up on their status first.
+	if err := r.SyncFleet(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := r.Designer.AddRack(testCtx("dc"), "dc1-c1", "TOR_Vendor1", "fsw", 4, true, false); err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +71,14 @@ func TestDeriveMonitoringAndSyncFleetPlanNoQueries(t *testing.T) {
 		t.Fatalf("%s in the fleet before SyncFleet", tor)
 	}
 	rulesBefore := len(r.Alarms.Rules())
+	counter := func(name string, labels ...telemetry.Label) func() int64 {
+		c := r.Telemetry.Counter(name, labels...)
+		before := c.Value()
+		return func() int64 { return c.Value() - before }
+	}
+	derived := counter("robotron_monitor_derived_devices_total")
+	visitedDevices := counter("robotron_fleet_sync_visited_total", telemetry.L("kind", "device")...)
+	visitedCircuits := counter("robotron_fleet_sync_visited_total", telemetry.L("kind", "circuit")...)
 
 	before := plannedQueries(r)
 	if err := r.SyncFleet(); err != nil {
@@ -80,21 +96,42 @@ func TestDeriveMonitoringAndSyncFleetPlanNoQueries(t *testing.T) {
 	if _, ok := r.Fleet.Device(tor); !ok {
 		t.Fatalf("%s not in the fleet after SyncFleet", tor)
 	}
-	_, circuits, err := r.desired()
-	if err != nil {
+	var circuits []verify.Circuit
+	if err := r.Verifier.Intent(func(in verify.Intent) error {
+		circuits = in.Circuits()
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	uplinks, cabled := 0, 0
+	fsws := map[string]bool{}
 	for _, c := range circuits {
 		if c.ADevice == tor || c.ZDevice == tor {
 			uplinks++
+			fsws[c.ADevice], fsws[c.ZDevice] = true, true
 			if _, _, ok := r.Fleet.CableOf(c.ADevice, c.AInterface); ok {
 				cabled++
 			}
 		}
 	}
-	if uplinks == 0 || cabled != uplinks {
-		t.Errorf("%s has %d of %d uplinks cabled", tor, cabled, uplinks)
+	delete(fsws, tor)
+	if uplinks == 0 || cabled != uplinks || len(fsws) != 4 {
+		t.Errorf("%s has %d of %d uplinks cabled, to %d fsws; want all, to 4", tor, cabled, uplinks, len(fsws))
+	}
+	if got := derived(); got != 5 {
+		t.Errorf("DeriveMonitoring re-derived %d devices, want the TOR and its 4 fsws", got)
+	}
+	if d, c := visitedDevices(), visitedCircuits(); d != 5 || c != int64(uplinks) {
+		t.Errorf("SyncFleet visited %d devices and %d circuits, want the TOR and its 4 fsws, and the %d uplinks", d, c, uplinks)
+	}
+	if err := r.SyncFleet(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.DeriveMonitoring(); err != nil {
+		t.Fatal(err)
+	}
+	if d, c, n := visitedDevices(), visitedCircuits(), derived(); d != 5 || c != int64(uplinks) || n != 5 {
+		t.Errorf("repeated with nothing changed, the calls visited %d devices, %d circuits and re-derived %d more", d-5, c-int64(uplinks), n-5)
 	}
 	jobs := 0
 	for _, j := range r.JobManager.Jobs() {

@@ -58,8 +58,8 @@ type Robotron struct {
 	// opening any management session. New turns it on: bypassing the gate
 	// is the exceptional case (`sim run -no-verify` clears the field). Its
 	// resident model is also the one place Desired topology is resolved:
-	// SyncFleet, ApplyRecabling and DeriveMonitoring read it through
-	// Verifier.Intent whether or not the gate is on.
+	// SyncFleet, ApplyRecabling and DeriveMonitoring read what changed in
+	// it through Verifier.Intent whether or not the gate is on.
 	Verifier     *verify.Checker
 	VerifyIntent bool
 
@@ -87,6 +87,21 @@ type Robotron struct {
 
 	// clock is the override from Options.Clock; nil means wall clock.
 	clock vclock.Clock
+
+	// derived keeps the intent-derived jobs and rules (DeriveMonitoring);
+	// plant is what SyncFleet has materialized of the design.
+	derived *monitor.Derivation
+	plant   plant
+}
+
+// plant is SyncFleet's and ApplyRecabling's record of the fleet they keep
+// in step with the design: the view stamp it reflects, and the fleet's
+// cabling version after their last changes. A fleet someone else recabled
+// since — a fiber cut, a hand-wired port — is walked whole again.
+type plant struct {
+	mu                sync.Mutex
+	stamp, cabling    uint64
+	devices, circuits *telemetry.Counter // robotron_fleet_sync_visited_total by kind
 }
 
 // Options configure construction.
@@ -217,6 +232,9 @@ func New(opts Options) (*Robotron, error) {
 	alarms := monitor.NewAlarmEngine(opts.Clock, ts, store)
 	alarms.Instrument(reg)
 	alarms.Subscribe(cls)
+	derived := monitor.NewDerivation(jm, alarms)
+	derived.Instrument(reg)
+	reg.Help("robotron_fleet_sync_visited_total", "Devices and circuits SyncFleet and ApplyRecabling visited: those the design changed since the last sync, or every one after the fleet was recabled from outside.")
 	r := &Robotron{
 		Store:      store,
 		Designer:   designer,
@@ -235,8 +253,13 @@ func New(opts Options) (*Robotron, error) {
 		Verifier:     verifier,
 		VerifyIntent: true,
 
-		Alarms: alarms,
-		clock:  opts.Clock,
+		Alarms:  alarms,
+		clock:   opts.Clock,
+		derived: derived,
+		plant: plant{
+			devices:  reg.Counter("robotron_fleet_sync_visited_total", telemetry.L("kind", "device")...),
+			circuits: reg.Counter("robotron_fleet_sync_visited_total", telemetry.L("kind", "circuit")...),
+		},
 
 		DeployParallelism:   opts.DeployParallelism,
 		GenerateParallelism: opts.GenerateParallelism,
@@ -256,45 +279,21 @@ func New(opts Options) (*Robotron, error) {
 			rc.DeployRetry = opts.DeployRetry
 		}
 		// Failure domains: a device's shard is its simulated site, so a
-		// drift storm in one site trips only that site's breaker. The
-		// per-site fleet counts back the per-shard fractional budget and
-		// are memoized until the fleet size changes.
+		// drift storm in one site trips only that site's breaker.
 		siteOf := func(device string) string {
 			if d, ok := fleet.Device(device); ok {
 				return d.Site()
 			}
 			return ""
 		}
-		var shardSizes struct {
-			sync.Mutex
-			fleetLen int
-			bySite   map[string]int
-		}
-		shardFleetSize := func(shard string) int {
-			devs := fleet.Devices()
-			shardSizes.Lock()
-			defer shardSizes.Unlock()
-			if shardSizes.bySite == nil || shardSizes.fleetLen != len(devs) {
-				bySite := make(map[string]int)
-				for _, d := range devs {
-					s := d.Site()
-					if s == "" {
-						s = reconcile.DeriveShard(d.Name())
-					}
-					bySite[s]++
-				}
-				shardSizes.bySite, shardSizes.fleetLen = bySite, len(devs)
-			}
-			return shardSizes.bySite[shard]
-		}
 		rec := reconcile.New(reconcile.Deps{
 			Golden:         gen,
 			Deployer:       deployer,
 			Checker:        cm,
-			FleetSize:      func() int { return len(fleet.Devices()) },
+			FleetSize:      fleet.Len,
 			SweepList:      func() []string { return monitor.SortedDeviceNames(fleet) },
 			SiteOf:         siteOf,
-			ShardFleetSize: shardFleetSize,
+			ShardFleetSize: (&shardSizes{fleet: fleet}).size,
 		}, rc)
 		cm.OnDeviation(rec.HandleDeviation)
 		cm.OnCheckError(rec.HandleCheckError)
@@ -314,6 +313,35 @@ func New(opts Options) (*Robotron, error) {
 		})
 	}
 	return r, nil
+}
+
+// shardSizes counts the fleet's devices per site — the reconciler's shards
+// — for the per-shard fractional budget, recounting only when the fleet's
+// size changes: a budget check costs a lock and a map read.
+type shardSizes struct {
+	fleet *netsim.Fleet
+
+	mu       sync.Mutex
+	fleetLen int
+	bySite   map[string]int
+}
+
+func (s *shardSizes) size(shard string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.bySite == nil || s.fleetLen != s.fleet.Len() {
+		devs := s.fleet.Devices()
+		bySite := make(map[string]int)
+		for _, d := range devs {
+			site := d.Site()
+			if site == "" {
+				site = reconcile.DeriveShard(d.Name())
+			}
+			bySite[site]++
+		}
+		s.bySite, s.fleetLen = bySite, len(devs)
+	}
+	return s.bySite[shard]
 }
 
 // ServeMetrics starts the observability HTTP endpoint on addr
@@ -376,28 +404,66 @@ func (r *Robotron) now() time.Time {
 	return time.Now()
 }
 
-// desired copies the Desired devices (sorted by name) and cabled circuits
-// (id order) out of the resident model's view, synced to the store's
-// current sequence; it fails when the store is down.
-func (r *Robotron) desired() (devs []verify.Device, circuits []verify.Circuit, err error) {
-	err = r.Verifier.Intent(func(in verify.Intent) error {
-		devs, circuits = in.Devices(), in.Circuits()
-		return nil
-	})
-	return devs, circuits, err
-}
-
 // SyncFleet materializes the physical network implied by FBNet Desired
 // state into the simulator: devices exist, cables follow circuits, and
 // every device logs to the classifier. Idempotent. In production this is
 // the part of the world Robotron does NOT control — racking and cabling —
 // which is why design changes and deployments are decoupled (§8).
+//
+// It visits the devices and circuits the resident model's view stamped
+// since the last sync (verify.Intent.Since), and every one of them on the
+// first sync, after a model rebuild, or once someone else recabled the
+// fleet: a device or circuit the design did not touch is as the last sync
+// left it.
 func (r *Robotron) SyncFleet() error {
-	devs, circuits, err := r.desired()
-	if err != nil {
-		return err
+	_, err := r.syncPlant(false)
+	return err
+}
+
+// ApplyRecabling reconciles the physical cabling with the Desired
+// circuits: cables contradicting the design are removed and the designed
+// ones installed — the field technician executing a cabling work order
+// after a circuit migration. Returns the number of cables moved. It visits
+// what SyncFleet does.
+func (r *Robotron) ApplyRecabling() (int, error) {
+	return r.syncPlant(true)
+}
+
+// syncPlant is SyncFleet, first uncabling the visited circuits' ends that
+// run elsewhere when recable is set. The view stamp advances only when the
+// whole pass succeeds, so a failed one is visited again.
+func (r *Robotron) syncPlant(recable bool) (moved int, err error) {
+	p := &r.plant
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	since := p.stamp
+	if r.Fleet.CablingVersion() != p.cabling {
+		since = 0
 	}
-	for _, dev := range devs {
+	var ch verify.Changes
+	if err := r.Verifier.Intent(func(in verify.Intent) error {
+		ch = in.Since(since)
+		return nil
+	}); err != nil {
+		return 0, err
+	}
+	p.devices.Add(int64(len(ch.Devices)))
+	p.circuits.Add(int64(len(ch.Circuits)))
+	if recable {
+		// uncable removes the cable on dev:iface unless it runs where the
+		// design says.
+		uncable := func(dev, iface, wantFar, wantFarIf string) {
+			if far, farIf, cabled := r.Fleet.CableOf(dev, iface); cabled && (far != wantFar || farIf != wantFarIf) {
+				r.Fleet.Uncable(dev, iface)
+				moved++
+			}
+		}
+		for _, c := range ch.Circuits {
+			uncable(c.ADevice, c.AInterface, c.ZDevice, c.ZInterface)
+			uncable(c.ZDevice, c.ZInterface, c.ADevice, c.AInterface)
+		}
+	}
+	for _, dev := range ch.Devices {
 		if _, exists := r.Fleet.Device(dev.Name); exists {
 			continue
 		}
@@ -407,7 +473,7 @@ func (r *Robotron) SyncFleet() error {
 		}
 		d, err := r.Fleet.AddDevice(dev.Name, vendor, dev.Role, dev.Site)
 		if err != nil {
-			return err
+			return moved, err
 		}
 		d.SetSyslogSink(func(m netsim.SyslogMessage) { r.Classifier.Process(m) })
 		if r.clock != nil {
@@ -415,46 +481,19 @@ func (r *Robotron) SyncFleet() error {
 		}
 	}
 	// Cable per Desired circuit.
-	for _, c := range circuits {
+	for _, c := range ch.Circuits {
 		if far, farIf, cabled := r.Fleet.CableOf(c.ADevice, c.AInterface); cabled {
 			if far != c.ZDevice || farIf != c.ZInterface {
-				return fmt.Errorf("core: %s:%s is cabled to %s:%s but the design wants %s:%s",
+				return moved, fmt.Errorf("core: %s:%s is cabled to %s:%s but the design wants %s:%s",
 					c.ADevice, c.AInterface, far, farIf, c.ZDevice, c.ZInterface)
 			}
 			continue
 		}
 		if err := r.Fleet.Wire(c.ADevice, c.AInterface, c.ZDevice, c.ZInterface); err != nil {
-			return err
+			return moved, err
 		}
 	}
-	return nil
-}
-
-// ApplyRecabling reconciles the physical cabling with the Desired
-// circuits: cables contradicting the design are removed and the designed
-// ones installed — the field technician executing a cabling work order
-// after a circuit migration. Returns the number of cables moved.
-func (r *Robotron) ApplyRecabling() (int, error) {
-	_, circuits, err := r.desired()
-	if err != nil {
-		return 0, err
-	}
-	moved := 0
-	// uncable removes the cable on dev:iface unless it runs where the
-	// design says.
-	uncable := func(dev, iface, wantFar, wantFarIf string) {
-		if far, farIf, cabled := r.Fleet.CableOf(dev, iface); cabled && (far != wantFar || farIf != wantFarIf) {
-			r.Fleet.Uncable(dev, iface)
-			moved++
-		}
-	}
-	for _, c := range circuits {
-		uncable(c.ADevice, c.AInterface, c.ZDevice, c.ZInterface)
-		uncable(c.ZDevice, c.ZInterface, c.ADevice, c.AInterface)
-	}
-	if err := r.SyncFleet(); err != nil {
-		return moved, err
-	}
+	p.stamp, p.cabling = ch.Stamp, r.Fleet.CablingVersion()
 	return moved, nil
 }
 
@@ -727,25 +766,18 @@ func (r *Robotron) CollectOnce() error {
 	return err
 }
 
-// DeriveMonitoring regenerates the intent-derived monitoring config:
-// collection jobs and alarm rules are recomputed from the resident model's
-// view of FBNet and swapped in atomically (jobs under the "derived-"
-// prefix, the full alarm rule set). Called automatically after
+// DeriveMonitoring regenerates the intent-derived monitoring config: the
+// collection jobs (under the "derived-" prefix) and alarm rules of every
+// device the resident model's view changed since the last call are
+// re-derived and swapped in by device; active alarms survive unless their
+// own rule went (monitor.Derivation). Called automatically after
 // ProvisionCluster and GenerateAndDeploy.
 func (r *Robotron) DeriveMonitoring() error {
-	var jobs []monitor.JobSpec
-	var rules []monitor.AlarmRule
-	if err := r.Verifier.Intent(func(in verify.Intent) error {
-		jobs, rules = monitor.DeriveJobs(in)
-		return nil
-	}); err != nil {
+	n, err := r.derived.Sync(r.Verifier)
+	if err != nil {
 		return err
 	}
-	if err := r.JobManager.ReplaceJobs("derived-", jobs); err != nil {
-		return err
-	}
-	r.Alarms.ReplaceRules(rules)
-	r.logf("monitor: derived %d collection jobs, %d alarm rules", len(jobs), len(rules))
+	r.logf("monitor: re-derived the collection jobs and alarm rules of %d device(s)", n)
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/monitor"
+	"github.com/robotron-net/robotron/internal/netsim"
 )
 
 func testCtx(domain string) design.ChangeContext {
@@ -374,6 +375,27 @@ func TestSyncFleetDetectsMiscabling(t *testing.T) {
 	err := r.SyncFleet()
 	if err == nil || !strings.Contains(err.Error(), "cabled to") {
 		t.Errorf("miscabling not detected: %v", err)
+	}
+}
+
+// TestShardBudgetChecksAllocateNothing: the reconciler's budget checks
+// read the fleet's size and a per-site count memoized until that size
+// changes — no sorted copy of the fleet per check.
+func TestShardBudgetChecksAllocateNothing(t *testing.T) {
+	r := newRobotron(t)
+	provisionPOP(t, r)
+	sizes := &shardSizes{fleet: r.Fleet}
+	if got := sizes.size("pop1"); got != 6 {
+		t.Fatalf("pop1 shard has %d devices, want 6", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = sizes.size("pop1"), r.Fleet.Len() }); n != 0 {
+		t.Errorf("a budget check allocates %v times, want 0", n)
+	}
+	if _, err := r.Fleet.AddDevice("tor9.pop1-c1", netsim.Vendor1, "tor", "pop1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := sizes.size("pop1"); got != 7 {
+		t.Errorf("after the fleet grew, the pop1 shard has %d devices, want 7", got)
 	}
 }
 

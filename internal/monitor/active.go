@@ -1,8 +1,9 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -250,6 +251,7 @@ type JobManager struct {
 	mu          sync.Mutex
 	backends    map[string]Backend
 	specs       []JobSpec
+	version     uint64 // moves with every change to specs
 	stats       *EventStats
 	stopCh      chan struct{}
 	wake        chan struct{} // kicked when the job set changes
@@ -319,17 +321,47 @@ func (jm *JobManager) AddJob(spec JobSpec) error {
 		}
 	}
 	jm.specs = append(jm.specs, spec)
+	jm.version++
 	jm.jobsChanged()
 	return nil
 }
 
 // ReplaceJobs atomically swaps every installed job whose name starts with
-// prefix for the given specs — the re-derivation primitive: when design
-// changes, the derived job set is regenerated and swapped in wholesale.
-// Specs are validated first; on error the installed set is unchanged.
+// prefix for the given specs — the re-derivation primitive, wholesale. The
+// jobs outside the prefix keep their order and the specs follow them as
+// given. Specs are validated first; on error the installed set is
+// unchanged.
 func (jm *JobManager) ReplaceJobs(prefix string, specs []JobSpec) error {
+	return jm.replace(prefix, nil, specs)
+}
+
+// ReplaceDeviceJobs is ReplaceJobs for some devices: the jobs under prefix
+// that collect from one of devices are swapped for specs, each of which
+// must collect from exactly one of them. Given the jobs under prefix in
+// device order, as ReplaceJobs leaves a derived set, it leaves the order
+// ReplaceJobs would for the whole set: by device, each device's jobs as
+// given.
+func (jm *JobManager) ReplaceDeviceJobs(prefix string, devices []string, specs []JobSpec) error {
+	replaced := make(map[string]bool, len(devices))
+	for _, d := range devices {
+		replaced[d] = true
+	}
+	for _, s := range specs {
+		if !replaced[jobDevice(s)] {
+			return fmt.Errorf("monitor: job %q does not collect from exactly one of the devices replaced", s.Name)
+		}
+	}
+	add := slices.Clone(specs)
+	slices.SortStableFunc(add, func(a, b JobSpec) int { return cmp.Compare(jobDevice(a), jobDevice(b)) })
+	return jm.replace(prefix, replaced, add)
+}
+
+// replace swaps the jobs under prefix that collect from a replaced device —
+// all of them when replaced is nil — for specs, merged by device among
+// the jobs kept.
+func (jm *JobManager) replace(prefix string, replaced map[string]bool, specs []JobSpec) error {
 	if prefix == "" {
-		return fmt.Errorf("monitor: ReplaceJobs requires a non-empty prefix")
+		return fmt.Errorf("monitor: replacing jobs requires a non-empty prefix")
 	}
 	seen := make(map[string]bool, len(specs))
 	for _, spec := range specs {
@@ -346,15 +378,44 @@ func (jm *JobManager) ReplaceJobs(prefix string, specs []JobSpec) error {
 	}
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
-	kept := make([]JobSpec, 0, len(jm.specs)+len(specs))
+	out := make([]JobSpec, 0, len(jm.specs)+len(specs))
 	for _, s := range jm.specs {
 		if !strings.HasPrefix(s.Name, prefix) {
-			kept = append(kept, s)
+			out = append(out, s)
 		}
 	}
-	jm.specs = append(kept, specs...)
+	for _, s := range jm.specs {
+		dev := jobDevice(s)
+		if !strings.HasPrefix(s.Name, prefix) || replaced == nil || replaced[dev] {
+			continue
+		}
+		for len(specs) > 0 && jobDevice(specs[0]) < dev {
+			out, specs = append(out, specs[0]), specs[1:]
+		}
+		out = append(out, s)
+	}
+	jm.specs = append(out, specs...)
+	jm.version++
 	jm.jobsChanged()
 	return nil
+}
+
+// jobDevice is the device a single-device job collects from, "" for any
+// other job.
+func jobDevice(s JobSpec) string {
+	if len(s.Devices) != 1 {
+		return ""
+	}
+	return s.Devices[0]
+}
+
+// Version moves with every change to the installed job set. A caller that
+// owns part of the set reads it after its own writes; finding it moved
+// later means someone else wrote the set in between.
+func (jm *JobManager) Version() uint64 {
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	return jm.version
 }
 
 func (jm *JobManager) validate(spec JobSpec) error {
@@ -612,14 +673,13 @@ func FormatTable2(stats *EventStats, syslogEvents int64) string {
 	return string(b)
 }
 
-// sortedDeviceNames returns fleet device names, a convenience for building
-// job specs.
+// SortedDeviceNames returns the fleet's device names, sorted as Devices
+// returns them; a convenience for building job specs.
 func SortedDeviceNames(f *netsim.Fleet) []string {
 	devs := f.Devices()
 	names := make([]string, len(devs))
 	for i, d := range devs {
 		names[i] = d.Name()
 	}
-	sort.Strings(names)
 	return names
 }

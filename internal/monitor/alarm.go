@@ -143,11 +143,13 @@ type AlarmEngine struct {
 	store *fbnet.Store
 
 	mu       sync.Mutex
-	rules    []AlarmRule
+	runs     []ruleRun           // the rules, in key order
+	version  uint64              // moves with every change to the rules
 	active   map[alarmKey]*Alarm // pending + firing
 	resolved ring[Alarm]         // resolved history, oldest first
 	alerts   ring[Alert]         // recent syslog alerts, for flap rules
 	journal  func() []JournalEntry
+	series   []byte // buffer for the series key a rule reads, reused
 
 	// metrics, nil (no-op) until Instrument
 	reg       *telemetry.Registry
@@ -208,34 +210,121 @@ func (ae *AlarmEngine) Instrument(reg *telemetry.Registry) {
 	ae.mEvals = reg.Counter("robotron_alarm_evaluations_total")
 }
 
-// ReplaceRules swaps the full rule set, kept in alarmKey order (DeriveJobs
-// emits it; anything else is sorted into it). Active alarms whose rule
-// disappeared are dropped: the design no longer declares what they watched.
-func (ae *AlarmEngine) ReplaceRules(rules []AlarmRule) {
-	sorted := slices.Clone(rules)
+// ruleRun is the rules of one family on one device, in key order. The
+// engine holds its rules as runs in (family, device) order, which laid end
+// to end are the rules in alarmKey order; replacing one device's rules
+// rewrites the list of runs, not every rule.
+type ruleRun struct {
+	name, device string
+	rules        []AlarmRule
+}
+
+func (r *ruleRun) compare(name, device string) int {
+	return cmp.Or(cmp.Compare(r.name, name), cmp.Compare(r.device, device))
+}
+
+// runsOf sorts rules into alarmKey order (a set already in it is not
+// sorted again) and cuts them into runs. Each run gets a copy of its own,
+// so replacing some devices' runs later frees what they held.
+func runsOf(rules []AlarmRule) []ruleRun {
 	byKey := func(a, b AlarmRule) int { return a.key().compare(b.key()) }
-	if !slices.IsSortedFunc(sorted, byKey) {
-		slices.SortFunc(sorted, byKey)
+	if !slices.IsSortedFunc(rules, byKey) {
+		rules = slices.Clone(rules)
+		slices.SortFunc(rules, byKey)
 	}
+	var runs []ruleRun
+	for i := 0; i < len(rules); {
+		j := i + 1
+		for j < len(rules) && rules[j].Name == rules[i].Name && rules[j].Device == rules[i].Device {
+			j++
+		}
+		runs = append(runs, ruleRun{name: rules[i].Name, device: rules[i].Device, rules: slices.Clone(rules[i:j])})
+		i = j
+	}
+	return runs
+}
+
+// ReplaceRules swaps the full rule set, kept in alarmKey order. Active
+// alarms whose rule disappeared are dropped: the design no longer declares
+// what they watched.
+func (ae *AlarmEngine) ReplaceRules(rules []AlarmRule) { ae.replace(nil, rules) }
+
+// ReplaceDeviceRules is ReplaceRules for some devices: the rules of every
+// device named in devices or by one of the rules are swapped for rules,
+// leaving the order ReplaceRules would. Of the active alarms, only those on
+// these devices whose rule disappeared are dropped; every other alarm,
+// its Since and FiredAt, stays as it is.
+func (ae *AlarmEngine) ReplaceDeviceRules(devices []string, rules []AlarmRule) {
+	replaced := make(map[string]bool, len(devices))
+	for _, d := range devices {
+		replaced[d] = true
+	}
+	for _, r := range rules {
+		replaced[r.Device] = true
+	}
+	ae.replace(replaced, rules)
+}
+
+// replace swaps the rules of the replaced devices — every rule when
+// replaced is nil — for rules, merged by run among the runs kept.
+func (ae *AlarmEngine) replace(replaced map[string]bool, rules []AlarmRule) {
+	add := runsOf(rules)
 	ae.mu.Lock()
 	defer ae.mu.Unlock()
-	ae.rules = sorted
-	for id, al := range ae.active {
-		_, known := slices.BinarySearchFunc(sorted, id, func(r AlarmRule, id alarmKey) int { return r.key().compare(id) })
-		if !known {
-			if al.State == AlarmFiring && ae.mFiring != nil {
-				ae.mFiring.Dec()
-			}
-			delete(ae.active, id)
+	out := make([]ruleRun, 0, len(ae.runs)+len(add))
+	for _, run := range ae.runs {
+		if replaced == nil || replaced[run.device] {
+			continue
 		}
+		for len(add) > 0 && add[0].compare(run.name, run.device) < 0 {
+			out, add = append(out, add[0]), add[1:]
+		}
+		out = append(out, run)
+	}
+	ae.runs = append(out, add...)
+	ae.version++
+	ae.dropOrphansLocked(replaced)
+}
+
+// dropOrphansLocked drops the active alarms — on the given devices, or on
+// any when on is nil — whose rule is no longer installed.
+func (ae *AlarmEngine) dropOrphansLocked(on map[string]bool) {
+	for id, al := range ae.active {
+		if on != nil && !on[id.device] || ae.hasRuleLocked(id) {
+			continue
+		}
+		if al.State == AlarmFiring && ae.mFiring != nil {
+			ae.mFiring.Dec()
+		}
+		delete(ae.active, id)
 	}
 }
 
-// Rules returns the installed rule set.
+func (ae *AlarmEngine) hasRuleLocked(id alarmKey) bool {
+	i, ok := slices.BinarySearchFunc(ae.runs, id, func(r ruleRun, id alarmKey) int { return r.compare(id.name, id.device) })
+	if ok {
+		_, ok = slices.BinarySearchFunc(ae.runs[i].rules, id.key, func(r AlarmRule, key string) int { return cmp.Compare(r.Key, key) })
+	}
+	return ok
+}
+
+// Version moves with every change to the installed rules; see
+// JobManager.Version.
+func (ae *AlarmEngine) Version() uint64 {
+	ae.mu.Lock()
+	defer ae.mu.Unlock()
+	return ae.version
+}
+
+// Rules returns the installed rule set, in alarmKey order.
 func (ae *AlarmEngine) Rules() []AlarmRule {
 	ae.mu.Lock()
 	defer ae.mu.Unlock()
-	return append([]AlarmRule(nil), ae.rules...)
+	var out []AlarmRule
+	for _, run := range ae.runs {
+		out = append(out, run.rules...)
+	}
+	return out
 }
 
 // Evaluate runs one pass over every rule at the engine clock's now,
@@ -260,38 +349,43 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 	// Observed BGP sessions are read once, at the pass's first bgp-state
 	// rule, and kept no longer than the pass.
 	sessions := sync.OnceValues(ae.sessionStates)
-	for i := range ae.rules {
-		r := &ae.rules[i]
-		breached, detail, err := ae.evalLocked(r, now, sessions)
-		if err != nil {
-			continue // a failed read says nothing about the rule: its alarm stays as it is
-		}
-		id := r.key()
-		al := ae.active[id]
-		switch {
-		case breached && al == nil:
-			al = &Alarm{
-				Rule: r.Name, Device: r.Device, Key: r.Key,
-				State: AlarmPending, Urgency: r.Urgency.String(),
-				Detail: detail, Since: now,
+	for i := range ae.runs {
+		for j := range ae.runs[i].rules {
+			r := &ae.runs[i].rules[j]
+			breached, detail, err := ae.evalLocked(r, now, sessions)
+			if err != nil {
+				continue // a failed read says nothing about the rule: its alarm stays as it is
 			}
-			ae.active[id] = al
-			ae.maybeFireLocked(r, al, now, correlated)
-		case breached:
-			al.Detail = detail
-			ae.maybeFireLocked(r, al, now, correlated)
-		case al != nil && al.State == AlarmFiring:
-			al.State = AlarmResolved
-			al.ResolvedAt = now
-			ae.resolved.push(*al)
-			delete(ae.active, id)
-			if ae.mFiring != nil {
-				ae.mFiring.Dec()
-				ae.ruleCounter(ae.mResolved, "robotron_alarms_resolved_total", r.Name).Inc()
+			if !breached && len(ae.active) == 0 {
+				continue // the common quiet rule: nothing to walk forward
 			}
-		case al != nil:
-			// Pending breach cleared before PendingFor elapsed: no alarm.
-			delete(ae.active, id)
+			id := r.key()
+			al := ae.active[id]
+			switch {
+			case breached && al == nil:
+				al = &Alarm{
+					Rule: r.Name, Device: r.Device, Key: r.Key,
+					State: AlarmPending, Urgency: r.Urgency.String(),
+					Detail: detail, Since: now,
+				}
+				ae.active[id] = al
+				ae.maybeFireLocked(r, al, now, correlated)
+			case breached:
+				al.Detail = detail
+				ae.maybeFireLocked(r, al, now, correlated)
+			case al != nil && al.State == AlarmFiring:
+				al.State = AlarmResolved
+				al.ResolvedAt = now
+				ae.resolved.push(*al)
+				delete(ae.active, id)
+				if ae.mFiring != nil {
+					ae.mFiring.Dec()
+					ae.ruleCounter(ae.mResolved, "robotron_alarms_resolved_total", r.Name).Inc()
+				}
+			case al != nil:
+				// Pending breach cleared before PendingFor elapsed: no alarm.
+				delete(ae.active, id)
+			}
 		}
 	}
 	return ae.firingLocked()
@@ -338,29 +432,29 @@ func (ae *AlarmEngine) sessionStates() (map[[2]string]string, error) {
 func (ae *AlarmEngine) evalLocked(r *AlarmRule, now time.Time, sessions func() (map[[2]string]string, error)) (bool, string, error) {
 	switch r.Kind {
 	case KindThreshold:
-		last := ae.ts.Last(r.Device+"/"+r.Key, 1)
-		if len(last) == 0 {
+		last, _, n := ae.tailLocked(r)
+		if n == 0 {
 			return false, "", nil
 		}
-		if compareFloat(last[0].Value, r.Op, r.Value) {
-			return true, fmt.Sprintf("%s = %g, breaching %s %g", r.Key, last[0].Value, r.Op, r.Value), nil
+		if compareFloat(last.Value, r.Op, r.Value) {
+			return true, fmt.Sprintf("%s = %g, breaching %s %g", r.Key, last.Value, r.Op, r.Value), nil
 		}
 	case KindAbsence:
-		last := ae.ts.Last(r.Device+"/"+r.Key, 1)
-		if len(last) == 0 {
+		last, _, n := ae.tailLocked(r)
+		if n == 0 {
 			return false, "", nil // never reported: nothing to go silent
 		}
-		age := now.Sub(time.Unix(last[0].AtUnix, 0))
+		age := now.Sub(time.Unix(last.AtUnix, 0))
 		if age > r.Window {
 			return true, fmt.Sprintf("%s silent for %s (window %s)", r.Key, age.Round(time.Second), r.Window), nil
 		}
 	case KindFlatline:
-		last := ae.ts.Last(r.Device+"/"+r.Key, 2)
-		if len(last) < 2 {
+		last, prev, n := ae.tailLocked(r)
+		if n < 2 {
 			return false, "", nil
 		}
-		if last[1].Value <= last[0].Value {
-			return true, fmt.Sprintf("%s flat at %g across the last two samples", r.Key, last[1].Value), nil
+		if last.Value <= prev.Value {
+			return true, fmt.Sprintf("%s flat at %g across the last two samples", r.Key, last.Value), nil
 		}
 	case KindBGPState:
 		states, err := sessions() // empty when the read failed
@@ -387,6 +481,14 @@ func (ae *AlarmEngine) evalLocked(r *AlarmRule, now time.Time, sessions func() (
 		}
 	}
 	return false, "", nil
+}
+
+// tailLocked reads the newest sample of the rule's series and the one
+// before it (TimeseriesBackend.tail), naming the series in a buffer the
+// engine reuses: a pass builds no key and copies no samples per rule.
+func (ae *AlarmEngine) tailLocked(r *AlarmRule) (last, prev Sample, n int) {
+	ae.series = append(append(append(ae.series[:0], r.Device...), '/'), r.Key...)
+	return ae.ts.tail(ae.series)
 }
 
 func compareFloat(got float64, op string, want float64) bool {

@@ -319,11 +319,12 @@ func TestReplaceRulesDropsStaleActiveAlarms(t *testing.T) {
 	}
 }
 
-func BenchmarkAlarmEvaluate(b *testing.B) {
+// quietEngine is an engine with an absence and a flatline rule on each of
+// devices live devices: none is breached.
+func quietEngine(devices int) *AlarmEngine {
 	vc := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 	ts := NewTimeseriesBackend()
 	ae := NewAlarmEngine(vc, ts, nil)
-	const devices = 256
 	rules := make([]AlarmRule, 0, devices*2)
 	for i := 0; i < devices; i++ {
 		dev := fmt.Sprintf("dev%03d", i)
@@ -339,11 +340,29 @@ func BenchmarkAlarmEvaluate(b *testing.B) {
 		)
 	}
 	ae.ReplaceRules(rules)
+	return ae
+}
+
+func BenchmarkAlarmEvaluate(b *testing.B) {
+	ae := quietEngine(256)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := ae.Evaluate(); len(got) != 0 {
 			b.Fatalf("unexpected alarms: %d", len(got))
 		}
+	}
+}
+
+// TestEvaluateAllocatesNothingPerRule: a quiet pass over 512 rules
+// allocates what one over 2 does — the pass's own few values, and no series
+// key or copied samples per rule.
+func TestEvaluateAllocatesNothingPerRule(t *testing.T) {
+	allocs := func(ae *AlarmEngine) float64 {
+		return testing.AllocsPerRun(20, func() { ae.Evaluate() })
+	}
+	if small, big := allocs(quietEngine(1)), allocs(quietEngine(256)); big > small {
+		t.Errorf("a quiet pass allocates %v times over 512 rules and %v over 2, want no more", big, small)
 	}
 }
 

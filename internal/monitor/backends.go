@@ -71,6 +71,19 @@ func (r *ring[T]) last(k int) []T {
 // all returns a copy of everything held, oldest first.
 func (r *ring[T]) all() []T { return r.last(len(r.buf)) }
 
+// tail returns the newest element and the one before it, in place; n is
+// how many of the two are held.
+func (r *ring[T]) tail() (last, prev T, n int) {
+	n = min(len(r.buf), 2)
+	if n > 0 {
+		last = r.buf[(r.start+len(r.buf)-1)%len(r.buf)]
+	}
+	if n > 1 {
+		prev = r.buf[(r.start+len(r.buf)-2)%len(r.buf)]
+	}
+	return last, prev, n
+}
+
 // NewTimeseriesBackend returns an empty timeseries store.
 func NewTimeseriesBackend() *TimeseriesBackend {
 	return &TimeseriesBackend{series: make(map[string]*ring[Sample])}
@@ -126,6 +139,19 @@ func (b *TimeseriesBackend) Last(key string, k int) []Sample {
 		return nil
 	}
 	return r.last(k)
+}
+
+// tail is Last(key, 2) for the alarm engine's hot path: the key arrives
+// as bytes (the lookup converts them without allocating) and the samples
+// are read in place, the newest as last.
+func (b *TimeseriesBackend) tail(key []byte) (last, prev Sample, n int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r, ok := b.series[string(key)]
+	if !ok {
+		return last, prev, 0
+	}
+	return r.tail()
 }
 
 // Keys lists stored series keys.

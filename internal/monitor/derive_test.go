@@ -78,17 +78,28 @@ func deriveFixture(t *testing.T) *fbnet.Store {
 	return store
 }
 
-// deriveFrom derives jobs and rules from a cold-loaded view of the store.
-func deriveFrom(t *testing.T, store *fbnet.Store) (jobs []JobSpec, rules []AlarmRule) {
+// derivedJobManager is a job manager with the backends derived jobs name.
+func derivedJobManager(t *testing.T, store *fbnet.Store) *JobManager {
 	t.Helper()
-	err := verify.NewChecker(store, nil).Intent(func(in verify.Intent) error {
-		jobs, rules = DeriveJobs(in)
-		return nil
-	})
-	if err != nil {
+	jm := NewJobManager(nil)
+	if err := jm.RegisterBackend(NewTimeseriesBackend()); err != nil {
 		t.Fatal(err)
 	}
-	return jobs, rules
+	if err := jm.RegisterBackend(NewDerivedBackend(store)); err != nil {
+		t.Fatal(err)
+	}
+	return jm
+}
+
+// deriveFrom derives jobs and rules from a cold-loaded view of the store:
+// the first Sync of a fresh Derivation, which derives every device.
+func deriveFrom(t *testing.T, store *fbnet.Store) (jobs []JobSpec, rules []AlarmRule) {
+	t.Helper()
+	jm, ae := derivedJobManager(t, store), NewAlarmEngine(nil, NewTimeseriesBackend(), store)
+	if _, err := NewDerivation(jm, ae).Sync(verify.NewChecker(store, nil)); err != nil {
+		t.Fatal(err)
+	}
+	return jm.Jobs(), ae.Rules()
 }
 
 func TestDeriveJobsFollowsDesign(t *testing.T) {
@@ -173,13 +184,7 @@ func TestDeriveJobsFollowsDesign(t *testing.T) {
 func TestReplaceJobsSwapsDerivedPrefix(t *testing.T) {
 	store := deriveFixture(t)
 	jobs, _ := deriveFrom(t, store)
-	jm := NewJobManager(nil)
-	if err := jm.RegisterBackend(NewTimeseriesBackend()); err != nil {
-		t.Fatal(err)
-	}
-	if err := jm.RegisterBackend(NewDerivedBackend(store)); err != nil {
-		t.Fatal(err)
-	}
+	jm := derivedJobManager(t, store)
 	// A hand-installed job outside the prefix must survive swaps.
 	if err := jm.AddJob(JobSpec{Name: "manual-sweep", Period: time.Hour,
 		Engine: EngineSNMP, Data: DataCounters, Devices: []string{"sw1"}}); err != nil {
@@ -207,12 +212,29 @@ func TestReplaceJobsSwapsDerivedPrefix(t *testing.T) {
 		Engine: EngineSNMP, Data: DataCounters, Devices: []string{"sw1"}}}); err == nil {
 		t.Fatal("ReplaceJobs accepted a spec outside its prefix")
 	}
+
+	// By device, each device's jobs land where the wholesale swap of the
+	// whole set puts them: sw2's after sw1's, then sw1's complete again.
+	ofDevice := func(dev string) []JobSpec {
+		return slices.DeleteFunc(slices.Clone(jobs), func(j JobSpec) bool { return j.Devices[0] != dev })
+	}
+	if err := jm.ReplaceDeviceJobs("derived-", []string{"sw2"}, ofDevice("sw1")); err == nil {
+		t.Fatal("ReplaceDeviceJobs accepted a job of a device it does not replace")
+	}
+	for _, dev := range []string{"sw2", "sw1"} {
+		if err := jm.ReplaceDeviceJobs("derived-", []string{dev}, ofDevice(dev)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := jm.Jobs(); !reflect.DeepEqual(got[1:], jobs) || got[0].Name != "manual-sweep" {
+		t.Fatalf("after replacing by device the jobs are %v, want manual-sweep then %v", got, jobs)
+	}
 }
 
-// TestReplaceRulesKeepsDerivedOrder: DeriveJobs emits rules in the alarm
-// engine's own order, so a derived set installs as it is; any other order
-// of the same set installs to the same slice; and the swap drops exactly
-// the active alarms whose rule is gone.
+// TestReplaceRulesKeepsDerivedOrder: a derived set installs in the alarm
+// engine's own order; any other order of the same set installs to the same
+// slice; and a swap — wholesale or by device — drops exactly the active
+// alarms whose rule is gone, leaving every other one as it was.
 func TestReplaceRulesKeepsDerivedOrder(t *testing.T) {
 	store, err := fbnet.Open(relstore.NewDB("order-test"), fbnet.NewCatalog())
 	if err != nil {
@@ -247,7 +269,7 @@ func TestReplaceRulesKeepsDerivedOrder(t *testing.T) {
 	ae := NewAlarmEngine(vc, NewTimeseriesBackend(), store)
 	ae.ReplaceRules(rules)
 	if !reflect.DeepEqual(ae.Rules(), rules) {
-		t.Fatal("rules as DeriveJobs emits them are not in the engine's order")
+		t.Fatal("a derived rule set installed in a different order")
 	}
 	shuffled := slices.Clone(rules)
 	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
@@ -281,5 +303,31 @@ func TestReplaceRulesKeepsDerivedOrder(t *testing.T) {
 	kept := ae.Firing()
 	if len(kept) != 1 || kept[0].Key != down[1].Key || !kept[0].Since.Equal(fired[1].Since) || !kept[0].FiredAt.Equal(fired[1].FiredAt) {
 		t.Fatalf("after dropping %s/%s the firing alarms are %+v, want %+v unchanged", down[0].Device, down[0].Key, kept, fired[1])
+	}
+
+	// By device: re-installing another device's rules leaves the alarm as
+	// it is; re-installing its own device's without its rule drops it, and
+	// the set ends where the wholesale swap would leave it.
+	ofDevice := func(rs []AlarmRule, dev string) []AlarmRule {
+		return slices.DeleteFunc(slices.Clone(rs), func(r AlarmRule) bool { return r.Device != dev })
+	}
+	var other string
+	for _, r := range rules {
+		if r.Device != down[0].Device && r.Device != down[1].Device {
+			other = r.Device
+			break
+		}
+	}
+	ae.ReplaceDeviceRules([]string{other}, ofDevice(rules, other))
+	if got := ae.Firing(); !reflect.DeepEqual(got, kept) {
+		t.Fatalf("re-installing %s's rules changed the firing alarms to %+v, want %+v", other, got, kept)
+	}
+	want := slices.DeleteFunc(slices.Clone(rules), func(r AlarmRule) bool { return r == down[0] || r == down[1] })
+	ae.ReplaceDeviceRules([]string{down[1].Device}, ofDevice(want, down[1].Device))
+	if got := ae.Firing(); len(got) != 0 {
+		t.Fatalf("the alarm survived its rule: %+v", got)
+	}
+	if !reflect.DeepEqual(ae.Rules(), want) {
+		t.Fatal("replacing by device left another set than the wholesale swap")
 	}
 }

@@ -27,6 +27,9 @@ type Fleet struct {
 	devices map[string]*Device
 	cables  []cable
 	faults  *FaultPolicy // attached to every device, present and future
+	// cablingVersion counts the Wire and Uncable calls that changed the
+	// cabling (CablingVersion).
+	cablingVersion uint64
 
 	// cablesByDev indexes f.cables by endpoint device name so wiring
 	// checks and per-device recompute are O(degree), not O(cables).
@@ -93,6 +96,23 @@ func (f *Fleet) Device(name string) (*Device, bool) {
 	return d, ok
 }
 
+// Len returns the number of devices.
+func (f *Fleet) Len() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.devices)
+}
+
+// CablingVersion moves with every Wire and Uncable that changes the
+// cabling. A caller that keeps the cabling in step with a design reads it
+// after its own changes; finding it moved later means someone else — a
+// fiber cut, a hand-wired port — recabled the fleet in between.
+func (f *Fleet) CablingVersion() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.cablingVersion
+}
+
 // Devices returns all devices sorted by name.
 func (f *Fleet) Devices() []*Device {
 	f.mu.Lock()
@@ -136,6 +156,7 @@ func (f *Fleet) Wire(aDev, aIf, zDev, zIf string) error {
 	}
 	f.dirty[aDev] = struct{}{}
 	f.dirty[zDev] = struct{}{}
+	f.cablingVersion++
 	f.mu.Unlock()
 	f.flushDirty()
 	return nil
@@ -184,6 +205,7 @@ func (f *Fleet) Uncable(dev, iface string) bool {
 	}
 	f.dirty[removed.aDev] = struct{}{}
 	f.dirty[removed.zDev] = struct{}{}
+	f.cablingVersion++
 	f.mu.Unlock()
 	f.flushDirty()
 	return true

@@ -291,6 +291,24 @@ var steps = []struct {
 		h.n++
 		return h.update("Device", dev.ID, map[string]any{"name": fmt.Sprintf("renamed%d.%s", h.n, dev.String("role"))})
 	}},
+	{"rename-port", func(h *history) error {
+		// Moves the name a circuit end resolves to, with no entry of the
+		// circuit's own.
+		cir, ok := h.pick("Circuit", fbnet.Not(fbnet.IsNull("a_interface")))
+		if !ok {
+			return nil
+		}
+		h.n++
+		return h.update("PhysicalInterface", cir.Ref("a_interface"), map[string]any{"name": fmt.Sprintf("et%d/9", 10+h.n)})
+	}},
+	{"rename-site", func(h *history) error {
+		s, ok := h.pick("Site", nil)
+		if !ok {
+			return nil
+		}
+		h.n++
+		return h.update("Site", s.ID, map[string]any{"name": fmt.Sprintf("site%d", h.n)})
+	}},
 	{"device-role", func(h *history) error {
 		dev, ok := h.pick("Device", nil)
 		if !ok {
@@ -306,6 +324,13 @@ var steps = []struct {
 			return nil
 		}
 		return h.update("HardwareProfile", hw.ID, map[string]any{"vendor": v.ID})
+	}},
+	{"vendor-syntax", func(h *history) error {
+		v, ok := h.pick("Vendor", nil)
+		if !ok {
+			return nil
+		}
+		return h.update("Vendor", v.ID, map[string]any{"syntax": []string{"vendor1", "vendor2"}[h.rng.Intn(2)]})
 	}},
 	{"add-field", func(h *history) error {
 		h.n++
@@ -360,8 +385,11 @@ func (h *history) candidates() map[string]string {
 }
 
 // canonical puts a model's index slices, whose order depends on the order
-// rows were linked in, into a comparable order.
-func canonical(m *model) *model {
+// rows were linked in, into a comparable order. Stamps say when the rows
+// changed, which a cold model cannot know, so the copy returned has none;
+// what they are for — the changes a consumer is handed — is compared in
+// AlsoEquivalent instead.
+func canonical(m *model) model {
 	for _, ids := range m.aggsByDev {
 		slices.Sort(ids)
 	}
@@ -385,7 +413,9 @@ func canonical(m *model) *model {
 	if len(m.reach) == 0 {
 		m.reach = nil
 	}
-	return m
+	c := *m
+	c.st = stamps{}
+	return c
 }
 
 // AlsoEquivalent extends assertEquivalent to what is derived from the
@@ -470,6 +500,88 @@ func TestWarmEqualsColdOverRandomHistories(t *testing.T) {
 		if seen[inv] == 0 {
 			t.Errorf("no history ever violated %s", inv)
 		}
+	}
+}
+
+// TestStampLogStaysBounded: a long run of small changes keeps re-stamping
+// the same rows while routers join and leave the mesh between them; the
+// log is compacted to about one entry per row, and a consumer following
+// Since still holds exactly the devices a cold model lists.
+func TestStampLogStaysBounded(t *testing.T) {
+	h := newHistory(t, 1)
+	c := NewChecker(h.store, h.g.Golden)
+	var stamp uint64
+	kept := map[string]Device{}
+	follow := func() {
+		if err := c.Intent(func(in Intent) error {
+			ch := in.Since(stamp)
+			for _, name := range ch.Gone {
+				delete(kept, name)
+			}
+			for _, d := range ch.Devices {
+				kept[d.Name] = d
+			}
+			stamp = ch.Stamp
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	follow()
+	dev, ok := h.pick("Device", fbnet.Eq("role", "ssw"))
+	if !ok {
+		t.Fatal("no ssw to flip")
+	}
+	run := func(name string) {
+		i := slices.IndexFunc(steps, func(s struct {
+			name string
+			run  func(h *history) error
+		}) bool {
+			return s.name == name
+		})
+		if err := steps[i].run(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 600; i++ {
+		if err := h.update("Device", dev.ID, map[string]any{"role": []string{"ssw", "fsw"}[i%2]}); err != nil {
+			t.Fatal(err)
+		}
+		switch i % 7 {
+		case 0:
+			run("add-mesh-router")
+		case 3:
+			run("remove-mesh-router")
+		}
+		follow()
+	}
+	// Compaction falling due on the stamp of a row being inserted, which is
+	// linked before it is stored: a bare device, nothing else re-stamping
+	// it, must still be handed out.
+	st := &c.m.st
+	st.log = append(make([]stamped, 2*(len(st.at)+1)+63-len(st.log)), st.log...)
+	if _, err := h.store.Mutate(func(m *fbnet.Mutation) error {
+		_, err := m.Create("Device", map[string]any{"name": "bare.bb1", "role": "bb",
+			"site": dev.Ref("site"), "hw_profile": dev.Ref("hw_profile"), "drain_state": "drained"})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	follow()
+	var cold []Device
+	if err := NewChecker(h.store, nil).Intent(func(in Intent) error { cold = in.Devices(); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != len(cold) {
+		t.Fatalf("following Since kept %d devices, a cold model lists %d", len(kept), len(cold))
+	}
+	for _, d := range cold {
+		if kept[d.Name] != d {
+			t.Fatalf("following Since kept %+v for %s, a cold model lists %+v", kept[d.Name], d.Name, d)
+		}
+	}
+	if n, rows := len(c.m.st.log), len(c.m.st.at); n > 2*rows+64 {
+		t.Errorf("the stamp log holds %d entries for %d rows", n, rows)
 	}
 }
 

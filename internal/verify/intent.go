@@ -33,6 +33,27 @@ type Circuit struct {
 // ("" when the session names none) and the session type.
 type Peer struct{ Addr, Type string }
 
+// Changes is what the syncs after a consumer's stamp changed in the view
+// (Intent.Since).
+type Changes struct {
+	// Stamp is the view's own stamp: the one to pass to the next Since.
+	Stamp uint64
+	// All is set when the stamp predates the model — a consumer's first
+	// call, or the model was rebuilt since. Every device and circuit is
+	// then listed, and whatever the consumer derived from a device name
+	// that is not listed is gone.
+	All bool
+	// Devices are the devices whose row, site, hardware profile, vendor,
+	// ports, or sessions they are the local end of changed, sorted by name.
+	Devices []Device
+	// Gone are the names devices gave up — removed, or renamed away — and
+	// no device holds now, sorted.
+	Gone []string
+	// Circuits are the changed circuits among those Circuits returns —
+	// their row, or the names their ends resolve to — in id order.
+	Circuits []Circuit
+}
+
 // Intent brings the resident model to the store's current sequence exactly
 // as Check does — the same sync, failing closed on a store that is down,
 // rebuilding on a change it cannot follow — and calls read with a view of
@@ -48,17 +69,72 @@ func (c *Checker) Intent(read func(Intent) error) error {
 	return read(Intent{c.m})
 }
 
-// Devices returns every device, sorted by name.
-func (in Intent) Devices() []Device {
+// Since returns what changed after stamp: 0 for a consumer that has not
+// read before, else the Stamp of its last Changes. A consumer that derives
+// per device and per circuit re-derives what is listed, drops what Gone
+// names, and so pays for what the design change touched; with every key
+// listed (All), the same code is the full derivation.
+func (in Intent) Since(stamp uint64) Changes {
 	m := in.m
-	out := make([]Device, 0, len(m.devs))
-	for id, d := range m.devs {
-		out = append(out, Device{
-			Name: d.name, Role: d.role, Site: m.sites[d.site].name,
-			Syntax: m.vendors[m.hws[d.hw].vendor].syntax, id: id,
-		})
+	ch := Changes{Stamp: m.seq, All: stamp == 0 || stamp < m.st.born}
+	if ch.All {
+		stamp = 0
 	}
+	ch.Devices, ch.Circuits = m.devicesSince(stamp), m.circuitsSince(stamp)
+	for name, at := range m.st.gone {
+		if at > stamp {
+			ch.Gone = append(ch.Gone, name)
+		}
+	}
+	slices.Sort(ch.Gone)
+	return ch
+}
+
+// Devices returns every device, sorted by name.
+func (in Intent) Devices() []Device { return in.m.devicesSince(0) }
+
+// Circuits returns the non-decommissioned circuits that have both ends, in
+// id order.
+func (in Intent) Circuits() []Circuit { return in.m.circuitsSince(0) }
+
+// devicesSince returns the devices stamped after stamp, sorted by name.
+func (m *model) devicesSince(stamp uint64) []Device {
+	var out []Device
+	m.stampedSince(stamp, func(k stampKey) {
+		if !k.circuit {
+			d := m.devs[k.id]
+			out = append(out, Device{
+				Name: d.name, Role: d.role, Site: m.sites[d.site].name,
+				Syntax: m.vendors[m.hws[d.hw].vendor].syntax, id: k.id,
+			})
+		}
+	})
 	slices.SortFunc(out, func(a, b Device) int { return cmp.Compare(a.Name, b.Name) })
+	return out
+}
+
+// circuitsSince returns the circuits stamped after stamp that are not
+// decommissioned and have both ends, in id order.
+func (m *model) circuitsSince(stamp uint64) []Circuit {
+	var ids []int64
+	m.stampedSince(stamp, func(k stampKey) {
+		if !k.circuit {
+			return
+		}
+		if c := m.circs[k.id]; c.status != "decommissioned" && c.a != 0 && c.z != 0 {
+			ids = append(ids, k.id)
+		}
+	})
+	slices.Sort(ids)
+	out := make([]Circuit, len(ids))
+	for i, id := range ids {
+		c := m.circs[id]
+		out[i] = Circuit{
+			ID: c.name, Status: c.status,
+			ADevice: m.devs[m.portDev(c.a)].name, AInterface: m.ports[c.a].name,
+			ZDevice: m.devs[m.portDev(c.z)].name, ZInterface: m.ports[c.z].name,
+		}
+	}
 	return out
 }
 
@@ -83,27 +159,4 @@ func (in Intent) Peers(d Device) []Peer {
 		return cmp.Or(cmp.Compare(a.Addr, b.Addr), cmp.Compare(a.Type, b.Type))
 	})
 	return peers
-}
-
-// Circuits returns the non-decommissioned circuits that have both ends, in
-// id order.
-func (in Intent) Circuits() []Circuit {
-	m := in.m
-	ids := make([]int64, 0, len(m.circs))
-	for id, c := range m.circs {
-		if c.status != "decommissioned" && c.a != 0 && c.z != 0 {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	out := make([]Circuit, len(ids))
-	for i, id := range ids {
-		c := m.circs[id]
-		out[i] = Circuit{
-			ID: c.name, Status: c.status,
-			ADevice: m.devs[m.portDev(c.a)].name, AInterface: m.ports[c.a].name,
-			ZDevice: m.devs[m.portDev(c.z)].name, ZInterface: m.ports[c.z].name,
-		}
-	}
-	return out
 }

@@ -1,9 +1,11 @@
 package verify_test
 
 import (
+	"maps"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,13 +20,16 @@ import (
 // from them — equals what a cold-loaded view yields, and equals what the
 // store itself says: the fleet-wide scan DeriveJobs used to run lives on
 // below as its oracle, and the read API's relation paths answer for the
-// topology.
+// topology. On the warm side the monitoring config and the device and
+// circuit lists are kept by delta across the whole history, from what
+// Intent.Since hands out after each step; on the cold side they are
+// derived whole.
 
 func init() { verify.AlsoEquivalent = assertViewsEquivalent }
 
 // viewCopy is everything a view exposes, copied out.
 type viewCopy struct {
-	Devices  []verify.Device
+	Devices  map[string]verify.Device
 	Ports    map[string][]string
 	Peers    map[string][]verify.Peer
 	Circuits []verify.Circuit
@@ -32,26 +37,113 @@ type viewCopy struct {
 	Rules    []monitor.AlarmRule
 }
 
-func copyView(t *testing.T, c *verify.Checker, step string) viewCopy {
+// derivedSets are a job manager and an alarm engine with a Derivation
+// keeping their derived jobs and rules.
+type derivedSets struct {
+	jm      *monitor.JobManager
+	ae      *monitor.AlarmEngine
+	derived *monitor.Derivation
+}
+
+func newDerivedSets(t *testing.T, store *fbnet.Store) derivedSets {
 	t.Helper()
+	jm := monitor.NewJobManager(nil)
+	for _, b := range []monitor.Backend{monitor.NewTimeseriesBackend(), monitor.NewDerivedBackend(store)} {
+		if err := jm.RegisterBackend(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ae := monitor.NewAlarmEngine(nil, monitor.NewTimeseriesBackend(), store)
+	return derivedSets{jm, ae, monitor.NewDerivation(jm, ae)}
+}
+
+// sync brings the sets up to c's view and copies them out.
+func (s derivedSets) sync(t *testing.T, c *verify.Checker, step string) ([]monitor.JobSpec, []monitor.AlarmRule) {
+	t.Helper()
+	if _, err := s.derived.Sync(c); err != nil {
+		t.Fatalf("after %s: deriving: %v", step, err)
+	}
+	return s.jm.Jobs(), s.ae.Rules()
+}
+
+// follower is the delta consumers of one warm checker, carried from step
+// to step of a history: the derived sets, and the devices (by name) and
+// circuits (by circuit_id) Since handed out, applied as they came.
+type follower struct {
+	warm     *verify.Checker
+	sets     derivedSets
+	stamp    uint64
+	devices  map[string]verify.Device
+	circuits map[string]verify.Circuit
+}
+
+var following follower
+
+// follow applies what changed in warm's view since the last step.
+func (f *follower) follow(t *testing.T, store *fbnet.Store, warm *verify.Checker, step string) viewCopy {
+	t.Helper()
+	if f.warm != warm { // a new history
+		*f = follower{warm: warm, sets: newDerivedSets(t, store), devices: map[string]verify.Device{}, circuits: map[string]verify.Circuit{}}
+	}
 	v := viewCopy{Ports: map[string][]string{}, Peers: map[string][]verify.Peer{}}
-	err := c.Intent(func(in verify.Intent) error {
-		v.Devices, v.Circuits = in.Devices(), in.Circuits()
-		for _, d := range v.Devices {
+	v.Jobs, v.Rules = f.sets.sync(t, warm, step)
+	err := warm.Intent(func(in verify.Intent) error {
+		ch := in.Since(f.stamp)
+		if ch.All {
+			clear(f.devices)
+			clear(f.circuits)
+		}
+		for _, name := range ch.Gone {
+			delete(f.devices, name)
+		}
+		for _, d := range ch.Devices {
+			f.devices[d.Name] = d
+		}
+		for _, c := range ch.Circuits {
+			f.circuits[c.ID] = c
+		}
+		f.stamp = ch.Stamp
+		v.Devices, v.Circuits = maps.Clone(f.devices), in.Circuits()
+		for _, d := range in.Devices() {
 			v.Ports[d.Name], v.Peers[d.Name] = in.Ports(d), in.Peers(d)
 		}
-		v.Jobs, v.Rules = monitor.DeriveJobs(in)
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("after %s: reading the view: %v", step, err)
 	}
+	// A circuit is handed out whenever what the view says of it changes:
+	// the copy kept of each current one is the current one. (Deleted
+	// circuits are not handed out; no consumer undoes a cable.)
+	for _, c := range v.Circuits {
+		if f.circuits[c.ID] != c {
+			t.Fatalf("after %s: circuit %s changed without being handed out: kept %+v, now %+v", step, c.ID, f.circuits[c.ID], c)
+		}
+	}
+	return v
+}
+
+// copyView reads a cold checker's view whole.
+func copyView(t *testing.T, store *fbnet.Store, c *verify.Checker, step string) viewCopy {
+	t.Helper()
+	v := viewCopy{Devices: map[string]verify.Device{}, Ports: map[string][]string{}, Peers: map[string][]verify.Peer{}}
+	err := c.Intent(func(in verify.Intent) error {
+		v.Circuits = in.Circuits()
+		for _, d := range in.Devices() {
+			v.Devices[d.Name], v.Ports[d.Name], v.Peers[d.Name] = d, in.Ports(d), in.Peers(d)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("after %s: reading the view: %v", step, err)
+	}
+	v.Jobs, v.Rules = newDerivedSets(t, store).sync(t, c, step)
 	return v
 }
 
 func assertViewsEquivalent(t *testing.T, store *fbnet.Store, warm, cold *verify.Checker, step string) {
 	t.Helper()
-	got, fresh := copyView(t, warm, step), copyView(t, cold, step)
+	got, fresh := following.follow(t, store, warm, step), copyView(t, store, cold, step)
 	if !reflect.DeepEqual(got, fresh) {
 		t.Fatalf("after %s: followed view differs from a cold-loaded one\nwarm: %+v\ncold: %+v", step, got, fresh)
 	}
@@ -72,10 +164,11 @@ func assertViewsEquivalent(t *testing.T, store *fbnet.Store, warm, cold *verify.
 	if err != nil {
 		t.Fatalf("after %s: scan oracle: %v", step, err)
 	}
-	viewDevs := make([][4]string, len(got.Devices))
-	for i, d := range got.Devices {
-		viewDevs[i] = [4]string{d.Name, d.Role, d.Site, d.Syntax}
+	viewDevs := make([][4]string, 0, len(got.Devices))
+	for _, d := range got.Devices {
+		viewDevs = append(viewDevs, [4]string{d.Name, d.Role, d.Site, d.Syntax})
 	}
+	slices.SortFunc(viewDevs, func(a, b [4]string) int { return strings.Compare(a[0], b[0]) })
 	if !reflect.DeepEqual(viewDevs, devs) {
 		t.Fatalf("after %s: view devices differ from the store scan\nview: %v\nscan: %v", step, viewDevs, devs)
 	}

@@ -24,6 +24,10 @@ import (
 // are stored per check and the result of a run is the stored violations
 // plus the candidate-set checks. A cold model is the same code fed one
 // insert per stored row, which marks every check.
+//
+// The same linking also stamps, for the view's consumers (intent.go), each
+// device and circuit with the sequence of the sync that changed what the
+// view derives from it; a cold model stamps every one with its load.
 
 // trackedModels are the FBNet models the model keeps, referenced models
 // first (the order a cold load feeds them in).
@@ -316,6 +320,81 @@ type model struct {
 
 	reachStale bool        // a device or circuit adjacency changed since reach was computed
 	reach      []Violation // reachability violations, by device id
+
+	st stamps
+}
+
+// stamps record which sync changed what the view derives from a device —
+// its row, site, hardware profile or vendor, ports, or the sessions it is
+// the local end of — or from a circuit — its row, or the names its ends
+// resolve to (Intent.Since). A stamp is the binlog sequence the model
+// reached with that sync, so stamps only grow, across rebuilds too. log
+// lists the rows in the order they were stamped, so what changed after a
+// stamp is a suffix of it, found by binary search.
+type stamps struct {
+	born uint64              // the sequence the model was loaded at: every row carries it or later
+	at   map[stampKey]uint64 // a row's last stamp
+	log  []stamped           // in stamp order; an entry older than its row's stamp is dead
+	gone map[string]uint64   // names of devices removed or renamed away, while no device holds them
+}
+
+type stampKey struct {
+	circuit bool // else a device
+	id      int64
+}
+
+type stamped struct {
+	stampKey
+	seq uint64
+}
+
+// stamp records that the sync reaching m.seq changed what the view derives
+// from the row. Once dead entries make up half the log, it is compacted to
+// the live ones, and the stamps of deleted rows are dropped with theirs —
+// of earlier syncs only: a row this one inserts is linked before it is
+// stored.
+func (m *model) stamp(k stampKey) {
+	st := &m.st
+	if st.at[k] == m.seq {
+		return
+	}
+	st.at[k] = m.seq
+	st.log = append(st.log, stamped{k, m.seq})
+	if len(st.log) < 2*len(st.at)+64 {
+		return
+	}
+	live := st.log[:0]
+	for _, e := range st.log {
+		switch {
+		case st.at[e.stampKey] != e.seq:
+		case e.seq < m.seq && !m.holds(e.stampKey):
+			delete(st.at, e.stampKey)
+		default:
+			live = append(live, e)
+		}
+	}
+	st.log = live
+}
+
+func (m *model) holds(k stampKey) bool {
+	if k.circuit {
+		_, ok := m.circs[k.id]
+		return ok
+	}
+	_, ok := m.devs[k.id]
+	return ok
+}
+
+// stampedSince calls fn with each row the model holds whose stamp is later
+// than stamp, in stamp order.
+func (m *model) stampedSince(stamp uint64, fn func(stampKey)) {
+	log := m.st.log
+	i, _ := slices.BinarySearchFunc(log, stamp+1, func(e stamped, seq uint64) int { return cmp.Compare(e.seq, seq) })
+	for _, e := range log[i:] {
+		if m.st.at[e.stampKey] == e.seq && m.holds(e.stampKey) {
+			fn(e.stampKey)
+		}
+	}
 }
 
 func newModel() *model {
@@ -333,13 +412,15 @@ func newModel() *model {
 		subnets: map[netip.Prefix][]rowKey{},
 		dirty:   map[checkKey]struct{}{}, found: map[checkKey][]Violation{},
 		reachStale: true,
+		st:         stamps{at: map[stampKey]uint64{}, gone: map[string]uint64{}},
 	}
 }
 
-// load builds a model from the store: one Find per tracked model, each
-// row fed through apply as an insert.
-func load(tx *fbnet.Mutation) (*model, error) {
+// load builds the model of the store at sequence seq: one Find per tracked
+// model, each row fed through apply as an insert.
+func load(tx *fbnet.Mutation, seq uint64) (*model, error) {
 	m := newModel()
+	m.seq, m.st.born = seq, seq
 	for _, name := range trackedModels {
 		objs, err := tx.Find(name, nil)
 		if err != nil {
@@ -366,11 +447,11 @@ func (m *model) apply(e *relstore.LogEntry) bool {
 	id := e.RowID
 	switch e.Table {
 	case "Site":
-		return applyRow(m, m.sites, id, e, (*site).set, nil)
+		return applyRow(m, m.sites, id, e, (*site).set, (*model).linkSite)
 	case "Vendor":
-		return applyRow(m, m.vendors, id, e, (*vendor).set, nil)
+		return applyRow(m, m.vendors, id, e, (*vendor).set, (*model).linkVendor)
 	case "HardwareProfile":
-		return applyRow(m, m.hws, id, e, (*hwProfile).set, nil)
+		return applyRow(m, m.hws, id, e, (*hwProfile).set, (*model).linkHardware)
 	case "Device":
 		return applyRow(m, m.devs, id, e, (*device).set, (*model).linkDevice)
 	case "Linecard":
@@ -457,7 +538,49 @@ func index[K, V comparable](idx map[K][]V, k K, v V, add bool) {
 //
 // Each link function is called with add=false for a row as it was and
 // add=true for the row as it is; both calls mark every stored check that
-// prints or reads the row.
+// prints or reads the row, and stamp every device and circuit whose view
+// reads it.
+
+func (m *model) stampDevice(id int64)  { m.stamp(stampKey{id: id}) }
+func (m *model) stampCircuit(id int64) { m.stamp(stampKey{circuit: true, id: id}) }
+
+// stampCircuitsWhere stamps the circuits an end of which matches: renaming
+// a port or a device moves the names they resolve to. It walks every
+// circuit, but only for the updates and deletes of ports and devices; no
+// insert reaches it.
+func (m *model) stampCircuitsWhere(onEnd func(port int64) bool) {
+	for id, c := range m.circs {
+		if onEnd(c.a) || onEnd(c.z) {
+			m.stampCircuit(id)
+		}
+	}
+}
+
+// linkSite, linkHardware and linkVendor stamp the devices whose site name
+// or vendor syntax the row resolves.
+func (m *model) linkSite(id int64, _ site, _ bool) {
+	for dev, d := range m.devs {
+		if d.site == id {
+			m.stampDevice(dev)
+		}
+	}
+}
+
+func (m *model) linkHardware(id int64, _ hwProfile, _ bool) {
+	for dev, d := range m.devs {
+		if d.hw == id {
+			m.stampDevice(dev)
+		}
+	}
+}
+
+func (m *model) linkVendor(id int64, _ vendor, _ bool) {
+	for hw, h := range m.hws {
+		if h.vendor == id {
+			m.linkHardware(hw, h, false)
+		}
+	}
+}
 
 func (m *model) mark(kind checkKind, row rowKey) {
 	m.dirty[checkKey{kind: kind, row: row}] = struct{}{}
@@ -490,13 +613,18 @@ func (m *model) markSubnetsOn(dev int64) {
 
 // linkDevice: a device's name is printed by its sessions, its AS claims
 // and the subnets with an end on it; its role and cluster feed
-// reachability.
+// reachability. A name it gives up is recorded as gone until a device
+// takes it again.
 func (m *model) linkDevice(id int64, d device, add bool) {
 	if add {
 		m.devByName[d.name] = id
+		delete(m.st.gone, d.name)
 	} else {
 		delete(m.devByName, d.name)
+		m.st.gone[d.name] = m.seq
+		m.stampCircuitsWhere(func(port int64) bool { return m.portDev(port) == id })
 	}
+	m.stampDevice(id)
 	m.mark(checkClaims, rowKey{id: id})
 	for _, s := range m.sessByDev[id] {
 		m.mark(checkSession, s)
@@ -510,8 +638,13 @@ func (m *model) linkBundle(id int64, b bundle, add bool) {
 	m.markPrefixesOn(id)
 }
 
-func (m *model) linkPort(_ int64, p port, add bool) {
-	index(m.portNames, m.lcs[p.lc].dev, p.name, add)
+func (m *model) linkPort(id int64, p port, add bool) {
+	dev := m.lcs[p.lc].dev
+	index(m.portNames, dev, p.name, add)
+	m.stampDevice(dev)
+	if !add {
+		m.stampCircuitsWhere(func(port int64) bool { return port == id })
+	}
 }
 
 func (m *model) portDev(id int64) int64 { return m.lcs[m.ports[id].lc].dev }
@@ -523,6 +656,7 @@ func (m *model) linkLinkGroup(_ int64, g linkGroup, add bool) {
 }
 
 func (m *model) linkCircuit(id int64, c circuit, add bool) {
+	m.stampCircuit(id)
 	m.mark(checkCircuit, rowKey{id: id})
 	if c.status == "decommissioned" {
 		return
@@ -671,6 +805,9 @@ func (m *model) linkSession(k rowKey, s session, add bool) {
 	}
 	if s.localPrefix != 0 {
 		index(m.sessByPfx, rowKey{k.v4, s.localPrefix}, k, add)
+	}
+	if s.local != 0 {
+		m.stampDevice(s.local) // its peers
 	}
 	m.mark(checkSession, k)
 	m.mark(checkClaims, rowKey{id: s.local})

@@ -258,13 +258,13 @@ func (c *Checker) sync() (applied int, rebuilt bool, err error) {
 		seq := db.Seq()
 		followed := true
 		entries := db.EntriesSince(c.m.seq)
+		c.m.seq = seq // the stamp of what the entries change; a model that cannot follow is dropped
 		for i := 0; i < len(entries) && entries[i].Seq <= seq && followed; i++ {
 			applied++
 			followed = c.m.apply(&entries[i])
 		}
 		c.entries.Add(int64(applied))
 		if followed {
-			c.m.seq = seq
 			return applied, false, nil
 		}
 		c.m = nil
@@ -272,9 +272,8 @@ func (c *Checker) sync() (applied int, rebuilt bool, err error) {
 	// Rebuild inside one store transaction: it holds the write lock, so
 	// the Finds read one committed state and Seq names it.
 	_, err = c.store.Mutate(func(tx *fbnet.Mutation) error {
-		m, err := load(tx)
+		m, err := load(tx, db.Seq())
 		if err == nil {
-			m.seq = db.Seq()
 			c.m = m
 			c.rebuilds.Inc()
 		}
