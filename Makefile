@@ -13,7 +13,10 @@ tier1: verify-gate store reconcile fuzz-smoke sim obs
 # switch) through a cold and a pre-warmed checker, the warm ≡ cold
 # property over 200 seeded histories (model, violations, and the view the
 # derivations read ≡ the store-scan oracle), the nesting-index ≡
-# ipam-replay oracle, plus the end-to-end rejection contract and the
+# ipam-replay oracle, the design-rule differential (over the same 200
+# histories the stored checks answer for every finding of the design
+# tool's former rule checker, kept as the oracle, and flag nothing it
+# sees and calls clean), plus the end-to-end rejection contract and the
 # shared-model contracts (one rebuild, fail-closed) in core, under the
 # race detector. See DESIGN.md §12. The gate checks what the generator
 # hands it, so the generator's own follower rides along: memo ≡ cold over
@@ -55,6 +58,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCircuitEnd$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzScanConfig$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/thriftlite/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/tmpl/
 
 build:
 	$(GO) build ./...

@@ -8,6 +8,7 @@ import (
 	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/monitor"
+	"github.com/robotron-net/robotron/internal/verify"
 )
 
 // TestGlobalNetworkOfNetworks assembles the paper's Figure 1: two edge
@@ -123,11 +124,7 @@ func TestGlobalNetworkOfNetworks(t *testing.T) {
 		t.Errorf("cross-domain derived circuits = %d, want 6", crossDomain)
 	}
 	// Design validation over the whole estate.
-	violations, err := design.ValidateDesign(r.Store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) != 0 {
+	if violations := gateViolations(t, r.Store); len(violations) != 0 {
 		t.Errorf("violations: %v", violations[:min(5, len(violations))])
 	}
 	// FBNet scale sanity: the read API answers a global question — which
@@ -146,4 +143,15 @@ func TestGlobalNetworkOfNetworks(t *testing.T) {
 	if counts[monitor.EngineSNMP] == 0 || counts[monitor.EngineCLI] == 0 {
 		t.Errorf("monitoring counts = %v", counts)
 	}
+}
+
+// gateViolations is the gate's verdict on the design alone: a fresh
+// checker's stored checks, network-wide, with no rendered configs.
+func gateViolations(t *testing.T, store *fbnet.Store) []verify.Violation {
+	t.Helper()
+	res, err := verify.NewChecker(store, nil).Check(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Violations
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/robotron-net/robotron/internal/deploy"
-	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/fbnet"
 )
 
@@ -90,11 +89,7 @@ func TestMaintenanceWithDrainProcedure(t *testing.T) {
 	if err := r.UndrainDevice(ctx, "bb2"); err != nil {
 		t.Fatal(err)
 	}
-	violations, err := design.ValidateDesign(r.Store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) != 0 {
+	if violations := gateViolations(t, r.Store); len(violations) != 0 {
 		t.Errorf("violations after maintenance: %v", violations)
 	}
 }

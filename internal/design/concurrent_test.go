@@ -56,11 +56,7 @@ func TestConcurrentDesignChangesSerialize(t *testing.T) {
 	if n, _ := d.Store().Count("Cluster"); n != 4 {
 		t.Errorf("clusters = %d", n)
 	}
-	violations, err := ValidateDesign(d.Store())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) != 0 {
+	if violations := gateViolations(t, d.Store()); len(violations) != 0 {
 		t.Errorf("violations after concurrent changes: %v", violations)
 	}
 	// No duplicate prefixes slipped through (uniqueness is transactional).

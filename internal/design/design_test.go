@@ -7,6 +7,7 @@ import (
 
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/relstore"
+	"github.com/robotron-net/robotron/internal/verify"
 )
 
 func testCtx(domain string) ChangeContext {
@@ -142,11 +143,7 @@ func TestBuildClusterValidDesign(t *testing.T) {
 	if _, err := d.BuildCluster(testCtx("pop"), "pop1", "pop1-c1", POPGen1()); err != nil {
 		t.Fatal(err)
 	}
-	violations, err := ValidateDesign(d.Store())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) != 0 {
+	if violations := gateViolations(t, d.Store()); len(violations) != 0 {
 		t.Errorf("fresh cluster has violations: %v", violations)
 	}
 }
@@ -202,11 +199,7 @@ func TestBuildDCGen3WithRacks(t *testing.T) {
 	if counts["V6Prefix"] == 0 || counts["BgpV6Session"] == 0 {
 		t.Errorf("missing v6 fabric objects: %v", counts)
 	}
-	violations, err := ValidateDesign(d.Store())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) != 0 {
+	if violations := gateViolations(t, d.Store()); len(violations) != 0 {
 		t.Errorf("violations: %v", violations[:min(len(violations), 5)])
 	}
 }
@@ -266,11 +259,7 @@ func TestAddBackboneRoutersBuildsMesh(t *testing.T) {
 	if len(sessions) != 3 { // C(3,2)
 		t.Errorf("mesh sessions = %d, want 3", len(sessions))
 	}
-	violations, err := ValidateDesign(d.Store())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) != 0 {
+	if violations := gateViolations(t, d.Store()); len(violations) != 0 {
 		t.Errorf("violations: %v", violations)
 	}
 }
@@ -320,8 +309,7 @@ func TestRemoveBackboneRouterCleansMesh(t *testing.T) {
 	if len(res.Stats.Deleted) < 3 { // device + >= 2 sessions
 		t.Errorf("deleted = %d objects, want >= 3", len(res.Stats.Deleted))
 	}
-	violations, _ := ValidateDesign(d.Store())
-	if len(violations) != 0 {
+	if violations := gateViolations(t, d.Store()); len(violations) != 0 {
 		t.Errorf("violations after removal: %v", violations)
 	}
 	if _, err := d.RemoveBackboneRouter(testCtx("backbone"), "bb2"); err == nil {
@@ -407,11 +395,7 @@ func TestMigrateCircuit(t *testing.T) {
 	if !strings.Contains(cir2.String("circuit_id"), "bb3") {
 		t.Errorf("circuit id after migration = %q", cir2.String("circuit_id"))
 	}
-	violations, err := ValidateDesign(d.Store())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) != 0 {
+	if violations := gateViolations(t, d.Store()); len(violations) != 0 {
 		t.Errorf("violations after migration: %v", violations)
 	}
 	// bb2 no longer has interfaces.
@@ -493,7 +477,8 @@ func TestValidateDesignCatchesViolations(t *testing.T) {
 	d.EnsureSite("pop1", "pop", "apac")
 	store := d.Store()
 	// Hand-craft a broken design: a circuit with only one endpoint and an
-	// eBGP session within one AS.
+	// eBGP session within one AS from a device to itself.
+	var circuit, session int64
 	_, err := store.Mutate(func(m *fbnet.Mutation) error {
 		site, _ := m.FindOne("Site", fbnet.Eq("name", "pop1"))
 		hw, _ := m.FindOne("HardwareProfile", fbnet.Eq("name", "Router_Vendor1"))
@@ -511,12 +496,12 @@ func TestValidateDesignCatchesViolations(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if _, err := m.Create("Circuit", map[string]any{
+		if circuit, err = m.Create("Circuit", map[string]any{
 			"circuit_id": "half", "a_interface": pif, "status": "provisioning",
 		}); err != nil {
 			return err
 		}
-		_, err = m.Create("BgpV6Session", map[string]any{
+		session, err = m.Create("BgpV6Session", map[string]any{
 			"local_device": dev, "remote_device": dev,
 			"local_as": 65001, "remote_as": 65001, "session_type": "ebgp",
 		})
@@ -525,18 +510,12 @@ func TestValidateDesignCatchesViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	violations, err := ValidateDesign(store)
-	if err != nil {
-		t.Fatal(err)
+	violations := gateViolations(t, store)
+	if len(on(violations, verify.OrphanRef, "Circuit", circuit)) == 0 {
+		t.Errorf("one-ended circuit not flagged; violations: %v", violations)
 	}
-	rules := map[string]bool{}
-	for _, v := range violations {
-		rules[v.Rule] = true
-	}
-	for _, want := range []string{"circuit-endpoints", "bgp-distinct-peers", "bgp-as-match"} {
-		if !rules[want] {
-			t.Errorf("rule %s not triggered; violations: %v", want, violations)
-		}
+	if len(on(violations, verify.BGPSymmetry, "BgpV6Session", session)) == 0 {
+		t.Errorf("self-peering session not flagged; violations: %v", violations)
 	}
 }
 

@@ -47,11 +47,7 @@ func TestAddRackGrowsCluster(t *testing.T) {
 	if !asOK {
 		t.Error("new rack sessions do not carry the fabric AS numbers")
 	}
-	violations, err := ValidateDesign(d.Store())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) != 0 {
+	if violations := gateViolations(t, d.Store()); len(violations) != 0 {
 		t.Errorf("violations after rack add: %v", violations)
 	}
 	// Rejections.
@@ -108,12 +104,5 @@ func TestRemoveRouterCleansFarEnds(t *testing.T) {
 		if _, err := d.DeleteCircuit(testCtx("backbone"), cir.String("circuit_id")); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestViolationString(t *testing.T) {
-	v := Violation{Rule: "p2p-same-subnet", Model: "LinkGroup", ID: 7, Detail: "mismatch"}
-	if got := v.String(); got != "p2p-same-subnet: LinkGroup id 7: mismatch" {
-		t.Errorf("String = %q", got)
 	}
 }

@@ -37,11 +37,7 @@ func TestTensOfThousandsWithinMinutes(t *testing.T) {
 	}
 	t.Logf("materialized %d FBNet objects in %v", total, elapsed)
 	// The resulting estate still passes every design rule.
-	violations, err := ValidateDesign(d.Store())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) != 0 {
+	if violations := gateViolations(t, d.Store()); len(violations) != 0 {
 		t.Errorf("%d violations at scale", len(violations))
 	}
 }

@@ -5,17 +5,29 @@ import (
 	"testing"
 
 	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/verify"
 )
 
-// countRule tallies violations of one rule.
-func countRule(vs []Violation, rule string) int {
-	n := 0
+// gateViolations is the gate's verdict on the design alone: a fresh
+// checker's stored checks, network-wide, with no rendered configs.
+func gateViolations(t *testing.T, store *fbnet.Store) []verify.Violation {
+	t.Helper()
+	res, err := verify.NewChecker(store, nil).Check(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Violations
+}
+
+// on returns the violations of inv that carry the object model#id.
+func on(vs []verify.Violation, inv verify.Invariant, model string, id int64) []verify.Violation {
+	var out []verify.Violation
 	for _, v := range vs {
-		if v.Rule == rule {
-			n++
+		if v.Invariant == inv && v.Model == model && v.ID == id {
+			out = append(out, v)
 		}
 	}
-	return n
+	return out
 }
 
 // TestValidateOneSidedP2PAddressing: removing the z-side p2p prefix of a
@@ -24,8 +36,8 @@ func countRule(vs []Violation, rule string) int {
 func TestValidateOneSidedP2PAddressing(t *testing.T) {
 	d, _ := popWithPR(t)
 	store := d.Store()
-	if vs, err := ValidateDesign(store); err != nil || len(vs) != 0 {
-		t.Fatalf("clean cluster validates dirty: %v %v", vs, err)
+	if vs := gateViolations(t, store); len(vs) != 0 {
+		t.Fatalf("clean cluster validates dirty: %v", vs)
 	}
 	// Delete one link group's z-side prefix: resolve a session's
 	// remote_addr back to the prefix object on the far device.
@@ -43,21 +55,14 @@ func TestValidateOneSidedP2PAddressing(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	vs, err := ValidateDesign(store)
-	if err != nil {
-		t.Fatal(err)
+	// The a-side prefix is left as the subnet's only end.
+	vs := gateViolations(t, store)
+	found := on(vs, verify.P2PConsistency, "V6Prefix", s.Ref("local_prefix"))
+	if len(found) == 0 {
+		t.Fatalf("one-sided p2p addressing not flagged; violations: %v", vs)
 	}
-	if countRule(vs, "p2p-same-subnet") == 0 {
-		t.Errorf("one-sided p2p addressing not flagged; violations: %v", vs)
-	}
-	found := false
-	for _, v := range vs {
-		if v.Rule == "p2p-same-subnet" && strings.Contains(v.Detail, "only one side") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no one-sided detail in violations: %v", vs)
+	if !strings.Contains(found[0].Detail, "only one end") {
+		t.Errorf("no one-sided detail in violations: %v", found)
 	}
 }
 
@@ -82,11 +87,8 @@ func TestValidateLocalPrefixOwnership(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	vs, err := ValidateDesign(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if countRule(vs, "bgp-local-prefix") != 1 {
+	vs := gateViolations(t, store)
+	if len(on(vs, verify.OrphanRef, "BgpV6Session", s.ID)) != 1 {
 		t.Errorf("misattached local_prefix not flagged exactly once: %v", vs)
 	}
 }
@@ -110,11 +112,8 @@ func TestValidateUnboundLocalPrefix(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	vs, err := ValidateDesign(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if countRule(vs, "bgp-local-prefix") == 0 {
+	vs := gateViolations(t, store)
+	if len(on(vs, verify.OrphanRef, "BgpV6Session", s.ID)) == 0 {
 		t.Errorf("unbound local_prefix not flagged: %v", vs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/verify"
 )
 
 func meta(domain string) ChangeMeta {
@@ -97,11 +98,7 @@ func TestDesignAPIBackboneFlowOverRPC(t *testing.T) {
 		t.Errorf("post-migration circuit id = %q", got)
 	}
 	// The design on the master is rule-clean.
-	violations, err := design.ValidateDesign(d.MasterStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) != 0 {
+	if violations := gateViolations(t, d.MasterStore()); len(violations) != 0 {
 		t.Errorf("violations: %v", violations)
 	}
 }
@@ -164,8 +161,7 @@ func TestDesignAPISerializesWriters(t *testing.T) {
 	if n, _ := store.Count("Cluster"); n != 3 {
 		t.Errorf("clusters = %d", n)
 	}
-	violations, _ := design.ValidateDesign(store)
-	if len(violations) != 0 {
+	if violations := gateViolations(t, store); len(violations) != 0 {
 		t.Errorf("violations: %v", violations)
 	}
 	// Unique prefixes survived concurrent allocation.
@@ -177,4 +173,15 @@ func TestDesignAPISerializesWriters(t *testing.T) {
 		}
 		seen[p.String("prefix")] = true
 	}
+}
+
+// gateViolations is the gate's verdict on the design alone: a fresh
+// checker's stored checks, network-wide, with no rendered configs.
+func gateViolations(t *testing.T, store *fbnet.Store) []verify.Violation {
+	t.Helper()
+	res, err := verify.NewChecker(store, nil).Check(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Violations
 }

@@ -688,7 +688,8 @@ const phaseGateMaxCPU = 95
 // execDesign applies one backbone design change the way an operator
 // would: the design tool call, the cabling work order that makes the
 // plant follow (new cables in, contradicted ones out), and the design
-// rule check — a change that leaves FBNet invalid fails the event.
+// check — the gate's stored invariants over the design alone, with no
+// candidate configs; a change that leaves FBNet invalid fails the event.
 func (e *engine) execDesign(ev *EventSpec, fail func(string, ...any) *RunError) error {
 	var cr design.ChangeResult
 	var err error
@@ -713,12 +714,12 @@ func (e *engine) execDesign(ev *EventSpec, fail func(string, ...any) *RunError) 
 	if err != nil {
 		return fail("recabling: %v", err)
 	}
-	violations, err := design.ValidateDesign(e.r.Store)
+	res, err := e.r.Verifier.Check(nil)
 	if err != nil {
 		return fail("design validation: %v", err)
 	}
-	if len(violations) > 0 {
-		return fail("design is invalid after %s: %v", ev.Op, violations)
+	if !res.Pass() {
+		return fail("design is invalid after %s: %v", ev.Op, res.Violations)
 	}
 	e.note("[%s]   design change #%d: %d object(s) changed, %d cable(s) moved, design valid",
 		e.elapsed(), cr.ChangeID, cr.Stats.Total(), moved)

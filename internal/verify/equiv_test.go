@@ -260,6 +260,16 @@ var steps = []struct {
 		}
 		return h.remove("LinkGroup", lg.ID)
 	}},
+	{"repoint-link-group", func(h *history) error {
+		// Moves the devices a bundle's circuits must end on, with no entry
+		// of the circuits' own.
+		lg, lok := h.pick("LinkGroup", nil)
+		dev, dok := h.pick("Device", nil)
+		if !lok || !dok {
+			return nil
+		}
+		return h.update("LinkGroup", lg.ID, map[string]any{[]string{"a_device", "z_device"}[h.rng.Intn(2)]: dev.ID})
+	}},
 	{"delete-bundle", func(h *history) error {
 		agg, ok := h.pick("AggregatedInterface", nil)
 		if !ok {
@@ -390,8 +400,10 @@ func (h *history) candidates() map[string]string {
 // what they are for — the changes a consumer is handed — is compared in
 // AlsoEquivalent instead.
 func canonical(m *model) model {
-	for _, ids := range m.aggsByDev {
-		slices.Sort(ids)
+	for _, idx := range []map[int64][]int64{m.aggsByDev, m.circsByLG} {
+		for _, ids := range idx {
+			slices.Sort(ids)
+		}
 	}
 	for _, names := range m.portNames {
 		slices.Sort(names)

@@ -84,6 +84,13 @@ type device struct {
 	lo4, lo6          string
 }
 
+// meshed reports whether the device belongs in the backbone's iBGP full
+// mesh: a clusterless pr, bb or dr (cluster-resident ones run their
+// cluster's eBGP fabric instead).
+func (d device) meshed() bool {
+	return d.cluster == 0 && (d.role == "pr" || d.role == "bb" || d.role == "dr")
+}
+
 type linecard struct{ dev int64 }
 
 type bundle struct { // AggregatedInterface
@@ -100,6 +107,7 @@ type linkGroup struct{ a, z int64 }
 
 type circuit struct {
 	a, z         int64 // PhysicalInterface ids; 0 when the endpoint was nulled
+	group        int64 // LinkGroup id; 0 for a circuit outside any bundle
 	status, name string
 }
 
@@ -208,6 +216,8 @@ func (r *circuit) set(col string, v any) {
 		r.a = asInt(v)
 	case "z_interface":
 		r.z = asInt(v)
+	case "link_group":
+		r.group = asInt(v)
 	case "status":
 		r.status = asString(v)
 	case "circuit_id":
@@ -255,7 +265,9 @@ const (
 	checkClaims                   // one device: the AS numbers its sessions claim
 	checkSubnet                   // one masked subnet: ends, adjacency, overlap
 	checkPrefix                   // one prefix: parses, bound to an interface
-	checkCircuit                  // one circuit: both endpoints resolve
+	checkCircuit                  // one circuit: two ends, on its link group's two devices
+	checkBundle                   // one bundle: at most one p2p prefix per family
+	checkMesh                     // the backbone: every mesh router pair shares an iBGP session
 )
 
 // checkInvariants lists the invariants each kind of check evaluates, for
@@ -266,10 +278,13 @@ var checkInvariants = [...][]Invariant{
 	checkSubnet:  {P2PConsistency},
 	checkPrefix:  {P2PConsistency, OrphanRef},
 	checkCircuit: {OrphanRef},
+	checkBundle:  {P2PConsistency},
+	checkMesh:    {BGPSymmetry},
 }
 
 // checkKey names one stored check. row carries a session or prefix key, or
-// a device or circuit id; subnet is set for checkSubnet only.
+// a device, circuit or bundle id; subnet is set for checkSubnet only, and
+// checkMesh, one check for the whole backbone, carries neither.
 type checkKey struct {
 	kind   checkKind
 	row    rowKey
@@ -304,7 +319,8 @@ type model struct {
 	pfxByAgg  map[int64][]rowKey
 	sessByDev map[int64][]rowKey // sessions the device is either end of
 	sessByPfx map[rowKey][]rowKey
-	peers     map[int64][]peer // per device, in both directions
+	circsByLG map[int64][]int64 // a link group's circuits
+	peers     map[int64][]peer  // per device, in both directions
 
 	// subnets groups the tracked prefixes by masked subnet, each group in
 	// compareRowKeys order. nest holds the same subnets sorted by
@@ -409,8 +425,8 @@ func newModel() *model {
 		aggsByDev: map[int64][]int64{}, portNames: map[int64][]string{},
 		pfxByAgg: map[int64][]rowKey{}, sessByDev: map[int64][]rowKey{},
 		sessByPfx: map[rowKey][]rowKey{}, peers: map[int64][]peer{},
-		subnets: map[netip.Prefix][]rowKey{},
-		dirty:   map[checkKey]struct{}{}, found: map[checkKey][]Violation{},
+		circsByLG: map[int64][]int64{}, subnets: map[netip.Prefix][]rowKey{},
+		dirty: map[checkKey]struct{}{}, found: map[checkKey][]Violation{},
 		reachStale: true,
 		st:         stamps{at: map[stampKey]uint64{}, gone: map[string]uint64{}},
 	}
@@ -544,14 +560,15 @@ func index[K, V comparable](idx map[K][]V, k K, v V, add bool) {
 func (m *model) stampDevice(id int64)  { m.stamp(stampKey{id: id}) }
 func (m *model) stampCircuit(id int64) { m.stamp(stampKey{circuit: true, id: id}) }
 
-// stampCircuitsWhere stamps the circuits an end of which matches: renaming
-// a port or a device moves the names they resolve to. It walks every
-// circuit, but only for the updates and deletes of ports and devices; no
-// insert reaches it.
-func (m *model) stampCircuitsWhere(onEnd func(port int64) bool) {
+// touchCircuitsWhere stamps and marks the circuits an end of which
+// matches: renaming a port or a device moves the names they resolve to and
+// their check prints. It walks every circuit, but only for the updates and
+// deletes of ports and devices; no insert reaches it.
+func (m *model) touchCircuitsWhere(onEnd func(port int64) bool) {
 	for id, c := range m.circs {
 		if onEnd(c.a) || onEnd(c.z) {
 			m.stampCircuit(id)
+			m.mark(checkCircuit, rowKey{id: id})
 		}
 	}
 }
@@ -591,9 +608,10 @@ func (m *model) markSubnet(s netip.Prefix) {
 }
 
 // markPrefixesOn marks what reads the bundle's device through one of its
-// prefixes: the prefix binding, its subnet's ends, and sessions sourced
-// from it.
+// prefixes: the bundle's own addressing, the prefix binding, its subnet's
+// ends, and sessions sourced from it.
 func (m *model) markPrefixesOn(agg int64) {
+	m.mark(checkBundle, rowKey{id: agg})
 	for _, k := range m.pfxByAgg[agg] {
 		m.mark(checkPrefix, k)
 		if p := m.pfxs[k]; p.tracked() && p.net.IsValid() {
@@ -611,10 +629,10 @@ func (m *model) markSubnetsOn(dev int64) {
 	}
 }
 
-// linkDevice: a device's name is printed by its sessions, its AS claims
-// and the subnets with an end on it; its role and cluster feed
-// reachability. A name it gives up is recorded as gone until a device
-// takes it again.
+// linkDevice: a device's name is printed by its sessions, AS claims,
+// circuits and bundles, the subnets with an end on it and, for a mesh
+// router, the mesh; its role and cluster feed reachability and the mesh.
+// A name it gives up is recorded as gone until a device takes it again.
 func (m *model) linkDevice(id int64, d device, add bool) {
 	if add {
 		m.devByName[d.name] = id
@@ -622,7 +640,10 @@ func (m *model) linkDevice(id int64, d device, add bool) {
 	} else {
 		delete(m.devByName, d.name)
 		m.st.gone[d.name] = m.seq
-		m.stampCircuitsWhere(func(port int64) bool { return m.portDev(port) == id })
+		m.touchCircuitsWhere(func(port int64) bool { return m.portDev(port) == id })
+	}
+	if d.meshed() {
+		m.mark(checkMesh, rowKey{})
 	}
 	m.stampDevice(id)
 	m.mark(checkClaims, rowKey{id: id})
@@ -643,19 +664,26 @@ func (m *model) linkPort(id int64, p port, add bool) {
 	index(m.portNames, dev, p.name, add)
 	m.stampDevice(dev)
 	if !add {
-		m.stampCircuitsWhere(func(port int64) bool { return port == id })
+		m.touchCircuitsWhere(func(port int64) bool { return port == id })
 	}
 }
 
 func (m *model) portDev(id int64) int64 { return m.lcs[m.ports[id].lc].dev }
 
-func (m *model) linkLinkGroup(_ int64, g linkGroup, add bool) {
+// linkLinkGroup: a link group's circuits must end on its two devices.
+func (m *model) linkLinkGroup(id int64, g linkGroup, add bool) {
+	for _, c := range m.circsByLG[id] {
+		m.mark(checkCircuit, rowKey{id: c})
+	}
 	if g.a != 0 && g.z != 0 {
 		m.connect(g.a, g.z, add, false)
 	}
 }
 
 func (m *model) linkCircuit(id int64, c circuit, add bool) {
+	if c.group != 0 {
+		index(m.circsByLG, c.group, id, add)
+	}
 	m.stampCircuit(id)
 	m.mark(checkCircuit, rowKey{id: id})
 	if c.status == "decommissioned" {
@@ -722,6 +750,9 @@ func (m *model) adjacent(a, z int64) bool {
 func (m *model) linkPrefix(k rowKey, p prefix, add bool) {
 	if p.iface != 0 {
 		index(m.pfxByAgg, p.iface, k, add)
+		if p.purpose == "p2p" {
+			m.mark(checkBundle, rowKey{id: p.iface})
+		}
 	}
 	m.mark(checkPrefix, k)
 	for _, s := range m.sessByPfx[k] {
@@ -812,6 +843,9 @@ func (m *model) linkSession(k rowKey, s session, add bool) {
 	m.mark(checkSession, k)
 	m.mark(checkClaims, rowKey{id: s.local})
 	m.mark(checkClaims, rowKey{id: s.remote})
+	if !k.v4 && s.kind == "ibgp" {
+		m.mark(checkMesh, rowKey{})
+	}
 }
 
 // --- evaluation ---
@@ -833,6 +867,10 @@ func (m *model) recheck() map[Invariant]int {
 			vs = m.checkPrefix(k.row)
 		case checkCircuit:
 			vs = m.checkCircuit(k.row.id)
+		case checkBundle:
+			vs = m.checkBundle(k.row.id)
+		case checkMesh:
+			vs = m.checkMesh()
 		}
 		if len(vs) > 0 {
 			m.found[k] = vs
@@ -1081,20 +1119,94 @@ func (m *model) checkPrefix(k rowKey) []Violation {
 	return vs
 }
 
-// checkCircuit verifies an active circuit keeps both endpoints; a deleted
-// interface nulls the reference (SetNull) and leaves it half-connected.
+// checkCircuit verifies a circuit that is not decommissioned keeps both
+// endpoints — a deleted interface nulls the reference (SetNull) and leaves
+// it half-connected — on two interfaces of two distinct devices, and that
+// those are the two devices of its link group.
 func (m *model) checkCircuit(id int64) []Violation {
 	c, ok := m.circs[id]
-	if !ok || (c.status != "provisioning" && c.status != "production") || (c.a != 0 && c.z != 0) {
+	if !ok || c.status == "decommissioned" {
 		return nil
 	}
-	dev, iface := parseCircuitEnd(c.name, c.a == 0)
-	return []Violation{{
-		Invariant: OrphanRef, Device: dev, Model: "Circuit", ID: id,
-		Detail: fmt.Sprintf("%s circuit %s lost endpoint %s:%s — interface no longer resolves in FBNet",
-			c.status, c.name, dev, iface),
-		needle: iface,
-	}}
+	a, z := m.portDev(c.a), m.portDev(c.z)
+	g, grouped := m.groups[c.group]
+	dev, iface := m.devName(a), m.ports[c.a].name
+	var detail string
+	switch {
+	case c.a == 0 || c.z == 0:
+		dev, iface = parseCircuitEnd(c.name, c.a == 0)
+		detail = fmt.Sprintf("%s circuit %s lost endpoint %s:%s — interface no longer resolves in FBNet",
+			c.status, c.name, dev, iface)
+	case a == z: // both ends on one device, or on one interface
+		detail = fmt.Sprintf("%s circuit %s terminates twice on %s", c.status, c.name, dev)
+	case grouped && !(a == g.a && z == g.z) && !(a == g.z && z == g.a):
+		detail = fmt.Sprintf("%s circuit %s runs between %s and %s, which are not the devices of its link group",
+			c.status, c.name, dev, m.devName(z))
+	default:
+		return nil
+	}
+	return []Violation{{Invariant: OrphanRef, Device: dev, Model: "Circuit", ID: id, Detail: detail, needle: iface}}
+}
+
+// checkBundle verifies a bundle carries at most one p2p prefix per
+// family: the generator renders one address per family on a bundle, and
+// would drop the others without a word.
+func (m *model) checkBundle(id int64) []Violation {
+	b := m.aggs[id] // a bundle that is gone has no prefixes
+	var vs []Violation
+	for _, v4 := range []bool{false, true} {
+		var texts []string
+		for _, k := range m.pfxByAgg[id] {
+			if p := m.pfxs[k]; k.v4 == v4 && p.purpose == "p2p" {
+				texts = append(texts, p.text)
+			}
+		}
+		if len(texts) > 1 {
+			slices.Sort(texts)
+			vs = append(vs, Violation{
+				Invariant: P2PConsistency, Device: m.devName(b.dev), Model: "AggregatedInterface", ID: id,
+				Detail: fmt.Sprintf("bundle %s of %s carries %d p2p %s objects (%s); it is addressed with one per family",
+					b.name, m.devName(b.dev), len(texts), rowKey{v4: v4}.prefixModel(), strings.Join(texts, ", ")),
+				needle: b.name,
+			})
+		}
+	}
+	return vs
+}
+
+// checkMesh verifies the backbone's iBGP full mesh: every pair of mesh
+// routers with a v6 loopback shares an iBGP v6 session, in either
+// direction. Like checkReach it looks at the whole backbone, and it runs
+// only when a mesh router or an iBGP v6 session changed.
+func (m *model) checkMesh() []Violation {
+	var mesh []int64
+	for id, d := range m.devs {
+		if d.meshed() && d.lo6 != "" {
+			mesh = append(mesh, id)
+		}
+	}
+	slices.Sort(mesh)
+	var vs []Violation
+	peered := map[int64]bool{}
+	for i, a := range mesh {
+		clear(peered)
+		for _, k := range m.sessByDev[a] {
+			if s := m.sess[k]; !k.v4 && s.kind == "ibgp" {
+				peered[s.local], peered[s.remote] = true, true
+			}
+		}
+		for _, b := range mesh[i+1:] {
+			if !peered[b] {
+				da, db := m.devs[a], m.devs[b]
+				vs = append(vs, Violation{
+					Invariant: BGPSymmetry, Device: da.name, Model: "Device", ID: a,
+					Detail: fmt.Sprintf("no iBGP session between %s and %s", da.name, db.name),
+					needle: addrOf(db.lo6),
+				})
+			}
+		}
+	}
+	return vs
 }
 
 // roleRank orders roles bottom-up; a device's "aggregation layer" is any

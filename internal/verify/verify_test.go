@@ -364,6 +364,51 @@ func testOrphanedCircuitRejected(t *testing.T, d *design.Designer, g *configgen.
 	}
 }
 
+// TestCircuitOffItsLinkGroupRejected: re-pointing a link group at another
+// device leaves its circuits running between devices the bundle does not
+// join; only the link group's row changes, so a warm checker must re-mark
+// the circuits through it.
+func TestCircuitOffItsLinkGroupRejected(t *testing.T) {
+	eachChecker(t, testCircuitOffItsLinkGroupRejected)
+}
+
+func testCircuitOffItsLinkGroupRejected(t *testing.T, d *design.Designer, _ *configgen.Generator, c *Checker) {
+	store := d.Store()
+	lgs, err := store.Find("LinkGroup", fbnet.Contains("name", "psw1.pop1-c1"))
+	if err != nil || len(lgs) == 0 {
+		t.Fatalf("no link group of psw1: %v", err)
+	}
+	lg := lgs[0]
+	other, err := store.FindOne("Device", fbnet.Eq("name", "psw2.pop1-c1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits, err := store.DB().Referencing("Circuit", "link_group", lg.ID)
+	if err != nil || len(circuits) == 0 {
+		t.Fatalf("link group %s has no circuits: %v", lg.String("name"), err)
+	}
+	if lg.Ref("a_device") == other.ID || lg.Ref("z_device") == other.ID {
+		t.Fatalf("link group %s already ends on %s", lg.String("name"), other.String("name"))
+	}
+	if _, err := store.Mutate(func(m *fbnet.Mutation) error {
+		return m.Update("LinkGroup", lg.ID, map[string]any{"a_device": other.ID})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Check(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range circuits {
+		if !slices.ContainsFunc(res.Violations, func(v Violation) bool {
+			return v.Invariant == OrphanRef && v.Model == "Circuit" && v.ID == id &&
+				strings.Contains(v.Detail, "not the devices of its link group")
+		}) {
+			t.Errorf("circuit #%d off its link group not flagged: %v", id, res.Violations)
+		}
+	}
+}
+
 // TestPartitionedDeviceRejected: decommissioning every circuit of one
 // switch strands it below its aggregation layer.
 func TestPartitionedDeviceRejected(t *testing.T) {
