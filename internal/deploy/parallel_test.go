@@ -20,25 +20,81 @@ func timeDeploy(t *testing.T, dep *Deployer, cfgs map[string]string, opts Option
 	return time.Since(start)
 }
 
-// TestParallelDeploySpeedup: a 16-device phase with a uniform commit delay
-// must commit near-linearly faster through the default worker pool than
-// serially (the §5.3 "scalable" requirement).
+// commitWitness counts the commits in flight across one deployment's
+// targets and records the peak. With hold > 0, a commit waits until hold
+// commits are in flight at once (or a deadline passes), so the peak shows
+// the pool's concurrency however slowly a loaded machine schedules its
+// workers.
+type commitWitness struct {
+	mu             sync.Mutex
+	inFlight, peak int
+	hold           int
+	full           chan struct{} // closed when the peak first reaches hold
+}
+
+func (w *commitWitness) commit(fn func() error) error {
+	w.mu.Lock()
+	w.inFlight++
+	if w.inFlight > w.peak {
+		w.peak = w.inFlight
+		if w.peak == w.hold {
+			close(w.full)
+		}
+	}
+	full := w.full
+	w.mu.Unlock()
+	if full != nil {
+		select {
+		case <-full:
+		case <-time.After(5 * time.Second):
+		}
+	}
+	err := fn()
+	w.mu.Lock()
+	w.inFlight--
+	w.mu.Unlock()
+	return err
+}
+
+type witnessedTarget struct {
+	Target
+	w *commitWitness
+}
+
+func (t witnessedTarget) Commit() error { return t.w.commit(t.Target.Commit) }
+
+// TestParallelDeploySpeedup: a 16-device phase commits through the
+// default worker pool with 8 commits in flight at once (the §5.3
+// "scalable" requirement), and serially with one.
 func TestParallelDeploySpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	fleet, dep, _ := newTestFleet(t, 16)
+	fleet, _, _ := newTestFleet(t, 16)
 	const delay = 10 * time.Millisecond
 	for _, d := range fleet.Devices() {
 		d.SetCommitDelay(delay)
 	}
+	w := &commitWitness{}
+	base := FleetResolver(fleet)
+	dep := NewDeployer(func(name string) (Target, error) {
+		tgt, err := base(name)
+		if err != nil {
+			return nil, err
+		}
+		return witnessedTarget{Target: tgt, w: w}, nil
+	})
 	serial := timeDeploy(t, dep, newConfigs(fleet, 2), Options{Parallelism: 1})
-	parallel := timeDeploy(t, dep, newConfigs(fleet, 3), Options{}) // default: min(8, 16)
 	if serial < 16*delay {
 		t.Fatalf("serial run implausibly fast: %v", serial)
 	}
-	if parallel*4 > serial {
-		t.Errorf("parallel deploy not ≥4x faster: serial=%v parallel=%v", serial, parallel)
+	if w.peak != 1 {
+		t.Errorf("serial deploy had %d commits in flight, want 1", w.peak)
+	}
+	w = &commitWitness{hold: 8, full: make(chan struct{})}
+	timeDeploy(t, dep, newConfigs(fleet, 3), Options{}) // default: min(8, 16)
+	if w.peak != 8 {
+		t.Errorf("parallel deploy had %d commits in flight at most, want the pool size 8", w.peak)
 	}
 	for _, d := range fleet.Devices() {
 		cfg, _ := d.RunningConfig()

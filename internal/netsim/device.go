@@ -17,7 +17,8 @@ package netsim
 
 import (
 	"fmt"
-	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -617,39 +618,190 @@ func (d *Device) InjectRunningConfig(cfg string) error {
 
 // --- operational state ---
 
-var (
-	// vendor1: "interface et1/1"; vendor2: "et-0/0/1 {" or "replace: ae0 {".
-	// Only physical/aggregate/loopback interface names count; top-level
-	// stanzas like "class-of-service {" and TE tunnels are not ports.
-	ifaceV1Re = regexp.MustCompile(`(?m)^interface +(\S+)`)
-	ifaceV2Re = regexp.MustCompile(`(?m)^(?:replace: +)?((?:et|xe|ge|ae|lo)[-0-9/.]*\d\S*) +\{`)
-	// vendor1: "neighbor 2401:db00::1 remote-as 65000"
-	// vendor2: "neighbor 2401:db00::1 {"
-	neighborRe = regexp.MustCompile(`(?m)^\s*neighbor +(\S+?)(?: +remote-as +(\d+))?(?: *\{)?\s*$`)
-	speedRe    = regexp.MustCompile(`(?m)^\s*speed +(\d+)`)
-)
+// configScan is what a running config says about a device's operational
+// state: its ports, its BGP peers and the speed its ports come up at.
+type configScan struct {
+	ifaces []string
+	peers  []string
+	speed  int64
+}
+
+// scanConfig reads a running config in one pass over its lines.
+//
+//   - A port is a vendor1 "interface et1/1" line, or a vendor2 "et-0/0/1 {"
+//     or "replace: ae0 {" line whose name is a physical, aggregate or
+//     loopback interface (et, xe, ge, ae, lo, then a number); top-level
+//     stanzas like "class-of-service {" are not ports, and neither are TE
+//     tunnels.
+//   - A peer is a "neighbor X" line, optionally followed by "remote-as N"
+//     (vendor1) and/or "{" (vendor2), and by nothing else.
+//   - The speed is that of the first "speed N" line, 10000 without one.
+//
+// Whitespace is [\t\n\f\r ] throughout, and a line ends at '\n' only.
+// The grammar is exactly that of the regular expressions this scan
+// replaced, which FuzzReparse keeps as its oracle.
+func scanConfig(v Vendor, cfg string) configScan {
+	sc := configScan{speed: 10000}
+	haveSpeed := false
+	for cfg != "" {
+		line := cfg
+		if i := strings.IndexByte(cfg, '\n'); i >= 0 {
+			line, cfg = cfg[:i], cfg[i+1:]
+		} else {
+			cfg = ""
+		}
+		if name, ok := portName(v, line); ok && !strings.HasPrefix(name, "tunnel") {
+			sc.ifaces = append(sc.ifaces, name)
+		}
+		body := trimSpace(line)
+		if addr, ok := neighborAddr(body); ok {
+			sc.peers = append(sc.peers, addr)
+		}
+		if rest, ok := strings.CutPrefix(body, "speed "); ok && !haveSpeed {
+			rest = trimSpaces(rest)
+			if n := digits(rest); n > 0 {
+				// The first speed line decides, even one too large to
+				// parse (which leaves the default).
+				haveSpeed = true
+				if s, err := strconv.ParseInt(rest[:n], 10, 64); err == nil {
+					sc.speed = s
+				}
+			}
+		}
+	}
+	return sc
+}
+
+// portName returns the interface a line declares, if it declares one.
+func portName(v Vendor, line string) (string, bool) {
+	if v != Vendor2 {
+		rest, ok := strings.CutPrefix(line, "interface ")
+		name := nonSpace(trimSpaces(rest))
+		return name, ok && name != ""
+	}
+	if rest, ok := strings.CutPrefix(line, "replace: "); ok {
+		line = trimSpaces(rest)
+	}
+	name := nonSpace(line)
+	open := line[len(name):]
+	if after := trimSpaces(open); len(after) == len(open) || !strings.HasPrefix(after, "{") {
+		return "", false
+	}
+	if len(name) < 3 {
+		return "", false
+	}
+	switch name[:2] {
+	case "et", "xe", "ge", "ae", "lo":
+	default:
+		return "", false
+	}
+	// The number starts right after the prefix: "-", "/" and "." may
+	// precede its first digit, nothing else may.
+	for i := 2; i < len(name); i++ {
+		switch c := name[i]; {
+		case c >= '0' && c <= '9':
+			return name, true
+		case c != '-' && c != '/' && c != '.':
+			return "", false
+		}
+	}
+	return "", false
+}
+
+// neighborAddr returns the peer address of a "neighbor" line whose leading
+// whitespace is already trimmed.
+func neighborAddr(body string) (string, bool) {
+	rest, ok := strings.CutPrefix(body, "neighbor ")
+	if !ok {
+		return "", false
+	}
+	rest = trimSpaces(rest)
+	addr := nonSpace(rest)
+	tail := rest[len(addr):]
+	switch {
+	case addr == "":
+		return "", false
+	case len(addr) > 1 && addr[len(addr)-1] == '{' && trimSpace(tail) == "":
+		return addr[:len(addr)-1], true // "neighbor X{"
+	case neighborTail(tail):
+		return addr, true
+	}
+	return "", false
+}
+
+// neighborTail reports whether what follows a neighbor's address is
+// [" remote-as N"][" {"] and then whitespace.
+func neighborTail(tail string) bool {
+	if rest := trimSpaces(tail); len(rest) < len(tail) {
+		if as, ok := strings.CutPrefix(rest, "remote-as "); ok {
+			as = trimSpaces(as)
+			if n := digits(as); n > 0 && openTail(as[n:]) {
+				return true
+			}
+		}
+	}
+	return openTail(tail)
+}
+
+// openTail reports whether s is an optional "{" (after spaces) and then
+// whitespace.
+func openTail(s string) bool {
+	if rest, ok := strings.CutPrefix(trimSpaces(s), "{"); ok {
+		return trimSpace(rest) == ""
+	}
+	return trimSpace(s) == ""
+}
+
+// isSpace is the whitespace of the config grammar: [\t\n\f\r ].
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\f' || c == '\r'
+}
+
+// trimSpace drops leading whitespace.
+func trimSpace(s string) string {
+	for s != "" && isSpace(s[0]) {
+		s = s[1:]
+	}
+	return s
+}
+
+// trimSpaces drops leading ' ' characters only.
+func trimSpaces(s string) string {
+	for s != "" && s[0] == ' ' {
+		s = s[1:]
+	}
+	return s
+}
+
+// nonSpace returns the leading run of non-whitespace bytes.
+func nonSpace(s string) string {
+	for i := 0; i < len(s); i++ {
+		if isSpace(s[i]) {
+			return s[:i]
+		}
+	}
+	return s
+}
+
+// digits returns the length of s's leading run of ASCII digits.
+func digits(s string) int {
+	n := 0
+	for n < len(s) && s[n] >= '0' && s[n] <= '9' {
+		n++
+	}
+	return n
+}
 
 // reparseLocked rebuilds interface and BGP peer state from the running
-// config; existing counters carry over for surviving interfaces.
+// config; existing counters carry over for surviving interfaces, and
+// surviving sessions keep their state.
 func (d *Device) reparseLocked() {
-	re := ifaceV1Re
-	if d.vendor == Vendor2 {
-		re = ifaceV2Re
-	}
-	names := map[string]bool{}
-	for _, m := range re.FindAllStringSubmatch(d.running, -1) {
-		if strings.HasPrefix(m[1], "tunnel") {
-			continue // TE tunnels are not physical ports
-		}
-		names[m[1]] = true
-	}
-	speed := int64(10000)
-	if m := speedRe.FindStringSubmatch(d.running); m != nil {
-		fmt.Sscanf(m[1], "%d", &speed)
-	}
-	for name := range names {
+	sc := scanConfig(d.vendor, d.running)
+	names := make(map[string]bool, len(sc.ifaces))
+	for _, name := range sc.ifaces {
+		names[name] = true
 		if _, ok := d.ifaces[name]; !ok {
-			d.ifaces[name] = &ifaceState{speedMbps: speed, rate: 1 << 20}
+			d.ifaces[name] = &ifaceState{speedMbps: sc.speed, rate: 1 << 20}
 		}
 	}
 	for name := range d.ifaces {
@@ -657,18 +809,17 @@ func (d *Device) reparseLocked() {
 			delete(d.ifaces, name)
 		}
 	}
-	peers := map[string]*BGPPeerStatus{}
-	for _, m := range neighborRe.FindAllStringSubmatch(d.running, -1) {
-		addr := m[1]
+	peers := make(map[string]*BGPPeerStatus, len(sc.peers))
+	for _, addr := range sc.peers {
+		if old, ok := d.bgpPeers[addr]; ok {
+			peers[addr] = old
+			continue
+		}
 		family := "v4"
 		if strings.Contains(addr, ":") {
 			family = "v6"
 		}
-		st := "Active"
-		if old, ok := d.bgpPeers[addr]; ok {
-			st = old.State
-		}
-		peers[addr] = &BGPPeerStatus{PeerAddr: addr, State: st, Family: family}
+		peers[addr] = &BGPPeerStatus{PeerAddr: addr, State: "Active", Family: family}
 	}
 	d.bgpPeers = peers
 }
@@ -754,8 +905,9 @@ func (d *Device) pruneLLDP(keep map[string]bool) {
 }
 
 // indexSnapshot returns the running config and the configured BGP peer
-// addresses regardless of reachability — simulation bookkeeping for the
-// fleet's ownership and session indexes, not a management operation.
+// addresses, sorted, regardless of reachability — simulation bookkeeping
+// for the fleet's ownership and session indexes, not a management
+// operation.
 func (d *Device) indexSnapshot() (cfg string, peers []string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -764,11 +916,13 @@ func (d *Device) indexSnapshot() (cfg string, peers []string) {
 	for addr := range d.bgpPeers {
 		peers = append(peers, addr)
 	}
+	sort.Strings(peers)
 	return cfg, peers
 }
 
-// ifaceNames returns the configured interface names without advancing
-// traffic counters or requiring reachability (incremental recompute path).
+// ifaceNames returns the configured interface names, sorted, without
+// advancing traffic counters or requiring reachability (incremental
+// recompute path).
 func (d *Device) ifaceNames() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -776,6 +930,7 @@ func (d *Device) ifaceNames() []string {
 	for name := range d.ifaces {
 		out = append(out, name)
 	}
+	sort.Strings(out)
 	return out
 }
 

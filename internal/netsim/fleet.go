@@ -12,16 +12,19 @@ import (
 // tables reflect the same cabling — the raw data from which FBNet Derived
 // circuits are built (§4.1.2).
 //
-// Derivation is incremental: config commits, wiring changes, and health
-// events enqueue only the affected devices into a dirty set, and
-// flushDirty re-derives per-device state from three indexes maintained on
-// every commit — cablesByDev (incident cables), addrOwners (address token
-// -> owning devices), and sessionsByAddr (peer address -> devices with a
-// session to it). A single-device commit therefore costs O(degree +
-// sessions) instead of a full-fleet pass. The original whole-fleet
-// derivation survives as a test-only oracle (recompute_oracle_test.go);
-// the incremental engine's results are property-tested to be a fixed
-// point of it.
+// Derivation is incremental and costs what an event changed. Config
+// commits, wiring changes and health events mark the devices they hit
+// dirty; config and health events also mark the addresses whose owners
+// they moved. flushDirty re-derives each dirty device whole and, for each
+// dirty address, only that one session of every other holder. It reads
+// three indexes maintained on every commit — cablesByDev (incident
+// cables), addrOwners (address token -> owning devices), and
+// sessionsByAddr (peer address -> devices with a session to it). A
+// single-device commit therefore costs O(degree + sessions + holders of
+// the addresses it moved) instead of a full-fleet pass. The original
+// whole-fleet derivation survives as a test-only oracle
+// (recompute_oracle_test.go); the incremental engine's results are
+// property-tested to be a fixed point of it.
 type Fleet struct {
 	mu      sync.Mutex
 	devices map[string]*Device
@@ -43,8 +46,12 @@ type Fleet struct {
 	devSessions    map[string][]string
 	sessionsByAddr map[string]map[string]struct{}
 	// dirty is the set of devices whose derived state must be re-derived
-	// on the next flush.
-	dirty map[string]struct{}
+	// whole on the next flush: cables, LLDP, uncabled ports and every
+	// session. dirtyAddrs is the set of addresses whose owners moved — one
+	// appeared or disappeared, or its reachability changed — so every
+	// holder of a session to one re-evaluates that session.
+	dirty      map[string]struct{}
+	dirtyAddrs map[string]struct{}
 
 	// recomputeMu serializes whole recompute flushes. Commits from a
 	// parallel deployment trigger concurrent recomputes; without this, a
@@ -69,6 +76,7 @@ func NewFleet() *Fleet {
 		devSessions:    make(map[string][]string),
 		sessionsByAddr: make(map[string]map[string]struct{}),
 		dirty:          make(map[string]struct{}),
+		dirtyAddrs:     make(map[string]struct{}),
 	}
 }
 
@@ -225,22 +233,19 @@ func (f *Fleet) removeCableFromDevLocked(dev string, c cable) {
 
 // deviceChanged is the onCommit/onManual hook: refresh the device's
 // ownership and session indexes from its committed running config, mark
-// the device — and every holder of a session to a token that appeared or
-// disappeared — dirty, and (for commits) flush immediately. Manual
-// out-of-band edits only update the indexes and the dirty set; their
-// derived state stays stale until the next flush, matching the
-// full-recompute era where drift was only picked up by the next pass.
+// the device dirty and every token that appeared or disappeared, and (for
+// commits) flush immediately. Manual out-of-band edits only update the
+// indexes and the dirty sets; their derived state stays stale until the
+// next flush, matching the full-recompute era where drift was only picked
+// up by the next pass.
 func (f *Fleet) deviceChanged(d *Device, flush bool) {
 	cfg, peers := d.indexSnapshot()
 	tokens := addrTokens(cfg)
 	name := d.Name()
 	f.mu.Lock()
-	changed := f.updateIndexesLocked(name, tokens, peers)
 	f.dirty[name] = struct{}{}
-	for _, t := range changed {
-		for holder := range f.sessionsByAddr[t] {
-			f.dirty[holder] = struct{}{}
-		}
+	for _, t := range f.updateIndexesLocked(name, tokens, peers) {
+		f.dirtyAddrs[t] = struct{}{}
 	}
 	f.mu.Unlock()
 	if flush {
@@ -251,12 +256,16 @@ func (f *Fleet) deviceChanged(d *Device, flush bool) {
 // healthChanged is the onHealth hook: reachability and hardware events
 // mark the device dirty but do not flush — exactly the pre-incremental
 // behavior, where SetDown/Reboot/RemoveLinecard never triggered a
-// recompute and derived state stayed stale until the next pass. The
-// flush-time closure pulls in the session holders affected by the
-// device's reachability.
+// recompute and derived state stayed stale until the next pass. Every
+// token the device owns is marked too: its owner's reachability may have
+// moved, so each session to one must be re-evaluated.
 func (f *Fleet) healthChanged(d *Device) {
+	name := d.Name()
 	f.mu.Lock()
-	f.dirty[d.Name()] = struct{}{}
+	f.dirty[name] = struct{}{}
+	for _, t := range f.devTokens[name] {
+		f.dirtyAddrs[t] = struct{}{}
+	}
 	f.mu.Unlock()
 }
 
@@ -335,104 +344,182 @@ type cableEval struct {
 	a, z *Device
 }
 
-// sessionEval is one BGP session with the other owners of its peer
-// address resolved.
-type sessionEval struct {
-	addr   string
-	owners []*Device
-}
-
-// recomputeUnit is the per-device work of one flush: the incident cables
-// to re-derive (deduplicated across units), the cabled interface set, and
-// the sessions to re-evaluate.
+// recomputeUnit is one dirty device's work in a flush: the incident
+// cables to re-derive (deduplicated across units), the cabled interface
+// set, and the peer addresses of all its sessions.
 type recomputeUnit struct {
 	d        *Device
 	cables   []cableEval
 	cabled   map[string]bool
-	sessions []sessionEval
+	sessions []string
 }
 
-// flushDirty drains the dirty set: it expands the set with every holder
-// of a session to a token owned by a dirty device (reachability or
-// ownership of those tokens may have changed), snapshots per-device work
-// units from the indexes, and re-derives links, LLDP, and BGP for each
-// unit. Loops until the dirty set is empty so dirt enqueued concurrently
-// is settled too.
+// addrTouch is one dirty address and the holders of a session to it that
+// re-evaluate just that session: those not re-derived whole as a unit.
+type addrTouch struct {
+	addr    string
+	holders []*Device
+}
+
+// addrOwnerSet is one address's owning devices, read once per flush. A
+// session is Established when some reachable owner other than its holder
+// exists, so the first two reachable owners decide it for every holder.
+type addrOwnerSet struct {
+	devs          []*Device
+	read          bool
+	first, second *Device
+}
+
+// establishes reports whether holder's session to the address is
+// Established. Owner reachability is read on first use, with f.mu
+// released, and only until two reachable owners are found.
+func (o *addrOwnerSet) establishes(holder *Device) bool {
+	if !o.read {
+		o.read = true
+		for _, d := range o.devs {
+			if !d.Reachable() {
+				continue
+			}
+			if o.first == nil {
+				o.first = d
+				continue
+			}
+			o.second = d
+			break
+		}
+	}
+	return o.second != nil || (o.first != nil && o.first != holder)
+}
+
+// flushPlan is one flush's work, snapshotted from the indexes under f.mu
+// and applied with f.mu released. Its order comes from names alone — the
+// units by device name, then each address in order with its holders by
+// name — so the syslog messages a flush emits come out the same every
+// run.
+type flushPlan struct {
+	units   []recomputeUnit
+	touches []addrTouch
+	owners  map[string]*addrOwnerSet
+}
+
+// flushDirty drains both dirty sets: it plans the flush from the indexes
+// under f.mu, then re-derives links, LLDP and BGP with f.mu released.
+// Loops until both sets are empty so dirt enqueued concurrently is
+// settled too.
 func (f *Fleet) flushDirty() {
 	f.recomputeMu.Lock()
 	defer f.recomputeMu.Unlock()
 	for {
 		f.mu.Lock()
-		if len(f.dirty) == 0 {
+		if len(f.dirty) == 0 && len(f.dirtyAddrs) == 0 {
 			f.mu.Unlock()
 			return
 		}
-		names := make([]string, 0, len(f.dirty))
-		for n := range f.dirty {
-			names = append(names, n)
-		}
-		seen := make(map[string]struct{}, len(names))
-		for _, n := range names {
-			seen[n] = struct{}{}
-		}
-		// One level of expansion: holders re-derive their own sessions
-		// only, which cannot dirty anything further.
-		initial := len(names)
-		for i := 0; i < initial; i++ {
-			for _, t := range f.devTokens[names[i]] {
-				for holder := range f.sessionsByAddr[t] {
-					if _, ok := seen[holder]; !ok {
-						seen[holder] = struct{}{}
-						names = append(names, holder)
-					}
-				}
-			}
-		}
-		f.dirty = make(map[string]struct{})
-
-		units := make([]recomputeUnit, 0, len(names))
-		doneCables := make(map[cable]bool)
-		for _, n := range names {
-			d := f.devices[n]
-			if d == nil {
-				continue
-			}
-			u := recomputeUnit{d: d, cabled: make(map[string]bool, len(f.cablesByDev[n]))}
-			for _, c := range f.cablesByDev[n] {
-				if c.aDev == n {
-					u.cabled[c.aIf] = true
-				}
-				if c.zDev == n {
-					u.cabled[c.zIf] = true
-				}
-				if !doneCables[c] {
-					doneCables[c] = true
-					u.cables = append(u.cables, cableEval{c: c, a: f.devices[c.aDev], z: f.devices[c.zDev]})
-				}
-			}
-			for _, addr := range f.devSessions[n] {
-				se := sessionEval{addr: addr}
-				for o := range f.addrOwners[addr] {
-					if o != n {
-						se.owners = append(se.owners, f.devices[o])
-					}
-				}
-				u.sessions = append(u.sessions, se)
-			}
-			units = append(units, u)
-		}
+		p := f.planLocked()
 		f.mu.Unlock()
+		p.apply()
+	}
+}
 
-		for _, u := range units {
-			recomputeDevice(u)
+// planLocked drains both dirty sets into a flushPlan: a unit per dirty
+// device, and per dirty address the holders outside those units.
+func (f *Fleet) planLocked() *flushPlan {
+	dirty, dirtyAddrs := f.dirty, f.dirtyAddrs
+	f.dirty, f.dirtyAddrs = make(map[string]struct{}), make(map[string]struct{})
+	p := &flushPlan{owners: make(map[string]*addrOwnerSet)}
+	doneCables := make(map[cable]bool)
+	for _, n := range sortedKeys(dirty) {
+		d := f.devices[n]
+		if d == nil {
+			continue
+		}
+		u := recomputeUnit{d: d, cabled: make(map[string]bool, len(f.cablesByDev[n])), sessions: f.devSessions[n]}
+		for _, c := range f.cablesByDev[n] {
+			if c.aDev == n {
+				u.cabled[c.aIf] = true
+			}
+			if c.zDev == n {
+				u.cabled[c.zIf] = true
+			}
+			if !doneCables[c] {
+				doneCables[c] = true
+				u.cables = append(u.cables, cableEval{c: c, a: f.devices[c.aDev], z: f.devices[c.zDev]})
+			}
+		}
+		for _, addr := range u.sessions {
+			f.readOwnersLocked(p, addr)
+		}
+		p.units = append(p.units, u)
+	}
+	for _, addr := range sortedKeys(dirtyAddrs) {
+		var names []string
+		for h := range f.sessionsByAddr[addr] {
+			if _, whole := dirty[h]; !whole {
+				names = append(names, h)
+			}
+		}
+		if len(names) == 0 {
+			continue
+		}
+		sort.Strings(names)
+		t := addrTouch{addr: addr, holders: make([]*Device, len(names))}
+		for i, h := range names {
+			t.holders[i] = f.devices[h]
+		}
+		p.touches = append(p.touches, t)
+		f.readOwnersLocked(p, addr)
+	}
+	return p
+}
+
+// readOwnersLocked snapshots addr's owners into the plan, once per flush.
+func (f *Fleet) readOwnersLocked(p *flushPlan, addr string) {
+	if _, ok := p.owners[addr]; ok {
+		return
+	}
+	o := &addrOwnerSet{devs: make([]*Device, 0, len(f.addrOwners[addr]))}
+	for name := range f.addrOwners[addr] {
+		o.devs = append(o.devs, f.devices[name])
+	}
+	p.owners[addr] = o
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys(m map[string]struct{}) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// apply re-derives the plan: each unit whole, then each touched session.
+func (p *flushPlan) apply() {
+	for _, u := range p.units {
+		p.recomputeDevice(u)
+	}
+	for _, t := range p.touches {
+		o := p.owners[t.addr]
+		for _, h := range t.holders {
+			if h.Reachable() {
+				h.setBGP(t.addr, sessionState(o.establishes(h)))
+			}
 		}
 	}
+}
+
+func sessionState(established bool) string {
+	if established {
+		return "Established"
+	}
+	return "Active"
 }
 
 // recomputeDevice re-derives one device's slice of the fleet state: link
 // and LLDP entries of its incident cables (both ends), the
 // uncabled-configured-interfaces-down rule, and its BGP session states.
-func recomputeDevice(u recomputeUnit) {
+func (p *flushPlan) recomputeDevice(u recomputeUnit) {
 	for _, ce := range u.cables {
 		if ce.a == nil || ce.z == nil {
 			continue
@@ -458,17 +545,8 @@ func recomputeDevice(u recomputeUnit) {
 			u.d.setLink(name, false)
 		}
 	}
-	for _, s := range u.sessions {
-		state := "Active"
-		if s.addr != "" {
-			for _, o := range s.owners {
-				if o != nil && o.Reachable() {
-					state = "Established"
-					break
-				}
-			}
-		}
-		u.d.setBGP(s.addr, state)
+	for _, addr := range u.sessions {
+		u.d.setBGP(addr, sessionState(p.owners[addr].establishes(u.d)))
 	}
 }
 
@@ -476,17 +554,10 @@ func recomputeDevice(u recomputeUnit) {
 // BGP session state. Wiring changes and config commits now settle
 // incrementally on their own; Recompute remains the full-fleet safety
 // valve (tests and health-event settlement use it) and is implemented by
-// refreshing every device's indexes, marking everything dirty, and
+// refreshing every device's indexes, which marks everything dirty, and
 // flushing.
 func (f *Fleet) Recompute() {
-	f.mu.Lock()
-	devs := make([]*Device, 0, len(f.devices))
-	for n, d := range f.devices {
-		devs = append(devs, d)
-		f.dirty[n] = struct{}{}
-	}
-	f.mu.Unlock()
-	for _, d := range devs {
+	for _, d := range f.Devices() {
 		f.deviceChanged(d, false)
 	}
 	f.flushDirty()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -91,109 +92,315 @@ func snapshotFleet(f *Fleet) map[string]devSnap {
 	return out
 }
 
+// historyShape is the fleet a random history runs on.
+type historyShape struct {
+	vendor2 bool // odd-numbered devices run vendor2 configs
+	// mesh gives every device a loopback and sessions to the others'
+	// loopbacks, so each loopback is a token of most configs and has
+	// many owners.
+	mesh bool
+}
+
 // TestIncrementalMatchesFullRecompute drives seed-reproducible random
 // event sequences — commits, wiring changes, manual drift, reachability
-// flaps, reboots, linecard pulls — through the incremental engine and
-// asserts, at every settle point (an event that flushes), that the state
-// is a fixed point of the retained reference full pass: running
-// RecomputeFull changes nothing.
+// flaps, reboots, linecard pulls, and a health event followed by a commit
+// on another device — through the incremental engine and asserts, at
+// every settle point (an event that flushes), that the state is a fixed
+// point of the retained reference full pass: running RecomputeFull
+// changes nothing. The plain seeds run point-to-point vendor1 fleets; the
+// named shapes add vendor2 configs and an iBGP-style mesh.
 func TestIncrementalMatchesFullRecompute(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42, 1337} {
-		seed := seed
+	seeds := []int64{1, 7, 42, 1337}
+	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			f := NewFleet()
-			const nDev = 12
-			devs := make([]*Device, nDev)
-			for i := range devs {
-				d, err := f.AddDevice(fmt.Sprintf("dev%02d", i), Vendor1, "psw", "s")
-				if err != nil {
-					t.Fatal(err)
-				}
-				devs[i] = d
-			}
-			ifaces := []string{"et1/1", "et1/2", "et2/1", "et2/2"}
-			// Address pool with prefix collisions (10.0.0.1 vs 10.0.0.12
-			// vs 10.0.0.102) so exact-token matching is exercised.
-			addr := func() string { return fmt.Sprintf("10.0.0.%d", rng.Intn(20)) }
-
-			randomConfig := func() string {
-				cfg := ""
-				for _, ifc := range ifaces {
-					if rng.Intn(2) == 0 {
-						cfg += fmt.Sprintf("interface %s\n ip addr %s/31\n", ifc, addr())
-					}
-				}
-				for k := rng.Intn(3); k > 0; k-- {
-					cfg += fmt.Sprintf("neighbor %s remote-as 65000\n", addr())
-				}
-				return cfg
-			}
-
-			check := func(step int) {
-				t.Helper()
-				before := snapshotFleet(f)
-				f.RecomputeFull()
-				after := snapshotFleet(f)
-				if !reflect.DeepEqual(before, after) {
-					for name := range before {
-						if !reflect.DeepEqual(before[name], after[name]) {
-							t.Errorf("step %d: %s diverged\n incremental: %+v\n full:        %+v",
-								step, name, before[name], after[name])
-						}
-					}
-					t.FailNow()
-				}
-			}
-
-			for step := 0; step < 300; step++ {
-				d := devs[rng.Intn(nDev)]
-				switch ev := rng.Intn(10); ev {
-				case 0, 1, 2: // commit a fresh config (flushes)
-					if err := d.LoadConfig(randomConfig()); err != nil {
-						continue // device down: no flush, no check
-					}
-					if err := d.Commit(); err != nil {
-						continue
-					}
-					check(step)
-				case 3, 4: // wire two random ports (flushes)
-					z := devs[rng.Intn(nDev)]
-					if z == d {
-						continue
-					}
-					err := f.Wire(d.Name(), ifaces[rng.Intn(len(ifaces))],
-						z.Name(), ifaces[rng.Intn(len(ifaces))])
-					if err != nil {
-						continue // port already cabled
-					}
-					check(step)
-				case 5: // fiber cut (flushes)
-					if f.Uncable(d.Name(), ifaces[rng.Intn(len(ifaces))]) {
-						check(step)
-					}
-				case 6: // reachability flap (stale until next flush)
-					d.SetDown(!d.Reachable())
-				case 7: // out-of-band drift (stale until next flush)
-					_ = d.ApplyManualChange("neighbor " + addr() + " remote-as 65001")
-				case 8: // reboot (stale until next flush)
-					d.Reboot()
-				case 9: // linecard pull (stale until next flush)
-					d.RemoveLinecard(1 + rng.Intn(2))
-				}
-			}
-			// Settle any remaining dirt with a final commit and check.
-			for _, d := range devs {
-				d.SetDown(false)
-			}
-			if err := devs[0].LoadConfig(randomConfig()); err != nil {
-				t.Fatal(err)
-			}
-			if err := devs[0].Commit(); err != nil {
-				t.Fatal(err)
-			}
-			check(-1)
+			runRandomHistory(t, seed, historyShape{})
 		})
+	}
+	for _, s := range []struct {
+		name  string
+		shape historyShape
+	}{
+		{"vendor2", historyShape{vendor2: true}},
+		{"mesh", historyShape{mesh: true}},
+		{"mesh-vendor2", historyShape{vendor2: true, mesh: true}},
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			for _, seed := range seeds {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					runRandomHistory(t, seed, s.shape)
+				})
+			}
+		})
+	}
+}
+
+func runRandomHistory(t *testing.T, seed int64, shape historyShape) {
+	rng := rand.New(rand.NewSource(seed))
+	f := NewFleet()
+	const nDev = 12
+	devs := make([]*Device, nDev)
+	for i := range devs {
+		v := Vendor1
+		if shape.vendor2 && i%2 == 1 {
+			v = Vendor2
+		}
+		d, err := f.AddDevice(fmt.Sprintf("dev%02d", i), v, "psw", "s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs[i] = d
+	}
+	ports := func(d *Device) []string {
+		if d.Vendor() == Vendor2 {
+			return []string{"et-1/0/1", "et-1/0/2", "et-2/0/1", "et-2/0/2"}
+		}
+		return []string{"et1/1", "et1/2", "et2/1", "et2/2"}
+	}
+	port := func(d *Device) string { ps := ports(d); return ps[rng.Intn(len(ps))] }
+	// Address pool with prefix collisions (10.0.0.1 vs 10.0.0.12
+	// vs 10.0.0.102) so exact-token matching is exercised.
+	addr := func() string { return fmt.Sprintf("10.0.0.%d", rng.Intn(20)) }
+	loopback := func(i int) string { return fmt.Sprintf("10.255.0.%d", i) }
+
+	randomConfig := func(i int) string {
+		type iface struct{ name, prefix string }
+		var ifaces []iface
+		for _, p := range ports(devs[i]) {
+			if rng.Intn(2) == 0 {
+				ifaces = append(ifaces, iface{p, addr() + "/31"})
+			}
+		}
+		if shape.mesh && rng.Intn(5) > 0 {
+			ifaces = append(ifaces, iface{"lo0", loopback(i) + "/32"})
+		}
+		var peers []string
+		for k := rng.Intn(3); k > 0; k-- {
+			peers = append(peers, addr())
+		}
+		if shape.mesh {
+			for j := range devs {
+				if j != i && rng.Intn(5) > 0 {
+					peers = append(peers, loopback(j))
+				}
+			}
+		}
+		var b strings.Builder
+		if devs[i].Vendor() == Vendor2 {
+			for _, ifc := range ifaces {
+				fmt.Fprintf(&b, "%s {\n unit 0 {\n  family inet {\n   addr %s\n  }\n }\n}\n", ifc.name, ifc.prefix)
+			}
+			b.WriteString("protocols {\n bgp {\n")
+			for _, a := range peers {
+				fmt.Fprintf(&b, "  neighbor %s {\n  }\n", a)
+			}
+			b.WriteString(" }\n}\n")
+			return b.String()
+		}
+		for _, ifc := range ifaces {
+			fmt.Fprintf(&b, "interface %s\n ip addr %s\n", ifc.name, ifc.prefix)
+		}
+		for _, a := range peers {
+			fmt.Fprintf(&b, "neighbor %s remote-as 65000\n", a)
+		}
+		return b.String()
+	}
+	commit := func(i int) bool {
+		return devs[i].LoadConfig(randomConfig(i)) == nil && devs[i].Commit() == nil
+	}
+
+	check := func(step int) {
+		t.Helper()
+		before := snapshotFleet(f)
+		f.RecomputeFull()
+		after := snapshotFleet(f)
+		if !reflect.DeepEqual(before, after) {
+			for name := range before {
+				if !reflect.DeepEqual(before[name], after[name]) {
+					t.Errorf("step %d: %s diverged\n incremental: %+v\n full:        %+v",
+						step, name, before[name], after[name])
+				}
+			}
+			t.FailNow()
+		}
+	}
+
+	for step := 0; step < 300; step++ {
+		i := rng.Intn(nDev)
+		d := devs[i]
+		switch ev := rng.Intn(11); ev {
+		case 0, 1, 2: // commit a fresh config (flushes)
+			if commit(i) { // a down device neither commits nor flushes
+				check(step)
+			}
+		case 3, 4: // wire two random ports (flushes)
+			z := devs[rng.Intn(nDev)]
+			if z == d {
+				continue
+			}
+			if err := f.Wire(d.Name(), port(d), z.Name(), port(z)); err != nil {
+				continue // port already cabled
+			}
+			check(step)
+		case 5: // fiber cut (flushes)
+			if f.Uncable(d.Name(), port(d)) {
+				check(step)
+			}
+		case 6: // reachability flap (stale until next flush)
+			d.SetDown(d.Reachable())
+		case 7: // out-of-band drift (stale until next flush)
+			_ = d.ApplyManualChange("neighbor " + addr() + " remote-as 65001")
+		case 8: // reboot (stale until next flush)
+			d.Reboot()
+		case 9: // linecard pull (stale until next flush)
+			d.RemoveLinecard(1 + rng.Intn(2))
+		case 10: // a health event settled by another device's commit
+			if rng.Intn(2) == 0 {
+				d.SetDown(d.Reachable())
+			} else {
+				d.Reboot()
+			}
+			if j := rng.Intn(nDev); j != i && commit(j) {
+				check(step)
+			}
+		}
+	}
+	// Settle any remaining dirt with a final commit and check.
+	for _, d := range devs {
+		d.SetDown(false)
+	}
+	if !commit(0) {
+		t.Fatal("final commit failed")
+	}
+	check(-1)
+}
+
+// meshConfig is router i's vendor1 config in an n-router iBGP full mesh:
+// its loopback (when withLoopback) and a session to every other router's
+// loopback, so each loopback is an address token of all n configs.
+func meshConfig(i, n int, withLoopback bool) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "hostname r%03d\n", i)
+	if withLoopback {
+		fmt.Fprintf(&b, "interface lo0\n ip addr 10.255.%d.%d/32\n", i/256, i%256)
+	}
+	for j := 0; j < n; j++ {
+		if j != i {
+			fmt.Fprintf(&b, "neighbor 10.255.%d.%d remote-as 65000\n", j/256, j%256)
+		}
+	}
+	return b.String()
+}
+
+// buildMeshFleet commits meshConfig on n routers.
+func buildMeshFleet(tb testing.TB, n int) *Fleet {
+	tb.Helper()
+	f := NewFleet()
+	for i := 0; i < n; i++ {
+		d, err := f.AddDevice(fmt.Sprintf("r%03d", i), Vendor1, "bb", "bench")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := d.LoadConfig(meshConfig(i, n, true)); err != nil {
+			tb.Fatal(err)
+		}
+		if err := d.Commit(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return f
+}
+
+// TestMeshCommitAllocsLinear: one router's commit in an n-router full
+// mesh — toggling its loopback, an address all n configs name — costs
+// that router's sessions plus one session per other holder of the
+// address, so allocations grow at most linearly with n. Re-deriving every
+// holder of any token of the committing router whole would grow them with
+// n².
+func TestMeshCommitAllocsLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc guard skipped in -short")
+	}
+	measure := func(n int) float64 {
+		f := buildMeshFleet(t, n)
+		d, _ := f.Device("r000")
+		cfgs := [2]string{meshConfig(0, n, false), meshConfig(0, n, true)}
+		k := 0
+		return testing.AllocsPerRun(20, func() {
+			if err := d.LoadConfig(cfgs[k%2]); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		})
+	}
+	small, large := measure(16), measure(64)
+	t.Logf("allocs per mesh commit: 16 routers %v, 64 routers %v", small, large)
+	if ratio := large / small; ratio > 5 {
+		t.Errorf("allocs per mesh commit grow faster than the mesh: 16 routers %v, 64 routers %v (ratio %.1f, want <= 5)",
+			small, large, ratio)
+	}
+}
+
+// TestFlushOrderDeterministic: two fleets fed the same Wire, commit and
+// SetDown sequence emit the same syslog sequence. A flush that re-derives
+// several devices takes its order from device names and addresses, not
+// from map iteration.
+func TestFlushOrderDeterministic(t *testing.T) {
+	run := func() []string {
+		f := NewFleet()
+		var log []string
+		add := func(name, cfg string) *Device {
+			d, err := f.AddDevice(name, Vendor1, "psw", "s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.SetSyslogSink(func(m SyslogMessage) { log = append(log, m.Host+" "+m.App+" "+m.Text) })
+			if err := d.LoadConfig(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		const spokes = 16
+		var hubCfg strings.Builder
+		for i := 0; i < spokes; i++ {
+			fmt.Fprintf(&hubCfg, "interface et1/%d\n ip addr 10.0.%d.0/31\n", i, i)
+		}
+		hub := add("hub", hubCfg.String())
+		spokeCfg := func(i int) string {
+			return fmt.Sprintf("interface et1/1\n ip addr 10.0.%d.1/31\nneighbor 10.0.%d.0 remote-as 65000\n", i, i)
+		}
+		var s []*Device
+		for i := 0; i < spokes; i++ {
+			s = append(s, add(fmt.Sprintf("s%02d", i), spokeCfg(i)))
+			if err := f.Wire(hub.Name(), fmt.Sprintf("et1/%d", i), s[i].Name(), "et1/1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The failures are settled by the next commit's flush: the hub,
+		// the failed spokes and s00 re-derive whole, the other spokes
+		// their one session each.
+		hub.SetDown(true)
+		for _, d := range s[spokes/2:] {
+			d.SetDown(true)
+		}
+		if err := s[0].LoadConfig(spokeCfg(0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s[0].Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return log
+	}
+	want := run()
+	for i := 0; i < 5; i++ {
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d emitted a different syslog sequence:\n got:  %q\n want: %q", i+1, got, want)
+		}
 	}
 }
 
@@ -220,9 +427,11 @@ func TestRecomputeAllocsFlat(t *testing.T) {
 	}
 	small := measure(64)
 	large := measure(1024)
-	// ~55 allocs today; 150 leaves headroom without hiding an O(n) slip.
-	if small > 150 {
-		t.Errorf("single-device commit at fleet=64: %v allocs, want <= 150", small)
+	t.Logf("allocs per commit: fleet=64 %v, fleet=1024 %v", small, large)
+	// 29 allocs at this writing; 40 leaves room for map growth, not for a
+	// per-session or per-holder slip.
+	if small > 40 {
+		t.Errorf("single-device commit at fleet=64: %v allocs, want <= 40", small)
 	}
 	if large > small*2+20 {
 		t.Errorf("allocs scale with fleet size: fleet=64 %v, fleet=1024 %v", small, large)

@@ -146,12 +146,16 @@ func TestRollback(t *testing.T) {
 
 func TestCommitConfirmedExpiresAndRollsBack(t *testing.T) {
 	d := NewDevice("b", Vendor2, "pr", "pop1")
-	var msgs []SyslogMessage
-	var mu sync.Mutex
+	// The rollback syslog fires after the timer clears the pending flag,
+	// so the test waits for the message itself.
+	rolledBack := make(chan struct{}, 1)
 	d.SetSyslogSink(func(m SyslogMessage) {
-		mu.Lock()
-		msgs = append(msgs, m)
-		mu.Unlock()
+		if strings.Contains(m.Text, "CONFIG_ROLLBACK") {
+			select {
+			case rolledBack <- struct{}{}:
+			default:
+			}
+		}
 	})
 	d.LoadConfig("ae0 {\n}\n")
 	d.Commit()
@@ -174,15 +178,9 @@ func TestCommitConfirmedExpiresAndRollsBack(t *testing.T) {
 	if !strings.Contains(cfg, "ae0") || strings.Contains(cfg, "ae1") {
 		t.Errorf("config after expiry = %q, want rollback to ae0", cfg)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	var sawRollback bool
-	for _, m := range msgs {
-		if strings.Contains(m.Text, "CONFIG_ROLLBACK") {
-			sawRollback = true
-		}
-	}
-	if !sawRollback {
+	select {
+	case <-rolledBack:
+	case <-time.After(2 * time.Second):
 		t.Error("rollback syslog not emitted")
 	}
 }
