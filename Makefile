@@ -31,12 +31,16 @@ verify-gate:
 # The store every follower tails, under the race detector: relstore's
 # two-table-set protocol and row sharing (every committed row stored once,
 # log entries never change, store ≡ naive model over seeded histories with
-# a concurrent reader, replication and promotion; DESIGN.md §13.2), the
-# fbnet service that serves it over the wire, and the follower that leans
-# on ReadSeq — the generator's memo caching nothing it has not checked
-# against the log.
+# a concurrent reader, replication and promotion — a pinned View's reads
+# and Seq included, and a View releases its pin however it ends; DESIGN.md
+# §13.2), fbnet's reads of one epoch (an indexed Find or Get beside a
+# writer never mixes two commits; Peek shares the stored rows, Find copies
+# them), the fbnet service that serves it over the wire, and the follower
+# that leans on ReadSeq — the generator's memo caching nothing it has not
+# checked against the log.
 store:
 	$(GO) test -race -timeout 5m ./internal/relstore/ ./internal/fbnet/service/
+	$(GO) test -race -timeout 5m -run 'TestFindReadsOneEpoch|TestPeekSharesStoredRowsFindCopies' ./internal/fbnet/
 	$(GO) test -race -timeout 5m -run 'TestMemoNeverCachesUnchecked|TestGeneratorConcurrentUse' ./internal/configgen/
 
 # The drift reconciler under the race detector: the per-shard safety
@@ -103,8 +107,11 @@ sim:
 # Intent-derived observability: the alarm engine, job/rule derivation,
 # and correlation tests under the race detector, the observed-state write
 # rule (the `Derive` pattern also selects the TestDerived* tests: Derived
-# tables ≡ latest observation over seeded histories in monitor, the
-# steady-cycle binlog counter in core; DESIGN.md §15.5), the HTTP/CLI
+# tables ≡ latest observation over seeded histories in monitor, with the
+# in-place verdict ≡ a rolled-back transaction and a re-plan after a
+# racing commit; the unchanged path's no-commit and allocation guard; the
+# steady-cycle binlog and transaction counters in core; DESIGN.md §15.5),
+# the zero-allocation store into full time series (`Timeseries`), the HTTP/CLI
 # parity contract and the derive-without-store-reads contract in core,
 # delta ≡ cold for what DeriveMonitoring, SyncFleet and ApplyRecabling keep
 # by visiting only what a design change touched (TestDelta*: jobs, rules,

@@ -6,6 +6,7 @@ import (
 
 	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/relstore"
+	"github.com/robotron-net/robotron/internal/telemetry"
 	"github.com/robotron-net/robotron/internal/vclock"
 )
 
@@ -14,7 +15,9 @@ import (
 // cluster where nothing changes between polls, the third full ObserveOnce
 // appends one update per device — its DerivedDevice row's uptime and
 // last-seen stamp — and nothing else: no interface, BGP, LLDP or circuit
-// row is rewritten or re-created.
+// row is rewritten or re-created. It commits one transaction per device,
+// the one writing that row: an observation that changed nothing opens
+// none.
 func TestDerivedSteadyCycleWritesDerivedDeviceOnly(t *testing.T) {
 	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC))
 	r, err := New(Options{Clock: clk})
@@ -32,10 +35,12 @@ func TestDerivedSteadyCycleWritesDerivedDeviceOnly(t *testing.T) {
 	if err != nil || devices != 64 {
 		t.Fatalf("devices = %d (%v), want 64", devices, err)
 	}
+	commits := r.Telemetry.Counter("robotron_relstore_tx_commits_total", telemetry.L("server", r.Store.DB().Name())...)
 	var seq uint64
+	var committed int64
 	for cycle := 1; cycle <= 3; cycle++ {
 		clk.Advance(time.Minute)
-		seq = r.Store.DB().Seq()
+		seq, committed = r.Store.DB().Seq(), commits.Value()
 		if _, err := r.ObserveOnce(); err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
@@ -49,5 +54,8 @@ func TestDerivedSteadyCycleWritesDerivedDeviceOnly(t *testing.T) {
 	}
 	if len(byTable) != 1 || byTable["DerivedDevice"] != devices {
 		t.Errorf("third identical cycle appended %v, want %d DerivedDevice updates and nothing else", byTable, devices)
+	}
+	if n := commits.Value() - committed; n != int64(devices) {
+		t.Errorf("third identical cycle committed %v transactions, want %d, one per DerivedDevice row", n, devices)
 	}
 }

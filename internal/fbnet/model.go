@@ -143,7 +143,9 @@ func NewRegistry() *Registry {
 
 // RegisterComputed installs (or replaces — derivation logic evolves) an
 // on-the-fly field on a model. Computed fields are readable through the
-// read API like value fields but never stored.
+// read API like value fields but never stored. A query evaluates fn with
+// its read epoch pinned and hands it the stored row: fn must not write to
+// the object's Fields, nor call back into the store.
 func (r *Registry) RegisterComputed(model, name string, fn ComputedField) error {
 	m, ok := r.models[model]
 	if !ok {

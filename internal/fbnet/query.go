@@ -2,6 +2,7 @@ package fbnet
 
 import (
 	"fmt"
+	"maps"
 	"regexp"
 	"strings"
 
@@ -306,8 +307,8 @@ func (e *notExpr) match(rs *resolver, model string, row relstore.Row) (bool, err
 
 // --- path resolution ---
 
-// reader abstracts row access so queries run both against the store (DB)
-// and inside mutations (Tx).
+// reader abstracts row access so queries run both against the store (one
+// pinned epoch) and inside mutations (Tx).
 type reader interface {
 	get(table string, id int64) (relstore.Row, error)
 	selectAll(table string) ([]relstore.Row, error)
@@ -316,18 +317,20 @@ type reader interface {
 	lookupIndexed(table, col string, v any) ([]int64, error)
 }
 
-type dbReader struct{ db *relstore.DB }
+// viewReader reads one pinned epoch, so every row and index a query
+// touches is of the same committed state; its rows are the stored maps.
+type viewReader struct{ v relstore.View }
 
-func (r dbReader) get(table string, id int64) (relstore.Row, error) { return r.db.Get(table, id) }
-func (r dbReader) selectAll(table string) ([]relstore.Row, error)   { return r.db.Select(table, nil) }
-func (r dbReader) referencing(table, col string, id int64) ([]int64, error) {
-	return r.db.Referencing(table, col, id)
+func (r viewReader) get(table string, id int64) (relstore.Row, error) { return r.v.Get(table, id) }
+func (r viewReader) selectAll(table string) ([]relstore.Row, error)   { return r.v.Select(table, nil) }
+func (r viewReader) referencing(table, col string, id int64) ([]int64, error) {
+	return r.v.Referencing(table, col, id)
 }
-func (r dbReader) lookupUnique(table, col string, v any) (int64, bool, error) {
-	return r.db.LookupUnique(table, col, v)
+func (r viewReader) lookupUnique(table, col string, v any) (int64, bool, error) {
+	return r.v.LookupUnique(table, col, v)
 }
-func (r dbReader) lookupIndexed(table, col string, v any) ([]int64, error) {
-	return r.db.LookupIndexed(table, col, v)
+func (r viewReader) lookupIndexed(table, col string, v any) ([]int64, error) {
+	return r.v.LookupIndexed(table, col, v)
 }
 
 type txReader struct{ tx *relstore.Tx }
@@ -370,14 +373,15 @@ type resolver struct {
 // through a reverse connection may reach multiple values; a NULL relation
 // yields no values for the remainder of the path.
 func (rs *resolver) resolve(model string, row relstore.Row, path string) ([]any, error) {
-	parts := strings.Split(path, ".")
 	type cursor struct {
 		model string
 		row   relstore.Row
 	}
 	frontier := []cursor{{model: model, row: row}}
-	for i, part := range parts {
-		last := i == len(parts)-1
+	for rest := path; ; {
+		part, tail, more := strings.Cut(rest, ".")
+		last := !more
+		rest = tail
 		var next []cursor
 		var leaves []any
 		for _, cur := range frontier {
@@ -460,7 +464,6 @@ func (rs *resolver) resolve(model string, row relstore.Row, path string) ([]any,
 			return nil, nil
 		}
 	}
-	return nil, nil
 }
 
 // Result is one row of a read-API response: the object id plus the
@@ -474,13 +477,42 @@ type Result struct {
 // the model matching q, the requested fields. A field may be "name"
 // (local), "device.name" (through a relation), or "linecards.slot"
 // (through a reverse connection; such multi-valued fields yield []any).
+// The whole query reads one committed state.
 func (s *Store) Get(model string, fields []string, q Query) ([]Result, error) {
-	return get(s.reg, dbReader{s.db}, model, fields, q)
+	var out []Result
+	err := s.db.View(func(v relstore.View) error {
+		var err error
+		out, err = get(s.reg, viewReader{v}, model, fields, q)
+		return err
+	})
+	return out, err
 }
 
-// Find returns whole objects of a model matching q, in id order.
+// Find returns whole objects of a model matching q, in id order: Peek's
+// answer, with each object's fields copied for the caller to keep.
 func (s *Store) Find(model string, q Query) ([]Object, error) {
-	return find(s.reg, dbReader{s.db}, model, q)
+	objs, _, err := s.Peek(model, q)
+	for i := range objs {
+		objs[i].Fields = maps.Clone(objs[i].Fields)
+	}
+	return objs, err
+}
+
+// Peek is Find without the copies. Planning, fetching and matching read
+// one pinned epoch, so the answer is one committed state, the one at the
+// binlog sequence returned beside it. The objects' Fields are the stored
+// rows themselves, shared with the store and every other reader: they
+// stay valid, and must never be written.
+func (s *Store) Peek(model string, q Query) ([]Object, uint64, error) {
+	var out []Object
+	var seq uint64
+	err := s.db.View(func(v relstore.View) error {
+		var err error
+		seq = v.Seq()
+		out, err = find(s.reg, viewReader{v}, model, q)
+		return err
+	})
+	return out, seq, err
 }
 
 // FindOne returns exactly one matching object, erroring on zero or many.
@@ -551,7 +583,7 @@ func find(reg *Registry, r reader, model string, q Query) ([]Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Object
+	out := make([]Object, 0, len(rows))
 	for _, row := range rows {
 		ok, err := q.match(rs, model, row)
 		if err != nil {
@@ -560,6 +592,9 @@ func find(reg *Registry, r reader, model string, q Query) ([]Object, error) {
 		if ok {
 			out = append(out, Object{Model: model, ID: row.ID, Fields: row.Values})
 		}
+	}
+	if len(out) == 0 {
+		return nil, nil
 	}
 	return out, nil
 }

@@ -415,11 +415,12 @@ func (ae *AlarmEngine) ruleCounter(m map[string]*telemetry.Counter, metric, rule
 
 // sessionStates reads every observed BGP session's state, keyed (device,
 // peer address); of several rows for one session the first in id order wins.
+// It reads the stored rows in place (Peek), copying none of them.
 func (ae *AlarmEngine) sessionStates() (map[[2]string]string, error) {
 	if ae.store == nil {
 		return nil, nil
 	}
-	rows, err := ae.store.Find("DerivedBgpSession", nil)
+	rows, _, err := ae.store.Peek("DerivedBgpSession", nil)
 	states := make(map[[2]string]string, len(rows))
 	for i := len(rows) - 1; i >= 0; i-- {
 		states[[2]string{rows[i].String("device_name"), rows[i].String("peer_addr")}] = rows[i].String("state")

@@ -26,7 +26,8 @@ func alarmFixture(t *testing.T) (*vclock.VirtualClock, *TimeseriesBackend, *fbne
 func pushSample(ts *TimeseriesBackend, key string, at time.Time, v float64) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.pushLocked(key, Sample{AtUnix: at.Unix(), Value: v})
+	ts.key = append(ts.key[:0], key...)
+	ts.pushLocked(Sample{AtUnix: at.Unix(), Value: v})
 }
 
 func TestThresholdAlarmLifecycle(t *testing.T) {

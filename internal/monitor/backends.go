@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -21,6 +22,7 @@ const DefaultSeriesRetention = 1024
 type TimeseriesBackend struct {
 	mu     sync.Mutex
 	series map[string]*ring[Sample] // key: device/metric
+	key    []byte                   // the series key Store is filling, reused under mu
 }
 
 // Sample is one datapoint.
@@ -92,29 +94,35 @@ func NewTimeseriesBackend() *TimeseriesBackend {
 // Name implements Backend.
 func (b *TimeseriesBackend) Name() string { return "timeseries" }
 
-func (b *TimeseriesBackend) pushLocked(key string, s Sample) {
-	r, ok := b.series[key]
+// pushLocked appends s to the series named by b.key; only a new series
+// turns the key into a string.
+func (b *TimeseriesBackend) pushLocked(s Sample) {
+	r, ok := b.series[string(b.key)]
 	if !ok {
 		r = &ring[Sample]{limit: DefaultSeriesRetention}
-		b.series[key] = r
+		b.series[string(b.key)] = r
 	}
 	r.push(s)
 }
 
 // Store implements Backend: counters fan out into per-metric series;
 // interface collections store per-interface octet counters, both
-// directions.
+// directions. Storing into series that exist allocates nothing.
 func (b *TimeseriesBackend) Store(col Collection) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	at := col.At.Unix()
+	b.key = append(append(b.key[:0], col.Device...), '/')
+	n := len(b.key)
 	for metric, v := range col.Counters {
-		b.pushLocked(col.Device+"/"+metric, Sample{AtUnix: at, Value: v})
+		b.key = append(b.key[:n], metric...)
+		b.pushLocked(Sample{AtUnix: at, Value: v})
 	}
 	for _, ifc := range col.Interfaces {
-		prefix := col.Device + "/" + ifc.Name
-		b.pushLocked(prefix+"/in_octets", Sample{AtUnix: at, Value: float64(ifc.InOctets)})
-		b.pushLocked(prefix+"/out_octets", Sample{AtUnix: at, Value: float64(ifc.OutOctets)})
+		b.key = append(append(b.key[:n], ifc.Name...), "/in_octets"...)
+		b.pushLocked(Sample{AtUnix: at, Value: float64(ifc.InOctets)})
+		b.key = append(b.key[:len(b.key)-len("in_octets")], "out_octets"...)
+		b.pushLocked(Sample{AtUnix: at, Value: float64(ifc.OutOctets)})
 	}
 	return nil
 }
@@ -184,119 +192,244 @@ func (b *DerivedBackend) Name() string { return "fbnet-derived" }
 // Store implements Backend: the Derived rows of the collection's device
 // become what the collection reports.
 func (b *DerivedBackend) Store(col Collection) error {
-	byDevice := fbnet.Eq("device_name", col.Device)
-	at := col.At.Unix()
-	_, err := b.store.Mutate(func(m *fbnet.Mutation) error {
-		switch col.Data {
-		case DataVersion:
-			return syncDerived(m, "DerivedDevice", fbnet.Eq("name", col.Device), []string{"name"}, "",
-				[]map[string]any{{
-					"name": col.Device, "vendor": col.Version.Vendor,
-					"os_version": col.Version.OSVersion,
-					"uptime_s":   col.Version.UptimeS, "last_seen_unix": at,
-				}})
-		case DataInterfaces:
-			rows := make([]map[string]any, len(col.Interfaces))
-			for i, ifc := range col.Interfaces {
-				rows[i] = map[string]any{
-					"device_name": col.Device, "name": ifc.Name,
-					"oper_status": ifc.OperStatus, "speed_mbps": ifc.SpeedMbps,
-					"last_change_unix": at,
-				}
-			}
-			return syncDerived(m, "DerivedInterface", byDevice, []string{"name"}, "last_change_unix", rows)
-		case DataLLDP:
-			rows := make([]map[string]any, len(col.LLDP))
-			for i, n := range col.LLDP {
-				rows[i] = map[string]any{
-					"device_name": col.Device, "interface_name": n.LocalInterface,
-					"neighbor_device": n.NeighborDevice, "neighbor_interface": n.NeighborInterface,
-				}
-			}
-			return syncDerived(m, "DerivedLldpNeighbor", byDevice,
-				[]string{"interface_name", "neighbor_device", "neighbor_interface"}, "", rows)
-		case DataBGP:
-			rows := make([]map[string]any, len(col.BGP))
-			for i, p := range col.BGP {
-				rows[i] = map[string]any{
-					"device_name": col.Device, "peer_addr": p.PeerAddr,
-					"family": p.Family, "state": p.State,
-				}
-			}
-			return syncDerived(m, "DerivedBgpSession", byDevice, []string{"peer_addr"}, "", rows)
+	if o := observe(col); o != nil {
+		return syncDerived(b.store, o)
+	}
+	return nil
+}
+
+// derivedShape is a Derived model as the write rule sees it: its columns,
+// the first keyLen of them (strings, at most four) a row's identity within
+// a scope, and stamp, the index of the column recording when the row last
+// changed (-1 for none).
+type derivedShape struct {
+	model  string
+	cols   []string
+	keyLen int
+	stamp  int
+}
+
+var (
+	derivedDevice    = derivedShape{"DerivedDevice", []string{"name", "vendor", "os_version", "uptime_s", "last_seen_unix"}, 1, -1}
+	derivedInterface = derivedShape{"DerivedInterface", []string{"name", "device_name", "oper_status", "speed_mbps", "last_change_unix"}, 1, 4}
+	derivedLLDP      = derivedShape{"DerivedLldpNeighbor", []string{"interface_name", "neighbor_device", "neighbor_interface", "device_name"}, 3, -1}
+	derivedBGP       = derivedShape{"DerivedBgpSession", []string{"peer_addr", "device_name", "family", "state"}, 1, -1}
+	derivedCircuit   = derivedShape{"DerivedCircuit", []string{"a_device", "a_interface", "z_device", "z_interface", "source"}, 4, -1}
+	derivedConfig    = derivedShape{"DerivedConfig", []string{"device_name", "config_hash", "collected_unix", "conforms"}, 1, -1}
+)
+
+// observation is what one collection reports for one Derived model inside
+// scope — one device's rows, or the whole table when scope is nil. rows
+// holds len(cols) values per reported row, column-aligned, in stored form
+// (string, int64, bool).
+type observation struct {
+	*derivedShape
+	scope fbnet.Query
+	rows  []any
+}
+
+// observe turns a collection into the observation of the Derived model it
+// feeds; nil when it feeds none. The device name and the collection time
+// are boxed once, not once per row.
+func observe(col Collection) *observation {
+	dev, at := any(col.Device), any(col.At.Unix())
+	o := &observation{scope: fbnet.Eq("device_name", dev)}
+	switch col.Data {
+	case DataVersion:
+		o.derivedShape, o.scope = &derivedDevice, fbnet.Eq("name", dev)
+		o.rows = []any{dev, col.Version.Vendor, col.Version.OSVersion, col.Version.UptimeS, at}
+	case DataInterfaces:
+		o.derivedShape = &derivedInterface
+		o.rows = make([]any, 0, len(col.Interfaces)*len(o.cols))
+		for _, ifc := range col.Interfaces {
+			o.rows = append(o.rows, ifc.Name, dev, ifc.OperStatus, ifc.SpeedMbps, at)
 		}
+	case DataLLDP:
+		o.derivedShape = &derivedLLDP
+		o.rows = make([]any, 0, len(col.LLDP)*len(o.cols))
+		for _, n := range col.LLDP {
+			o.rows = append(o.rows, n.LocalInterface, n.NeighborDevice, n.NeighborInterface, dev)
+		}
+	case DataBGP:
+		o.derivedShape = &derivedBGP
+		o.rows = make([]any, 0, len(col.BGP)*len(o.cols))
+		for _, p := range col.BGP {
+			o.rows = append(o.rows, p.PeerAddr, dev, p.Family, p.State)
+		}
+	default:
 		return nil
+	}
+	return o
+}
+
+// syncDerived is the one writer of observed state (DESIGN.md §15.5): it
+// makes the rows of o's model inside o's scope equal to the rows o
+// reports. It compares them with the stored rows in place, on one
+// published epoch (Store.Peek); when nothing differs it returns, having
+// copied no row and opened no transaction. Otherwise it writes the plan
+// in one transaction (write).
+func syncDerived(store *fbnet.Store, o *observation) error {
+	stored, seq, err := store.Peek(o.model, o.scope)
+	if err != nil {
+		return err
+	}
+	ops := o.plan(stored)
+	if len(ops) == 0 {
+		return nil
+	}
+	return o.write(store, ops, seq)
+}
+
+// write applies ops, planned on the rows as of binlog sequence seq, in one
+// transaction. A commit that landed since seq may have moved those rows,
+// so then the transaction reads them again and plans afresh: the plan it
+// applies is always one of the state it writes.
+func (o *observation) write(store *fbnet.Store, ops []derivedOp, seq uint64) error {
+	_, err := store.Mutate(func(m *fbnet.Mutation) error {
+		if store.DB().Seq() != seq {
+			stored, err := m.Find(o.model, o.scope)
+			if err != nil {
+				return err
+			}
+			ops = o.plan(stored)
+		}
+		return o.apply(m, ops)
 	})
 	return err
 }
 
-// syncDerived is the one writer of observed state (DESIGN.md §15.5): it
-// makes the rows of a Derived model inside scope — one device's rows, or
-// the whole table when scope is nil — equal to want, the set the latest
-// collection reports. Rows are matched by the string columns named in key.
-// A reported row that is missing is created, one that is stored has only
-// its differing columns updated, and a stored row no longer reported is
-// deleted; when nothing differs nothing is written, so an unchanged
-// observation appends no binlog entry and every row keeps its id. stamp
-// names a column that records when the row last changed ("" for none): it
-// is written when the row is created or another column moves, never alone.
-// Values must be in stored form (string, int64, bool).
-func syncDerived(m *fbnet.Mutation, model string, scope fbnet.Query, key []string, stamp string, want []map[string]any) error {
-	keyOf := func(fields map[string]any) string {
-		parts := make([]string, len(key))
-		for i, col := range key {
-			parts[i], _ = fields[col].(string)
-		}
-		return strings.Join(parts, "\x00")
+type opKind uint8
+
+const (
+	opCreate opKind = iota
+	opUpdate
+	opDelete
+)
+
+// derivedOp is one write of a plan.
+type derivedOp struct {
+	kind opKind
+	row  int   // the reported row a create or update writes
+	id   int64 // the stored row an update or delete targets; 0 for a row this plan creates...
+	made int   // ...in which case the index of the op that creates it
+	cols uint64
+}
+
+// storedKey and reportedKey return a row's identity: its key strings
+// joined by NUL, which for a one-column key is that string, no copy.
+func (o *observation) storedKey(fields map[string]any) string {
+	var parts [4]string
+	for i, col := range o.cols[:o.keyLen] {
+		parts[i], _ = fields[col].(string)
 	}
-	stored, err := m.Find(model, scope)
-	if err != nil {
-		return err
+	return strings.Join(parts[:o.keyLen], "\x00")
+}
+
+func (o *observation) reportedKey(row int) string {
+	var parts [4]string
+	for i, v := range o.rows[row*len(o.cols) : row*len(o.cols)+o.keyLen] {
+		parts[i], _ = v.(string)
 	}
-	storedKeys := make([]string, len(stored))
-	current := make(map[string]fbnet.Object, len(stored))
-	for i, o := range stored {
-		storedKeys[i] = keyOf(o.Fields)
-		current[storedKeys[i]] = o
+	return strings.Join(parts[:o.keyLen], "\x00")
+}
+
+// plan is the write rule, the one place it is decided (DESIGN.md §15.5):
+// the writes that make stored — the scope's rows, in id order — equal to
+// the reported rows. A reported row that is missing is created, one that
+// is stored has only its differing columns updated, and a stored row no
+// longer reported is deleted; a key reported twice is written twice, the
+// last row winning. The stamp column is written when a row is created or
+// another of its columns moves, never alone. No writes means the
+// observation changed nothing.
+func (o *observation) plan(stored []fbnet.Object) []derivedOp {
+	n := len(o.cols)
+	// current is where a key's row stands as the plan goes.
+	type current struct {
+		stored   int32 // its index in stored; -1 for a row this plan creates
+		row      int32 // the reported row last written to it; -1 for none
+		made     int32 // for a row this plan creates, the index of that op
+		reported bool
 	}
-	reported := make(map[string]bool, len(want))
-	for _, row := range want { // a key reported twice: the last row wins
-		k := keyOf(row)
-		reported[k] = true
-		cur, ok := current[k]
+	keys := make([]string, len(stored))
+	byKey := make(map[string]current, len(stored))
+	for i, s := range stored {
+		keys[i] = o.storedKey(s.Fields)
+		byKey[keys[i]] = current{stored: int32(i), row: -1}
+	}
+	var ops []derivedOp
+	for r := 0; r < len(o.rows)/n; r++ {
+		k := o.reportedKey(r)
+		cur, ok := byKey[k]
 		if !ok {
-			id, err := m.Create(model, row)
-			if err != nil {
-				return err
-			}
-			current[k] = fbnet.Object{Model: model, ID: id, Fields: row}
+			ops = append(ops, derivedOp{kind: opCreate, row: r})
+			byKey[k] = current{stored: -1, row: int32(r), made: int32(len(ops) - 1), reported: true}
 			continue
 		}
-		var changes map[string]any
-		for col, v := range row {
-			if col != stamp && cur.Fields[col] != v {
-				if changes == nil {
-					changes = make(map[string]any)
-				}
-				changes[col] = v
+		cur.reported = true
+		var cols uint64
+		for c, v := range o.rows[r*n : (r+1)*n] {
+			var was any
+			if cur.row >= 0 {
+				was = o.rows[int(cur.row)*n+c]
+			} else {
+				was = stored[cur.stored].Fields[o.cols[c]]
+			}
+			if c != o.stamp && was != v {
+				cols |= 1 << c
 			}
 		}
-		if changes == nil {
-			continue
+		if cols != 0 {
+			if o.stamp >= 0 {
+				cols |= 1 << o.stamp
+			}
+			op := derivedOp{kind: opUpdate, row: r, made: int(cur.made), cols: cols}
+			if cur.stored >= 0 {
+				op.id = stored[cur.stored].ID
+			}
+			ops = append(ops, op)
+			cur.row = int32(r)
 		}
-		if stamp != "" {
-			changes[stamp] = row[stamp]
-		}
-		if err := m.Update(model, cur.ID, changes); err != nil {
-			return err
-		}
-		current[k] = fbnet.Object{Model: model, ID: cur.ID, Fields: row}
+		byKey[k] = cur
 	}
-	for i, o := range stored {
-		if !reported[storedKeys[i]] {
-			if err := m.Delete(model, o.ID); err != nil {
-				return err
+	for i, s := range stored {
+		if !byKey[keys[i]].reported {
+			ops = append(ops, derivedOp{kind: opDelete, id: s.ID})
+		}
+	}
+	return ops
+}
+
+// apply runs a plan's writes in m, building a row map only for what it
+// creates or updates.
+func (o *observation) apply(m *fbnet.Mutation, ops []derivedOp) error {
+	n := len(o.cols)
+	made := make([]int64, len(ops))
+	for i, op := range ops {
+		var err error
+		switch op.kind {
+		case opCreate:
+			fields := make(map[string]any, n)
+			for c, col := range o.cols {
+				fields[col] = o.rows[op.row*n+c]
 			}
+			made[i], err = m.Create(o.model, fields)
+		case opUpdate:
+			fields := make(map[string]any, bits.OnesCount64(op.cols))
+			for c, col := range o.cols {
+				if op.cols&(1<<c) != 0 {
+					fields[col] = o.rows[op.row*n+c]
+				}
+			}
+			id := op.id
+			if id == 0 {
+				id = made[op.made]
+			}
+			err = m.Update(o.model, id, fields)
+		case opDelete:
+			err = m.Delete(o.model, op.id)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -308,9 +441,22 @@ func syncDerived(m *fbnet.Mutation, model string, scope fbnet.Query, key []strin
 // other" (§4.1.2). Only adjacencies confirmed from both sides produce a
 // circuit. Returns the number of derived circuits.
 func DeriveCircuits(store *fbnet.Store) (int, error) {
-	neighbors, err := store.Find("DerivedLldpNeighbor", nil)
+	o, err := observeCircuits(store)
 	if err != nil {
 		return 0, err
+	}
+	if err := syncDerived(store, o); err != nil {
+		return 0, err
+	}
+	return len(o.rows) / len(o.cols), nil
+}
+
+// observeCircuits reads the LLDP rows and returns the circuits they
+// confirm, as an observation of the whole DerivedCircuit table.
+func observeCircuits(store *fbnet.Store) (*observation, error) {
+	neighbors, _, err := store.Peek("DerivedLldpNeighbor", nil)
+	if err != nil {
+		return nil, err
 	}
 	type end struct{ dev, ifc string }
 	claims := make(map[[2]end]bool, len(neighbors))
@@ -337,22 +483,12 @@ func DeriveCircuits(store *fbnet.Store) (int, error) {
 		}
 		return confirmed[i][0].ifc < confirmed[j][0].ifc
 	})
-	rows := make([]map[string]any, len(confirmed))
-	for i, pair := range confirmed {
-		rows[i] = map[string]any{
-			"a_device": pair[0].dev, "a_interface": pair[0].ifc,
-			"z_device": pair[1].dev, "z_interface": pair[1].ifc,
-			"source": "lldp",
-		}
+	o := &observation{derivedShape: &derivedCircuit, rows: make([]any, 0, len(confirmed)*len(derivedCircuit.cols))}
+	source := any("lldp")
+	for _, pair := range confirmed {
+		o.rows = append(o.rows, pair[0].dev, pair[0].ifc, pair[1].dev, pair[1].ifc, source)
 	}
-	_, err = store.Mutate(func(m *fbnet.Mutation) error {
-		return syncDerived(m, "DerivedCircuit", nil,
-			[]string{"a_device", "a_interface", "z_device", "z_interface"}, "", rows)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return len(confirmed), nil
+	return o, nil
 }
 
 // RecordEvents subscribes an FBNet store to a classifier: every alerted

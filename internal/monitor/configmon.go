@@ -195,14 +195,14 @@ func (cm *ConfigMonitor) recordConformance(device, running string, conforms bool
 	if cm.store == nil {
 		return nil
 	}
-	_, err := cm.store.Mutate(func(m *fbnet.Mutation) error {
-		return syncDerived(m, "DerivedConfig", fbnet.Eq("device_name", device), []string{"device_name"}, "",
-			[]map[string]any{{
-				"device_name": device, "config_hash": revctl.Hash(running),
-				"collected_unix": at.Unix(), "conforms": conforms,
-			}})
-	})
-	return err
+	return syncDerived(cm.store, conformance(device, running, conforms, at))
+}
+
+// conformance is the observation recordConformance writes.
+func conformance(device, running string, conforms bool, at time.Time) *observation {
+	dev := any(device)
+	return &observation{derivedShape: &derivedConfig, scope: fbnet.Eq("device_name", dev),
+		rows: []any{dev, revctl.Hash(running), at.Unix(), conforms}}
 }
 
 // Deviations returns the recorded deviations (the newest historyLimit of

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -12,13 +13,16 @@ import (
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/revctl"
+	"github.com/robotron-net/robotron/internal/telemetry"
 	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // The observed-state write rule (DESIGN.md §15.5), checked against a naive
 // model: every Derived table is the latest observation per scope, nothing
-// is written when an observation repeats, row ids are stable, and
-// last_change_unix moves only with what it describes.
+// is written — no transaction even opens — when an observation repeats,
+// the verdict made on rows read in place is the one a transaction would
+// reach, row ids are stable, and last_change_unix moves only with what it
+// describes.
 
 // derivedColumns lists, per Derived model, the columns the model below
 // keeps; the first keyLen of them are the row's identity.
@@ -240,13 +244,23 @@ func (m mirror) mirrorCircuits() {
 }
 
 func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
-	populated := map[string]bool{} // tables some step compared at least one row of
+	populated := map[string]bool{} // tables some step compared at least one row of, and whether a write re-read
 	for seed := int64(1); seed <= 20; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			store, err := fbnet.Open(relstore.NewDB("derived-sync"), fbnet.NewCatalog())
 			if err != nil {
 				t.Fatal(err)
+			}
+			reg := telemetry.NewRegistry()
+			store.Instrument(reg)
+			commits := reg.Counter("robotron_relstore_tx_commits_total", telemetry.L("server", "derived-sync")...)
+			planned := func() (n float64) {
+				for _, strategy := range []string{"indexed", "scan"} {
+					v, _ := reg.Value("robotron_fbnet_queries_planned_total", telemetry.L("strategy", strategy)...)
+					n += v
+				}
+				return n
 			}
 			backend := NewDerivedBackend(store)
 			cm := &ConfigMonitor{store: store}
@@ -274,22 +288,43 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 				dev := pick(rng, worldDevices)
 				data := []DataType{DataVersion, DataInterfaces, DataBGP, DataLLDP, DataConfig}[rng.Intn(5)]
 				col := w.poll(rng, dev, data, at)
-				write := func() {
-					t.Helper()
-					var err error
+				observed := func() *observation {
 					if data == DataConfig {
+						return conformance(dev, w.config[dev], w.config[dev] == "", at)
+					}
+					return observe(col)
+				}
+				// write stores the collection and re-derives circuits. racing
+				// lands a commit to an unrelated table between the
+				// collection's read and its transaction, which must then read
+				// again and plan afresh.
+				write := func(racing bool) {
+					t.Helper()
+					assertVerdict(t, store, observed())
+					var err error
+					switch {
+					case racing:
+						var replanned bool
+						replanned, err = syncAfterUnrelatedCommit(t, store, planned, observed(), fmt.Sprintf("r%d", step))
+						populated["a write planned afresh"] = populated["a write planned afresh"] || replanned
+					case data == DataConfig:
 						err = cm.recordConformance(dev, w.config[dev], w.config[dev] == "", at)
-					} else {
+					default:
 						err = backend.Store(col)
 					}
 					if err != nil {
 						t.Fatalf("step %d: storing %s of %s: %v", step, data, dev, err)
 					}
+					circuits, err := observeCircuits(store)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertVerdict(t, store, circuits)
 					if _, err := DeriveCircuits(store); err != nil {
 						t.Fatalf("step %d: DeriveCircuits: %v", step, err)
 					}
 				}
-				write()
+				write(step%3 == 2)
 				if data == DataConfig {
 					want.observe("DerivedConfig", dev, [][]any{{dev, revctl.Hash(w.config[dev]), at.Unix(), w.config[dev] == ""}})
 				} else {
@@ -319,11 +354,15 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 				}
 				prevIDs = ids
 
-				// The same observation again writes nothing.
-				seq := store.DB().Seq()
-				write()
+				// The same observation again writes nothing and commits no
+				// transaction.
+				seq, committed := store.DB().Seq(), commits.Value()
+				write(false)
 				if moved := store.DB().Seq() - seq; moved != 0 {
 					t.Fatalf("step %d: replaying %s of %s appended %d binlog entries", step, data, dev, moved)
+				}
+				if n := commits.Value() - committed; n != 0 {
+					t.Fatalf("step %d: replaying %s of %s committed %d transactions", step, data, dev, n)
 				}
 				if _, again := readDerived(t, store); !reflect.DeepEqual(again, ids) {
 					t.Fatalf("step %d: row ids changed on an unchanged cycle", step)
@@ -336,6 +375,71 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 			t.Errorf("no history ever had a %s row to compare", table)
 		}
 	}
+	if !populated["a write planned afresh"] {
+		t.Error("no history ever wrote after a commit landed between a read and its transaction")
+	}
+}
+
+// assertVerdict checks the in-place verdict against the transaction: o
+// changes nothing on the rows read in place exactly when a transactional
+// run of the same sync, rolled back, writes nothing.
+func assertVerdict(t *testing.T, store *fbnet.Store, o *observation) {
+	t.Helper()
+	stored, _, err := store.Peek(o.model, o.scope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := len(o.plan(stored)) == 0
+	seq := store.DB().Seq()
+	rollback := errors.New("roll back")
+	var wrote int
+	if _, err := store.Mutate(func(m *fbnet.Mutation) error {
+		stored, err := m.Find(o.model, o.scope)
+		if err != nil {
+			return err
+		}
+		if err := o.apply(m, o.plan(stored)); err != nil {
+			return err
+		}
+		wrote = m.Stats().Total()
+		return rollback
+	}); !errors.Is(err, rollback) {
+		t.Fatalf("the transactional run of %s: %v", o.model, err)
+	}
+	if unchanged != (wrote == 0) || store.DB().Seq() != seq {
+		t.Fatalf("%s: in place the observation is unchanged=%v, in a transaction it writes %d rows", o.model, unchanged, wrote)
+	}
+}
+
+// syncAfterUnrelatedCommit is syncDerived with a commit to a table o does
+// not write landing between its read and its transaction; the write must
+// see that the store moved and read o's rows once more (planned counts the
+// store's queries).
+// It reports whether there was anything to write.
+func syncAfterUnrelatedCommit(t *testing.T, store *fbnet.Store, planned func() float64, o *observation, region string) (bool, error) {
+	t.Helper()
+	stored, seq, err := store.Peek(o.model, o.scope)
+	if err != nil {
+		return false, err
+	}
+	ops := o.plan(stored)
+	if len(ops) == 0 {
+		return false, nil
+	}
+	if _, err := store.Mutate(func(m *fbnet.Mutation) error {
+		_, err := m.Create("Region", map[string]any{"name": region})
+		return err
+	}); err != nil {
+		return false, err
+	}
+	before := planned()
+	if err := o.write(store, ops, seq); err != nil {
+		return false, err
+	}
+	if n := planned() - before; n != 1 {
+		t.Fatalf("a write planned on a store that moved since its read planned %v queries, want the one re-read", n)
+	}
+	return true, nil
 }
 
 // TestDerivedRowsCarryNoWallTime: engines do not stamp collections — the

@@ -235,6 +235,41 @@ func (db *DB) Def(tableName string) (TableDef, error) {
 	return t.def, nil
 }
 
+// tableIn returns the named table of a table set.
+func tableIn(tables map[string]*table, name string) (*table, error) {
+	t, ok := tables[name]
+	if !ok {
+		return nil, fmt.Errorf("relstore: no such table %q", name)
+	}
+	return t, nil
+}
+
+// get returns one row; its Values are the stored map, which no one may
+// write.
+func (t *table) get(id int64) (Row, error) {
+	vals, ok := t.rows[id]
+	if !ok {
+		return Row{}, fmt.Errorf("relstore: %s: id %d: %w", t.def.Name, id, ErrNoRow)
+	}
+	return Row{ID: id, Values: vals}, nil
+}
+
+// scan returns the rows matching pred (nil matches all) in ascending id
+// order: the stored maps when share is set, copies otherwise.
+func (t *table) scan(pred func(Row) bool, share bool) []Row {
+	var out []Row
+	for _, id := range sortedIDs(t.rows) {
+		r := Row{ID: id, Values: t.rows[id]}
+		if !share {
+			r.Values = copyValues(r.Values)
+		}
+		if pred == nil || pred(r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // Get returns a snapshot of one row by primary key.
 func (db *DB) Get(tableName string, id int64) (Row, error) {
 	if db.downFlag.Load() {
@@ -242,15 +277,12 @@ func (db *DB) Get(tableName string, id int64) (Row, error) {
 	}
 	e := db.readEpoch()
 	defer e.release()
-	t, ok := e.tables[tableName]
-	if !ok {
-		return Row{}, fmt.Errorf("relstore: no such table %q", tableName)
+	r, err := View{e}.Get(tableName, id)
+	if err != nil {
+		return Row{}, err
 	}
-	vals, ok := t.rows[id]
-	if !ok {
-		return Row{}, fmt.Errorf("relstore: %s: id %d: %w", tableName, id, ErrNoRow)
-	}
-	return Row{ID: id, Values: copyValues(vals)}, nil
+	r.Values = copyValues(r.Values)
+	return r, nil
 }
 
 // Select returns snapshots of all rows matching pred (nil matches all),
@@ -263,18 +295,11 @@ func (db *DB) Select(tableName string, pred func(Row) bool) ([]Row, error) {
 	}
 	e := db.readEpoch()
 	defer e.release()
-	t, ok := e.tables[tableName]
-	if !ok {
-		return nil, fmt.Errorf("relstore: no such table %q", tableName)
+	t, err := tableIn(e.tables, tableName)
+	if err != nil {
+		return nil, err
 	}
-	var out []Row
-	for _, id := range sortedIDs(t.rows) {
-		r := Row{ID: id, Values: copyValues(t.rows[id])}
-		if pred == nil || pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return t.scan(pred, false), nil
 }
 
 // Count returns the number of rows in a table.
@@ -293,13 +318,13 @@ func (db *DB) Count(tableName string) (int, error) {
 func (db *DB) LookupUnique(tableName, col string, v any) (int64, bool, error) {
 	e := db.readEpoch()
 	defer e.release()
-	t, ok := e.tables[tableName]
-	if !ok {
-		return 0, false, fmt.Errorf("relstore: no such table %q", tableName)
-	}
+	return View{e}.LookupUnique(tableName, col, v)
+}
+
+func (t *table) lookupUnique(col string, v any) (int64, bool, error) {
 	idx, ok := t.unique[col]
 	if !ok {
-		return 0, false, fmt.Errorf("relstore: %s.%s is not a unique column", tableName, col)
+		return 0, false, fmt.Errorf("relstore: %s.%s is not a unique column", t.def.Name, col)
 	}
 	id, found := idx[normIndexValue(v)]
 	return id, found, nil
@@ -323,19 +348,16 @@ func normIndexValue(v any) any {
 func (db *DB) LookupIndexed(tableName, col string, v any) ([]int64, error) {
 	e := db.readEpoch()
 	defer e.release()
-	t, ok := e.tables[tableName]
-	if !ok {
-		return nil, fmt.Errorf("relstore: no such table %q", tableName)
-	}
-	return t.lookupIndexed(tableName, col, v)
+	return View{e}.LookupIndexed(tableName, col, v)
 }
 
-func (t *table) lookupIndexed(tableName, col string, v any) ([]int64, error) {
+func (t *table) lookupIndexed(col string, v any) ([]int64, error) {
 	idx, ok := t.secondary[col]
 	if !ok {
-		return nil, fmt.Errorf("relstore: %s.%s is not an indexed column", tableName, col)
+		return nil, fmt.Errorf("relstore: %s.%s is not an indexed column", t.def.Name, col)
 	}
-	// The index keeps ids sorted; hand out a copy.
+	// The index keeps ids sorted; hand out a copy (the slice is edited in
+	// place once this set is the spare again).
 	return slices.Clone(idx[normIndexValue(v)]), nil
 }
 
@@ -344,13 +366,13 @@ func (t *table) lookupIndexed(tableName, col string, v any) ([]int64, error) {
 func (db *DB) Referencing(tableName, fkCol string, refID int64) ([]int64, error) {
 	e := db.readEpoch()
 	defer e.release()
-	t, ok := e.tables[tableName]
-	if !ok {
-		return nil, fmt.Errorf("relstore: no such table %q", tableName)
-	}
+	return View{e}.Referencing(tableName, fkCol, refID)
+}
+
+func (t *table) referencing(fkCol string, refID int64) ([]int64, error) {
 	idx, ok := t.refIndex[fkCol]
 	if !ok {
-		return nil, fmt.Errorf("relstore: %s.%s is not a foreign key", tableName, fkCol)
+		return nil, fmt.Errorf("relstore: %s.%s is not a foreign key", t.def.Name, fkCol)
 	}
 	set := idx[refID]
 	ids := make([]int64, 0, len(set))

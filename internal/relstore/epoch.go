@@ -22,7 +22,8 @@ import (
 // Rows are immutable once stored: an update installs a new map, so both
 // sets, the binlog entry that inserted a row and every in-process replica
 // hold the same map, and copies are made only where a row leaves the
-// package (Get and Select on DB and Tx).
+// package (Get and Select on DB and Tx) — except through a View, which
+// hands out the stored maps themselves, read-only.
 type epoch struct {
 	seq    uint64 // binlog sequence this store reflects
 	tables map[string]*table

@@ -143,7 +143,7 @@ func (m *naiveStore) referencing(table, col string, ref int64) []int64 {
 	return m.ids(table, func(_ int64, row map[string]any) bool { return row[col] == ref })
 }
 
-// rowReader is the read API DB and Tx share.
+// rowReader is the read API DB, Tx and View share.
 type rowReader interface {
 	Get(table string, id int64) (Row, error)
 	Select(table string, pred func(Row) bool) ([]Row, error)
@@ -152,11 +152,30 @@ type rowReader interface {
 	Referencing(table, fkCol string, refID int64) ([]int64, error)
 }
 
-// assertReads compares every read API of got with the model. Rows handed
-// out are scribbled on afterwards: they are copies, so the next comparison
-// fails if one was not.
+// assertServed compares db's reads with the model, and then, inside one
+// View, the view's reads and its Seq, which must be seq, the sequence the
+// model is of.
+func assertServed(t *testing.T, where string, db *DB, want *naiveStore, seq uint64) {
+	t.Helper()
+	assertReads(t, where, db, want)
+	if err := db.View(func(v View) error {
+		if v.Seq() != seq {
+			t.Fatalf("%s: view at seq %d, want %d", where, v.Seq(), seq)
+		}
+		assertReads(t, where+" (view)", v, want)
+		return nil
+	}); err != nil {
+		t.Fatalf("%s: View: %v", where, err)
+	}
+}
+
+// assertReads compares every read API of got with the model. Rows a DB or
+// Tx hands out are scribbled on afterwards: they are copies, so the next
+// comparison fails if one was not. A View hands out the stored rows, so
+// there Get and Select must return the same map.
 func assertReads(t *testing.T, where string, got rowReader, want *naiveStore) {
 	t.Helper()
+	_, shared := got.(View)
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("%s: %s", where, fmt.Sprintf(format, args...))
@@ -182,6 +201,12 @@ func assertReads(t *testing.T, where string, got rowReader, want *naiveStore) {
 			one, err := got.Get(table, r.ID)
 			if err != nil || !sameRow(def, one, want.rows[table][r.ID]) {
 				fail("Get(%s, %d) = %v, %v; want %v", table, r.ID, one.Values, err, want.rows[table][r.ID])
+			}
+			if shared {
+				if reflect.ValueOf(r.Values).UnsafePointer() != reflect.ValueOf(one.Values).UnsafePointer() {
+					fail("Get(%s, %d) and Select handed out different maps for one stored row", table, r.ID)
+				}
+				continue
 			}
 			for k := range r.Values {
 				r.Values[k], one.Values[k] = "scribble", "scribble"
@@ -415,7 +440,7 @@ func (h *history) commit(where string) {
 		h.t.Fatalf("%s: reads at seq %d, log at %d", where, h.master.ReadSeq(), h.master.Seq())
 	}
 	h.committed[h.master.Seq()] = h.model.clone()
-	assertReads(h.t, where, h.master, h.model)
+	assertServed(h.t, where, h.master, h.model, h.master.Seq())
 }
 
 func (h *history) alter() {
@@ -437,7 +462,7 @@ func (h *history) replicate() {
 	} else {
 		h.must(h.replica.CatchUp())
 	}
-	assertReads(h.t, "replica", h.replica.DB(), h.committed[h.replica.Applied()])
+	assertServed(h.t, "replica", h.replica.DB(), h.committed[h.replica.Applied()], h.replica.Applied())
 }
 
 // failover kills the master, possibly with the replica behind, promotes
@@ -461,7 +486,7 @@ func (h *history) failover() {
 	h.model = h.committed[at].clone()
 	h.master, h.replica = promoted, NewReplica(promoted, "replica-of-promoted")
 	h.serving.Store(&[2]*DB{h.master, h.replica.DB()})
-	assertReads(h.t, "promoted master", h.master, h.model)
+	assertServed(h.t, "promoted master", h.master, h.model, at)
 }
 
 // runHistory plays steps of the seeded history; afterStep, if not nil,
@@ -493,8 +518,9 @@ func runHistory(t *testing.T, seed int64, steps int, afterStep func(h *history))
 	h.serving.Store(&[2]*DB{h.master, h.replica.DB()})
 
 	// The concurrent reader: whichever servers are current, one Select of
-	// the ledger never sees half a group. (A dead master refuses the read;
-	// a replica that has not replayed the ledger yet has no rows.)
+	// the ledger, and the two rows one View reads by id, never see half a
+	// group. (A dead master refuses the read; a replica that has not
+	// replayed the ledger yet has no rows.)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -512,6 +538,17 @@ func runHistory(t *testing.T, seed int64, steps int, afterStep func(h *history))
 					t.Errorf("seed %d: %s served half a group: ledger %v", seed, db.Name(), rows)
 					return
 				}
+				db.View(func(v View) error {
+					first, err := v.Get("ledger", 1)
+					if err != nil {
+						return err
+					}
+					second, err := v.Get("ledger", 2)
+					if err == nil && first.Int("val")+second.Int("val") != 0 {
+						t.Errorf("seed %d: a View of %s served half a group: ledger %v, %v", seed, db.Name(), first, second)
+					}
+					return err
+				})
 			}
 		}
 	}()
@@ -541,7 +578,8 @@ func runHistory(t *testing.T, seed int64, steps int, afterStep func(h *history))
 // TestStoreEqualsNaiveModelOverRandomHistories is the store's differential
 // test (ROADMAP item 9): after every commit, inside every open transaction,
 // after every rollback, on the replica at whatever point it has applied and
-// on a master promoted from it, every read API agrees with naiveStore.
+// on a master promoted from it, every read API agrees with naiveStore — a
+// View's too, and its Seq names the commit the model is of.
 func TestStoreEqualsNaiveModelOverRandomHistories(t *testing.T) {
 	for seed := int64(0); seed < 40 && !t.Failed(); seed++ {
 		runHistory(t, seed, 120, nil)

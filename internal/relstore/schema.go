@@ -10,7 +10,8 @@
 //
 // Concurrency model: a DB is safe for concurrent use; writes go through
 // transactions which hold the write lock for their duration (single-writer,
-// like a table-locked MySQL), reads take the read lock and return copies.
+// like a table-locked MySQL), reads pin the published table set without a
+// lock and return copies, or the shared rows themselves through a View.
 package relstore
 
 import (

@@ -158,11 +158,7 @@ func (tx *Tx) table(name string) (*table, error) {
 	if tx.done {
 		return nil, ErrTxDone
 	}
-	t, ok := tx.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("relstore: no such table %q", name)
-	}
-	return t, nil
+	return tableIn(tx.tables, name)
 }
 
 // Get reads a row within the transaction (sees uncommitted changes).
@@ -171,11 +167,12 @@ func (tx *Tx) Get(tableName string, id int64) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	vals, ok := t.rows[id]
-	if !ok {
-		return Row{}, fmt.Errorf("relstore: %s: id %d: %w", tableName, id, ErrNoRow)
+	r, err := t.get(id)
+	if err != nil {
+		return Row{}, err
 	}
-	return Row{ID: id, Values: copyValues(vals)}, nil
+	r.Values = copyValues(r.Values)
+	return r, nil
 }
 
 // Select reads matching rows within the transaction.
@@ -184,14 +181,7 @@ func (tx *Tx) Select(tableName string, pred func(Row) bool) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Row
-	for _, id := range sortedIDs(t.rows) {
-		r := Row{ID: id, Values: copyValues(t.rows[id])}
-		if pred == nil || pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return t.scan(pred, false), nil
 }
 
 // LookupUnique finds a row id by unique column value within the transaction.
@@ -200,12 +190,7 @@ func (tx *Tx) LookupUnique(tableName, col string, v any) (int64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	idx, ok := t.unique[col]
-	if !ok {
-		return 0, false, fmt.Errorf("relstore: %s.%s is not a unique column", tableName, col)
-	}
-	id, found := idx[normIndexValue(v)]
-	return id, found, nil
+	return t.lookupUnique(col, v)
 }
 
 // LookupIndexed finds row ids by an Indexed (non-unique) column value
@@ -215,7 +200,7 @@ func (tx *Tx) LookupIndexed(tableName, col string, v any) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.lookupIndexed(tableName, col, v)
+	return t.lookupIndexed(col, v)
 }
 
 // Referencing lists rows whose fkCol references refID, within the transaction.
@@ -224,17 +209,7 @@ func (tx *Tx) Referencing(tableName, fkCol string, refID int64) ([]int64, error)
 	if err != nil {
 		return nil, err
 	}
-	idx, ok := t.refIndex[fkCol]
-	if !ok {
-		return nil, fmt.Errorf("relstore: %s.%s is not a foreign key", tableName, fkCol)
-	}
-	set := idx[refID]
-	ids := make([]int64, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sortInt64s(ids)
-	return ids, nil
+	return t.referencing(fkCol, refID)
 }
 
 // Insert adds a row. Unspecified nullable columns default to NULL; missing
