@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race loc verify-gate store reconcile fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
+.PHONY: tier1 build vet test race loc journals verify-gate store reconcile fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
 
 # Tier-1 gate: what CI and reviewers run before merging.
 tier1: verify-gate store reconcile fuzz-smoke sim obs
@@ -16,16 +16,18 @@ tier1: verify-gate store reconcile fuzz-smoke sim obs
 # ipam-replay oracle, the design-rule differential (over the same 200
 # histories the stored checks answer for every finding of the design
 # tool's former rule checker, kept as the oracle, and flag nothing it
-# sees and calls clean), plus the end-to-end rejection contract and the
-# shared-model contracts (one rebuild, fail-closed) in core, under the
-# race detector. See DESIGN.md §12. The gate checks what the generator
+# sees and calls clean), plus the end-to-end rejection contract (an
+# incremental change and a turn-up alike), the turn-up contract (goldens
+# before the first session, no check errors, every designed device rolled
+# out) and the shared-model contracts (one rebuild, fail-closed) in core,
+# under the race detector. See DESIGN.md §12. The gate checks what the generator
 # hands it, so the generator's own follower rides along: memo ≡ cold over
 # 40 seeded histories with the read-set oracle's derive counts, one log
 # read per generation, and nothing cached unchecked under a racing writer
 # (DESIGN.md §8).
 verify-gate:
 	$(GO) test -race -v -timeout 10m ./internal/verify/
-	$(GO) test -race -timeout 5m -run 'TestVerifyGate' ./internal/core/
+	$(GO) test -race -timeout 5m -run 'TestVerifyGate|TestTurnUp' ./internal/core/
 	$(GO) test -race -timeout 5m -run 'TestMemo|TestGenerateFollows|TestGeneratorConcurrentUse' ./internal/configgen/
 
 # The store every follower tails, under the race detector: relstore's
@@ -65,6 +67,20 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/tmpl/
 	$(GO) test -run '^$$' -fuzz '^FuzzReparse$$' -fuzztime $(FUZZTIME) ./internal/netsim/
+
+# Each drill's deterministic run record, one file per drill:
+#   make journals DIR=/tmp/journals-new
+# Build the parent commit's tree the same way into another directory, and
+# `diff -r` the two to see what a change did to the drills (DESIGN.md
+# §14.2, §14.4).
+journals:
+	@test -n "$(DIR)" || { echo "usage: make journals DIR=<directory>" >&2; exit 2; }
+	mkdir -p $(DIR)
+	$(GO) build -o $(DIR)/.robotron ./cmd/robotron
+	for f in examples/scenarios/*.yaml; do \
+		$(DIR)/.robotron sim run -journal $$f > $(DIR)/$$(basename $$f .yaml).journal || exit 1; \
+	done
+	rm -f $(DIR)/.robotron
 
 build:
 	$(GO) build ./...

@@ -505,11 +505,10 @@ type ProvisionResult struct {
 }
 
 // ProvisionCluster executes the full life cycle for a new cluster: design
-// (template → FBNet objects), physical build-out (simulated), config
-// generation, initial provisioning, golden commits, and promotion of the
-// cluster and its circuits to production.
+// (template → FBNet objects), physical build-out (simulated), then the
+// rollout, whose push provisions every designed device from a clean state
+// and promotes the cluster, its circuits and its devices to production.
 func (r *Robotron) ProvisionCluster(ctx design.ChangeContext, siteName, clusterName string, tpl design.TopologyTemplate) (ProvisionResult, error) {
-	var out ProvisionResult
 	tr := r.Tracer.Start("provision-cluster")
 	defer tr.End()
 	tr.SetAttr("cluster", clusterName)
@@ -519,122 +518,128 @@ func (r *Robotron) ProvisionCluster(ctx design.ChangeContext, siteName, clusterN
 	if err != nil {
 		dsp.End()
 		tr.SetAttr("error", err.Error())
-		return out, fmt.Errorf("core: design stage failed: %w", err)
+		return ProvisionResult{}, fmt.Errorf("core: design stage failed: %w", err)
 	}
 	dsp.SetAttrInt("objects", int64(build.Stats.Total()))
 	dsp.End()
-	out.Build = build
-	out.Devices = build.DeviceNames
+	out := ProvisionResult{Build: build, Devices: build.DeviceNames}
 	r.logf("design: cluster %s materialized %d objects", clusterName, build.Stats.Total())
 
 	if err := r.SyncFleet(); err != nil {
 		return out, fmt.Errorf("core: physical build-out failed: %w", err)
 	}
-	gsp := tr.Child("generate")
-	configs, err := r.Generator.GenerateMany(build.DeviceNames, r.GenerateParallelism, gsp)
-	gsp.End()
-	if err != nil {
-		tr.SetAttr("error", err.Error())
-		return out, fmt.Errorf("core: config generation failed: %w", err)
-	}
-	r.logf("configgen: %d device configs generated", len(configs))
-
-	if err := r.verifyGate(configs, tr); err != nil {
-		tr.SetAttr("error", err.Error())
-		return out, fmt.Errorf("core: intent verification failed: %w", err)
-	}
-
-	psp := tr.Child("provision")
-	rep, err := r.Deployer.InitialProvision(configs, deploy.Options{Notify: r.Logf, Parallelism: r.DeployParallelism, Retry: r.DeployRetry})
-	psp.End()
-	out.Report = rep
-	if err != nil {
-		tr.SetAttr("error", err.Error())
-		return out, fmt.Errorf("core: initial provisioning failed: %w", err)
-	}
-	for name, cfg := range configs {
-		if _, err := r.Generator.CommitGolden(name, cfg, ctx.EmployeeID, "initial provisioning of "+clusterName); err != nil {
-			return out, err
-		}
-	}
-	// Promote the cluster and its circuits to production and undrain.
-	_, err = r.Store.Mutate(func(m *fbnet.Mutation) error {
-		cluster, err := m.FindOne("Cluster", fbnet.Eq("name", clusterName))
-		if err != nil {
-			return err
-		}
-		if err := m.Update("Cluster", cluster.ID, map[string]any{"status": "production"}); err != nil {
-			return err
-		}
-		circuits, err := m.Find("Circuit", fbnet.And(
-			fbnet.Eq("status", "provisioning"),
-			fbnet.Eq("a_interface.linecard.device.cluster", cluster.ID),
-		))
-		if err != nil {
-			return err
-		}
-		for _, c := range circuits {
-			if err := m.Update("Circuit", c.ID, map[string]any{"status": "production"}); err != nil {
-				return err
+	out.Report, err = r.rollout(tr, build.DeviceNames, deploy.Options{}, change{
+		kind: "provision", author: ctx.EmployeeID,
+		reason: "initial provisioning of " + clusterName, detail: "cluster " + clusterName,
+		push: func(configs map[string]string, opts deploy.Options) (deploy.Report, error) {
+			rep, err := r.Deployer.InitialProvision(configs, opts)
+			if err != nil {
+				return rep, err
 			}
-		}
-		devs, err := m.Referencing("Device", "cluster", cluster.ID)
-		if err != nil {
-			return err
-		}
-		for _, d := range devs {
-			if err := m.Update("Device", d.ID, map[string]any{"drain_state": "undrained"}); err != nil {
-				return err
+			// Promote the cluster and its circuits to production and undrain.
+			_, err = r.Store.Mutate(func(m *fbnet.Mutation) error {
+				cluster, err := m.FindOne("Cluster", fbnet.Eq("name", clusterName))
+				if err != nil {
+					return err
+				}
+				if err := m.Update("Cluster", cluster.ID, map[string]any{"status": "production"}); err != nil {
+					return err
+				}
+				circuits, err := m.Find("Circuit", fbnet.And(
+					fbnet.Eq("status", "provisioning"),
+					fbnet.Eq("a_interface.linecard.device.cluster", cluster.ID),
+				))
+				if err != nil {
+					return err
+				}
+				for _, c := range circuits {
+					if err := m.Update("Circuit", c.ID, map[string]any{"status": "production"}); err != nil {
+						return err
+					}
+				}
+				devs, err := m.Referencing("Device", "cluster", cluster.ID)
+				if err != nil {
+					return err
+				}
+				for _, d := range devs {
+					if err := m.Update("Device", d.ID, map[string]any{"drain_state": "undrained"}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return rep, err
 			}
-		}
-		return nil
+			for _, name := range build.DeviceNames {
+				if d, ok := r.Fleet.Device(name); ok {
+					d.SetTrafficLoad(0.3)
+				}
+			}
+			return rep, nil
+		},
 	})
 	if err != nil {
-		return out, err
-	}
-	for _, name := range build.DeviceNames {
-		if d, ok := r.Fleet.Device(name); ok {
-			d.SetTrafficLoad(0.3)
-		}
-	}
-	if err := audit.RecordDeploy(r.Store, "provision", len(configs), "cluster "+clusterName, r.now().Unix()); err != nil {
-		return out, err
-	}
-	if err := r.DeriveMonitoring(); err != nil {
-		return out, err
+		tr.SetAttr("error", err.Error())
+		return out, fmt.Errorf("core: turn-up of %s failed: %w", clusterName, err)
 	}
 	r.logf("deploy: cluster %s provisioned and serving", clusterName)
 	return out, nil
 }
 
 // GenerateAndDeploy regenerates configs for the named devices and deploys
-// them incrementally. Golden configs are committed *before* deployment:
-// the golden is the current intent (§5.4.3), so the config-change events
-// the deployment itself raises compare against the new intent, and a
-// failed or rolled-back deployment correctly leaves the device flagged as
-// deviating until it is retried.
+// them incrementally through the rollout.
 func (r *Robotron) GenerateAndDeploy(devices []string, opts deploy.Options, author string) (deploy.Report, error) {
 	tr := r.Tracer.Start("generate-and-deploy")
 	defer tr.End()
 	tr.SetAttrInt("devices", int64(len(devices)))
 
+	rep, err := r.rollout(tr, devices, opts, change{
+		kind: "deploy", author: author,
+		reason: "incremental update intent", detail: "by " + author,
+		push: r.Deployer.Deploy,
+	})
+	if err != nil {
+		tr.SetAttr("error", err.Error())
+		return rep, err
+	}
+	// Close the loop inside the same trace: check the deployed devices now,
+	// feeding any drift or check error to the reconciler.
+	if r.Reconciler != nil {
+		rsp := tr.Child("reconcile")
+		rsp.SetAttrInt("checked", int64(r.Reconciler.VerifyDevices(devices, rsp)))
+		rsp.End()
+	}
+	return rep, nil
+}
+
+// change is what a rollout carries: the golden commit's author and
+// reason, the deploy record's kind and detail, and the push.
+type change struct {
+	kind, author, reason, detail string
+	push                         func(configs map[string]string, opts deploy.Options) (deploy.Report, error)
+}
+
+// rollout is the one sequence from intent to the fleet: generate → gate →
+// commit goldens → push → record the deploy → re-derive monitoring. The
+// gate runs before the goldens move and before any management session
+// opens: a rejected change leaves no trace on the fleet and no stale
+// intent in the repository. The goldens move before the push: the golden
+// is the current intent (§5.4.3), so the config-change events the push
+// raises compare against it, and a failed push leaves the device flagged
+// as deviating until it is retried.
+func (r *Robotron) rollout(tr *telemetry.Span, devices []string, opts deploy.Options, c change) (deploy.Report, error) {
 	gsp := tr.Child("generate")
 	configs, err := r.Generator.GenerateMany(devices, r.GenerateParallelism, gsp)
 	gsp.End()
 	if err != nil {
-		tr.SetAttr("error", err.Error())
 		return deploy.Report{}, err
 	}
-	// The gate runs before the goldens move and before any management
-	// session opens: a rejected deployment leaves no trace on the fleet
-	// and no stale intent in the repository.
 	if err := r.verifyGate(configs, tr); err != nil {
-		tr.SetAttr("error", err.Error())
 		return deploy.Report{}, err
 	}
 	for name, cfg := range configs {
-		if _, err := r.Generator.CommitGolden(name, cfg, author, "incremental update intent"); err != nil {
-			tr.SetAttr("error", err.Error())
+		if _, err := r.Generator.CommitGolden(name, cfg, c.author, c.reason); err != nil {
 			return deploy.Report{}, err
 		}
 	}
@@ -647,29 +652,18 @@ func (r *Robotron) GenerateAndDeploy(devices []string, opts deploy.Options, auth
 	if opts.Retry == nil {
 		opts.Retry = r.DeployRetry
 	}
-	dsp := tr.Child("deploy")
-	opts.Span = dsp
-	rep, err := r.Deployer.Deploy(configs, opts)
-	dsp.End()
+	psp := tr.Child(c.kind)
+	opts.Span = psp
+	rep, err := c.push(configs, opts)
+	psp.End()
 	if err != nil {
-		tr.SetAttr("error", err.Error())
 		return rep, err
 	}
-	if err := audit.RecordDeploy(r.Store, "deploy", len(configs), "by "+author, r.now().Unix()); err != nil {
+	if err := audit.RecordDeploy(r.Store, c.kind, len(configs), c.detail, r.now().Unix()); err != nil {
 		return rep, err
 	}
-	// Design may have changed under this deployment: regenerate the
-	// derived monitoring config alongside the device config.
 	if err := r.DeriveMonitoring(); err != nil {
 		return rep, err
-	}
-	// Close the loop inside the same trace: a synchronous conformance
-	// pass over the deployed devices, feeding any drift or check error
-	// into the reconciler's normal state machine.
-	if r.Reconciler != nil {
-		rsp := tr.Child("reconcile")
-		rsp.SetAttrInt("checked", int64(r.Reconciler.VerifyDevices(devices, rsp)))
-		rsp.End()
 	}
 	return rep, nil
 }

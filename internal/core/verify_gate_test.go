@@ -13,11 +13,36 @@ import (
 )
 
 // TestVerifyGateRejectsBeforeAnyManagementSession is the end-to-end
-// contract of the pre-deploy gate: when intent verification fails, the
-// rejection happens before a single management session is opened — no
-// staged candidates, no pending commit-confirms, not one management
-// operation issued, and the golden intent untouched.
+// contract of the pre-deploy gate, for both ways into the rollout: when
+// intent verification fails, the rejection happens before a single
+// management session is opened — no staged candidates, no pending
+// commit-confirms, not one management operation issued, the golden intent
+// untouched, and no deploy recorded. A turn-up is gated network-wide: a
+// broken session in a cluster already serving rejects a new cluster whose
+// own configs are clean, and the new cluster stays unpromoted.
 func TestVerifyGateRejectsBeforeAnyManagementSession(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// roll pushes one change through an entry point: a turn-up adds
+		// the named cluster, an incremental change redeploys the cluster
+		// already serving.
+		roll   func(r *Robotron, serving []string, cluster string) error
+		turnUp bool
+	}{
+		{"incremental change", func(r *Robotron, serving []string, _ string) error {
+			_, err := r.GenerateAndDeploy(serving, deploy.Options{}, "e1")
+			return err
+		}, false},
+		{"turn-up", func(r *Robotron, _ []string, cluster string) error {
+			_, err := r.ProvisionCluster(testCtx("pop"), "pop1", cluster, design.POPGen1())
+			return err
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testGateRejects(t, tc.roll, tc.turnUp) })
+	}
+}
+
+func testGateRejects(t *testing.T, roll func(*Robotron, []string, string) error, turnUp bool) {
 	r := newRobotron(t)
 	if _, err := r.Designer.EnsureSite("pop1", "pop", "apac"); err != nil {
 		t.Fatal(err)
@@ -27,21 +52,20 @@ func TestVerifyGateRejectsBeforeAnyManagementSession(t *testing.T) {
 		t.Fatalf("clean cluster rejected by the gate: %v", err)
 	}
 
-	// Snapshot the fleet's management footprint and golden intent.
+	// Snapshot the fleet's management footprint, golden intent and
+	// deploy record. A device that joins the fleet later starts at zero
+	// operations and no golden.
 	opsBefore := map[string]int64{}
 	goldenBefore := map[string]string{}
-	for _, name := range res.Devices {
-		d, ok := r.Fleet.Device(name)
-		if !ok {
-			t.Fatalf("device %s missing from fleet", name)
-		}
-		opsBefore[name] = d.MgmtOps()
-		g, err := r.Generator.Golden(name)
+	for _, d := range r.Fleet.Devices() {
+		opsBefore[d.Name()] = d.MgmtOps()
+		g, err := r.Generator.Golden(d.Name())
 		if err != nil {
 			t.Fatal(err)
 		}
-		goldenBefore[name] = g
+		goldenBefore[d.Name()] = g
 	}
+	deploysBefore := deployRecords(t, r)
 
 	// Break one invariant in FBNet: flip a session's remote AS.
 	ss, err := r.Store.Find("BgpV6Session", fbnet.Eq("session_type", "ebgp"))
@@ -54,9 +78,10 @@ func TestVerifyGateRejectsBeforeAnyManagementSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = r.GenerateAndDeploy(res.Devices, deploy.Options{}, "e1")
+	const newCluster = "pop1-c2" // the cluster a rejected turn-up would add
+	err = roll(r, res.Devices, newCluster)
 	if err == nil {
-		t.Fatal("broken intent deployed without rejection")
+		t.Fatal("broken intent rolled out without rejection")
 	}
 	var rej *verify.RejectionError
 	if !errors.As(err, &rej) {
@@ -67,9 +92,10 @@ func TestVerifyGateRejectsBeforeAnyManagementSession(t *testing.T) {
 	}
 
 	// The fleet never heard about it: no candidate staged, no rollback
-	// timer armed, zero additional management operations.
-	for _, name := range res.Devices {
-		d, _ := r.Fleet.Device(name)
+	// timer armed, zero additional management operations — on the devices
+	// already serving and on any the rejected turn-up added to the fleet.
+	for _, d := range r.Fleet.Devices() {
+		name := d.Name()
 		if d.HasCandidate() {
 			t.Errorf("%s has a staged candidate after gate rejection", name)
 		}
@@ -79,17 +105,29 @@ func TestVerifyGateRejectsBeforeAnyManagementSession(t *testing.T) {
 		if got := d.MgmtOps(); got != opsBefore[name] {
 			t.Errorf("%s management ops %d -> %d: gate rejection touched the device", name, opsBefore[name], got)
 		}
-	}
-	// The golden intent did not move either: a rejected deployment leaves
-	// the repository exactly as it was.
-	for _, name := range res.Devices {
+		// The golden intent did not move either: a rejected change leaves
+		// the repository exactly as it was.
 		g, err := r.Generator.Golden(name)
-		if err != nil {
-			t.Fatal(err)
+		if want, had := goldenBefore[name]; had && (err != nil || g != want) {
+			t.Errorf("%s golden config changed despite gate rejection (err %v)", name, err)
+		} else if !had && err == nil {
+			t.Errorf("%s got a golden config from a rejected turn-up", name)
 		}
-		if g != goldenBefore[name] {
-			t.Errorf("%s golden config changed despite gate rejection", name)
+	}
+	if turnUp {
+		if len(r.Fleet.Devices()) == len(opsBefore) {
+			t.Errorf("rejected turn-up of %s added no device to the fleet; the gate was not reached", newCluster)
 		}
+		c, err := r.Store.Find("Cluster", fbnet.Eq("name", newCluster))
+		if err != nil || len(c) != 1 {
+			t.Fatalf("cluster %s: %v, %v", newCluster, c, err)
+		}
+		if st := c[0].String("status"); st == "production" {
+			t.Errorf("cluster %s promoted to %s despite gate rejection", newCluster, st)
+		}
+	}
+	if got := deployRecords(t, r); got != deploysBefore {
+		t.Errorf("provision/deploy events %d -> %d: a rejected change was recorded as rolled out", deploysBefore, got)
 	}
 
 	// The decision is on the audit record and in telemetry.
@@ -110,31 +148,33 @@ func TestVerifyGateRejectsBeforeAnyManagementSession(t *testing.T) {
 		t.Errorf("rejections counter = %d, want 1", got)
 	}
 	if got := r.Telemetry.Histogram("robotron_verify_seconds").Count(); got < 2 {
-		t.Errorf("gate latency observations = %d, want >= 2 (provision + rejected deploy)", got)
+		t.Errorf("gate latency observations = %d, want >= 2 (provision + rejected change)", got)
 	}
 	if got := r.Telemetry.Counter("robotron_verify_violations_total",
 		telemetry.L("invariant", string(verify.BGPSymmetry))...).Value(); got == 0 {
 		t.Error("bgp-symmetry violation counter not incremented")
 	}
 
-	// The trace says what the gate run cost: it followed the flipped
-	// session through the binlog (a delta, a few re-evaluated checks) on
-	// the model the provisioning run had built — not a rebuild.
+	// The trace says what the gate run cost: a few re-evaluated checks on
+	// the model the provisioning run had built — not a rebuild. An
+	// incremental change's gate follows the flipped session through the
+	// binlog itself; a turn-up's SyncFleet has already read that delta
+	// through the same model.
 	trace, _ := r.Tracer.Last()
 	sp, ok := trace.Find("verify")
 	if !ok {
-		t.Fatalf("rejected deploy's trace has no verify span: %+v", trace)
+		t.Fatalf("rejected change's trace has no verify span: %+v", trace)
 	}
-	if sp.Attrs["rebuilt"] != "false" || sp.Attrs["delta_entries"] == "" || sp.Attrs["delta_entries"] == "0" ||
-		sp.Attrs["rechecked"] == "" || sp.Attrs["rechecked"] == "0" {
-		t.Errorf("verify span attrs = %v, want rebuilt=false and non-zero delta_entries and rechecked", sp.Attrs)
+	if sp.Attrs["rebuilt"] != "false" || sp.Attrs["rechecked"] == "" || sp.Attrs["rechecked"] == "0" ||
+		(!turnUp && (sp.Attrs["delta_entries"] == "" || sp.Attrs["delta_entries"] == "0")) {
+		t.Errorf("verify span attrs = %v, want rebuilt=false and non-zero rechecked (and delta_entries for an incremental change)", sp.Attrs)
 	}
 
-	// The escape hatch: with the gate off (-no-verify), the same deploy
-	// goes through — explicitly accepted risk, not a hidden default.
+	// The escape hatch: with the gate off (-no-verify), an equivalent
+	// change goes through — explicitly accepted risk, not a hidden default.
 	r.VerifyIntent = false
-	if _, err := r.GenerateAndDeploy(res.Devices, deploy.Options{}, "e1"); err != nil {
-		t.Fatalf("deploy with gate disabled failed: %v", err)
+	if err := roll(r, res.Devices, "pop1-c3"); err != nil {
+		t.Fatalf("change with gate disabled failed: %v", err)
 	}
 	// Even a bypassed gate leaves a WARNING on the operational record.
 	events, err = r.Store.Find("OperationalEvent", fbnet.Eq("kind", "verify-gate"))
@@ -148,8 +188,22 @@ func TestVerifyGateRejectsBeforeAnyManagementSession(t *testing.T) {
 		}
 	}
 	if !bypassed {
-		t.Error("no WARNING verify-gate audit event recorded for the bypassed deploy")
+		t.Error("no WARNING verify-gate audit event recorded for the bypassed change")
 	}
+}
+
+// deployRecords counts the rollouts on the operational record.
+func deployRecords(t *testing.T, r *Robotron) int {
+	t.Helper()
+	n := 0
+	for _, kind := range []string{"provision", "deploy"} {
+		events, err := r.Store.Find("OperationalEvent", fbnet.Eq("kind", kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += len(events)
+	}
+	return n
 }
 
 // TestVerifyGateOptionDisables: every new instance has the gate on, and

@@ -10,7 +10,7 @@ import (
 type BuildResult struct {
 	ChangeResult
 	ClusterID   int64
-	DeviceNames []string
+	DeviceNames []string // every device built, the racks' TORs last
 }
 
 // portmapSpec describes one device-pair connection, the unit manipulated
@@ -217,7 +217,7 @@ func (d *Designer) BuildCluster(ctx ChangeContext, siteName, clusterName string,
 			}
 		}
 		if tpl.Racks > 0 {
-			if err := d.buildRacks(m, pa, at, site.ID, clusterID, scope, tpl, devsByRole); err != nil {
+			if err := d.buildRacks(m, pa, at, site.ID, clusterID, scope, tpl, devsByRole, &out.DeviceNames); err != nil {
 				return err
 			}
 		}
@@ -267,8 +267,8 @@ func (d *Designer) createDevice(m *fbnet.Mutation, at *allocTracker, name, role 
 }
 
 // buildRacks adds server racks, one TOR each, uplinked to the template's
-// uplink role round-robin.
-func (d *Designer) buildRacks(m *fbnet.Mutation, pa *portAllocator, at *allocTracker, siteID, clusterID int64, scope string, tpl TopologyTemplate, devsByRole map[string][]deviceHandle) error {
+// uplink role round-robin, and appends the TORs' names to names.
+func (d *Designer) buildRacks(m *fbnet.Mutation, pa *portAllocator, at *allocTracker, siteID, clusterID int64, scope string, tpl TopologyTemplate, devsByRole map[string][]deviceHandle, names *[]string) error {
 	hw, err := m.FindOne("HardwareProfile", fbnet.Eq("name", tpl.RackTORProfle))
 	if err != nil {
 		return fmt.Errorf("design: unknown TOR hardware profile %q: %w", tpl.RackTORProfle, err)
@@ -305,6 +305,7 @@ func (d *Designer) buildRacks(m *fbnet.Mutation, pa *portAllocator, at *allocTra
 				return err
 			}
 		}
+		*names = append(*names, torName)
 	}
 	return nil
 }

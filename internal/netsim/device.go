@@ -551,13 +551,16 @@ func (d *Device) eraseConfigOp() error {
 		d.mu.Unlock()
 		return err
 	}
+	changed := d.running != "" // a blank device's erase changes nothing
 	d.running = ""
 	d.history = nil
 	d.hasCand = false
 	d.reparseLocked()
 	cb := d.onCommit
 	d.mu.Unlock()
-	d.emit(5, "config", "CONFIG_CHANGED: configuration erased")
+	if changed {
+		d.emit(5, "config", "CONFIG_CHANGED: configuration erased")
+	}
 	if cb != nil {
 		cb(d)
 	}

@@ -254,6 +254,47 @@ func TestManualChangeEmitsSyslog(t *testing.T) {
 	}
 }
 
+// TestEraseLogsOnlyWhatItChanged: erasing a blank device changes no
+// configuration and raises no syslog (a turn-up's first step must not be
+// checked as drift against the golden it is about to install); erasing a
+// configured one raises exactly one CONFIG_CHANGED.
+func TestEraseLogsOnlyWhatItChanged(t *testing.T) {
+	d := NewDevice("a", Vendor1, "psw", "pop1")
+	var got []SyslogMessage
+	var mu sync.Mutex
+	d.SetSyslogSink(func(m SyslogMessage) { mu.Lock(); got = append(got, m); mu.Unlock() })
+	drain := func() []SyslogMessage {
+		mu.Lock()
+		defer mu.Unlock()
+		out := got
+		got = nil
+		return out
+	}
+
+	if err := d.EraseConfig(); err != nil {
+		t.Fatal(err)
+	}
+	if msgs := drain(); len(msgs) != 0 {
+		t.Errorf("erasing a blank device logged %v, want nothing", msgs)
+	}
+
+	d.LoadConfig("interface ae0\n")
+	if err := d.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	drain()
+	if err := d.EraseConfig(); err != nil {
+		t.Fatal(err)
+	}
+	msgs := drain()
+	if len(msgs) != 1 || !strings.Contains(msgs[0].Text, "CONFIG_CHANGED") {
+		t.Errorf("erasing a configured device logged %v, want one CONFIG_CHANGED", msgs)
+	}
+	if cfg, _ := d.RunningConfig(); cfg != "" {
+		t.Errorf("running config after erase = %q, want empty", cfg)
+	}
+}
+
 func TestFleetWiringDrivesLinkState(t *testing.T) {
 	f := NewFleet()
 	a, _ := f.AddDevice("psw-a.pop1", Vendor1, "psw", "pop1")
