@@ -127,7 +127,10 @@ sim:
 # in-place verdict ≡ a rolled-back transaction and a re-plan after a
 # racing commit; the unchanged path's no-commit and allocation guard; the
 # steady-cycle binlog and transaction counters in core; DESIGN.md §15.5),
-# the zero-allocation store into full time series (`Timeseries`), the HTTP/CLI
+# the zero-allocation store into full time series (`Timeseries`), a pass
+# by delta ≡ a pass over every rule over seeded histories and the
+# rules-evaluated guards (`TestAlarmDelta*`, `TestEvaluate*`, and in core
+# `TestAlarmsEvaluate*`; DESIGN.md §15.2), the HTTP/CLI
 # parity contract and the derive-without-store-reads contract in core,
 # delta ≡ cold for what DeriveMonitoring, SyncFleet and ApplyRecabling keep
 # by visiting only what a design change touched (TestDelta*: jobs, rules,
@@ -139,7 +142,7 @@ sim:
 # reconciliation. See DESIGN.md §15 and README "Operational timeline".
 obs:
 	$(GO) test -race -timeout 5m \
-		-run 'Alarm|Derive|ReplaceJobs|Timeseries|Timeline|Correlation|Classifier' \
+		-run 'Alarm|Derive|ReplaceJobs|Timeseries|Timeline|Correlation|Classifier|Evaluate' \
 		./internal/monitor/
 	$(GO) test -race -timeout 5m -run 'TestObs|TestAlarms|TestDerive|TestDelta' ./internal/core/
 	$(GO) run -race ./cmd/robotron sim run examples/scenarios/bgp-down-alarm-correlated.yaml

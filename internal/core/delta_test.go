@@ -153,6 +153,15 @@ func activeAlarms(r *Robotron) []monitor.Alarm {
 	return slices.DeleteFunc(r.Alarms.Snapshot(), func(a monitor.Alarm) bool { return a.State == monitor.AlarmResolved })
 }
 
+// breaches are the (rule, device, key, detail) of firing alarms.
+func breaches(firing []monitor.Alarm) [][4]string {
+	out := make([][4]string, len(firing))
+	for i, a := range firing {
+		out[i] = [4]string{a.Rule, a.Device, a.Key, a.Detail}
+	}
+	return out
+}
+
 // plantOf is a fleet as its devices and the cable on each end a design
 // ever named.
 func plantOf(r *Robotron, ends map[[2]string]bool) (devices []string, cables map[[2]string][2]string) {
@@ -173,7 +182,8 @@ func plantOf(r *Robotron, ends map[[2]string]bool) (devices []string, cables map
 // instance that visited only what changed holds what the cold one does —
 // the derived jobs and rules in order, the fleet's devices and cabling —
 // and its alarms are the ones it had, Since and FiredAt included, less
-// those whose rule went.
+// those whose rule went; and its passes fire what passes over every rule
+// fire.
 func TestDeltaEqualsColdOverRandomHistories(t *testing.T) {
 	histories, length := 12, 24
 	if testing.Short() {
@@ -243,13 +253,20 @@ func TestDeltaEqualsColdOverRandomHistories(t *testing.T) {
 			}
 
 			// Now and then a collection and a pass, so alarms come and go
-			// under the changes.
+			// under the changes. The pass evaluates only what moved; it
+			// fires what a fresh engine's first pass over every rule
+			// fires (the derived rules have no PendingFor, so firing is
+			// breached).
 			if rng.Intn(4) == 0 {
 				if err := warm.CollectOnce(); err != nil {
 					t.Fatal(err)
 				}
 				clk.Advance(time.Duration(1+rng.Intn(11)) * time.Minute)
-				warm.Alarms.Evaluate()
+				fresh := monitor.NewAlarmEngine(clk, warm.Timeseries, warm.Store)
+				fresh.ReplaceRules(warm.Alarms.Rules())
+				if got, want := breaches(warm.Alarms.Evaluate()), breaches(fresh.Evaluate()); !reflect.DeepEqual(got, want) {
+					t.Fatalf("after %s: the pass by delta fires %v, a full pass %v", at, got, want)
+				}
 			}
 		}
 	}

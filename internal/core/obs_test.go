@@ -3,10 +3,15 @@ package core
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/robotron-net/robotron/internal/deploy"
 	"github.com/robotron-net/robotron/internal/design"
+	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/monitor"
 	"github.com/robotron-net/robotron/internal/reconcile"
 	"github.com/robotron-net/robotron/internal/vclock"
@@ -169,4 +174,100 @@ func jsonEqual(t *testing.T, a, b any) bool {
 		t.Fatal(err)
 	}
 	return string(ja) == string(jb)
+}
+
+// runDerivedJobs runs each derived job of the given devices once, as the
+// benchmark's rack change does after its deploy.
+func runDerivedJobs(t *testing.T, r *Robotron, devices []string) {
+	t.Helper()
+	for _, spec := range r.JobManager.Jobs() {
+		if len(spec.Devices) != 1 || !slices.Contains(devices, spec.Devices[0]) {
+			continue
+		}
+		if _, err := r.JobManager.RunOnce(monitor.JobSpec{
+			Name: "adhoc-" + spec.Name, Period: spec.Period, Engine: spec.Engine,
+			Data: spec.Data, Devices: spec.Devices, Backends: spec.Backends,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAlarmsEvaluateWhatTheRackChangeMoved: after a rack is added,
+// deployed with its cluster's fsws, and those devices' derived jobs run
+// once, a pass evaluates exactly the rules installed on them and on the
+// device with an active alarm, and fires what a pass over every rule
+// fires.
+func TestAlarmsEvaluateWhatTheRackChangeMoved(t *testing.T) {
+	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
+	r, err := New(Options{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, site := range []string{"dc1", "dc2"} {
+		if _, err := r.Designer.EnsureSite(site, "dc", "apac"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ProvisionCluster(testCtx("dc"), site, site+"-c1", design.DCGen3(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A device of the other site reports once and goes silent: its
+	// device-unreachable alarm stays active through the rack change.
+	const silent = "dr1.dc2-c1"
+	runDerivedJobs(t, r, []string{silent})
+	clk.Advance(6 * time.Minute)
+	if firing := r.Alarms.Evaluate(); len(firing) != 1 || firing[0].Device != silent {
+		t.Fatalf("after %s went silent the firing alarms are %+v, want its device-unreachable", silent, firing)
+	}
+
+	if _, err := r.Designer.AddRack(testCtx("dc"), "dc1-c1", "TOR_Vendor1", "fsw", 4, true, false); err != nil {
+		t.Fatal(err)
+	}
+	tors, err := r.Store.Find("Device", fbnet.Eq("role", "tor"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsws, err := r.Store.Find("Device", fbnet.Eq("role", "fsw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	touched := []string{tors[len(tors)-1].String("name")} // ids ascend: the newest
+	for _, f := range fsws {
+		if name := f.String("name"); strings.HasSuffix(name, ".dc1-c1") {
+			touched = append(touched, name)
+		}
+	}
+	if len(touched) != 17 {
+		t.Fatalf("the rack change touches %v, want a TOR and 16 fsws", touched)
+	}
+	if err := r.SyncFleet(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.GenerateAndDeploy(touched, deploy.Options{}, "e1"); err != nil {
+		t.Fatal(err)
+	}
+	runDerivedJobs(t, r, touched)
+
+	want := int64(0)
+	evaluated := append(slices.Clone(touched), silent)
+	for _, rule := range r.Alarms.Rules() {
+		if slices.Contains(evaluated, rule.Device) {
+			want++
+		}
+	}
+	counter := r.Telemetry.Counter("robotron_alarm_rules_evaluated_total")
+	before := counter.Value()
+	firing := r.Alarms.Evaluate()
+	if got := counter.Value() - before; got != want {
+		t.Errorf("the pass evaluated %d rules, want the %d installed on the TOR, its cluster's fsws and %s", got, want, silent)
+	}
+	r.Alarms.ReplaceRules(r.Alarms.Rules())
+	before = counter.Value()
+	if full := r.Alarms.Evaluate(); !reflect.DeepEqual(firing, full) {
+		t.Errorf("the pass fired\n%+v\nwant what a pass over every rule fires\n%+v", firing, full)
+	}
+	if got := counter.Value() - before; got != int64(len(r.Alarms.Rules())) {
+		t.Errorf("the forced full pass evaluated %d rules, want all %d", got, len(r.Alarms.Rules()))
+	}
 }

@@ -151,12 +151,21 @@ type AlarmEngine struct {
 	journal  func() []JournalEntry
 	series   []byte // buffer for the series key a rule reads, reused
 
+	// What the next pass evaluates besides due and flap runs (Evaluate):
+	// every rule when full, else the rules of the devices marked in ts
+	// after cursor, of those in dirty, and of those with an active alarm.
+	full   bool
+	cursor uint64
+	dirty  map[string]bool // rules replaced, or a read failed
+	picked map[string]bool // the devices a pass selects, reused
+
 	// metrics, nil (no-op) until Instrument
 	reg       *telemetry.Registry
 	mFired    map[string]*telemetry.Counter
 	mResolved map[string]*telemetry.Counter
 	mFiring   *telemetry.Gauge
 	mEvals    *telemetry.Counter
+	mRules    *telemetry.Counter
 }
 
 // NewAlarmEngine builds an engine over the given stores. clock may be nil
@@ -171,6 +180,9 @@ func NewAlarmEngine(clock vclock.Clock, ts *TimeseriesBackend, store *fbnet.Stor
 		ts:     ts,
 		store:  store,
 		active: make(map[alarmKey]*Alarm),
+		full:   true,
+		dirty:  make(map[string]bool),
+		picked: make(map[string]bool),
 	}
 }
 
@@ -204,10 +216,12 @@ func (ae *AlarmEngine) Instrument(reg *telemetry.Registry) {
 	reg.Help("robotron_alarms_resolved_total", "firing alarms that resolved, per rule")
 	reg.Help("robotron_alarms_firing", "alarms currently firing")
 	reg.Help("robotron_alarm_evaluations_total", "alarm evaluation passes")
+	reg.Help("robotron_alarm_rules_evaluated_total", "alarm rules evaluated: those of the devices whose inputs moved since the last pass")
 	ae.mFired = make(map[string]*telemetry.Counter)
 	ae.mResolved = make(map[string]*telemetry.Counter)
 	ae.mFiring = reg.Gauge("robotron_alarms_firing")
 	ae.mEvals = reg.Counter("robotron_alarm_evaluations_total")
+	ae.mRules = reg.Counter("robotron_alarm_rules_evaluated_total")
 }
 
 // ruleRun is the rules of one family on one device, in key order. The
@@ -217,6 +231,20 @@ func (ae *AlarmEngine) Instrument(reg *telemetry.Registry) {
 type ruleRun struct {
 	name, device string
 	rules        []AlarmRule
+	// flap: the run holds a flap rule, whose verdict moves with the alert
+	// stream and the clock, so every pass evaluates it.
+	flap bool
+	// due is the run's slot in the deadline wheel: the latest instant none
+	// of its absence rules, unbreached when last evaluated, has breached
+	// yet; zero for none. A pass after it evaluates the run.
+	due time.Time
+}
+
+// dueBy brings the run's deadline forward to at.
+func (r *ruleRun) dueBy(at time.Time) {
+	if r.due.IsZero() || at.Before(r.due) {
+		r.due = at
+	}
 }
 
 func (r *ruleRun) compare(name, device string) int {
@@ -238,22 +266,25 @@ func runsOf(rules []AlarmRule) []ruleRun {
 		for j < len(rules) && rules[j].Name == rules[i].Name && rules[j].Device == rules[i].Device {
 			j++
 		}
-		runs = append(runs, ruleRun{name: rules[i].Name, device: rules[i].Device, rules: slices.Clone(rules[i:j])})
+		run := ruleRun{name: rules[i].Name, device: rules[i].Device, rules: slices.Clone(rules[i:j])}
+		run.flap = slices.ContainsFunc(run.rules, func(r AlarmRule) bool { return r.Kind == KindFlap })
+		runs = append(runs, run)
 		i = j
 	}
 	return runs
 }
 
-// ReplaceRules swaps the full rule set, kept in alarmKey order. Active
-// alarms whose rule disappeared are dropped: the design no longer declares
-// what they watched.
+// ReplaceRules swaps the full rule set, kept in alarmKey order, and the
+// next pass evaluates every rule. Active alarms whose rule disappeared are
+// dropped: the design no longer declares what they watched.
 func (ae *AlarmEngine) ReplaceRules(rules []AlarmRule) { ae.replace(nil, rules) }
 
 // ReplaceDeviceRules is ReplaceRules for some devices: the rules of every
 // device named in devices or by one of the rules are swapped for rules,
 // leaving the order ReplaceRules would. Of the active alarms, only those on
 // these devices whose rule disappeared are dropped; every other alarm,
-// its Since and FiredAt, stays as it is.
+// its Since and FiredAt, stays as it is. The next pass evaluates these
+// devices' rules.
 func (ae *AlarmEngine) ReplaceDeviceRules(devices []string, rules []AlarmRule) {
 	replaced := make(map[string]bool, len(devices))
 	for _, d := range devices {
@@ -284,6 +315,10 @@ func (ae *AlarmEngine) replace(replaced map[string]bool, rules []AlarmRule) {
 	ae.runs = append(out, add...)
 	ae.version++
 	ae.dropOrphansLocked(replaced)
+	ae.full = ae.full || replaced == nil
+	for d := range replaced {
+		ae.dirty[d] = true
+	}
 }
 
 // dropOrphansLocked drops the active alarms — on the given devices, or on
@@ -327,9 +362,16 @@ func (ae *AlarmEngine) Rules() []AlarmRule {
 	return out
 }
 
-// Evaluate runs one pass over every rule at the engine clock's now,
-// walking lifecycles forward. It returns the alarms currently firing,
-// sorted by (rule, device, key).
+// Evaluate runs one pass at the engine clock's now, walking lifecycles
+// forward, and returns the alarms currently firing, sorted by (rule,
+// device, key). The result and every alarm's lifecycle are those of a pass
+// over every rule, but a pass evaluates only the rules whose verdict can
+// have moved since the last one (DESIGN.md §15.2): those of a device that
+// was marked — a collection stored, observed BGP sessions changed — whose
+// rules were replaced, whose last read failed, or that has an active
+// alarm; a run whose absence deadline passed; and every flap rule. The
+// first pass, and the first after ReplaceRules, evaluates every rule. The
+// rules evaluated are walked in alarmKey order, as a full pass walks them.
 func (ae *AlarmEngine) Evaluate() []Alarm {
 	now := ae.clock.Now()
 	ae.mu.Lock()
@@ -337,6 +379,7 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 	if ae.mEvals != nil {
 		ae.mEvals.Inc()
 	}
+	picked := ae.pickLocked()
 	// Every alarm that fires in this pass looks back over the same window:
 	// assemble it on the first fire, and not at all on a quiet pass.
 	correlated := sync.OnceValue(func() []TimelineEntry {
@@ -349,12 +392,22 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 	// Observed BGP sessions are read once, at the pass's first bgp-state
 	// rule, and kept no longer than the pass.
 	sessions := sync.OnceValues(ae.sessionStates)
+	evaluated := 0
 	for i := range ae.runs {
-		for j := range ae.runs[i].rules {
-			r := &ae.runs[i].rules[j]
-			breached, detail, err := ae.evalLocked(r, now, sessions)
+		run := &ae.runs[i]
+		if !ae.full && !run.flap && !picked[run.device] && (run.due.IsZero() || !now.After(run.due)) {
+			continue
+		}
+		run.due = time.Time{}
+		evaluated += len(run.rules)
+		for j := range run.rules {
+			r := &run.rules[j]
+			breached, detail, err := ae.evalLocked(run, r, now, sessions)
 			if err != nil {
-				continue // a failed read says nothing about the rule: its alarm stays as it is
+				// A failed read says nothing about the rule: its alarm
+				// stays as it is, and the next pass reads again.
+				ae.dirty[r.Device] = true
+				continue
 			}
 			if !breached && len(ae.active) == 0 {
 				continue // the common quiet rule: nothing to walk forward
@@ -388,7 +441,27 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 			}
 		}
 	}
+	ae.full = false
+	ae.mRules.Add(int64(evaluated))
 	return ae.firingLocked()
+}
+
+// pickLocked returns the devices whose rules this pass evaluates: those
+// marked since the last pass, those left dirty, and those with an active
+// alarm — a pending one advances with the clock, a firing one refreshes
+// its Detail. The marks are taken before any rule reads its input, so a
+// mark a pass misses is one whose change the next pass reads.
+func (ae *AlarmEngine) pickLocked() map[string]bool {
+	clear(ae.picked)
+	ae.cursor = ae.ts.markedSince(ae.cursor, func(device string) { ae.picked[device] = true })
+	for device := range ae.dirty {
+		ae.picked[device] = true
+	}
+	clear(ae.dirty)
+	for id := range ae.active {
+		ae.picked[id.device] = true
+	}
+	return ae.picked
 }
 
 func (ae *AlarmEngine) maybeFireLocked(r *AlarmRule, al *Alarm, now time.Time, correlated func() []TimelineEntry) {
@@ -428,9 +501,10 @@ func (ae *AlarmEngine) sessionStates() (map[[2]string]string, error) {
 	return states, err
 }
 
-// evalLocked decides whether one rule is breached right now; an error
-// means what the rule observes could not be read.
-func (ae *AlarmEngine) evalLocked(r *AlarmRule, now time.Time, sessions func() (map[[2]string]string, error)) (bool, string, error) {
+// evalLocked decides whether one rule of run is breached right now; an
+// error means what the rule observes could not be read. An unbreached
+// absence rule sets the run's deadline to the instant it would breach.
+func (ae *AlarmEngine) evalLocked(run *ruleRun, r *AlarmRule, now time.Time, sessions func() (map[[2]string]string, error)) (bool, string, error) {
 	switch r.Kind {
 	case KindThreshold:
 		last, _, n := ae.tailLocked(r)
@@ -449,6 +523,7 @@ func (ae *AlarmEngine) evalLocked(r *AlarmRule, now time.Time, sessions func() (
 		if age > r.Window {
 			return true, fmt.Sprintf("%s silent for %s (window %s)", r.Key, age.Round(time.Second), r.Window), nil
 		}
+		run.dueBy(time.Unix(last.AtUnix, 0).Add(r.Window))
 	case KindFlatline:
 		last, prev, n := ae.tailLocked(r)
 		if n < 2 {

@@ -195,7 +195,8 @@ func (cm *ConfigMonitor) recordConformance(device, running string, conforms bool
 	if cm.store == nil {
 		return nil
 	}
-	return syncDerived(cm.store, conformance(device, running, conforms, at))
+	_, err := syncDerived(cm.store, conformance(device, running, conforms, at))
+	return err
 }
 
 // conformance is the observation recordConformance writes.
