@@ -262,7 +262,7 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 				}
 				return n
 			}
-			backend := NewDerivedBackend(store)
+			backend := NewDerivedBackend(store, NewTimeseriesBackend())
 			cm := &ConfigMonitor{store: store}
 			w := &observedWorld{
 				ifaces: map[string]map[string]netsim.IfaceStatus{},

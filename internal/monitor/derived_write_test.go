@@ -46,7 +46,7 @@ func derivedStore(t testing.TB) (*fbnet.Store, *telemetry.Registry) {
 func TestDerivedWriteReplansAfterConcurrentCommit(t *testing.T) {
 	store, _ := derivedStore(t)
 	at := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	if err := NewDerivedBackend(store).Store(interfacesCollection("sw1", 4, "up", at)); err != nil {
+	if err := NewDerivedBackend(store, NewTimeseriesBackend()).Store(interfacesCollection("sw1", 4, "up", at)); err != nil {
 		t.Fatal(err)
 	}
 	o := observe(interfacesCollection("sw1", 4, "down", at.Add(time.Minute)))
@@ -97,7 +97,7 @@ func TestDerivedWriteReplansAfterConcurrentCommit(t *testing.T) {
 // them a copy of a stored row or a row map.
 func TestDerivedUnchangedStoreCommitsNothing(t *testing.T) {
 	store, reg := derivedStore(t)
-	backend := NewDerivedBackend(store)
+	backend := NewDerivedBackend(store, NewTimeseriesBackend())
 	col := interfacesCollection("sw1", 48, "up", time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC))
 	if err := backend.Store(col); err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func BenchmarkDerivedBackendStore(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			store, _ := derivedStore(b)
-			backend := NewDerivedBackend(store)
+			backend := NewDerivedBackend(store, NewTimeseriesBackend())
 			var cols []Collection
 			for _, s := range bc.flips {
 				cols = append(cols, interfacesCollection("sw1", 48, s, at))

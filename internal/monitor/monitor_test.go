@@ -159,7 +159,8 @@ func newMonitoredFleet(t testing.TB, n int) (*netsim.Fleet, *JobManager, *fbnet.
 	}
 	repo := revctl.NewRepo()
 	jm := NewJobManager(FleetDeviceResolver(fleet))
-	for _, b := range []Backend{NewTimeseriesBackend(), NewDerivedBackend(store), NewConfigBackend(repo)} {
+	ts := NewTimeseriesBackend()
+	for _, b := range []Backend{ts, NewDerivedBackend(store, ts), NewConfigBackend(repo)} {
 		if err := jm.RegisterBackend(b); err != nil {
 			t.Fatal(err)
 		}

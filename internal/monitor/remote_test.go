@@ -53,8 +53,9 @@ func TestMonitoringOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	jm := NewJobManager(resolver)
-	jm.RegisterBackend(NewTimeseriesBackend())
-	jm.RegisterBackend(NewDerivedBackend(store))
+	ts := NewTimeseriesBackend()
+	jm.RegisterBackend(ts)
+	jm.RegisterBackend(NewDerivedBackend(store, ts))
 
 	devices := []string{"dev00", "dev01", "dev02"}
 	for _, spec := range []JobSpec{

@@ -48,7 +48,8 @@ type derivedSets struct {
 func newDerivedSets(t *testing.T, store *fbnet.Store) derivedSets {
 	t.Helper()
 	jm := monitor.NewJobManager(nil)
-	for _, b := range []monitor.Backend{monitor.NewTimeseriesBackend(), monitor.NewDerivedBackend(store)} {
+	ts := monitor.NewTimeseriesBackend()
+	for _, b := range []monitor.Backend{ts, monitor.NewDerivedBackend(store, ts)} {
 		if err := jm.RegisterBackend(b); err != nil {
 			t.Fatal(err)
 		}
