@@ -491,7 +491,7 @@ func (s *Store) Get(model string, fields []string, q Query) ([]Result, error) {
 // Find returns whole objects of a model matching q, in id order: Peek's
 // answer, with each object's fields copied for the caller to keep.
 func (s *Store) Find(model string, q Query) ([]Object, error) {
-	objs, _, err := s.Peek(model, q)
+	objs, _, _, err := s.Peek(model, q)
 	for i := range objs {
 		objs[i].Fields = maps.Clone(objs[i].Fields)
 	}
@@ -499,20 +499,32 @@ func (s *Store) Find(model string, q Query) ([]Object, error) {
 }
 
 // Peek is Find without the copies. Planning, fetching and matching read
-// one pinned epoch, so the answer is one committed state, the one at the
-// binlog sequence returned beside it. The objects' Fields are the stored
-// rows themselves, shared with the store and every other reader: they
-// stay valid, and must never be written.
-func (s *Store) Peek(model string, q Query) ([]Object, uint64, error) {
-	var out []Object
-	var seq uint64
-	err := s.db.View(func(v relstore.View) error {
-		var err error
+// one pinned epoch, so the answer is one committed state: the one at
+// binlog sequence seq, in which the model's table was last touched at
+// tableSeq (TableSeq). The objects' Fields are the stored rows themselves,
+// shared with the store and every other reader: they stay valid, and must
+// never be written.
+func (s *Store) Peek(model string, q Query) (objs []Object, seq, tableSeq uint64, err error) {
+	err = s.db.View(func(v relstore.View) error {
 		seq = v.Seq()
-		out, err = find(s.reg, viewReader{v}, model, q)
+		if tableSeq, err = v.TableSeq(model); err != nil {
+			return err
+		}
+		objs, err = find(s.reg, viewReader{v}, model, q)
 		return err
 	})
-	return out, seq, err
+	return objs, seq, tableSeq, err
+}
+
+// TableSeq returns the binlog sequence of the last write to the model's
+// table (relstore.View.TableSeq): while it stays put, so do the model's
+// objects. Like every read, it fails while the server is down.
+func (s *Store) TableSeq(model string) (seq uint64, err error) {
+	err = s.db.View(func(v relstore.View) error {
+		seq, err = v.TableSeq(model)
+		return err
+	})
+	return seq, err
 }
 
 // FindOne returns exactly one matching object, erroring on zero or many.

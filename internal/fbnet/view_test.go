@@ -88,8 +88,9 @@ func TestFindReadsOneEpoch(t *testing.T) {
 	}
 }
 
-// TestPeekSharesStoredRowsFindCopies: Peek hands out the stored rows and
-// the sequence they are of; Find's copies are the caller's to write.
+// TestPeekSharesStoredRowsFindCopies: Peek hands out the stored rows, the
+// sequence they are of and the sequence their table last moved at; Find's
+// copies are the caller's to write.
 func TestPeekSharesStoredRowsFindCopies(t *testing.T) {
 	s := newTestStore(t)
 	if _, err := s.Mutate(func(m *Mutation) error {
@@ -98,11 +99,22 @@ func TestPeekSharesStoredRowsFindCopies(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	peeked, seq, err := s.Peek("Region", Eq("name", "apac"))
-	if err != nil || len(peeked) != 1 || seq != s.DB().Seq() {
-		t.Fatalf("Peek = %v, seq %d, %v; want one region at seq %d", peeked, seq, err, s.DB().Seq())
+	written := s.DB().Seq()
+	if _, err := s.Mutate(func(m *Mutation) error {
+		_, err := m.Create("Vendor", map[string]any{"name": "vendorA", "syntax": "vendor1"})
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
-	again, _, _ := s.Peek("Region", nil)
+	peeked, seq, tableSeq, err := s.Peek("Region", Eq("name", "apac"))
+	if err != nil || len(peeked) != 1 || seq != s.DB().Seq() || tableSeq != written {
+		t.Fatalf("Peek = %v, seq %d, table seq %d, %v; want one region at seq %d, table seq %d",
+			peeked, seq, tableSeq, err, s.DB().Seq(), written)
+	}
+	if got, err := s.TableSeq("Region"); got != tableSeq || err != nil {
+		t.Fatalf("TableSeq(Region) = %d, %v; want Peek's %d", got, err, tableSeq)
+	}
+	again, _, _, _ := s.Peek("Region", nil)
 	if len(again) != 1 || !sameMap(peeked[0].Fields, again[0].Fields) {
 		t.Error("two Peeks of one row handed out different maps")
 	}

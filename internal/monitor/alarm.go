@@ -149,7 +149,6 @@ type AlarmEngine struct {
 	resolved ring[Alarm]         // resolved history, oldest first
 	alerts   ring[Alert]         // recent syslog alerts, for flap rules
 	journal  func() []JournalEntry
-	series   []byte // buffer for the series key a rule reads, reused
 
 	// What the next pass evaluates besides due and flap runs (Evaluate):
 	// every rule when full, else the rules of the devices marked in ts
@@ -493,7 +492,7 @@ func (ae *AlarmEngine) sessionStates() (map[[2]string]string, error) {
 	if ae.store == nil {
 		return nil, nil
 	}
-	rows, _, err := ae.store.Peek("DerivedBgpSession", nil)
+	rows, _, _, err := ae.store.Peek("DerivedBgpSession", nil)
 	states := make(map[[2]string]string, len(rows))
 	for i := len(rows) - 1; i >= 0; i-- {
 		states[[2]string{rows[i].String("device_name"), rows[i].String("peer_addr")}] = rows[i].String("state")
@@ -507,7 +506,7 @@ func (ae *AlarmEngine) sessionStates() (map[[2]string]string, error) {
 func (ae *AlarmEngine) evalLocked(run *ruleRun, r *AlarmRule, now time.Time, sessions func() (map[[2]string]string, error)) (bool, string, error) {
 	switch r.Kind {
 	case KindThreshold:
-		last, _, n := ae.tailLocked(r)
+		last, _, n := ae.ts.tail(r.Device, r.Key)
 		if n == 0 {
 			return false, "", nil
 		}
@@ -515,7 +514,7 @@ func (ae *AlarmEngine) evalLocked(run *ruleRun, r *AlarmRule, now time.Time, ses
 			return true, fmt.Sprintf("%s = %g, breaching %s %g", r.Key, last.Value, r.Op, r.Value), nil
 		}
 	case KindAbsence:
-		last, _, n := ae.tailLocked(r)
+		last, _, n := ae.ts.tail(r.Device, r.Key)
 		if n == 0 {
 			return false, "", nil // never reported: nothing to go silent
 		}
@@ -525,7 +524,7 @@ func (ae *AlarmEngine) evalLocked(run *ruleRun, r *AlarmRule, now time.Time, ses
 		}
 		run.dueBy(time.Unix(last.AtUnix, 0).Add(r.Window))
 	case KindFlatline:
-		last, prev, n := ae.tailLocked(r)
+		last, prev, n := ae.ts.tail(r.Device, r.Key)
 		if n < 2 {
 			return false, "", nil
 		}
@@ -557,14 +556,6 @@ func (ae *AlarmEngine) evalLocked(run *ruleRun, r *AlarmRule, now time.Time, ses
 		}
 	}
 	return false, "", nil
-}
-
-// tailLocked reads the newest sample of the rule's series and the one
-// before it (TimeseriesBackend.tail), naming the series in a buffer the
-// engine reuses: a pass builds no key and copies no samples per rule.
-func (ae *AlarmEngine) tailLocked(r *AlarmRule) (last, prev Sample, n int) {
-	ae.series = append(append(append(ae.series[:0], r.Device...), '/'), r.Key...)
-	return ae.ts.tail(ae.series)
 }
 
 func compareFloat(got float64, op string, want float64) bool {

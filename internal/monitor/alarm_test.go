@@ -27,12 +27,8 @@ func alarmFixture(t *testing.T) (*vclock.VirtualClock, *TimeseriesBackend, *fbne
 // pushSample stores one sample under key (device/metric) and marks the
 // device, as Store does.
 func pushSample(ts *TimeseriesBackend, key string, at time.Time, v float64) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.key = append(ts.key[:0], key...)
-	ts.pushLocked(Sample{AtUnix: at.Unix(), Value: v})
-	device, _, _ := strings.Cut(key, "/")
-	ts.markLocked(device)
+	device, metric, _ := strings.Cut(key, "/")
+	ts.push(device, metric, Sample{AtUnix: at.Unix(), Value: v})
 }
 
 // observeSessions stores a BGP collection of device through a Derived

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/revctl"
 )
 
@@ -20,18 +21,64 @@ const DefaultSeriesRetention = 1024
 // metric storage active monitoring feeds. Each series is a ring: once it
 // holds DefaultSeriesRetention samples, the oldest is overwritten.
 //
-// It also keeps the marks the alarm engines evaluate by (DESIGN.md §15.2):
-// per device, the stamp of the last change to what the device's rules
-// read — a collection stored here, or a change a DerivedBackend built
-// over this backend wrote to the device's observed state. Stamps only grow, and
+// Series are indexed by device, then by metric (DESIGN.md §15.2): a
+// series key "device/metric" names the device up to its first '/' —
+// device names hold none — and the metric after it, a counter's name or
+// "<interface>/in_octets" and "<interface>/out_octets".
+//
+// The index also keeps the marks the alarm engines evaluate by: per
+// device, the stamp of the last change to what the device's rules read —
+// a collection stored here, or a change a DerivedBackend built over this
+// backend wrote to the device's observed state. Stamps only grow, and
 // each engine keeps its own cursor (markedSince), so every engine over
 // the backend sees every mark.
 type TimeseriesBackend struct {
-	mu     sync.Mutex
-	series map[string]*ring[Sample] // key: device/metric
-	key    []byte                   // the series key Store is filling, reused under mu
-	marks  map[string]uint64        // device → stamp of its last mark
-	stamp  uint64                   // the last stamp handed out
+	mu      sync.Mutex
+	devices map[string]*deviceSeries
+	stamp   uint64 // the last stamp handed out
+}
+
+// deviceSeries is one device's entry in the index: its series by metric
+// and the stamp of its last mark. ifcs holds the octet series of the
+// interfaces the device's last interface collection listed, in its order,
+// so the next collection — the same interfaces, in the same order — finds
+// each pair by position, without a lookup by name.
+type deviceSeries struct {
+	mark    uint64
+	metrics map[string]*ring[Sample]
+	ifcs    []ifcSeries
+}
+
+// ifcSeries is one interface's pair of octet series.
+type ifcSeries struct {
+	name    string
+	in, out *ring[Sample]
+}
+
+// series returns the ring of metric, creating it.
+func (d *deviceSeries) series(metric string) *ring[Sample] {
+	r, ok := d.metrics[metric]
+	if !ok {
+		r = &ring[Sample]{limit: DefaultSeriesRetention}
+		d.metrics[metric] = r
+	}
+	return r
+}
+
+// octets returns the series pair of the interface a collection lists at
+// position i: by position when the last collection listed it there, else
+// by name, remembering the pair at i for the next collection.
+func (d *deviceSeries) octets(i int, name string) ifcSeries {
+	if i < len(d.ifcs) && d.ifcs[i].name == name {
+		return d.ifcs[i]
+	}
+	s := ifcSeries{name: name, in: d.series(name + "/in_octets"), out: d.series(name + "/out_octets")}
+	if i < len(d.ifcs) {
+		d.ifcs[i] = s
+	} else {
+		d.ifcs = append(d.ifcs, s)
+	}
+	return s
 }
 
 // Sample is one datapoint.
@@ -97,7 +144,7 @@ func (r *ring[T]) tail() (last, prev T, n int) {
 
 // NewTimeseriesBackend returns an empty timeseries store.
 func NewTimeseriesBackend() *TimeseriesBackend {
-	return &TimeseriesBackend{series: make(map[string]*ring[Sample]), marks: make(map[string]uint64)}
+	return &TimeseriesBackend{devices: make(map[string]*deviceSeries)}
 }
 
 // mark stamps device as changed.
@@ -107,9 +154,16 @@ func (b *TimeseriesBackend) mark(device string) {
 	b.markLocked(device)
 }
 
-func (b *TimeseriesBackend) markLocked(device string) {
+// markLocked stamps device as changed and returns its entry, creating it.
+func (b *TimeseriesBackend) markLocked(device string) *deviceSeries {
+	d, ok := b.devices[device]
+	if !ok {
+		d = &deviceSeries{metrics: make(map[string]*ring[Sample])}
+		b.devices[device] = d
+	}
 	b.stamp++
-	b.marks[device] = b.stamp
+	d.mark = b.stamp
+	return d
 }
 
 // markedSince calls fn with every device marked after stamp and returns
@@ -121,8 +175,8 @@ func (b *TimeseriesBackend) markedSince(stamp uint64, fn func(device string)) ui
 	if stamp == b.stamp {
 		return stamp
 	}
-	for device, at := range b.marks {
-		if at > stamp {
+	for device, d := range b.devices {
+		if d.mark > stamp {
 			fn(device)
 		}
 	}
@@ -132,83 +186,87 @@ func (b *TimeseriesBackend) markedSince(stamp uint64, fn func(device string)) ui
 // Name implements Backend.
 func (b *TimeseriesBackend) Name() string { return "timeseries" }
 
-// pushLocked appends s to the series named by b.key; only a new series
-// turns the key into a string.
-func (b *TimeseriesBackend) pushLocked(s Sample) {
-	r, ok := b.series[string(b.key)]
-	if !ok {
-		r = &ring[Sample]{limit: DefaultSeriesRetention}
-		b.series[string(b.key)] = r
-	}
-	r.push(s)
+// push stores one sample of device's metric series and marks the device.
+func (b *TimeseriesBackend) push(device, metric string, s Sample) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.markLocked(device).series(metric).push(s)
 }
 
 // Store implements Backend: counters fan out into per-metric series;
 // interface collections store per-interface octet counters, both
 // directions. The collection marks its device once. Storing into series
-// that exist allocates nothing.
+// that exist allocates nothing, and an interface collection that lists
+// what the last one did hashes no interface name.
 func (b *TimeseriesBackend) Store(col Collection) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.markLocked(col.Device)
+	d := b.markLocked(col.Device)
 	at := col.At.Unix()
-	b.key = append(append(b.key[:0], col.Device...), '/')
-	n := len(b.key)
 	for metric, v := range col.Counters {
-		b.key = append(b.key[:n], metric...)
-		b.pushLocked(Sample{AtUnix: at, Value: v})
+		d.series(metric).push(Sample{AtUnix: at, Value: v})
 	}
-	for _, ifc := range col.Interfaces {
-		b.key = append(append(b.key[:n], ifc.Name...), "/in_octets"...)
-		b.pushLocked(Sample{AtUnix: at, Value: float64(ifc.InOctets)})
-		b.key = append(b.key[:len(b.key)-len("in_octets")], "out_octets"...)
-		b.pushLocked(Sample{AtUnix: at, Value: float64(ifc.OutOctets)})
+	for i, ifc := range col.Interfaces {
+		s := d.octets(i, ifc.Name)
+		s.in.push(Sample{AtUnix: at, Value: float64(ifc.InOctets)})
+		s.out.push(Sample{AtUnix: at, Value: float64(ifc.OutOctets)})
+	}
+	if len(col.Interfaces) > 0 {
+		d.ifcs = d.ifcs[:len(col.Interfaces)]
+	}
+	return nil
+}
+
+// lookupLocked returns the ring of device's metric; nil when there is none.
+func (b *TimeseriesBackend) lookupLocked(device, metric string) *ring[Sample] {
+	if d, ok := b.devices[device]; ok {
+		return d.metrics[metric]
 	}
 	return nil
 }
 
 // Series returns the samples of one device/metric key, oldest first.
 func (b *TimeseriesBackend) Series(key string) []Sample {
+	device, metric, _ := strings.Cut(key, "/")
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	r, ok := b.series[key]
-	if !ok {
-		return nil
+	if r := b.lookupLocked(device, metric); r != nil {
+		return r.all()
 	}
-	return r.all()
+	return nil
 }
 
 // Last returns up to k most recent samples of a series, oldest first.
 func (b *TimeseriesBackend) Last(key string, k int) []Sample {
+	device, metric, _ := strings.Cut(key, "/")
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	r, ok := b.series[key]
-	if !ok {
-		return nil
+	if r := b.lookupLocked(device, metric); r != nil {
+		return r.last(k)
 	}
-	return r.last(k)
+	return nil
 }
 
-// tail is Last(key, 2) for the alarm engine's hot path: the key arrives
-// as bytes (the lookup converts them without allocating) and the samples
-// are read in place, the newest as last.
-func (b *TimeseriesBackend) tail(key []byte) (last, prev Sample, n int) {
+// tail is Last(device+"/"+metric, 2) for the alarm engine's hot path: no
+// key is built, and the samples are read in place, the newest as last.
+func (b *TimeseriesBackend) tail(device, metric string) (last, prev Sample, n int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	r, ok := b.series[string(key)]
-	if !ok {
-		return last, prev, 0
+	if r := b.lookupLocked(device, metric); r != nil {
+		return r.tail()
 	}
-	return r.tail()
+	return last, prev, 0
 }
 
 // Keys lists stored series keys.
 func (b *TimeseriesBackend) Keys() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.series))
-	for k := range b.series {
-		out = append(out, k)
+	out := []string{}
+	for device, d := range b.devices {
+		for metric := range d.metrics {
+			out = append(out, device+"/"+metric)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -217,9 +275,35 @@ func (b *TimeseriesBackend) Keys() []string {
 // DerivedBackend populates FBNet Derived models from collections
 // (§4.1.2: "data in Derived models is populated based on real-time
 // collection from network devices").
+//
+// It remembers, per device and collected data type (one Derived model
+// each), the last observation the store was verified to hold already
+// (DESIGN.md §15.5): the reported rows whose peek planned nothing, with
+// the server and the table seq that peek read. The store stays the only
+// truth: the memo never plans and is never written through, and it
+// answers only "unchanged" — and only while the table's seq on the same
+// server has not moved.
 type DerivedBackend struct {
 	store *fbnet.Store
 	marks *TimeseriesBackend
+
+	mu   sync.Mutex
+	memo map[memoKey]verified
+}
+
+// memoKey names one scope of a Derived model: one device's rows of the
+// model a data type feeds.
+type memoKey struct {
+	data   DataType
+	device string
+}
+
+// verified records that the rows of one scope, on db, as of the table's
+// seq, were what rows reports. The zero value verifies nothing.
+type verified struct {
+	db   *relstore.DB
+	seq  uint64
+	rows []any
 }
 
 // NewDerivedBackend returns a backend writing to the given FBNet store.
@@ -227,24 +311,62 @@ type DerivedBackend struct {
 // device in marks, so the alarm engines reading marks evaluate the
 // device's rules again (bgp-state rules read observed BGP sessions).
 func NewDerivedBackend(store *fbnet.Store, marks *TimeseriesBackend) *DerivedBackend {
-	return &DerivedBackend{store: store, marks: marks}
+	return &DerivedBackend{store: store, marks: marks, memo: make(map[memoKey]verified)}
 }
 
 // Name implements Backend.
 func (b *DerivedBackend) Name() string { return "fbnet-derived" }
 
 // Store implements Backend: the Derived rows of the collection's device
-// become what the collection reports.
+// become what the collection reports. An observation the memo has
+// verified returns at once; any other is synced (syncDerived), and the
+// memo keeps it only if the sync found nothing to write.
 func (b *DerivedBackend) Store(col Collection) error {
-	o := observe(col)
+	key, db := memoKey{col.Data, col.Device}, b.store.DB()
+	v := b.recall(key)
+	o := observe(col, v.rows)
 	if o == nil {
 		return nil
 	}
-	changed, err := syncDerived(b.store, o)
+	unchanged, err := b.verifies(v, db, o)
+	if unchanged {
+		return nil
+	}
+	var changed bool
+	var tableSeq uint64
+	if err == nil {
+		changed, tableSeq, err = syncDerived(b.store, o)
+	}
+	b.mu.Lock()
+	if changed || err != nil {
+		delete(b.memo, key)
+	} else {
+		b.memo[key] = verified{db: db, seq: tableSeq, rows: o.rows}
+	}
+	b.mu.Unlock()
 	if changed {
 		b.marks.mark(col.Device)
 	}
 	return err
+}
+
+// recall returns the memo's entry for key.
+func (b *DerivedBackend) recall(key memoKey) verified {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.memo[key]
+}
+
+// verifies reports whether v verified o on db already: o reports, row for
+// row and column for column (the stamp aside), what a peek of o's table
+// on db found stored at the seq the table is at now. Reading the seq pins
+// the published epoch, so a server that is down makes it fail.
+func (b *DerivedBackend) verifies(v verified, db *relstore.DB, o *observation) (bool, error) {
+	if v.db != db || !o.repeats(v.rows) {
+		return false, nil
+	}
+	seq, err := b.store.TableSeq(o.model)
+	return err == nil && seq == v.seq, err
 }
 
 // derivedShape is a Derived model as the write rule sees it: its columns,
@@ -278,55 +400,102 @@ type observation struct {
 }
 
 // observe turns a collection into the observation of the Derived model it
-// feeds; nil when it feeds none. The device name and the collection time
-// are boxed once, not once per row.
-func observe(col Collection) *observation {
+// feeds; nil when it feeds none. like is an earlier observation's rows of
+// the same scope, or nil: a value equal to the one at the same position
+// there is taken from there, already boxed (put). The device name and the
+// collection time are boxed once, not once per row.
+func observe(col Collection, like []any) *observation {
 	dev, at := any(col.Device), any(col.At.Unix())
 	o := &observation{scope: fbnet.Eq("device_name", dev)}
+	b := &rowBuilder{like: like}
 	switch col.Data {
 	case DataVersion:
 		o.derivedShape, o.scope = &derivedDevice, fbnet.Eq("name", dev)
-		o.rows = []any{dev, col.Version.Vendor, col.Version.OSVersion, col.Version.UptimeS, at}
+		b.rows = []any{dev, col.Version.Vendor, col.Version.OSVersion, col.Version.UptimeS, at} // last_seen_unix always moves
 	case DataInterfaces:
 		o.derivedShape = &derivedInterface
-		o.rows = make([]any, 0, len(col.Interfaces)*len(o.cols))
+		b.rows = make([]any, 0, len(col.Interfaces)*len(o.cols))
 		for _, ifc := range col.Interfaces {
-			o.rows = append(o.rows, ifc.Name, dev, ifc.OperStatus, ifc.SpeedMbps, at)
+			put(b, ifc.Name)
+			b.rows = append(b.rows, dev)
+			put(b, ifc.OperStatus)
+			put(b, ifc.SpeedMbps)
+			b.rows = append(b.rows, at)
 		}
 	case DataLLDP:
 		o.derivedShape = &derivedLLDP
-		o.rows = make([]any, 0, len(col.LLDP)*len(o.cols))
+		b.rows = make([]any, 0, len(col.LLDP)*len(o.cols))
 		for _, n := range col.LLDP {
-			o.rows = append(o.rows, n.LocalInterface, n.NeighborDevice, n.NeighborInterface, dev)
+			put(b, n.LocalInterface)
+			put(b, n.NeighborDevice)
+			put(b, n.NeighborInterface)
+			b.rows = append(b.rows, dev)
 		}
 	case DataBGP:
 		o.derivedShape = &derivedBGP
-		o.rows = make([]any, 0, len(col.BGP)*len(o.cols))
+		b.rows = make([]any, 0, len(col.BGP)*len(o.cols))
 		for _, p := range col.BGP {
-			o.rows = append(o.rows, p.PeerAddr, dev, p.Family, p.State)
+			put(b, p.PeerAddr)
+			b.rows = append(b.rows, dev)
+			put(b, p.Family)
+			put(b, p.State)
 		}
 	default:
 		return nil
 	}
+	o.rows = b.rows
 	return o
+}
+
+// rowBuilder appends an observation's values, column-aligned, beside like,
+// the rows of an earlier observation of the same scope.
+type rowBuilder struct{ rows, like []any }
+
+// put appends v, boxed afresh only when like holds no equal value at the
+// same position: an observation that repeats the last one boxes nothing.
+func put[T comparable](b *rowBuilder, v T) {
+	if i := len(b.rows); i < len(b.like) {
+		if was, ok := b.like[i].(T); ok && was == v {
+			b.rows = append(b.rows, b.like[i])
+			return
+		}
+	}
+	b.rows = append(b.rows, v)
 }
 
 // syncDerived is the one writer of observed state (DESIGN.md §15.5): it
 // makes the rows of o's model inside o's scope equal to the rows o
 // reports. It compares them with the stored rows in place, on one
 // published epoch (Store.Peek); when nothing differs it returns, having
-// copied no row and opened no transaction. Otherwise it writes the plan
-// in one transaction (write); changed reports that the two differed.
-func syncDerived(store *fbnet.Store, o *observation) (changed bool, err error) {
-	stored, seq, err := store.Peek(o.model, o.scope)
+// copied no row and opened no transaction, the seq of o's table in that
+// epoch. Otherwise it writes the plan in one transaction (write); changed
+// reports that the two differed.
+func syncDerived(store *fbnet.Store, o *observation) (changed bool, tableSeq uint64, err error) {
+	stored, seq, tableSeq, err := store.Peek(o.model, o.scope)
 	if err != nil {
-		return false, err
+		return false, 0, err
 	}
 	ops := o.plan(stored)
 	if len(ops) == 0 {
-		return false, nil
+		return false, tableSeq, nil
 	}
-	return true, o.write(store, ops, seq)
+	return true, 0, o.write(store, ops, seq)
+}
+
+// repeats reports whether o reports rows, position for position, in
+// every column but the stamp. The stamp aside, plan reads nothing of the
+// reported rows, so on the same stored rows the two plan alike.
+func (o *observation) repeats(rows []any) bool {
+	if len(rows) != len(o.rows) {
+		return false
+	}
+	n := len(o.cols)
+	for i, v := range o.rows {
+		if i%n != o.stamp && rows[i] != v {
+			return false
+		}
+	}
+	return true
 }
 
 // write applies ops, planned on the rows as of binlog sequence seq, in one
@@ -494,7 +663,7 @@ func DeriveCircuits(store *fbnet.Store) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, err := syncDerived(store, o); err != nil {
+	if _, _, err := syncDerived(store, o); err != nil {
 		return 0, err
 	}
 	return len(o.rows) / len(o.cols), nil
@@ -503,7 +672,7 @@ func DeriveCircuits(store *fbnet.Store) (int, error) {
 // observeCircuits reads the LLDP rows and returns the circuits they
 // confirm, as an observation of the whole DerivedCircuit table.
 func observeCircuits(store *fbnet.Store) (*observation, error) {
-	neighbors, _, err := store.Peek("DerivedLldpNeighbor", nil)
+	neighbors, _, _, err := store.Peek("DerivedLldpNeighbor", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -61,7 +61,7 @@ func TestTimeseriesRetentionRing(t *testing.T) {
 	// Alloc guard: the ring stops growing at its limit no matter how many
 	// polls feed it.
 	ts.mu.Lock()
-	r := ts.series["sw1/cpu_util"]
+	r := ts.lookupLocked("sw1", "cpu_util")
 	if len(r.buf) != retention || r.limit != retention {
 		ts.mu.Unlock()
 		t.Fatalf("ring buf len=%d limit=%d, want both %d", len(r.buf), r.limit, retention)

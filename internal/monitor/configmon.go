@@ -195,7 +195,7 @@ func (cm *ConfigMonitor) recordConformance(device, running string, conforms bool
 	if cm.store == nil {
 		return nil
 	}
-	_, err := syncDerived(cm.store, conformance(device, running, conforms, at))
+	_, _, err := syncDerived(cm.store, conformance(device, running, conforms, at))
 	return err
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -244,12 +245,19 @@ func (m mirror) mirrorCircuits() {
 }
 
 func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
-	populated := map[string]bool{} // tables some step compared at least one row of, and whether a write re-read
+	populated := map[string]bool{} // tables some step compared at least one row of, and which branches ran
 	for seed := int64(1); seed <= 20; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
+			// ev draws the events around the polls (historyEvent), apart
+			// from rng, so the polls are the same with or without them.
+			ev := rand.New(rand.NewSource(-seed))
 			store, err := fbnet.Open(relstore.NewDB("derived-sync"), fbnet.NewCatalog())
 			if err != nil {
+				t.Fatal(err)
+			}
+			replica := relstore.NewReplica(store.DB(), "derived-sync-replica")
+			if err := replica.CatchUp(); err != nil { // whenever the master dies, its successor has the schema
 				t.Fatal(err)
 			}
 			reg := telemetry.NewRegistry()
@@ -288,11 +296,14 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 				dev := pick(rng, worldDevices)
 				data := []DataType{DataVersion, DataInterfaces, DataBGP, DataLLDP, DataConfig}[rng.Intn(5)]
 				col := w.poll(rng, dev, data, at)
+				if ev.Intn(2) == 0 {
+					col.sortRows() // as a device lists them: the memo's positional compare can match
+				}
 				observed := func() *observation {
 					if data == DataConfig {
 						return conformance(dev, w.config[dev], w.config[dev] == "", at)
 					}
-					return observe(col)
+					return observe(col, nil)
 				}
 				// write stores the collection and re-derives circuits. racing
 				// lands a commit to an unrelated table between the
@@ -301,6 +312,11 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 				write := func(racing bool) {
 					t.Helper()
 					assertVerdict(t, store, observed())
+					if data != DataConfig {
+						hit, voided := assertMemo(t, backend, observed(), memoKey{data, dev})
+						populated["the memo answered unchanged"] = populated["the memo answered unchanged"] || hit
+						populated["a moved table seq voided a memo entry"] = populated["a moved table seq voided a memo entry"] || voided
+					}
 					var err error
 					switch {
 					case racing:
@@ -323,6 +339,61 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 					if _, err := DeriveCircuits(store); err != nil {
 						t.Fatalf("step %d: DeriveCircuits: %v", step, err)
 					}
+				}
+				switch event := historyEvent(ev.Intn(12)); event {
+				case evRawWrite, evRolledBack, evAddField:
+					if data == DataConfig {
+						break
+					}
+					table := observed().model
+					switch event {
+					case evRawWrite:
+						tamper(t, store, want, table, dev)
+					case evRolledBack:
+						rollBackScope(t, store, table, dev)
+					case evAddField:
+						field := fbnet.Field{Name: fmt.Sprintf("note%d", step), Kind: fbnet.ValueField, Type: relstore.ColString, Nullable: true}
+						if err := store.AddField(table, field); err != nil {
+							t.Fatal(err)
+						}
+					}
+					populated[event.String()] = true
+				case evDown:
+					// A down server serves no verdict, not even one the memo
+					// holds, and the failed store forgets it.
+					store.DB().SetDown(true)
+					if data != DataConfig {
+						if err := backend.Store(col); err == nil {
+							t.Fatalf("step %d: storing %s of %s on a down server succeeded", step, data, dev)
+						}
+						if _, ok := backend.memo[memoKey{data, dev}]; ok {
+							t.Fatalf("step %d: a failed store of %s of %s left its memo entry", step, data, dev)
+						}
+					}
+					store.DB().SetDown(false)
+					populated[event.String()] = true
+				case evReplicate:
+					if replica != nil {
+						if err := replica.CatchUp(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case evPromote:
+					if replica == nil || step < 10 {
+						break
+					}
+					// The master dies with what the replica has not applied;
+					// the replica serves from here on, the backend, the
+					// config monitor and the model re-pointed at it.
+					store.DB().SetDown(true)
+					promoted := replica.Promote()
+					replica = nil
+					promoted.Instrument(reg)
+					commits = reg.Counter("robotron_relstore_tx_commits_total", telemetry.L("server", promoted.Name())...)
+					store = store.ReadOnlyView(promoted)
+					backend.store, cm.store = store, store
+					want, prevIDs = readDerived(t, store)
+					populated[event.String()] = true
 				}
 				write(step%3 == 2)
 				if data == DataConfig {
@@ -375,8 +446,125 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 			t.Errorf("no history ever had a %s row to compare", table)
 		}
 	}
-	if !populated["a write planned afresh"] {
-		t.Error("no history ever wrote after a commit landed between a read and its transaction")
+	for _, branch := range []string{"a write planned afresh", "the memo answered unchanged", "a moved table seq voided a memo entry",
+		evRawWrite.String(), evRolledBack.String(), evAddField.String(), evDown.String(), evPromote.String()} {
+		if !populated[branch] {
+			t.Errorf("no history ever got to %q", branch)
+		}
+	}
+}
+
+// historyEvent is what may happen to the store around a poll, besides
+// the polls themselves.
+type historyEvent int
+
+const (
+	evRawWrite   historyEvent = iota // a Store.Mutate edits the scope behind the sync's back
+	evRolledBack                     // a transaction edits the scope and rolls back
+	evAddField                       // the model gains a field
+	evDown                           // the server goes down for one store, and comes back
+	evReplicate                      // the replica catches up
+	evPromote                        // the master dies and the replica takes over
+)
+
+func (e historyEvent) String() string {
+	return [...]string{"raw write", "rolled-back transaction", "AddField", "server down", "replicate", "promotion"}[e]
+}
+
+// sortRows puts a collection's rows in the order a device lists them.
+func (c *Collection) sortRows() {
+	slices.SortFunc(c.Interfaces, func(a, b netsim.IfaceStatus) int { return strings.Compare(a.Name, b.Name) })
+	slices.SortFunc(c.BGP, func(a, b netsim.BGPPeerStatus) int { return strings.Compare(a.PeerAddr, b.PeerAddr) })
+	slices.SortFunc(c.LLDP, func(a, b netsim.LLDPNeighbor) int { return strings.Compare(a.LocalInterface, b.LocalInterface) })
+}
+
+// assertMemo checks the Derived backend's memo against a fresh peek: it
+// answers that o changes nothing only where a fresh peek plans no write.
+// It reports whether the memo answered so, and whether it declined an
+// entry that repeats o on the same server only because the table's seq
+// moved, where a fresh peek does plan a write: the case a memo that
+// ignored the seq would get wrong.
+func assertMemo(t *testing.T, b *DerivedBackend, o *observation, key memoKey) (hit, voided bool) {
+	t.Helper()
+	v, db := b.recall(key), b.store.DB()
+	hit, err := b.verifies(v, db, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _, tableSeq, err := b.store.Peek(o.model, o.scope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := len(o.plan(stored)) > 0
+	if hit && writes {
+		t.Fatalf("the memo calls %s of %s unchanged; a fresh peek plans a write", o.model, key.device)
+	}
+	return hit, v.db == db && o.repeats(v.rows) && v.seq != tableSeq && writes
+}
+
+// tamper edits dev's scope of table behind the sync's back — a column of
+// its first stored row, or when there is none (and always for LLDP, whose
+// columns are all identity) a row dev does not report — with a raw
+// Store.Mutate, and makes the same edit to the model.
+func tamper(t *testing.T, store *fbnet.Store, want mirror, table, dev string) {
+	t.Helper()
+	got, ids := readDerived(t, store)
+	var first string
+	for k, row := range got[table] {
+		if row[0] == dev && (first == "" || k < first) {
+			first = k
+		}
+	}
+	edit := map[string]int{"DerivedDevice": 1, "DerivedInterface": 3, "DerivedBgpSession": 3}
+	col, editable := edit[table]
+	spec := derivedColumns[table]
+	if _, err := store.Mutate(func(m *fbnet.Mutation) error {
+		if first != "" && editable {
+			row := slices.Clone(got[table][first])
+			row[col] = map[string]any{"DerivedDevice": "tampered", "DerivedInterface": int64(1), "DerivedBgpSession": "Tampered"}[table]
+			want[table][first] = row
+			return m.Update(table, ids[table+"/"+first], map[string]any{spec.cols[col]: row[col]})
+		}
+		row := map[string][]any{
+			"DerivedDevice":       {dev, "tampered", "0.0", int64(0), int64(0)},
+			"DerivedInterface":    {dev, "tampered", "up", int64(1), int64(0)},
+			"DerivedLldpNeighbor": {dev, "tampered", "nowhere", "tampered"},
+			"DerivedBgpSession":   {dev, "192.0.2.1", "v4", "Tampered"},
+		}[table]
+		want[table][mirrorKey(table, row)] = row
+		fields := map[string]any{}
+		for i, c := range spec.cols {
+			fields[c] = row[i]
+		}
+		_, err := m.Create(table, fields)
+		return err
+	}); err != nil {
+		t.Fatalf("tampering with %s of %s: %v", table, dev, err)
+	}
+}
+
+// rollBackScope deletes dev's rows of table in a transaction that then
+// rolls back.
+func rollBackScope(t *testing.T, store *fbnet.Store, table, dev string) {
+	t.Helper()
+	rollback := errors.New("roll back")
+	scope := fbnet.Eq("device_name", dev)
+	if table == "DerivedDevice" {
+		scope = fbnet.Eq("name", dev)
+	}
+	if _, err := store.Mutate(func(m *fbnet.Mutation) error {
+		rows, err := m.Find(table, scope)
+		if err != nil {
+			return err
+		}
+		for _, r := range rows {
+			if err := m.Delete(table, r.ID); err != nil {
+				return err
+			}
+		}
+		return rollback
+	}); !errors.Is(err, rollback) {
+		t.Fatalf("rolling back a delete of %s of %s: %v", table, dev, err)
 	}
 }
 
@@ -385,7 +573,7 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 // run of the same sync, rolled back, writes nothing.
 func assertVerdict(t *testing.T, store *fbnet.Store, o *observation) {
 	t.Helper()
-	stored, _, err := store.Peek(o.model, o.scope)
+	stored, _, _, err := store.Peek(o.model, o.scope)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +606,7 @@ func assertVerdict(t *testing.T, store *fbnet.Store, o *observation) {
 // It reports whether there was anything to write.
 func syncAfterUnrelatedCommit(t *testing.T, store *fbnet.Store, planned func() float64, o *observation, region string) (bool, error) {
 	t.Helper()
-	stored, seq, err := store.Peek(o.model, o.scope)
+	stored, seq, _, err := store.Peek(o.model, o.scope)
 	if err != nil {
 		return false, err
 	}

@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,8 +50,8 @@ func TestDerivedWriteReplansAfterConcurrentCommit(t *testing.T) {
 	if err := NewDerivedBackend(store, NewTimeseriesBackend()).Store(interfacesCollection("sw1", 4, "up", at)); err != nil {
 		t.Fatal(err)
 	}
-	o := observe(interfacesCollection("sw1", 4, "down", at.Add(time.Minute)))
-	stored, seq, err := store.Peek(o.model, o.scope)
+	o := observe(interfacesCollection("sw1", 4, "down", at.Add(time.Minute)), nil)
+	stored, seq, _, err := store.Peek(o.model, o.scope)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +94,9 @@ func TestDerivedWriteReplansAfterConcurrentCommit(t *testing.T) {
 
 // TestDerivedUnchangedStoreCommitsNothing guards the unchanged path: a
 // 48-interface collection that repeats what is stored opens no
-// transaction and allocates a bounded, small number of objects — none of
-// them a copy of a stored row or a row map.
+// transaction and allocates a bounded, small number of objects — no copy
+// of a stored row, no row map, and, since the memo answers and lends its
+// boxes, no plan and no boxed value per row.
 func TestDerivedUnchangedStoreCommitsNothing(t *testing.T) {
 	store, reg := derivedStore(t)
 	backend := NewDerivedBackend(store, NewTimeseriesBackend())
@@ -113,9 +115,99 @@ func TestDerivedUnchangedStoreCommitsNothing(t *testing.T) {
 	if n := commits.Value() - before; n != 0 {
 		t.Errorf("unchanged stores committed %d transactions", n)
 	}
-	const bound = 240
+	const bound = 12
 	if allocs > bound {
 		t.Errorf("an unchanged 48-interface store allocates %v objects, want at most %d", allocs, bound)
+	}
+}
+
+// TestDerivedMemoIsPerServer: a table seq names a state only on the server
+// that stamped it. A replica promoted without the master's last commit
+// stamps a commit of its own with the same seq; the memo, which verified
+// an observation on the old master at that seq, must not answer for the
+// new one.
+func TestDerivedMemoIsPerServer(t *testing.T) {
+	store, _ := derivedStore(t)
+	replica := relstore.NewReplica(store.DB(), "replica")
+	if err := replica.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	up := interfacesCollection("sw1", 4, "up", at)
+	backend := NewDerivedBackend(store, NewTimeseriesBackend())
+	for i := 0; i < 2; i++ { // the first store writes, the second verifies
+		if err := backend.Store(up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verifiedAt, err := store.TableSeq("DerivedInterface")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.DB().SetDown(true)
+	promoted := store.ReadOnlyView(replica.Promote())
+	if err := NewDerivedBackend(promoted, NewTimeseriesBackend()).Store(interfacesCollection("sw1", 4, "down", at)); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := promoted.TableSeq("DerivedInterface"); seq != verifiedAt || err != nil {
+		t.Fatalf("the promoted server's table seq is %d (%v), want the old master's %d", seq, err, verifiedAt)
+	}
+	backend.store = promoted
+	if err := backend.Store(up); err != nil {
+		t.Fatal(err)
+	}
+	et1, err := promoted.FindOne("DerivedInterface", fbnet.Eq("name", "et1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := et1.String("oper_status"); got != "up" {
+		t.Fatalf("after storing et1 up on the promoted server, it reads %s", got)
+	}
+}
+
+// TestDerivedBackendConcurrentStores: one backend, and its memo, shared by
+// goroutines storing at once — each flipping its own device, all
+// repeating one shared device's collection. Every device ends as its last
+// collection reports. Run under -race.
+func TestDerivedBackendConcurrentStores(t *testing.T) {
+	store, _ := derivedStore(t)
+	backend := NewDerivedBackend(store, NewTimeseriesBackend())
+	at := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	shared := interfacesCollection("shared", 8, "up", at)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dev := fmt.Sprintf("sw%d", g)
+			for i := 0; i < 40; i++ {
+				status := []string{"up", "down"}[i/4%2]
+				for _, col := range []Collection{interfacesCollection(dev, 8, status, at), shared} {
+					if err := backend.Store(col); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for g := 0; g < 4; g++ {
+		et1, err := store.FindOne("DerivedInterface", fbnet.And(fbnet.Eq("device_name", fmt.Sprintf("sw%d", g)), fbnet.Eq("name", "et1")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := et1.String("oper_status"); got != "down" {
+			t.Errorf("sw%d et1 is %s, want its last report, down", g, got)
+		}
+	}
+	if rows, err := store.Find("DerivedInterface", fbnet.Eq("device_name", "shared")); err != nil || len(rows) != 8 {
+		t.Fatalf("shared holds %d interfaces (%v), want 8", len(rows), err)
 	}
 }
 

@@ -17,6 +17,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -957,16 +958,8 @@ func (d *Device) ShowInterfaces() ([]IfaceStatus, error) {
 			InOctets: st.inOctets, OutOctets: st.outOctets,
 		})
 	}
-	sortIfaces(out)
+	slices.SortFunc(out, func(a, b IfaceStatus) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
-}
-
-func sortIfaces(xs []IfaceStatus) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j].Name < xs[j-1].Name; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 func (d *Device) advanceCountersLocked() {
@@ -990,11 +983,7 @@ func (d *Device) ShowLLDPNeighbors() ([]LLDPNeighbor, error) {
 	for _, n := range d.lldp {
 		out = append(out, n)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].LocalInterface < out[j-1].LocalInterface; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b LLDPNeighbor) int { return strings.Compare(a.LocalInterface, b.LocalInterface) })
 	return out, nil
 }
 
@@ -1009,11 +998,7 @@ func (d *Device) ShowBGPSummary() ([]BGPPeerStatus, error) {
 	for _, p := range d.bgpPeers {
 		out = append(out, *p)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].PeerAddr < out[j-1].PeerAddr; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b BGPPeerStatus) int { return strings.Compare(a.PeerAddr, b.PeerAddr) })
 	return out, nil
 }
 

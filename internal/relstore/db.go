@@ -14,6 +14,10 @@ type table struct {
 	def    TableDef
 	rows   map[int64]map[string]any
 	nextID int64
+	// seq is the binlog sequence of the last entry that touched the table
+	// (its CREATE, an ALTER, or a committed row write), in this set. Two
+	// reads of one DB that see the same seq see the same table.
+	seq uint64
 	// unique maps column name -> value -> row id, for Unique columns.
 	unique map[string]map[any]int64
 	// refIndex maps fk column name -> referenced id -> set of referencing
@@ -160,9 +164,10 @@ func (db *DB) CreateTable(def TableDef) error {
 	if err := validateDef(&def, tables); err != nil {
 		return err
 	}
-	tables[def.Name] = newTable(def)
 	db.seq++
 	db.txSeq++
+	tables[def.Name] = newTable(def)
+	tables[def.Name].seq = db.seq
 	db.publish(LogEntry{Seq: db.seq, TxID: db.txSeq, Op: OpCreateTable, Table: def.Name, Def: &def})
 	return nil
 }
@@ -186,6 +191,7 @@ func (db *DB) AlterAddColumn(tableName string, col Column) error {
 	}
 	db.seq++
 	db.txSeq++
+	t.seq = db.seq
 	db.publish(LogEntry{Seq: db.seq, TxID: db.txSeq, Op: OpAlterAddColumn, Table: tableName, Col: &col})
 	return nil
 }

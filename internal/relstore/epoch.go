@@ -93,10 +93,11 @@ func (db *DB) publish(entries ...LogEntry) {
 	db.spare = prev
 }
 
-// applyEntryToTables replays one binlog record onto a table set.
-// Constraints were validated when the entry was first committed, so this
-// path maintains rows and indexes directly. Shared by the spare's catch-up
-// and replica replication.
+// applyEntryToTables replays one binlog record onto a table set and
+// stamps the table it names with the record's Seq. Constraints were
+// validated when the entry was first committed, so this path maintains
+// rows and indexes directly. Shared by the spare's catch-up and replica
+// replication.
 func applyEntryToTables(tables map[string]*table, e LogEntry) error {
 	switch e.Op {
 	case OpCreateTable:
@@ -142,5 +143,6 @@ func applyEntryToTables(tables map[string]*table, e LogEntry) error {
 	default:
 		return fmt.Errorf("unknown op %d", e.Op)
 	}
+	tables[e.Table].seq = e.Seq
 	return nil
 }

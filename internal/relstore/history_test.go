@@ -580,9 +580,40 @@ func runHistory(t *testing.T, seed int64, steps int, afterStep func(h *history))
 // after every rollback, on the replica at whatever point it has applied and
 // on a master promoted from it, every read API agrees with naiveStore — a
 // View's too, and its Seq names the commit the model is of.
+//
+// Each table's seq is the Seq of the last log entry naming it, in both
+// table sets of the left-right pair — each as of the sequence it
+// reflects — on the master and on the replica.
 func TestStoreEqualsNaiveModelOverRandomHistories(t *testing.T) {
 	for seed := int64(0); seed < 40 && !t.Failed(); seed++ {
-		runHistory(t, seed, 120, nil)
+		runHistory(t, seed, 120, func(h *history) {
+			assertTableSeqs(t, h.master)
+			assertTableSeqs(t, h.replica.DB())
+		})
+	}
+}
+
+// assertTableSeqs checks every table's seq in both of db's table sets
+// against db's own log.
+func assertTableSeqs(t *testing.T, db *DB) {
+	t.Helper()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, e := range []*epoch{db.epochPtr.Load(), db.spare} {
+		want := map[string]uint64{}
+		for _, entry := range db.EntriesSince(0) {
+			if entry.Seq <= e.seq {
+				want[entry.Table] = entry.Seq
+			}
+		}
+		if len(want) != len(e.tables) {
+			t.Fatalf("%s at seq %d: %d tables, the log names %d", db.Name(), e.seq, len(e.tables), len(want))
+		}
+		for name, tbl := range e.tables {
+			if tbl.seq != want[name] {
+				t.Fatalf("%s at seq %d: table %s has seq %d, its last log entry is %d", db.Name(), e.seq, name, tbl.seq, want[name])
+			}
+		}
 	}
 }
 

@@ -116,6 +116,7 @@ func (tx *Tx) Commit() error {
 			db.seq++
 			tx.pending[i].Seq = db.seq
 			tx.pending[i].TxID = db.txSeq
+			tx.tables[tx.pending[i].Table].seq = db.seq
 		}
 		// The whole group lands in the binlog atomically (under binlogMu)
 		// before the committed watermark advances, so every binlog prefix

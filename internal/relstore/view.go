@@ -31,6 +31,18 @@ func (db *DB) View(fn func(View) error) error {
 // reflects.
 func (v View) Seq() uint64 { return v.e.seq }
 
+// TableSeq returns the binlog sequence of the last entry that touched the
+// named table, as of this view: its CREATE, an ALTER, or a committed row
+// write. Within one DB every change to the table moves it, so a reader
+// that saw the table at some seq knows it unchanged while the seq stays.
+func (v View) TableSeq(tableName string) (uint64, error) {
+	t, err := tableIn(v.e.tables, tableName)
+	if err != nil {
+		return 0, err
+	}
+	return t.seq, nil
+}
+
 // Get returns one row by primary key; its Values are the stored map.
 func (v View) Get(tableName string, id int64) (Row, error) {
 	t, err := tableIn(v.e.tables, tableName)
