@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/tmpl/
 	$(GO) test -run '^$$' -fuzz '^FuzzReparse$$' -fuzztime $(FUZZTIME) ./internal/netsim/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompute$$' -fuzztime $(FUZZTIME) ./internal/confdiff/
 
 # Each drill's deterministic run record, one file per drill:
 #   make journals DIR=/tmp/journals-new

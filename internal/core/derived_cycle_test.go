@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -122,5 +123,79 @@ func TestSteadyCollectionPlansNoQuery(t *testing.T) {
 	r.Alarms.Evaluate()
 	if n := commits.Value() - committed; n != 0 {
 		t.Errorf("a steady cycle committed %d transactions, want 0", n)
+	}
+}
+
+// TestConvergedSweepCommitsNothing: a reconciler sweep of a converged
+// 64-device DCGen3(40) cluster checks every device and writes nothing —
+// no transaction, no binlog entry, no backup revision — and every
+// DerivedConfig row keeps its id and its collected_unix, the stamp of the
+// check that last moved its hash or verdict, though the clock moved on.
+func TestConvergedSweepCommitsNothing(t *testing.T) {
+	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC))
+	r, err := New(Options{Clock: clk, EnableReconciler: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Reconciler.Stop)
+	if _, err := r.Designer.EnsureSite("dc1", "dc", "apac"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.ProvisionCluster(testCtx("dc"), "dc1", "dc1-c1", design.DCGen3(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Devices) != 64 {
+		t.Fatalf("devices = %d, want 64", len(res.Devices))
+	}
+	type conformance struct {
+		id      int64
+		checked int64
+	}
+	rows := func() map[string]conformance {
+		t.Helper()
+		objs, err := r.Store.Find("DerivedConfig", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]conformance, len(objs))
+		for _, o := range objs {
+			if !o.Bool("conforms") {
+				t.Errorf("%s does not conform after turn-up", o.String("device_name"))
+			}
+			out[o.String("device_name")] = conformance{o.ID, o.Int("collected_unix")}
+		}
+		return out
+	}
+	backups := func() (n int) {
+		for _, name := range res.Devices {
+			revs, _ := r.Repo.History(monitor.BackupPath(name))
+			n += len(revs)
+		}
+		return n
+	}
+	before, revs := rows(), backups()
+	if len(before) != len(res.Devices) {
+		t.Fatalf("%d DerivedConfig rows for %d devices", len(before), len(res.Devices))
+	}
+	commits := r.Telemetry.Counter("robotron_relstore_tx_commits_total", telemetry.L("server", r.Store.DB().Name())...)
+	for sweep := 1; sweep <= 2; sweep++ {
+		clk.Advance(time.Minute)
+		seq, committed := r.Store.DB().Seq(), commits.Value()
+		if n := r.Reconciler.Sweep(); n != len(res.Devices) {
+			t.Fatalf("sweep %d checked %d devices, want %d", sweep, n, len(res.Devices))
+		}
+		if n := commits.Value() - committed; n != 0 {
+			t.Errorf("sweep %d committed %d transactions, want 0", sweep, n)
+		}
+		if n := r.Store.DB().Seq() - seq; n != 0 {
+			t.Errorf("sweep %d appended %d binlog entries, want 0", sweep, n)
+		}
+		if n := backups() - revs; n != 0 {
+			t.Errorf("sweep %d added %d backup revisions, want 0", sweep, n)
+		}
+		if after := rows(); !reflect.DeepEqual(after, before) {
+			t.Errorf("sweep %d moved DerivedConfig rows:\n got %v\nwant %v", sweep, after, before)
+		}
 	}
 }

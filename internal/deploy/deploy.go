@@ -419,7 +419,7 @@ func (d *Deployer) Dryrun(configs map[string]string, opts Options) (map[string]s
 			return hadError
 		},
 		func(name string) {
-			diff, err := d.dryrunOne(targets[name], configs[name])
+			dr, err := d.dryrunOne(targets[name], configs[name])
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -427,7 +427,7 @@ func (d *Deployer) Dryrun(configs map[string]string, opts Options) (map[string]s
 				hadError = true
 				return
 			}
-			out[name] = diff
+			out[name] = dr.text
 		})
 	for _, name := range names {
 		if err := errs[name]; err != nil {
@@ -437,28 +437,48 @@ func (d *Deployer) Dryrun(configs map[string]string, opts Options) (map[string]s
 	return out, nil
 }
 
+// dryrun is what one device's dryrun found: the diff a reviewer reads
+// and, for an emulated diff, the running config it diffed against and the
+// diff itself (nil for a native diff).
+type dryrun struct {
+	text    string
+	running string
+	diff    *confdiff.Diff
+}
+
+// stats counts the lines committing newCfg over running changes, comments
+// aside: from the dryrun's own diff when running is what that dryrun read,
+// from a fresh diff otherwise.
+func (dr dryrun) stats(running, newCfg string) confdiff.Stats {
+	if dr.diff != nil && dr.running == running {
+		return dr.diff.Stats(true)
+	}
+	return confdiff.Compute(running, newCfg).Stats(true)
+}
+
 // dryrunOne loads the candidate, renders its diff, and always discards the
 // candidate again: the staged config exists only for the diff, and leaving
 // it behind would let an unrelated later Commit() silently activate it
 // (e.g. after the reviewer rejected this very diff).
-func (d *Deployer) dryrunOne(t Target, newCfg string) (string, error) {
+func (d *Deployer) dryrunOne(t Target, newCfg string) (dryrun, error) {
 	if err := t.LoadConfig(newCfg); err != nil {
-		return "", fmt.Errorf("deploy: %s rejected candidate config: %w", t.Name(), err)
+		return dryrun{}, fmt.Errorf("deploy: %s rejected candidate config: %w", t.Name(), err)
 	}
 	defer func() { _ = t.DiscardCandidate() }()
 	native, err := t.DryrunDiff()
 	switch {
 	case err == nil:
-		return native, nil
+		return dryrun{text: native}, nil
 	case errors.Is(err, netsim.ErrNotSupported):
 		// Emulated diff for platforms without native dryrun.
 		running, err := t.RunningConfig()
 		if err != nil {
-			return "", err
+			return dryrun{}, err
 		}
-		return confdiff.Compute(running, newCfg).Unified(3), nil
+		diff := confdiff.Compute(running, newCfg)
+		return dryrun{text: diff.Unified(3), running: running, diff: &diff}, nil
 	default:
-		return "", err
+		return dryrun{}, err
 	}
 }
 
@@ -499,9 +519,10 @@ func (d *Deployer) Deploy(configs map[string]string, opts Options) (Report, erro
 	diffStats := make(map[string]confdiff.Stats, len(configs))
 	for _, name := range sortedKeys(configs) {
 		t := targets[name]
-		var diff, running string
+		var dr dryrun
+		var running string
 		if err := withRetry(name, func() (err error) {
-			diff, err = d.dryrunOne(t, configs[name])
+			dr, err = d.dryrunOne(t, configs[name])
 			return err
 		}); err != nil {
 			return rep, err
@@ -512,8 +533,8 @@ func (d *Deployer) Deploy(configs map[string]string, opts Options) (Report, erro
 		}); err != nil {
 			return rep, err
 		}
-		diffStats[name] = confdiff.Compute(running, configs[name]).Stats(true)
-		if opts.Review != nil && !opts.Review(name, diff) {
+		diffStats[name] = dr.stats(running, configs[name])
+		if opts.Review != nil && !opts.Review(name, dr.text) {
 			nf.notify("deployment aborted: %s diff rejected by reviewer", name)
 			return rep, fmt.Errorf("%w (device %s)", ErrReviewRejected, name)
 		}

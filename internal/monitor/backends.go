@@ -386,7 +386,7 @@ var (
 	derivedLLDP      = derivedShape{"DerivedLldpNeighbor", []string{"interface_name", "neighbor_device", "neighbor_interface", "device_name"}, 3, -1}
 	derivedBGP       = derivedShape{"DerivedBgpSession", []string{"peer_addr", "device_name", "family", "state"}, 1, -1}
 	derivedCircuit   = derivedShape{"DerivedCircuit", []string{"a_device", "a_interface", "z_device", "z_interface", "source"}, 4, -1}
-	derivedConfig    = derivedShape{"DerivedConfig", []string{"device_name", "config_hash", "collected_unix", "conforms"}, 1, -1}
+	derivedConfig    = derivedShape{"DerivedConfig", []string{"device_name", "config_hash", "collected_unix", "conforms"}, 1, 2}
 )
 
 // observation is what one collection reports for one Derived model inside
@@ -753,6 +753,12 @@ func (b *ConfigBackend) Store(col Collection) error {
 	if col.Data != DataConfig {
 		return nil
 	}
-	_, err := b.repo.Commit(BackupPath(col.Device), col.Config, "monitor", "periodic running-config backup")
+	_, err := backup(b.repo, col.Device, col.Config)
 	return err
+}
+
+// backup archives a device's running config in repo. A config equal to
+// the last backup adds no revision and returns that one.
+func backup(repo *revctl.Repo, device, config string) (revctl.Revision, error) {
+	return repo.Commit(BackupPath(device), config, "monitor", "periodic running-config backup")
 }

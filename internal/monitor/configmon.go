@@ -151,8 +151,7 @@ func (cm *ConfigMonitor) CheckDevice(device string) (dev *Deviation, err error) 
 	}()
 	cols, err := cm.jm.RunOnce(JobSpec{
 		Name: "adhoc-config-" + device, Period: time.Second,
-		Engine: EngineCLI, Data: DataConfig,
-		Devices: []string{device}, Backends: []string{"config-backup"},
+		Engine: EngineCLI, Data: DataConfig, Devices: []string{device},
 	})
 	if err != nil {
 		return nil, err
@@ -160,14 +159,28 @@ func (cm *ConfigMonitor) CheckDevice(device string) (dev *Deviation, err error) 
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("monitor: could not collect config from %s", device)
 	}
-	running := cols[0].Config
+	running, at := cols[0].Config, cols[0].At
+	// The check archives the config itself, so the backup's revision hash
+	// is the one DerivedConfig records: the config is hashed once, and
+	// not at all when it repeats the last backup.
+	rev, err := backup(cm.repo, device, running)
+	if err != nil {
+		return nil, err
+	}
 	golden, err := cm.golden(device)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: no golden config for %s: %w", device, err)
 	}
-	d := confdiff.Compute(golden, running)
-	conforms := d.Empty()
-	if err := cm.recordConformance(device, running, conforms, cols[0].At); err != nil {
+	// Equal configs conform undiffed. Any other pair is diffed, and the
+	// diff decides: configs that differ only in a trailing newline still
+	// conform.
+	var d confdiff.Diff
+	conforms := running == golden
+	if !conforms {
+		d = confdiff.Compute(golden, running)
+		conforms = d.Empty()
+	}
+	if err := cm.recordConformance(device, rev.Hash, conforms, at); err != nil {
 		return nil, err
 	}
 	if conforms {
@@ -176,7 +189,7 @@ func (cm *ConfigMonitor) CheckDevice(device string) (dev *Deviation, err error) 
 	stats := d.Stats(true)
 	found := Deviation{
 		Device: device, Diff: d.Unified(3),
-		Added: stats.Added, Removed: stats.Removed, At: cols[0].At,
+		Added: stats.Added, Removed: stats.Removed, At: at,
 	}
 	cm.mu.Lock()
 	cm.deviations.push(found)
@@ -189,21 +202,23 @@ func (cm *ConfigMonitor) CheckDevice(device string) (dev *Deviation, err error) 
 	return &found, nil
 }
 
-// recordConformance syncs the DerivedConfig object for the device,
-// stamped with the collection's time like every other Derived row.
-func (cm *ConfigMonitor) recordConformance(device, running string, conforms bool, at time.Time) error {
+// recordConformance syncs the DerivedConfig object for the device. Its
+// collected_unix is the stamp of the row: the time of the check that
+// created it or moved its hash or verdict, so a repeated verdict writes
+// nothing.
+func (cm *ConfigMonitor) recordConformance(device, hash string, conforms bool, at time.Time) error {
 	if cm.store == nil {
 		return nil
 	}
-	_, _, err := syncDerived(cm.store, conformance(device, running, conforms, at))
+	_, _, err := syncDerived(cm.store, conformance(device, hash, conforms, at))
 	return err
 }
 
 // conformance is the observation recordConformance writes.
-func conformance(device, running string, conforms bool, at time.Time) *observation {
+func conformance(device, hash string, conforms bool, at time.Time) *observation {
 	dev := any(device)
 	return &observation{derivedShape: &derivedConfig, scope: fbnet.Eq("device_name", dev),
-		rows: []any{dev, revctl.Hash(running), at.Unix(), conforms}}
+		rows: []any{dev, hash, at.Unix(), conforms}}
 }
 
 // Deviations returns the recorded deviations (the newest historyLimit of

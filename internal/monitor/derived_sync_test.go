@@ -22,8 +22,8 @@ import (
 // model: every Derived table is the latest observation per scope, nothing
 // is written — no transaction even opens — when an observation repeats,
 // the verdict made on rows read in place is the one a transaction would
-// reach, row ids are stable, and last_change_unix moves only with what it
-// describes.
+// reach, row ids are stable, and the stamps (last_change_unix,
+// collected_unix) move only with what they describe.
 
 // derivedColumns lists, per Derived model, the columns the model below
 // keeps; the first keyLen of them are the row's identity.
@@ -228,6 +228,17 @@ func (m mirror) mirrorCollection(col Collection) {
 	}
 }
 
+// mirrorConformance records a config check's verdict. collected_unix is
+// the row's stamp, as last_change_unix is an interface's: it keeps its
+// value while the hash and the verdict repeat.
+func (m mirror) mirrorConformance(device, hash string, conforms bool, at time.Time) {
+	checked := at.Unix()
+	if prev, ok := m["DerivedConfig"][device]; ok && prev[1] == hash && prev[3] == conforms {
+		checked = prev[2].(int64)
+	}
+	m.observe("DerivedConfig", device, [][]any{{device, hash, checked, conforms}})
+}
+
 // mirrorCircuits derives the circuits the model's LLDP rows confirm from
 // both sides, a-end the smaller (device, interface).
 func (m mirror) mirrorCircuits() {
@@ -301,7 +312,7 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 				}
 				observed := func() *observation {
 					if data == DataConfig {
-						return conformance(dev, w.config[dev], w.config[dev] == "", at)
+						return conformance(dev, revctl.Hash(w.config[dev]), w.config[dev] == "", at)
 					}
 					return observe(col, nil)
 				}
@@ -324,7 +335,7 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 						replanned, err = syncAfterUnrelatedCommit(t, store, planned, observed(), fmt.Sprintf("r%d", step))
 						populated["a write planned afresh"] = populated["a write planned afresh"] || replanned
 					case data == DataConfig:
-						err = cm.recordConformance(dev, w.config[dev], w.config[dev] == "", at)
+						err = cm.recordConformance(dev, revctl.Hash(w.config[dev]), w.config[dev] == "", at)
 					default:
 						err = backend.Store(col)
 					}
@@ -397,7 +408,7 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 				}
 				write(step%3 == 2)
 				if data == DataConfig {
-					want.observe("DerivedConfig", dev, [][]any{{dev, revctl.Hash(w.config[dev]), at.Unix(), w.config[dev] == ""}})
+					want.mirrorConformance(dev, revctl.Hash(w.config[dev]), w.config[dev] == "", at)
 				} else {
 					want.mirrorCollection(col)
 				}

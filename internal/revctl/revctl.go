@@ -56,7 +56,8 @@ func Hash(content string) string {
 
 // Commit stores a new revision of path. Committing identical content to
 // the current head is a no-op returning the head revision, so periodic
-// config backups don't balloon history.
+// config backups don't balloon history; the head's content is compared
+// before anything is hashed, so such a commit hashes nothing.
 func (r *Repo) Commit(path, content, author, message string) (Revision, error) {
 	if path == "" {
 		return Revision{}, fmt.Errorf("revctl: empty path")
@@ -68,15 +69,15 @@ func (r *Repo) Commit(path, content, author, message string) (Revision, error) {
 		h = &history{}
 		r.files[path] = h
 	}
-	hash := Hash(content)
-	if n := len(h.revs); n > 0 && h.revs[n-1].Hash == hash {
+	n := len(h.revs)
+	if n > 0 && h.contents[n-1] == content {
 		return h.revs[n-1], nil
 	}
 	r.seq++
 	rev := Revision{
 		Path:    path,
-		Number:  len(h.revs) + 1,
-		Hash:    hash,
+		Number:  n + 1,
+		Hash:    Hash(content),
 		Author:  author,
 		Message: message,
 		Seq:     r.seq,
