@@ -60,13 +60,13 @@ reconcile:
 # the run; the corpus cache stays in the Go build cache.
 FUZZTIME ?= 5s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzContainsAddr$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCircuitEnd$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzScanConfig$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/thriftlite/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/tmpl/
 	$(GO) test -run '^$$' -fuzz '^FuzzReparse$$' -fuzztime $(FUZZTIME) ./internal/netsim/
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexDiff$$' -fuzztime $(FUZZTIME) ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompute$$' -fuzztime $(FUZZTIME) ./internal/confdiff/
 
 # Each drill's deterministic run record, one file per drill:

@@ -19,9 +19,10 @@ func buildAblationRules(n int, forceRegex bool) *Classifier {
 	for i := 0; i < n; i++ {
 		pattern := fmt.Sprintf("SYN_RULE_%04d:", i)
 		if forceRegex {
-			// A character class defeats literal detection without changing
-			// what the rule matches.
-			pattern = fmt.Sprintf("SYN[_]RULE[_]%04d:", i)
+			// Case folding defeats both the literal path and the literal
+			// prefix gate without changing what the rule matches on these
+			// all-capital markers.
+			pattern = fmt.Sprintf("(?i)SYN_RULE_%04d:", i)
 		}
 		c.MustAddRule(Rule{Name: fmt.Sprintf("r%d", i), Pattern: pattern, Urgency: Warning})
 	}
@@ -51,13 +52,22 @@ func BenchmarkClassifierLiteralPath(b *testing.B) {
 	}
 }
 
+// BenchmarkClassifierRegexPath runs the same rules' compiled regexps in
+// order, first match wins, as classification did before it had substring
+// paths. A case-folded rule set would defeat the substring paths too, but
+// also the regexp package's own literal-prefix scan.
 func BenchmarkClassifierRegexPath(b *testing.B) {
-	c := buildAblationRules(700, true)
+	c := buildAblationRules(700, false)
 	msgs := ablationMessages()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Process(msgs[i%len(msgs)])
+		text := msgs[i%len(msgs)].Text
+		for j := range c.rules {
+			if c.rules[j].re.MatchString(text) {
+				break
+			}
+		}
 	}
 }
 

@@ -9,9 +9,12 @@ import (
 	"fmt"
 	"net"
 	"regexp"
+	"regexp/syntax"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"github.com/robotron-net/robotron/internal/netsim"
 )
@@ -46,18 +49,50 @@ type Rule struct {
 	AutoRemediate func(msg netsim.SyslogMessage)
 
 	re *regexp.Regexp
-	// literal is set when the pattern contains no regex metacharacters;
-	// such rules match with a substring search, which keeps classification
-	// cheap even with hundreds of rules (Table 3's rule set is 719).
-	literal string
+	// literals is set when the pattern is a literal or an alternation of
+	// literals ("POWER_ALARM|TEMPERATURE_CRITICAL"); such rules match by
+	// substring search, which keeps classification cheap even with
+	// hundreds of rules (Table 3's rule set is 719). Any other rule runs
+	// re, and only on text holding prefix, the literal every match of re
+	// begins with.
+	literals []string
+	prefix   string
 }
 
 // matches reports whether the rule matches a message text.
 func (r *Rule) matches(text string) bool {
-	if r.literal != "" {
-		return strings.Contains(text, r.literal)
+	if r.literals != nil {
+		for _, l := range r.literals {
+			if strings.Contains(text, l) {
+				return true
+			}
+		}
+		return false
 	}
-	return r.re.MatchString(text)
+	return strings.Contains(text, r.prefix) && r.re.MatchString(text)
+}
+
+// literalAlternatives returns the alternatives of a pattern that parses to
+// a literal or an alternation of literals, none case-folded; nil for any
+// other pattern. A literal holding U+FFFD is left to the regexp, which
+// also matches it against invalid UTF-8.
+func literalAlternatives(pattern string) []string {
+	re, err := syntax.Parse(pattern, syntax.Perl)
+	if err != nil {
+		return nil
+	}
+	alts := []*syntax.Regexp{re}
+	if re.Op == syntax.OpAlternate {
+		alts = re.Sub
+	}
+	out := make([]string, 0, len(alts))
+	for _, a := range alts {
+		if a.Op != syntax.OpLiteral || a.Flags&syntax.FoldCase != 0 || slices.Contains(a.Rune, utf8.RuneError) {
+			return nil
+		}
+		out = append(out, string(a.Rune))
+	}
+	return out
 }
 
 // Alert is one classified, non-ignored syslog event.
@@ -90,8 +125,8 @@ func (c *Classifier) AddRule(r Rule) error {
 		return fmt.Errorf("monitor: rule %q: bad pattern: %w", r.Name, err)
 	}
 	r.re = re
-	if regexp.QuoteMeta(r.Pattern) == r.Pattern {
-		r.literal = r.Pattern
+	if r.literals = literalAlternatives(r.Pattern); r.literals == nil {
+		r.prefix, _ = re.LiteralPrefix()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

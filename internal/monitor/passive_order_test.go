@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/robotron-net/robotron/internal/netsim"
@@ -71,5 +72,38 @@ func TestClassifierIgnoredCountedNotAlarmed(t *testing.T) {
 	}
 	if autoRemediated != 0 {
 		t.Fatalf("suppressed line triggered auto-remediation")
+	}
+}
+
+// TestClassifierRulePlans: AddRule matches a literal or an alternation of
+// flag-free literals by substring search, and gates any other pattern on
+// its literal prefix.
+func TestClassifierRulePlans(t *testing.T) {
+	cases := []struct {
+		pattern  string
+		literals []string
+		prefix   string
+	}{
+		{`POWER_ALARM|TEMPERATURE_CRITICAL`, []string{"POWER_ALARM", "TEMPERATURE_CRITICAL"}, ""},
+		{`DEVICE_REBOOT`, []string{"DEVICE_REBOOT"}, ""},
+		{`SYN_MINOR_12:`, []string{"SYN_MINOR_12:"}, ""},
+		{`LINK_STATE: Interface .* changed state to down`, nil, "LINK_STATE: Interface "},
+		{`TCAM_ERROR|TCAM_EXHAUSTED`, nil, "TCAM_E"}, // the parser factors the common prefix out
+		{`(?i)POWER_ALARM|TEMP`, nil, ""},
+		{`(POWER_ALARM|TEMP)`, nil, ""},
+		{`A|`, nil, ""},
+		{`x|y`, nil, ""}, // a character class
+		// The regexp matches U+FFFD against invalid UTF-8 too, which a
+		// substring search would not; its literal prefix stops short of it.
+		{"BAD_\uFFFD|X", nil, ""},
+		{"BAD_\uFFFD.*", nil, "BAD_"},
+	}
+	for _, tc := range cases {
+		c := NewClassifier()
+		c.MustAddRule(Rule{Name: "r", Pattern: tc.pattern, Urgency: Minor})
+		r := c.rules[0]
+		if !slices.Equal(r.literals, tc.literals) || r.prefix != tc.prefix {
+			t.Errorf("%q: literals %q prefix %q, want %q %q", tc.pattern, r.literals, r.prefix, tc.literals, tc.prefix)
+		}
 	}
 }

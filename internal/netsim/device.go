@@ -119,6 +119,16 @@ type Device struct {
 	confirmPrev string
 	commitDelay time.Duration // simulated config-apply time
 
+	// tokens and peers are the running config's address tokens and BGP
+	// peer addresses, sorted and unique. The fleet's indexes share them,
+	// so they are replaced, never written in place.
+	tokens, peers []string
+	// ifacesMoved and addedPeers are what reparses changed since the
+	// fleet last read the index state (indexState): whether an interface
+	// was added or removed, and the sessions created.
+	ifacesMoved bool
+	addedPeers  []string
+
 	syslogSink func(SyslogMessage)
 	// onCommit lets the fleet recompute link state when configs change.
 	onCommit func(*Device)
@@ -583,6 +593,9 @@ func (d *Device) ApplyManualChange(line string) error {
 	}
 	d.history = append(d.history, d.running)
 	d.running += line + "\n"
+	if add := appendAddrTokens(nil, line); len(add) > 0 {
+		d.tokens = sortedSet(append(slices.Clip(d.tokens), add...))
+	}
 	cb := d.onManual
 	d.mu.Unlock()
 	d.emit(5, "config", "CONFIG_CHANGED: configuration changed from console by admin")
@@ -623,10 +636,13 @@ func (d *Device) InjectRunningConfig(cfg string) error {
 // --- operational state ---
 
 // configScan is what a running config says about a device's operational
-// state: its ports, its BGP peers and the speed its ports come up at.
+// state: its ports, its BGP peers and the speed its ports come up at, and
+// the address tokens the fleet matches sessions against. The three lists
+// are sorted and unique.
 type configScan struct {
 	ifaces []string
 	peers  []string
+	tokens []string
 	speed  int64
 }
 
@@ -640,10 +656,13 @@ type configScan struct {
 //   - A peer is a "neighbor X" line, optionally followed by "remote-as N"
 //     (vendor1) and/or "{" (vendor2), and by nothing else.
 //   - The speed is that of the first "speed N" line, 10000 without one.
+//   - An address token is a maximal run of [0-9a-fA-F:.] holding a digit
+//     and a '.' or ':' (appendAddrTokens).
 //
 // Whitespace is [\t\n\f\r ] throughout, and a line ends at '\n' only.
 // The grammar is exactly that of the regular expressions this scan
-// replaced, which FuzzReparse keeps as its oracle.
+// replaced, and the tokens those of the whole-config tokenizer it
+// absorbed; FuzzReparse keeps both as its oracles.
 func scanConfig(v Vendor, cfg string) configScan {
 	sc := configScan{speed: 10000}
 	haveSpeed := false
@@ -661,6 +680,7 @@ func scanConfig(v Vendor, cfg string) configScan {
 		if addr, ok := neighborAddr(body); ok {
 			sc.peers = append(sc.peers, addr)
 		}
+		sc.tokens = appendAddrTokens(sc.tokens, line)
 		if rest, ok := strings.CutPrefix(body, "speed "); ok && !haveSpeed {
 			rest = trimSpaces(rest)
 			if n := digits(rest); n > 0 {
@@ -673,8 +693,59 @@ func scanConfig(v Vendor, cfg string) configScan {
 			}
 		}
 	}
+	sc.ifaces, sc.peers, sc.tokens = sortedSet(sc.ifaces), sortedSet(sc.peers), sortedSet(sc.tokens)
 	return sc
 }
+
+// sortedSet sorts xs and drops repeats, in place.
+func sortedSet(xs []string) []string {
+	slices.Sort(xs)
+	return slices.Compact(xs)
+}
+
+// appendAddrTokens appends the address-like tokens of s to out: maximal
+// runs of [0-9a-fA-F:.] that contain at least one digit and at least one
+// '.' or ':'. IPv4 and IPv6 addresses qualify; interface names, AS
+// numbers, and hostnames do not (prefix lengths are cut off by the '/').
+// Exact token matching is what keeps a session to 10.0.0.1 from being
+// established by a config that merely contains 10.0.0.12.
+func appendAddrTokens(out []string, s string) []string {
+	for i, n := 0, len(s); i < n; {
+		if addrClass[s[i]] == 0 {
+			i++
+			continue
+		}
+		j, seen := i, uint8(0)
+		for ; j < n && addrClass[s[j]] != 0; j++ {
+			seen |= addrClass[s[j]]
+		}
+		if seen&(addrDigit|addrSep) == addrDigit|addrSep {
+			out = append(out, s[i:j])
+		}
+		i = j
+	}
+	return out
+}
+
+// addrClass classifies the bytes of an address token: nonzero for
+// [0-9a-fA-F:.], with addrDigit set for digits and addrSep for '.' and ':'.
+var addrClass = func() (t [256]uint8) {
+	const hexLetters = "abcdefABCDEF"
+	for i := range hexLetters {
+		t[hexLetters[i]] = addrHex
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = addrDigit
+	}
+	t['.'], t[':'] = addrSep, addrSep
+	return t
+}()
+
+const (
+	addrHex uint8 = 1 << iota
+	addrDigit
+	addrSep
+)
 
 // portName returns the interface a line declares, if it declares one.
 func portName(v Vendor, line string) (string, bool) {
@@ -798,34 +869,45 @@ func digits(s string) int {
 
 // reparseLocked rebuilds interface and BGP peer state from the running
 // config; existing counters carry over for surviving interfaces, and
-// surviving sessions keep their state.
+// surviving sessions keep their state. It records for the fleet whether
+// the interface set moved and which sessions it created.
 func (d *Device) reparseLocked() {
 	sc := scanConfig(d.vendor, d.running)
-	names := make(map[string]bool, len(sc.ifaces))
 	for _, name := range sc.ifaces {
-		names[name] = true
 		if _, ok := d.ifaces[name]; !ok {
 			d.ifaces[name] = &ifaceState{speedMbps: sc.speed, rate: 1 << 20}
+			d.ifacesMoved = true
 		}
 	}
-	for name := range d.ifaces {
-		if !names[name] {
-			delete(d.ifaces, name)
+	if len(d.ifaces) > len(sc.ifaces) {
+		for name := range d.ifaces {
+			if _, ok := slices.BinarySearch(sc.ifaces, name); !ok {
+				delete(d.ifaces, name)
+			}
 		}
+		d.ifacesMoved = true
 	}
-	peers := make(map[string]*BGPPeerStatus, len(sc.peers))
-	for _, addr := range sc.peers {
-		if old, ok := d.bgpPeers[addr]; ok {
-			peers[addr] = old
-			continue
+	if !slices.Equal(sc.peers, d.peers) {
+		peers := make(map[string]*BGPPeerStatus, len(sc.peers))
+		for _, addr := range sc.peers {
+			if old, ok := d.bgpPeers[addr]; ok {
+				peers[addr] = old
+				continue
+			}
+			family := "v4"
+			if strings.Contains(addr, ":") {
+				family = "v6"
+			}
+			peers[addr] = &BGPPeerStatus{PeerAddr: addr, State: "Active", Family: family}
+			if d.onCommit != nil { // a device outside a fleet has no reader
+				d.addedPeers = append(d.addedPeers, addr)
+			}
 		}
-		family := "v4"
-		if strings.Contains(addr, ":") {
-			family = "v6"
-		}
-		peers[addr] = &BGPPeerStatus{PeerAddr: addr, State: "Active", Family: family}
+		d.bgpPeers, d.peers = peers, slices.Clone(sc.peers)
 	}
-	d.bgpPeers = peers
+	if !slices.Equal(sc.tokens, d.tokens) {
+		d.tokens = slices.Clone(sc.tokens) // kept: no append slack
+	}
 }
 
 // HasInterface reports whether the running config defines the interface.
@@ -908,20 +990,18 @@ func (d *Device) pruneLLDP(keep map[string]bool) {
 	d.mu.Unlock()
 }
 
-// indexSnapshot returns the running config and the configured BGP peer
-// addresses, sorted, regardless of reachability — simulation bookkeeping
-// for the fleet's ownership and session indexes, not a management
-// operation.
-func (d *Device) indexSnapshot() (cfg string, peers []string) {
+// indexState returns what the fleet's indexes keep of the running config
+// — its address tokens and peer addresses, sorted and unique — and what
+// reparses changed since the last call: whether an interface was added or
+// removed, and the sessions created. Reading clears the changes.
+// Simulation bookkeeping, not a management operation: it ignores
+// reachability.
+func (d *Device) indexState() (tokens, peers []string, ifacesMoved bool, addedPeers []string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	cfg = d.running
-	peers = make([]string, 0, len(d.bgpPeers))
-	for addr := range d.bgpPeers {
-		peers = append(peers, addr)
-	}
-	sort.Strings(peers)
-	return cfg, peers
+	tokens, peers, ifacesMoved, addedPeers = d.tokens, d.peers, d.ifacesMoved, d.addedPeers
+	d.ifacesMoved, d.addedPeers = false, nil
+	return tokens, peers, ifacesMoved, addedPeers
 }
 
 // ifaceNames returns the configured interface names, sorted, without

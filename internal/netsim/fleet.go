@@ -60,6 +60,10 @@ type Fleet struct {
 	// leave a one-sided adjacency. Serialized, the last pass to run reads
 	// post-commit state and settles every table consistently.
 	recomputeMu sync.Mutex
+
+	// onPlan, when set, sees every flush plan before it is applied, under
+	// f.mu (tests count what a commit marked through it).
+	onPlan func(*flushPlan)
 }
 
 type cable struct {
@@ -231,25 +235,105 @@ func (f *Fleet) removeCableFromDevLocked(dev string, c cable) {
 
 // --- incremental derivation engine ---
 
-// deviceChanged is the onCommit/onManual hook: refresh the device's
-// ownership and session indexes from its committed running config, mark
-// the device dirty and every token that appeared or disappeared, and (for
-// commits) flush immediately. Manual out-of-band edits only update the
-// indexes and the dirty sets; their derived state stays stale until the
-// next flush, matching the full-recompute era where drift was only picked
-// up by the next pass.
+// deviceChanged is the onCommit/onManual hook. It brings the device's
+// ownership and session indexes up to date by merging the sorted lists
+// the device's scan yields against the ones indexed, and marks only what
+// moved:
+//
+//   - the device itself, to be re-derived whole, on first sight or when a
+//     reparse added or removed an interface;
+//   - otherwise each session the reparse created, as an address touch;
+//   - every token that appeared or disappeared, as an address touch.
+//
+// That is exact because a device's re-derivation reads its interface set,
+// its session set, address owners, reachability and cabling, and each of
+// these has its own mark: a config that moves none of the first three
+// (a comment, an snmp-server line) marks nothing, and the hook then
+// allocates and writes nothing. Commits flush at once; manual out-of-band
+// edits only mark, so their derived state stays stale until the next
+// flush, matching the full-recompute era where drift was only picked up by
+// the next pass.
 func (f *Fleet) deviceChanged(d *Device, flush bool) {
-	cfg, peers := d.indexSnapshot()
-	tokens := addrTokens(cfg)
 	name := d.Name()
 	f.mu.Lock()
-	f.dirty[name] = struct{}{}
-	for _, t := range f.updateIndexesLocked(name, tokens, peers) {
+	// Read under f.mu, so concurrent hooks of one device apply its states
+	// in the order they were read.
+	tokens, peers, ifacesMoved, addedPeers := d.indexState()
+	oldTokens, seen := f.devTokens[name]
+	whole := !seen || ifacesMoved
+	if whole {
+		f.dirty[name] = struct{}{}
+	} else {
+		for _, a := range addedPeers {
+			f.dirtyAddrs[a] = struct{}{}
+		}
+	}
+	moved := false
+	eachDiff(oldTokens, tokens, func(t string) {
+		if owners := f.addrOwners[t]; owners != nil {
+			delete(owners, name)
+			if len(owners) == 0 {
+				delete(f.addrOwners, t)
+			}
+		}
 		f.dirtyAddrs[t] = struct{}{}
+		moved = true
+	}, func(t string) {
+		owners := f.addrOwners[t]
+		if owners == nil {
+			owners = make(map[string]struct{}, 1)
+			f.addrOwners[t] = owners
+		}
+		owners[name] = struct{}{}
+		f.dirtyAddrs[t] = struct{}{}
+		moved = true
+	})
+	if moved || !seen {
+		f.devTokens[name] = tokens
+	}
+	moved = false
+	eachDiff(f.devSessions[name], peers, func(a string) {
+		if holders := f.sessionsByAddr[a]; holders != nil {
+			delete(holders, name)
+			if len(holders) == 0 {
+				delete(f.sessionsByAddr, a)
+			}
+		}
+		moved = true
+	}, func(a string) {
+		holders := f.sessionsByAddr[a]
+		if holders == nil {
+			holders = make(map[string]struct{}, 1)
+			f.sessionsByAddr[a] = holders
+		}
+		holders[name] = struct{}{}
+		moved = true
+	})
+	if moved {
+		f.devSessions[name] = peers
 	}
 	f.mu.Unlock()
 	if flush {
 		f.flushDirty()
+	}
+}
+
+// eachDiff walks two sorted lists without repeats in step, calling gone
+// for each string only in old and came for each only in cur.
+func eachDiff(old, cur []string, gone, came func(string)) {
+	i, j := 0, 0
+	for i < len(old) || j < len(cur) {
+		switch {
+		case j == len(cur) || i < len(old) && old[i] < cur[j]:
+			gone(old[i])
+			i++
+		case i == len(old) || cur[j] < old[i]:
+			came(cur[j])
+			j++
+		default:
+			i++
+			j++
+		}
 	}
 }
 
@@ -267,75 +351,6 @@ func (f *Fleet) healthChanged(d *Device) {
 		f.dirtyAddrs[t] = struct{}{}
 	}
 	f.mu.Unlock()
-}
-
-// updateIndexesLocked replaces name's token and session index entries and
-// returns the tokens that appeared or disappeared.
-func (f *Fleet) updateIndexesLocked(name string, tokens, peers []string) (changed []string) {
-	oldTokens := f.devTokens[name]
-	oldSet := make(map[string]struct{}, len(oldTokens))
-	for _, t := range oldTokens {
-		oldSet[t] = struct{}{}
-	}
-	newTokens := make([]string, 0, len(tokens))
-	newSet := make(map[string]struct{}, len(tokens))
-	for _, t := range tokens {
-		if _, dup := newSet[t]; dup {
-			continue
-		}
-		newSet[t] = struct{}{}
-		newTokens = append(newTokens, t)
-		if _, had := oldSet[t]; !had {
-			owners := f.addrOwners[t]
-			if owners == nil {
-				owners = make(map[string]struct{}, 1)
-				f.addrOwners[t] = owners
-			}
-			owners[name] = struct{}{}
-			changed = append(changed, t)
-		}
-	}
-	for _, t := range oldTokens {
-		if _, still := newSet[t]; !still {
-			if owners := f.addrOwners[t]; owners != nil {
-				delete(owners, name)
-				if len(owners) == 0 {
-					delete(f.addrOwners, t)
-				}
-			}
-			changed = append(changed, t)
-		}
-	}
-	f.devTokens[name] = newTokens
-
-	oldPeers := f.devSessions[name]
-	peerSet := make(map[string]struct{}, len(peers))
-	newPeers := make([]string, 0, len(peers))
-	for _, a := range peers {
-		if _, dup := peerSet[a]; dup {
-			continue
-		}
-		peerSet[a] = struct{}{}
-		newPeers = append(newPeers, a)
-		holders := f.sessionsByAddr[a]
-		if holders == nil {
-			holders = make(map[string]struct{}, 1)
-			f.sessionsByAddr[a] = holders
-		}
-		holders[name] = struct{}{}
-	}
-	for _, a := range oldPeers {
-		if _, still := peerSet[a]; !still {
-			if holders := f.sessionsByAddr[a]; holders != nil {
-				delete(holders, name)
-				if len(holders) == 0 {
-					delete(f.sessionsByAddr, a)
-				}
-			}
-		}
-	}
-	f.devSessions[name] = newPeers
-	return changed
 }
 
 // cableEval is one cable with both endpoints resolved.
@@ -416,6 +431,9 @@ func (f *Fleet) flushDirty() {
 			return
 		}
 		p := f.planLocked()
+		if f.onPlan != nil {
+			f.onPlan(p)
+		}
 		f.mu.Unlock()
 		p.apply()
 	}
@@ -551,51 +569,18 @@ func (p *flushPlan) recomputeDevice(u recomputeUnit) {
 }
 
 // Recompute re-derives every link's operational state, LLDP table, and
-// BGP session state. Wiring changes and config commits now settle
+// BGP session state. Wiring changes and config commits settle
 // incrementally on their own; Recompute remains the full-fleet safety
-// valve (tests and health-event settlement use it) and is implemented by
-// refreshing every device's indexes, which marks everything dirty, and
-// flushing.
+// valve (tests and health-event settlement use it): it refreshes every
+// device's indexes, marks every device dirty, and flushes.
 func (f *Fleet) Recompute() {
 	for _, d := range f.Devices() {
 		f.deviceChanged(d, false)
 	}
-	f.flushDirty()
-}
-
-// addrTokens extracts the address-like tokens of a config: maximal runs
-// of [0-9a-fA-F:.] that contain at least one digit and at least one '.'
-// or ':'. IPv4 and IPv6 addresses qualify; interface names, AS numbers,
-// and hostnames do not (prefix lengths are cut off by the '/'). Exact
-// token matching is what fixes the old substring bug where a session to
-// 10.0.0.1 was established by any config merely containing 10.0.0.12.
-func addrTokens(cfg string) []string {
-	var out []string
-	for i, n := 0, len(cfg); i < n; {
-		if !isAddrChar(cfg[i]) {
-			i++
-			continue
-		}
-		j := i
-		hasDigit, hasSep := false, false
-		for j < n && isAddrChar(cfg[j]) {
-			switch c := cfg[j]; {
-			case c >= '0' && c <= '9':
-				hasDigit = true
-			case c == '.' || c == ':':
-				hasSep = true
-			}
-			j++
-		}
-		if hasDigit && hasSep {
-			out = append(out, cfg[i:j])
-		}
-		i = j
+	f.mu.Lock()
+	for name := range f.devices {
+		f.dirty[name] = struct{}{}
 	}
-	return out
-}
-
-func isAddrChar(c byte) bool {
-	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' ||
-		c >= 'A' && c <= 'F' || c == ':' || c == '.'
+	f.mu.Unlock()
+	f.flushDirty()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -103,12 +104,16 @@ type historyShape struct {
 
 // TestIncrementalMatchesFullRecompute drives seed-reproducible random
 // event sequences — commits, wiring changes, manual drift, reachability
-// flaps, reboots, linecard pulls, and a health event followed by a commit
-// on another device — through the incremental engine and asserts, at
-// every settle point (an event that flushes), that the state is a fixed
-// point of the retained reference full pass: running RecomputeFull
-// changes nothing. The plain seeds run point-to-point vendor1 fleets; the
-// named shapes add vendor2 configs and an iBGP-style mesh.
+// flaps, reboots, linecard pulls, a health event followed by a commit on
+// another device, and the commits that move little or nothing: the
+// running config again plus a rogue line or a comment, one neighbor line
+// added or removed, one address changed outside any neighbor line, and a
+// no-move commit right after a health event on the same device — through
+// the incremental engine and asserts, at every settle point (an event
+// that flushes), that the state is a fixed point of the retained
+// reference full pass: running RecomputeFull changes nothing. The plain
+// seeds run point-to-point vendor1 fleets; the named shapes add vendor2
+// configs and an iBGP-style mesh.
 func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	seeds := []int64{1, 7, 42, 1337}
 	for _, seed := range seeds {
@@ -207,6 +212,26 @@ func runRandomHistory(t *testing.T, seed int64, shape historyShape) {
 	commit := func(i int) bool {
 		return devs[i].LoadConfig(randomConfig(i)) == nil && devs[i].Commit() == nil
 	}
+	// recommit commits the running config with edit applied to its lines.
+	recommit := func(i int, edit func(lines []string) []string) bool {
+		lines := strings.Split(strings.TrimSuffix(devs[i].PeekRunningConfig(), "\n"), "\n")
+		cfg := strings.Join(edit(lines), "\n") + "\n"
+		return devs[i].LoadConfig(cfg) == nil && devs[i].Commit() == nil
+	}
+	// lineWith returns the index of a random line for which ok holds, or -1.
+	lineWith := func(lines []string, ok func(string) bool) int {
+		var at []int
+		for k, l := range lines {
+			if ok(l) {
+				at = append(at, k)
+			}
+		}
+		if len(at) == 0 {
+			return -1
+		}
+		return at[rng.Intn(len(at))]
+	}
+	isNeighbor := func(l string) bool { _, ok := neighborAddr(trimSpace(l)); return ok }
 
 	check := func(step int) {
 		t.Helper()
@@ -227,7 +252,7 @@ func runRandomHistory(t *testing.T, seed int64, shape historyShape) {
 	for step := 0; step < 300; step++ {
 		i := rng.Intn(nDev)
 		d := devs[i]
-		switch ev := rng.Intn(11); ev {
+		switch ev := rng.Intn(15); ev {
 		case 0, 1, 2: // commit a fresh config (flushes)
 			if commit(i) { // a down device neither commits nor flushes
 				check(step)
@@ -260,6 +285,53 @@ func runRandomHistory(t *testing.T, seed int64, shape historyShape) {
 				d.Reboot()
 			}
 			if j := rng.Intn(nDev); j != i && commit(j) {
+				check(step)
+			}
+		case 11: // the running config again, plus a rogue line or a comment
+			extra := "snmp-server community rogue ro"
+			if rng.Intn(2) == 0 {
+				extra = "! touched by hand"
+			}
+			if recommit(i, func(lines []string) []string { return append(lines, extra) }) {
+				check(step)
+			}
+		case 12: // add or remove one neighbor line, nothing else
+			if recommit(i, func(lines []string) []string {
+				if k := lineWith(lines, isNeighbor); k >= 0 && rng.Intn(2) == 0 {
+					return append(lines[:k:k], lines[k+1:]...)
+				}
+				if d.Vendor() == Vendor2 {
+					return append(lines, "  neighbor "+addr()+" {")
+				}
+				return append(lines, "neighbor "+addr()+" remote-as 65000")
+			}) {
+				check(step)
+			}
+		case 13: // change one address outside any neighbor line
+			if recommit(i, func(lines []string) []string {
+				k := lineWith(lines, func(l string) bool { return strings.Contains(l, "addr ") })
+				if k < 0 {
+					return lines
+				}
+				head, _, _ := strings.Cut(lines[k], "addr ")
+				lines[k] = head + "addr " + addr() + "/31"
+				return lines
+			}) {
+				check(step)
+			}
+		case 14: // a no-move commit right after a health event on the device
+			switch rng.Intn(3) {
+			case 0:
+				d.RemoveLinecard(1 + rng.Intn(2))
+			case 1:
+				d.Reboot()
+			case 2:
+				if d.Reachable() {
+					d.SetDown(true)
+				}
+				d.SetDown(false)
+			}
+			if recommit(i, func(lines []string) []string { return lines }) {
 				check(step)
 			}
 		}
@@ -381,9 +453,9 @@ func TestFlushOrderDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// The failures are settled by the next commit's flush: the hub,
-		// the failed spokes and s00 re-derive whole, the other spokes
-		// their one session each.
+		// The failures are settled by the next commit's flush, although
+		// s00's commit moves nothing: the hub and the failed spokes
+		// re-derive whole, the other spokes their one session each.
 		hub.SetDown(true)
 		for _, d := range s[spokes/2:] {
 			d.SetDown(true)
@@ -428,12 +500,95 @@ func TestRecomputeAllocsFlat(t *testing.T) {
 	small := measure(64)
 	large := measure(1024)
 	t.Logf("allocs per commit: fleet=64 %v, fleet=1024 %v", small, large)
-	// 29 allocs at this writing; 40 leaves room for map growth, not for a
-	// per-session or per-holder slip.
-	if small > 40 {
-		t.Errorf("single-device commit at fleet=64: %v allocs, want <= 40", small)
+	// The commit moves nothing, so the fleet allocates nothing: the 7 are
+	// the growth of the scan's three lists (2 interfaces, 2 peers, 4
+	// tokens).
+	if small > 7 {
+		t.Errorf("single-device commit at fleet=64: %v allocs, want <= 7", small)
 	}
 	if large > small*2+20 {
 		t.Errorf("allocs scale with fleet size: fleet=64 %v, fleet=1024 %v", small, large)
+	}
+}
+
+// planRecorder records what every flush of a fleet plans: the devices
+// re-derived whole and the addresses touched.
+type planRecorder struct {
+	units, touches []string
+}
+
+func recordPlans(f *Fleet) *planRecorder {
+	r := &planRecorder{}
+	f.onPlan = func(p *flushPlan) {
+		for _, u := range p.units {
+			r.units = append(r.units, u.d.Name())
+		}
+		for _, t := range p.touches {
+			r.touches = append(r.touches, t.addr)
+		}
+	}
+	return r
+}
+
+// TestCommitMarksOnlyWhatMoved: on a wired 64-device ring, a commit that
+// moves no interface, peer or address — the running config plus a rogue
+// line, or a comment — plans no unit and no touch; one that only adds a
+// neighbor plans no unit and touches just that session's address; and
+// removing it again touches just the address token that left.
+func TestCommitMarksOnlyWhatMoved(t *testing.T) {
+	const n = 64
+	f := buildRingFleet(t, n)
+	d, _ := f.Device("dev000000")
+	rec := recordPlans(f)
+	commit := func(cfg string) {
+		t.Helper()
+		*rec = planRecorder{}
+		if err := d.LoadConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := ringConfig(0, n)
+	// The comment names an address the config already holds, so it moves
+	// no token either.
+	for _, extra := range []string{"snmp-server community rogue-1 ro\n", "! uplink 10.0.0.0/31 checked\n"} {
+		commit(base + extra)
+		if len(rec.units) != 0 || len(rec.touches) != 0 {
+			t.Errorf("commit of the running config plus %q: units %q touches %q, want none", extra, rec.units, rec.touches)
+		}
+	}
+	// dev000005 owns 10.0.0.10; a session to it establishes.
+	const peer = "10.0.0.10"
+	commit(base + "neighbor " + peer + " remote-as 65000\n")
+	if len(rec.units) != 0 || !slices.Equal(rec.touches, []string{peer}) {
+		t.Errorf("neighbor-only commit: units %q touches %q, want none and [%s]", rec.units, rec.touches, peer)
+	}
+	peers, err := d.ShowBGPSummary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := slices.IndexFunc(peers, func(p BGPPeerStatus) bool { return p.PeerAddr == peer }); i < 0 || peers[i].State != "Established" {
+		t.Errorf("added session to %s: %+v, want Established", peer, peers)
+	}
+	commit(base)
+	if len(rec.units) != 0 || !slices.Equal(rec.touches, []string{peer}) {
+		t.Errorf("neighbor removal: units %q touches %q, want none and [%s]", rec.units, rec.touches, peer)
+	}
+	// A health event's dirt still settles on a no-move commit.
+	d.RemoveLinecard(1)
+	commit(base)
+	if !slices.Equal(rec.units, []string{"dev000000"}) {
+		t.Errorf("no-move commit after a linecard pull: units %q, want [dev000000]", rec.units)
+	}
+	ifaces, err := d.ShowInterfaces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range ifaces {
+		if st.OperStatus != "up" {
+			t.Errorf("%s stayed %s after the flush", st.Name, st.OperStatus)
+		}
 	}
 }

@@ -52,6 +52,21 @@ func regexScan(v Vendor, cfg string) (ifaces, peers []string, speed int64) {
 	return set(ifaces), set(peers), speed
 }
 
+// addrTokens is the whole-config tokenizer the fleet ran on every commit
+// before scanConfig absorbed it, in its plainest form: the maximal runs of
+// [0-9a-fA-F:.] that hold a digit and a '.' or ':', in config order and
+// with repeats. It is the oracle of scanConfig's tokens (FuzzReparse) and
+// of the reference full pass (RecomputeFull).
+func addrTokens(cfg string) []string {
+	var out []string
+	for _, run := range strings.FieldsFunc(cfg, func(r rune) bool { return !strings.ContainsRune("0123456789abcdefABCDEF:.", r) }) {
+		if strings.ContainsAny(run, "0123456789") && strings.ContainsAny(run, ".:") {
+			out = append(out, run)
+		}
+	}
+	return out
+}
+
 // set sorts and deduplicates.
 func set(xs []string) []string {
 	sort.Strings(xs)
@@ -171,7 +186,8 @@ func testLiterals(tb testing.TB) []string {
 
 // FuzzReparse: for any input and both vendors, the one-pass scanner
 // yields the interface set, the peer set and the speed the regular
-// expressions did. Seeds: the edge cases above, both vendor templates
+// expressions did, and the address tokens addrTokens does, sorted and
+// unique. Seeds: the edge cases above, both vendor templates
 // rendered, the configs the tests build, and every string literal in the
 // package's tests.
 func FuzzReparse(f *testing.F) {
@@ -188,6 +204,9 @@ func FuzzReparse(f *testing.F) {
 			if !slices.Equal(gotIfaces, wantIfaces) || !slices.Equal(gotPeers, wantPeers) || sc.speed != wantSpeed {
 				t.Fatalf("%s %q:\n scan:  ifaces=%q peers=%q speed=%d\n regex: ifaces=%q peers=%q speed=%d",
 					v, cfg, gotIfaces, gotPeers, sc.speed, wantIfaces, wantPeers, wantSpeed)
+			}
+			if want := set(addrTokens(cfg)); !slices.Equal(sc.tokens, want) {
+				t.Fatalf("%s %q:\n scan tokens:   %q\n oracle tokens: %q", v, cfg, sc.tokens, want)
 			}
 		}
 	})

@@ -37,7 +37,9 @@ func renderedWorld(f *testing.F) (*model, map[string]string) {
 }
 
 // FuzzContainsAddr: for an address made of address characters,
-// containsAddr is membership among the config's maximal runs of address
+// containsAddr — the token test the symmetry check used before it read
+// neighbor statements, kept as TestSymmetryStatementsMatchTokenOracle's
+// oracle — is membership among the config's maximal runs of address
 // characters; for anything else it must merely not panic.
 func FuzzContainsAddr(f *testing.F) {
 	_, configs := renderedWorld(f)
@@ -134,7 +136,8 @@ func FuzzScanConfig(f *testing.F) {
 	f.Add("replace: et-9/9/9 {\n    neighbor 2401:db00:dead::2 {\n")
 	f.Fuzz(func(t *testing.T, cfg string) {
 		for _, tg := range targets {
-			for _, v := range m.scanConfig(tg.dev, tg.name, cfg) {
+			vs, _ := m.scanConfig(tg.dev, tg.name, cfg)
+			for _, v := range vs {
 				if v.Invariant != OrphanRef || v.Device != tg.name || !strings.Contains(cfg, v.needle) {
 					t.Errorf("%s: violation does not point into the config: %+v", tg.vendor, v)
 				}
@@ -146,7 +149,7 @@ func FuzzScanConfig(f *testing.F) {
 				own.WriteString(tg.own[int(b)%len(tg.own)])
 				own.WriteByte('\n')
 			}
-			if vs := m.scanConfig(tg.dev, tg.name, own.String()); len(vs) > 0 {
+			if vs, _ := m.scanConfig(tg.dev, tg.name, own.String()); len(vs) > 0 {
 				t.Errorf("%s: config of the device's own interfaces and neighbors rejected: %v\n%s", tg.vendor, vs, own.String())
 			}
 		}

@@ -286,7 +286,9 @@ func (c *Checker) sync() (applied int, rebuilt bool, err error) {
 // therefore never stored: each endpoint in the set carries the neighbor
 // statement the other end of its sessions expects (the §1 failure class
 // "iBGP sessions configured on only one peer"), and every interface or
-// neighbor a config names resolves back to FBNet intent.
+// neighbor a config names resolves back to FBNet intent. Both read the
+// one line pass scanConfig makes: a session's address counts only in a
+// neighbor statement, not in a description or policy line.
 func (m *model) checkCandidates(configs map[string]string) []Violation {
 	var vs []Violation
 	for name, cfg := range configs {
@@ -298,12 +300,13 @@ func (m *model) checkCandidates(configs map[string]string) []Violation {
 			})
 			continue
 		}
+		refs, stated := m.scanConfig(dev, name, cfg)
 		for _, k := range m.sessByDev[dev] {
 			s := m.sess[k]
 			if !s.internal() {
 				continue
 			}
-			if s.local == dev && s.remoteAddr != "" && !containsAddr(cfg, s.remoteAddr) {
+			if s.local == dev && s.remoteAddr != "" && !stated[s.remoteAddr] {
 				vs = append(vs, Violation{
 					Invariant: BGPSymmetry, Device: name, Model: k.sessionModel(), ID: k.id,
 					Detail: fmt.Sprintf("rendered config omits neighbor %s (session to %s)",
@@ -311,7 +314,7 @@ func (m *model) checkCandidates(configs map[string]string) []Violation {
 					needle: s.remoteAddr,
 				})
 			}
-			if addr := m.localSideAddr(k, s); s.remote == dev && addr != "" && !containsAddr(cfg, addr) {
+			if addr := m.localSideAddr(k, s); s.remote == dev && addr != "" && !stated[addr] {
 				vs = append(vs, Violation{
 					Invariant: BGPSymmetry, Device: name, Model: k.sessionModel(), ID: k.id,
 					Detail: fmt.Sprintf("rendered config omits neighbor %s (session from %s)",
@@ -320,23 +323,24 @@ func (m *model) checkCandidates(configs map[string]string) []Violation {
 				})
 			}
 		}
-		vs = append(vs, m.scanConfig(dev, name, cfg)...)
+		vs = append(vs, refs...)
 	}
 	return vs
 }
 
 // expectedNeighbors returns every neighbor address the device's designed
-// sessions can render: remote_addr where it is the local side, and the
-// far side's prefix address or loopback where it is the remote side.
+// sessions can render — remote_addr where it is the local side, and the
+// far side's prefix address or loopback where it is the remote side —
+// each mapped to false.
 func (m *model) expectedNeighbors(dev int64) map[string]bool {
 	out := map[string]bool{}
 	for _, k := range m.sessByDev[dev] {
 		s := m.sess[k]
 		if s.local == dev && s.remoteAddr != "" {
-			out[s.remoteAddr] = true
+			out[s.remoteAddr] = false
 		}
 		if addr := m.localSideAddr(k, s); s.remote == dev && addr != "" {
-			out[addr] = true
+			out[addr] = false
 		}
 	}
 	return out
@@ -365,9 +369,9 @@ var (
 
 // scanConfig cross-checks one rendered config against FBNet: interface
 // stanzas must name interfaces of the device, neighbor statements must
-// correspond to designed sessions.
-func (m *model) scanConfig(dev int64, name, cfg string) []Violation {
-	var vs []Violation
+// correspond to designed sessions. stated maps each neighbor address the
+// device's sessions expect to whether a neighbor statement names it.
+func (m *model) scanConfig(dev int64, name, cfg string) (vs []Violation, stated map[string]bool) {
 	valid := map[string]bool{"lo0": true}
 	for _, port := range m.portNames[dev] {
 		valid[port] = true
@@ -398,7 +402,9 @@ func (m *model) scanConfig(dev int64, name, cfg string) []Violation {
 		}
 		if m := nbrRe.FindStringSubmatch(line); m != nil {
 			addr := m[1]
-			if !expectedNbrs[addr] {
+			if _, ok := expectedNbrs[addr]; ok {
+				expectedNbrs[addr] = true
+			} else {
 				vs = append(vs, Violation{
 					Invariant: OrphanRef, Device: name,
 					Detail: fmt.Sprintf("config references BGP neighbor %s which matches no designed session", addr),
@@ -407,7 +413,7 @@ func (m *model) scanConfig(dev int64, name, cfg string) []Violation {
 			}
 		}
 	}
-	return vs
+	return vs, expectedNbrs
 }
 
 // attachHunks computes, for each device-attributed violation whose config
@@ -457,36 +463,4 @@ func addrOf(pfx string) string {
 		return pfx[:i]
 	}
 	return pfx
-}
-
-// containsAddr reports whether cfg contains addr as a whole token (not as
-// a substring of a longer address: "10.0.0.1" must not match "10.0.0.10").
-func containsAddr(cfg, addr string) bool {
-	if addr == "" {
-		return false
-	}
-	for i := 0; ; {
-		j := strings.Index(cfg[i:], addr)
-		if j < 0 {
-			return false
-		}
-		j += i
-		k := j + len(addr)
-		before := j == 0 || !addrChar(cfg[j-1])
-		after := k >= len(cfg) || !addrChar(cfg[k])
-		if before && after {
-			return true
-		}
-		i = j + 1
-	}
-}
-
-func addrChar(b byte) bool {
-	switch {
-	case b >= '0' && b <= '9', b >= 'a' && b <= 'f', b >= 'A' && b <= 'F':
-		return true
-	case b == '.' || b == ':' || b == '/':
-		return true
-	}
-	return false
 }
