@@ -16,8 +16,13 @@ tier1: verify-gate store reconcile fuzz-smoke sim obs
 # ipam-replay oracle, the design-rule differential (over the same 200
 # histories the stored checks answer for every finding of the design
 # tool's former rule checker, kept as the oracle, and flag nothing it
-# sees and calls clean), plus the end-to-end rejection contract (an
-# incremental change and a turn-up alike), the turn-up contract (goldens
+# sees and calls clean), the grammar differential (over the same 200
+# histories every rendered config's ports and neighbor statements read
+# alike by vendorcfg, the grammar the device applies a config with, and by
+# the gate's former per-dialect regexes, kept as the oracle) and the
+# three candidates those regexes passed and the device reads otherwise
+# (TestGateReadsConfigsAsTheDeviceDoes), plus the end-to-end rejection
+# contract (an incremental change and a turn-up alike), the turn-up contract (goldens
 # before the first session, no check errors, every designed device rolled
 # out) and the shared-model contracts (one rebuild, fail-closed) in core,
 # under the race detector. See DESIGN.md §12. The gate checks what the generator

@@ -9,6 +9,7 @@ import (
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/revctl"
+	"github.com/robotron-net/robotron/internal/vendorcfg"
 )
 
 func testCtx(domain string) design.ChangeContext {
@@ -115,7 +116,7 @@ func TestBothSessionSidesRender(t *testing.T) {
 	prData, _ := g.DeriveDeviceData("pr1.pop1-c1")
 	prAddrs := map[string]bool{}
 	for _, agg := range prData.Aggs {
-		prAddrs[addrOfPrefix(agg.V6Prefix)] = true
+		prAddrs[vendorcfg.Addr(agg.V6Prefix)] = true
 	}
 	var matched bool
 	for _, n := range data.BGPNeighbors {
@@ -330,11 +331,11 @@ func TestBackboneIBGPConfigs(t *testing.T) {
 	}
 	// Each router lists the other's loopback as an iBGP neighbor.
 	d2, _ := g.DeriveDeviceData("bb2")
-	if !strings.Contains(cfg1, addrOfPrefix(d2.LoopbackV6)) {
+	if !strings.Contains(cfg1, vendorcfg.Addr(d2.LoopbackV6)) {
 		t.Errorf("bb1 config missing bb2 loopback neighbor")
 	}
 	d1, _ := g.DeriveDeviceData("bb1")
-	if !strings.Contains(cfg2, addrOfPrefix(d1.LoopbackV6)) {
+	if !strings.Contains(cfg2, vendorcfg.Addr(d1.LoopbackV6)) {
 		t.Errorf("bb2 config missing bb1 loopback neighbor")
 	}
 	if !strings.Contains(cfg1, "local-address lo0;") {

@@ -3,7 +3,6 @@ package configgen
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"github.com/robotron-net/robotron/internal/telemetry"
 	"github.com/robotron-net/robotron/internal/thriftlite"
 	"github.com/robotron-net/robotron/internal/tmpl"
+	"github.com/robotron-net/robotron/internal/vendorcfg"
 )
 
 // Generator builds vendor-specific device configs from FBNet objects
@@ -222,7 +222,7 @@ func (g *Generator) derive(dc *deriveCtx, deviceName string) (*DeviceData, error
 		}
 		data.MplsTunnels = append(data.MplsTunnels, MplsTunnelData{
 			Name:          t.String("name"),
-			TailLoopback:  addrOfPrefix(tail.String("loopback_v6")),
+			TailLoopback:  vendorcfg.Addr(tail.String("loopback_v6")),
 			BandwidthMbps: t.Int("bandwidth_mbps"),
 		})
 	}
@@ -334,7 +334,7 @@ func (g *Generator) deriveBGP(dc *deriveCtx, devID int64, model, family string, 
 			if err != nil {
 				return err
 			}
-			addr = addrOfPrefix(p.String("prefix"))
+			addr = vendorcfg.Addr(p.String("prefix"))
 		} else if peerDevID != 0 {
 			peer, err := dc.getByID("Device", peerDevID)
 			if err != nil {
@@ -344,7 +344,7 @@ func (g *Generator) deriveBGP(dc *deriveCtx, devID int64, model, family string, 
 			if family == "v4" {
 				lo = peer.String("loopback_v4")
 			}
-			addr = addrOfPrefix(lo)
+			addr = vendorcfg.Addr(lo)
 		}
 		if addr == "" {
 			continue
@@ -406,14 +406,6 @@ func (g *Generator) peerDescription(dc *deriveCtx, devID int64) (string, error) 
 		return "", err
 	}
 	return "to " + peer.String("name"), nil
-}
-
-// addrOfPrefix strips the mask length: "2401::1/127" -> "2401::1".
-func addrOfPrefix(pfx string) string {
-	if i := strings.IndexByte(pfx, '/'); i >= 0 {
-		return pfx[:i]
-	}
-	return pfx
 }
 
 // GenerateDevice produces the full vendor-specific config for one device.

@@ -19,11 +19,12 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/robotron-net/robotron/internal/vendorcfg"
 )
 
 // Vendor selects a device's configuration dialect and management quirks.
@@ -593,8 +594,9 @@ func (d *Device) ApplyManualChange(line string) error {
 	}
 	d.history = append(d.history, d.running)
 	d.running += line + "\n"
-	if add := appendAddrTokens(nil, line); len(add) > 0 {
-		d.tokens = sortedSet(append(slices.Clip(d.tokens), add...))
+	if merged := vendorcfg.AppendAddrTokens(slices.Clip(d.tokens), line); len(merged) > len(d.tokens) {
+		slices.Sort(merged)
+		d.tokens = slices.Compact(merged)
 	}
 	cb := d.onManual
 	d.mu.Unlock()
@@ -635,261 +637,29 @@ func (d *Device) InjectRunningConfig(cfg string) error {
 
 // --- operational state ---
 
-// configScan is what a running config says about a device's operational
-// state: its ports, its BGP peers and the speed its ports come up at, and
-// the address tokens the fleet matches sessions against. The three lists
-// are sorted and unique.
-type configScan struct {
-	ifaces []string
-	peers  []string
-	tokens []string
-	speed  int64
-}
-
-// scanConfig reads a running config in one pass over its lines.
-//
-//   - A port is a vendor1 "interface et1/1" line, or a vendor2 "et-0/0/1 {"
-//     or "replace: ae0 {" line whose name is a physical, aggregate or
-//     loopback interface (et, xe, ge, ae, lo, then a number); top-level
-//     stanzas like "class-of-service {" are not ports, and neither are TE
-//     tunnels.
-//   - A peer is a "neighbor X" line, optionally followed by "remote-as N"
-//     (vendor1) and/or "{" (vendor2), and by nothing else.
-//   - The speed is that of the first "speed N" line, 10000 without one.
-//   - An address token is a maximal run of [0-9a-fA-F:.] holding a digit
-//     and a '.' or ':' (appendAddrTokens).
-//
-// Whitespace is [\t\n\f\r ] throughout, and a line ends at '\n' only.
-// The grammar is exactly that of the regular expressions this scan
-// replaced, and the tokens those of the whole-config tokenizer it
-// absorbed; FuzzReparse keeps both as its oracles.
-func scanConfig(v Vendor, cfg string) configScan {
-	sc := configScan{speed: 10000}
-	haveSpeed := false
-	for cfg != "" {
-		line := cfg
-		if i := strings.IndexByte(cfg, '\n'); i >= 0 {
-			line, cfg = cfg[:i], cfg[i+1:]
-		} else {
-			cfg = ""
-		}
-		if name, ok := portName(v, line); ok && !strings.HasPrefix(name, "tunnel") {
-			sc.ifaces = append(sc.ifaces, name)
-		}
-		body := trimSpace(line)
-		if addr, ok := neighborAddr(body); ok {
-			sc.peers = append(sc.peers, addr)
-		}
-		sc.tokens = appendAddrTokens(sc.tokens, line)
-		if rest, ok := strings.CutPrefix(body, "speed "); ok && !haveSpeed {
-			rest = trimSpaces(rest)
-			if n := digits(rest); n > 0 {
-				// The first speed line decides, even one too large to
-				// parse (which leaves the default).
-				haveSpeed = true
-				if s, err := strconv.ParseInt(rest[:n], 10, 64); err == nil {
-					sc.speed = s
-				}
-			}
-		}
-	}
-	sc.ifaces, sc.peers, sc.tokens = sortedSet(sc.ifaces), sortedSet(sc.peers), sortedSet(sc.tokens)
-	return sc
-}
-
-// sortedSet sorts xs and drops repeats, in place.
-func sortedSet(xs []string) []string {
-	slices.Sort(xs)
-	return slices.Compact(xs)
-}
-
-// appendAddrTokens appends the address-like tokens of s to out: maximal
-// runs of [0-9a-fA-F:.] that contain at least one digit and at least one
-// '.' or ':'. IPv4 and IPv6 addresses qualify; interface names, AS
-// numbers, and hostnames do not (prefix lengths are cut off by the '/').
-// Exact token matching is what keeps a session to 10.0.0.1 from being
-// established by a config that merely contains 10.0.0.12.
-func appendAddrTokens(out []string, s string) []string {
-	for i, n := 0, len(s); i < n; {
-		if addrClass[s[i]] == 0 {
-			i++
-			continue
-		}
-		j, seen := i, uint8(0)
-		for ; j < n && addrClass[s[j]] != 0; j++ {
-			seen |= addrClass[s[j]]
-		}
-		if seen&(addrDigit|addrSep) == addrDigit|addrSep {
-			out = append(out, s[i:j])
-		}
-		i = j
-	}
-	return out
-}
-
-// addrClass classifies the bytes of an address token: nonzero for
-// [0-9a-fA-F:.], with addrDigit set for digits and addrSep for '.' and ':'.
-var addrClass = func() (t [256]uint8) {
-	const hexLetters = "abcdefABCDEF"
-	for i := range hexLetters {
-		t[hexLetters[i]] = addrHex
-	}
-	for c := '0'; c <= '9'; c++ {
-		t[c] = addrDigit
-	}
-	t['.'], t[':'] = addrSep, addrSep
-	return t
-}()
-
-const (
-	addrHex uint8 = 1 << iota
-	addrDigit
-	addrSep
-)
-
-// portName returns the interface a line declares, if it declares one.
-func portName(v Vendor, line string) (string, bool) {
-	if v != Vendor2 {
-		rest, ok := strings.CutPrefix(line, "interface ")
-		name := nonSpace(trimSpaces(rest))
-		return name, ok && name != ""
-	}
-	if rest, ok := strings.CutPrefix(line, "replace: "); ok {
-		line = trimSpaces(rest)
-	}
-	name := nonSpace(line)
-	open := line[len(name):]
-	if after := trimSpaces(open); len(after) == len(open) || !strings.HasPrefix(after, "{") {
-		return "", false
-	}
-	if len(name) < 3 {
-		return "", false
-	}
-	switch name[:2] {
-	case "et", "xe", "ge", "ae", "lo":
-	default:
-		return "", false
-	}
-	// The number starts right after the prefix: "-", "/" and "." may
-	// precede its first digit, nothing else may.
-	for i := 2; i < len(name); i++ {
-		switch c := name[i]; {
-		case c >= '0' && c <= '9':
-			return name, true
-		case c != '-' && c != '/' && c != '.':
-			return "", false
-		}
-	}
-	return "", false
-}
-
-// neighborAddr returns the peer address of a "neighbor" line whose leading
-// whitespace is already trimmed.
-func neighborAddr(body string) (string, bool) {
-	rest, ok := strings.CutPrefix(body, "neighbor ")
-	if !ok {
-		return "", false
-	}
-	rest = trimSpaces(rest)
-	addr := nonSpace(rest)
-	tail := rest[len(addr):]
-	switch {
-	case addr == "":
-		return "", false
-	case len(addr) > 1 && addr[len(addr)-1] == '{' && trimSpace(tail) == "":
-		return addr[:len(addr)-1], true // "neighbor X{"
-	case neighborTail(tail):
-		return addr, true
-	}
-	return "", false
-}
-
-// neighborTail reports whether what follows a neighbor's address is
-// [" remote-as N"][" {"] and then whitespace.
-func neighborTail(tail string) bool {
-	if rest := trimSpaces(tail); len(rest) < len(tail) {
-		if as, ok := strings.CutPrefix(rest, "remote-as "); ok {
-			as = trimSpaces(as)
-			if n := digits(as); n > 0 && openTail(as[n:]) {
-				return true
-			}
-		}
-	}
-	return openTail(tail)
-}
-
-// openTail reports whether s is an optional "{" (after spaces) and then
-// whitespace.
-func openTail(s string) bool {
-	if rest, ok := strings.CutPrefix(trimSpaces(s), "{"); ok {
-		return trimSpace(rest) == ""
-	}
-	return trimSpace(s) == ""
-}
-
-// isSpace is the whitespace of the config grammar: [\t\n\f\r ].
-func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\f' || c == '\r'
-}
-
-// trimSpace drops leading whitespace.
-func trimSpace(s string) string {
-	for s != "" && isSpace(s[0]) {
-		s = s[1:]
-	}
-	return s
-}
-
-// trimSpaces drops leading ' ' characters only.
-func trimSpaces(s string) string {
-	for s != "" && s[0] == ' ' {
-		s = s[1:]
-	}
-	return s
-}
-
-// nonSpace returns the leading run of non-whitespace bytes.
-func nonSpace(s string) string {
-	for i := 0; i < len(s); i++ {
-		if isSpace(s[i]) {
-			return s[:i]
-		}
-	}
-	return s
-}
-
-// digits returns the length of s's leading run of ASCII digits.
-func digits(s string) int {
-	n := 0
-	for n < len(s) && s[n] >= '0' && s[n] <= '9' {
-		n++
-	}
-	return n
-}
-
 // reparseLocked rebuilds interface and BGP peer state from the running
 // config; existing counters carry over for surviving interfaces, and
 // surviving sessions keep their state. It records for the fleet whether
 // the interface set moved and which sessions it created.
 func (d *Device) reparseLocked() {
-	sc := scanConfig(d.vendor, d.running)
-	for _, name := range sc.ifaces {
+	sc := vendorcfg.Scan(string(d.vendor), d.running)
+	for _, name := range sc.Ports {
 		if _, ok := d.ifaces[name]; !ok {
-			d.ifaces[name] = &ifaceState{speedMbps: sc.speed, rate: 1 << 20}
+			d.ifaces[name] = &ifaceState{speedMbps: sc.Speed, rate: 1 << 20}
 			d.ifacesMoved = true
 		}
 	}
-	if len(d.ifaces) > len(sc.ifaces) {
+	if len(d.ifaces) > len(sc.Ports) {
 		for name := range d.ifaces {
-			if _, ok := slices.BinarySearch(sc.ifaces, name); !ok {
+			if _, ok := slices.BinarySearch(sc.Ports, name); !ok {
 				delete(d.ifaces, name)
 			}
 		}
 		d.ifacesMoved = true
 	}
-	if !slices.Equal(sc.peers, d.peers) {
-		peers := make(map[string]*BGPPeerStatus, len(sc.peers))
-		for _, addr := range sc.peers {
+	if !slices.Equal(sc.Peers, d.peers) {
+		peers := make(map[string]*BGPPeerStatus, len(sc.Peers))
+		for _, addr := range sc.Peers {
 			if old, ok := d.bgpPeers[addr]; ok {
 				peers[addr] = old
 				continue
@@ -903,10 +673,10 @@ func (d *Device) reparseLocked() {
 				d.addedPeers = append(d.addedPeers, addr)
 			}
 		}
-		d.bgpPeers, d.peers = peers, slices.Clone(sc.peers)
+		d.bgpPeers, d.peers = peers, slices.Clone(sc.Peers)
 	}
-	if !slices.Equal(sc.tokens, d.tokens) {
-		d.tokens = slices.Clone(sc.tokens) // kept: no append slack
+	if !slices.Equal(sc.Tokens, d.tokens) {
+		d.tokens = slices.Clone(sc.Tokens) // kept: no append slack
 	}
 }
 

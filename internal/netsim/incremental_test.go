@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/robotron-net/robotron/internal/vendorcfg"
 )
 
 // TestBGPExactAddressMatch pins the fix for the substring false-positive:
@@ -231,7 +233,7 @@ func runRandomHistory(t *testing.T, seed int64, shape historyShape) {
 		}
 		return at[rng.Intn(len(at))]
 	}
-	isNeighbor := func(l string) bool { _, ok := neighborAddr(trimSpace(l)); return ok }
+	isNeighbor := func(l string) bool { _, ok := vendorcfg.Neighbor(l); return ok }
 
 	check := func(step int) {
 		t.Helper()

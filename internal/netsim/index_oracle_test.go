@@ -51,7 +51,7 @@ func FuzzIndexDiff(f *testing.F) {
 		cur := strings.Fields(b)
 		wantCame, wantGone := mapDiff(old, cur)
 		var came, gone []string
-		eachDiff(old, sortedSet(slices.Clone(cur)), func(s string) { gone = append(gone, s) }, func(s string) { came = append(came, s) })
+		eachDiff(old, set(slices.Clone(cur)), func(s string) { gone = append(gone, s) }, func(s string) { came = append(came, s) })
 		if !slices.IsSorted(came) || !slices.IsSorted(gone) {
 			t.Fatalf("eachDiff out of order: came %q gone %q", came, gone)
 		}

@@ -15,11 +15,12 @@ import (
 
 	"github.com/robotron-net/robotron/internal/configgen"
 	"github.com/robotron-net/robotron/internal/tmpl"
+	"github.com/robotron-net/robotron/internal/vendorcfg"
 )
 
-// The regular expressions the running-config parse used before scanConfig
-// replaced them. They are the scanner's oracle: FuzzReparse holds the two
-// to the same answer on any input.
+// The regular expressions the running-config parse used before the
+// one-pass scanner (vendorcfg.Scan) replaced them. They are the scanner's
+// oracle: FuzzReparse holds the two to the same answer on any input.
 var (
 	// vendor1: "interface et1/1"; vendor2: "et-0/0/1 {" or "replace: ae0 {".
 	ifaceV1Re = regexp.MustCompile(`(?m)^interface +(\S+)`)
@@ -53,9 +54,9 @@ func regexScan(v Vendor, cfg string) (ifaces, peers []string, speed int64) {
 }
 
 // addrTokens is the whole-config tokenizer the fleet ran on every commit
-// before scanConfig absorbed it, in its plainest form: the maximal runs of
+// before vendorcfg.Scan absorbed it, in its plainest form: the maximal runs of
 // [0-9a-fA-F:.] that hold a digit and a '.' or ':', in config order and
-// with repeats. It is the oracle of scanConfig's tokens (FuzzReparse) and
+// with repeats. It is the oracle of the scanner's tokens (FuzzReparse) and
 // of the reference full pass (RecomputeFull).
 func addrTokens(cfg string) []string {
 	var out []string
@@ -185,7 +186,7 @@ func testLiterals(tb testing.TB) []string {
 }
 
 // FuzzReparse: for any input and both vendors, the one-pass scanner
-// yields the interface set, the peer set and the speed the regular
+// netsim applies a running config with (vendorcfg.Scan) yields the interface set, the peer set and the speed the regular
 // expressions did, and the address tokens addrTokens does, sorted and
 // unique. Seeds: the edge cases above, both vendor templates
 // rendered, the configs the tests build, and every string literal in the
@@ -199,14 +200,14 @@ func FuzzReparse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, cfg string) {
 		for _, v := range []Vendor{Vendor1, Vendor2} {
 			wantIfaces, wantPeers, wantSpeed := regexScan(v, cfg)
-			sc := scanConfig(v, cfg)
-			gotIfaces, gotPeers := set(sc.ifaces), set(sc.peers)
-			if !slices.Equal(gotIfaces, wantIfaces) || !slices.Equal(gotPeers, wantPeers) || sc.speed != wantSpeed {
+			sc := vendorcfg.Scan(string(v), cfg)
+			gotIfaces, gotPeers := set(sc.Ports), set(sc.Peers)
+			if !slices.Equal(gotIfaces, wantIfaces) || !slices.Equal(gotPeers, wantPeers) || sc.Speed != wantSpeed {
 				t.Fatalf("%s %q:\n scan:  ifaces=%q peers=%q speed=%d\n regex: ifaces=%q peers=%q speed=%d",
-					v, cfg, gotIfaces, gotPeers, sc.speed, wantIfaces, wantPeers, wantSpeed)
+					v, cfg, gotIfaces, gotPeers, sc.Speed, wantIfaces, wantPeers, wantSpeed)
 			}
-			if want := set(addrTokens(cfg)); !slices.Equal(sc.tokens, want) {
-				t.Fatalf("%s %q:\n scan tokens:   %q\n oracle tokens: %q", v, cfg, sc.tokens, want)
+			if want := set(addrTokens(cfg)); !slices.Equal(sc.Tokens, want) {
+				t.Fatalf("%s %q:\n scan tokens:   %q\n oracle tokens: %q", v, cfg, sc.Tokens, want)
 			}
 		}
 	})

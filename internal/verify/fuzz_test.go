@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/robotron-net/robotron/internal/vendorcfg"
 )
 
 // Native fuzz targets for the gate's byte-facing helpers. Seed corpora
@@ -90,9 +92,13 @@ func FuzzParseCircuitEnd(f *testing.F) {
 }
 
 // FuzzScanConfig: arbitrary config text never panics and every violation
-// points at something the text contains; and a config assembled — in any
-// order, with any repetition — from the device's own interfaces and
-// designed neighbors yields no violation, in either vendor dialect.
+// points at something the text contains; the gate reads what the device
+// reads — the neighbors it takes for statements (expected and stated, or
+// orphan-ref) are the peers vendorcfg.Scan finds, and the interfaces it
+// reports as orphans are the scanned ports FBNet does not name, loopbacks
+// aside; and a config assembled — in any order, with any repetition — from
+// the device's own interfaces and designed neighbors yields no violation,
+// in either vendor dialect.
 func FuzzScanConfig(f *testing.F) {
 	m, configs := renderedWorld(f)
 	// One device per dialect, and what each may legitimately name.
@@ -100,13 +106,14 @@ func FuzzScanConfig(f *testing.F) {
 		dev    int64
 		name   string
 		vendor string
-		own    []string // config lines naming its own interfaces and neighbors
+		own    []string        // config lines naming its own interfaces and neighbors
+		fbnet  map[string]bool // the interface names FBNet gives it
 	}
 	var targets []target
 	for _, vendor := range []string{"vendor1", "vendor2"} {
 		var names []string
 		for name, id := range m.devByName {
-			if m.vendors[m.hws[m.devs[id].hw].vendor].syntax == vendor && len(m.sessByDev[id]) > 0 {
+			if m.syntax(id) == vendor && len(m.sessByDev[id]) > 0 {
 				names = append(names, name)
 			}
 		}
@@ -114,16 +121,18 @@ func FuzzScanConfig(f *testing.F) {
 			f.Fatalf("world has no %s device with sessions", vendor)
 		}
 		slices.Sort(names)
-		tg := target{dev: m.devByName[names[0]], name: names[0], vendor: vendor}
+		tg := target{dev: m.devByName[names[0]], name: names[0], vendor: vendor, fbnet: map[string]bool{}}
 		ifaceLine, nbrLine := "interface %s", " neighbor %s remote-as 65000"
 		if vendor == "vendor2" {
 			ifaceLine, nbrLine = "%s {", "        neighbor %s {"
 		}
 		for _, port := range m.portNames[tg.dev] {
 			tg.own = append(tg.own, fmt.Sprintf(ifaceLine, port))
+			tg.fbnet[port] = true
 		}
 		for _, id := range m.aggsByDev[tg.dev] {
 			tg.own = append(tg.own, fmt.Sprintf(ifaceLine, m.aggs[id].name))
+			tg.fbnet[m.aggs[id].name] = true
 		}
 		for addr := range m.expectedNeighbors(tg.dev) {
 			tg.own = append(tg.own, fmt.Sprintf(nbrLine, addr))
@@ -134,13 +143,33 @@ func FuzzScanConfig(f *testing.F) {
 	}
 	f.Add("interface et9/9\n neighbor 2401:db00:dead::1 remote-as 65000\n")
 	f.Add("replace: et-9/9/9 {\n    neighbor 2401:db00:dead::2 {\n")
+	f.Add(" neighbor 2401:db00:f000::1 remote-as 65000 shutdown\n neighbor 2401:db00:dead::1\ninterface et9/9 \n")
 	f.Fuzz(func(t *testing.T, cfg string) {
 		for _, tg := range targets {
-			vs, _ := m.scanConfig(tg.dev, tg.name, cfg)
+			vs, stated := m.scanConfig(tg.dev, tg.name, cfg)
+			var nbrs, orphans []string
+			for addr, ok := range stated {
+				if ok {
+					nbrs = append(nbrs, addr)
+				}
+			}
 			for _, v := range vs {
 				if v.Invariant != OrphanRef || v.Device != tg.name || !strings.Contains(cfg, v.needle) {
 					t.Errorf("%s: violation does not point into the config: %+v", tg.vendor, v)
 				}
+				if strings.Contains(v.Detail, "BGP neighbor") {
+					nbrs = append(nbrs, v.needle)
+				} else {
+					orphans = append(orphans, v.needle)
+				}
+			}
+			sc := vendorcfg.Scan(tg.vendor, cfg)
+			if nbrs = sortedSet(nbrs); !slices.Equal(nbrs, sc.Peers) {
+				t.Errorf("%s %q: the gate reads neighbors %q, the device peers with %q", tg.vendor, cfg, nbrs, sc.Peers)
+			}
+			unknown := slices.DeleteFunc(gatePorts(sc.Ports), func(p string) bool { return tg.fbnet[p] })
+			if orphans = sortedSet(orphans); !slices.Equal(orphans, unknown) {
+				t.Errorf("%s %q: the gate reports interfaces %q, the device creates %q that FBNet does not name", tg.vendor, cfg, orphans, unknown)
 			}
 			// The first bytes as a recipe: each picks one of the device's
 			// own lines.

@@ -105,7 +105,7 @@ func (m *model) devicesSince(stamp uint64) []Device {
 			d := m.devs[k.id]
 			out = append(out, Device{
 				Name: d.name, Role: d.role, Site: m.sites[d.site].name,
-				Syntax: m.vendors[m.hws[d.hw].vendor].syntax, id: k.id,
+				Syntax: m.syntax(k.id), id: k.id,
 			})
 		}
 	})

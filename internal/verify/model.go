@@ -10,6 +10,7 @@ import (
 
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/relstore"
+	"github.com/robotron-net/robotron/internal/vendorcfg"
 )
 
 // The resident network model (DESIGN.md §12, "Wiring").
@@ -899,6 +900,11 @@ func (m *model) violations() []Violation {
 	return vs
 }
 
+// syntax returns the config dialect of the device's vendor.
+func (m *model) syntax(dev int64) string {
+	return m.vendors[m.hws[m.devs[dev].hw].vendor].syntax
+}
+
 func (m *model) devName(id int64) string {
 	if d, ok := m.devs[id]; ok {
 		return d.name
@@ -949,7 +955,7 @@ func (m *model) checkSession(k rowKey) []Violation {
 		vs = append(vs, Violation{
 			Invariant: OrphanRef, Device: m.devName(l), Model: model, ID: k.id,
 			Detail: fmt.Sprintf("session's local prefix %s is not addressed on %s", pfx.text, m.devName(l)),
-			needle: addrOf(pfx.text),
+			needle: vendorcfg.Addr(pfx.text),
 		})
 	}
 	return vs
@@ -1106,14 +1112,14 @@ func (m *model) checkPrefix(k rowKey) []Violation {
 		vs = append(vs, Violation{
 			Invariant: OrphanRef, Model: k.prefixModel(), ID: k.id,
 			Detail: fmt.Sprintf("%s prefix %s is bound to no interface", p.purpose, p.text),
-			needle: addrOf(p.text),
+			needle: vendorcfg.Addr(p.text),
 		})
 	case m.aggs[p.iface].dev == 0:
 		vs = append(vs, Violation{
 			Invariant: OrphanRef, Model: k.prefixModel(), ID: k.id,
 			Detail: fmt.Sprintf("%s prefix %s is bound to interface %d which resolves to no device",
 				p.purpose, p.text, p.iface),
-			needle: addrOf(p.text),
+			needle: vendorcfg.Addr(p.text),
 		})
 	}
 	return vs
@@ -1201,7 +1207,7 @@ func (m *model) checkMesh() []Violation {
 				vs = append(vs, Violation{
 					Invariant: BGPSymmetry, Device: da.name, Model: "Device", ID: a,
 					Detail: fmt.Sprintf("no iBGP session between %s and %s", da.name, db.name),
-					needle: addrOf(db.lo6),
+					needle: vendorcfg.Addr(db.lo6),
 				})
 			}
 		}

@@ -31,7 +31,6 @@ package verify
 import (
 	"cmp"
 	"fmt"
-	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -40,6 +39,7 @@ import (
 	"github.com/robotron-net/robotron/internal/confdiff"
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/telemetry"
+	"github.com/robotron-net/robotron/internal/vendorcfg"
 )
 
 // Invariant names one checked property class.
@@ -287,8 +287,9 @@ func (c *Checker) sync() (applied int, rebuilt bool, err error) {
 // statement the other end of its sessions expects (the §1 failure class
 // "iBGP sessions configured on only one peer"), and every interface or
 // neighbor a config names resolves back to FBNet intent. Both read the
-// one line pass scanConfig makes: a session's address counts only in a
-// neighbor statement, not in a description or policy line.
+// one line pass scanConfig makes, with the grammar the device applies a
+// config with: a session's address counts only in a neighbor statement,
+// not in a description or policy line.
 func (m *model) checkCandidates(configs map[string]string) []Violation {
 	var vs []Violation
 	for name, cfg := range configs {
@@ -348,31 +349,26 @@ func (m *model) expectedNeighbors(dev int64) map[string]bool {
 
 // localSideAddr resolves the address the *remote* peer must configure as
 // its neighbor statement for this session: the local side's p2p prefix
-// address (eBGP over a bundle) or its loopback (iBGP mesh) — mirroring
-// exactly what configgen renders.
+// address (eBGP over a bundle) or its loopback (iBGP mesh) — the
+// vendorcfg.Addr configgen renders in that statement.
 func (m *model) localSideAddr(k rowKey, s session) string {
 	if s.localPrefix != 0 {
-		return addrOf(m.pfxs[rowKey{k.v4, s.localPrefix}].text)
+		return vendorcfg.Addr(m.pfxs[rowKey{k.v4, s.localPrefix}].text)
 	}
 	if k.v4 {
-		return addrOf(m.devs[s.local].lo4)
+		return vendorcfg.Addr(m.devs[s.local].lo4)
 	}
-	return addrOf(m.devs[s.local].lo6)
+	return vendorcfg.Addr(m.devs[s.local].lo6)
 }
 
-var (
-	ifaceV1Re    = regexp.MustCompile(`^interface +(\S+)$`)
-	ifaceV2Re    = regexp.MustCompile(`^(?:replace: +)?((?:et|xe|ge|ae|lo)[-0-9/.]*\d\S*) +\{`)
-	neighborV1Re = regexp.MustCompile(`^ neighbor +(\S+) +remote-as +\d+`)
-	neighborV2Re = regexp.MustCompile(`^\s*neighbor +(\S+) +\{`)
-)
-
-// scanConfig cross-checks one rendered config against FBNet: interface
-// stanzas must name interfaces of the device, neighbor statements must
-// correspond to designed sessions. stated maps each neighbor address the
-// device's sessions expect to whether a neighbor statement names it.
+// scanConfig cross-checks one rendered config against FBNet, reading each
+// line as the device that runs it would (vendorcfg): the ports it declares,
+// loopbacks aside, must be interfaces of the device, and the neighbors it
+// declares must correspond to designed sessions. stated maps each neighbor
+// address the device's sessions expect to whether a neighbor statement
+// names it.
 func (m *model) scanConfig(dev int64, name, cfg string) (vs []Violation, stated map[string]bool) {
-	valid := map[string]bool{"lo0": true}
+	valid := map[string]bool{}
 	for _, port := range m.portNames[dev] {
 		valid[port] = true
 	}
@@ -380,28 +376,18 @@ func (m *model) scanConfig(dev int64, name, cfg string) (vs []Violation, stated 
 		valid[m.aggs[id].name] = true
 	}
 	expectedNbrs := m.expectedNeighbors(dev)
-	ifaceRe, nbrRe := ifaceV1Re, neighborV1Re
-	if m.vendors[m.hws[m.devs[dev].hw].vendor].syntax == "vendor2" {
-		ifaceRe, nbrRe = ifaceV2Re, neighborV2Re
-	}
+	syntax := m.syntax(dev)
 	for len(cfg) > 0 {
 		var line string
 		line, cfg, _ = strings.Cut(cfg, "\n")
-		if m := ifaceRe.FindStringSubmatch(line); m != nil {
-			iface := m[1]
-			if strings.HasPrefix(iface, "tunnel-te") || strings.HasPrefix(iface, "lo") {
-				continue
-			}
-			if !valid[iface] {
-				vs = append(vs, Violation{
-					Invariant: OrphanRef, Device: name,
-					Detail: fmt.Sprintf("config references interface %s which does not resolve in FBNet", iface),
-					needle: iface,
-				})
-			}
+		if port, ok := vendorcfg.Port(syntax, line); ok && !strings.HasPrefix(port, "lo") && !valid[port] {
+			vs = append(vs, Violation{
+				Invariant: OrphanRef, Device: name,
+				Detail: fmt.Sprintf("config references interface %s which does not resolve in FBNet", port),
+				needle: port,
+			})
 		}
-		if m := nbrRe.FindStringSubmatch(line); m != nil {
-			addr := m[1]
+		if addr, ok := vendorcfg.Neighbor(line); ok {
 			if _, ok := expectedNbrs[addr]; ok {
 				expectedNbrs[addr] = true
 			} else {
@@ -455,12 +441,4 @@ func parseCircuitEnd(circuitID string, aSide bool) (dev, iface string) {
 		return side[:i], side[i+1:]
 	}
 	return side, ""
-}
-
-// addrOf strips the prefix length: "2401::1/127" -> "2401::1".
-func addrOf(pfx string) string {
-	if i := strings.IndexByte(pfx, '/'); i >= 0 {
-		return pfx[:i]
-	}
-	return pfx
 }
