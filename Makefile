@@ -56,9 +56,16 @@ store:
 # damping and quarantine, the check-error and transport retry queues, and
 # journal replay — a reconciler killed after any step of 200 seeded
 # histories and rebuilt by ResumeFromJournal ends with the journal, states
-# and stats of the run that was never killed (DESIGN.md §16).
+# and stats of the run that was never killed (DESIGN.md §16) — and the
+# remediation window: remediations due at one instant run through a
+# window of P devices, admitted and settled in queue order, so the
+# journal at P = 8 is the journal at P = 1 with its remediate events
+# moved earlier (the P = 1 ≡ P = 8 property, over seeded storm
+# histories and, in internal/core, a 12-device storm through the real
+# pipeline; DESIGN.md §9).
 reconcile:
 	$(GO) test -race -timeout 5m ./internal/reconcile/
+	$(GO) test -race -timeout 5m -run 'TestDriftStormRemediatesConcurrently' ./internal/core/
 
 # Native fuzz targets, a few seconds each (go test -fuzz takes one target
 # per run). A crasher is written to the package's testdata/fuzz and fails
@@ -111,7 +118,10 @@ loc:
 # examples/scenarios/ambiguous-commit-chaos.yaml (run by `make sim`) drills
 # the same faults on one goroutine for a byte-stable journal; only this
 # soak runs *parallel* deploys and remediations against the fault engine,
-# so it is where the race detector meets the chaos path.
+# so it is where the race detector meets the chaos path. The soak runs on
+# a VirtualClock, where remediations ran one at a time until the
+# reconciler's window (DESIGN.md §9); its storms now remediate up to 8
+# devices at once.
 chaos:
 	$(GO) test -race -v -timeout 10m ./internal/chaos/
 

@@ -66,7 +66,10 @@ func Compute(old, new string) Diff {
 	return ComputeLines(Lines(old), Lines(new))
 }
 
-// ComputeLines diffs two pre-split line slices.
+// ComputeLines diffs two pre-split line slices. The returned Diff may
+// share the backing arrays of a and b: its Equal runs of the common
+// prefix and suffix are subslices of a, so a caller that writes to a
+// after the call sees the diff change.
 func ComputeLines(a, b []string) Diff {
 	// Trim common prefix and suffix first; device config changes are
 	// usually small relative to the config, so this bounds the O(ND) core.
@@ -80,17 +83,26 @@ func ComputeLines(a, b []string) Diff {
 	}
 	core := myers(a[pre:len(a)-suf], b[pre:len(b)-suf])
 
-	var d Diff
-	if pre > 0 {
-		d.append(Equal, a[:pre])
-	}
+	// After a maximal trim the core neither begins nor ends with an Equal
+	// edit, so the two runs never merge and are kept uncopied.
+	d := Diff{Edits: make([]Edit, 0, len(core.Edits)+2)}
+	d.share(Equal, a[:pre])
 	for _, e := range core.Edits {
-		d.append(e.Kind, e.Lines)
+		d.share(e.Kind, e.Lines)
 	}
-	if suf > 0 {
-		d.append(Equal, a[len(a)-suf:])
-	}
+	d.share(Equal, a[len(a)-suf:])
 	return d
+}
+
+// share is append without the copy: a new edit keeps lines' backing
+// array, cap-clipped so that a later merge into it reallocates instead of
+// writing past its end.
+func (d *Diff) share(k OpKind, lines []string) {
+	if n := len(d.Edits); len(lines) == 0 || n > 0 && d.Edits[n-1].Kind == k {
+		d.append(k, lines)
+		return
+	}
+	d.Edits = append(d.Edits, Edit{Kind: k, Lines: lines[:len(lines):len(lines)]})
 }
 
 // append adds lines to the edit list, merging with the previous edit when

@@ -488,3 +488,47 @@ func TestMemoNeverCachesUnchecked(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoCachesPastUnrelatedEntries: a derive that a concurrent
+// generation overtook — it followed entries logged after the derive began
+// — is still cached when none of those entries touches its read set, and
+// is not cached when one does. Whether a derivation is cached thus depends
+// on what was logged, not on how concurrent generations interleaved.
+func TestMemoCachesPastUnrelatedEntries(t *testing.T) {
+	_, g := newPOP(t)
+	const name = "psw1.pop1-c1"
+	dev, err := g.store.FindOne("Device", fbnet.Eq("name", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	overtaken := func(write func(*fbnet.Mutation) error) (cached bool) {
+		t.Helper()
+		g.ResetMemo()
+		at := g.followLog()
+		if _, err := g.store.Mutate(write); err != nil {
+			t.Fatal(err)
+		}
+		if g.followLog() == at {
+			t.Fatal("the write logged nothing")
+		}
+		if _, _, err := g.deriveCached(name, at); err != nil {
+			t.Fatal(err)
+		}
+		g.memoMu.Lock()
+		defer g.memoMu.Unlock()
+		return g.derived[name] != nil
+	}
+	if !overtaken(func(m *fbnet.Mutation) error {
+		_, err := m.Create("OperationalEvent", map[string]any{
+			"device_name": name, "kind": "config-changed", "at_unix": int64(1),
+		})
+		return err
+	}) {
+		t.Error("a derive overtaken by an entry outside its read set was not cached")
+	}
+	if overtaken(func(m *fbnet.Mutation) error {
+		return m.Update("Device", dev.ID, map[string]any{"loopback_v6": "2401:db00:ffff::1/128"})
+	}) {
+		t.Error("a derive overtaken by an update of its own device row was cached")
+	}
+}

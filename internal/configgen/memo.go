@@ -72,6 +72,31 @@ func (g *Generator) followLog() uint64 {
 	return g.cursor
 }
 
+// touchedSinceLocked reports whether an entry logged after at, up to the
+// cursor, is a schema operation or names a dep in deps.
+func (g *Generator) touchedSinceLocked(deps map[dep]struct{}, at uint64) bool {
+	entries := g.store.DB().EntriesSince(at)
+	for i := range entries {
+		le := &entries[i]
+		if le.Seq > g.cursor {
+			break
+		}
+		switch le.Op {
+		case relstore.OpCreateTable, relstore.OpAlterAddColumn:
+			return true
+		}
+		if _, ok := deps[dep{le.Table, "", le.RowID}]; ok {
+			return true
+		}
+		for col, v := range le.Values {
+			if _, ok := deps[dep{le.Table, col, v}]; ok {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // forgetLocked drops every derivation whose read set holds d.
 func (g *Generator) forgetLocked(d dep) {
 	for len(g.index[d]) > 0 {
@@ -203,10 +228,12 @@ func (g *Generator) deriveCached(deviceName string, at uint64) (*deriveEntry, bo
 	}
 	g.memoMu.Lock()
 	// The derive read rows at least as new as at, and whatever is logged
-	// past the cursor will still be followed: at == cursor means nothing can
-	// slip by. If a concurrent call moved the cursor meanwhile, the entries
-	// in between were never held against this read set — return, don't cache.
-	if at == g.cursor {
+	// past the cursor will still be followed. If a concurrent call moved the
+	// cursor meanwhile, the entries in between were never held against this
+	// read set: hold them against it now, and cache only if none touches it.
+	// Whether a derivation is cached thus depends on what was logged, not on
+	// how concurrent generations interleaved.
+	if at == g.cursor || !g.touchedSinceLocked(e.deps, at) {
 		g.indexLocked(e)
 	}
 	g.memoMu.Unlock()

@@ -111,9 +111,10 @@ type Options struct {
 	// Store attaches to an existing FBNet store (e.g. a service
 	// deployment's master) instead of creating a fresh one.
 	Store *fbnet.Store
-	// DeployParallelism bounds concurrent per-phase device commits for
-	// deployments driven through this instance; 0 uses the engine
-	// default (min(8, phase size)).
+	// DeployParallelism bounds concurrent device commits: those of one
+	// rollout phase, and the reconciler's remediations that fall due
+	// together. 0 uses the defaults, min(8, phase size) and min(8,
+	// devices due); 1 commits one device at a time.
 	DeployParallelism int
 	// GenerateParallelism bounds concurrent config generation; 0 uses
 	// the generator default (min(8, device count)).
@@ -277,6 +278,9 @@ func New(opts Options) (*Robotron, error) {
 		}
 		if rc.DeployRetry == nil {
 			rc.DeployRetry = opts.DeployRetry
+		}
+		if rc.Parallelism == 0 {
+			rc.Parallelism = opts.DeployParallelism
 		}
 		// Failure domains: a device's shard is its simulated site, so a
 		// drift storm in one site trips only that site's breaker.

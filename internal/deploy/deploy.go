@@ -64,7 +64,9 @@ type Target interface {
 
 var _ Target = (*netsim.Device)(nil)
 
-// Resolver maps a device name to a management session.
+// Resolver maps a device name to a management session. It must be safe
+// for concurrent use by separate Deploy calls: the reconciler runs one
+// Deploy per remediation, several at once.
 type Resolver func(name string) (Target, error)
 
 // FleetResolver resolves against a netsim fleet.
@@ -259,9 +261,9 @@ var ErrDrainRequired = errors.New("deploy: device must be drained before initial
 // ErrReviewRejected is returned when the human reviewer declines a diff.
 var ErrReviewRejected = errors.New("deploy: diff review rejected by operator")
 
-// resolveAll maps every config key to a management session up front, so
-// worker pools never call the resolver concurrently (resolvers may cache
-// sessions without locking).
+// resolveAll maps every config key to a management session up front, in
+// sorted order, so one Deploy's worker pool never calls the resolver.
+// Separate Deploy calls may call it at once (see Resolver).
 func (d *Deployer) resolveAll(configs map[string]string) (map[string]Target, error) {
 	targets := make(map[string]Target, len(configs))
 	for _, name := range sortedKeys(configs) {

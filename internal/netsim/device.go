@@ -129,6 +129,11 @@ type Device struct {
 	// was added or removed, and the sessions created.
 	ifacesMoved bool
 	addedPeers  []string
+	// scans holds the scans of the running config and of the one before
+	// it, keyed by content: a commit, a rollback or a commit-confirm
+	// expiry that returns to either reuses its scan. tokens and peers
+	// share their slices.
+	scans [2]scan
 
 	syslogSink func(SyslogMessage)
 	// onCommit lets the fleet recompute link state when configs change.
@@ -150,6 +155,14 @@ type Device struct {
 	// mgmtOps counts every management verb issued against the device,
 	// successful or not — the observable footprint of a deployment.
 	mgmtOps atomic.Int64
+}
+
+// scan is one config's vendorcfg.Scan, its slices copied so that no
+// append slack is kept.
+type scan struct {
+	cfg string
+	sc  vendorcfg.Config
+	ok  bool
 }
 
 type ifaceState struct {
@@ -642,7 +655,7 @@ func (d *Device) InjectRunningConfig(cfg string) error {
 // surviving sessions keep their state. It records for the fleet whether
 // the interface set moved and which sessions it created.
 func (d *Device) reparseLocked() {
-	sc := vendorcfg.Scan(string(d.vendor), d.running)
+	sc := d.scanLocked()
 	for _, name := range sc.Ports {
 		if _, ok := d.ifaces[name]; !ok {
 			d.ifaces[name] = &ifaceState{speedMbps: sc.Speed, rate: 1 << 20}
@@ -673,11 +686,27 @@ func (d *Device) reparseLocked() {
 				d.addedPeers = append(d.addedPeers, addr)
 			}
 		}
-		d.bgpPeers, d.peers = peers, slices.Clone(sc.Peers)
+		d.bgpPeers, d.peers = peers, sc.Peers
 	}
 	if !slices.Equal(sc.Tokens, d.tokens) {
-		d.tokens = slices.Clone(sc.Tokens) // kept: no append slack
+		d.tokens = sc.Tokens
 	}
+}
+
+// scanLocked returns the running config's scan, scanning only a config
+// that is neither the running one's nor the one before it.
+func (d *Device) scanLocked() vendorcfg.Config {
+	cfg := d.running
+	switch {
+	case d.scans[0].ok && d.scans[0].cfg == cfg:
+	case d.scans[1].ok && d.scans[1].cfg == cfg:
+		d.scans[0], d.scans[1] = d.scans[1], d.scans[0]
+	default:
+		sc := vendorcfg.Scan(string(d.vendor), cfg)
+		sc.Ports, sc.Peers, sc.Tokens = slices.Clone(sc.Ports), slices.Clone(sc.Peers), slices.Clone(sc.Tokens)
+		d.scans[1], d.scans[0] = d.scans[0], scan{cfg: cfg, sc: sc, ok: true}
+	}
+	return d.scans[0].sc
 }
 
 // HasInterface reports whether the running config defines the interface.

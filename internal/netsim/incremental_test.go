@@ -251,10 +251,35 @@ func runRandomHistory(t *testing.T, seed int64, shape historyShape) {
 		}
 	}
 
+	// cold holds d's parsed state to that of a device that scans its
+	// running config afresh: after a commit or rollback that returned to a
+	// config, the scan it reused must read as a new one would.
+	cold := func(step int, d *Device) {
+		t.Helper()
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		sc := vendorcfg.Scan(string(d.vendor), d.running)
+		ports := make([]string, 0, len(d.ifaces))
+		for name := range d.ifaces {
+			ports = append(ports, name)
+		}
+		slices.Sort(ports)
+		sessions := make([]string, 0, len(d.bgpPeers))
+		for addr := range d.bgpPeers {
+			sessions = append(sessions, addr)
+		}
+		slices.Sort(sessions)
+		if !slices.Equal(ports, sc.Ports) || !slices.Equal(d.peers, sc.Peers) ||
+			!slices.Equal(sessions, sc.Peers) || !slices.Equal(d.tokens, sc.Tokens) {
+			t.Fatalf("step %d: %s reads its config unlike a cold scan\n interfaces %v peers %v sessions %v tokens %v\n cold:      %v peers %v tokens %v",
+				step, d.name, ports, d.peers, sessions, d.tokens, sc.Ports, sc.Peers, sc.Tokens)
+		}
+	}
+
 	for step := 0; step < 300; step++ {
 		i := rng.Intn(nDev)
 		d := devs[i]
-		switch ev := rng.Intn(15); ev {
+		switch ev := rng.Intn(17); ev {
 		case 0, 1, 2: // commit a fresh config (flushes)
 			if commit(i) { // a down device neither commits nor flushes
 				check(step)
@@ -335,6 +360,22 @@ func runRandomHistory(t *testing.T, seed int64, shape historyShape) {
 			}
 			if recommit(i, func(lines []string) []string { return lines }) {
 				check(step)
+			}
+		case 15: // re-commit the config before the running one (flushes)
+			d.mu.Lock()
+			prev := ""
+			if n := len(d.history); n > 0 {
+				prev = d.history[n-1]
+			}
+			d.mu.Unlock()
+			if prev != "" && d.LoadConfig(prev) == nil && d.Commit() == nil {
+				check(step)
+				cold(step, d)
+			}
+		case 16: // roll back (flushes)
+			if d.Rollback() == nil {
+				check(step)
+				cold(step, d)
 			}
 		}
 	}

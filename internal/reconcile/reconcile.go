@@ -97,11 +97,14 @@ type Reconciler struct {
 	active        int // devices in remediating|confirming, fleet-wide
 	trippedShards int // shards whose breaker is currently open
 	stopped       bool
+	queue         []*deviceState // devices whose backoff elapsed, in that order
+	flushTimer    vclock.Timer   // the armed flush, nil when none
+	flushing      bool           // a flush is draining the queue
 	met           reconcileMetrics
 	reg           *telemetry.Registry // per-shard metric home; swapped by Instrument
 	sweepTimer    vclock.Timer
 
-	wg sync.WaitGroup // in-flight remediations
+	wg sync.WaitGroup // the running flush
 }
 
 // New builds a reconciler; call Start to arm the periodic sweep.
@@ -147,8 +150,9 @@ func (r *Reconciler) armSweepLocked(delay time.Duration) {
 	})
 }
 
-// Stop halts the loop: pending timers are cancelled, new deviations are
-// ignored, and Stop blocks until in-flight remediations settle.
+// Stop halts the loop: pending timers and the queued flush are
+// cancelled, new deviations are ignored, and Stop blocks until the
+// remediations in flight settle.
 func (r *Reconciler) Stop() {
 	r.mu.Lock()
 	r.stopped = true
@@ -160,9 +164,17 @@ func (r *Reconciler) Stop() {
 		if ds.timer != nil {
 			ds.timer.Stop()
 			ds.timer = nil
-			ds.timerArmed = false
+			ds.pending = false
 		}
 	}
+	if r.flushTimer != nil {
+		r.flushTimer.Stop()
+		r.flushTimer = nil
+	}
+	for _, ds := range r.queue {
+		ds.pending = false
+	}
+	r.queue = nil
 	r.mu.Unlock()
 	r.wg.Wait()
 }
@@ -242,25 +254,43 @@ func (r *Reconciler) HandleCheckError(device string, err error) {
 		r.mu.Unlock()
 		return
 	}
-	r.met.checkErrors.Inc()
 	ds := r.ensureLocked(device)
+	if s := ds.inflight; s != nil {
+		// Reported from inside the device's remediation (its commit's
+		// syslog triggered a check): settled with the remediation, so the
+		// journal does not depend on when the window's goroutines ran.
+		if s.reached {
+			s.late = append(s.late, err)
+		} else {
+			s.early = append(s.early, err)
+		}
+		r.mu.Unlock()
+		return
+	}
+	r.checkErrorLocked(ds, err, &alerts)
+	r.mu.Unlock()
+	r.fire(alerts)
+}
+
+// checkErrorLocked counts a check error and arms the device's recheck,
+// or gives up once MaxCheckRetries is spent.
+func (r *Reconciler) checkErrorLocked(ds *deviceState, err error, alerts *[]string) {
+	r.met.checkErrors.Inc()
 	ds.checkAttempt++
 	attempt := ds.checkAttempt
+	device := ds.name
 	detail := fmt.Sprintf("attempt %d: %v", attempt, err)
 	if r.cfg.MaxCheckRetries > 0 && attempt > r.cfg.MaxCheckRetries {
 		// Zero FireAt marks the give-up: replay must not re-arm a recheck.
 		r.eventLocked(device, ds.shard, EvCheckError, detail)
-		alerts = append(alerts, fmt.Sprintf("reconcile: conformance check on %s failed %d times (%v) — giving up until the next sweep",
+		*alerts = append(*alerts, fmt.Sprintf("reconcile: conformance check on %s failed %d times (%v) — giving up until the next sweep",
 			device, attempt, err))
 		ds.checkAttempt = 0
-		r.mu.Unlock()
-		r.fire(alerts)
 		return
 	}
 	delay := r.cfg.backoff(attempt - 1)
 	r.eventAtLocked(device, ds.shard, EvCheckError, detail, r.clock.Now().Add(delay))
 	r.clock.AfterFunc(delay, func() { r.recheck(device) })
-	r.mu.Unlock()
 }
 
 // recheck re-runs the conformance check for a device whose earlier check
@@ -345,61 +375,163 @@ func (r *Reconciler) Sweep() int {
 	return checked
 }
 
-// tryRemediate fires when a device's backoff delay elapses.
+// tryRemediate fires when a device's backoff delay elapses. It queues the
+// device for the next flush; the first device queued arms the flush, at
+// zero delay. On a VirtualClock that timer fires after every other timer
+// due at the same instant, so the backoffs of one storm form one queue.
 func (r *Reconciler) tryRemediate(name string) {
-	var alerts []string
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	ds := r.devices[name]
 	if r.stopped || ds == nil || ds.state != StateBackoff {
+		return
+	}
+	ds.timer = nil
+	r.queue = append(r.queue, ds)
+	if r.flushTimer == nil && !r.flushing {
+		r.flushTimer = r.clock.AfterFunc(0, r.flush)
+	}
+}
+
+// slot is one remediation in a flush's window. Its goroutine writes err
+// and closes done; reached and the check errors are guarded by r.mu.
+type slot struct {
+	ds   *deviceState
+	done chan struct{}
+	err  error
+	// reached is set once the deploy got to its health check.
+	reached bool
+	// early and late are check errors reported for the device while in
+	// flight, before and after it reached the health check. Settling
+	// replays them around its confirming event.
+	early, late []error
+}
+
+// flush drains the queue through a window of cfg.Parallelism concurrent
+// remediations. Only one flush runs at a time, and it alone admits and
+// settles: admissions are made in queue order, and before admitting a
+// device it settles the oldest in the window until the window has room
+// and the device's shard has room in its budget. Settlements are made in
+// queue order too, so the journal, the state and the counters are a
+// function of the queue and of each device's outcome, whatever the
+// goroutines' timing.
+func (r *Reconciler) flush() {
+	r.mu.Lock()
+	r.flushTimer = nil
+	if r.stopped {
 		r.mu.Unlock()
 		return
 	}
-	ds.timerArmed = false
-	ds.timer = nil
+	r.flushing = true
+	r.wg.Add(1)
+	defer r.wg.Done()
+	var window []*slot
+	for len(r.queue) > 0 || len(window) > 0 {
+		if len(r.queue) > 0 && !r.mustSettleLocked(window) {
+			var alerts []string
+			if s := r.admitLocked(&alerts); s != nil {
+				window = append(window, s)
+			}
+			r.mu.Unlock()
+			r.fire(alerts)
+		} else {
+			s := window[0]
+			window = window[1:]
+			r.mu.Unlock()
+			<-s.done
+			r.mu.Lock()
+			alerts := r.settleLocked(s)
+			r.mu.Unlock()
+			r.fire(alerts)
+		}
+		r.mu.Lock()
+	}
+	r.flushing = false
+	r.mu.Unlock()
+}
+
+// mustSettleLocked reports whether the queue's head must wait for the
+// window's oldest remediation to settle: the window is full, or the
+// head's shard is at its budget and this window holds some of it.
+func (r *Reconciler) mustSettleLocked(window []*slot) bool {
+	if len(window) == 0 {
+		return false
+	}
+	if len(window) >= r.cfg.Parallelism {
+		return true
+	}
+	ds := r.queue[0]
 	sh := ds.shard
-	if sh.tripped {
-		// Breaker opened while we waited; park in backoff (no timer) for
-		// ResetBreaker to resume.
-		r.mu.Unlock()
-		return
+	if ds.state != StateBackoff || sh.tripped || sh.active < r.shardBudgetLocked(sh) {
+		return false
+	}
+	for _, s := range window {
+		if s.ds.shard == sh {
+			return true
+		}
+	}
+	return false
+}
+
+// admitLocked takes the queue's head and, unless its shard's breaker is
+// open or its budget is spent, starts its remediation and returns the
+// slot.
+func (r *Reconciler) admitLocked(alerts *[]string) *slot {
+	ds := r.queue[0]
+	r.queue = r.queue[1:]
+	ds.pending = false
+	sh := ds.shard
+	if ds.state != StateBackoff || sh.tripped {
+		// A breaker opened while the device waited: it parks in backoff
+		// (nothing pending) for a reset to drain.
+		return nil
 	}
 	// Defense in depth: the demand-side trip in noteDrift keeps open
-	// devices within budget, so in-flight remediations can never exceed
-	// it — but verify at the acquire point too.
+	// devices within budget, and admission waits for this window's own
+	// remediations, so this fires only if something else holds the
+	// budget.
 	budget := r.shardBudgetLocked(sh)
 	if sh.active >= budget {
-		r.tripShardLocked(sh, name,
+		r.tripShardLocked(sh, ds.name,
 			fmt.Sprintf("%d remediation(s) already in flight in shard %s, budget %d: shard halted", sh.active, sh.name, budget),
-			&alerts)
-		r.mu.Unlock()
-		r.fire(alerts)
-		return
+			alerts)
+		return nil
 	}
 	r.active++
 	sh.active++
 	r.setStateLocked(ds, StateRemediating, EvRemediate, fmt.Sprintf("attempt %d", ds.attempt+1))
-	r.wg.Add(1)
-	r.mu.Unlock()
-	r.remediate(name)
+	s := &slot{ds: ds, done: make(chan struct{})}
+	ds.inflight = s
+	go func() {
+		defer close(s.done)
+		s.err = r.remediateOnce(s)
+	}()
+	return s
 }
 
-// remediate regenerates golden intent and redeploys it with
-// commit-confirm, then settles the device's state.
-func (r *Reconciler) remediate(name string) {
-	defer r.wg.Done()
-	err := r.remediateOnce(name)
-
+// settleLocked applies a finished remediation's outcome to the device and
+// returns the alerts to fire.
+func (r *Reconciler) settleLocked(s *slot) []string {
 	var alerts []string
-	r.mu.Lock()
+	ds, err := s.ds, s.err
+	ds.inflight = nil
+	if !r.stopped {
+		for _, cerr := range s.early {
+			r.checkErrorLocked(ds, cerr, &alerts)
+		}
+		if s.reached {
+			r.setStateLocked(ds, StateConfirming, EvConfirming, "provisional commit, health check")
+		}
+		for _, cerr := range s.late {
+			r.checkErrorLocked(ds, cerr, &alerts)
+		}
+	}
 	r.active--
-	ds := r.devices[name]
-	if ds != nil {
-		ds.shard.active--
+	ds.shard.active--
+	if r.stopped {
+		return alerts
 	}
-	if ds == nil || r.stopped {
-		r.mu.Unlock()
-		return
-	}
+	name := ds.name
 	if err == nil {
 		ds.attempt = 0
 		ds.checkAttempt = 0
@@ -407,8 +539,7 @@ func (r *Reconciler) remediate(name string) {
 		r.met.remediated.Inc()
 		r.met.converged.Inc()
 		r.setStateLocked(ds, StateConverged, EvConverged, "running config matches golden")
-		r.mu.Unlock()
-		return
+		return alerts
 	}
 	if deploy.Classify(err) != deploy.ClassPermanent {
 		// Transport-layer failure: the management session flapped — the
@@ -423,37 +554,34 @@ func (r *Reconciler) remediate(name string) {
 			ds.transportAttempt = 0
 			r.setStateLocked(ds, StateConverged, EvTransportGiveUp,
 				fmt.Sprintf("%d transport failures, last: %v — awaiting next sweep", n, err))
-			alerts = append(alerts, fmt.Sprintf(
+			return append(alerts, fmt.Sprintf(
 				"reconcile: %s unreachable during %d remediation attempt(s) (last: %v) — giving up until the next sweep",
 				name, n, err))
-			r.mu.Unlock()
-			r.fire(alerts)
-			return
 		}
 		r.eventLocked(name, ds.shard, EvTransportRetry, fmt.Sprintf("attempt %d: %v", ds.transportAttempt, err))
 		r.scheduleLocked(ds, r.cfg.backoff(ds.transportAttempt-1))
-		r.mu.Unlock()
-		return
+		return alerts
 	}
 	ds.attempt++
 	if r.cfg.MaxAttempts > 0 && ds.attempt >= r.cfg.MaxAttempts {
 		r.met.quarantined.Inc()
 		r.setStateLocked(ds, StateQuarantined,
 			EvQuarantined, fmt.Sprintf("%d failed remediation attempts, last: %v", ds.attempt, err))
-		alerts = append(alerts, fmt.Sprintf("reconcile: %s quarantined after %d failed remediation attempts (last: %v)",
+		return append(alerts, fmt.Sprintf("reconcile: %s quarantined after %d failed remediation attempts (last: %v)",
 			name, ds.attempt, err))
-		r.mu.Unlock()
-		r.fire(alerts)
-		return
 	}
 	r.met.retries.Inc()
 	r.eventLocked(name, ds.shard, EvRetry, err.Error())
 	r.scheduleLocked(ds, r.cfg.backoff(ds.attempt))
-	r.mu.Unlock()
+	return alerts
 }
 
-// remediateOnce performs one remediation attempt end to end.
-func (r *Reconciler) remediateOnce(name string) error {
+// remediateOnce performs one remediation attempt end to end: regenerate
+// golden intent, redeploy it with commit-confirm, then confirm or roll
+// back on a health check. It runs on its slot's goroutine and leaves the
+// reconciler's state and journal to settleLocked.
+func (r *Reconciler) remediateOnce(s *slot) error {
+	name := s.ds.name
 	cfg, err := r.deps.Golden.GenerateDevice(name)
 	if err != nil {
 		return fmt.Errorf("generate: %w", err)
@@ -472,9 +600,7 @@ func (r *Reconciler) remediateOnce(name string) error {
 		return fmt.Errorf("deploy: %w", err)
 	}
 	r.mu.Lock()
-	if ds := r.devices[name]; ds != nil && ds.state == StateRemediating {
-		r.setStateLocked(ds, StateConfirming, EvConfirming, "provisional commit, health check")
-	}
+	s.reached = true
 	r.mu.Unlock()
 	// Health check while the commit is provisional: conforming confirms,
 	// anything else rolls back inside the grace window.
@@ -564,8 +690,8 @@ func (r *Reconciler) ResetShardBreaker(name string) error {
 	return nil
 }
 
-// drainLocked releases the parked backlog: every open device without an
-// armed timer (in only, when non-nil) is rescheduled at its own backoff
+// drainLocked releases the parked backlog: every open device with no
+// attempt pending (in only, when non-nil) is rescheduled at its own backoff
 // plus a per-shard pacing offset — drainBatch devices per drainEvery —
 // so a reset never re-creates the storm it is recovering from. Sorted
 // order: timer order is remediation order, and map iteration would make
@@ -585,7 +711,7 @@ func (r *Reconciler) drainLocked(only *shard) {
 		if ds.shard.tripped {
 			continue
 		}
-		if (ds.state == StateDetected || ds.state == StateBackoff) && !ds.timerArmed {
+		if (ds.state == StateDetected || ds.state == StateBackoff) && !ds.pending {
 			i := idx[ds.shard]
 			idx[ds.shard]++
 			pace := time.Duration(i/drainBatch) * drainEvery
@@ -690,7 +816,7 @@ func (r *Reconciler) scheduleLocked(ds *deviceState, delay time.Duration) {
 // rearmLocked (re)starts the device's timer without logging a transition.
 func (r *Reconciler) rearmLocked(ds *deviceState, delay time.Duration) {
 	name := ds.name
-	ds.timerArmed = true
+	ds.pending = true
 	ds.timer = r.clock.AfterFunc(delay, func() { r.tryRemediate(name) })
 }
 

@@ -60,10 +60,18 @@ func driveToKillPoint(w *fakeWorld, r *Reconciler, clk *vclock.VirtualClock) {
 // a reconciler killed at a quiescent point and rebuilt with
 // ResumeFromJournal produces, from then on, the exact journal the
 // uninterrupted run produces — byte for byte, including sequence
-// numbers, timer due times, and sweep cadence.
+// numbers, timer due times, and sweep cadence — whether remediations run
+// one at a time or through a window.
 func TestKillAndResumeJournalByteIdentical(t *testing.T) {
+	for _, p := range []int{1, 8} {
+		t.Run(fmt.Sprintf("parallelism=%d", p), func(t *testing.T) { killAndResume(t, p) })
+	}
+}
+
+func killAndResume(t *testing.T, parallelism int) {
 	// Run A: uninterrupted.
 	wA, cfgA, devsA := resumeWorld()
+	cfgA.Parallelism = parallelism
 	rA, clkA := newResumeRec(wA, cfgA, devsA)
 	defer rA.Stop()
 	driveToKillPoint(wA, rA, clkA)
@@ -72,6 +80,7 @@ func TestKillAndResumeJournalByteIdentical(t *testing.T) {
 	// Run B: identical stimuli, killed at t0+74s, resumed from the
 	// journal, then the clock simply keeps going.
 	wB, cfgB, devsB := resumeWorld()
+	cfgB.Parallelism = parallelism
 	rB, clkB := newResumeRec(wB, cfgB, devsB)
 	driveToKillPoint(wB, rB, clkB)
 	events := rB.Journal().Events()
@@ -416,10 +425,15 @@ func (h history) check(t *testing.T, what string) {
 // check failures, operator actions and clock advances, a reconciler
 // killed after any step and rebuilt by ResumeFromJournal ends with the
 // journal, device states and stats of the run that was never killed, and
-// neither run ever exceeds a shard's budget.
+// neither run ever exceeds a shard's budget. It holds with remediations
+// run one at a time and through a window of 8.
 func TestResumeEqualsUninterruptedOverRandomHistories(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
-		randomHistory(seed).check(t, fmt.Sprintf("seed %d", seed))
+		for _, p := range []int{1, 8} {
+			h := randomHistory(seed)
+			h.cfg.Parallelism = p
+			h.check(t, fmt.Sprintf("seed %d, parallelism %d", seed, p))
+		}
 	}
 }
 

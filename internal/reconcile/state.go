@@ -47,7 +47,8 @@ type deviceState struct {
 	transportAttempt int          // consecutive transport-layer remediation failures
 	detections       []time.Time  // drift detections inside the damping window
 	timer            vclock.Timer // pending backoff timer, nil when none
-	timerArmed       bool
+	pending          bool         // an attempt is due: its timer is armed or it waits in the flush queue
+	inflight         *slot        // the window slot of the attempt in flight, nil when none
 	lastDetail       string
 	changedAt        time.Time
 }
@@ -123,6 +124,12 @@ type Config struct {
 	// remediation attempt. Nil keeps single-shot commits.
 	DeployRetry *deploy.RetryPolicy
 
+	// Parallelism bounds the remediations that run at once: those that
+	// fall due at one instant run through a window of this many devices,
+	// and settle in the order they fell due. 0 selects
+	// DefaultParallelism; 1 remediates one device at a time.
+	Parallelism int
+
 	// Author is recorded on golden commits. Default "reconciler".
 	Author string
 
@@ -146,6 +153,7 @@ const (
 	DefaultBudgetFraction   = 0.25
 	DefaultConfirmGrace     = 30 * time.Second
 	DefaultMaxCheckRetries  = 3
+	DefaultParallelism      = 8
 )
 
 // A breaker reset releases the parked backlog drainBatch devices per
@@ -186,6 +194,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxCheckRetries == 0 {
 		c.MaxCheckRetries = DefaultMaxCheckRetries
+	}
+	if c.Parallelism <= 0 {
+		c.Parallelism = DefaultParallelism
 	}
 	if c.Author == "" {
 		c.Author = "reconciler"

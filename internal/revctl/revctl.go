@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"github.com/robotron-net/robotron/internal/confdiff"
 )
@@ -48,10 +49,14 @@ func NewRepo() *Repo {
 	return &Repo{files: make(map[string]*history)}
 }
 
-// Hash returns the content hash used by the repository.
+// Hash returns the content hash used by the repository: sha256 in hex.
+// It reads content in place (a []byte conversion would copy every config
+// it hashes) and allocates only the returned string.
 func Hash(content string) string {
-	sum := sha256.Sum256([]byte(content))
-	return hex.EncodeToString(sum[:])
+	sum := sha256.Sum256(unsafe.Slice(unsafe.StringData(content), len(content)))
+	var buf [2 * sha256.Size]byte
+	hex.Encode(buf[:], sum[:])
+	return string(buf[:])
 }
 
 // Commit stores a new revision of path. Committing identical content to

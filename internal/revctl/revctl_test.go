@@ -1,6 +1,8 @@
 package revctl
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"sync"
@@ -162,5 +164,20 @@ func TestQuickHistoryFidelity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHashIsSha256HexWithoutCopy: Hash is sha256 in hex, and hashing a
+// config allocates only the returned string, not a copy of the config.
+func TestHashIsSha256HexWithoutCopy(t *testing.T) {
+	config := strings.Repeat("interface et1/1\n description uplink\n", 200)
+	for _, content := range []string{"", "x", config} {
+		sum := sha256.Sum256([]byte(content))
+		if got, want := Hash(content), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("Hash(%d bytes) = %s, want %s", len(content), got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Hash(config) }); allocs > 1 {
+		t.Errorf("Hash allocates %v times, want only the hex string", allocs)
 	}
 }

@@ -229,8 +229,9 @@ func (e *engine) build() error {
 		e.dep = dep
 		store = dep.MasterStore()
 	}
-	// Parallelism 1 keeps every pipeline single-threaded: the whole run
-	// happens on one goroutine under the virtual clock, which is what
+	// Parallelism 1 keeps every pipeline serial — rollouts commit one
+	// device at a time and the reconciler remediates one at a time — so
+	// nothing runs alongside the virtual clock's callbacks, which is what
 	// makes rerun journals byte-identical.
 	par := f.Deploy.Parallelism
 	if par == 0 {

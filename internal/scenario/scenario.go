@@ -88,9 +88,10 @@ type ServiceSpec struct {
 	Line     int
 }
 
-// DeploySpec tunes deployment transport. Parallelism defaults to 1:
-// single-threaded deploys keep the whole run on one goroutine under the
-// virtual clock, which is what makes journals byte-identical across runs.
+// DeploySpec tunes deployment transport. Parallelism bounds rollout
+// commits and the reconciler's remediations alike, and defaults to 1:
+// serial deploys keep nothing running alongside the virtual clock's
+// callbacks, which is what makes journals byte-identical across runs.
 type DeploySpec struct {
 	RetryAttempts int
 	Parallelism   int
