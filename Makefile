@@ -72,6 +72,7 @@ reconcile:
 # the run; the corpus cache stays in the Go build cache.
 FUZZTIME ?= 5s
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzContainsAddr$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCircuitEnd$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzScanConfig$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/thriftlite/

@@ -800,15 +800,8 @@ func (r *Robotron) Audit() (audit.Report, error) {
 // track the progress of each phase" (§5.3.2).
 func MetricHealthCheck(maxCPU float64) func(t deploy.Target, intended string) error {
 	return func(t deploy.Target, intended string) error {
-		if !t.Reachable() {
-			return fmt.Errorf("device unreachable")
-		}
-		running, err := t.RunningConfig()
-		if err != nil {
+		if err := deploy.DefaultHealthCheck(t, intended); err != nil {
 			return err
-		}
-		if running != intended {
-			return fmt.Errorf("running config deviates from intent")
 		}
 		counters, ok := t.(interface {
 			Counters() (map[string]float64, error)

@@ -19,14 +19,17 @@
 //     roll back automatically unless confirmed (device-native where
 //     available, emulated by the deployer elsewhere).
 //
-// Concurrency model: devices *within* a phase commit concurrently through
-// a bounded worker pool (Options.Parallelism), while phases themselves
-// remain strictly ordered behind the health gate. A commit that outlives
-// Options.CommitTimeout is reported as failed by its worker, but the
-// in-flight commit keeps running; the pool drains every such straggler
-// before any rollback or return, so a late-landing commit is always either
-// rolled back (atomic) or reported in the Report (non-atomic) — never
-// silently left on the device.
+// Concurrency model: every per-device step — initial provisioning, dryrun,
+// the rollout's dryrun-and-readback stage, and each phase's commits — runs
+// through one bounded worker pool (fanOut, Options.Parallelism) that
+// dispatches devices in name order and stops dispatching at the first
+// failure. The reviewer reads the finished diffs in name order before
+// anything commits, and phases run strictly in order behind the health
+// gate. A commit that outlives Options.CommitTimeout is reported as failed
+// by its worker, but the in-flight commit keeps running; the deployer
+// drains every such straggler before any rollback or return, so a
+// late-landing commit is always either rolled back (atomic) or reported in
+// the Report (non-atomic) — never silently left on the device.
 package deploy
 
 import (
@@ -35,6 +38,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/robotron-net/robotron/internal/confdiff"
@@ -98,9 +102,10 @@ type Options struct {
 	// Phases splits the rollout; empty means a single phase of everything.
 	// Devices matched by no phase form a final implicit phase.
 	Phases []Phase
-	// Parallelism bounds how many devices of one phase commit
-	// concurrently. 0 picks the default min(8, phase size); 1 restores
-	// the serial engine. Phases always run strictly in order regardless.
+	// Parallelism bounds how many devices one step works on at once: the
+	// dryruns, the provisioning, and the commits of one phase. 0 picks
+	// the default min(8, devices); 1 restores the serial engine. Phases
+	// always run strictly in order regardless.
 	Parallelism int
 	// ConfirmGrace > 0 makes commits provisional: the returned Pending
 	// must be confirmed within the grace period or every device rolls
@@ -276,28 +281,53 @@ func (d *Deployer) resolveAll(configs map[string]string) (map[string]Target, err
 	return targets, nil
 }
 
-// runPool feeds names to a bounded worker pool running fn. Dispatch stops
-// early once abort returns true; already-dispatched work always finishes.
-func runPool(names []string, workers int, abort func() bool, fn func(name string)) {
-	work := make(chan string)
+// outcome is what one device's operation returned.
+type outcome[T any] struct {
+	name string
+	val  T
+	err  error
+}
+
+// fanOut runs op for each of names on a pool of workers, dispatching in
+// the order of names. Once an op has failed nothing more is dispatched;
+// ops already running finish. It returns the outcome of every name that
+// ran, in the order of names.
+func fanOut[T any](names []string, workers int, op func(name string) (T, error)) []outcome[T] {
+	outs := make([]outcome[T], len(names))
+	var failed atomic.Bool
+	work := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for name := range work {
-				fn(name)
+			for i := range work {
+				val, err := op(names[i])
+				outs[i] = outcome[T]{name: names[i], val: val, err: err}
+				if err != nil {
+					failed.Store(true)
+				}
 			}
 		}()
 	}
-	for _, name := range names {
-		if abort != nil && abort() {
-			break
-		}
-		work <- name
+	n := 0
+	for ; n < len(names) && !failed.Load(); n++ {
+		work <- n
 	}
 	close(work)
 	wg.Wait()
+	return outs[:n]
+}
+
+// withRetry runs an idempotent per-device operation (provision, dryrun,
+// readback, health check) under opts.Retry: transient and ambiguous
+// session errors alike retry, permanent ones return. Without a policy op
+// runs once.
+func (d *Deployer) withRetry(opts Options, name string, op func() error) error {
+	if opts.Retry == nil {
+		return op()
+	}
+	return retryIdempotent(*opts.Retry, name, d.met, op)
 }
 
 // InitialProvision erases and installs configs on clean (drained) devices,
@@ -318,55 +348,22 @@ func (d *Deployer) InitialProvision(configs map[string]string, opts Options) (Re
 			return rep, fmt.Errorf("%w: %s carries traffic (load %.2f)", ErrDrainRequired, name, t.TrafficLoad())
 		}
 	}
-	var (
-		mu       sync.Mutex
-		byName   = make(map[string]Result, len(names))
-		provOK   = 0
-		hadError = false
-	)
-	runPool(names, opts.workers(len(names)),
-		func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return hadError
-		},
-		func(name string) {
-			// provisionOne is idempotent end to end (erase + load +
-			// commit + verify), so transient and ambiguous transport
-			// faults alike are safe to retry blindly.
-			prov := func() error { return provisionOne(targets[name], configs[name]) }
-			var err error
-			if opts.Retry != nil {
-				err = retryIdempotent(*opts.Retry, name, d.met, prov)
-			} else {
-				err = prov()
-			}
-			res := Result{Device: name, Action: "erased+provisioned", Err: err}
-			res.Added = confdiff.Compute("", configs[name]).Stats(true).Added
-			mu.Lock()
-			byName[name] = res
-			if err != nil {
-				hadError = true
-			} else {
-				provOK++
-			}
-			done := provOK
-			mu.Unlock()
-			if err != nil {
-				nf.notify("initial provisioning failed on %s: %v", name, err)
-			} else {
-				nf.notify("initial provisioning: %d/%d device(s) provisioned", done, len(names))
-			}
-		})
+	var provisioned atomic.Int64
 	var firstErr error
-	for _, name := range names {
-		res, attempted := byName[name]
-		if !attempted {
-			continue
+	for _, o := range fanOut(names, opts.workers(len(names)), func(name string) (int, error) {
+		// provisionOne is idempotent end to end (erase + load + commit +
+		// verify), so it retries like a read.
+		err := d.withRetry(opts, name, func() error { return provisionOne(targets[name], configs[name]) })
+		if err != nil {
+			nf.notify("initial provisioning failed on %s: %v", name, err)
+		} else {
+			nf.notify("initial provisioning: %d/%d device(s) provisioned", provisioned.Add(1), len(names))
 		}
-		rep.Results = append(rep.Results, res)
-		if res.Err != nil && firstErr == nil {
-			firstErr = res.Err
+		return confdiff.Compute("", configs[name]).Stats(true).Added, err
+	}) {
+		rep.Results = append(rep.Results, Result{Device: o.name, Action: "erased+provisioned", Err: o.err, Added: o.val})
+		if o.err != nil && firstErr == nil {
+			firstErr = o.err
 		}
 	}
 	return rep, firstErr
@@ -403,38 +400,18 @@ func provisionOne(t Target, cfg string) error {
 // configurations and vendor bugs" — while the rest get an emulated diff.
 // Devices are diffed concurrently through the worker pool.
 func (d *Deployer) Dryrun(configs map[string]string, opts Options) (map[string]string, error) {
-	names := sortedKeys(configs)
 	targets, err := d.resolveAll(configs)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		mu       sync.Mutex
-		out      = make(map[string]string, len(names))
-		errs     = make(map[string]error)
-		hadError = false
-	)
-	runPool(names, opts.workers(len(names)),
-		func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return hadError
-		},
-		func(name string) {
-			dr, err := d.dryrunOne(targets[name], configs[name])
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs[name] = err
-				hadError = true
-				return
-			}
-			out[name] = dr.text
-		})
-	for _, name := range names {
-		if err := errs[name]; err != nil {
-			return nil, err
+	out := make(map[string]string, len(configs))
+	for _, o := range fanOut(sortedKeys(configs), opts.workers(len(configs)), func(name string) (dryrun, error) {
+		return d.dryrunOne(targets[name], configs[name])
+	}) {
+		if o.err != nil {
+			return nil, o.err
 		}
+		out[o.name] = o.val.text
 	}
 	return out, nil
 }
@@ -484,6 +461,33 @@ func (d *Deployer) dryrunOne(t Target, newCfg string) (dryrun, error) {
 	}
 }
 
+// staged is one device's pre-commit stage: the diff the reviewer reads
+// and the line counts its commit will report.
+type staged struct {
+	diff  string
+	stats confdiff.Stats
+}
+
+// stageOne dryruns newCfg on t and reads the running config back after
+// it. Both are idempotent, so they retry like reads.
+func (d *Deployer) stageOne(opts Options, name string, t Target, newCfg string) (staged, error) {
+	var dr dryrun
+	var running string
+	if err := d.withRetry(opts, name, func() (err error) {
+		dr, err = d.dryrunOne(t, newCfg)
+		return err
+	}); err != nil {
+		return staged{}, err
+	}
+	if err := d.withRetry(opts, name, func() (err error) {
+		running, err = t.RunningConfig()
+		return err
+	}); err != nil {
+		return staged{}, err
+	}
+	return staged{diff: dr.text, stats: dr.stats(running, newCfg)}, nil
+}
+
 // straggler is a device whose commit outlived the time window; its
 // in-flight result must settle before any rollback or return is safe.
 type straggler struct {
@@ -494,7 +498,7 @@ type straggler struct {
 // phaseOutcome is what one phase's worker pool produced.
 type phaseOutcome struct {
 	results    []Result    // per attempted device, in phase order
-	stragglers []straggler // commits still in flight after their window
+	stragglers []straggler // commits still in flight after their window, in phase order
 	failedDev  string      // first failing device in phase order
 	failedErr  error
 }
@@ -508,37 +512,20 @@ func (d *Deployer) Deploy(configs map[string]string, opts Options) (Report, erro
 	if err != nil {
 		return rep, err
 	}
-	// Dryrun + human review before any commit; kept serial so the
-	// reviewer sees devices in a stable order. Dryrun and readback are
-	// idempotent, so under a retry policy transient and ambiguous
-	// session errors alike just retry.
-	withRetry := func(name string, op func() error) error {
-		if opts.Retry == nil {
-			return op()
-		}
-		return retryIdempotent(*opts.Retry, name, d.met, op)
-	}
+	// Every device's dryrun and readback run through the pool; the human
+	// review then reads the finished diffs in name order, before any
+	// commit, and stops at the first device whose stage failed.
 	diffStats := make(map[string]confdiff.Stats, len(configs))
-	for _, name := range sortedKeys(configs) {
-		t := targets[name]
-		var dr dryrun
-		var running string
-		if err := withRetry(name, func() (err error) {
-			dr, err = d.dryrunOne(t, configs[name])
-			return err
-		}); err != nil {
-			return rep, err
+	for _, o := range fanOut(sortedKeys(configs), opts.workers(len(configs)), func(name string) (staged, error) {
+		return d.stageOne(opts, name, targets[name], configs[name])
+	}) {
+		if o.err != nil {
+			return rep, o.err
 		}
-		if err := withRetry(name, func() (err error) {
-			running, err = t.RunningConfig()
-			return err
-		}); err != nil {
-			return rep, err
-		}
-		diffStats[name] = dr.stats(running, configs[name])
-		if opts.Review != nil && !opts.Review(name, dr.text) {
-			nf.notify("deployment aborted: %s diff rejected by reviewer", name)
-			return rep, fmt.Errorf("%w (device %s)", ErrReviewRejected, name)
+		diffStats[o.name] = o.val.stats
+		if opts.Review != nil && !opts.Review(o.name, o.val.diff) {
+			nf.notify("deployment aborted: %s diff rejected by reviewer", o.name)
+			return rep, fmt.Errorf("%w (device %s)", ErrReviewRejected, o.name)
 		}
 	}
 	phases := partitionPhases(targets, opts.Phases)
@@ -625,10 +612,10 @@ func (d *Deployer) Deploy(configs map[string]string, opts Options) (Report, erro
 		// is successful."
 		check := opts.HealthCheck
 		if check == nil {
-			check = defaultHealthCheck
+			check = DefaultHealthCheck
 		}
 		for _, name := range phase.devices {
-			if err := withRetry(name, func() error { return check(targets[name], configs[name]) }); err != nil {
+			if err := d.withRetry(opts, name, func() error { return check(targets[name], configs[name]) }); err != nil {
 				nf.notify("phase %d health gate failed on %s: %v — halting deployment", pi+1, name, err)
 				psp.SetAttr("result", "unhealthy")
 				psp.End()
@@ -658,11 +645,8 @@ func (d *Deployer) runPhase(phase phaseSet, targets map[string]Target, configs m
 	committed *[]string, workers, phaseNum, phaseCount int, phaseSpan *telemetry.Span) phaseOutcome {
 
 	var (
-		mu         sync.Mutex
-		byName     = make(map[string]Result, len(phase.devices))
-		stragglers []straggler
-		aborted    = false
-		okCount    = 0
+		mu      sync.Mutex
+		okCount = 0
 	)
 	// commitWithDeadline runs the commit, enforcing the per-device time
 	// window inside the worker itself: on timeout the worker reports
@@ -686,65 +670,46 @@ func (d *Deployer) runPhase(phase phaseSet, targets map[string]Target, configs m
 			return fmt.Errorf("deploy: %s did not finish applying within %v", t.Name(), opts.CommitTimeout), done
 		}
 	}
-	runPool(phase.devices, workers,
-		func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return aborted
-		},
-		func(name string) {
-			csp := phaseSpan.Child("commit")
-			csp.SetAttr("device", name)
-			commitStart := time.Now()
-			err, inflight := commitWithDeadline(targets[name], configs[name])
-			d.met.commitSec.ObserveSince(commitStart)
-			if err != nil {
-				d.met.commitFail.Inc()
-				csp.SetAttr("error", err.Error())
-			} else {
-				d.met.commitOK.Inc()
-			}
+	outs := fanOut(phase.devices, workers, func(name string) (<-chan error, error) {
+		csp := phaseSpan.Child("commit")
+		csp.SetAttr("device", name)
+		commitStart := time.Now()
+		err, inflight := commitWithDeadline(targets[name], configs[name])
+		d.met.commitSec.ObserveSince(commitStart)
+		if err != nil {
+			d.met.commitFail.Inc()
+			csp.SetAttr("error", err.Error())
 			csp.End()
-			stats := diffStats[name]
-			res := Result{Device: name, Action: "committed", Err: err, Added: stats.Added, Removed: stats.Removed}
-			if err == nil {
-				mu.Lock()
-				*committed = append(*committed, name)
-				mu.Unlock()
-			}
-			mu.Lock()
-			byName[name] = res
-			if err != nil {
-				aborted = true
-				if inflight != nil {
-					stragglers = append(stragglers, straggler{name: name, done: inflight})
-				}
-			} else {
-				okCount++
-			}
-			progress := okCount
-			mu.Unlock()
-			if err != nil {
-				nf.notify("commit failed on %s: %v", name, err)
-			} else {
-				nf.notify("phase %d/%d (%s): %d/%d committed", phaseNum, phaseCount, phase.name, progress, len(phase.devices))
-			}
-		})
-	out := phaseOutcome{stragglers: stragglers}
-	for _, name := range phase.devices {
-		res, attempted := byName[name]
-		if !attempted {
-			continue
+			nf.notify("commit failed on %s: %v", name, err)
+			return inflight, err
 		}
-		out.results = append(out.results, res)
-		if res.Err != nil && out.failedErr == nil {
-			out.failedDev, out.failedErr = name, res.Err
+		d.met.commitOK.Inc()
+		csp.End()
+		mu.Lock()
+		*committed = append(*committed, name)
+		okCount++
+		progress := okCount
+		mu.Unlock()
+		nf.notify("phase %d/%d (%s): %d/%d committed", phaseNum, phaseCount, phase.name, progress, len(phase.devices))
+		return nil, nil
+	})
+	var out phaseOutcome
+	for _, o := range outs {
+		stats := diffStats[o.name]
+		out.results = append(out.results, Result{Device: o.name, Action: "committed", Err: o.err, Added: stats.Added, Removed: stats.Removed})
+		if o.val != nil {
+			out.stragglers = append(out.stragglers, straggler{name: o.name, done: o.val})
+		}
+		if o.err != nil && out.failedErr == nil {
+			out.failedDev, out.failedErr = o.name, o.err
 		}
 	}
 	return out
 }
 
-func defaultHealthCheck(t Target, intended string) error {
+// DefaultHealthCheck is the phase gate Options.HealthCheck defaults to:
+// the device is reachable and runs the intended config.
+func DefaultHealthCheck(t Target, intended string) error {
 	if !t.Reachable() {
 		return fmt.Errorf("device unreachable")
 	}

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -390,6 +391,114 @@ func TestParallelDryrunAndProvision(t *testing.T) {
 		cfg, _ := d.RunningConfig()
 		if cfg != cfgs[d.Name()] {
 			t.Errorf("%s not provisioned", d.Name())
+		}
+	}
+}
+
+// dryrunGate holds each dryrun until n are in flight at once, or until
+// its deadline passes, and records the peak: a serial stage fails the
+// test instead of hanging it.
+type dryrunGate struct {
+	mu             sync.Mutex
+	inFlight, peak int
+	n              int
+	full           chan struct{} // closed when the peak first reaches n
+	deadline       time.Time
+}
+
+func (g *dryrunGate) enter() {
+	g.mu.Lock()
+	g.inFlight++
+	if g.inFlight > g.peak {
+		g.peak = g.inFlight
+		if g.peak == g.n {
+			close(g.full)
+		}
+	}
+	g.mu.Unlock()
+	select {
+	case <-g.full:
+	case <-time.After(time.Until(g.deadline)):
+	}
+}
+
+func (g *dryrunGate) leave() {
+	g.mu.Lock()
+	g.inFlight--
+	g.mu.Unlock()
+}
+
+// gatedTarget passes its dryruns through the gate, then lags, so dryruns
+// that pass the gate together finish out of name order, and fails them
+// with fail when set.
+type gatedTarget struct {
+	Target
+	g    *dryrunGate
+	lag  time.Duration
+	fail error
+}
+
+func (t gatedTarget) DryrunDiff() (string, error) {
+	t.g.enter()
+	defer t.g.leave()
+	time.Sleep(t.lag)
+	if t.fail != nil {
+		return "", t.fail
+	}
+	return t.Target.DryrunDiff()
+}
+
+// TestDeployStageRunsInThePool: a deployment's dryrun stage runs through
+// the worker pool, Parallelism dryruns in flight at once, and the
+// reviewer still reads the diffs in name order. A permanent dryrun
+// failure at one device fails the deployment with that error, after the
+// reviewer has seen only the devices before it. No device keeps a staged
+// candidate either way.
+func TestDeployStageRunsInThePool(t *testing.T) {
+	const devices, workers = 8, 4
+	errVendor := errors.New("vendor rejected the candidate")
+	for _, failAt := range []int{-1, 5} {
+		fleet, _, _ := newTestFleet(t, devices)
+		cfgs := newConfigs(fleet, 2)
+		names := sortedKeys(cfgs)
+		g := &dryrunGate{n: workers, full: make(chan struct{}), deadline: time.Now().Add(5 * time.Second)}
+		base := FleetResolver(fleet)
+		dep := NewDeployer(func(name string) (Target, error) {
+			tgt, err := base(name)
+			if err != nil {
+				return nil, err
+			}
+			i := slices.Index(names, name)
+			gt := gatedTarget{Target: tgt, g: g, lag: time.Duration(devices-i) * time.Millisecond}
+			if i == failAt {
+				gt.fail = errVendor
+			}
+			return gt, nil
+		})
+		var reviewed []string
+		_, err := dep.Deploy(cfgs, Options{Parallelism: workers, Review: func(device, _ string) bool {
+			reviewed = append(reviewed, device)
+			return true
+		}})
+		want := names
+		if failAt >= 0 {
+			want = names[:failAt]
+			if !errors.Is(err, errVendor) {
+				t.Errorf("dryrun failing at %s: Deploy returned %v, want the dryrun's error", names[failAt], err)
+			}
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if g.peak != workers {
+			t.Errorf("failAt %d: %d dryruns in flight at most, want the pool size %d", failAt, g.peak, workers)
+		}
+		if !slices.Equal(reviewed, want) {
+			t.Errorf("failAt %d: reviewer saw %v, want %v", failAt, reviewed, want)
+		}
+		for _, d := range fleet.Devices() {
+			if err := d.Commit(); err == nil {
+				t.Errorf("failAt %d: %s kept a staged candidate", failAt, d.Name())
+			}
 		}
 	}
 }

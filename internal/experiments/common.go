@@ -44,18 +44,6 @@ func cdfPoints(xs []int, fractions []float64) []string {
 	return out
 }
 
-// meanInt returns the arithmetic mean of xs.
-func meanInt(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum int
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
 // table renders rows with aligned columns for terminal output.
 func table(header []string, rows [][]string) string {
 	widths := make([]int, len(header))

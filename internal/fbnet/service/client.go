@@ -164,16 +164,6 @@ func CreateOp(model string, fields map[string]any) WriteOp {
 	return WriteOp{Action: "create", Model: model, Fields: toWireFields(fields)}
 }
 
-// UpdateOp builds an update write op.
-func UpdateOp(model string, id int64, fields map[string]any) WriteOp {
-	return WriteOp{Action: "update", Model: model, ID: id, Fields: toWireFields(fields)}
-}
-
-// DeleteOp builds a delete write op.
-func DeleteOp(model string, id int64) WriteOp {
-	return WriteOp{Action: "delete", Model: model, ID: id}
-}
-
 func toWireFields(fields map[string]any) []WireField {
 	out := make([]WireField, 0, len(fields))
 	for k, v := range fields {

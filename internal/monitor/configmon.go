@@ -66,7 +66,8 @@ func NewConfigMonitor(jm *JobManager, repo *revctl.Repo, store *fbnet.Store, gol
 }
 
 // Attach subscribes the monitor to the classifier: every CONFIG_CHANGED
-// alert triggers a check of the originating device. A check that errors —
+// alert triggers a check of the originating device, and a deviation it
+// finds goes to every OnDeviation subscriber. A check that errors —
 // typically a device unreachable mid-collection — is not silently
 // dropped: the error counter advances and every OnCheckError subscriber
 // is told, so a reconciler (or operator tooling) can queue a retry
@@ -76,13 +77,24 @@ func (cm *ConfigMonitor) Attach(cls *Classifier) {
 		if a.Rule != "config-changed" {
 			return
 		}
-		if _, err := cm.CheckDevice(a.Message.Host); err != nil {
+		dev, err := cm.CheckDevice(a.Message.Host)
+		if err != nil {
 			cm.noteCheckError(a.Message.Host, err)
+			return
+		}
+		if dev != nil {
+			cm.mu.Lock()
+			handlers := cm.handlers
+			cm.mu.Unlock()
+			for _, h := range handlers {
+				h(*dev)
+			}
 		}
 	})
 }
 
-// OnDeviation registers a handler for detected discrepancies.
+// OnDeviation registers a handler for the discrepancies that
+// event-triggered checks (see Attach) detect.
 func (cm *ConfigMonitor) OnDeviation(h func(Deviation)) {
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
@@ -137,7 +149,9 @@ func (cm *ConfigMonitor) notePanic() {
 }
 
 // CheckDevice collects the device's running config now, archives it, and
-// compares it to golden. It returns the deviation (nil if conforming).
+// compares it to golden. It returns the deviation (nil if conforming) and
+// records it in Deviations; it tells no subscriber, so the caller that
+// asked is the one that acts on it.
 // A panic out of the collection backends or the golden resolver is
 // recovered and surfaced as an error (and counted via CheckPanics), so
 // one broken backend cannot kill the classifier's alert goroutine.
@@ -194,11 +208,7 @@ func (cm *ConfigMonitor) CheckDevice(device string) (dev *Deviation, err error) 
 	cm.mu.Lock()
 	cm.deviations.push(found)
 	cm.mDeviations.Inc()
-	handlers := cm.handlers
 	cm.mu.Unlock()
-	for _, h := range handlers {
-		h(found)
-	}
 	return &found, nil
 }
 

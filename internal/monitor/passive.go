@@ -257,12 +257,11 @@ func StandardRules(c *Classifier) {
 // the BGP anycast address devices send to (§5.4.1) — parses them, and
 // feeds the classifier. Multiple collectors can share one classifier.
 type Collector struct {
-	pc      net.PacketConn
-	cls     *Classifier
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	dropped int64
-	closed  bool
+	pc     net.PacketConn
+	cls    *Classifier
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	closed bool
 }
 
 // NewCollector starts a collector on addr (e.g. "127.0.0.1:0").
@@ -290,20 +289,10 @@ func (col *Collector) readLoop() {
 		}
 		msg, err := netsim.ParseSyslog(string(buf[:n]))
 		if err != nil {
-			col.mu.Lock()
-			col.dropped++
-			col.mu.Unlock()
-			continue
+			continue // unparseable datagram
 		}
 		col.cls.Process(msg)
 	}
-}
-
-// Dropped returns the number of unparseable datagrams.
-func (col *Collector) Dropped() int64 {
-	col.mu.Lock()
-	defer col.mu.Unlock()
-	return col.dropped
 }
 
 // Close stops the collector.

@@ -179,10 +179,42 @@ func (r *Reconciler) Stop() {
 	r.wg.Wait()
 }
 
-// HandleDeviation is the ConfigMonitor.OnDeviation subscriber: every
-// detected drift enters the state machine here.
+// HandleDeviation is the ConfigMonitor.OnDeviation subscriber: a drift
+// an event-triggered check detected enters the state machine here.
 func (r *Reconciler) HandleDeviation(d monitor.Deviation) {
-	r.noteDrift(d.Device, fmt.Sprintf("drift +%d/-%d lines", d.Added, d.Removed))
+	r.noteDrift(d.Device, driftDetail(d))
+}
+
+func driftDetail(d monitor.Deviation) string {
+	return fmt.Sprintf("drift +%d/-%d lines", d.Added, d.Removed)
+}
+
+// The origins of a drift found by a check the reconciler ran itself. Its
+// detected event's detail starts with the origin, and replay reads it
+// back: that check passed, so it zeroed the device's check-retry count.
+const (
+	fromRecheck = "recheck: "
+	fromSweep   = "sweep: "
+	fromVerify  = "post-deploy verify: "
+)
+
+// checkAndFeed runs a conformance check the reconciler started and feeds
+// its verdict into the loop: an error to the check-retry queue, a drift
+// to noteDrift under origin. A check that did not error zeroes the
+// device's check-retry count. It returns the verdict: "check-error",
+// "drift" or "conforming".
+func (r *Reconciler) checkAndFeed(name, origin string) string {
+	dev, err := r.deps.Checker.CheckDevice(name)
+	if err != nil {
+		r.HandleCheckError(name, err)
+		return "check-error"
+	}
+	r.checkPassed(name)
+	if dev == nil {
+		return "conforming"
+	}
+	r.noteDrift(name, origin+driftDetail(*dev))
+	return "drift"
 }
 
 // noteDrift admits one drift observation for device name.
@@ -294,24 +326,13 @@ func (r *Reconciler) checkErrorLocked(ds *deviceState, err error, alerts *[]stri
 }
 
 // recheck re-runs the conformance check for a device whose earlier check
-// errored. A deviation found here flows through noteDrift (directly and,
-// with the real ConfigMonitor, via its OnDeviation handlers — noteDrift
-// deduplicates).
+// errored, or that was released from quarantine.
 func (r *Reconciler) recheck(device string) {
 	r.mu.Lock()
-	if r.stopped {
-		r.mu.Unlock()
-		return
-	}
+	stopped := r.stopped
 	r.mu.Unlock()
-	dev, err := r.deps.Checker.CheckDevice(device)
-	if err != nil {
-		r.HandleCheckError(device, err)
-		return
-	}
-	r.checkPassed(device)
-	if dev != nil {
-		r.noteDrift(dev.Device, fmt.Sprintf("recheck: drift +%d/-%d lines", dev.Added, dev.Removed))
+	if !stopped {
+		r.checkAndFeed(device, fromRecheck)
 	}
 }
 
@@ -359,15 +380,7 @@ func (r *Reconciler) Sweep() int {
 			continue
 		}
 		checked++
-		dev, err := r.deps.Checker.CheckDevice(name)
-		if err != nil {
-			r.HandleCheckError(name, err)
-			continue
-		}
-		r.checkPassed(name)
-		if dev != nil {
-			r.noteDrift(dev.Device, fmt.Sprintf("sweep: drift +%d/-%d lines", dev.Added, dev.Removed))
-		}
+		r.checkAndFeed(name, fromSweep)
 	}
 	r.mu.Lock()
 	r.eventLocked("", nil, EvSweep, fmt.Sprintf("%d device(s) checked", checked))

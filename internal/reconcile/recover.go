@@ -45,6 +45,9 @@ import (
 //     unless it was armed at that instant: resuming later than the kill
 //     skips the retries due in between, and the next sweep re-checks
 //     those devices. A passing VerifyDevices check is not replayed.
+//   - A journal cut between a retry and its scheduled line (a sink file
+//     torn between the two) schedules the device as the live path did,
+//     due at the backoff it would have used.
 //   - A device killed mid-remediation (journal ends remediating or
 //     confirming) is journaled as resumed and rescheduled immediately:
 //     remediation is idempotent (regenerate + redeploy golden), so
@@ -65,6 +68,9 @@ func ResumeFromJournal(deps Deps, cfg Config, events []Event) *Reconciler {
 	for i := range events {
 		p.apply(&events[i])
 	}
+	if n := len(events); n > 0 {
+		p.tail = &events[n-1]
+	}
 	r.journal.restore(events)
 	p.arm()
 	r.mu.Unlock()
@@ -77,6 +83,7 @@ func ResumeFromJournal(deps Deps, cfg Config, events []Event) *Reconciler {
 type replayer struct {
 	*Reconciler
 	lastSweep  *Event
+	tail       *Event               // the journal's last event
 	backoff    map[string]*Event    // the scheduled event behind a device's backoff timer
 	rechecks   map[string][]*Event  // check retries armed and not matched to a check error
 	lastError  map[string]time.Time // a device's last check error
@@ -124,8 +131,8 @@ func (p *replayer) apply(e *Event) {
 		p.met.detected.Inc()
 		// A detection via recheck/sweep/verify implies the conformance
 		// check succeeded, which reset the retry counter.
-		if strings.HasPrefix(e.Detail, "recheck:") || strings.HasPrefix(e.Detail, "sweep:") ||
-			strings.HasPrefix(e.Detail, "post-deploy verify:") {
+		if strings.HasPrefix(e.Detail, fromRecheck) || strings.HasPrefix(e.Detail, fromSweep) ||
+			strings.HasPrefix(e.Detail, fromVerify) {
 			ds.checkAttempt = 0
 		}
 		p.setState(ds, StateDetected, e)
@@ -199,7 +206,7 @@ func (p *replayer) apply(e *Event) {
 		sh.trips++
 		sh.tripsCounter.Inc()
 		p.met.budgetTrips.Inc()
-		if ds != nil && strings.HasPrefix(ds.lastDetail, "sweep:") {
+		if ds != nil && strings.HasPrefix(ds.lastDetail, fromSweep) {
 			p.sweepTrip[sh.name] = e.At
 		}
 	case EvBreakerReset:
@@ -299,6 +306,17 @@ func (p *replayer) arm() {
 		if e := p.backoff[name]; e != nil && (e.FireAt.After(now) || !ds.shard.tripped) {
 			delay := max(0, e.FireAt.Sub(now))
 			arms = append(arms, arm{e.Seq, func() { p.rearmLocked(ds, delay) }})
+		}
+		// A retry's scheduled line is written in the same critical section,
+		// so only a journal cut after its last line can lack it: schedule
+		// the device as the live path was about to.
+		if e := p.tail; e != nil && e.Device == name && (e.Type == EvRetry || e.Type == EvTransportRetry) {
+			delay := p.cfg.backoff(ds.attempt)
+			if e.Type == EvTransportRetry {
+				delay = p.cfg.backoff(ds.transportAttempt - 1)
+			}
+			delay = max(0, e.At.Add(delay).Sub(now))
+			arms = append(arms, arm{e.Seq, func() { p.scheduleLocked(ds, delay) }})
 		}
 		for _, rc := range p.rechecks[name] {
 			due := recheckDue(rc)

@@ -154,18 +154,7 @@ func (r *Reconciler) VerifyDevices(devices []string, span *telemetry.Span) int {
 		sp := span.Child("verify-device")
 		sp.SetAttr("device", name)
 		checked++
-		dev, err := r.deps.Checker.CheckDevice(name)
-		switch {
-		case err != nil:
-			sp.SetAttr("result", "check-error")
-			r.HandleCheckError(name, err)
-		case dev != nil:
-			sp.SetAttr("result", "drift")
-			r.noteDrift(dev.Device, fmt.Sprintf("post-deploy verify: drift +%d/-%d lines", dev.Added, dev.Removed))
-		default:
-			sp.SetAttr("result", "conforming")
-			r.checkPassed(name)
-		}
+		sp.SetAttr("result", r.checkAndFeed(name, fromVerify))
 		sp.End()
 	}
 	return checked

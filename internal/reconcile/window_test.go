@@ -242,7 +242,7 @@ func TestConcurrentRemediationEqualsSerial(t *testing.T) {
 
 // TestKillInsideTheWindowResumes kills a reconciler between admission and
 // settlement: at every journal line a flush of nine devices writes
-// (except between a retry and its scheduled line), the journal so far is
+// (between a retry and its scheduled line too), the journal so far is
 // what a crash leaves behind. The world is copied as
 // the window's goroutines left it at that line, which may be before or
 // after any in-flight deploy. The reconciler resumed from that prefix
@@ -303,12 +303,6 @@ func TestKillInsideTheWindowResumes(t *testing.T) {
 	}
 	queuedAtSomeKill := false
 	for kill := first + 1; kill <= last; kill++ {
-		if e := all[kill-1]; e.Type == EvRetry || e.Type == EvTransportRetry {
-			// The retry's scheduled event is written in the same critical
-			// section; a kill between the two is not a kill inside the
-			// window.
-			continue
-		}
 		_, prefix, at := run(kill)
 		if len(prefix) != kill {
 			t.Fatalf("kill at line %d: captured %d events", kill, len(prefix))

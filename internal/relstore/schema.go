@@ -106,15 +106,6 @@ func (d *TableDef) column(name string) (*Column, bool) {
 	return nil, false
 }
 
-func (d *TableDef) foreignKey(col string) (*ForeignKey, bool) {
-	for i := range d.ForeignKeys {
-		if d.ForeignKeys[i].Column == col {
-			return &d.ForeignKeys[i], true
-		}
-	}
-	return nil, false
-}
-
 // validateDef checks internal consistency of a table definition against
 // the already-registered tables (self-references are allowed).
 func validateDef(def *TableDef, existing map[string]*table) error {

@@ -7,19 +7,6 @@ import (
 	"time"
 )
 
-// NewHandler returns an http.Handler serving the registry's metrics
-// and the tracer's recent traces:
-//
-//	/metrics  Prometheus text exposition format
-//	/traces   JSON array of recent completed root spans
-//	/healthz  JSON health report; 503 when any registered check fails
-//
-// Either argument may be nil: the corresponding endpoint serves an
-// empty (but valid) document.
-func NewHandler(reg *Registry, tracer *Tracer) http.Handler {
-	return NewHandlerWith(reg, tracer, nil)
-}
-
 // ExtraHandler is one additional endpoint mounted beside /metrics —
 // how subsystems (the alarm engine's /alarms and /timeline) expose
 // their views on the same server.
@@ -28,7 +15,15 @@ type ExtraHandler struct {
 	Handler http.HandlerFunc
 }
 
-// NewHandlerWith is NewHandler plus extra endpoints.
+// NewHandlerWith returns an http.Handler serving the registry's metrics,
+// the tracer's recent traces and the extra endpoints:
+//
+//	/metrics  Prometheus text exposition format
+//	/traces   JSON array of recent completed root spans
+//	/healthz  JSON health report; 503 when any registered check fails
+//
+// reg and tracer may be nil: the corresponding endpoint serves an empty
+// (but valid) document.
 func NewHandlerWith(reg *Registry, tracer *Tracer, extra []ExtraHandler) http.Handler {
 	mux := http.NewServeMux()
 	for _, e := range extra {

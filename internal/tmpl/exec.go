@@ -2,7 +2,6 @@ package tmpl
 
 import (
 	"fmt"
-	"io"
 	"reflect"
 	"sort"
 	"sync"
@@ -56,9 +55,8 @@ func (t *Template) Name() string { return t.name }
 // free of per-call allocations.
 var statePool = sync.Pool{New: func() any { return &state{} }}
 
-func getState(w io.Writer, ctx any) *state {
+func getState(ctx any) *state {
 	st := statePool.Get().(*state)
-	st.w = w
 	st.root = wrap(ctx)
 	return st
 }
@@ -72,29 +70,15 @@ func putState(st *state) {
 	st.frame = 0
 	st.loopDepth = 0 // loop records hold no caller data; keep them for reuse
 	st.buf = st.buf[:0]
-	st.w = nil
 	st.root = value{}
 	statePool.Put(st)
 }
 
-// Execute renders the template against ctx (typically a map[string]any or a
-// struct) and writes the output to w.
-func (t *Template) Execute(w io.Writer, ctx any) error {
-	st := getState(w, ctx)
-	defer putState(st)
-	for _, n := range t.nodes {
-		if err := n.render(st); err != nil {
-			return fmt.Errorf("%s: %w", t.name, err)
-		}
-	}
-	return nil
-}
-
-// Render is Execute into a string. It buffers into the pooled state's byte
-// slice, so the only per-render allocation on this path is the final
-// string conversion.
+// Render renders the template against ctx (typically a map[string]any or
+// a struct). It buffers into the pooled state's byte slice, so the only
+// per-render allocation is the final string conversion.
 func (t *Template) Render(ctx any) (string, error) {
-	st := getState(nil, ctx)
+	st := getState(ctx)
 	defer putState(st)
 	for _, n := range t.nodes {
 		if err := n.render(st); err != nil {
@@ -116,12 +100,10 @@ type scopeVar struct {
 // binding is an append or in-place overwrite, and lookup is a short
 // reverse scan — no map allocations anywhere on the render path.
 type state struct {
-	w       io.Writer // nil when buffering into buf (Render path)
-	buf     []byte    // output buffer, used when w == nil
-	scratch [40]byte  // number formatting without allocation when w != nil
-	vars    []scopeVar
-	frame   int // start of the innermost scope frame in vars
-	root    value
+	buf   []byte // output buffer
+	vars  []scopeVar
+	frame int // start of the innermost scope frame in vars
+	root  value
 
 	// loops is a depth-indexed freelist of forloop records: nested loops
 	// use distinct records, sequential loops at the same depth reuse one.
@@ -181,43 +163,32 @@ func (st *state) lookup(name, norm string) (value, bool) {
 	return st.root.attrNorm(name, norm)
 }
 
-func (st *state) writeString(s string) error {
-	if st.w == nil {
-		st.buf = append(st.buf, s...)
-		return nil
-	}
-	_, err := io.WriteString(st.w, s)
-	return err
-}
+func (st *state) writeString(s string) { st.buf = append(st.buf, s...) }
 
 // writeValue emits a value the way {{ }} output does, formatting integers
 // directly into the output buffer instead of through an intermediate
 // string.
-func (st *state) writeValue(v value) error {
+func (st *state) writeValue(v value) {
 	switch v.kind {
 	case kindNil:
-		return nil
 	case kindString:
-		return st.writeString(v.s)
+		st.writeString(v.s)
 	case kindInt:
-		if st.w == nil {
-			st.buf = appendInt(st.buf, v.i)
-			return nil
-		}
-		b := appendInt(st.scratch[:0], v.i)
-		_, err := st.w.Write(b)
-		return err
+		st.buf = appendInt(st.buf, v.i)
 	case kindBool:
 		if v.b {
-			return st.writeString("True")
+			st.writeString("True")
+		} else {
+			st.writeString("False")
 		}
-		return st.writeString("False")
+	default:
+		st.writeString(v.str())
 	}
-	return st.writeString(v.str())
 }
 
 func (n *textNode) render(st *state) error {
-	return st.writeString(n.text)
+	st.writeString(n.text)
+	return nil
 }
 
 func (n *varNode) render(st *state) error {
@@ -225,7 +196,8 @@ func (n *varNode) render(st *state) error {
 	if err != nil {
 		return fmt.Errorf("line %d: %w", n.line, err)
 	}
-	return st.writeValue(v)
+	st.writeValue(v)
+	return nil
 }
 
 func (n *ifNode) render(st *state) error {

@@ -299,13 +299,6 @@ func structFieldIndex(t reflect.Type, name, norm string) (int, bool) {
 	return 0, false
 }
 
-// fieldNameMatches reports whether a Go field name (e.g. V4Prefix) matches
-// a template attribute name (e.g. v4_prefix): comparison is done after
-// lowering and stripping underscores.
-func fieldNameMatches(goName, attr string) bool {
-	return normalizeName(goName) == normalizeName(attr)
-}
-
 // normalizeName lowers s and strips underscores. Already-normalized
 // strings (the common case for template attribute names) are returned
 // as-is without allocating.
