@@ -147,7 +147,10 @@ sim:
 # the zero-allocation store into full time series (`Timeseries`), a pass
 # by delta ≡ a pass over every rule over seeded histories and the
 # rules-evaluated guards (`TestAlarmDelta*`, `TestEvaluate*`, and in core
-# `TestAlarmsEvaluate*`; DESIGN.md §15.2), the HTTP/CLI
+# `TestAlarmsEvaluate*`; DESIGN.md §15.2), the engine tier's width 8 ≡
+# width 1 over seeded fleets with devices down and config reads faulted
+# (`TestEngineTier*`: collections, series, Derived binlog, backups, poll
+# counts and alarms; DESIGN.md §15.6), the HTTP/CLI
 # parity contract and the derive-without-store-reads contract in core,
 # delta ≡ cold for what DeriveMonitoring, SyncFleet and ApplyRecabling keep
 # by visiting only what a design change touched (TestDelta*: jobs, rules,
@@ -159,7 +162,7 @@ sim:
 # reconciliation. See DESIGN.md §15 and README "Operational timeline".
 obs:
 	$(GO) test -race -timeout 5m \
-		-run 'Alarm|Derive|ReplaceJobs|Timeseries|Timeline|Correlation|Classifier|Evaluate' \
+		-run 'Alarm|Derive|ReplaceJobs|Timeseries|Timeline|Correlation|Classifier|Evaluate|EngineTier' \
 		./internal/monitor/
 	$(GO) test -race -timeout 5m -run 'TestObs|TestAlarms|TestDerive|TestDelta' ./internal/core/
 	$(GO) run -race ./cmd/robotron sim run examples/scenarios/bgp-down-alarm-correlated.yaml

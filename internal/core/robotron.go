@@ -747,18 +747,12 @@ func (r *Robotron) DevicesOfSite(site string) ([]string, error) {
 	return names, nil
 }
 
-// CollectOnce runs every installed job once and refreshes derived
-// circuits, the "one monitoring cycle" primitive used by audits and
-// examples.
+// CollectOnce runs every installed job once, as one execution of the
+// engine tier, and refreshes derived circuits: the "one monitoring cycle"
+// primitive used by audits and examples.
 func (r *Robotron) CollectOnce() error {
-	for _, spec := range r.JobManager.Jobs() {
-		if _, err := r.JobManager.RunOnce(monitor.JobSpec{
-			Name: "adhoc-" + spec.Name, Period: spec.Period, Engine: spec.Engine,
-			Data: spec.Data, Devices: spec.Devices, AllDevices: spec.AllDevices,
-			Backends: spec.Backends,
-		}); err != nil {
-			return err
-		}
+	if _, err := r.JobManager.RunOnce(r.JobManager.Jobs()...); err != nil {
+		return err
 	}
 	_, err := monitor.DeriveCircuits(r.Store)
 	return err

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/robotron-net/robotron/internal/netsim"
@@ -258,6 +259,7 @@ type JobManager struct {
 	wg          sync.WaitGroup
 	running     bool
 	clock       vclock.Clock // stamps every collection; the wall clock until SetClock
+	pollWidth   int          // the engine tier's width; 0 is defaultPollWidth
 }
 
 // NewJobManager creates a job manager with the standard engines.
@@ -468,52 +470,101 @@ func (jm *JobManager) Instrument(reg *telemetry.Registry) {
 	jm.stats.instrument(reg)
 }
 
-// RunOnce executes one job immediately (the "ad-hoc monitoring jobs
-// on-demand" path, used by config monitoring).
-func (jm *JobManager) RunOnce(spec JobSpec) ([]Collection, error) {
-	if spec.Period == 0 {
-		spec.Period = time.Second // ad-hoc jobs need no real period
+// RunOnce executes jobs immediately, once each — the "ad-hoc monitoring
+// jobs on-demand" path of config monitoring, and one collection of every
+// installed job — and returns their collections in (job, device) order.
+// A job may leave its period zero: it runs once. Every job is validated
+// before any runs.
+func (jm *JobManager) RunOnce(specs ...JobSpec) ([]Collection, error) {
+	for _, spec := range specs {
+		if spec.Period == 0 {
+			spec.Period = time.Second
+		}
+		if err := jm.validate(spec); err != nil {
+			return nil, err
+		}
 	}
-	if err := jm.validate(spec); err != nil {
-		return nil, err
-	}
-	return jm.execute(spec), nil
+	return jm.execute(specs), nil
 }
 
-// execute polls every device of a job and fans results to its backends.
-func (jm *JobManager) execute(spec JobSpec) []Collection {
-	eng := jm.engines[spec.Engine]
-	devices := spec.Devices
-	if spec.AllDevices {
-		jm.mu.Lock()
-		list := jm.listDevices
-		jm.mu.Unlock()
-		if list != nil {
-			devices = list()
+// defaultPollWidth is the engine tier's width, the default of the deploy
+// and generate pools; an execution over fewer devices runs fewer workers.
+const defaultPollWidth = 8
+
+// pollLookahead is how many polls per worker may run ahead of storing.
+const pollLookahead = 4
+
+// A poll is one (job, device) pair of an execution.
+type poll struct {
+	job    int
+	device string
+	worker int // the device's number, in order of first appearance; then its worker
+	dev    DeviceAPI
+	err    error // the resolver's
+}
+
+// polled is a worker's answer to one poll: a collection, an error, or the
+// value a panic in the poll raised.
+type polled struct {
+	col    Collection
+	err    error
+	panicV any
+}
+
+func (jm *JobManager) pollOne(jobs []JobSpec, p *poll) (r polled) {
+	defer func() { r.panicV = recover() }()
+	spec := &jobs[p.job]
+	r.col, r.err = jm.engines[spec.Engine].Poll(p.dev, spec.Data)
+	return r
+}
+
+// execute runs jobs once. It is the engine tier of Fig. 11: the polls are
+// partitioned by device over a bounded pool — a device's polls all run on
+// one worker, in job order, so a device sees the serial loop's sequence of
+// management calls — and the caller resolves devices and stores every
+// collection in (job, device) order, the serial loop's. Backends, series
+// marks, the Derived writes, poll and error counts and each collection's
+// stamp therefore do not depend on goroutine timing. Workers run at most
+// pollLookahead polls each ahead of storing, and a panic in a poll is
+// raised again on the caller.
+func (jm *JobManager) execute(jobs []JobSpec) []Collection {
+	jm.mu.Lock()
+	list, clock, width := jm.listDevices, jm.clock, cmp.Or(jm.pollWidth, defaultPollWidth)
+	jm.mu.Unlock()
+	polls := make([]poll, 0, len(jobs))
+	devices := make(map[string]int)
+	for j, spec := range jobs {
+		names := spec.Devices
+		if spec.AllDevices && list != nil {
+			names = list()
+		}
+		for _, name := range names {
+			d, ok := devices[name]
+			if !ok {
+				d = len(devices)
+				devices[name] = d
+			}
+			polls = append(polls, poll{job: j, device: name, worker: d})
 		}
 	}
-	var out []Collection
-	for _, name := range devices {
-		dev, err := jm.resolve(name)
-		if err != nil {
-			jm.stats.addError()
-			continue
+	width = min(width, len(devices))
+	out := make([]Collection, 0, len(polls))
+	var backends []Backend
+	backendsJob := -1 // the job backends are of
+	store := func(p *poll, r polled) {
+		if r.panicV != nil {
+			panic(r.panicV)
 		}
-		col, err := eng.Poll(dev, spec.Data)
-		if err != nil {
+		if p.err != nil || r.err != nil {
 			jm.stats.addError()
-			continue
+			return
 		}
+		spec := &jobs[p.job]
 		jm.stats.add(spec.Engine, 1)
-		jm.mu.Lock()
-		clock := jm.clock
-		backends := make([]Backend, 0, len(spec.Backends))
-		for _, bn := range spec.Backends {
-			if b, ok := jm.backends[bn]; ok {
-				backends = append(backends, b)
-			}
+		if backendsJob != p.job {
+			backendsJob, backends = p.job, jm.backendsOf(spec, backends[:0])
 		}
-		jm.mu.Unlock()
+		col := r.col
 		col.At = clock.Now()
 		out = append(out, col)
 		for _, b := range backends {
@@ -522,29 +573,104 @@ func (jm *JobManager) execute(spec JobSpec) []Collection {
 			}
 		}
 	}
+	if width <= 1 {
+		for i := range polls {
+			p := &polls[i]
+			var r polled
+			if p.dev, p.err = jm.resolve(p.device); p.err == nil {
+				r = jm.pollOne(jobs, p)
+			}
+			store(p, r)
+		}
+		return out
+	}
+	for i := range polls {
+		polls[i].worker %= width
+	}
+	// At most window polls are sent and not yet stored, so channels of
+	// that size never block the caller's sends or a worker's signals.
+	window := pollLookahead * width
+	slots := make([]polled, window) // poll i answers in slots[i%window]
+	in := make([]chan int, width)
+	done := make([]chan struct{}, width)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := range in {
+		in[w], done[w] = make(chan int, window), make(chan struct{}, window)
+		wg.Add(1)
+		go func(in <-chan int, done chan<- struct{}) {
+			defer wg.Done()
+			for i := range in {
+				if !stop.Load() {
+					slots[i%window] = jm.pollOne(jobs, &polls[i])
+				}
+				done <- struct{}{}
+			}
+		}(in[w], done[w])
+	}
+	defer func() {
+		stop.Store(true)
+		for _, c := range in {
+			close(c)
+		}
+		wg.Wait()
+	}()
+	sent := 0
+	for i := range polls {
+		for ; sent < len(polls) && sent < i+window; sent++ {
+			p := &polls[sent]
+			if p.dev, p.err = jm.resolve(p.device); p.err == nil {
+				in[p.worker] <- sent
+			}
+		}
+		p := &polls[i]
+		var r polled
+		if p.err == nil {
+			<-done[p.worker]
+			r = slots[i%window]
+		}
+		store(p, r)
+	}
 	return out
 }
 
-// nextDue is the one scheduler behind Start and RunVirtual: it returns
-// the installed job that fires earliest (ties broken by name) and its
-// fire offset. It reads the live job list on every call, so AddJob and
-// ReplaceJobs take effect at the next fire: a job first seen at offset
-// now is scheduled one period later, and one no longer installed is
-// forgotten. due is the caller's per-run schedule, job name -> next
-// fire offset.
-func (jm *JobManager) nextDue(due map[string]time.Duration, now time.Duration) (spec JobSpec, at time.Duration, ok bool) {
+// backendsOf appends the registered backends a job names to buf.
+func (jm *JobManager) backendsOf(spec *JobSpec, buf []Backend) []Backend {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
+	for _, bn := range spec.Backends {
+		if b, ok := jm.backends[bn]; ok {
+			buf = append(buf, b)
+		}
+	}
+	return buf
+}
+
+// nextDue is the one scheduler behind Start and RunVirtual: it returns
+// the installed jobs that fire earliest, in name order, and their fire
+// offset, appending them to buf. It reads the live job list on every
+// call, so AddJob and ReplaceJobs take effect at the next fire: a job
+// first seen at offset now is scheduled one period later, and one no
+// longer installed is forgotten. due is the caller's per-run schedule,
+// job name -> next fire offset.
+func (jm *JobManager) nextDue(due map[string]time.Duration, now time.Duration, buf []JobSpec) (specs []JobSpec, at time.Duration) {
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	specs = buf[:0]
 	for _, s := range jm.specs {
 		d, seen := due[s.Name]
 		if !seen {
 			d = now + s.Period
 			due[s.Name] = d
 		}
-		if !ok || d < at || (d == at && s.Name < spec.Name) {
-			spec, at, ok = s, d, true
+		switch {
+		case len(specs) == 0 || d < at:
+			specs, at = append(specs[:0], s), d
+		case d == at:
+			specs = append(specs, s)
 		}
 	}
+	slices.SortFunc(specs, func(a, b JobSpec) int { return strings.Compare(a.Name, b.Name) })
 	if len(due) > len(jm.specs) { // names are unique: some entry is stale
 		live := make(map[string]bool, len(jm.specs))
 		for _, s := range jm.specs {
@@ -556,7 +682,7 @@ func (jm *JobManager) nextDue(due map[string]time.Duration, now time.Duration) (
 			}
 		}
 	}
-	return spec, at, ok
+	return specs, at
 }
 
 // Start launches periodic polling of the installed jobs, each on its
@@ -577,17 +703,21 @@ func (jm *JobManager) Start() {
 		defer jm.wg.Done()
 		begin := time.Now()
 		due := make(map[string]time.Duration)
+		var specs []JobSpec
 		for {
 			now := time.Since(begin)
-			spec, at, ok := jm.nextDue(due, now)
-			if ok && at <= now {
-				jm.execute(spec)
+			var at time.Duration
+			specs, at = jm.nextDue(due, now, specs)
+			if len(specs) > 0 && at <= now {
+				jm.execute(specs)
 				// Like a ticker, a slow poll drops missed fires
 				// instead of bursting to catch up.
-				due[spec.Name] = max(at+spec.Period, time.Since(begin))
+				for _, spec := range specs {
+					due[spec.Name] = max(at+spec.Period, time.Since(begin))
+				}
 				continue
 			}
-			if !jm.sleep(stop, at-now, ok) {
+			if !jm.sleep(stop, at-now, len(specs) > 0) {
 				return
 			}
 		}
@@ -627,17 +757,22 @@ func (jm *JobManager) Stop() {
 
 // RunVirtual simulates a wall-clock window without sleeping: each job
 // executes as many times as its period fits into the window, interleaved
-// in fire-time order. Deterministic; used by the Table 2 experiment.
+// in fire-time order; the jobs that fire at one instant run as one
+// execution. Deterministic; used by the Table 2 experiment.
 func (jm *JobManager) RunVirtual(window time.Duration) {
 	due := make(map[string]time.Duration)
 	now := time.Duration(0)
+	var specs []JobSpec
 	for {
-		spec, at, ok := jm.nextDue(due, now)
-		if !ok || at > window {
+		var at time.Duration
+		specs, at = jm.nextDue(due, now, specs)
+		if len(specs) == 0 || at > window {
 			return
 		}
-		jm.execute(spec)
-		due[spec.Name] = at + spec.Period
+		jm.execute(specs)
+		for _, spec := range specs {
+			due[spec.Name] = at + spec.Period
+		}
 		now = at
 	}
 }

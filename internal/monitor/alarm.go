@@ -78,6 +78,12 @@ type alarmKey struct{ name, device, key string }
 
 func (r *AlarmRule) key() alarmKey { return alarmKey{r.Name, r.Device, r.Key} }
 
+// readsSeries reports whether the rule observes a time series: the
+// series Key of its Device.
+func (r *AlarmRule) readsSeries() bool {
+	return r.Kind == KindThreshold || r.Kind == KindAbsence || r.Kind == KindFlatline
+}
+
 func (a alarmKey) compare(b alarmKey) int {
 	return cmp.Or(cmp.Compare(a.name, b.name), cmp.Compare(a.device, b.device), cmp.Compare(a.key, b.key))
 }
@@ -157,6 +163,7 @@ type AlarmEngine struct {
 	cursor uint64
 	dirty  map[string]bool // rules replaced, or a read failed
 	picked map[string]bool // the devices a pass selects, reused
+	tails  []seriesTail    // the series tails of the run being evaluated, reused
 
 	// metrics, nil (no-op) until Instrument
 	reg       *telemetry.Registry
@@ -399,9 +406,10 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 		}
 		run.due = time.Time{}
 		evaluated += len(run.rules)
+		ae.tails = ae.ts.tails(run.device, run.rules, ae.tails[:0])
 		for j := range run.rules {
 			r := &run.rules[j]
-			breached, detail, err := ae.evalLocked(run, r, now, sessions)
+			breached, detail, err := ae.evalLocked(run, r, ae.tails[j], now, sessions)
 			if err != nil {
 				// A failed read says nothing about the rule: its alarm
 				// stays as it is, and the next pass reads again.
@@ -500,36 +508,34 @@ func (ae *AlarmEngine) sessionStates() (map[[2]string]string, error) {
 	return states, err
 }
 
-// evalLocked decides whether one rule of run is breached right now; an
+// evalLocked decides whether one rule of run is breached right now, given
+// the tail of its series (the zero tail for a rule that reads none); an
 // error means what the rule observes could not be read. An unbreached
 // absence rule sets the run's deadline to the instant it would breach.
-func (ae *AlarmEngine) evalLocked(run *ruleRun, r *AlarmRule, now time.Time, sessions func() (map[[2]string]string, error)) (bool, string, error) {
+func (ae *AlarmEngine) evalLocked(run *ruleRun, r *AlarmRule, tail seriesTail, now time.Time, sessions func() (map[[2]string]string, error)) (bool, string, error) {
 	switch r.Kind {
 	case KindThreshold:
-		last, _, n := ae.ts.tail(r.Device, r.Key)
-		if n == 0 {
+		if tail.n == 0 {
 			return false, "", nil
 		}
-		if compareFloat(last.Value, r.Op, r.Value) {
-			return true, fmt.Sprintf("%s = %g, breaching %s %g", r.Key, last.Value, r.Op, r.Value), nil
+		if compareFloat(tail.last.Value, r.Op, r.Value) {
+			return true, fmt.Sprintf("%s = %g, breaching %s %g", r.Key, tail.last.Value, r.Op, r.Value), nil
 		}
 	case KindAbsence:
-		last, _, n := ae.ts.tail(r.Device, r.Key)
-		if n == 0 {
+		if tail.n == 0 {
 			return false, "", nil // never reported: nothing to go silent
 		}
-		age := now.Sub(time.Unix(last.AtUnix, 0))
+		age := now.Sub(time.Unix(tail.last.AtUnix, 0))
 		if age > r.Window {
 			return true, fmt.Sprintf("%s silent for %s (window %s)", r.Key, age.Round(time.Second), r.Window), nil
 		}
-		run.dueBy(time.Unix(last.AtUnix, 0).Add(r.Window))
+		run.dueBy(time.Unix(tail.last.AtUnix, 0).Add(r.Window))
 	case KindFlatline:
-		last, prev, n := ae.ts.tail(r.Device, r.Key)
-		if n < 2 {
+		if tail.n < 2 {
 			return false, "", nil
 		}
-		if last.Value <= prev.Value {
-			return true, fmt.Sprintf("%s flat at %g across the last two samples", r.Key, last.Value), nil
+		if tail.last.Value <= tail.prev.Value {
+			return true, fmt.Sprintf("%s flat at %g across the last two samples", r.Key, tail.last.Value), nil
 		}
 	case KindBGPState:
 		states, err := sessions() // empty when the read failed
@@ -645,7 +651,9 @@ func (ae *AlarmEngine) timelineLocked(from, to time.Time, withAlarms bool) []Tim
 		out = append(out, e)
 	}
 	if ae.store != nil {
-		if changes, err := ae.store.Find("DesignChange", nil); err == nil {
+		// The stored rows are read in place (Peek): the timeline copies
+		// the fields it shows, never the rows.
+		if changes, _, _, err := ae.store.Peek("DesignChange", nil); err == nil {
 			for _, c := range changes {
 				add(TimelineEntry{
 					At: time.Unix(c.Int("created_unix"), 0), Stage: "design",
@@ -656,7 +664,7 @@ func (ae *AlarmEngine) timelineLocked(from, to time.Time, withAlarms bool) []Tim
 				})
 			}
 		}
-		if events, err := ae.store.Find("OperationalEvent", nil); err == nil {
+		if events, _, _, err := ae.store.Peek("OperationalEvent", nil); err == nil {
 			for _, ev := range events {
 				kind := ev.String("kind")
 				stage := "monitor"

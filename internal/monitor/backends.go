@@ -247,15 +247,32 @@ func (b *TimeseriesBackend) Last(key string, k int) []Sample {
 	return nil
 }
 
-// tail is Last(device+"/"+metric, 2) for the alarm engine's hot path: no
-// key is built, and the samples are read in place, the newest as last.
-func (b *TimeseriesBackend) tail(device, metric string) (last, prev Sample, n int) {
+// seriesTail is the newest sample of one series and the one before it,
+// n of the two held.
+type seriesTail struct {
+	last, prev Sample
+	n          int
+}
+
+// tails is the alarm engine's read of one device's run: under one lock
+// and one device lookup, the tail of each rule's series, in rule order,
+// appended to buf — the zero tail for a rule that reads no series or
+// whose series holds nothing. No key is built, and the samples are read
+// in place.
+func (b *TimeseriesBackend) tails(device string, rules []AlarmRule, buf []seriesTail) []seriesTail {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if r := b.lookupLocked(device, metric); r != nil {
-		return r.tail()
+	d := b.devices[device]
+	for i := range rules {
+		var t seriesTail
+		if d != nil && rules[i].readsSeries() {
+			if r := d.metrics[rules[i].Key]; r != nil {
+				t.last, t.prev, t.n = r.tail()
+			}
+		}
+		buf = append(buf, t)
 	}
-	return last, prev, 0
+	return buf
 }
 
 // Keys lists stored series keys.

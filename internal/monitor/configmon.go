@@ -51,6 +51,7 @@ func (cm *ConfigMonitor) Instrument(reg *telemetry.Registry) {
 }
 
 // Deviation is one detected divergence between running and golden config.
+// Added and Removed count the diff's lines, comment lines included.
 type Deviation struct {
 	Device  string
 	Diff    string
@@ -200,7 +201,9 @@ func (cm *ConfigMonitor) CheckDevice(device string) (dev *Deviation, err error) 
 	if conforms {
 		return nil, nil
 	}
-	stats := d.Stats(true)
+	// The counts are of the lines the verdict counted, comments included:
+	// a comment-only drift deviates, so it is not reported as +0/-0.
+	stats := d.Stats(false)
 	found := Deviation{
 		Device: device, Diff: d.Unified(3),
 		Added: stats.Added, Removed: stats.Removed, At: at,

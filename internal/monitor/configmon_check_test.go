@@ -13,7 +13,8 @@ import (
 
 // TestCheckDeviceVerdictEqualsColdDiff: CheckDevice decides equal configs
 // without a diff and diffs only a mismatch; either way its verdict and
-// counts are those of a cold confdiff.Compute(golden, running), and the
+// counts are those of a cold confdiff.Compute(golden, running) — the
+// counts of every line the verdict counted, comments included — and the
 // row it records carries the hash of what it collected.
 func TestCheckDeviceVerdictEqualsColdDiff(t *testing.T) {
 	const golden = "hostname dev00\ninterface et1/1\n description uplink\ninterface et1/2\n"
@@ -41,7 +42,7 @@ func TestCheckDeviceVerdictEqualsColdDiff(t *testing.T) {
 				t.Fatalf("CheckDevice conforms = %v, cold diff empty = %v", conforms, cold.Empty())
 			}
 			if got != nil {
-				stats := cold.Stats(true)
+				stats := cold.Stats(false)
 				if got.Added != stats.Added || got.Removed != stats.Removed || got.Diff != cold.Unified(3) {
 					t.Errorf("deviation +%d/-%d\n%s\nwant the cold diff's +%d/-%d\n%s",
 						got.Added, got.Removed, got.Diff, stats.Added, stats.Removed, cold.Unified(3))
@@ -121,5 +122,28 @@ func TestRepeatedConformingCheckWritesNothing(t *testing.T) {
 	}
 	if now := row(); now.ID != was.ID || now.Int("collected_unix") != drifted.Unix() || now.Bool("conforms") {
 		t.Errorf("DerivedConfig after drift = id %d %v, want id %d stamped %d, not conforming", now.ID, now.Fields, was.ID, drifted.Unix())
+	}
+}
+
+// TestCommentOnlyDriftCountsItsLines: a "! …" line typed on the console
+// deviates — the verdict counts comment lines — and the deviation reports
+// the line it counted, not +0/-0.
+func TestCommentOnlyDriftCountsItsLines(t *testing.T) {
+	fleet, jm, store, repo := newMonitoredFleet(t, 1)
+	dev, _ := fleet.Device("dev00")
+	golden, _ := dev.RunningConfig()
+	cm := NewConfigMonitor(jm, repo, store, func(string) (string, error) { return golden, nil })
+	if err := dev.ApplyManualChange("! chaos drift dev00"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cm.CheckDevice("dev00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == nil {
+		t.Fatal("a comment-only drift conforms; want a deviation")
+	}
+	if got.Added != 1 || got.Removed != 0 {
+		t.Errorf("comment-only drift reported +%d/-%d lines, want +1/-0\n%s", got.Added, got.Removed, got.Diff)
 	}
 }

@@ -7,3 +7,11 @@ func (c *Classifier) Rules() []Rule {
 	defer c.mu.RUnlock()
 	return append([]Rule(nil), c.rules...)
 }
+
+// SetPollWidth sets the engine tier's width: the most workers one
+// execution polls devices on.
+func (jm *JobManager) SetPollWidth(n int) {
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	jm.pollWidth = n
+}

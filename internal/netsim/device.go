@@ -18,7 +18,6 @@ package netsim
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,6 +112,7 @@ type Device struct {
 	hasCand     bool
 	history     []string // committed configs, oldest first
 	ifaces      map[string]*ifaceState
+	ifaceOrder  []string // ifaces' names, sorted: the scan's ports, shared, never written in place
 	bgpPeers    map[string]*BGPPeerStatus
 	lldp        map[string]LLDPNeighbor // keyed by local interface
 	traffic     float64                 // offered load 0..1; >0 means draining required
@@ -670,6 +670,7 @@ func (d *Device) reparseLocked() {
 		}
 		d.ifacesMoved = true
 	}
+	d.ifaceOrder = sc.Ports
 	if !slices.Equal(sc.Peers, d.peers) {
 		peers := make(map[string]*BGPPeerStatus, len(sc.Peers))
 		for _, addr := range sc.Peers {
@@ -805,20 +806,15 @@ func (d *Device) indexState() (tokens, peers []string, ifacesMoved bool, addedPe
 
 // ifaceNames returns the configured interface names, sorted, without
 // advancing traffic counters or requiring reachability (incremental
-// recompute path).
+// recompute path). The slice is shared: read it, never write it.
 func (d *Device) ifaceNames() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.ifaces))
-	for name := range d.ifaces {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return d.ifaceOrder
 }
 
-// ShowInterfaces returns interface status with monotonically advancing
-// traffic counters.
+// ShowInterfaces returns interface status, sorted by name, with
+// monotonically advancing traffic counters.
 func (d *Device) ShowInterfaces() ([]IfaceStatus, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -826,18 +822,18 @@ func (d *Device) ShowInterfaces() ([]IfaceStatus, error) {
 		return nil, err
 	}
 	d.advanceCountersLocked()
-	out := make([]IfaceStatus, 0, len(d.ifaces))
-	for name, st := range d.ifaces {
+	out := make([]IfaceStatus, len(d.ifaceOrder))
+	for i, name := range d.ifaceOrder {
+		st := d.ifaces[name]
 		status := "down"
 		if st.operUp {
 			status = "up"
 		}
-		out = append(out, IfaceStatus{
+		out[i] = IfaceStatus{
 			Name: name, OperStatus: status, SpeedMbps: st.speedMbps,
 			InOctets: st.inOctets, OutOctets: st.outOctets,
-		})
+		}
 	}
-	slices.SortFunc(out, func(a, b IfaceStatus) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
 }
 
