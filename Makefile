@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race loc journals verify-gate store reconcile fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
+.PHONY: tier1 build vet test race loc journals journals-diff verify-gate store reconcile fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
 
 # Tier-1 gate: what CI and reviewers run before merging.
 tier1: verify-gate store reconcile fuzz-smoke sim obs
@@ -95,6 +95,21 @@ journals:
 		$(DIR)/.robotron sim run -journal $$f > $(DIR)/$$(basename $$f .yaml).journal || exit 1; \
 	done
 	rm -f $(DIR)/.robotron
+
+# The drills' journals of the working tree against those of another
+# revision, byte for byte:
+#   make journals-diff REV=<rev>
+# unpacks `git archive REV` into a temporary directory, runs `make
+# journals` there and here, and `diff -r`s the two sets: the exit status
+# is non-zero when they differ. REV's Makefile must have the journals
+# target.
+journals-diff:
+	@test -n "$(REV)" || { echo "usage: make journals-diff REV=<rev>" >&2; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/src" && git archive $(REV) | tar -x -C "$$tmp/src" && \
+	$(MAKE) --no-print-directory -s -C "$$tmp/src" journals DIR="$$tmp/old" && \
+	$(MAKE) --no-print-directory -s journals DIR="$$tmp/new" && \
+	diff -r "$$tmp/old" "$$tmp/new" && echo "journals-diff: identical to $(REV)"
 
 build:
 	$(GO) build ./...

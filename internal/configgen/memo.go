@@ -5,8 +5,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
+	"github.com/robotron-net/robotron/internal/fanout"
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/revctl"
@@ -261,10 +261,10 @@ func (e DeviceErrors) Error() string {
 	return b.String()
 }
 
-// GenerateMany generates configs for the named devices through a bounded
-// worker pool, mirroring the deploy engine's parallel phase execution.
-// parallelism <= 0 selects the default of 8 workers; the pool never
-// exceeds len(names). The returned map holds every device that generated
+// GenerateMany generates configs for the named devices on the worker pool
+// the deploy engine runs its steps on (fanout.Run); parallelism is its
+// width, fanout.Width's default when 0. A device that fails does not stop
+// the others. The returned map holds every device that generated
 // successfully; if any failed, err is a DeviceErrors with one entry per
 // failed device. A span passed after parallelism becomes the parent of one
 // child span per device (memo/render hit attrs); without one generation is
@@ -274,47 +274,35 @@ func (g *Generator) GenerateMany(names []string, parallelism int, span ...*telem
 	if len(span) > 0 {
 		parent = span[0]
 	}
-	if parallelism <= 0 {
-		parallelism = 8
-	}
-	parallelism = max(1, min(parallelism, len(names)))
 	at := g.followLog()
-	configs := make([]string, len(names))
-	errs := make([]error, len(names))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				var sp *telemetry.Span
-				if parent != nil {
-					sp = parent.Child("generate-device")
-					sp.SetAttr("device", names[i])
-				}
-				configs[i], errs[i] = g.generateDevice(names[i], at, sp)
-				if errs[i] != nil {
-					sp.SetAttr("error", errs[i].Error())
-				}
-				sp.End()
-			}
-		}()
+	// Each device's error rides in its value, so the pool never sees a
+	// failure and dispatches every device.
+	type generated struct {
+		config string
+		err    error
 	}
-	for i := range names {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	outs := fanout.Run(names, parallelism, func(name string) (generated, error) {
+		var sp *telemetry.Span
+		if parent != nil {
+			sp = parent.Child("generate-device")
+			sp.SetAttr("device", name)
+		}
+		cfg, err := g.generateDevice(name, at, sp)
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+		}
+		sp.End()
+		return generated{cfg, err}, nil
+	})
 
 	out := make(map[string]string, len(names))
 	failed := DeviceErrors{}
-	for i, name := range names {
-		if errs[i] != nil {
-			failed[name] = errs[i]
+	for _, o := range outs {
+		if o.Val.err != nil {
+			failed[o.Name] = o.Val.err
 			continue
 		}
-		out[name] = configs[i]
+		out[o.Name] = o.Val.config
 	}
 	if len(failed) > 0 {
 		return out, failed

@@ -70,11 +70,11 @@ type Robotron struct {
 	Tracer    *telemetry.Tracer
 
 	// DeployParallelism bounds concurrent per-phase device commits in
-	// the deployment engine; 0 uses the engine default (min(8, phase)).
-	DeployParallelism int
-
-	// GenerateParallelism bounds concurrent config generation in the
-	// generator's worker pool; 0 uses the generator default (min(8, n)).
+	// the deployment engine; GenerateParallelism bounds concurrent config
+	// generation. Both run on one worker pool (internal/fanout): 0 uses
+	// its one default, fanout.DefaultWidth workers and never more than
+	// the devices at hand.
+	DeployParallelism   int
 	GenerateParallelism int
 
 	// DeployRetry, when non-nil, is the default transport-retry policy
@@ -113,11 +113,12 @@ type Options struct {
 	Store *fbnet.Store
 	// DeployParallelism bounds concurrent device commits: those of one
 	// rollout phase, and the reconciler's remediations that fall due
-	// together. 0 uses the defaults, min(8, phase size) and min(8,
-	// devices due); 1 commits one device at a time.
+	// together. 0 uses the system's one default width,
+	// fanout.DefaultWidth, never more than the devices at hand; 1 commits
+	// one device at a time.
 	DeployParallelism int
 	// GenerateParallelism bounds concurrent config generation; 0 uses
-	// the generator default (min(8, device count)).
+	// the same default width.
 	GenerateParallelism int
 	// EnableReconciler turns on the closed-loop drift reconciler: every
 	// deviation config monitoring detects is remediated automatically

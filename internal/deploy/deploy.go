@@ -20,16 +20,17 @@
 //     available, emulated by the deployer elsewhere).
 //
 // Concurrency model: every per-device step — initial provisioning, dryrun,
-// the rollout's dryrun-and-readback stage, and each phase's commits — runs
-// through one bounded worker pool (fanOut, Options.Parallelism) that
-// dispatches devices in name order and stops dispatching at the first
-// failure. The reviewer reads the finished diffs in name order before
-// anything commits, and phases run strictly in order behind the health
-// gate. A commit that outlives Options.CommitTimeout is reported as failed
-// by its worker, but the in-flight commit keeps running; the deployer
-// drains every such straggler before any rollback or return, so a
-// late-landing commit is always either rolled back (atomic) or reported in
-// the Report (non-atomic) — never silently left on the device.
+// the rollout's dryrun stage, and each phase's commits — runs through the
+// system's one bounded worker pool (fanout.Run; Options.Parallelism, whose
+// default is fanout.DefaultWidth) that dispatches devices in name order
+// and stops dispatching at the first failure. The reviewer reads the
+// finished diffs in name order before anything commits, and phases run
+// strictly in order behind the health gate. A commit that outlives
+// Options.CommitTimeout is reported as failed by its worker, but the
+// in-flight commit keeps running; the deployer drains every such
+// straggler before any rollback or return, so a late-landing commit is
+// always either rolled back (atomic) or reported in the Report
+// (non-atomic) — never silently left on the device.
 package deploy
 
 import (
@@ -42,6 +43,7 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/confdiff"
+	"github.com/robotron-net/robotron/internal/fanout"
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/telemetry"
 )
@@ -104,8 +106,8 @@ type Options struct {
 	Phases []Phase
 	// Parallelism bounds how many devices one step works on at once: the
 	// dryruns, the provisioning, and the commits of one phase. 0 picks
-	// the default min(8, devices); 1 restores the serial engine. Phases
-	// always run strictly in order regardless.
+	// fanout.DefaultWidth, never more workers than devices; 1 restores the
+	// serial engine. Phases always run strictly in order regardless.
 	Parallelism int
 	// ConfirmGrace > 0 makes commits provisional: the returned Pending
 	// must be confirmed within the grace period or every device rolls
@@ -138,21 +140,6 @@ type Options struct {
 	// per device commit under it. Nil disables tracing (all span methods
 	// no-op on nil).
 	Span *telemetry.Span
-}
-
-// workers resolves the pool size for a work list of n devices.
-func (o *Options) workers(n int) int {
-	p := o.Parallelism
-	if p <= 0 {
-		p = 8
-	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
 }
 
 // notifier wraps Options.Notify behind a mutex so callbacks from
@@ -281,44 +268,6 @@ func (d *Deployer) resolveAll(configs map[string]string) (map[string]Target, err
 	return targets, nil
 }
 
-// outcome is what one device's operation returned.
-type outcome[T any] struct {
-	name string
-	val  T
-	err  error
-}
-
-// fanOut runs op for each of names on a pool of workers, dispatching in
-// the order of names. Once an op has failed nothing more is dispatched;
-// ops already running finish. It returns the outcome of every name that
-// ran, in the order of names.
-func fanOut[T any](names []string, workers int, op func(name string) (T, error)) []outcome[T] {
-	outs := make([]outcome[T], len(names))
-	var failed atomic.Bool
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				val, err := op(names[i])
-				outs[i] = outcome[T]{name: names[i], val: val, err: err}
-				if err != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	n := 0
-	for ; n < len(names) && !failed.Load(); n++ {
-		work <- n
-	}
-	close(work)
-	wg.Wait()
-	return outs[:n]
-}
-
 // withRetry runs an idempotent per-device operation (provision, dryrun,
 // readback, health check) under opts.Retry: transient and ambiguous
 // session errors alike retry, permanent ones return. Without a policy op
@@ -350,7 +299,7 @@ func (d *Deployer) InitialProvision(configs map[string]string, opts Options) (Re
 	}
 	var provisioned atomic.Int64
 	var firstErr error
-	for _, o := range fanOut(names, opts.workers(len(names)), func(name string) (int, error) {
+	for _, o := range fanout.Run(names, opts.Parallelism, func(name string) (int, error) {
 		// provisionOne is idempotent end to end (erase + load + commit +
 		// verify), so it retries like a read.
 		err := d.withRetry(opts, name, func() error { return provisionOne(targets[name], configs[name]) })
@@ -361,9 +310,9 @@ func (d *Deployer) InitialProvision(configs map[string]string, opts Options) (Re
 		}
 		return confdiff.Compute("", configs[name]).Stats(true).Added, err
 	}) {
-		rep.Results = append(rep.Results, Result{Device: o.name, Action: "erased+provisioned", Err: o.err, Added: o.val})
-		if o.err != nil && firstErr == nil {
-			firstErr = o.err
+		rep.Results = append(rep.Results, Result{Device: o.Name, Action: "erased+provisioned", Err: o.Err, Added: o.Val})
+		if o.Err != nil && firstErr == nil {
+			firstErr = o.Err
 		}
 	}
 	return rep, firstErr
@@ -381,15 +330,8 @@ func provisionOne(t Target, cfg string) error {
 		return err
 	}
 	// Basic validation: device reachable and running the config.
-	if !t.Reachable() {
-		return fmt.Errorf("deploy: %s unreachable after provisioning", t.Name())
-	}
-	running, err := t.RunningConfig()
-	if err != nil {
-		return err
-	}
-	if running != cfg {
-		return fmt.Errorf("deploy: %s running config does not match provisioned config", t.Name())
+	if err := DefaultHealthCheck(t, cfg); err != nil {
+		return fmt.Errorf("deploy: %s after provisioning: %w", t.Name(), err)
 	}
 	return nil
 }
@@ -405,34 +347,23 @@ func (d *Deployer) Dryrun(configs map[string]string, opts Options) (map[string]s
 		return nil, err
 	}
 	out := make(map[string]string, len(configs))
-	for _, o := range fanOut(sortedKeys(configs), opts.workers(len(configs)), func(name string) (dryrun, error) {
+	for _, o := range fanout.Run(sortedKeys(configs), opts.Parallelism, func(name string) (dryrun, error) {
 		return d.dryrunOne(targets[name], configs[name])
 	}) {
-		if o.err != nil {
-			return nil, o.err
+		if o.Err != nil {
+			return nil, o.Err
 		}
-		out[o.name] = o.val.text
+		out[o.Name] = o.Val.text
 	}
 	return out, nil
 }
 
 // dryrun is what one device's dryrun found: the diff a reviewer reads
-// and, for an emulated diff, the running config it diffed against and the
-// diff itself (nil for a native diff).
+// and, for an emulated diff, the diff of the running config it read
+// against the candidate (nil for a native diff).
 type dryrun struct {
-	text    string
-	running string
-	diff    *confdiff.Diff
-}
-
-// stats counts the lines committing newCfg over running changes, comments
-// aside: from the dryrun's own diff when running is what that dryrun read,
-// from a fresh diff otherwise.
-func (dr dryrun) stats(running, newCfg string) confdiff.Stats {
-	if dr.diff != nil && dr.running == running {
-		return dr.diff.Stats(true)
-	}
-	return confdiff.Compute(running, newCfg).Stats(true)
+	text string
+	diff *confdiff.Diff
 }
 
 // dryrunOne loads the candidate, renders its diff, and always discards the
@@ -455,37 +386,37 @@ func (d *Deployer) dryrunOne(t Target, newCfg string) (dryrun, error) {
 			return dryrun{}, err
 		}
 		diff := confdiff.Compute(running, newCfg)
-		return dryrun{text: diff.Unified(3), running: running, diff: &diff}, nil
+		return dryrun{text: diff.Unified(3), diff: &diff}, nil
 	default:
 		return dryrun{}, err
 	}
 }
 
-// staged is one device's pre-commit stage: the diff the reviewer reads
-// and the line counts its commit will report.
-type staged struct {
-	diff  string
-	stats confdiff.Stats
-}
-
-// stageOne dryruns newCfg on t and reads the running config back after
-// it. Both are idempotent, so they retry like reads.
-func (d *Deployer) stageOne(opts Options, name string, t Target, newCfg string) (staged, error) {
+// stageOne dryruns newCfg on t and returns the dryrun with its diff set:
+// the emulated dryrun's own, or for a native one, which reads no running
+// config, a diff against the running config read after it. Both steps
+// are idempotent, so they retry like reads.
+func (d *Deployer) stageOne(opts Options, name string, t Target, newCfg string) (dryrun, error) {
 	var dr dryrun
-	var running string
 	if err := d.withRetry(opts, name, func() (err error) {
 		dr, err = d.dryrunOne(t, newCfg)
 		return err
 	}); err != nil {
-		return staged{}, err
+		return dryrun{}, err
 	}
+	if dr.diff != nil {
+		return dr, nil
+	}
+	var running string
 	if err := d.withRetry(opts, name, func() (err error) {
 		running, err = t.RunningConfig()
 		return err
 	}); err != nil {
-		return staged{}, err
+		return dryrun{}, err
 	}
-	return staged{diff: dr.text, stats: dr.stats(running, newCfg)}, nil
+	diff := confdiff.Compute(running, newCfg)
+	dr.diff = &diff
+	return dr, nil
 }
 
 // straggler is a device whose commit outlived the time window; its
@@ -512,20 +443,20 @@ func (d *Deployer) Deploy(configs map[string]string, opts Options) (Report, erro
 	if err != nil {
 		return rep, err
 	}
-	// Every device's dryrun and readback run through the pool; the human
-	// review then reads the finished diffs in name order, before any
-	// commit, and stops at the first device whose stage failed.
+	// Every device's dryrun runs through the pool; the human review then
+	// reads the finished diffs in name order, before any commit, and stops
+	// at the first device whose stage failed.
 	diffStats := make(map[string]confdiff.Stats, len(configs))
-	for _, o := range fanOut(sortedKeys(configs), opts.workers(len(configs)), func(name string) (staged, error) {
+	for _, o := range fanout.Run(sortedKeys(configs), opts.Parallelism, func(name string) (dryrun, error) {
 		return d.stageOne(opts, name, targets[name], configs[name])
 	}) {
-		if o.err != nil {
-			return rep, o.err
+		if o.Err != nil {
+			return rep, o.Err
 		}
-		diffStats[o.name] = o.val.stats
-		if opts.Review != nil && !opts.Review(o.name, o.val.diff) {
-			nf.notify("deployment aborted: %s diff rejected by reviewer", o.name)
-			return rep, fmt.Errorf("%w (device %s)", ErrReviewRejected, o.name)
+		diffStats[o.Name] = o.Val.diff.Stats(true)
+		if opts.Review != nil && !opts.Review(o.Name, o.Val.text) {
+			nf.notify("deployment aborted: %s diff rejected by reviewer", o.Name)
+			return rep, fmt.Errorf("%w (device %s)", ErrReviewRejected, o.Name)
 		}
 	}
 	phases := partitionPhases(targets, opts.Phases)
@@ -579,13 +510,13 @@ func (d *Deployer) Deploy(configs map[string]string, opts Options) (Report, erro
 	}
 
 	for pi, phase := range phases {
-		workers := opts.workers(len(phase.devices))
-		nf.notify("phase %d/%d (%s): %d device(s), parallelism %d", pi+1, len(phases), phase.name, len(phase.devices), workers)
+		nf.notify("phase %d/%d (%s): %d device(s), parallelism %d", pi+1, len(phases), phase.name, len(phase.devices),
+			fanout.Width(opts.Parallelism, len(phase.devices)))
 		psp := opts.Span.Child("phase")
 		psp.SetAttr("phase", phase.name)
 		psp.SetAttrInt("devices", int64(len(phase.devices)))
 		phaseStart := time.Now()
-		out := d.runPhase(phase, targets, configs, diffStats, opts, pending, nf, &committed, workers, pi+1, len(phases), psp)
+		out := d.runPhase(phase, targets, configs, diffStats, opts, pending, nf, &committed, pi+1, len(phases), psp)
 		d.met.phaseSec.ObserveSince(phaseStart)
 		rep.Results = append(rep.Results, out.results...)
 		if out.failedErr != nil {
@@ -637,12 +568,12 @@ func (d *Deployer) Deploy(configs map[string]string, opts Options) (Report, erro
 	return rep, nil
 }
 
-// runPhase commits one phase's devices through a bounded worker pool.
+// runPhase commits one phase's devices through the worker pool.
 // committed gains successfully committed devices in completion order; the
 // caller owns rollback and straggler settlement.
 func (d *Deployer) runPhase(phase phaseSet, targets map[string]Target, configs map[string]string,
 	diffStats map[string]confdiff.Stats, opts Options, pending *Pending, nf *notifier,
-	committed *[]string, workers, phaseNum, phaseCount int, phaseSpan *telemetry.Span) phaseOutcome {
+	committed *[]string, phaseNum, phaseCount int, phaseSpan *telemetry.Span) phaseOutcome {
 
 	var (
 		mu      sync.Mutex
@@ -670,7 +601,7 @@ func (d *Deployer) runPhase(phase phaseSet, targets map[string]Target, configs m
 			return fmt.Errorf("deploy: %s did not finish applying within %v", t.Name(), opts.CommitTimeout), done
 		}
 	}
-	outs := fanOut(phase.devices, workers, func(name string) (<-chan error, error) {
+	outs := fanout.Run(phase.devices, opts.Parallelism, func(name string) (<-chan error, error) {
 		csp := phaseSpan.Child("commit")
 		csp.SetAttr("device", name)
 		commitStart := time.Now()
@@ -695,13 +626,13 @@ func (d *Deployer) runPhase(phase phaseSet, targets map[string]Target, configs m
 	})
 	var out phaseOutcome
 	for _, o := range outs {
-		stats := diffStats[o.name]
-		out.results = append(out.results, Result{Device: o.name, Action: "committed", Err: o.err, Added: stats.Added, Removed: stats.Removed})
-		if o.val != nil {
-			out.stragglers = append(out.stragglers, straggler{name: o.name, done: o.val})
+		stats := diffStats[o.Name]
+		out.results = append(out.results, Result{Device: o.Name, Action: "committed", Err: o.Err, Added: stats.Added, Removed: stats.Removed})
+		if o.Val != nil {
+			out.stragglers = append(out.stragglers, straggler{name: o.Name, done: o.Val})
 		}
-		if o.err != nil && out.failedErr == nil {
-			out.failedDev, out.failedErr = o.name, o.err
+		if o.Err != nil && out.failedErr == nil {
+			out.failedDev, out.failedErr = o.Name, o.Err
 		}
 	}
 	return out

@@ -1,6 +1,8 @@
 package deploy
 
 import (
+	"errors"
+	"maps"
 	"testing"
 
 	"github.com/robotron-net/robotron/internal/confdiff"
@@ -8,8 +10,8 @@ import (
 )
 
 // driftingTarget edits its device's running config out of band once, as
-// the dryrun discards its candidate: the deployer's readback then reads a
-// config other than the one the dryrun diffed.
+// the dryrun discards its candidate: a running config read after the
+// dryrun differs from one the dryrun read.
 type driftingTarget struct {
 	*netsim.Device
 	drift   string
@@ -29,10 +31,12 @@ func (t *driftingTarget) DiscardCandidate() error {
 
 // TestDeployDiffStatsEqualColdRecompute: on a mixed vendor-1/vendor-2
 // deploy, every result's Added/Removed is a cold diff of the config the
-// readback found against the config deployed — whether the deployer took
-// it from the emulated dryrun's own diff (vendor 1, readback unchanged),
-// diffed afresh (vendor 2), or diffed afresh because the running config
-// moved between the dryrun and the readback.
+// device's stage read against the config deployed. A vendor-1 stage reads
+// the running config once, in its emulated dryrun, and counts from that
+// dryrun's own diff; a vendor-2 stage's native dryrun reads none, so the
+// stage reads it after the dryrun. One device of each vendor drifts as its
+// dryrun ends: the vendor-1 one counts against the config before the
+// drift, the vendor-2 one against the config after it.
 func TestDeployDiffStatsEqualColdRecompute(t *testing.T) {
 	fleet, _, _ := newTestFleet(t, 6)
 	cfgs := newConfigs(fleet, 2)
@@ -43,19 +47,31 @@ func TestDeployDiffStatsEqualColdRecompute(t *testing.T) {
 	} {
 		cfgs[name] += extra
 	}
-	readback := map[string]string{}
+	stageRead := map[string]string{}
 	for _, d := range fleet.Devices() {
-		readback[d.Name()], _ = d.RunningConfig()
+		stageRead[d.Name()], _ = d.RunningConfig()
 	}
-	const racing = "dev02"
-	dev, _ := fleet.Device(racing)
-	dryrunRead := readback[racing]
-	drifting := &driftingTarget{Device: dev, drift: dryrunRead + "! chaos drift\nsnmp-server community leaked\nntp server 10.0.0.1\n"}
-	readback[racing] = drifting.drift
+	drifting := map[string]*driftingTarget{}
+	for name, drift := range map[string]string{
+		"dev02": "! chaos drift\nsnmp-server community leaked\nntp server 10.0.0.1\n",
+		"dev03": "snmp {\n community leaked;\n}\nntp {\n server 10.0.0.1;\n}\n",
+	} {
+		dev, _ := fleet.Device(name)
+		before := stageRead[name]
+		drifting[name] = &driftingTarget{Device: dev, drift: before + drift}
+		if dev.Vendor() == netsim.Vendor2 {
+			stageRead[name] = drifting[name].drift
+		}
+		// The drift counts otherwise, so a stats taken from the wrong
+		// read fails below.
+		if confdiff.Compute(before, cfgs[name]).Stats(true) == confdiff.Compute(before+drift, cfgs[name]).Stats(true) {
+			t.Fatalf("%s: the drift leaves the stats at %+v", name, confdiff.Compute(before, cfgs[name]).Stats(true))
+		}
+	}
 	base := FleetResolver(fleet)
 	dep := NewDeployer(func(name string) (Target, error) {
-		if name == racing {
-			return drifting, nil
+		if d, ok := drifting[name]; ok {
+			return d, nil
 		}
 		return base(name)
 	})
@@ -64,8 +80,10 @@ func TestDeployDiffStatsEqualColdRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !drifting.drifted {
-		t.Fatal("the racing device's running config never moved")
+	for name, d := range drifting {
+		if !d.drifted {
+			t.Fatalf("%s: the running config never moved", name)
+		}
 	}
 	committed := 0
 	for _, res := range rep.Results {
@@ -73,17 +91,70 @@ func TestDeployDiffStatsEqualColdRecompute(t *testing.T) {
 			continue
 		}
 		committed++
-		want := confdiff.Compute(readback[res.Device], cfgs[res.Device]).Stats(true)
+		want := confdiff.Compute(stageRead[res.Device], cfgs[res.Device]).Stats(true)
 		if res.Added != want.Added || res.Removed != want.Removed {
-			t.Errorf("%s: result +%d/-%d, cold diff of its readback +%d/-%d", res.Device, res.Added, res.Removed, want.Added, want.Removed)
+			t.Errorf("%s: result +%d/-%d, cold diff of what its stage read +%d/-%d", res.Device, res.Added, res.Removed, want.Added, want.Removed)
 		}
 	}
 	if committed != len(cfgs) {
 		t.Errorf("%d devices committed, want %d", committed, len(cfgs))
 	}
-	// The racing device's dryrun diff counts otherwise, so a result taken
-	// from it would have failed above.
-	if stale := confdiff.Compute(dryrunRead, cfgs[racing]).Stats(true); stale == confdiff.Compute(readback[racing], cfgs[racing]).Stats(true) {
-		t.Fatalf("the drift left the racing device's stats at %+v: reuse and recompute agree", stale)
+}
+
+// verbCounter counts the management verbs a deployer's stage issues to
+// its device.
+type verbCounter struct {
+	*netsim.Device
+	verbs map[string]int
+}
+
+func (c *verbCounter) LoadConfig(cfg string) error {
+	c.verbs["load-config"]++
+	return c.Device.LoadConfig(cfg)
+}
+
+func (c *verbCounter) DryrunDiff() (string, error) {
+	c.verbs["compare"]++
+	return c.Device.DryrunDiff()
+}
+
+func (c *verbCounter) DiscardCandidate() error {
+	c.verbs["discard"]++
+	return c.Device.DiscardCandidate()
+}
+
+func (c *verbCounter) RunningConfig() (string, error) {
+	c.verbs["show running-config"]++
+	return c.Device.RunningConfig()
+}
+
+// TestStageIssuesOneReadPerDevice pins one staged device's management
+// operations per verb, for each vendor: a vendor-1 stage reads the running
+// config once, in its emulated dryrun, and counts from that dryrun's diff;
+// a vendor-2 stage's native dryrun reads none, so the stage reads it once
+// after. The device's own count of every verb it served must equal the
+// verbs counted here, so no verb goes uncounted.
+func TestStageIssuesOneReadPerDevice(t *testing.T) {
+	fleet, _, _ := newTestFleet(t, 2)
+	want := map[string]int{"load-config": 1, "compare": 1, "discard": 1, "show running-config": 1}
+	for _, dev := range fleet.Devices() {
+		c := &verbCounter{Device: dev, verbs: map[string]int{}}
+		dep := NewDeployer(func(string) (Target, error) { return c, nil })
+		before := dev.MgmtOps()
+		_, err := dep.Deploy(map[string]string{dev.Name(): baseConfig(dev.Vendor(), dev.Name(), 2)},
+			Options{Review: func(string, string) bool { return false }})
+		if !errors.Is(err, ErrReviewRejected) {
+			t.Fatalf("%s: Deploy returned %v, want the review's rejection", dev.Name(), err)
+		}
+		if !maps.Equal(c.verbs, want) {
+			t.Errorf("%s (vendor %v): stage issued %v, want %v", dev.Name(), dev.Vendor(), c.verbs, want)
+		}
+		total := 0
+		for _, n := range c.verbs {
+			total += n
+		}
+		if served := dev.MgmtOps() - before; served != int64(total) {
+			t.Errorf("%s: device served %d management operations, %d counted", dev.Name(), served, total)
+		}
 	}
 }

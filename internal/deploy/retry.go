@@ -211,7 +211,7 @@ func commitOneRetry(t Target, cfg string, grace time.Duration, pending *Pending,
 			nf.notify("%s: %s error (attempt %d/%d), will retry: %v", t.Name(), class, attempt, rp.MaxAttempts, err)
 			continue
 		case ClassAmbiguous:
-			applied, rerr := resolveAmbiguousCommit(t, cfg, rp, rng, met)
+			applied, rerr := resolveAmbiguousCommit(t, cfg, rp, met)
 			if rerr != nil {
 				return fmt.Errorf("deploy: %s: ambiguous commit unresolvable (%v) after: %w", t.Name(), rerr, err)
 			}
@@ -236,25 +236,18 @@ func commitOneRetry(t Target, cfg string, grace time.Duration, pending *Pending,
 
 // resolveAmbiguousCommit decides whether an ambiguous commit actually
 // applied by reading the running config back and comparing it against
-// the intent. The readback itself runs under a bounded transient-retry
-// loop (the same flaky session may still be flaky).
-func resolveAmbiguousCommit(t Target, cfg string, rp RetryPolicy, rng *rand.Rand, met deployMetrics) (bool, error) {
-	var lastErr error
-	for attempt := 1; attempt <= rp.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			rp.pause(attempt-1, rng, met)
-		}
-		running, err := t.RunningConfig()
-		if err != nil {
-			if Classify(err) == ClassPermanent {
-				return false, err
-			}
-			lastErr = err
-			continue
-		}
-		return running == cfg, nil
+// the intent. The readback is idempotent, so it retries like any other
+// read (the same flaky session may still be flaky).
+func resolveAmbiguousCommit(t Target, cfg string, rp RetryPolicy, met deployMetrics) (bool, error) {
+	var running string
+	err := retryIdempotent(rp, t.Name(), met, func() (err error) {
+		running, err = t.RunningConfig()
+		return err
+	})
+	if err != nil {
+		return false, fmt.Errorf("readback failed: %w", err)
 	}
-	return false, fmt.Errorf("readback failed: %w", lastErr)
+	return running == cfg, nil
 }
 
 // retryIdempotent runs an idempotent read-side operation (dryrun,

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/robotron-net/robotron/internal/fanout"
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/telemetry"
 	"github.com/robotron-net/robotron/internal/vclock"
@@ -259,7 +260,7 @@ type JobManager struct {
 	wg          sync.WaitGroup
 	running     bool
 	clock       vclock.Clock // stamps every collection; the wall clock until SetClock
-	pollWidth   int          // the engine tier's width; 0 is defaultPollWidth
+	pollWidth   int          // the engine tier's width; 0 is fanout.DefaultWidth
 }
 
 // NewJobManager creates a job manager with the standard engines.
@@ -487,10 +488,6 @@ func (jm *JobManager) RunOnce(specs ...JobSpec) ([]Collection, error) {
 	return jm.execute(specs), nil
 }
 
-// defaultPollWidth is the engine tier's width, the default of the deploy
-// and generate pools; an execution over fewer devices runs fewer workers.
-const defaultPollWidth = 8
-
 // pollLookahead is how many polls per worker may run ahead of storing.
 const pollLookahead = 4
 
@@ -529,7 +526,7 @@ func (jm *JobManager) pollOne(jobs []JobSpec, p *poll) (r polled) {
 // raised again on the caller.
 func (jm *JobManager) execute(jobs []JobSpec) []Collection {
 	jm.mu.Lock()
-	list, clock, width := jm.listDevices, jm.clock, cmp.Or(jm.pollWidth, defaultPollWidth)
+	list, clock, pollWidth := jm.listDevices, jm.clock, jm.pollWidth
 	jm.mu.Unlock()
 	polls := make([]poll, 0, len(jobs))
 	devices := make(map[string]int)
@@ -547,7 +544,9 @@ func (jm *JobManager) execute(jobs []JobSpec) []Collection {
 			polls = append(polls, poll{job: j, device: name, worker: d})
 		}
 	}
-	width = min(width, len(devices))
+	// The deploy and generate pools' width rule: an execution over fewer
+	// devices runs fewer workers.
+	width := fanout.Width(pollWidth, len(devices))
 	out := make([]Collection, 0, len(polls))
 	var backends []Backend
 	backendsJob := -1 // the job backends are of

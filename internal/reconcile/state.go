@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/deploy"
+	"github.com/robotron-net/robotron/internal/fanout"
 	"github.com/robotron-net/robotron/internal/vclock"
 )
 
@@ -153,7 +154,7 @@ const (
 	DefaultBudgetFraction   = 0.25
 	DefaultConfirmGrace     = 30 * time.Second
 	DefaultMaxCheckRetries  = 3
-	DefaultParallelism      = 8
+	DefaultParallelism      = fanout.DefaultWidth
 )
 
 // A breaker reset releases the parked backlog drainBatch devices per

@@ -178,15 +178,11 @@ func (v value) length() int {
 	return -1
 }
 
-// attr resolves an attribute lookup v.name: map key, struct field (exact,
-// exported-case, or snake_case-insensitive match), or list index.
-func (v value) attr(name string) (value, bool) {
-	return v.attrNorm(name, normalizeName(name))
-}
-
-// attrNorm is attr with the normalized form of name supplied by the
-// caller; the parser normalizes path segments once at parse time so the
-// render path never rebuilds them.
+// attrNorm resolves an attribute lookup v.name: map key, struct field
+// (exact, exported-case, or snake_case-insensitive match), or list index.
+// norm is normalizeName(name), supplied by the caller: the parser
+// normalizes path segments once at parse time so the render path never
+// rebuilds them.
 func (v value) attrNorm(name, norm string) (value, bool) {
 	switch v.kind {
 	case kindMap:
