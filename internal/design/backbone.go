@@ -2,8 +2,10 @@ package design
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/vendorcfg"
 )
 
 // The backbone design tools (§5.1.2): the backbone "employs a constantly
@@ -36,7 +38,7 @@ func (d *Designer) AddBackboneRouter(ctx ChangeContext, name, siteName, hwProfil
 	if !isMeshRole(role) {
 		return ChangeResult{}, fmt.Errorf("design: %q is not a backbone role (want pr, bb, or dr)", role)
 	}
-	return d.change(ctx, func(m *fbnet.Mutation, at *allocTracker) error {
+	return d.change(ctx, func(m *designTx) error {
 		site, err := m.FindOne("Site", fbnet.Eq("name", siteName))
 		if err != nil {
 			return fmt.Errorf("design: unknown site %q: %w", siteName, err)
@@ -50,7 +52,7 @@ func (d *Designer) AddBackboneRouter(ctx ChangeContext, name, siteName, hwProfil
 		} else if len(existing) > 0 {
 			return fmt.Errorf("design: device %q already exists", name)
 		}
-		h, err := d.createDevice(m, at, name, role, site.ID, 0, hw.ID, AddressingSpec{V6: true, V4: true})
+		h, err := m.device(name, role, site.ID, 0, hw.ID, AddressingSpec{V6: true, V4: true})
 		if err != nil {
 			return err
 		}
@@ -67,7 +69,7 @@ func (d *Designer) AddBackboneRouter(ctx ChangeContext, name, siteName, hwProfil
 			if peer.ID == h.id {
 				continue
 			}
-			peerLo := loopbackAddr(peer.String("loopback_v6"))
+			peerLo := vendorcfg.Addr(peer.String("loopback_v6"))
 			if peerLo == "" {
 				continue // non-backbone PR without v6 loopback
 			}
@@ -103,17 +105,6 @@ func (d *Designer) AddBackboneRouter(ctx ChangeContext, name, siteName, hwProfil
 	})
 }
 
-// loopbackAddr strips the prefix length from a stored loopback ("2401::1/128"
-// -> "2401::1").
-func loopbackAddr(pfx string) string {
-	for i := 0; i < len(pfx); i++ {
-		if pfx[i] == '/' {
-			return pfx[:i]
-		}
-	}
-	return pfx
-}
-
 // RemoveBackboneRouter deletes a backbone router. FBNet cascades remove
 // its linecards, interfaces, circuits, link groups, tunnels, and — because
 // BGP sessions reference both local and remote devices — the mesh sessions
@@ -121,7 +112,7 @@ func loopbackAddr(pfx string) string {
 // handles deleting the corresponding FBNet router object and deleting or
 // disassociating its related objects", §5.1.2).
 func (d *Designer) RemoveBackboneRouter(ctx ChangeContext, name string) (ChangeResult, error) {
-	return d.change(ctx, func(m *fbnet.Mutation, at *allocTracker) error {
+	return d.change(ctx, func(m *designTx) error {
 		dev, err := m.FindOne("Device", fbnet.Eq("name", name))
 		if err != nil {
 			return err
@@ -130,25 +121,8 @@ func (d *Designer) RemoveBackboneRouter(ctx ChangeContext, name string) (ChangeR
 			return fmt.Errorf("design: %s is not a backbone router", name)
 		}
 		// Return this router's address space to the pools after commit.
-		for _, f := range []string{"loopback_v6", "loopback_v4"} {
-			if s := dev.String(f); s != "" {
-				at.free(s)
-			}
-		}
-		aggs, err := m.Referencing("AggregatedInterface", "device", dev.ID)
-		if err != nil {
+		if err := m.releaseDevice(dev); err != nil {
 			return err
-		}
-		for _, agg := range aggs {
-			for _, pm := range []string{"V6Prefix", "V4Prefix"} {
-				pfxs, err := m.Referencing(pm, "interface", agg.ID)
-				if err != nil {
-					return err
-				}
-				for _, p := range pfxs {
-					at.free(p.String("prefix"))
-				}
-			}
 		}
 		// Resolve far-end dependencies before the cascade: every link
 		// group terminating here also configured interfaces, aggregates,
@@ -173,7 +147,7 @@ func (d *Designer) RemoveBackboneRouter(ctx ChangeContext, name string) (ChangeR
 
 // retireFarEnd deletes the non-local interfaces, aggregates, and prefixes
 // of a link group that is being destroyed because localDev is going away.
-func retireFarEnd(m *fbnet.Mutation, lg fbnet.Object, localDev int64) error {
+func retireFarEnd(m *designTx, lg fbnet.Object, localDev int64) error {
 	circuits, err := m.Referencing("Circuit", "link_group", lg.ID)
 	if err != nil {
 		return err
@@ -186,15 +160,11 @@ func retireFarEnd(m *fbnet.Mutation, lg fbnet.Object, localDev int64) error {
 			if pifID == 0 {
 				continue
 			}
-			pif, err := m.Get("PhysicalInterface", pifID)
+			pif, dev, err := m.pifDevice(pifID)
 			if err != nil {
 				return err
 			}
-			lc, err := m.Get("Linecard", pif.Ref("linecard"))
-			if err != nil {
-				return err
-			}
-			if lc.Ref("device") == localDev {
+			if dev == localDev {
 				continue
 			}
 			farPifs = append(farPifs, pifID)
@@ -231,7 +201,7 @@ func (d *Designer) AddBackboneCircuit(ctx ChangeContext, aName, zName string, ci
 	if aName == zName {
 		return ChangeResult{}, fmt.Errorf("design: circuit endpoints must be distinct devices")
 	}
-	return d.change(ctx, func(m *fbnet.Mutation, at *allocTracker) error {
+	return d.change(ctx, func(m *designTx) error {
 		a, err := m.FindOne("Device", fbnet.Eq("name", aName))
 		if err != nil {
 			return err
@@ -240,94 +210,28 @@ func (d *Designer) AddBackboneCircuit(ctx ChangeContext, aName, zName string, ci
 		if err != nil {
 			return err
 		}
-		pa := newPortAllocator(m)
-		lg, aAgg, zAgg, found, err := findLinkGroup(m, a.ID, z.ID)
+		b, found, err := m.findBundle(a, z)
 		if err != nil {
 			return err
 		}
 		if !found {
-			return createPortmap(m, pa, at, portmapSpec{
+			return m.portmap(portmapSpec{
 				aDev: a.ID, zDev: z.ID, aName: aName, zName: zName,
 				circuits: circuits, v6: true, v4: true, ebgp: false,
 			})
 		}
 		// Grow the existing bundle.
-		for i := 0; i < circuits; i++ {
-			aPif, aPifName, err := pa.allocPort(a.ID, aAgg)
-			if err != nil {
-				return err
-			}
-			zPif, zPifName, err := pa.allocPort(z.ID, zAgg)
-			if err != nil {
-				return err
-			}
-			if _, err := m.Create("Circuit", map[string]any{
-				"circuit_id":  fmt.Sprintf("%s:%s--%s:%s", aName, aPifName, zName, zPifName),
-				"a_interface": aPif, "z_interface": zPif,
-				"link_group": lg.ID, "status": "provisioning",
-			}); err != nil {
-				return err
-			}
+		if err := m.addMembers(b, circuits); err != nil {
+			return err
 		}
-		existing, err := m.Referencing("Circuit", "link_group", lg.ID)
+		existing, err := m.Referencing("Circuit", "link_group", b.lg)
 		if err != nil {
 			return err
 		}
-		speed := int64(10000)
-		if meta, err := pa.load(a.ID); err == nil {
-			speed = meta.speedMbps
-		}
-		return m.Update("LinkGroup", lg.ID, map[string]any{
-			"capacity_mbps": speed * int64(len(existing)),
+		return m.Update("LinkGroup", b.lg, map[string]any{
+			"capacity_mbps": m.capacity(a.ID, len(existing)),
 		})
 	})
-}
-
-// findLinkGroup locates the link group between two devices (either
-// orientation) plus each side's aggregated interface.
-func findLinkGroup(m *fbnet.Mutation, aID, zID int64) (lg fbnet.Object, aAgg, zAgg int64, found bool, err error) {
-	lgs, err := m.Find("LinkGroup", fbnet.Or(
-		fbnet.And(fbnet.Eq("a_device", aID), fbnet.Eq("z_device", zID)),
-		fbnet.And(fbnet.Eq("a_device", zID), fbnet.Eq("z_device", aID)),
-	))
-	if err != nil || len(lgs) == 0 {
-		return fbnet.Object{}, 0, 0, false, err
-	}
-	lg = lgs[0]
-	circuits, err := m.Referencing("Circuit", "link_group", lg.ID)
-	if err != nil {
-		return fbnet.Object{}, 0, 0, false, err
-	}
-	for _, c := range circuits {
-		for _, side := range []string{"a_interface", "z_interface"} {
-			pifID := c.Ref(side)
-			if pifID == 0 {
-				continue
-			}
-			pif, err := m.Get("PhysicalInterface", pifID)
-			if err != nil {
-				return fbnet.Object{}, 0, 0, false, err
-			}
-			aggID := pif.Ref("agg_interface")
-			if aggID == 0 {
-				continue
-			}
-			lc, err := m.Get("Linecard", pif.Ref("linecard"))
-			if err != nil {
-				return fbnet.Object{}, 0, 0, false, err
-			}
-			switch lc.Ref("device") {
-			case aID:
-				aAgg = aggID
-			case zID:
-				zAgg = aggID
-			}
-		}
-	}
-	if aAgg == 0 || zAgg == 0 {
-		return fbnet.Object{}, 0, 0, false, fmt.Errorf("design: link group %s has no usable aggregated interfaces", lg.String("name"))
-	}
-	return lg, aAgg, zAgg, true, nil
 }
 
 // MigrateCircuit moves the Z end of a circuit to a different router: the
@@ -336,7 +240,7 @@ func findLinkGroup(m *fbnet.Mutation, aID, zID int64) (lg fbnet.Object, aAgg, zA
 // both ends stay in one subnet (§5.1.2's circuit migration example).
 // Bundles must be shrunk to a single circuit before migration.
 func (d *Designer) MigrateCircuit(ctx ChangeContext, circuitID, newZName string) (ChangeResult, error) {
-	return d.change(ctx, func(m *fbnet.Mutation, at *allocTracker) error {
+	return d.change(ctx, func(m *designTx) error {
 		cir, err := m.FindOne("Circuit", fbnet.Eq("circuit_id", circuitID))
 		if err != nil {
 			return err
@@ -359,19 +263,15 @@ func (d *Designer) MigrateCircuit(ctx ChangeContext, circuitID, newZName string)
 		if aPifID == 0 || zPifID == 0 {
 			return fmt.Errorf("design: circuit %s is not fully terminated", circuitID)
 		}
-		aPif, err := m.Get("PhysicalInterface", aPifID)
+		aPif, aDev, err := m.pifDevice(aPifID)
 		if err != nil {
 			return err
 		}
-		zPif, err := m.Get("PhysicalInterface", zPifID)
+		zPif, zDev, err := m.pifDevice(zPifID)
 		if err != nil {
 			return err
 		}
-		zLc, err := m.Get("Linecard", zPif.Ref("linecard"))
-		if err != nil {
-			return err
-		}
-		if zLc.Ref("device") == newZ.ID {
+		if zDev == newZ.ID {
 			return fmt.Errorf("design: circuit %s already terminates on %s", circuitID, newZName)
 		}
 		aAggID := aPif.Ref("agg_interface")
@@ -379,80 +279,40 @@ func (d *Designer) MigrateCircuit(ctx ChangeContext, circuitID, newZName string)
 
 		// Free the old p2p subnets and remove old prefix objects from both
 		// aggregates (new subnets will be allocated).
-		for _, pm := range []string{"V6Prefix", "V4Prefix"} {
-			for _, aggID := range []int64{aAggID, zAggID} {
-				if aggID == 0 {
-					continue
-				}
-				pfxs, err := m.Referencing(pm, "interface", aggID)
-				if err != nil {
-					return err
-				}
-				for _, p := range pfxs {
-					if p.String("purpose") != "p2p" {
-						continue
-					}
-					at.free(p.String("prefix"))
-					if err := m.Delete(pm, p.ID); err != nil {
-						return err
-					}
-				}
+		old, err := m.releasePrefixes("p2p", aAggID, zAggID)
+		if err != nil {
+			return err
+		}
+		for _, p := range old {
+			if err := m.Delete(p.Model, p.ID); err != nil {
+				return err
 			}
 		}
 		// Build the new Z side.
-		pa := newPortAllocator(m)
-		zAggNum, err := pa.nextAggNumber(newZ.ID)
+		newZAgg, err := m.aggregate(newZ.ID, bundleMTU)
 		if err != nil {
 			return err
 		}
-		newZAgg, err := m.Create("AggregatedInterface", map[string]any{
-			"name": fmt.Sprintf("ae%d", zAggNum), "number": zAggNum, "mtu": 9192, "device": newZ.ID,
-		})
-		if err != nil {
-			return err
-		}
-		newZPif, newZPifName, err := pa.allocPort(newZ.ID, newZAgg)
+		newZPif, newZPifName, err := m.allocPort(newZ.ID, newZAgg)
 		if err != nil {
 			return err
 		}
 		// Re-address both ends from a fresh subnet per family.
-		aDevName, err := deviceNameOfPif(m, aPif)
+		a, err := m.Get("Device", aDev)
 		if err != nil {
 			return err
 		}
-		owner := fmt.Sprintf("%s--%s", aDevName, newZName)
-		pp6, err := at.p2p(true, owner)
-		if err != nil {
-			return err
-		}
-		if _, err := m.Create("V6Prefix", map[string]any{
-			"prefix": pp6.APrefix(), "interface": aAggID, "purpose": "p2p",
-		}); err != nil {
-			return err
-		}
-		if _, err := m.Create("V6Prefix", map[string]any{
-			"prefix": pp6.ZPrefix(), "interface": newZAgg, "purpose": "p2p",
-		}); err != nil {
-			return err
-		}
-		pp4, err := at.p2p(false, owner)
-		if err != nil {
-			return err
-		}
-		if _, err := m.Create("V4Prefix", map[string]any{
-			"prefix": pp4.APrefix(), "interface": aAggID, "purpose": "p2p",
-		}); err != nil {
-			return err
-		}
-		if _, err := m.Create("V4Prefix", map[string]any{
-			"prefix": pp4.ZPrefix(), "interface": newZAgg, "purpose": "p2p",
-		}); err != nil {
-			return err
+		owner := a.String("name") + "--" + newZName
+		for _, fam := range families(true, true) {
+			if _, _, err := m.addressPair(fam, owner, "p2p", aAggID, newZAgg); err != nil {
+				return err
+			}
 		}
 		// Re-point the circuit and retire the old Z-side objects.
+		aEnd, _, _ := strings.Cut(circuitID, "--") // "<aDev>:<aPif>"
 		if err := m.Update("Circuit", cir.ID, map[string]any{
 			"z_interface": newZPif,
-			"circuit_id":  fmt.Sprintf("%s--%s:%s", splitCircuitA(circuitID), newZName, newZPifName),
+			"circuit_id":  fmt.Sprintf("%s--%s:%s", aEnd, newZName, newZPifName),
 		}); err != nil {
 			return err
 		}
@@ -476,35 +336,12 @@ func (d *Designer) MigrateCircuit(ctx ChangeContext, circuitID, newZName string)
 	})
 }
 
-// deviceNameOfPif resolves a physical interface to its device name.
-func deviceNameOfPif(m *fbnet.Mutation, pif fbnet.Object) (string, error) {
-	lc, err := m.Get("Linecard", pif.Ref("linecard"))
-	if err != nil {
-		return "", err
-	}
-	dev, err := m.Get("Device", lc.Ref("device"))
-	if err != nil {
-		return "", err
-	}
-	return dev.String("name"), nil
-}
-
-// splitCircuitA returns the "<aDev>:<aPif>" half of a circuit id.
-func splitCircuitA(circuitID string) string {
-	for i := 0; i+1 < len(circuitID); i++ {
-		if circuitID[i] == '-' && circuitID[i+1] == '-' {
-			return circuitID[:i]
-		}
-	}
-	return circuitID
-}
-
 // DeleteCircuit removes a circuit; when it was the last member of its link
 // group, the whole bundle (link group, both aggregated interfaces, their
 // prefixes and any sessions over them) is retired and the address space
 // returned to the pools.
 func (d *Designer) DeleteCircuit(ctx ChangeContext, circuitID string) (ChangeResult, error) {
-	return d.change(ctx, func(m *fbnet.Mutation, at *allocTracker) error {
+	return d.change(ctx, func(m *designTx) error {
 		cir, err := m.FindOne("Circuit", fbnet.Eq("circuit_id", circuitID))
 		if err != nil {
 			return err
@@ -543,16 +380,11 @@ func (d *Designer) DeleteCircuit(ctx ChangeContext, circuitID string) (ChangeRes
 			}
 		}
 		if lastInBundle {
-			for _, aggID := range dedupe(aggIDs) {
-				for _, pm := range []string{"V6Prefix", "V4Prefix"} {
-					pfxs, err := m.Referencing(pm, "interface", aggID)
-					if err != nil {
-						return err
-					}
-					for _, p := range pfxs {
-						at.free(p.String("prefix"))
-					}
-				}
+			aggIDs = dedupe(aggIDs)
+			if _, err := m.releasePrefixes("", aggIDs...); err != nil {
+				return err
+			}
+			for _, aggID := range aggIDs {
 				if err := m.Delete("AggregatedInterface", aggID); err != nil {
 					return err
 				}

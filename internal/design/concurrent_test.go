@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/relstore"
 )
 
 // TestConcurrentDesignChangesSerialize addresses the §8 "Stale Configs"
@@ -67,5 +70,56 @@ func TestConcurrentDesignChangesSerialize(t *testing.T) {
 			t.Errorf("duplicate prefix %s", p.String("prefix"))
 		}
 		seen[p.String("prefix")] = true
+	}
+}
+
+// TestEnsureRacesCreateOnce races two callers of each find-or-create on a
+// name neither has seen: both must get the one object. A find outside the
+// transaction that creates lets both miss, and the second create fails
+// on the unique name.
+func TestEnsureRacesCreateOnce(t *testing.T) {
+	d := newTestDesigner(t)
+	race := func(fn func() (int64, error)) [2]int64 {
+		var ids [2]int64
+		var errs [2]error
+		var wg sync.WaitGroup
+		for g := range ids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ids[g], errs[g] = fn()
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ids
+	}
+	for i := 0; i < 200; i++ {
+		site := fmt.Sprintf("site%d", i)
+		region := fmt.Sprintf("region%d", i)
+		if ids := race(func() (int64, error) { return d.EnsureSite(site, "pop", region) }); ids[0] != ids[1] {
+			t.Fatalf("EnsureSite(%s) returned two objects: %v", site, ids)
+		}
+		if ids := race(func() (int64, error) { return d.EnsureRegion(region + "b") }); ids[0] != ids[1] {
+			t.Fatalf("EnsureRegion(%sb) returned two objects: %v", region, ids)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		store, err := fbnet.Open(relstore.NewDB("master"), fbnet.NewCatalog())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewDesigner(store, DefaultPools())
+		if err != nil {
+			t.Fatal(err)
+		}
+		race(func() (int64, error) { return 0, fresh.EnsureStandardHardware() })
+		if n, _ := store.Count("HardwareProfile"); n != 6 {
+			t.Fatalf("EnsureStandardHardware raced to %d hardware profiles, want 6", n)
+		}
 	}
 }

@@ -149,23 +149,25 @@ func (d *Designer) Store() *fbnet.Store { return d.store }
 
 // change wraps one design change: validation of the context, the mutation
 // itself, atomic recording of the DesignChange object with per-object
-// entries, and release of pool allocations if the change fails.
-func (d *Designer) change(ctx ChangeContext, fn func(*fbnet.Mutation, *allocTracker) error) (ChangeResult, error) {
+// entries, and release of pool allocations if the change fails. The
+// result's Stats are the committing transaction's own account of what it
+// touched, the one the entries record.
+func (d *Designer) change(ctx ChangeContext, fn func(*designTx) error) (ChangeResult, error) {
 	if err := ctx.validate(); err != nil {
 		return ChangeResult{}, err
 	}
-	at := &allocTracker{pools: d.pools}
-	var changeID int64
+	t := &designTx{pools: d.pools}
+	var res ChangeResult
 	_, err := d.store.Mutate(func(m *fbnet.Mutation) error {
-		if err := fn(m, at); err != nil {
+		t.Mutation = m
+		if err := fn(t); err != nil {
 			return err
 		}
 		stats := m.Stats()
 		if ctx.Review != nil && !ctx.Review(stats) {
 			return fmt.Errorf("%w (ticket %s)", ErrReviewRejected, ctx.TicketID)
 		}
-		var err error
-		changeID, err = m.Create("DesignChange", map[string]any{
+		changeID, err := m.Create("DesignChange", map[string]any{
 			"employee_id":  ctx.EmployeeID,
 			"ticket_id":    ctx.TicketID,
 			"description":  ctx.Description,
@@ -195,350 +197,101 @@ func (d *Designer) change(ctx ChangeContext, fn func(*fbnet.Mutation, *allocTrac
 		if err := record(stats.Modified, "modify"); err != nil {
 			return err
 		}
-		return record(stats.Deleted, "delete")
+		if err := record(stats.Deleted, "delete"); err != nil {
+			return err
+		}
+		res = ChangeResult{ChangeID: changeID, Stats: stats}
+		return nil
 	})
 	if err != nil {
-		at.releaseAll()
+		t.releaseAll()
 		return ChangeResult{}, err
 	}
-	at.releaseFreed()
-	return ChangeResult{ChangeID: changeID, Stats: loadChangeStats(d.store, changeID)}, nil
-}
-
-// loadChangeStats reloads the committed per-change entries to build
-// ChangeStats for the caller (Fig. 15 accounting).
-func loadChangeStats(store *fbnet.Store, changeID int64) fbnet.ChangeStats {
-	// Follow the indexed reverse relation rather than scanning the (large)
-	// entry table: design-change accounting runs after every change.
-	ids, err := store.DB().Referencing("DesignChangeEntry", "change", changeID)
-	if err != nil {
-		return fbnet.ChangeStats{}
-	}
-	var cs fbnet.ChangeStats
-	for _, id := range ids {
-		e, err := store.GetByID("DesignChangeEntry", id)
-		if err != nil {
-			continue
-		}
-		ref := fbnet.ObjectRef{Model: e.String("model_name"), ID: e.Int("object_id")}
-		switch e.String("action") {
-		case "create":
-			cs.Created = append(cs.Created, ref)
-		case "modify":
-			cs.Modified = append(cs.Modified, ref)
-		case "delete":
-			cs.Deleted = append(cs.Deleted, ref)
-		}
-	}
-	return cs
-}
-
-// allocTracker records pool allocations made during a change so they can
-// be released if the transaction rolls back, and prefix frees that must
-// only happen after the transaction commits.
-type allocTracker struct {
-	pools     Pools
-	allocated []trackedAlloc
-	toFree    []trackedAlloc
-}
-
-type trackedAlloc struct {
-	pool *ipam.Pool
-	pfx  netip.Prefix
-}
-
-func (a *allocTracker) p2p(v6 bool, owner string) (ipam.P2P, error) {
-	pool := a.pools.V4P2P
-	if v6 {
-		pool = a.pools.V6P2P
-	}
-	if pool == nil {
-		return ipam.P2P{}, fmt.Errorf("design: no p2p pool configured for this address family")
-	}
-	pp, err := pool.AllocateP2P(owner)
-	if err != nil {
-		return ipam.P2P{}, err
-	}
-	a.allocated = append(a.allocated, trackedAlloc{pool: pool, pfx: pp.Subnet})
-	return pp, nil
-}
-
-func (a *allocTracker) loopback(v6 bool, owner string) (netip.Prefix, error) {
-	pool := a.pools.V4Loopback
-	if v6 {
-		pool = a.pools.V6Loopback
-	}
-	if pool == nil {
-		return netip.Prefix{}, fmt.Errorf("design: no loopback pool configured for this address family")
-	}
-	pfx, err := pool.AllocateHost(owner)
-	if err != nil {
-		return netip.Prefix{}, err
-	}
-	a.allocated = append(a.allocated, trackedAlloc{pool: pool, pfx: pfx})
-	return pfx, nil
-}
-
-// free schedules an existing prefix for release when the change commits.
-func (a *allocTracker) free(pfxStr string) {
-	pfx, err := netip.ParsePrefix(pfxStr)
-	if err != nil {
-		return
-	}
-	for _, pool := range []*ipam.Pool{a.pools.V6P2P, a.pools.V4P2P, a.pools.V6Loopback, a.pools.V4Loopback} {
-		if pool != nil && pool.Root().Overlaps(pfx) {
-			a.toFree = append(a.toFree, trackedAlloc{pool: pool, pfx: pfx})
-			return
-		}
-	}
-}
-
-func (a *allocTracker) releaseAll() {
-	for _, t := range a.allocated {
-		_ = t.pool.Free(t.pfx)
-	}
-	a.allocated = nil
-	a.toFree = nil
-}
-
-func (a *allocTracker) releaseFreed() {
-	for _, t := range a.toFree {
-		_ = t.pool.Free(t.pfx)
-	}
-	a.toFree = nil
+	t.releaseFreed()
+	return res, nil
 }
 
 // --- bootstrap helpers ---
+//
+// Each finds or creates inside one transaction, so two callers racing on
+// one new name both get the one object.
 
 // EnsureRegion returns the id of a region, creating it if needed.
-func (d *Designer) EnsureRegion(name string) (int64, error) {
-	if objs, err := d.store.Find("Region", fbnet.Eq("name", name)); err != nil {
-		return 0, err
-	} else if len(objs) == 1 {
-		return objs[0].ID, nil
-	}
-	var id int64
-	_, err := d.store.Mutate(func(m *fbnet.Mutation) error {
-		var err error
-		id, err = m.Create("Region", map[string]any{"name": name})
+func (d *Designer) EnsureRegion(name string) (id int64, err error) {
+	_, err = d.store.Mutate(func(m *fbnet.Mutation) error {
+		id, err = ensureRegion(m, name)
 		return err
 	})
 	return id, err
 }
 
+func ensureRegion(m *fbnet.Mutation, name string) (int64, error) {
+	return ensure(m, "Region", "name", name, func() (int64, error) {
+		return m.Create("Region", map[string]any{"name": name})
+	})
+}
+
 // EnsureSite returns the id of a site, creating it (and its region) if
 // needed.
-func (d *Designer) EnsureSite(name, kind, region string) (int64, error) {
-	if objs, err := d.store.Find("Site", fbnet.Eq("name", name)); err != nil {
-		return 0, err
-	} else if len(objs) == 1 {
-		return objs[0].ID, nil
-	}
-	regionID, err := d.EnsureRegion(region)
-	if err != nil {
-		return 0, err
-	}
-	var id int64
+func (d *Designer) EnsureSite(name, kind, region string) (id int64, err error) {
 	_, err = d.store.Mutate(func(m *fbnet.Mutation) error {
-		var err error
-		id, err = m.Create("Site", map[string]any{"name": name, "kind": kind, "region": regionID})
+		id, err = ensure(m, "Site", "name", name, func() (int64, error) {
+			regionID, err := ensureRegion(m, region)
+			if err != nil {
+				return 0, err
+			}
+			return m.Create("Site", map[string]any{"name": name, "kind": kind, "region": regionID})
+		})
 		return err
 	})
 	return id, err
 }
 
 // EnsureStandardHardware registers the two synthetic vendors and the
-// hardware profiles the standard templates reference.
+// hardware profiles the standard templates reference, unless vendor1
+// exists already.
 func (d *Designer) EnsureStandardHardware() error {
-	if objs, err := d.store.Find("Vendor", fbnet.Eq("name", "vendor1")); err != nil {
-		return err
-	} else if len(objs) > 0 {
-		return nil // already bootstrapped
-	}
 	_, err := d.store.Mutate(func(m *fbnet.Mutation) error {
-		v1, err := m.Create("Vendor", map[string]any{"name": "vendor1", "syntax": "vendor1"})
-		if err != nil {
-			return err
-		}
-		v2, err := m.Create("Vendor", map[string]any{"name": "vendor2", "syntax": "vendor2"})
-		if err != nil {
-			return err
-		}
-		profiles := []struct {
-			name   string
-			vendor int64
-			slots  int
-			ports  int
-			speed  int
-		}{
-			{"Router_Vendor1", v1, 8, 16, 10000},
-			{"Router_Vendor2", v2, 8, 16, 10000},
-			{"Switch_Vendor1", v1, 2, 32, 10000},
-			{"Switch_Vendor2", v2, 2, 32, 10000},
-			{"TOR_Vendor1", v1, 1, 48, 10000},
-			{"Backbone_Vendor2", v2, 16, 16, 100000},
-		}
-		for _, p := range profiles {
-			if _, err := m.Create("HardwareProfile", map[string]any{
-				"name": p.name, "vendor": p.vendor, "num_slots": p.slots,
-				"ports_per_linecard": p.ports, "port_speed_mbps": p.speed,
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err := ensure(m, "Vendor", "name", "vendor1", func() (int64, error) {
+			return createStandardHardware(m)
+		})
+		return err
 	})
 	return err
 }
 
-// --- port allocation ---
-
-// portAllocator hands out free physical ports on devices within one
-// mutation, deriving interface names from the device's vendor syntax.
-type portAllocator struct {
-	m    *fbnet.Mutation
-	used map[int64]map[string]bool // device id -> taken interface names
-	meta map[int64]*devMeta
-}
-
-type devMeta struct {
-	devID     int64
-	syntax    string
-	slots     []int64 // linecard ids in slot order
-	slotNums  []int
-	numSlots  int // chassis capacity; linecards are added on demand
-	portsPer  int
-	speedMbps int64
-}
-
-func newPortAllocator(m *fbnet.Mutation) *portAllocator {
-	return &portAllocator{
-		m:    m,
-		used: make(map[int64]map[string]bool),
-		meta: make(map[int64]*devMeta),
-	}
-}
-
-func (pa *portAllocator) load(devID int64) (*devMeta, error) {
-	if meta, ok := pa.meta[devID]; ok {
-		return meta, nil
-	}
-	dev, err := pa.m.Get("Device", devID)
-	if err != nil {
-		return nil, err
-	}
-	hw, err := pa.m.Get("HardwareProfile", dev.Ref("hw_profile"))
-	if err != nil {
-		return nil, err
-	}
-	vendor, err := pa.m.Get("Vendor", hw.Ref("vendor"))
-	if err != nil {
-		return nil, err
-	}
-	meta := &devMeta{
-		devID:     devID,
-		syntax:    vendor.String("syntax"),
-		numSlots:  int(hw.Int("num_slots")),
-		portsPer:  int(hw.Int("ports_per_linecard")),
-		speedMbps: hw.Int("port_speed_mbps"),
-	}
-	lcs, err := pa.m.Referencing("Linecard", "device", devID)
-	if err != nil {
-		return nil, err
-	}
-	for _, lc := range lcs {
-		meta.slots = append(meta.slots, lc.ID)
-		meta.slotNums = append(meta.slotNums, int(lc.Int("slot")))
-	}
-	taken := map[string]bool{}
-	for _, lc := range lcs {
-		pifs, err := pa.m.Referencing("PhysicalInterface", "linecard", lc.ID)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range pifs {
-			taken[p.String("name")] = true
-		}
-	}
-	pa.used[devID] = taken
-	pa.meta[devID] = meta
-	return meta, nil
-}
-
-// ifaceName builds the vendor-specific interface name for slot/port.
-func ifaceName(syntax string, slot, port int) string {
-	if syntax == "vendor2" {
-		return fmt.Sprintf("et-%d/0/%d", slot, port)
-	}
-	return fmt.Sprintf("et%d/%d", slot, port)
-}
-
-// allocPort creates a PhysicalInterface on the first free port of devID,
-// associated with aggID (0 for none). Linecards are installed on demand up
-// to the chassis slot capacity. Returns the new pif id and name.
-func (pa *portAllocator) allocPort(devID, aggID int64) (int64, string, error) {
-	meta, err := pa.load(devID)
-	if err != nil {
-		return 0, "", err
-	}
-	taken := pa.used[devID]
-	for {
-		for i, lcID := range meta.slots {
-			slot := meta.slotNums[i]
-			for port := 1; port <= meta.portsPer; port++ {
-				name := ifaceName(meta.syntax, slot, port)
-				if taken[name] {
-					continue
-				}
-				fields := map[string]any{
-					"name": name, "speed_mbps": meta.speedMbps, "linecard": lcID,
-				}
-				if aggID != 0 {
-					fields["agg_interface"] = aggID
-				}
-				id, err := pa.m.Create("PhysicalInterface", fields)
-				if err != nil {
-					return 0, "", err
-				}
-				taken[name] = true
-				return id, name, nil
-			}
-		}
-		if len(meta.slots) >= meta.numSlots {
-			return 0, "", fmt.Errorf("design: device %d is out of ports (%d slots of %d ports)",
-				devID, meta.numSlots, meta.portsPer)
-		}
-		nextSlot := 1
-		for _, s := range meta.slotNums {
-			if s >= nextSlot {
-				nextSlot = s + 1
-			}
-		}
-		lcID, err := pa.m.Create("Linecard", map[string]any{"slot": nextSlot, "device": devID})
-		if err != nil {
-			return 0, "", err
-		}
-		meta.slots = append(meta.slots, lcID)
-		meta.slotNums = append(meta.slotNums, nextSlot)
-	}
-}
-
-// nextAggNumber returns the next unused aggregated-interface number on a
-// device.
-func (pa *portAllocator) nextAggNumber(devID int64) (int64, error) {
-	aggs, err := pa.m.Referencing("AggregatedInterface", "device", devID)
+func createStandardHardware(m *fbnet.Mutation) (int64, error) {
+	v1, err := m.Create("Vendor", map[string]any{"name": "vendor1", "syntax": "vendor1"})
 	if err != nil {
 		return 0, err
 	}
-	used := map[int64]bool{}
-	for _, a := range aggs {
-		used[a.Int("number")] = true
+	v2, err := m.Create("Vendor", map[string]any{"name": "vendor2", "syntax": "vendor2"})
+	if err != nil {
+		return 0, err
 	}
-	for n := int64(0); ; n++ {
-		if !used[n] {
-			return n, nil
+	profiles := []struct {
+		name   string
+		vendor int64
+		slots  int
+		ports  int
+		speed  int
+	}{
+		{"Router_Vendor1", v1, 8, 16, 10000},
+		{"Router_Vendor2", v2, 8, 16, 10000},
+		{"Switch_Vendor1", v1, 2, 32, 10000},
+		{"Switch_Vendor2", v2, 2, 32, 10000},
+		{"TOR_Vendor1", v1, 1, 48, 10000},
+		{"Backbone_Vendor2", v2, 16, 16, 100000},
+	}
+	for _, p := range profiles {
+		if _, err := m.Create("HardwareProfile", map[string]any{
+			"name": p.name, "vendor": p.vendor, "num_slots": p.slots,
+			"ports_per_linecard": p.ports, "port_speed_mbps": p.speed,
+		}); err != nil {
+			return 0, err
 		}
 	}
+	return v1, nil
 }
 
 // deviceName composes a standard device name: role + index + cluster/site.

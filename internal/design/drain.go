@@ -17,7 +17,7 @@ func (d *Designer) SetDrainState(ctx ChangeContext, device, state string) (Chang
 	if state != "drained" && state != "undrained" {
 		return ChangeResult{}, fmt.Errorf("design: drain state must be drained or undrained, got %q", state)
 	}
-	return d.change(ctx, func(m *fbnet.Mutation, at *allocTracker) error {
+	return d.change(ctx, func(m *designTx) error {
 		dev, err := m.FindOne("Device", fbnet.Eq("name", device))
 		if err != nil {
 			return err

@@ -38,7 +38,7 @@ func (d *Designer) EnsureFirewallPolicy(ctx ChangeContext, spec FirewallSpec) (C
 	if len(spec.Rules) == 0 {
 		return ChangeResult{}, fmt.Errorf("design: firewall policy %q needs at least one rule", spec.Name)
 	}
-	return d.change(ctx, func(m *fbnet.Mutation, at *allocTracker) error {
+	return d.change(ctx, func(m *designTx) error {
 		var policyID int64
 		existing, err := m.Find("FirewallPolicy", fbnet.Eq("name", spec.Name))
 		if err != nil {
@@ -88,7 +88,7 @@ func (d *Designer) EnsureFirewallPolicy(ctx ChangeContext, spec FirewallSpec) (C
 
 // AttachFirewall binds a policy to devices' control planes.
 func (d *Designer) AttachFirewall(ctx ChangeContext, policyName string, devices []string) (ChangeResult, error) {
-	return d.change(ctx, func(m *fbnet.Mutation, at *allocTracker) error {
+	return d.change(ctx, func(m *designTx) error {
 		policy, err := m.FindOne("FirewallPolicy", fbnet.Eq("name", policyName))
 		if err != nil {
 			return err
@@ -119,7 +119,7 @@ func (d *Designer) AttachFirewall(ctx ChangeContext, policyName string, devices 
 // AssignOsImage records a device's target OS image (the design side of an
 // OS upgrade, §1); the image must exist and belong to the device's vendor.
 func (d *Designer) AssignOsImage(ctx ChangeContext, device, imageName string) (ChangeResult, error) {
-	return d.change(ctx, func(m *fbnet.Mutation, at *allocTracker) error {
+	return d.change(ctx, func(m *designTx) error {
 		dev, err := m.FindOne("Device", fbnet.Eq("name", device))
 		if err != nil {
 			return err
@@ -141,7 +141,7 @@ func (d *Designer) AssignOsImage(ctx ChangeContext, device, imageName string) (C
 
 // EnsureOsImage registers a qualified OS image for a vendor.
 func (d *Designer) EnsureOsImage(ctx ChangeContext, name, version, vendorName string) (ChangeResult, error) {
-	return d.change(ctx, func(m *fbnet.Mutation, at *allocTracker) error {
+	return d.change(ctx, func(m *designTx) error {
 		if existing, err := m.Find("OsImage", fbnet.Eq("name", name)); err != nil {
 			return err
 		} else if len(existing) > 0 {

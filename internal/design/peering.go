@@ -57,7 +57,7 @@ func (d *Designer) AddPeering(ctx ChangeContext, spec PeeringSpec) (ChangeResult
 		return ChangeResult{}, 0, fmt.Errorf("design: eBGP peering with %s requires distinct AS numbers, both sides are %d", spec.Partner, spec.ASN)
 	}
 	var sessionID int64
-	res, err := d.change(ctx, func(m *fbnet.Mutation, at *allocTracker) error {
+	res, err := d.change(ctx, func(m *designTx) error {
 		dev, err := m.FindOne("Device", fbnet.Eq("name", spec.Device))
 		if err != nil {
 			return err
@@ -66,55 +66,43 @@ func (d *Designer) AddPeering(ctx ChangeContext, spec PeeringSpec) (ChangeResult
 			return fmt.Errorf("design: peering terminates on peering routers; %s is a %s", spec.Device, dev.String("role"))
 		}
 		// ASN and partner records (reused when they exist).
-		asnID, err := ensureByField(m, "ASN", "number", spec.ASN, map[string]any{
-			"number": spec.ASN, "name": spec.Partner,
+		asnID, err := ensure(m.Mutation, "ASN", "number", spec.ASN, func() (int64, error) {
+			return m.Create("ASN", map[string]any{"number": spec.ASN, "name": spec.Partner})
 		})
 		if err != nil {
 			return err
 		}
-		partnerID, err := ensureByField(m, "PeeringPartner", "name", spec.Partner, map[string]any{
-			"name": spec.Partner, "asn": asnID,
+		partnerID, err := ensure(m.Mutation, "PeeringPartner", "name", spec.Partner, func() (int64, error) {
+			return m.Create("PeeringPartner", map[string]any{"name": spec.Partner, "asn": asnID})
 		})
 		if err != nil {
 			return err
 		}
 		// The interconnect interface: a dedicated aggregate + port with
 		// point-to-point addressing; our side is A, the partner takes Z.
-		pa := newPortAllocator(m)
-		aggNum, err := pa.nextAggNumber(dev.ID)
+		aggID, err := m.aggregate(dev.ID, 1500)
 		if err != nil {
 			return err
 		}
-		aggID, err := m.Create("AggregatedInterface", map[string]any{
-			"name": fmt.Sprintf("ae%d", aggNum), "number": aggNum, "mtu": 1500, "device": dev.ID,
-		})
-		if err != nil {
+		if _, _, err := m.allocPort(dev.ID, aggID); err != nil {
 			return err
 		}
-		if _, _, err := pa.allocPort(dev.ID, aggID); err != nil {
-			return err
-		}
-		pp, err := at.p2p(true, fmt.Sprintf("peering:%s--%s", spec.Device, spec.Partner))
-		if err != nil {
-			return err
-		}
-		prefixID, err := m.Create("V6Prefix", map[string]any{
-			"prefix": pp.APrefix(), "interface": aggID, "purpose": "external",
-		})
+		prefixID, remoteAddr, err := m.addressPair(familyV6,
+			fmt.Sprintf("peering:%s--%s", spec.Device, spec.Partner), "external", aggID, 0)
 		if err != nil {
 			return err
 		}
 		// Optional custom import policy.
 		var policyID int64
 		if spec.ImportPolicy != nil {
-			policyID, err = d.ensurePolicy(m, *spec.ImportPolicy)
+			policyID, err = ensurePolicy(m.Mutation, *spec.ImportPolicy)
 			if err != nil {
 				return err
 			}
 		}
 		fields := map[string]any{
 			"local_device": dev.ID, "local_prefix": prefixID,
-			"remote_addr": pp.Z.String(),
+			"remote_addr": remoteAddr,
 			"local_as":    spec.LocalAS, "remote_as": spec.ASN,
 			"session_type": "ebgp",
 		}
@@ -138,42 +126,26 @@ func (d *Designer) AddPeering(ctx ChangeContext, spec PeeringSpec) (ChangeResult
 }
 
 // ensurePolicy creates (or reuses by name) a routing policy with its terms.
-func (d *Designer) ensurePolicy(m *fbnet.Mutation, spec PolicySpec) (int64, error) {
+func ensurePolicy(m *fbnet.Mutation, spec PolicySpec) (int64, error) {
 	if spec.Name == "" {
 		return 0, fmt.Errorf("design: policy name required")
 	}
-	if existing, err := m.Find("RoutingPolicy", fbnet.Eq("name", spec.Name)); err != nil {
-		return 0, err
-	} else if len(existing) == 1 {
-		return existing[0].ID, nil
-	}
-	id, err := m.Create("RoutingPolicy", map[string]any{"name": spec.Name})
-	if err != nil {
-		return 0, err
-	}
-	for i, term := range spec.Terms {
-		fields := map[string]any{
-			"policy": id, "seq": int64((i + 1) * 10), "action": term.Action,
-		}
-		if term.MatchPrefix != "" {
-			fields["match_prefix"] = term.MatchPrefix
-		}
-		if _, err := m.Create("PolicyTerm", fields); err != nil {
+	return ensure(m, "RoutingPolicy", "name", spec.Name, func() (int64, error) {
+		id, err := m.Create("RoutingPolicy", map[string]any{"name": spec.Name})
+		if err != nil {
 			return 0, err
 		}
-	}
-	return id, nil
-}
-
-// ensureByField returns the id of the object whose field equals v,
-// creating it with the given fields when absent.
-func ensureByField(m *fbnet.Mutation, model, field string, v any, fields map[string]any) (int64, error) {
-	existing, err := m.Find(model, fbnet.Eq(field, v))
-	if err != nil {
-		return 0, err
-	}
-	if len(existing) >= 1 {
-		return existing[0].ID, nil
-	}
-	return m.Create(model, fields)
+		for i, term := range spec.Terms {
+			fields := map[string]any{
+				"policy": id, "seq": int64((i + 1) * 10), "action": term.Action,
+			}
+			if term.MatchPrefix != "" {
+				fields["match_prefix"] = term.MatchPrefix
+			}
+			if _, err := m.Create("PolicyTerm", fields); err != nil {
+				return 0, err
+			}
+		}
+		return id, nil
+	})
 }

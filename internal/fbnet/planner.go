@@ -98,7 +98,7 @@ func planLeafIDs(reg *Registry, r reader, model, field string, rvals []any) ([]i
 	case f.Kind == ValueField && f.Unique:
 		var ids []int64
 		for _, rv := range rvals {
-			id, found, err := r.lookupUnique(model, field, rv)
+			id, found, err := r.LookupUnique(model, field, rv)
 			if err != nil {
 				return nil, false, nil // registry/schema mismatch: scan instead
 			}
@@ -110,7 +110,7 @@ func planLeafIDs(reg *Registry, r reader, model, field string, rvals []any) ([]i
 	case f.Kind == ValueField && f.Indexed:
 		var ids []int64
 		for _, rv := range rvals {
-			got, err := r.lookupIndexed(model, field, rv)
+			got, err := r.LookupIndexed(model, field, rv)
 			if err != nil {
 				return nil, false, nil // registry/schema mismatch: scan instead
 			}
@@ -126,7 +126,7 @@ func planLeafIDs(reg *Registry, r reader, model, field string, rvals []any) ([]i
 			if !isInt {
 				continue // non-integer never matches a reference id
 			}
-			got, err := r.referencing(model, field, id)
+			got, err := r.Referencing(model, field, id)
 			if err != nil {
 				return nil, false, nil
 			}
@@ -192,7 +192,7 @@ func planPathEq(reg *Registry, r reader, model, path string, rval any) ([]int64,
 		if !isInt {
 			ids = nil
 		} else {
-			got, err := r.referencing(cur, leaf, id)
+			got, err := r.Referencing(cur, leaf, id)
 			if err != nil {
 				return nil, false, nil
 			}
@@ -215,7 +215,7 @@ func planPathEq(reg *Registry, r reader, model, path string, rval any) ([]int64,
 			// field references the model row. Backward: each srcModel row's
 			// fk value is the model row that reaches it.
 			for _, id := range ids {
-				row, err := r.get(st.srcModel, id)
+				row, err := r.Get(st.srcModel, id)
 				if errors.Is(err, relstore.ErrNoRow) {
 					continue
 				}
@@ -230,7 +230,7 @@ func planPathEq(reg *Registry, r reader, model, path string, rval any) ([]int64,
 			// Forward followed model.field → target. Backward: model rows
 			// whose fk is any of the target ids, via the refIndex.
 			for _, id := range ids {
-				got, err := r.referencing(st.model, st.field, id)
+				got, err := r.Referencing(st.model, st.field, id)
 				if err != nil {
 					return nil, false, nil
 				}
@@ -260,7 +260,7 @@ func findReverse(reg *Registry, model, name string) (reverse, bool) {
 func fetchRows(r reader, model string, ids []int64) ([]relstore.Row, error) {
 	rows := make([]relstore.Row, 0, len(ids))
 	for _, id := range ids {
-		row, err := r.get(model, id)
+		row, err := r.Get(model, id)
 		if errors.Is(err, relstore.ErrNoRow) {
 			continue
 		}

@@ -307,44 +307,15 @@ func (e *notExpr) match(rs *resolver, model string, row relstore.Row) (bool, err
 
 // --- path resolution ---
 
-// reader abstracts row access so queries run both against the store (one
-// pinned epoch) and inside mutations (Tx).
+// reader is the row access a query needs, named as relstore names it: a
+// relstore.View reads one pinned epoch (its rows are the stored maps), a
+// *relstore.Tx reads inside a mutation, its own writes included.
 type reader interface {
-	get(table string, id int64) (relstore.Row, error)
-	selectAll(table string) ([]relstore.Row, error)
-	referencing(table, col string, id int64) ([]int64, error)
-	lookupUnique(table, col string, v any) (int64, bool, error)
-	lookupIndexed(table, col string, v any) ([]int64, error)
-}
-
-// viewReader reads one pinned epoch, so every row and index a query
-// touches is of the same committed state; its rows are the stored maps.
-type viewReader struct{ v relstore.View }
-
-func (r viewReader) get(table string, id int64) (relstore.Row, error) { return r.v.Get(table, id) }
-func (r viewReader) selectAll(table string) ([]relstore.Row, error)   { return r.v.Select(table, nil) }
-func (r viewReader) referencing(table, col string, id int64) ([]int64, error) {
-	return r.v.Referencing(table, col, id)
-}
-func (r viewReader) lookupUnique(table, col string, v any) (int64, bool, error) {
-	return r.v.LookupUnique(table, col, v)
-}
-func (r viewReader) lookupIndexed(table, col string, v any) ([]int64, error) {
-	return r.v.LookupIndexed(table, col, v)
-}
-
-type txReader struct{ tx *relstore.Tx }
-
-func (r txReader) get(table string, id int64) (relstore.Row, error) { return r.tx.Get(table, id) }
-func (r txReader) selectAll(table string) ([]relstore.Row, error)   { return r.tx.Select(table, nil) }
-func (r txReader) referencing(table, col string, id int64) ([]int64, error) {
-	return r.tx.Referencing(table, col, id)
-}
-func (r txReader) lookupUnique(table, col string, v any) (int64, bool, error) {
-	return r.tx.LookupUnique(table, col, v)
-}
-func (r txReader) lookupIndexed(table, col string, v any) ([]int64, error) {
-	return r.tx.LookupIndexed(table, col, v)
+	Get(table string, id int64) (relstore.Row, error)
+	Select(table string, pred func(relstore.Row) bool) ([]relstore.Row, error)
+	Referencing(table, col string, id int64) ([]int64, error)
+	LookupUnique(table, col string, v any) (int64, bool, error)
+	LookupIndexed(table, col string, v any) ([]int64, error)
 }
 
 // planRows consults the query planner (planner.go): indexable queries are
@@ -360,7 +331,7 @@ func planRows(reg *Registry, r reader, model string, q Query) ([]relstore.Row, e
 		return rows, err
 	}
 	reg.mPlanScanned.Inc()
-	return r.selectAll(model)
+	return r.Select(model, nil)
 }
 
 // resolver evaluates dotted field paths against rows.
@@ -408,7 +379,7 @@ func (rs *resolver) resolve(model string, row relstore.Row, path string) ([]any,
 					if v == nil {
 						continue // NULL relation: contributes nothing
 					}
-					refRow, err := rs.r.get(f.Target, v.(int64))
+					refRow, err := rs.r.Get(f.Target, v.(int64))
 					if err != nil {
 						return nil, err
 					}
@@ -435,7 +406,7 @@ func (rs *resolver) resolve(model string, row relstore.Row, path string) ([]any,
 					continue
 				}
 				found = true
-				ids, err := rs.r.referencing(rv.model, rv.field, cur.row.ID)
+				ids, err := rs.r.Referencing(rv.model, rv.field, cur.row.ID)
 				if err != nil {
 					return nil, err
 				}
@@ -444,7 +415,7 @@ func (rs *resolver) resolve(model string, row relstore.Row, path string) ([]any,
 						leaves = append(leaves, rid)
 						continue
 					}
-					refRow, err := rs.r.get(rv.model, rid)
+					refRow, err := rs.r.Get(rv.model, rid)
 					if err != nil {
 						return nil, err
 					}
@@ -482,7 +453,7 @@ func (s *Store) Get(model string, fields []string, q Query) ([]Result, error) {
 	var out []Result
 	err := s.db.View(func(v relstore.View) error {
 		var err error
-		out, err = get(s.reg, viewReader{v}, model, fields, q)
+		out, err = get(s.reg, v, model, fields, q)
 		return err
 	})
 	return out, err
@@ -510,7 +481,7 @@ func (s *Store) Peek(model string, q Query) (objs []Object, seq, tableSeq uint64
 		if tableSeq, err = v.TableSeq(model); err != nil {
 			return err
 		}
-		objs, err = find(s.reg, viewReader{v}, model, q)
+		objs, err = find(s.reg, v, model, q)
 		return err
 	})
 	return objs, seq, tableSeq, err

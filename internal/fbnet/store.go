@@ -322,7 +322,7 @@ func (m *Mutation) Get(model string, id int64) (Object, error) {
 
 // Find returns objects of a model matching the query within the mutation.
 func (m *Mutation) Find(model string, q Query) ([]Object, error) {
-	return find(m.store.reg, txReader{m.tx}, model, q)
+	return find(m.store.reg, m.tx, model, q)
 }
 
 // FindOne returns exactly one matching object, erroring on zero or many.
