@@ -171,14 +171,19 @@ func (d *Designer) AddRack(ctx ChangeContext, clusterName, torProfile, uplinkRol
 		}
 		uplinks := make([]deviceHandle, len(devs))
 		for i, up := range devs {
-			uplinks[i] = deviceHandle{id: up.ID, name: up.String("name"), as: deviceAS(m.Mutation, up.ID, 64700)}
+			uplinks[i] = deviceHandle{id: up.ID, name: up.String("name")}
 		}
 		n := len(racks) + 1
-		_, err = m.rack(rackSpec{
+		spec := rackSpec{
 			n: n, scope: clusterScope(clusterName), siteID: cluster.Ref("site"), clusterID: cluster.ID,
 			torHW: hw.ID, torAS: 65500 + int64(n), addr: AddressingSpec{V6: v6, V4: v4},
 			uplinks: uplinks, uplinksPerTOR: uplinksPerTOR, ebgp: true,
-		})
+		}
+		for u := 0; u < uplinksPerTOR; u++ {
+			up := spec.uplink(u)
+			up.as = deviceAS(m.Mutation, up.id, 64700)
+		}
+		_, err = m.rack(spec)
 		return err
 	})
 }

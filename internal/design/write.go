@@ -540,6 +540,12 @@ type rackSpec struct {
 	ebgp              bool
 }
 
+// uplink is the device the TOR's u-th uplink goes to: round-robin over
+// the uplink devices, starting at the rack's number.
+func (s rackSpec) uplink(u int) *deviceHandle {
+	return &s.uplinks[(s.n+u)%len(s.uplinks)]
+}
+
 // rack adds a Rack row, its TOR, and the TOR's uplinks — 2-circuit
 // bundles spread round-robin over the uplink devices — and returns the
 // TOR's name.
@@ -554,7 +560,7 @@ func (m *designTx) rack(spec rackSpec) (string, error) {
 		return "", err
 	}
 	for u := 0; u < spec.uplinksPerTOR; u++ {
-		up := spec.uplinks[(spec.n+u)%len(spec.uplinks)]
+		up := spec.uplink(u)
 		if err := m.portmap(portmapSpec{
 			aDev: tor.id, zDev: up.id, aName: tor.name, zName: up.name,
 			circuits: 2, v6: spec.addr.V6, v4: spec.addr.V4,
