@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race loc journals journals-diff verify-gate store reconcile fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
+.PHONY: tier1 build vet test race loc journals journals-diff verify-gate store design reconcile fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
 
 # Tier-1 gate: what CI and reviewers run before merging.
-tier1: verify-gate store reconcile fuzz-smoke sim obs
+tier1: verify-gate store design reconcile fuzz-smoke sim obs
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -49,6 +49,17 @@ store:
 	$(GO) test -race -timeout 5m ./internal/relstore/ ./internal/fbnet/service/
 	$(GO) test -race -timeout 5m -run 'TestFindReadsOneEpoch|TestPeekSharesStoredRowsFindCopies' ./internal/fbnet/
 	$(GO) test -race -timeout 5m -run 'TestMemoNeverCachesUnchecked|TestGeneratorConcurrentUse' ./internal/configgen/
+
+# The design tools' write path under the race detector: the write-set
+# golden (every design op's FBNet rows and pool allocations over one
+# scripted history, against internal/design/testdata/design_writes.golden),
+# find-or-create racing on a new name, concurrent design changes
+# serializing, and the gate's design differential over 200 seeded
+# histories (the stored checks answer for every finding of the former
+# design rule checker; DESIGN.md §12).
+design:
+	$(GO) test -race -timeout 5m -run 'TestDesignWritesGolden|TestEnsureRacesCreateOnce|TestConcurrentDesignChangesSerialize' ./internal/design/
+	$(GO) test -race -timeout 10m -run 'TestGateCoversDesignRules' ./internal/verify/
 
 # The drift reconciler under the race detector: the per-shard safety
 # budget and breaker (a storm trips only its own shard, in-flight

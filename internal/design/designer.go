@@ -197,11 +197,8 @@ func (d *Designer) change(ctx ChangeContext, fn func(*designTx) error) (ChangeRe
 		if err := record(stats.Modified, "modify"); err != nil {
 			return err
 		}
-		if err := record(stats.Deleted, "delete"); err != nil {
-			return err
-		}
 		res = ChangeResult{ChangeID: changeID, Stats: stats}
-		return nil
+		return record(stats.Deleted, "delete")
 	})
 	if err != nil {
 		t.releaseAll()

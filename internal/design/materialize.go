@@ -88,7 +88,7 @@ func (d *Designer) BuildCluster(ctx ChangeContext, siteName, clusterName string,
 		}
 		torAS := tpl.Addressing.LocalASBase["tor"]
 		if torAS == 0 {
-			torAS = 65500
+			torAS = torASBase
 		}
 		for r := 1; r <= tpl.Racks; r++ {
 			tor, err := m.rack(rackSpec{
@@ -176,7 +176,7 @@ func (d *Designer) AddRack(ctx ChangeContext, clusterName, torProfile, uplinkRol
 		n := len(racks) + 1
 		spec := rackSpec{
 			n: n, scope: clusterScope(clusterName), siteID: cluster.Ref("site"), clusterID: cluster.ID,
-			torHW: hw.ID, torAS: 65500 + int64(n), addr: AddressingSpec{V6: v6, V4: v4},
+			torHW: hw.ID, torAS: torASBase + int64(n), addr: AddressingSpec{V6: v6, V4: v4},
 			uplinks: uplinks, uplinksPerTOR: uplinksPerTOR, ebgp: true,
 		}
 		for u := 0; u < uplinksPerTOR; u++ {

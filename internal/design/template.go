@@ -13,10 +13,13 @@
 // resolving object dependencies (iBGP mesh membership, interface/prefix/
 // session re-association) through FBNet's relationship fields (§5.1.2).
 //
-// Every operation is validated against network design rules (§5.1.3) and
-// recorded as a DesignChange with employee and ticket IDs; the change's
-// created/modified/deleted object counts are the quantity reported in the
-// paper's Figure 15.
+// Every operation writes FBNet through one vocabulary, designTx
+// (write.go): devices, aggregates, bundle members, point-to-point address
+// pairs, racks, and the release of addresses are each written there once.
+// Every operation is recorded as a DesignChange with employee and ticket
+// IDs; the change's created/modified/deleted object counts, taken from the
+// committing transaction, are the quantity reported in the paper's
+// Figure 15 and the Stats of its ChangeResult.
 package design
 
 import (

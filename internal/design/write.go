@@ -527,6 +527,10 @@ func (m *designTx) findBundle(a, z fbnet.Object) (bundle, bool, error) {
 
 // --- racks ---
 
+// torASBase is the AS numbers' base of TORs a template gives none:
+// rack n's TOR is AS torASBase + n.
+const torASBase = 65500
+
 // rackSpec is one rack to add to a cluster.
 type rackSpec struct {
 	n                 int    // the rack's number in the cluster
