@@ -41,24 +41,31 @@ verify-gate:
 # a concurrent reader, replication and promotion — a pinned View's reads
 # and Seq included, and a View releases its pin however it ends; DESIGN.md
 # §13.2), fbnet's reads of one epoch (an indexed Find or Get beside a
-# writer never mixes two commits; Peek shares the stored rows, Find copies
-# them), the fbnet service that serves it over the wire, and the follower
-# that leans on ReadSeq — the generator's memo caching nothing it has not
-# checked against the log.
+# writer never mixes two commits; Peek, PeekOne and PeekByID share the
+# stored rows, Find, FindOne and GetByID copy them), the fbnet service that
+# serves it over the wire, the thriftlite plan cache that service and the
+# generator encode with (many goroutines on a cold cache get the bytes of a
+# serial run), and the follower that leans on ReadSeq — the generator's
+# memo caching nothing it has not checked against the log, concurrent
+# generation, and derivations that read the stored rows in place and leave
+# every one as it was (DESIGN.md §8).
 store:
 	$(GO) test -race -timeout 5m ./internal/relstore/ ./internal/fbnet/service/
 	$(GO) test -race -timeout 5m -run 'TestFindReadsOneEpoch|TestPeekSharesStoredRowsFindCopies' ./internal/fbnet/
-	$(GO) test -race -timeout 5m -run 'TestMemoNeverCachesUnchecked|TestGeneratorConcurrentUse' ./internal/configgen/
+	$(GO) test -race -timeout 5m -run 'TestPlansConcurrentOnColdCache|TestBadTagsRejected' ./internal/thriftlite/
+	$(GO) test -race -timeout 5m -run 'TestMemoNeverCachesUnchecked|TestGeneratorConcurrentUse|TestDeriveLeavesStoredRowsUntouched' ./internal/configgen/
 
 # The design tools' write path under the race detector: the write-set
-# golden (every design op's FBNet rows and pool allocations over one
-# scripted history, against internal/design/testdata/design_writes.golden),
+# golden (every design op's FBNet rows, in binlog order, and pool
+# allocations over one scripted history, against
+# internal/design/testdata/design_writes.golden), one delete logging the
+# same entries on ten fresh stores,
 # find-or-create racing on a new name, concurrent design changes
 # serializing, and the gate's design differential over 200 seeded
 # histories (the stored checks answer for every finding of the former
 # design rule checker; DESIGN.md §12).
 design:
-	$(GO) test -race -timeout 5m -run 'TestDesignWritesGolden|TestEnsureRacesCreateOnce|TestConcurrentDesignChangesSerialize' ./internal/design/
+	$(GO) test -race -timeout 5m -run 'TestDesignWritesGolden|TestDeletesLogTheSameEntries|TestEnsureRacesCreateOnce|TestConcurrentDesignChangesSerialize' ./internal/design/
 	$(GO) test -race -timeout 10m -run 'TestGateCoversDesignRules' ./internal/verify/
 
 # The drift reconciler under the race detector: the per-shard safety

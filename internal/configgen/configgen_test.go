@@ -22,6 +22,20 @@ func testCtx(domain string) design.ChangeContext {
 // newPOP builds a 4-post POP in FBNet and returns a generator over it.
 func newPOP(t testing.TB) (*design.Designer, *Generator) {
 	t.Helper()
+	d, g := newEmpty(t)
+	if _, err := d.EnsureSite("pop1", "pop", "apac"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.BuildCluster(testCtx("pop"), "pop1", "pop1-c1", design.POPGen1()); err != nil {
+		t.Fatal(err)
+	}
+	return d, g
+}
+
+// newEmpty returns a designer and a generator over a store that holds the
+// standard hardware and nothing else.
+func newEmpty(t testing.TB) (*design.Designer, *Generator) {
+	t.Helper()
 	db := relstore.NewDB("master")
 	store, err := fbnet.Open(db, fbnet.NewCatalog())
 	if err != nil {
@@ -32,12 +46,6 @@ func newPOP(t testing.TB) (*design.Designer, *Generator) {
 		t.Fatal(err)
 	}
 	if err := d.EnsureStandardHardware(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.EnsureSite("pop1", "pop", "apac"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.BuildCluster(testCtx("pop"), "pop1", "pop1-c1", design.POPGen1()); err != nil {
 		t.Fatal(err)
 	}
 	g, err := NewGenerator(store, revctl.NewRepo())

@@ -2,6 +2,7 @@ package design
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/robotron-net/robotron/internal/fbnet"
@@ -178,7 +179,12 @@ func retireFarEnd(m *designTx, lg fbnet.Object, localDev int64) error {
 			return err
 		}
 	}
+	aggIDs := make([]int64, 0, len(farAggs))
 	for aggID := range farAggs {
+		aggIDs = append(aggIDs, aggID)
+	}
+	slices.Sort(aggIDs) // id order: one delete logs the same entries on every run
+	for _, aggID := range aggIDs {
 		// Cascades the far side's prefix objects (same p2p subnets the
 		// local side just freed) and any sessions over them.
 		if err := m.Delete("AggregatedInterface", aggID); err != nil {

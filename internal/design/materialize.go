@@ -112,17 +112,17 @@ func (d *Designer) BuildCluster(ctx ChangeContext, siteName, clusterName string,
 }
 
 // deviceAS recovers a device's AS number from any BGP session it already
-// participates in, falling back to def.
+// participates in, falling back to def. It reads the lowest-id session of
+// each kind, one row, not every session of the device.
 func deviceAS(m *fbnet.Mutation, devID, def int64) int64 {
 	for _, model := range []string{"BgpV6Session", "BgpV4Session"} {
-		if ss, err := m.Referencing(model, "local_device", devID); err == nil && len(ss) > 0 {
-			if as := ss[0].Int("local_as"); as != 0 {
-				return as
+		for _, side := range [2][2]string{{"local_device", "local_as"}, {"remote_device", "remote_as"}} {
+			ids, err := m.ReferencingIDs(model, side[0], devID)
+			if err != nil || len(ids) == 0 {
+				continue
 			}
-		}
-		if ss, err := m.Referencing(model, "remote_device", devID); err == nil && len(ss) > 0 {
-			if as := ss[0].Int("remote_as"); as != 0 {
-				return as
+			if s, err := m.Get(model, ids[0]); err == nil && s.Int(side[1]) != 0 {
+				return s.Int(side[1])
 			}
 		}
 	}

@@ -24,11 +24,10 @@ var update = flag.Bool("update", false, "rewrite testdata/design_writes.golden")
 // byte-identical; `go test -run TestDesignWritesGolden -update` rewrites
 // it.
 //
-// Inserts are recorded in binlog order. Updates and deletes are recorded
-// as each op's net effect per row, sorted by table and id: a delete
-// cascades through the referencing tables in map order, so the order of
-// the cascaded deletes, and which SET NULL updates land on rows the same
-// cascade then deletes, differ from run to run.
+// Every write is recorded in binlog order: a delete cascades through the
+// referencing tables in a fixed order (TestDeletesLogTheSameEntries), so
+// the golden pins the order of the cascaded deletes and of the SET NULL
+// updates too.
 func TestDesignWritesGolden(t *testing.T) {
 	db := relstore.NewDB("master")
 	store, err := fbnet.Open(db, fbnet.NewCatalog())
@@ -226,52 +225,15 @@ func allocLess(a, b string) bool {
 }
 
 func writeEntries(out *strings.Builder, entries []relstore.LogEntry) {
-	type rowKey struct {
-		table string
-		id    int64
-	}
-	updated := map[rowKey]map[string]any{}
-	deleted := map[rowKey]bool{}
 	for _, e := range entries {
-		k := rowKey{e.Table, e.RowID}
 		switch e.Op {
 		case relstore.OpInsert:
 			fmt.Fprintf(out, "insert %s %d %s\n", e.Table, e.RowID, formatValues(e.Values))
 		case relstore.OpUpdate:
-			if updated[k] == nil {
-				updated[k] = map[string]any{}
-			}
-			for c, v := range e.Values {
-				updated[k][c] = v
-			}
+			fmt.Fprintf(out, "update %s %d %s\n", e.Table, e.RowID, formatValues(e.Values))
 		case relstore.OpDelete:
-			deleted[k] = true
+			fmt.Fprintf(out, "delete %s %d\n", e.Table, e.RowID)
 		}
-	}
-	keys := func(m map[rowKey]bool) []rowKey {
-		var ks []rowKey
-		for k := range m {
-			ks = append(ks, k)
-		}
-		sort.Slice(ks, func(i, j int) bool {
-			if ks[i].table != ks[j].table {
-				return ks[i].table < ks[j].table
-			}
-			return ks[i].id < ks[j].id
-		})
-		return ks
-	}
-	survivors := map[rowKey]bool{}
-	for k := range updated {
-		if !deleted[k] {
-			survivors[k] = true
-		}
-	}
-	for _, k := range keys(survivors) {
-		fmt.Fprintf(out, "update %s %d %s\n", k.table, k.id, formatValues(updated[k]))
-	}
-	for _, k := range keys(deleted) {
-		fmt.Fprintf(out, "delete %s %d\n", k.table, k.id)
 	}
 }
 
@@ -291,4 +253,57 @@ func formatValues(vals map[string]any) string {
 		}
 	}
 	return "{" + strings.Join(parts, " ") + "}"
+}
+
+// TestDeletesLogTheSameEntries: a delete logs the same binlog on every
+// run. On ten fresh stores, each holding a POP cluster and a backbone
+// mesh with bundles, RemoveBackboneRouter and DecommissionCluster must
+// write entry for entry the same log: the same cascaded deletes, in the
+// same order, and the same SET NULL updates.
+func TestDeletesLogTheSameEntries(t *testing.T) {
+	var want string
+	for run := 0; run < 10; run++ {
+		d := newTestDesigner(t)
+		db := d.store.DB()
+		for _, s := range [][3]string{{"pop1", "pop", "apac"}, {"bb-site", "backbone", "nam"}} {
+			if _, err := d.EnsureSite(s[0], s[1], s[2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := d.BuildCluster(testCtx("pop"), "pop1", "pop1-c1", POPGen1()); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []string{"bb1", "bb2", "bb3", "bb4"} {
+			if _, err := d.AddBackboneRouter(testCtx("backbone"), r, "bb-site", "Backbone_Vendor2", "bb"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range [][2]string{{"bb1", "bb2"}, {"bb2", "bb3"}, {"bb2", "bb4"}, {"bb3", "bb4"}} {
+			if _, err := d.AddBackboneCircuit(testCtx("backbone"), c[0], c[1], 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var log strings.Builder
+		seq := db.Seq()
+		if _, err := d.RemoveBackboneRouter(testCtx("backbone"), "bb2"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.DecommissionCluster(testCtx("pop"), "pop1-c1"); err != nil {
+			t.Fatal(err)
+		}
+		writeEntries(&log, db.EntriesSince(seq))
+		if run == 0 {
+			want = log.String()
+			continue
+		}
+		if got := log.String(); got != want {
+			gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+			for i := 0; i < len(gl) && i < len(wl); i++ {
+				if gl[i] != wl[i] {
+					t.Fatalf("run %d logged a different delete at entry %d:\n got: %s\nwant: %s", run, i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("run %d logged %d entries, run 0 %d", run, len(gl), len(wl))
+		}
+	}
 }

@@ -498,9 +498,23 @@ func (s *Store) TableSeq(model string) (seq uint64, err error) {
 	return seq, err
 }
 
-// FindOne returns exactly one matching object, erroring on zero or many.
+// FindOne returns exactly one matching object, erroring on zero or many:
+// PeekOne's answer, with its fields copied for the caller to keep.
 func (s *Store) FindOne(model string, q Query) (Object, error) {
-	objs, err := s.Find(model, q)
+	o, err := s.PeekOne(model, q)
+	o.Fields = maps.Clone(o.Fields)
+	return o, err
+}
+
+// PeekOne is FindOne without the copy: one Peek, whose single object's
+// Fields is the stored row and must never be written.
+func (s *Store) PeekOne(model string, q Query) (Object, error) {
+	objs, _, _, err := s.Peek(model, q)
+	return exactlyOne(model, q, objs, err)
+}
+
+// exactlyOne is FindOne's verdict on a query's answer.
+func exactlyOne(model string, q Query, objs []Object, err error) (Object, error) {
 	if err != nil {
 		return Object{}, err
 	}

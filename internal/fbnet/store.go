@@ -2,6 +2,7 @@ package fbnet
 
 import (
 	"fmt"
+	"maps"
 
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/telemetry"
@@ -136,12 +137,26 @@ func (s *Store) AddField(model string, f Field) error {
 	return nil
 }
 
-// GetByID fetches one object.
+// GetByID fetches one object: PeekByID's answer, with its fields copied
+// for the caller to keep.
 func (s *Store) GetByID(model string, id int64) (Object, error) {
+	o, err := s.PeekByID(model, id)
+	o.Fields = maps.Clone(o.Fields)
+	return o, err
+}
+
+// PeekByID is GetByID without the copy, the by-id sibling of Peek: one
+// pinned point read whose Fields is the stored row itself, shared with the
+// store and every other reader. It stays valid, and must never be written.
+func (s *Store) PeekByID(model string, id int64) (Object, error) {
 	if _, ok := s.reg.Model(model); !ok {
 		return Object{}, fmt.Errorf("fbnet: unknown model %q", model)
 	}
-	row, err := s.db.Get(model, id)
+	var row relstore.Row
+	err := s.db.View(func(v relstore.View) (err error) {
+		row, err = v.Get(model, id)
+		return err
+	})
 	if err != nil {
 		return Object{}, err
 	}
@@ -328,22 +343,18 @@ func (m *Mutation) Find(model string, q Query) ([]Object, error) {
 // FindOne returns exactly one matching object, erroring on zero or many.
 func (m *Mutation) FindOne(model string, q Query) (Object, error) {
 	objs, err := m.Find(model, q)
-	if err != nil {
-		return Object{}, err
-	}
-	switch len(objs) {
-	case 0:
-		return Object{}, fmt.Errorf("fbnet: no %s matches %s", model, q)
-	case 1:
-		return objs[0], nil
-	default:
-		return Object{}, fmt.Errorf("fbnet: %d %s objects match %s, want exactly 1", len(objs), model, q)
-	}
+	return exactlyOne(model, q, objs, err)
+}
+
+// ReferencingIDs lists the ids of the objects of srcModel whose srcField
+// references id, in ascending order, without fetching them.
+func (m *Mutation) ReferencingIDs(srcModel, srcField string, id int64) ([]int64, error) {
+	return m.tx.Referencing(srcModel, srcField, id)
 }
 
 // Referencing lists objects of srcModel whose srcField references id.
 func (m *Mutation) Referencing(srcModel, srcField string, id int64) ([]Object, error) {
-	ids, err := m.tx.Referencing(srcModel, srcField, id)
+	ids, err := m.ReferencingIDs(srcModel, srcField, id)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package fbnet
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -88,9 +89,10 @@ func TestFindReadsOneEpoch(t *testing.T) {
 	}
 }
 
-// TestPeekSharesStoredRowsFindCopies: Peek hands out the stored rows, the
-// sequence they are of and the sequence their table last moved at; Find's
-// copies are the caller's to write.
+// TestPeekSharesStoredRowsFindCopies: Peek, PeekOne and PeekByID hand out
+// the stored rows (Peek also the sequence they are of and the sequence
+// their table last moved at); the copies of Find, FindOne and GetByID are
+// the caller's to write.
 func TestPeekSharesStoredRowsFindCopies(t *testing.T) {
 	s := newTestStore(t)
 	if _, err := s.Mutate(func(m *Mutation) error {
@@ -125,6 +127,38 @@ func TestPeekSharesStoredRowsFindCopies(t *testing.T) {
 	found[0].Fields["name"] = "scribble"
 	if peeked[0].String("name") != "apac" {
 		t.Error("writing Find's copy changed the stored row")
+	}
+
+	var stored relstore.Row
+	if err := s.DB().View(func(v relstore.View) (err error) {
+		stored, err = v.Get("Region", peeked[0].ID)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	byID, err := s.PeekByID("Region", peeked[0].ID)
+	if err != nil || byID.ID != peeked[0].ID || !sameMap(byID.Fields, stored.Values) {
+		t.Fatalf("PeekByID = %v, %v; want the map View.Get hands out", byID, err)
+	}
+	one, err := s.PeekOne("Region", Eq("name", "apac"))
+	if err != nil || !sameMap(one.Fields, stored.Values) {
+		t.Fatalf("PeekOne = %v, %v; want the map View.Get hands out", one, err)
+	}
+	if _, err := s.PeekByID("Region", peeked[0].ID+100); !errors.Is(err, relstore.ErrNoRow) {
+		t.Errorf("PeekByID of a missing id: %v, want ErrNoRow", err)
+	}
+	for name, read := range map[string]func() (Object, error){
+		"GetByID": func() (Object, error) { return s.GetByID("Region", peeked[0].ID) },
+		"FindOne": func() (Object, error) { return s.FindOne("Region", Eq("name", "apac")) },
+	} {
+		got, err := read()
+		if err != nil || sameMap(got.Fields, stored.Values) {
+			t.Fatalf("%s = %v, %v; want a copy of the stored row", name, got, err)
+		}
+		got.Fields["name"] = "scribble"
+		if byID.String("name") != "apac" {
+			t.Errorf("writing %s's copy changed the stored row", name)
+		}
 	}
 }
 

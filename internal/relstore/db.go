@@ -3,6 +3,7 @@ package relstore
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -27,6 +28,37 @@ type table struct {
 	// (non-unique) columns, so point lookups are O(matches) and already
 	// in ascending order (reads copy, never sort).
 	secondary map[string]map[any][]int64
+	// referrers lists the foreign keys that reference this table, sorted
+	// by referencing table and column: the order a delete applies their
+	// referential actions in, so one delete logs the same entries on every
+	// run and every server.
+	referrers []referrer
+}
+
+// referrer is one foreign key of table naming another (or its own) table.
+type referrer struct {
+	table string
+	fk    ForeignKey
+}
+
+// addTable creates the table def describes in a table set and lists its
+// foreign keys on the tables they reference. CREATE TABLE is the only
+// statement that declares a foreign key.
+func addTable(tables map[string]*table, def TableDef) *table {
+	t := newTable(def)
+	tables[def.Name] = t
+	for _, fk := range def.ForeignKeys {
+		rt := tables[fk.RefTable]
+		r := referrer{table: def.Name, fk: fk}
+		i, _ := slices.BinarySearchFunc(rt.referrers, r, func(a, b referrer) int {
+			if a.table != b.table {
+				return strings.Compare(a.table, b.table)
+			}
+			return strings.Compare(a.fk.Column, b.fk.Column)
+		})
+		rt.referrers = slices.Insert(rt.referrers, i, r)
+	}
+	return t
 }
 
 func newTable(def TableDef) *table {
@@ -166,8 +198,7 @@ func (db *DB) CreateTable(def TableDef) error {
 	}
 	db.seq++
 	db.txSeq++
-	tables[def.Name] = newTable(def)
-	tables[def.Name].seq = db.seq
+	addTable(tables, def).seq = db.seq
 	db.publish(LogEntry{Seq: db.seq, TxID: db.txSeq, Op: OpCreateTable, Table: def.Name, Def: &def})
 	return nil
 }

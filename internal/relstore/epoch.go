@@ -107,7 +107,7 @@ func applyEntryToTables(tables map[string]*table, e LogEntry) error {
 		if _, dup := tables[e.Table]; dup {
 			return fmt.Errorf("table %q already exists", e.Table)
 		}
-		tables[e.Table] = newTable(*e.Def)
+		addTable(tables, *e.Def)
 	case OpInsert:
 		t, ok := tables[e.Table]
 		if !ok {

@@ -292,42 +292,32 @@ func (tx *Tx) Delete(tableName string, id int64) error {
 	if _, ok := t.rows[id]; !ok {
 		return fmt.Errorf("relstore: %s: no row with id %d", tableName, id)
 	}
-	// Resolve referencing rows across all tables.
-	for refName, rt := range tx.tables {
-		for _, fk := range rt.def.ForeignKeys {
-			if fk.RefTable != tableName {
-				continue
+	// Resolve referencing rows, foreign key by foreign key in the table's
+	// fixed referrer order, and each key's rows in id order.
+	for _, ref := range t.referrers {
+		fk := ref.fk
+		refs := tx.tables[ref.table].refIndex[fk.Column][id]
+		if len(refs) == 0 {
+			continue
+		}
+		if fk.OnDelete == Restrict {
+			return fmt.Errorf("relstore: cannot delete %s id %d: still referenced by %d row(s) of %s.%s",
+				tableName, id, len(refs), ref.table, fk.Column)
+		}
+		ids := make([]int64, 0, len(refs))
+		for rid := range refs {
+			ids = append(ids, rid)
+		}
+		sortInt64s(ids)
+		for _, rid := range ids {
+			var err error
+			if fk.OnDelete == Cascade {
+				err = tx.Delete(ref.table, rid)
+			} else { // SetNull
+				err = tx.Update(ref.table, rid, map[string]any{fk.Column: nil})
 			}
-			refs := rt.refIndex[fk.Column][id]
-			if len(refs) == 0 {
-				continue
-			}
-			switch fk.OnDelete {
-			case Restrict:
-				return fmt.Errorf("relstore: cannot delete %s id %d: still referenced by %d row(s) of %s.%s",
-					tableName, id, len(refs), refName, fk.Column)
-			case Cascade:
-				ids := make([]int64, 0, len(refs))
-				for rid := range refs {
-					ids = append(ids, rid)
-				}
-				sortInt64s(ids)
-				for _, rid := range ids {
-					if err := tx.Delete(refName, rid); err != nil {
-						return err
-					}
-				}
-			case SetNull:
-				ids := make([]int64, 0, len(refs))
-				for rid := range refs {
-					ids = append(ids, rid)
-				}
-				sortInt64s(ids)
-				for _, rid := range ids {
-					if err := tx.Update(refName, rid, map[string]any{fk.Column: nil}); err != nil {
-						return err
-					}
-				}
+			if err != nil {
+				return err
 			}
 		}
 	}

@@ -85,13 +85,9 @@ func (d *decoder) readCount() (int, error) {
 }
 
 func (d *decoder) readStruct(rv reflect.Value) error {
-	fields, err := structFields(rv.Type())
-	if err != nil {
-		return err
-	}
-	byID := make(map[int]int, len(fields))
-	for _, f := range fields {
-		byID[f.id] = f.index
+	p := planFor(rv.Type())
+	if p.err != nil {
+		return p.err
 	}
 	for {
 		wt, err := d.readByte()
@@ -105,19 +101,18 @@ func (d *decoder) readStruct(rv reflect.Value) error {
 		if err != nil {
 			return err
 		}
-		idx, known := byID[int(id)]
+		f, known := p.byID[int(id)]
 		if !known {
 			if err := d.skipValue(wt); err != nil {
 				return err
 			}
 			continue
 		}
-		fv := rv.Field(idx)
-		declared, err := wireType(fv.Type())
-		if err != nil {
-			return err
+		fv := rv.Field(f.index)
+		if f.wtErr != nil {
+			return f.wtErr
 		}
-		if declared != wt {
+		if f.wt != wt {
 			return fmt.Errorf("thriftlite: field id %d of %s: wire type %d does not match declared type %s",
 				id, rv.Type().Name(), wt, fv.Type())
 		}

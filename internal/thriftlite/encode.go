@@ -13,6 +13,13 @@
 // Go structs map to wire structs via `thrift:"N"` field tags carrying the
 // field id. Supported field types: bool, integers, float64, string, []byte,
 // nested structs, pointers to structs, slices, and maps with string keys.
+//
+// A Go type's wire layout never changes, so each struct type's plan — its
+// tagged fields sorted by id for the encoder, an id → field lookup for the
+// decoder, and each field's wire type — is worked out once, on first use,
+// and cached per reflect.Type for the life of the process. A type whose
+// tags are bad caches its error as its plan: every Marshal or Unmarshal of
+// it fails the same way, not just the first.
 package thriftlite
 
 import (
@@ -22,6 +29,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"sync"
 )
 
 // Wire type codes. STOP terminates a struct's field list.
@@ -69,23 +77,23 @@ func (e *encoder) writeVarint(i int64) {
 }
 
 func (e *encoder) writeStruct(rv reflect.Value) error {
-	fields, err := structFields(rv.Type())
-	if err != nil {
-		return err
+	p := planFor(rv.Type())
+	if p.err != nil {
+		return p.err
 	}
-	for _, f := range fields {
+	for i := range p.fields {
+		f := &p.fields[i]
 		fv := rv.Field(f.index)
 		if isZeroValue(fv) {
 			continue // compact encoding: zero values are elided
 		}
-		wt, err := wireType(fv.Type())
-		if err != nil {
-			return fmt.Errorf("field %s: %w", rv.Type().Field(f.index).Name, err)
+		if f.wtErr != nil {
+			return fmt.Errorf("field %s: %w", f.name, f.wtErr)
 		}
-		e.writeByte(wt)
+		e.writeByte(f.wt)
 		e.writeUvarint(uint64(f.id))
-		if err := e.writeValue(fv, wt); err != nil {
-			return fmt.Errorf("field %s: %w", rv.Type().Field(f.index).Name, err)
+		if err := e.writeValue(fv, f.wt); err != nil {
+			return fmt.Errorf("field %s: %w", f.name, err)
 		}
 	}
 	e.writeByte(tStop)
@@ -112,14 +120,15 @@ func (e *encoder) writeValue(rv reflect.Value, wt byte) error {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(rv.Float()))
 		e.buf = append(e.buf, b[:]...)
 	case tString:
-		var s []byte
 		if rv.Kind() == reflect.String {
-			s = []byte(rv.String())
+			s := rv.String()
+			e.writeUvarint(uint64(len(s)))
+			e.buf = append(e.buf, s...)
 		} else {
-			s = rv.Bytes()
+			b := rv.Bytes()
+			e.writeUvarint(uint64(len(b)))
+			e.buf = append(e.buf, b...)
 		}
-		e.writeUvarint(uint64(len(s)))
-		e.buf = append(e.buf, s...)
 	case tStruct:
 		for rv.Kind() == reflect.Pointer {
 			rv = rv.Elem()
@@ -205,17 +214,44 @@ func isZeroValue(rv reflect.Value) bool {
 	}
 }
 
+// plan is a struct type's wire layout. err is set, and nothing else, when
+// the type's tags are bad.
+type plan struct {
+	fields []field        // tagged fields, sorted by id
+	byID   map[int]*field // the same fields by id, for the decoder
+	err    error
+}
+
 // field describes one serializable struct field.
 type field struct {
 	id    int
 	index int
+	name  string
+	wt    byte  // wire type of the field's Go type, unless wtErr
+	wtErr error // the Go type has no wire type; an error only if the field is on the wire
 }
 
-// structFields extracts tagged fields, sorted by id, validating uniqueness.
+// plans caches one *plan per struct type (reflect.Type → *plan). Like
+// encoding/json's field cache it only grows, by a handful of types: the
+// struct types a process encodes or decodes.
+var plans sync.Map
+
+// planFor returns t's plan, working it out on t's first use. Goroutines
+// racing on a cold type may each work it out; one result is kept, and
+// every result is the same.
+func planFor(t reflect.Type) *plan {
+	if p, ok := plans.Load(t); ok {
+		return p.(*plan)
+	}
+	p, _ := plans.LoadOrStore(t, newPlan(t))
+	return p.(*plan)
+}
+
+// newPlan extracts t's tagged fields, sorted by id, validating uniqueness.
 // Fields without a thrift tag are ignored, allowing internal bookkeeping
 // fields alongside wire fields.
-func structFields(t reflect.Type) ([]field, error) {
-	var out []field
+func newPlan(t reflect.Type) *plan {
+	var fields []field
 	seen := map[int]string{}
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
@@ -225,14 +261,19 @@ func structFields(t reflect.Type) ([]field, error) {
 		}
 		id, err := strconv.Atoi(tag)
 		if err != nil || id <= 0 {
-			return nil, fmt.Errorf("thriftlite: bad field tag %q on %s.%s (want positive integer)", tag, t.Name(), sf.Name)
+			return &plan{err: fmt.Errorf("thriftlite: bad field tag %q on %s.%s (want positive integer)", tag, t.Name(), sf.Name)}
 		}
 		if prev, dup := seen[id]; dup {
-			return nil, fmt.Errorf("thriftlite: duplicate field id %d on %s (%s and %s)", id, t.Name(), prev, sf.Name)
+			return &plan{err: fmt.Errorf("thriftlite: duplicate field id %d on %s (%s and %s)", id, t.Name(), prev, sf.Name)}
 		}
 		seen[id] = sf.Name
-		out = append(out, field{id: id, index: i})
+		wt, wtErr := wireType(sf.Type)
+		fields = append(fields, field{id: id, index: i, name: sf.Name, wt: wt, wtErr: wtErr})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out, nil
+	sort.Slice(fields, func(i, j int) bool { return fields[i].id < fields[j].id })
+	p := &plan{fields: fields, byID: make(map[int]*field, len(fields))}
+	for i := range p.fields {
+		p.byID[p.fields[i].id] = &p.fields[i]
+	}
+	return p
 }

@@ -164,12 +164,22 @@ type badTag struct {
 	A string `thrift:"zero"`
 }
 
+// TestBadTagsRejected: a type whose tags are bad fails every call, not
+// only the one that worked out its plan.
 func TestBadTagsRejected(t *testing.T) {
-	if _, err := Marshal(&badDupTag{A: "x", B: "y"}); err == nil {
-		t.Error("duplicate field ids should be rejected")
-	}
-	if _, err := Marshal(&badTag{A: "x"}); err == nil {
-		t.Error("non-numeric field tag should be rejected")
+	for call := 1; call <= 2; call++ {
+		if _, err := Marshal(&badDupTag{A: "x", B: "y"}); err == nil {
+			t.Errorf("call %d: duplicate field ids should be rejected", call)
+		}
+		if _, err := Marshal(&badTag{A: "x"}); err == nil {
+			t.Errorf("call %d: non-numeric field tag should be rejected", call)
+		}
+		if err := Unmarshal([]byte{tStop}, &badDupTag{}); err == nil {
+			t.Errorf("call %d: decoding into duplicate field ids should be rejected", call)
+		}
+		if err := Unmarshal([]byte{tStop}, &badTag{}); err == nil {
+			t.Errorf("call %d: decoding into a non-numeric field tag should be rejected", call)
+		}
 	}
 }
 
