@@ -40,9 +40,13 @@ verify-gate:
 # log entries never change, store ≡ naive model over seeded histories with
 # a concurrent reader, replication and promotion — a pinned View's reads
 # and Seq included, and a View releases its pin however it ends; DESIGN.md
-# §13.2), fbnet's reads of one epoch (an indexed Find or Get beside a
-# writer never mixes two commits; Peek, PeekOne and PeekByID share the
-# stored rows, Find, FindOne and GetByID copy them), the fbnet service that
+# §13.2; a delete logs no SET NULL on a row it then removes), fbnet's
+# reads of one epoch (an indexed Find or Get beside a writer never mixes
+# two commits; Peek, PeekOne and PeekByID share the stored rows, Find,
+# FindOne and GetByID copy them; a Find inside a mutation reads the
+# transaction's rows in place and copies only what it returns), the
+# planner (indexed ≡ scan, an Or of plannable branches planned as their
+# union, one with a branch that would scan scanned once), the fbnet service that
 # serves it over the wire, the thriftlite plan cache that service and the
 # generator encode with (many goroutines on a cold cache get the bytes of a
 # serial run), and the follower that leans on ReadSeq — the generator's
@@ -51,7 +55,7 @@ verify-gate:
 # every one as it was (DESIGN.md §8).
 store:
 	$(GO) test -race -timeout 5m ./internal/relstore/ ./internal/fbnet/service/
-	$(GO) test -race -timeout 5m -run 'TestFindReadsOneEpoch|TestPeekSharesStoredRowsFindCopies' ./internal/fbnet/
+	$(GO) test -race -timeout 5m -run 'TestFindReadsOneEpoch|TestPeekSharesStoredRowsFindCopies|TestMutationFindCopiesOnlyWhatItReturns|TestPlanner|TestQuickPlannerEquivalence' ./internal/fbnet/
 	$(GO) test -race -timeout 5m -run 'TestPlansConcurrentOnColdCache|TestBadTagsRejected' ./internal/thriftlite/
 	$(GO) test -race -timeout 5m -run 'TestMemoNeverCachesUnchecked|TestGeneratorConcurrentUse|TestDeriveLeavesStoredRowsUntouched' ./internal/configgen/
 
@@ -59,13 +63,13 @@ store:
 # golden (every design op's FBNet rows, in binlog order, and pool
 # allocations over one scripted history, against
 # internal/design/testdata/design_writes.golden), one delete logging the
-# same entries on ten fresh stores,
+# same entries on ten fresh stores and no update of a row it deletes,
 # find-or-create racing on a new name, concurrent design changes
 # serializing, and the gate's design differential over 200 seeded
 # histories (the stored checks answer for every finding of the former
 # design rule checker; DESIGN.md §12).
 design:
-	$(GO) test -race -timeout 5m -run 'TestDesignWritesGolden|TestDeletesLogTheSameEntries|TestEnsureRacesCreateOnce|TestConcurrentDesignChangesSerialize' ./internal/design/
+	$(GO) test -race -timeout 5m -run 'TestDesignWritesGolden|TestDeletesLogTheSameEntries|TestDeletesUpdateNoRowTheyRemove|TestEnsureRacesCreateOnce|TestConcurrentDesignChangesSerialize' ./internal/design/
 	$(GO) test -race -timeout 10m -run 'TestGateCoversDesignRules' ./internal/verify/
 
 # The drift reconciler under the race detector: the per-shard safety
@@ -178,9 +182,13 @@ sim:
 # racing commit; the unchanged path's no-commit and allocation guard; the
 # steady-cycle binlog and transaction counters in core; DESIGN.md §15.5),
 # the zero-allocation store into full time series (`Timeseries`), a pass
-# by delta ≡ a pass over every rule over seeded histories and the
-# rules-evaluated guards (`TestAlarmDelta*`, `TestEvaluate*`, and in core
-# `TestAlarmsEvaluate*`; DESIGN.md §15.2), the engine tier's width 8 ≡
+# by delta through held series handles and the last session read ≡ a
+# pass over every rule that reads everything afresh, over seeded
+# histories with new devices, two engines, outages and a failover, the
+# rules-evaluated and queries-planned guards, and the session read kept
+# per server, and two engines reading beside writers (`TestAlarmDelta*`,
+# `TestEvaluate*`, `TestSessionRead*`, `TestAlarmEnginesReadBesideWriters`,
+# and in core `TestAlarmsEvaluate*`; DESIGN.md §15.2), the engine tier's width 8 ≡
 # width 1 over seeded fleets with devices down and config reads faulted
 # (`TestEngineTier*`: collections, series, Derived binlog, backups, poll
 # counts and alarms; DESIGN.md §15.6), the HTTP/CLI
@@ -195,7 +203,7 @@ sim:
 # reconciliation. See DESIGN.md §15 and README "Operational timeline".
 obs:
 	$(GO) test -race -timeout 5m \
-		-run 'Alarm|Derive|ReplaceJobs|Timeseries|Timeline|Correlation|Classifier|Evaluate|EngineTier' \
+		-run 'Alarm|Derive|ReplaceJobs|Timeseries|Timeline|Correlation|Classifier|Evaluate|SessionRead|EngineTier' \
 		./internal/monitor/
 	$(GO) test -race -timeout 5m -run 'TestObs|TestAlarms|TestDerive|TestDelta' ./internal/core/
 	$(GO) run -race ./cmd/robotron sim run examples/scenarios/bgp-down-alarm-correlated.yaml

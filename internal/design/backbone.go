@@ -174,6 +174,11 @@ func retireFarEnd(m *designTx, lg fbnet.Object, localDev int64) error {
 			}
 		}
 	}
+	// The link group goes first, and its circuits with it, so deleting a
+	// far interface below clears no circuit end the delete then removes.
+	if err := m.Delete("LinkGroup", lg.ID); err != nil {
+		return err
+	}
 	for _, pifID := range farPifs {
 		if err := m.Delete("PhysicalInterface", pifID); err != nil {
 			return err

@@ -255,6 +255,33 @@ func formatValues(vals map[string]any) string {
 	return "{" + strings.Join(parts, " ") + "}"
 }
 
+// deleteWorld returns a fresh store holding a POP cluster, pop1-c1, and a
+// backbone mesh of four routers with bundles, bb1 to bb4: the world the
+// delete tests remove from.
+func deleteWorld(t *testing.T) *Designer {
+	t.Helper()
+	d := newTestDesigner(t)
+	for _, s := range [][3]string{{"pop1", "pop", "apac"}, {"bb-site", "backbone", "nam"}} {
+		if _, err := d.EnsureSite(s[0], s[1], s[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.BuildCluster(testCtx("pop"), "pop1", "pop1-c1", POPGen1()); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []string{"bb1", "bb2", "bb3", "bb4"} {
+		if _, err := d.AddBackboneRouter(testCtx("backbone"), r, "bb-site", "Backbone_Vendor2", "bb"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range [][2]string{{"bb1", "bb2"}, {"bb2", "bb3"}, {"bb2", "bb4"}, {"bb3", "bb4"}} {
+		if _, err := d.AddBackboneCircuit(testCtx("backbone"), c[0], c[1], 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
 // TestDeletesLogTheSameEntries: a delete logs the same binlog on every
 // run. On ten fresh stores, each holding a POP cluster and a backbone
 // mesh with bundles, RemoveBackboneRouter and DecommissionCluster must
@@ -263,26 +290,8 @@ func formatValues(vals map[string]any) string {
 func TestDeletesLogTheSameEntries(t *testing.T) {
 	var want string
 	for run := 0; run < 10; run++ {
-		d := newTestDesigner(t)
+		d := deleteWorld(t)
 		db := d.store.DB()
-		for _, s := range [][3]string{{"pop1", "pop", "apac"}, {"bb-site", "backbone", "nam"}} {
-			if _, err := d.EnsureSite(s[0], s[1], s[2]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := d.BuildCluster(testCtx("pop"), "pop1", "pop1-c1", POPGen1()); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range []string{"bb1", "bb2", "bb3", "bb4"} {
-			if _, err := d.AddBackboneRouter(testCtx("backbone"), r, "bb-site", "Backbone_Vendor2", "bb"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, c := range [][2]string{{"bb1", "bb2"}, {"bb2", "bb3"}, {"bb2", "bb4"}, {"bb3", "bb4"}} {
-			if _, err := d.AddBackboneCircuit(testCtx("backbone"), c[0], c[1], 2); err != nil {
-				t.Fatal(err)
-			}
-		}
 		var log strings.Builder
 		seq := db.Seq()
 		if _, err := d.RemoveBackboneRouter(testCtx("backbone"), "bb2"); err != nil {
@@ -305,5 +314,51 @@ func TestDeletesLogTheSameEntries(t *testing.T) {
 			}
 			t.Fatalf("run %d logged %d entries, run 0 %d", run, len(gl), len(wl))
 		}
+	}
+}
+
+// TestDeletesUpdateNoRowTheyRemove: a delete's transaction logs no UPDATE
+// of a row it also deletes — a SET NULL on a row that a later cascade of
+// the same delete removes is never written. RemoveBackboneRouter and
+// DecommissionCluster each log one transaction that deletes rows.
+func TestDeletesUpdateNoRowTheyRemove(t *testing.T) {
+	d := deleteWorld(t)
+	db := d.store.DB()
+	for name, op := range map[string]func() (ChangeResult, error){
+		"RemoveBackboneRouter": func() (ChangeResult, error) { return d.RemoveBackboneRouter(testCtx("backbone"), "bb2") },
+		"DecommissionCluster":  func() (ChangeResult, error) { return d.DecommissionCluster(testCtx("pop"), "pop1-c1") },
+	} {
+		seq := db.Seq()
+		if _, err := op(); err != nil {
+			t.Fatal(err)
+		}
+		type row struct {
+			table string
+			id    int64
+		}
+		deleted := map[uint64]map[row]bool{} // by transaction
+		entries := db.EntriesSince(seq)
+		for _, e := range entries {
+			if e.Op == relstore.OpDelete {
+				if deleted[e.TxID] == nil {
+					deleted[e.TxID] = map[row]bool{}
+				}
+				deleted[e.TxID][row{e.Table, e.RowID}] = true
+			}
+		}
+		if len(deleted) == 0 {
+			t.Fatalf("%s deleted nothing", name)
+		}
+		updates := 0
+		for _, e := range entries {
+			if e.Op != relstore.OpUpdate {
+				continue
+			}
+			updates++
+			if deleted[e.TxID][row{e.Table, e.RowID}] {
+				t.Errorf("%s: transaction %d updates %s %d %s and deletes it", name, e.TxID, e.Table, e.RowID, formatValues(e.Values))
+			}
+		}
+		t.Logf("%s: %d entries, %d updates", name, len(entries), updates)
 	}
 }

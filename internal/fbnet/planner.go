@@ -2,6 +2,7 @@ package fbnet
 
 import (
 	"errors"
+	"slices"
 	"strings"
 
 	"github.com/robotron-net/robotron/internal/relstore"
@@ -26,12 +27,25 @@ import (
 //	                                            ref indexes
 //	full scan       everything else
 //
-// And-composed queries plan on their first plannable conjunct.
+// And-composed queries plan on their first plannable conjunct. An Or plans
+// only when every branch does, as the union of the branches' candidates in
+// id order; an Or with a branch that would scan scans once instead.
 
 // planIndexed attempts to answer q from indexes. ok=false means "not
 // plannable, fall back to the scan"; ok=true with an error means the
 // lookup itself failed.
-func planIndexed(reg *Registry, r reader, model string, q Query) ([]relstore.Row, bool, error) {
+func planIndexed(reg *Registry, r relstore.View, model string, q Query) ([]relstore.Row, bool, error) {
+	ids, ok, err := planIDs(reg, r, model, q)
+	if !ok || err != nil {
+		return nil, ok, err
+	}
+	rows, err := fetchRows(r, model, ids)
+	return rows, true, err
+}
+
+// planIDs returns the candidate ids of q's rows, ascending, when an index
+// answers q; ok and the error as planIndexed's.
+func planIDs(reg *Registry, r relstore.View, model string, q Query) ([]int64, bool, error) {
 	switch e := q.(type) {
 	case *cmpExpr:
 		switch e.op {
@@ -46,27 +60,29 @@ func planIndexed(reg *Registry, r reader, model string, q Query) ([]relstore.Row
 			if e.op != opEq {
 				return nil, false, nil
 			}
-			ids, ok, err := planPathEq(reg, r, model, e.field, e.rvals[0])
-			if !ok || err != nil {
-				return nil, false, err
-			}
-			rows, err := fetchRows(r, model, ids)
-			return rows, true, err
+			return planPathEq(reg, r, model, e.field, e.rvals[0])
 		}
-		ids, ok, err := planLeafIDs(reg, r, model, e.field, e.rvals)
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		rows, err := fetchRows(r, model, ids)
-		return rows, true, err
+		return planLeafIDs(reg, r, model, e.field, e.rvals)
 	case *andExpr:
 		// Plan on the first plannable conjunct; the caller still evaluates
 		// the full query against the narrowed row set.
 		for _, sub := range e.subs {
-			if rows, ok, err := planIndexed(reg, r, model, sub); ok || err != nil {
-				return rows, ok, err
+			if ids, ok, err := planIDs(reg, r, model, sub); ok || err != nil {
+				return ids, ok, err
 			}
 		}
+	case *orExpr:
+		// Every branch must plan: one that would scan makes the union a
+		// scan anyway.
+		var ids []int64
+		for _, sub := range e.subs {
+			got, ok, err := planIDs(reg, r, model, sub)
+			if !ok || err != nil {
+				return nil, false, err
+			}
+			ids = append(ids, got...)
+		}
+		return dedupIDs(ids), true, nil
 	}
 	return nil, false, nil
 }
@@ -74,7 +90,7 @@ func planIndexed(reg *Registry, r reader, model string, q Query) ([]relstore.Row
 // planLeafIDs resolves the ids of model rows whose local field equals any
 // of rvals, using the best available index. ok=false means the field has
 // no usable index.
-func planLeafIDs(reg *Registry, r reader, model, field string, rvals []any) ([]int64, bool, error) {
+func planLeafIDs(reg *Registry, r relstore.View, model, field string, rvals []any) ([]int64, bool, error) {
 	if field == "id" {
 		var ids []int64
 		for _, rv := range rvals {
@@ -154,7 +170,7 @@ type pathStep struct {
 // to reading the source rows' fk — until the ids are rows of the query's
 // own model. Every hop is index- or point-lookup-backed, so the whole
 // plan is O(result) instead of O(table × path length).
-func planPathEq(reg *Registry, r reader, model, path string, rval any) ([]int64, bool, error) {
+func planPathEq(reg *Registry, r relstore.View, model, path string, rval any) ([]int64, bool, error) {
 	parts := strings.Split(path, ".")
 	// Forward pass: classify each hop, stopping before the leaf part.
 	steps := make([]pathStep, 0, len(parts)-1)
@@ -257,7 +273,7 @@ func findReverse(reg *Registry, model, name string) (reverse, bool) {
 
 // fetchRows point-gets each id, skipping ids that vanished between the
 // index lookup and the get.
-func fetchRows(r reader, model string, ids []int64) ([]relstore.Row, error) {
+func fetchRows(r relstore.View, model string, ids []int64) ([]relstore.Row, error) {
 	rows := make([]relstore.Row, 0, len(ids))
 	for _, id := range ids {
 		row, err := r.Get(model, id)
@@ -275,19 +291,6 @@ func fetchRows(r reader, model string, ids []int64) ([]relstore.Row, error) {
 // dedupIDs sorts ids ascending and removes duplicates, preserving the
 // scan's id-ordered result contract.
 func dedupIDs(ids []int64) []int64 {
-	if len(ids) < 2 {
-		return ids
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	out := ids[:1]
-	for _, id := range ids[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }

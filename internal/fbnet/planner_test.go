@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/robotron-net/robotron/internal/relstore"
+	"github.com/robotron-net/robotron/internal/telemetry"
 )
 
 // bigStore seeds n devices for planner benchmarks/tests.
@@ -33,8 +34,12 @@ func bigStore(t testing.TB, n int) *Store {
 	return s
 }
 
+// scan is q answered by the full scan: an Or with a branch no index
+// answers (Not) is planned as a scan, and Not(All()) matches nothing.
+func scan(q Query) Query { return Or(q, Not(All())) }
+
 // TestPlannerMatchesScan: the indexed fast path returns exactly what the
-// scan would, including misses and And-composition.
+// scan would, including misses, And-composition and Or-composition.
 func TestPlannerMatchesScan(t *testing.T) {
 	s := bigStore(t, 200)
 	cases := []Query{
@@ -61,14 +66,26 @@ func TestPlannerMatchesScan(t *testing.T) {
 		Eq("site.region.name", "r"),
 		Eq("site.kind", "pop"),
 		Eq("hw_profile.vendor.name", "v1"),
+		// Or of indexable branches: the union of their candidates
+		Or(Eq("name", "dev00042"), Eq("name", "dev00007")),
+		Or(Eq("name", "dev00042"), Eq("name", "dev00042")),
+		Or(Eq("id", int64(5)), Eq("name", "dev00001"), Eq("name", "missing")),
+		Or(Eq("role", "pr"), Eq("name", "dev00003")),
+		Or(And(Eq("name", "dev00042"), Eq("role", "psw")), And(Eq("name", "dev00043"), Eq("role", "pr"))),
+		Or(Eq("site.name", "nope"), In("name", "dev00010", "dev00011")),
+		Or(Or(Eq("name", "dev00001"), Eq("name", "dev00002")), Eq("id", int64(9))),
+		Or(),
+		// Or with one branch no index answers: the scan
+		Or(Eq("name", "dev00042"), Eq("mgmt_ip", "10.9.9.9")),
+		Or(Eq("name", "dev00042"), Contains("name", "0019")),
+		Or(Not(Eq("role", "psw")), Eq("name", "dev00005")),
 	}
 	for _, q := range cases {
 		planned, err := s.Find("Device", q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		// Reference: force the scan by wrapping in a non-indexable Or.
-		scanned, err := s.Find("Device", Or(q))
+		scanned, err := s.Find("Device", scan(q))
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -80,6 +97,40 @@ func TestPlannerMatchesScan(t *testing.T) {
 			if planned[i].ID != scanned[i].ID {
 				t.Errorf("%s: row %d differs: %d vs %d", q, i, planned[i].ID, scanned[i].ID)
 			}
+		}
+	}
+}
+
+// TestPlannerPlansOrByUnion: an Or whose every branch an index answers is
+// planned, however deep the branches nest; one branch the planner cannot
+// answer sends the whole Or to the scan, once.
+func TestPlannerPlansOrByUnion(t *testing.T) {
+	s := bigStore(t, 50)
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
+	count := func(strategy string) float64 {
+		v, _ := reg.Value("robotron_fbnet_queries_planned_total", telemetry.L("strategy", strategy)...)
+		return v
+	}
+	for _, c := range []struct {
+		q        Query
+		strategy string
+		found    int
+	}{
+		{Or(Eq("name", "dev00042"), Eq("name", "dev00007")), "indexed", 2},
+		{Or(And(Eq("name", "dev00042"), Eq("role", "psw")), And(Eq("role", "pr"), Eq("name", "dev00043"))), "indexed", 1},
+		{Or(Eq("site.name", "pop1"), Eq("id", int64(1))), "indexed", 50},
+		{Or(Eq("name", "dev00042"), Eq("mgmt_ip", "10.9.9.9")), "scan", 50},
+		{Or(Eq("name", "dev00042"), Or(Eq("name", "dev00001"), Contains("name", "dev0000"))), "scan", 11},
+	} {
+		indexed, scanned := count("indexed"), count("scan")
+		objs, err := s.Find("Device", c.q)
+		if err != nil || len(objs) != c.found {
+			t.Fatalf("%s: found %d (%v), want %d", c.q, len(objs), err, c.found)
+		}
+		want := map[string][2]float64{"indexed": {1, 0}, "scan": {0, 1}}[c.strategy]
+		if got := [2]float64{count("indexed") - indexed, count("scan") - scanned}; got != want {
+			t.Errorf("%s: planned %v indexed and %v scanned, want the one query %s", c.q, got[0], got[1], c.strategy)
 		}
 	}
 }
@@ -135,7 +186,7 @@ func TestPlannerRelationEq(t *testing.T) {
 	if len(objs) != 20 {
 		t.Fatalf("Eq(site) found %d devices, want 20", len(objs))
 	}
-	scanned, err := s.Find("Device", Or(Eq("site", site.ID)))
+	scanned, err := s.Find("Device", scan(Eq("site", site.ID)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +235,7 @@ func BenchmarkFindOneIndexed(b *testing.B) {
 
 func BenchmarkFindOneScan(b *testing.B) {
 	s := bigStore(b, 5000)
-	// Or() defeats the planner, forcing the scan path.
-	q := Or(Eq("name", "dev02500"))
+	q := scan(Eq("name", "dev02500"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -257,9 +307,8 @@ func BenchmarkPlannerSiteDevices(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("scan/sites=%d", sites), func(b *testing.B) {
 			b.ReportAllocs()
-			scan := Or(q) // defeats the planner
 			for i := 0; i < b.N; i++ {
-				objs, err := s.Find("Device", scan)
+				objs, err := s.Find("Device", scan(q))
 				if err != nil || len(objs) != 8 {
 					b.Fatalf("%v %d", err, len(objs))
 				}
@@ -288,9 +337,8 @@ func BenchmarkPlannerDeviceLinecards(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("scan/sites=%d", sites), func(b *testing.B) {
 			b.ReportAllocs()
-			scan := Or(q)
 			for i := 0; i < b.N; i++ {
-				objs, err := s.Find("Linecard", scan)
+				objs, err := s.Find("Linecard", scan(q))
 				if err != nil || len(objs) != 2 {
 					b.Fatalf("%v %d", err, len(objs))
 				}

@@ -307,23 +307,17 @@ func (e *notExpr) match(rs *resolver, model string, row relstore.Row) (bool, err
 
 // --- path resolution ---
 
-// reader is the row access a query needs, named as relstore names it: a
-// relstore.View reads one pinned epoch (its rows are the stored maps), a
-// *relstore.Tx reads inside a mutation, its own writes included.
-type reader interface {
-	Get(table string, id int64) (relstore.Row, error)
-	Select(table string, pred func(relstore.Row) bool) ([]relstore.Row, error)
-	Referencing(table, col string, id int64) ([]int64, error)
-	LookupUnique(table, col string, v any) (int64, bool, error)
-	LookupIndexed(table, col string, v any) ([]int64, error)
-}
+// A query reads through a relstore.View: one pinned epoch of the store
+// (Store.Peek and friends), or a transaction's tables as they stand, its
+// own writes included (Mutation.Find). Either way its rows are the stored
+// maps, read in place; only what a caller keeps is copied.
 
 // planRows consults the query planner (planner.go): indexable queries are
 // answered from the unique, secondary, and foreign-key indexes instead of
 // scanning the table; everything else falls back to the full scan. The
 // caller still evaluates the query against the planned rows, so a planner
 // strategy only has to return a superset-free exact candidate set.
-func planRows(reg *Registry, r reader, model string, q Query) ([]relstore.Row, error) {
+func planRows(reg *Registry, r relstore.View, model string, q Query) ([]relstore.Row, error) {
 	if rows, ok, err := planIndexed(reg, r, model, q); err != nil || ok {
 		if err == nil {
 			reg.mPlanIndexed.Inc()
@@ -337,7 +331,7 @@ func planRows(reg *Registry, r reader, model string, q Query) ([]relstore.Row, e
 // resolver evaluates dotted field paths against rows.
 type resolver struct {
 	reg *Registry
-	r   reader
+	r   relstore.View
 }
 
 // resolve returns the values reached by following path from row. A path
@@ -528,7 +522,7 @@ func exactlyOne(model string, q Query, objs []Object, err error) (Object, error)
 	}
 }
 
-func get(reg *Registry, r reader, model string, fields []string, q Query) ([]Result, error) {
+func get(reg *Registry, r relstore.View, model string, fields []string, q Query) ([]Result, error) {
 	if _, ok := reg.Model(model); !ok {
 		return nil, fmt.Errorf("fbnet: unknown model %q", model)
 	}
@@ -568,7 +562,7 @@ func get(reg *Registry, r reader, model string, fields []string, q Query) ([]Res
 	return out, nil
 }
 
-func find(reg *Registry, r reader, model string, q Query) ([]Object, error) {
+func find(reg *Registry, r relstore.View, model string, q Query) ([]Object, error) {
 	if _, ok := reg.Model(model); !ok {
 		return nil, fmt.Errorf("fbnet: unknown model %q", model)
 	}

@@ -313,7 +313,7 @@ func (m *Mutation) snapshotRefs(model string, id int64) []ObjectRef {
 			if f.OnDelete != relstore.Cascade {
 				continue
 			}
-			ids, err := m.tx.Referencing(rv.model, rv.field, id)
+			ids, err := m.ReferencingIDs(rv.model, rv.field, id)
 			if err != nil {
 				continue
 			}
@@ -326,18 +326,34 @@ func (m *Mutation) snapshotRefs(model string, id int64) []ObjectRef {
 	return out
 }
 
-// Get fetches one object within the mutation (sees uncommitted changes).
+// Get fetches one object within the mutation (sees uncommitted changes),
+// its fields copied for the caller to keep.
 func (m *Mutation) Get(model string, id int64) (Object, error) {
-	row, err := m.tx.Get(model, id)
+	v, err := m.tx.View()
 	if err != nil {
 		return Object{}, err
 	}
-	return Object{Model: model, ID: row.ID, Fields: row.Values}, nil
+	row, err := v.Get(model, id)
+	if err != nil {
+		return Object{}, err
+	}
+	return Object{Model: model, ID: row.ID, Fields: maps.Clone(row.Values)}, nil
 }
 
-// Find returns objects of a model matching the query within the mutation.
+// Find returns objects of a model matching the query within the mutation,
+// each with its fields copied for the caller to keep. Planning, matching
+// and relation hops read the transaction's stored rows in place
+// (relstore.Tx.View), so only the objects returned are copied.
 func (m *Mutation) Find(model string, q Query) ([]Object, error) {
-	return find(m.store.reg, m.tx, model, q)
+	v, err := m.tx.View()
+	if err != nil {
+		return nil, err
+	}
+	objs, err := find(m.store.reg, v, model, q)
+	for i := range objs {
+		objs[i].Fields = maps.Clone(objs[i].Fields)
+	}
+	return objs, err
 }
 
 // FindOne returns exactly one matching object, erroring on zero or many.
@@ -349,7 +365,11 @@ func (m *Mutation) FindOne(model string, q Query) (Object, error) {
 // ReferencingIDs lists the ids of the objects of srcModel whose srcField
 // references id, in ascending order, without fetching them.
 func (m *Mutation) ReferencingIDs(srcModel, srcField string, id int64) ([]int64, error) {
-	return m.tx.Referencing(srcModel, srcField, id)
+	v, err := m.tx.View()
+	if err != nil {
+		return nil, err
+	}
+	return v.Referencing(srcModel, srcField, id)
 }
 
 // Referencing lists objects of srcModel whose srcField references id.

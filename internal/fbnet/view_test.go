@@ -165,3 +165,48 @@ func TestPeekSharesStoredRowsFindCopies(t *testing.T) {
 func sameMap(a, b map[string]any) bool {
 	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
+
+// TestMutationFindCopiesOnlyWhatItReturns: a Find inside a mutation reads
+// the transaction's rows in place, as a Find outside one reads the
+// published epoch's. Over 256 devices, a scan that follows each device's
+// site relation and returns one device allocates what the same Find on
+// the committed store allocates, not a row map per device or per hop; the
+// one object it returns is a copy the caller may write, and the
+// mutation's own writes are seen.
+func TestMutationFindCopiesOnlyWhatItReturns(t *testing.T) {
+	s := bigStore(t, 256)
+	q := And(Contains("site.name", "pop"), Contains("name", "00042"))
+	find := func(f func(string, Query) ([]Object, error)) func() {
+		return func() {
+			if objs, err := f("Device", q); err != nil || len(objs) != 1 {
+				t.Fatalf("Find = %v, %v; want dev00042", objs, err)
+			}
+		}
+	}
+	committed := testing.AllocsPerRun(20, find(s.Find))
+	var inTx float64
+	if _, err := s.Mutate(func(m *Mutation) error {
+		inTx = testing.AllocsPerRun(20, find(m.Find))
+		objs, err := m.Find("Device", q)
+		if err != nil {
+			return err
+		}
+		objs[0].Fields["role"] = "scribble"
+		if err := m.Update("Device", objs[0].ID, map[string]any{"drain_state": "drained"}); err != nil {
+			return err
+		}
+		again, err := m.FindOne("Device", Eq("id", objs[0].ID))
+		if err != nil {
+			return err
+		}
+		if again.String("role") != "psw" || again.String("drain_state") != "drained" {
+			t.Errorf("after writing Find's copy and updating the row: %v, want role psw, drain_state drained", again.Fields)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if inTx > committed+2 {
+		t.Errorf("a Find inside a mutation allocated %v times, one on the committed store %v: want no more than 2 extra", inTx, committed)
+	}
+}

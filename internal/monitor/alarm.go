@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/telemetry"
 	"github.com/robotron-net/robotron/internal/vclock"
 )
@@ -165,6 +166,9 @@ type AlarmEngine struct {
 	picked map[string]bool // the devices a pass selects, reused
 	tails  []seriesTail    // the series tails of the run being evaluated, reused
 
+	// sessions is the last read of observed BGP sessions (sessionStates).
+	sessions sessionRead
+
 	// metrics, nil (no-op) until Instrument
 	reg       *telemetry.Registry
 	mFired    map[string]*telemetry.Counter
@@ -244,6 +248,8 @@ type ruleRun struct {
 	// of its absence rules, unbreached when last evaluated, has breached
 	// yet; zero for none. A pass after it evaluates the run.
 	due time.Time
+	// series holds the series its rules read (TimeseriesBackend.tails).
+	series seriesHandles
 }
 
 // dueBy brings the run's deadline forward to at.
@@ -395,8 +401,8 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 		}
 		return tl
 	})
-	// Observed BGP sessions are read once, at the pass's first bgp-state
-	// rule, and kept no longer than the pass.
+	// Observed BGP sessions are read at most once, at the pass's first
+	// bgp-state rule.
 	sessions := sync.OnceValues(ae.sessionStates)
 	evaluated := 0
 	for i := range ae.runs {
@@ -406,7 +412,7 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 		}
 		run.due = time.Time{}
 		evaluated += len(run.rules)
-		ae.tails = ae.ts.tails(run.device, run.rules, ae.tails[:0])
+		ae.tails = ae.ts.tails(run.device, run.rules, &run.series, ae.tails[:0])
 		for j := range run.rules {
 			r := &run.rules[j]
 			breached, detail, err := ae.evalLocked(run, r, ae.tails[j], now, sessions)
@@ -493,19 +499,48 @@ func (ae *AlarmEngine) ruleCounter(m map[string]*telemetry.Counter, metric, rule
 	return c
 }
 
-// sessionStates reads every observed BGP session's state, keyed (device,
-// peer address); of several rows for one session the first in id order wins.
-// It reads the stored rows in place (Peek), copying none of them.
+// sessionRead is one read of every observed BGP session's state, keyed
+// (device, peer address), from server db when the DerivedBgpSession table
+// was at seq. The zero value holds no read.
+type sessionRead struct {
+	db     *relstore.DB
+	seq    uint64
+	states map[[2]string]string
+}
+
+// sessionStates returns every observed BGP session's state, keyed (device,
+// peer address); of several rows for one session the first in id order
+// wins. While the table's seq on the server last read has not moved, that
+// read still holds and is returned without a query; any other call reads
+// the stored rows in place (Peek), copying none of them. A failed read
+// returns no states and the error — never the last read — and leaves that
+// read for the next call to check again.
 func (ae *AlarmEngine) sessionStates() (map[[2]string]string, error) {
 	if ae.store == nil {
 		return nil, nil
 	}
-	rows, _, _, err := ae.store.Peek("DerivedBgpSession", nil)
-	states := make(map[[2]string]string, len(rows))
+	db := ae.store.DB()
+	if ae.sessions.db == db {
+		if seq, err := ae.store.TableSeq("DerivedBgpSession"); err != nil {
+			return nil, err
+		} else if seq == ae.sessions.seq {
+			return ae.sessions.states, nil
+		}
+	}
+	rows, _, seq, err := ae.store.Peek("DerivedBgpSession", nil)
+	if err != nil {
+		return nil, err
+	}
+	states := ae.sessions.states
+	if states == nil {
+		states = make(map[[2]string]string, len(rows))
+	}
+	clear(states)
 	for i := len(rows) - 1; i >= 0; i-- {
 		states[[2]string{rows[i].String("device_name"), rows[i].String("peer_addr")}] = rows[i].String("state")
 	}
-	return states, err
+	ae.sessions = sessionRead{db: db, seq: seq, states: states}
+	return states, nil
 }
 
 // evalLocked decides whether one rule of run is breached right now, given

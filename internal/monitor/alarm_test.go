@@ -489,7 +489,9 @@ func TestBGPStateAlarmSurvivesStoreOutage(t *testing.T) {
 }
 
 // TestEvaluatePlansOneQueryForAllSessionRules: however many bgp-state
-// rules a pass evaluates, it reads observed sessions once.
+// rules a pass evaluates, it plans at most one query — none while the
+// DerivedBgpSession table's seq has not moved since the engine last read
+// it, and one after a session row changed.
 func TestEvaluatePlansOneQueryForAllSessionRules(t *testing.T) {
 	_, store, ae := bgpDownFixture(t, 12)
 	reg := telemetry.NewRegistry()
@@ -501,12 +503,60 @@ func TestEvaluatePlansOneQueryForAllSessionRules(t *testing.T) {
 		}
 		return n
 	}
-	ae.Evaluate() // fires all twelve, reading the timeline to correlate them
-	before := planned()
-	if got := ae.Evaluate(); len(got) != 12 {
-		t.Fatalf("want 12 firing alarms, got %d", len(got))
+	pass := func(firing int, want float64, what string) {
+		t.Helper()
+		before := planned()
+		if got := ae.Evaluate(); len(got) != firing {
+			t.Fatalf("%s: want %d firing alarms, got %d", what, firing, len(got))
+		}
+		if n := planned() - before; n != want {
+			t.Errorf("%s: a pass over 12 bgp-state rules planned %v queries, want %v", what, n, want)
+		}
 	}
-	if n := planned() - before; n != 1 {
-		t.Errorf("one pass over 12 bgp-state rules planned %v queries, want 1", n)
+	ae.Evaluate() // fires all twelve, reading the timeline to correlate them
+	pass(12, 0, "no session row changed")
+	peers := make([]netsim.BGPPeerStatus, 12)
+	for i := range peers {
+		peers[i] = netsim.BGPPeerStatus{PeerAddr: fmt.Sprintf("10.0.0.%d", i+2), Family: "v4", State: "Active"}
+	}
+	peers[0].State = "Established"
+	observeSessions(t, ae.ts, store, "dev1", peers...)
+	pass(11, 1, "one session row changed")
+	pass(11, 0, "no session row changed since")
+}
+
+// TestSessionReadIsPerServer: the last read of observed sessions holds
+// only on the server it was read from. A replica promoted after the master
+// read a session at some table seq, and written to until its own table
+// reaches that seq with other rows, is read afresh.
+func TestSessionReadIsPerServer(t *testing.T) {
+	_, ts, store, ae := alarmFixture(t)
+	replica := relstore.NewReplica(store.DB(), "alarm-test-replica")
+	ae.ReplaceRules([]AlarmRule{{Name: "bgp-session-down", Kind: KindBGPState, Device: "dev1", Key: "10.0.0.2", Urgency: Major}})
+	session := func(store *fbnet.Store, state string) uint64 {
+		t.Helper()
+		observeSessions(t, ts, store, "dev1", netsim.BGPPeerStatus{PeerAddr: "10.0.0.2", Family: "v4", State: state})
+		seq, err := store.TableSeq("DerivedBgpSession")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
+	session(store, "Active")
+	if err := replica.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	read := session(store, "Idle")
+	if got := ae.Evaluate(); len(got) != 1 || got[0].Detail != "session to 10.0.0.2 observed Idle" {
+		t.Fatalf("on the master: firing %+v, want the session observed Idle", got)
+	}
+	store.DB().SetDown(true)
+	promoted := store.ReadOnlyView(replica.Promote())
+	if seq := session(promoted, "Established"); seq != read {
+		t.Fatalf("the promoted server's table seq is %d, want the master's %d when it was read", seq, read)
+	}
+	ae.store = promoted
+	if got := ae.Evaluate(); len(got) != 0 {
+		t.Errorf("on the promoted server: firing %+v, want none: its session is Established", got)
 	}
 }

@@ -24,7 +24,9 @@ const DefaultSeriesRetention = 1024
 // Series are indexed by device, then by metric (DESIGN.md §15.2): a
 // series key "device/metric" names the device up to its first '/' —
 // device names hold none — and the metric after it, a counter's name or
-// "<interface>/in_octets" and "<interface>/out_octets".
+// "<interface>/in_octets" and "<interface>/out_octets". Series are never
+// removed, so a reader may hold one (seriesHandles) for as long as it
+// likes.
 //
 // The index also keeps the marks the alarm engines evaluate by: per
 // device, the stamp of the last change to what the device's rules read —
@@ -38,31 +40,54 @@ type TimeseriesBackend struct {
 	stamp   uint64 // the last stamp handed out
 }
 
-// deviceSeries is one device's entry in the index: its series by metric
-// and the stamp of its last mark. ifcs holds the octet series of the
-// interfaces the device's last interface collection listed, in its order,
-// so the next collection — the same interfaces, in the same order — finds
-// each pair by position, without a lookup by name.
+// deviceSeries is one device's entry in the index: its series by metric,
+// how many series it ever created (series are never removed, so a count
+// that has not moved says every series a reader resolved is still the
+// one a key names, and no key it missed has since appeared) and the stamp
+// of its last mark. ifcs holds the octet series of the interfaces the
+// device's last interface collection listed, in its order, so the next
+// collection — the same interfaces, in the same order — finds each pair by
+// position, without a lookup by name.
 type deviceSeries struct {
 	mark    uint64
-	metrics map[string]*ring[Sample]
+	created int
+	metrics map[string]*series
 	ifcs    []ifcSeries
 }
 
 // ifcSeries is one interface's pair of octet series.
 type ifcSeries struct {
 	name    string
-	in, out *ring[Sample]
+	in, out *series
 }
 
-// series returns the ring of metric, creating it.
-func (d *deviceSeries) series(metric string) *ring[Sample] {
-	r, ok := d.metrics[metric]
+// series is one metric's samples: the ring, and beside it the two newest
+// samples, which push keeps so the alarm engine reads a tail without
+// indexing the ring.
+type series struct {
+	ring[Sample]
+	newest, before Sample
+}
+
+func (s *series) push(v Sample) {
+	s.ring.push(v)
+	s.newest, s.before = v, s.newest
+}
+
+// tail returns the newest sample and the one before it, n of the two held.
+func (s *series) tail() seriesTail {
+	return seriesTail{last: s.newest, prev: s.before, n: min(len(s.buf), 2)}
+}
+
+// series returns the series of metric, creating it.
+func (d *deviceSeries) series(metric string) *series {
+	s, ok := d.metrics[metric]
 	if !ok {
-		r = &ring[Sample]{limit: DefaultSeriesRetention}
-		d.metrics[metric] = r
+		s = &series{ring: ring[Sample]{limit: DefaultSeriesRetention}}
+		d.metrics[metric] = s
+		d.created++
 	}
-	return r
+	return s
 }
 
 // octets returns the series pair of the interface a collection lists at
@@ -95,16 +120,18 @@ const historyLimit = 4096
 // limit elements and then overwrites the oldest, so a history costs what
 // it holds and never more than its limit. The zero value is ready to use.
 type ring[T any] struct {
-	buf   []T
-	start int // index of the oldest element once buf is full
-	limit int // 0 means historyLimit
+	buf []T
+	// start is the index of the oldest element once buf is full; limit 0
+	// means historyLimit. Both are int32, so a series — a ring and its two
+	// newest samples — fits a 64-byte allocation.
+	start, limit int32
 }
 
 func (r *ring[T]) push(v T) {
 	if r.limit == 0 {
 		r.limit = historyLimit
 	}
-	if len(r.buf) < r.limit {
+	if len(r.buf) < int(r.limit) {
 		r.buf = append(r.buf, v)
 		return
 	}
@@ -121,26 +148,13 @@ func (r *ring[T]) last(k int) []T {
 	}
 	out := make([]T, k)
 	for i := range out {
-		out[i] = r.buf[(r.start+n-k+i)%n]
+		out[i] = r.buf[(int(r.start)+n-k+i)%n]
 	}
 	return out
 }
 
 // all returns a copy of everything held, oldest first.
 func (r *ring[T]) all() []T { return r.last(len(r.buf)) }
-
-// tail returns the newest element and the one before it, in place; n is
-// how many of the two are held.
-func (r *ring[T]) tail() (last, prev T, n int) {
-	n = min(len(r.buf), 2)
-	if n > 0 {
-		last = r.buf[(r.start+len(r.buf)-1)%len(r.buf)]
-	}
-	if n > 1 {
-		prev = r.buf[(r.start+len(r.buf)-2)%len(r.buf)]
-	}
-	return last, prev, n
-}
 
 // NewTimeseriesBackend returns an empty timeseries store.
 func NewTimeseriesBackend() *TimeseriesBackend {
@@ -158,7 +172,7 @@ func (b *TimeseriesBackend) mark(device string) {
 func (b *TimeseriesBackend) markLocked(device string) *deviceSeries {
 	d, ok := b.devices[device]
 	if !ok {
-		d = &deviceSeries{metrics: make(map[string]*ring[Sample])}
+		d = &deviceSeries{metrics: make(map[string]*series)}
 		b.devices[device] = d
 	}
 	b.stamp++
@@ -217,8 +231,8 @@ func (b *TimeseriesBackend) Store(col Collection) error {
 	return nil
 }
 
-// lookupLocked returns the ring of device's metric; nil when there is none.
-func (b *TimeseriesBackend) lookupLocked(device, metric string) *ring[Sample] {
+// lookupLocked returns the series of device's metric; nil when there is none.
+func (b *TimeseriesBackend) lookupLocked(device, metric string) *series {
 	if d, ok := b.devices[device]; ok {
 		return d.metrics[metric]
 	}
@@ -254,21 +268,48 @@ type seriesTail struct {
 	n          int
 }
 
-// tails is the alarm engine's read of one device's run: under one lock
-// and one device lookup, the tail of each rule's series, in rule order,
-// appended to buf — the zero tail for a rule that reads no series or
-// whose series holds nothing. No key is built, and the samples are read
-// in place.
-func (b *TimeseriesBackend) tails(device string, rules []AlarmRule, buf []seriesTail) []seriesTail {
+// seriesHandles is one rule run's hold on the series its rules read, one
+// per rule in rule order (nil for a rule that reads none, or whose series
+// did not exist), resolved on dev when it had created seen series. The
+// zero value holds nothing and resolves on first use.
+type seriesHandles struct {
+	dev    *deviceSeries
+	seen   int
+	series []*series
+}
+
+// tails is the alarm engine's read of one device's run: under one lock,
+// the tail of each rule's series, in rule order, appended to buf — the
+// zero tail for a rule that reads no series or whose series holds
+// nothing. The run's handles h are resolved by key on first use, and again
+// only when the device has created a series since; otherwise no key is
+// looked up and no ring is indexed.
+func (b *TimeseriesBackend) tails(device string, rules []AlarmRule, h *seriesHandles, buf []seriesTail) []seriesTail {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	d := b.devices[device]
-	for i := range rules {
-		var t seriesTail
-		if d != nil && rules[i].readsSeries() {
-			if r := d.metrics[rules[i].Key]; r != nil {
-				t.last, t.prev, t.n = r.tail()
+	if h.dev == nil {
+		if h.dev = b.devices[device]; h.dev == nil {
+			for range rules {
+				buf = append(buf, seriesTail{})
 			}
+			return buf
+		}
+	}
+	if h.series == nil || h.seen != h.dev.created {
+		h.series = h.series[:0]
+		for i := range rules {
+			var s *series
+			if rules[i].readsSeries() {
+				s = h.dev.metrics[rules[i].Key]
+			}
+			h.series = append(h.series, s)
+		}
+		h.seen = h.dev.created
+	}
+	for _, s := range h.series {
+		var t seriesTail
+		if s != nil {
+			t = s.tail()
 		}
 		buf = append(buf, t)
 	}

@@ -314,7 +314,7 @@ func (db *DB) Get(tableName string, id int64) (Row, error) {
 	}
 	e := db.readEpoch()
 	defer e.release()
-	r, err := View{e}.Get(tableName, id)
+	r, err := e.view().Get(tableName, id)
 	if err != nil {
 		return Row{}, err
 	}
@@ -355,7 +355,7 @@ func (db *DB) Count(tableName string) (int, error) {
 func (db *DB) LookupUnique(tableName, col string, v any) (int64, bool, error) {
 	e := db.readEpoch()
 	defer e.release()
-	return View{e}.LookupUnique(tableName, col, v)
+	return e.view().LookupUnique(tableName, col, v)
 }
 
 func (t *table) lookupUnique(col string, v any) (int64, bool, error) {
@@ -385,7 +385,7 @@ func normIndexValue(v any) any {
 func (db *DB) LookupIndexed(tableName, col string, v any) ([]int64, error) {
 	e := db.readEpoch()
 	defer e.release()
-	return View{e}.LookupIndexed(tableName, col, v)
+	return e.view().LookupIndexed(tableName, col, v)
 }
 
 func (t *table) lookupIndexed(col string, v any) ([]int64, error) {
@@ -403,7 +403,7 @@ func (t *table) lookupIndexed(col string, v any) ([]int64, error) {
 func (db *DB) Referencing(tableName, fkCol string, refID int64) ([]int64, error) {
 	e := db.readEpoch()
 	defer e.release()
-	return View{e}.Referencing(tableName, fkCol, refID)
+	return e.view().Referencing(tableName, fkCol, refID)
 }
 
 func (t *table) referencing(fkCol string, refID int64) ([]int64, error) {

@@ -42,7 +42,11 @@ func tags(t testing.TB, db *DB, table string) map[string]bool {
 	t.Helper()
 	out := map[string]bool{}
 	err := db.WithTx(func(tx *Tx) error {
-		rows, err := tx.Select(table, nil)
+		v, err := tx.View()
+		if err != nil {
+			return err
+		}
+		rows, err := v.Select(table, nil)
 		if err != nil {
 			return nil // table not replicated yet: empty
 		}

@@ -143,7 +143,7 @@ func (m *naiveStore) referencing(table, col string, ref int64) []int64 {
 	return m.ids(table, func(_ int64, row map[string]any) bool { return row[col] == ref })
 }
 
-// rowReader is the read API DB, Tx and View share.
+// rowReader is the read API DB and View share.
 type rowReader interface {
 	Get(table string, id int64) (Row, error)
 	Select(table string, pred func(Row) bool) ([]Row, error)
@@ -169,10 +169,11 @@ func assertServed(t *testing.T, where string, db *DB, want *naiveStore, seq uint
 	}
 }
 
-// assertReads compares every read API of got with the model. Rows a DB or
-// Tx hands out are scribbled on afterwards: they are copies, so the next
-// comparison fails if one was not. A View hands out the stored rows, so
-// there Get and Select must return the same map.
+// assertReads compares every read API of got with the model. Rows a DB
+// hands out are scribbled on afterwards: they are copies, so the next
+// comparison fails if one was not. A View — of the DB or of an open
+// transaction — hands out the stored rows, so there Get and Select must
+// return the same map.
 func assertReads(t *testing.T, where string, got rowReader, want *naiveStore) {
 	t.Helper()
 	_, shared := got.(View)
@@ -417,7 +418,9 @@ func (h *history) transaction(step int) {
 		ok = h.write(tx)
 	}
 	if ok {
-		assertReads(h.t, "inside the open transaction", tx, h.model)
+		v, err := tx.View()
+		h.must(err)
+		assertReads(h.t, "inside the open transaction", v, h.model)
 		assertReads(h.t, "master beside an open transaction", h.master, before)
 	}
 	if !ok || h.r.Intn(5) == 0 {

@@ -1,7 +1,10 @@
 package relstore
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -195,4 +198,79 @@ func randName(r *rand.Rand) string {
 		b[i] = letters[r.Intn(len(letters))]
 	}
 	return string(b)
+}
+
+// TestDeleteNullsOnlyRowsItKeeps: a delete clears a SET NULL key on a row
+// it leaves in place, and logs no UPDATE for a row it removes through a
+// cascade, even when that row's SET NULL key comes first in the referrer
+// order. A rollback brings every row back as it was.
+func TestDeleteNullsOnlyRowsItKeeps(t *testing.T) {
+	db := NewDB("delete-order")
+	for _, def := range []TableDef{
+		{Name: "parent", Columns: []Column{{Name: "name", Type: ColString}}},
+		{Name: "child", Columns: []Column{{Name: "parent_id", Type: ColInt}},
+			ForeignKeys: []ForeignKey{{Column: "parent_id", RefTable: "parent", OnDelete: Cascade}}},
+		// "a_leaf" sorts before "child": its SET NULL key on parent is
+		// applied before the cascade that reaches its rows through child.
+		{Name: "a_leaf", Columns: []Column{{Name: "parent_id", Type: ColInt, Nullable: true}, {Name: "child_id", Type: ColInt, Nullable: true}},
+			ForeignKeys: []ForeignKey{
+				{Column: "parent_id", RefTable: "parent", OnDelete: SetNull},
+				{Column: "child_id", RefTable: "child", OnDelete: Cascade},
+			}},
+	} {
+		if err := db.CreateTable(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var p, c, doomed, kept int64
+	if err := db.WithTx(func(tx *Tx) (err error) {
+		if p, err = tx.Insert("parent", map[string]any{"name": "p"}); err != nil {
+			return err
+		}
+		if c, err = tx.Insert("child", map[string]any{"parent_id": p}); err != nil {
+			return err
+		}
+		if doomed, err = tx.Insert("a_leaf", map[string]any{"parent_id": p, "child_id": c}); err != nil {
+			return err
+		}
+		kept, err = tx.Insert("a_leaf", map[string]any{"parent_id": p})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Seq()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete("parent", p); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int64{doomed, kept} {
+		if row, err := db.Get("a_leaf", id); err != nil || row.Get("parent_id") != p {
+			t.Fatalf("after a rollback a_leaf %d = %v, %v; want it back, parent_id %d", id, row, err, p)
+		}
+	}
+	if err := db.WithTx(func(tx *Tx) error { return tx.Delete("parent", p) }); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range db.EntriesSince(before) {
+		got = append(got, fmt.Sprintf("%s %s %d %v", e.Op, e.Table, e.RowID, e.Values))
+	}
+	want := []string{
+		fmt.Sprintf("UPDATE a_leaf %d map[parent_id:<nil>]", kept),
+		fmt.Sprintf("DELETE a_leaf %d map[]", doomed),
+		fmt.Sprintf("DELETE child %d map[]", c),
+		fmt.Sprintf("DELETE parent %d map[]", p),
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("the delete logged\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if row, err := db.Get("a_leaf", kept); err != nil || row.Get("parent_id") != nil {
+		t.Errorf("a_leaf %d = %v, %v; want it kept with parent_id NULL", kept, row, err)
+	}
 }

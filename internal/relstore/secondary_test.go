@@ -95,7 +95,8 @@ func TestSecondaryIndexRollback(t *testing.T) {
 	tx.Update("device", ids[0], map[string]any{"role": "tor"})
 	tx.Delete("device", ids[1])
 	// Uncommitted state is visible inside the tx via its own lookups.
-	in, err := tx.LookupIndexed("device", "role", "psw")
+	v, _ := tx.View()
+	in, err := v.LookupIndexed("device", "role", "psw")
 	if err != nil || len(in) != 1 {
 		t.Fatalf("in-tx lookup: %v %v", in, err)
 	}

@@ -162,55 +162,18 @@ func (tx *Tx) table(name string) (*table, error) {
 	return tableIn(tx.tables, name)
 }
 
-// Get reads a row within the transaction (sees uncommitted changes).
-func (tx *Tx) Get(tableName string, id int64) (Row, error) {
-	t, err := tx.table(tableName)
-	if err != nil {
-		return Row{}, err
+// View is the transaction's read API: a read of its tables as they stand,
+// its own writes included. Like a DB's View it hands out the stored rows,
+// not copies: a write never changes a stored row (an update installs a
+// new map), so a row read through it stays as it was read, and a caller
+// must never write one. It must not outlive the transaction, whose table
+// set it reads. Its Seq and TableSeq are those of the last commit: the
+// transaction's own writes have no sequence yet.
+func (tx *Tx) View() (View, error) {
+	if tx.done {
+		return View{}, ErrTxDone
 	}
-	r, err := t.get(id)
-	if err != nil {
-		return Row{}, err
-	}
-	r.Values = copyValues(r.Values)
-	return r, nil
-}
-
-// Select reads matching rows within the transaction.
-func (tx *Tx) Select(tableName string, pred func(Row) bool) ([]Row, error) {
-	t, err := tx.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	return t.scan(pred, false), nil
-}
-
-// LookupUnique finds a row id by unique column value within the transaction.
-func (tx *Tx) LookupUnique(tableName, col string, v any) (int64, bool, error) {
-	t, err := tx.table(tableName)
-	if err != nil {
-		return 0, false, err
-	}
-	return t.lookupUnique(col, v)
-}
-
-// LookupIndexed finds row ids by an Indexed (non-unique) column value
-// within the transaction, in ascending id order.
-func (tx *Tx) LookupIndexed(tableName, col string, v any) ([]int64, error) {
-	t, err := tx.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	return t.lookupIndexed(col, v)
-}
-
-// Referencing lists rows whose fkCol references refID, within the transaction.
-func (tx *Tx) Referencing(tableName, fkCol string, refID int64) ([]int64, error) {
-	t, err := tx.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	return t.referencing(fkCol, refID)
+	return View{seq: tx.db.seq, tables: tx.tables}, nil
 }
 
 // Insert adds a row. Unspecified nullable columns default to NULL; missing
@@ -281,9 +244,13 @@ func (tx *Tx) Update(tableName string, id int64, changes map[string]any) error {
 	return nil
 }
 
-// Delete removes a row, applying referential actions (RESTRICT blocks the
+// Delete removes a row, applying referential actions: RESTRICT blocks the
 // delete, CASCADE deletes referencing rows recursively, SET NULL clears the
-// referencing columns).
+// referencing columns. Each table's referencing rows are resolved foreign
+// key by foreign key in the table's fixed referrer order, and each key's
+// rows in id order, so one delete logs the same entries on every run. A
+// SET NULL is skipped on a row this delete goes on to remove through some
+// cascade: the row's entries are its DELETE alone, never an UPDATE first.
 func (tx *Tx) Delete(tableName string, id int64) error {
 	t, err := tx.table(tableName)
 	if err != nil {
@@ -292,8 +259,40 @@ func (tx *Tx) Delete(tableName string, id int64) error {
 	if _, ok := t.rows[id]; !ok {
 		return fmt.Errorf("relstore: %s: no row with id %d", tableName, id)
 	}
-	// Resolve referencing rows, foreign key by foreign key in the table's
-	// fixed referrer order, and each key's rows in id order.
+	doomed := map[rowRef]bool{{tableName, id}: true}
+	tx.cascades(t, id, doomed)
+	return tx.delete(t, id, doomed)
+}
+
+// rowRef names one row of one table.
+type rowRef struct {
+	table string
+	id    int64
+}
+
+// cascades adds to doomed every row that deleting row id of t removes
+// through CASCADE keys, recursively. A SET NULL clears only columns of SET
+// NULL keys, never one a cascade follows, so the rows a delete removes are
+// fixed before it starts.
+func (tx *Tx) cascades(t *table, id int64, doomed map[rowRef]bool) {
+	for _, ref := range t.referrers {
+		if ref.fk.OnDelete != Cascade {
+			continue
+		}
+		rt := tx.tables[ref.table]
+		for rid := range rt.refIndex[ref.fk.Column][id] {
+			if r := (rowRef{ref.table, rid}); !doomed[r] {
+				doomed[r] = true
+				tx.cascades(rt, rid, doomed)
+			}
+		}
+	}
+}
+
+// delete removes row id of t after applying its referential actions,
+// skipping a SET NULL on any row in doomed.
+func (tx *Tx) delete(t *table, id int64, doomed map[rowRef]bool) error {
+	tableName := t.def.Name
 	for _, ref := range t.referrers {
 		fk := ref.fk
 		refs := tx.tables[ref.table].refIndex[fk.Column][id]
@@ -311,9 +310,10 @@ func (tx *Tx) Delete(tableName string, id int64) error {
 		sortInt64s(ids)
 		for _, rid := range ids {
 			var err error
-			if fk.OnDelete == Cascade {
-				err = tx.Delete(ref.table, rid)
-			} else { // SetNull
+			switch {
+			case fk.OnDelete == Cascade:
+				err = tx.delete(tx.tables[ref.table], rid, doomed)
+			case !doomed[rowRef{ref.table, rid}]: // SetNull
 				err = tx.Update(ref.table, rid, map[string]any{fk.Column: nil})
 			}
 			if err != nil {

@@ -11,8 +11,16 @@ import "fmt"
 // the view ends; a caller may keep it but must never write to it. Id lists
 // are copies, as on DB.
 //
-// A View is valid only inside the function DB.View hands it to.
-type View struct{ e *epoch }
+// A View is valid only inside the function DB.View hands it to; one from
+// Tx.View reads an open transaction's tables instead, and only while it
+// is open.
+type View struct {
+	seq    uint64
+	tables map[string]*table
+}
+
+// view reads the epoch; the caller holds its pin while the view is used.
+func (e *epoch) view() View { return View{seq: e.seq, tables: e.tables} }
 
 // View runs fn over the published epoch, pinned until fn returns —
 // whatever fn returns, or if it panics. A commit that replaces the epoch
@@ -24,19 +32,19 @@ func (db *DB) View(fn func(View) error) error {
 	}
 	e := db.readEpoch()
 	defer e.release()
-	return fn(View{e: e})
+	return fn(e.view())
 }
 
 // Seq returns the binlog sequence of the last transaction the view
 // reflects.
-func (v View) Seq() uint64 { return v.e.seq }
+func (v View) Seq() uint64 { return v.seq }
 
 // TableSeq returns the binlog sequence of the last entry that touched the
 // named table, as of this view: its CREATE, an ALTER, or a committed row
 // write. Within one DB every change to the table moves it, so a reader
 // that saw the table at some seq knows it unchanged while the seq stays.
 func (v View) TableSeq(tableName string) (uint64, error) {
-	t, err := tableIn(v.e.tables, tableName)
+	t, err := tableIn(v.tables, tableName)
 	if err != nil {
 		return 0, err
 	}
@@ -45,7 +53,7 @@ func (v View) TableSeq(tableName string) (uint64, error) {
 
 // Get returns one row by primary key; its Values are the stored map.
 func (v View) Get(tableName string, id int64) (Row, error) {
-	t, err := tableIn(v.e.tables, tableName)
+	t, err := tableIn(v.tables, tableName)
 	if err != nil {
 		return Row{}, err
 	}
@@ -55,7 +63,7 @@ func (v View) Get(tableName string, id int64) (Row, error) {
 // Select returns the rows matching pred (nil matches all) in ascending id
 // order; their Values are the stored maps.
 func (v View) Select(tableName string, pred func(Row) bool) ([]Row, error) {
-	t, err := tableIn(v.e.tables, tableName)
+	t, err := tableIn(v.tables, tableName)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +72,7 @@ func (v View) Select(tableName string, pred func(Row) bool) ([]Row, error) {
 
 // LookupUnique finds a row id by a unique column value.
 func (v View) LookupUnique(tableName, col string, val any) (int64, bool, error) {
-	t, err := tableIn(v.e.tables, tableName)
+	t, err := tableIn(v.tables, tableName)
 	if err != nil {
 		return 0, false, err
 	}
@@ -74,7 +82,7 @@ func (v View) LookupUnique(tableName, col string, val any) (int64, bool, error) 
 // LookupIndexed returns the ids of rows whose Indexed column equals val,
 // in ascending id order.
 func (v View) LookupIndexed(tableName, col string, val any) ([]int64, error) {
-	t, err := tableIn(v.e.tables, tableName)
+	t, err := tableIn(v.tables, tableName)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +92,7 @@ func (v View) LookupIndexed(tableName, col string, val any) ([]int64, error) {
 // Referencing returns the ids of rows in tableName whose fkCol references
 // refID, in ascending order.
 func (v View) Referencing(tableName, fkCol string, refID int64) ([]int64, error) {
-	t, err := tableIn(v.e.tables, tableName)
+	t, err := tableIn(v.tables, tableName)
 	if err != nil {
 		return nil, err
 	}

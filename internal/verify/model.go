@@ -322,6 +322,10 @@ type model struct {
 	sessByPfx map[rowKey][]rowKey
 	circsByLG map[int64][]int64 // a link group's circuits
 	peers     map[int64][]peer  // per device, in both directions
+	// circEnds holds, per circuit counted in peers, the devices it was
+	// counted between: a delete may remove a circuit's ports before the
+	// circuit itself, leaving its ends unresolvable when it goes.
+	circEnds map[int64][2]int64
 
 	// subnets groups the tracked prefixes by masked subnet, each group in
 	// compareRowKeys order. nest holds the same subnets sorted by
@@ -426,8 +430,9 @@ func newModel() *model {
 		aggsByDev: map[int64][]int64{}, portNames: map[int64][]string{},
 		pfxByAgg: map[int64][]rowKey{}, sessByDev: map[int64][]rowKey{},
 		sessByPfx: map[rowKey][]rowKey{}, peers: map[int64][]peer{},
-		circsByLG: map[int64][]int64{}, subnets: map[netip.Prefix][]rowKey{},
-		dirty: map[checkKey]struct{}{}, found: map[checkKey][]Violation{},
+		circsByLG: map[int64][]int64{}, circEnds: map[int64][2]int64{},
+		subnets: map[netip.Prefix][]rowKey{},
+		dirty:   map[checkKey]struct{}{}, found: map[checkKey][]Violation{},
 		reachStale: true,
 		st:         stamps{at: map[stampKey]uint64{}, gone: map[string]uint64{}},
 	}
@@ -690,8 +695,14 @@ func (m *model) linkCircuit(id int64, c circuit, add bool) {
 	if c.status == "decommissioned" {
 		return
 	}
-	if a, z := m.portDev(c.a), m.portDev(c.z); a != 0 && z != 0 {
-		m.connect(a, z, add, true)
+	if !add {
+		if ends, ok := m.circEnds[id]; ok {
+			delete(m.circEnds, id)
+			m.connect(ends[0], ends[1], false, true)
+		}
+	} else if a, z := m.portDev(c.a), m.portDev(c.z); a != 0 && z != 0 {
+		m.circEnds[id] = [2]int64{a, z}
+		m.connect(a, z, true, true)
 	}
 }
 
