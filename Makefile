@@ -44,7 +44,9 @@ verify-gate:
 # reads of one epoch (an indexed Find or Get beside a writer never mixes
 # two commits; Peek, PeekOne and PeekByID share the stored rows, Find,
 # FindOne and GetByID copy them; a Find inside a mutation reads the
-# transaction's rows in place and copies only what it returns), the
+# transaction's rows in place and copies only what it returns; a scan
+# on a value field of the scanned model reads it from the row and
+# allocates only per returned row), the
 # planner (indexed ≡ scan, an Or of plannable branches planned as their
 # union, one with a branch that would scan scanned once), the fbnet service that
 # serves it over the wire, the thriftlite plan cache that service and the
@@ -55,7 +57,7 @@ verify-gate:
 # every one as it was (DESIGN.md §8).
 store:
 	$(GO) test -race -timeout 5m ./internal/relstore/ ./internal/fbnet/service/
-	$(GO) test -race -timeout 5m -run 'TestFindReadsOneEpoch|TestPeekSharesStoredRowsFindCopies|TestMutationFindCopiesOnlyWhatItReturns|TestPlanner|TestQuickPlannerEquivalence' ./internal/fbnet/
+	$(GO) test -race -timeout 5m -run 'TestFindReadsOneEpoch|TestPeekSharesStoredRowsFindCopies|TestMutationFindCopiesOnlyWhatItReturns|TestScanOnLocalFieldAllocatesPerReturnedRow|TestPlanner|TestQuickPlannerEquivalence' ./internal/fbnet/
 	$(GO) test -race -timeout 5m -run 'TestPlansConcurrentOnColdCache|TestBadTagsRejected' ./internal/thriftlite/
 	$(GO) test -race -timeout 5m -run 'TestMemoNeverCachesUnchecked|TestGeneratorConcurrentUse|TestDeriveLeavesStoredRowsUntouched' ./internal/configgen/
 
@@ -91,7 +93,11 @@ reconcile:
 
 # Native fuzz targets, a few seconds each (go test -fuzz takes one target
 # per run). A crasher is written to the package's testdata/fuzz and fails
-# the run; the corpus cache stays in the Go build cache.
+# the run; the corpus cache stays in the Go build cache. FuzzCompute holds
+# confdiff.Compute, which splits only the middle of the new config, to the
+# Diff of both configs split whole; FuzzDeviceDiff holds netsim's native
+# compare and vendor-2 syntax check, which read lines in place, to the
+# split-based versions they replaced, kept in the test file.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzContainsAddr$$' -fuzztime $(FUZZTIME) ./internal/verify/
@@ -102,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/tmpl/
 	$(GO) test -run '^$$' -fuzz '^FuzzReparse$$' -fuzztime $(FUZZTIME) ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexDiff$$' -fuzztime $(FUZZTIME) ./internal/netsim/
+	$(GO) test -run '^$$' -fuzz '^FuzzDeviceDiff$$' -fuzztime $(FUZZTIME) ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompute$$' -fuzztime $(FUZZTIME) ./internal/confdiff/
 
 # Each drill's deterministic run record, one file per drill:

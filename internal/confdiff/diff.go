@@ -61,9 +61,47 @@ func Lines(s string) []string {
 	return lines
 }
 
-// Compute diffs two configurations.
+// Compute diffs two configurations. It deep-equals
+// ComputeLines(Lines(old), Lines(new)) but splits only what it must: old
+// whole, since its lines back every Equal run, and of new only the lines
+// between the common prefix and suffix, found by walking new in place.
 func Compute(old, new string) Diff {
-	return ComputeLines(Lines(old), Lines(new))
+	a := Lines(old)
+	if new == "" {
+		return ComputeLines(a, nil)
+	}
+	// Lines' rule: a single trailing newline ends the last line.
+	body := strings.TrimSuffix(new, "\n")
+	nb := strings.Count(body, "\n") + 1
+
+	// lo is the byte offset of new's line pre, hi the end of its line
+	// nb-1-suf.
+	pre, lo := 0, 0
+	for pre < len(a) && pre < nb {
+		line, next := body[lo:], len(body)
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line, next = line[:i], lo+i+1
+		}
+		if line != a[pre] {
+			break
+		}
+		pre++
+		lo = next
+	}
+	suf, hi := 0, len(body)
+	for suf < len(a)-pre && suf < nb-pre {
+		start := strings.LastIndexByte(body[:hi], '\n') + 1
+		if body[start:hi] != a[len(a)-1-suf] {
+			break
+		}
+		suf++
+		hi = start - 1
+	}
+	var mid []string
+	if pre+suf < nb {
+		mid = strings.Split(body[lo:hi], "\n")
+	}
+	return assemble(a, pre, suf, myers(a[pre:len(a)-suf], mid))
 }
 
 // ComputeLines diffs two pre-split line slices. The returned Diff may
@@ -81,10 +119,14 @@ func ComputeLines(a, b []string) Diff {
 	for suf < len(a)-pre && suf < len(b)-pre && a[len(a)-1-suf] == b[len(b)-1-suf] {
 		suf++
 	}
-	core := myers(a[pre:len(a)-suf], b[pre:len(b)-suf])
+	return assemble(a, pre, suf, myers(a[pre:len(a)-suf], b[pre:len(b)-suf]))
+}
 
-	// After a maximal trim the core neither begins nor ends with an Equal
-	// edit, so the two runs never merge and are kept uncopied.
+// assemble wraps the core's edits in a's common prefix of pre lines and
+// suffix of suf lines. After a maximal trim the core neither begins nor
+// ends with an Equal edit, so the two runs never merge and are kept
+// uncopied.
+func assemble(a []string, pre, suf int, core Diff) Diff {
 	d := Diff{Edits: make([]Edit, 0, len(core.Edits)+2)}
 	d.share(Equal, a[:pre])
 	for _, e := range core.Edits {
@@ -137,16 +179,18 @@ func myers(a, b []string) Diff {
 		return d
 	}
 	max := n + m
-	// v[k+max] = furthest x along diagonal k; trace keeps a copy per d for
-	// backtracking.
+	// v[k+max] = furthest x along diagonal k. Backtracking from step d
+	// reads only diagonals -(d-1)..d-1 of the v step d started from, so
+	// trace keeps just those 2d-1 entries per step, (d-1)² onwards: the
+	// whole trace is O(D²), not O(D·(n+m)).
 	v := make([]int, 2*max+1)
-	var trace [][]int
+	var trace []int
 	var dFound = -1
 outer:
 	for d := 0; d <= max; d++ {
-		vc := make([]int, len(v))
-		copy(vc, v)
-		trace = append(trace, vc)
+		if d > 0 {
+			trace = append(trace, v[max-(d-1):max+d]...)
+		}
 		for k := -d; k <= d; k += 2 {
 			var x int
 			if k == -d || (k != d && v[k-1+max] < v[k+1+max]) {
@@ -162,7 +206,6 @@ outer:
 			v[k+max] = x
 			if x >= n && y >= m {
 				dFound = d
-				trace = append(trace, v)
 				break outer
 			}
 		}
@@ -175,15 +218,16 @@ outer:
 	var rev []step
 	x, y := n, m
 	for d := dFound; d > 0; d-- {
-		vPrev := trace[d]
+		// vPrev[k+d-1] is diagonal k of the v step d started from.
+		vPrev := trace[(d-1)*(d-1) : d*d]
 		k := x - y
 		var prevK int
-		if k == -d || (k != d && vPrev[k-1+max] < vPrev[k+1+max]) {
+		if k == -d || (k != d && vPrev[k-1+d-1] < vPrev[k+1+d-1]) {
 			prevK = k + 1
 		} else {
 			prevK = k - 1
 		}
-		prevX := vPrev[prevK+max]
+		prevX := vPrev[prevK+d-1]
 		prevY := prevX - prevK
 		for x > prevX && y > prevY {
 			x--
@@ -278,7 +322,7 @@ func (d Diff) Unified(n int) string {
 					tail = nil
 				}
 				for _, l := range head {
-					fmt.Fprintf(&b, "  %s\n", l)
+					writeLine(&b, Equal, l)
 				}
 				if i != 0 && i != len(d.Edits)-1 || len(head) > 0 || len(tail) > 0 {
 					b.WriteString("  ...\n")
@@ -290,28 +334,33 @@ func (d Diff) Unified(n int) string {
 				// already appeared in the head context.
 				if len(tail) > 0 {
 					if hdr, at, ok := stanzaHeader(lines, len(lines)-n); ok && !(len(head) > 0 && at < n) {
-						fmt.Fprintf(&b, "  %s\n", hdr)
+						writeLine(&b, Equal, hdr)
 					}
 				}
 				for _, l := range tail {
-					fmt.Fprintf(&b, "  %s\n", l)
+					writeLine(&b, Equal, l)
 				}
 			} else {
 				for _, l := range lines {
-					fmt.Fprintf(&b, "  %s\n", l)
+					writeLine(&b, Equal, l)
 				}
 			}
-		case Add:
+		case Add, Remove:
 			for _, l := range e.Lines {
-				fmt.Fprintf(&b, "+ %s\n", l)
-			}
-		case Remove:
-			for _, l := range e.Lines {
-				fmt.Fprintf(&b, "- %s\n", l)
+				writeLine(&b, e.Kind, l)
 			}
 		}
 	}
 	return b.String()
+}
+
+// writeLine writes one rendered diff line: k's mark, a space, the line
+// and a newline.
+func writeLine(b *strings.Builder, k OpKind, l string) {
+	b.WriteString(k.String())
+	b.WriteByte(' ')
+	b.WriteString(l)
+	b.WriteByte('\n')
 }
 
 // stanzaHeader returns the innermost enclosing block header for
@@ -381,18 +430,18 @@ scan:
 			from = 0
 		}
 		if hdr, at, ok := stanzaHeader(lines, from); ok && at < from {
-			fmt.Fprintf(&b, "  %s\n", hdr)
+			writeLine(&b, Equal, hdr)
 			if at+1 < from {
 				b.WriteString("  ...\n")
 			}
 		}
 		for _, l := range lines[from:] {
-			fmt.Fprintf(&b, "  %s\n", l)
+			writeLine(&b, Equal, l)
 		}
 	}
 	for i := start; i <= end; i++ {
 		for _, l := range d.Edits[i].Lines {
-			fmt.Fprintf(&b, "%s %s\n", d.Edits[i].Kind, l)
+			writeLine(&b, d.Edits[i].Kind, l)
 		}
 	}
 	if end < len(d.Edits)-1 {
@@ -402,7 +451,7 @@ scan:
 			to = len(lines)
 		}
 		for _, l := range lines[:to] {
-			fmt.Fprintf(&b, "  %s\n", l)
+			writeLine(&b, Equal, l)
 		}
 		if to < len(lines) {
 			b.WriteString("  ...\n")

@@ -188,10 +188,9 @@ func TestLines(t *testing.T) {
 	}
 }
 
-func BenchmarkDiffTypicalConfigChange(b *testing.B) {
-	// A ~2000-line config with ~40 changed lines, the typical POP/DC
-	// device change size from Fig. 16.
-	var oldL, newL []string
+// typicalConfigChange is a ~6,000-line config with ~40 changes spread
+// over it, the typical POP/DC device change size from Fig. 16.
+func typicalConfigChange() (oldL, newL []string) {
 	for i := 0; i < 2000; i++ {
 		l := "interface et" + string(rune('1'+i%8)) + "/1"
 		oldL = append(oldL, l, " mtu 9192", " no shutdown")
@@ -201,6 +200,11 @@ func BenchmarkDiffTypicalConfigChange(b *testing.B) {
 			newL = append(newL, l, " mtu 9192", " no shutdown")
 		}
 	}
+	return oldL, newL
+}
+
+func BenchmarkDiffTypicalConfigChange(b *testing.B) {
+	oldL, newL := typicalConfigChange()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,16 +1,18 @@
 package confdiff
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// FuzzCompute checks Compute on arbitrary pairs of configs: its edits turn
-// the old lines into the new ones; it is empty exactly when the two split
-// into the same lines (so a caller may take a == b as "empty" without
-// diffing); and Stats(true) counts the non-comment lines it adds and
-// removes.
+// FuzzCompute checks Compute on arbitrary pairs of configs: it is the
+// Diff of the pre-split lines (Compute walks the new config in place and
+// splits only its middle); its edits turn the old lines into the new
+// ones; it is empty exactly when the two split into the same lines (so a
+// caller may take a == b as "empty" without diffing); and Stats(true)
+// counts the non-comment lines it adds and removes.
 func FuzzCompute(f *testing.F) {
 	for _, seed := range [][2]string{
 		{"", ""},
@@ -19,6 +21,9 @@ func FuzzCompute(f *testing.F) {
 		{"a\nb\nc\n", "c\nb\na\n"},
 		{"x\n\n", "x\n"},
 		{"interface ae0\n mtu 9001\n", "interface ae0\n mtu 9002\n  # note\n"},
+		{"a\nb\n", "a\nb\n\n"},
+		{"\n", "\n\n"},
+		{"a\nx\nb", "a\ny\nb\n"},
 	} {
 		f.Add(seed[0], seed[1])
 	}
@@ -28,6 +33,9 @@ func FuzzCompute(f *testing.F) {
 			t.Skip("the O(ND) trace grows with the square of the input")
 		}
 		d := Compute(a, b)
+		if want := ComputeLines(la, lb); !reflect.DeepEqual(d, want) {
+			t.Fatalf("Compute(%q, %q)\n = %v\n want %v, the Diff of the split lines", a, b, d, want)
+		}
 		got, err := d.Apply(la)
 		if err != nil {
 			t.Fatalf("applying the edits to the old lines: %v", err)

@@ -95,6 +95,12 @@ func (e *cmpExpr) String() string {
 }
 
 func (e *cmpExpr) match(rs *resolver, model string, row relstore.Row) (bool, error) {
+	if v, ok := rs.local(model, row, e.field); ok {
+		if e.op == opIsNull {
+			return v == nil, nil
+		}
+		return e.matchOne(v)
+	}
 	vals, err := rs.resolve(model, row, e.field)
 	if err != nil {
 		return false, err
@@ -332,6 +338,23 @@ func planRows(reg *Registry, r relstore.View, model string, q Query) ([]relstore
 type resolver struct {
 	reg *Registry
 	r   relstore.View
+}
+
+// local reads a path that names row's id or a value field of row's model
+// straight from the row: it needs no hop, so none of resolve's frontier.
+// ok is false for any other path, which resolve answers.
+func (rs *resolver) local(model string, row relstore.Row, path string) (v any, ok bool) {
+	m, ok := rs.reg.Model(model)
+	if !ok {
+		return nil, false
+	}
+	if path == "id" {
+		return row.ID, true
+	}
+	if f, ok := m.Field(path); ok && f.Kind == ValueField {
+		return row.Get(path), true
+	}
+	return nil, false
 }
 
 // resolve returns the values reached by following path from row. A path

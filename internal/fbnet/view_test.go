@@ -2,6 +2,7 @@ package fbnet
 
 import (
 	"errors"
+	"maps"
 	"reflect"
 	"sync"
 	"testing"
@@ -208,5 +209,28 @@ func TestMutationFindCopiesOnlyWhatItReturns(t *testing.T) {
 	}
 	if inTx > committed+2 {
 		t.Errorf("a Find inside a mutation allocated %v times, one on the committed store %v: want no more than 2 extra", inTx, committed)
+	}
+}
+
+// TestScanOnLocalFieldAllocatesPerReturnedRow: a predicate on a value
+// field of the scanned model is read straight from each row, so a scan
+// of 256 devices that returns one allocates that row's copy plus a
+// constant, not a resolve frontier per device looked at. Contains plans
+// as a scan.
+func TestScanOnLocalFieldAllocatesPerReturnedRow(t *testing.T) {
+	s := bigStore(t, 256)
+	q := Contains("name", "00042")
+	var objs []Object
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if objs, err = s.Find("Device", q); err != nil || len(objs) != 1 {
+			t.Fatalf("Find = %v, %v; want dev00042", objs, err)
+		}
+	})
+	rowCopy := testing.AllocsPerRun(20, func() { maps.Clone(objs[0].Fields) })
+	// The constant is four: the resolver, the scan's id and row slices,
+	// the answer. Reading the field through resolve cost one more per row.
+	if allocs > rowCopy+6 {
+		t.Errorf("a 256-row scan returning one row allocated %v times, want at most the row's copy (%v) + 6", allocs, rowCopy)
 	}
 }

@@ -305,7 +305,9 @@ func (d *Device) loadConfigOp(cfg string) error {
 func (d *Device) vendorValidate(cfg string) error {
 	if d.vendor == Vendor2 {
 		depth := 0
-		for i, line := range strings.Split(cfg, "\n") {
+		for i, rest, more := 0, cfg, true; more; i++ {
+			var line string
+			line, rest, more = strings.Cut(rest, "\n")
 			depth += strings.Count(line, "{") - strings.Count(line, "}")
 			if depth < 0 {
 				return fmt.Errorf("netsim: %s: syntax error at line %d: unbalanced '}'", d.name, i+1)
@@ -359,28 +361,38 @@ func (d *Device) dryrunDiffOp() (string, error) {
 }
 
 // simpleDiff is the device's own terse diff rendering (not Robotron's);
-// lines only, no context.
+// lines only, no context. Lines are what strings.Split(s, "\n") yields,
+// read in place.
 func simpleDiff(old, new string) string {
-	oldSet := map[string]int{}
-	for _, l := range strings.Split(old, "\n") {
-		oldSet[l]++
-	}
-	newSet := map[string]int{}
-	for _, l := range strings.Split(new, "\n") {
-		newSet[l]++
-	}
+	oldSet, newSet := lineSet(old), lineSet(new)
 	var b strings.Builder
-	for _, l := range strings.Split(old, "\n") {
-		if newSet[l] == 0 {
-			fmt.Fprintf(&b, "- %s\n", l)
-		}
-	}
-	for _, l := range strings.Split(new, "\n") {
-		if oldSet[l] == 0 {
-			fmt.Fprintf(&b, "+ %s\n", l)
-		}
-	}
+	writeMissing(&b, "- ", old, newSet)
+	writeMissing(&b, "+ ", new, oldSet)
 	return b.String()
+}
+
+// lineSet holds every line of s.
+func lineSet(s string) map[string]bool {
+	set := make(map[string]bool, strings.Count(s, "\n")+1)
+	for rest, more := s, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		set[line] = true
+	}
+	return set
+}
+
+// writeMissing writes, after prefix, each line of s that other lacks.
+func writeMissing(b *strings.Builder, prefix, s string, other map[string]bool) {
+	for rest, more := s, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		if !other[line] {
+			b.WriteString(prefix)
+			b.WriteString(line)
+			b.WriteByte('\n')
+		}
+	}
 }
 
 // SetCommitDelay makes subsequent commits take the given time to apply,

@@ -295,6 +295,9 @@ func (t *table) get(id int64) (Row, error) {
 // order: the stored maps when share is set, copies otherwise.
 func (t *table) scan(pred func(Row) bool, share bool) []Row {
 	var out []Row
+	if pred == nil && len(t.rows) > 0 {
+		out = make([]Row, 0, len(t.rows))
+	}
 	for _, id := range sortedIDs(t.rows) {
 		r := Row{ID: id, Values: t.rows[id]}
 		if !share {

@@ -16,7 +16,7 @@ package relstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ColType is the storage type of a column.
@@ -252,6 +252,6 @@ func sortedIDs[V any](m map[int64]V) []int64 {
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
