@@ -39,14 +39,15 @@ verify-gate:
 # two-table-set protocol and row sharing (every committed row stored once,
 # log entries never change, store ≡ naive model over seeded histories with
 # a concurrent reader, replication and promotion — a pinned View's reads
-# and Seq included, and a View releases its pin however it ends; DESIGN.md
+# and Seq included, every row a View hands out still as it was read when
+# the history ends, and a View releases its pin however it ends; DESIGN.md
 # §13.2; a delete logs no SET NULL on a row it then removes), fbnet's
 # reads of one epoch (an indexed Find or Get beside a writer never mixes
-# two commits; Peek, PeekOne and PeekByID share the stored rows, Find,
-# FindOne and GetByID copy them; a Find inside a mutation reads the
-# transaction's rows in place and copies only what it returns; a scan
-# on a value field of the scanned model reads it from the row and
-# allocates only per returned row), the
+# two commits; every read, a mutation's too, hands out the stored row; a
+# Find inside a mutation allocates what one outside does, and an object it
+# read keeps its values when the mutation then updates the row; a scan on
+# a value field of the scanned model reads it from the row and allocates
+# a constant, with an answer sized by its matches), the
 # planner (indexed ≡ scan, an Or of plannable branches planned as their
 # union, one with a branch that would scan scanned once), the fbnet service that
 # serves it over the wire, the thriftlite plan cache that service and the
@@ -57,7 +58,7 @@ verify-gate:
 # every one as it was (DESIGN.md §8).
 store:
 	$(GO) test -race -timeout 5m ./internal/relstore/ ./internal/fbnet/service/
-	$(GO) test -race -timeout 5m -run 'TestFindReadsOneEpoch|TestPeekSharesStoredRowsFindCopies|TestMutationFindCopiesOnlyWhatItReturns|TestScanOnLocalFieldAllocatesPerReturnedRow|TestPlanner|TestQuickPlannerEquivalence' ./internal/fbnet/
+	$(GO) test -race -timeout 5m -run 'TestFindReadsOneEpoch|TestReadsHandOutStoredRows|TestMutationReadsRowsInPlace|TestScanOnLocalFieldAllocatesPerReturnedRow|TestPlanner|TestQuickPlannerEquivalence' ./internal/fbnet/
 	$(GO) test -race -timeout 5m -run 'TestPlansConcurrentOnColdCache|TestBadTagsRejected' ./internal/thriftlite/
 	$(GO) test -race -timeout 5m -run 'TestMemoNeverCachesUnchecked|TestGeneratorConcurrentUse|TestDeriveLeavesStoredRowsUntouched' ./internal/configgen/
 

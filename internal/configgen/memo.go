@@ -137,9 +137,9 @@ func (g *Generator) forgetAllLocked() {
 }
 
 // deriveCtx routes one derivation's store reads, recording its read set.
-// The objects it hands out are the stored rows themselves (PeekByID,
-// PeekOne): a derivation copies the values it keeps and never writes a
-// row. Each read pins its own epoch, not one per derivation: a pinned
+// The objects it hands out are the stored rows themselves, as every FBNet
+// read's are: a derivation keeps the values it needs, never the row.
+// Each read pins its own epoch, not one per derivation: a pinned
 // epoch holds the next commit spinning under the write lock until it is
 // released (DESIGN.md §13.2), and derivations run while others commit.
 type deriveCtx struct {
@@ -153,7 +153,7 @@ func (g *Generator) newDeriveCtx() *deriveCtx {
 
 func (dc *deriveCtx) getByID(model string, id int64) (fbnet.Object, error) {
 	dc.deps[dep{model, "", id}] = struct{}{}
-	return dc.g.store.PeekByID(model, id)
+	return dc.g.store.GetByID(model, id)
 }
 
 func (dc *deriveCtx) referencing(model, fkCol string, id int64) ([]int64, error) {
@@ -165,7 +165,7 @@ func (dc *deriveCtx) findDevice(name string) (fbnet.Object, error) {
 	// A later insert (or rename) of a device with this name must
 	// invalidate, so the unique lookup is a dep on Device.name.
 	dc.deps[dep{"Device", "name", name}] = struct{}{}
-	dev, err := dc.g.store.PeekOne("Device", fbnet.Eq("name", name))
+	dev, err := dc.g.store.FindOne("Device", fbnet.Eq("name", name))
 	if err == nil {
 		dc.deps[dep{"Device", "", dev.ID}] = struct{}{}
 	}

@@ -2,6 +2,7 @@ package configgen
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"testing"
@@ -39,18 +40,27 @@ func addMesh(tb testing.TB, d *design.Designer, routers int) []string {
 func storedRows(t *testing.T, db *relstore.DB) map[string][]relstore.Row {
 	t.Helper()
 	out := map[string][]relstore.Row{}
-	for _, table := range db.Tables() {
-		rows, err := db.Select(table, nil) // copies
-		if err != nil {
-			t.Fatal(err)
+	tables := db.Tables()
+	if err := db.View(func(v relstore.View) error {
+		for _, table := range tables {
+			rows, err := v.Select(table, nil)
+			if err != nil {
+				return err
+			}
+			for i := range rows {
+				rows[i].Values = maps.Clone(rows[i].Values)
+			}
+			out[table] = rows
 		}
-		out[table] = rows
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
 
 // TestDeriveLeavesStoredRowsUntouched: a derivation reads FBNet's stored
-// rows in place (PeekByID, PeekOne) and must never write one. Every row is
+// rows in place (GetByID, FindOne) and must never write one. Every row is
 // copied, a cold GenerateMany runs over a DCGen3 site, a POP and a
 // backbone mesh, and every row must still equal its copy — and the
 // configs must be byte-equal to those of a second cold run after
@@ -65,17 +75,13 @@ func TestDeriveLeavesStoredRowsUntouched(t *testing.T) {
 	}
 	addMesh(t, d, 8)
 	db := g.store.DB()
+	before := storedRows(t, db)
 	var names []string
-	devs, err := db.Select("Device", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range devs {
+	for _, r := range before["Device"] {
 		names = append(names, r.Values["name"].(string))
 	}
 	sort.Strings(names)
 
-	before := storedRows(t, db)
 	first, err := g.GenerateMany(names, 4)
 	if err != nil {
 		t.Fatal(err)

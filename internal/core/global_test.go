@@ -86,7 +86,7 @@ func TestGlobalNetworkOfNetworks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Close out the turn-up: the cross-domain circuits go production.
-	if n, err := r.PromoteCircuits(); err != nil || n != 6 {
+	if n, err := promoteCircuits(r); err != nil || n != 6 {
 		t.Fatalf("promoted %d circuits (%v), want 6", n, err)
 	}
 	// The whole estate: 2 POPs (6 each) + DC (4 dr + 16 fsw + 2 tor) + 2
@@ -154,4 +154,28 @@ func gateViolations(t *testing.T, store *fbnet.Store) []verify.Violation {
 		t.Fatal(err)
 	}
 	return res.Violations
+}
+
+// promoteCircuits moves every fully-deployed provisioning circuit to
+// production, the design-side close-out after a successful turn-up, and
+// returns the number promoted.
+func promoteCircuits(r *Robotron) (int, error) {
+	n := 0
+	_, err := r.Store.Mutate(func(m *fbnet.Mutation) error {
+		circuits, err := m.Find("Circuit", fbnet.Eq("status", "provisioning"))
+		if err != nil {
+			return err
+		}
+		for _, c := range circuits {
+			if c.Ref("a_interface") == 0 || c.Ref("z_interface") == 0 {
+				continue
+			}
+			if err := m.Update("Circuit", c.ID, map[string]any{"status": "production"}); err != nil {
+				return err
+			}
+			n++
+		}
+		return nil
+	})
+	return n, err
 }

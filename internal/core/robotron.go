@@ -711,30 +711,6 @@ func (r *Robotron) verifyGate(configs map[string]string, tr *telemetry.Span) err
 	return nil
 }
 
-// PromoteCircuits moves every fully-deployed provisioning circuit to
-// production, the design-side close-out after a successful turn-up.
-// Returns the number promoted.
-func (r *Robotron) PromoteCircuits() (int, error) {
-	n := 0
-	_, err := r.Store.Mutate(func(m *fbnet.Mutation) error {
-		circuits, err := m.Find("Circuit", fbnet.Eq("status", "provisioning"))
-		if err != nil {
-			return err
-		}
-		for _, c := range circuits {
-			if c.Ref("a_interface") == 0 || c.Ref("z_interface") == 0 {
-				continue
-			}
-			if err := m.Update("Circuit", c.ID, map[string]any{"status": "production"}); err != nil {
-				return err
-			}
-			n++
-		}
-		return nil
-	})
-	return n, err
-}
-
 // DevicesOfSite lists device names at a site.
 func (r *Robotron) DevicesOfSite(site string) ([]string, error) {
 	devs, err := r.Store.Find("Device", fbnet.Eq("site.name", site))

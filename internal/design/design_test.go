@@ -114,7 +114,7 @@ func TestBuildClusterRecordsDesignChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	if change.String("employee_id") != "e12345" || change.String("ticket_id") != "T-100" {
-		t.Errorf("change attribution = %+v", change.Fields)
+		t.Errorf("change attribution = %+v", change)
 	}
 	if change.Int("num_created") != int64(len(res.Stats.Created)) {
 		t.Errorf("num_created = %d, stats = %d", change.Int("num_created"), len(res.Stats.Created))

@@ -45,7 +45,7 @@ func TestAddPeeringCreatesFullGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.Int("remote_as") != 3356 || s.Ref("remote_device") != 0 {
-		t.Errorf("session = %+v", s.Fields)
+		t.Errorf("session = %+v", s)
 	}
 	// The interconnect points at the session and partner.
 	ic, err := d.Store().FindOne("PeeringInterconnect", nil)
@@ -53,7 +53,7 @@ func TestAddPeeringCreatesFullGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ic.Ref("v6_session") != sessionID || ic.String("kind") != "transit" {
-		t.Errorf("interconnect = %+v", ic.Fields)
+		t.Errorf("interconnect = %+v", ic)
 	}
 }
 

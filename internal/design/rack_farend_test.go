@@ -88,7 +88,7 @@ func TestRemoveRouterCleansFarEnds(t *testing.T) {
 	for _, model := range []string{"Circuit", "LinkGroup", "AggregatedInterface", "PhysicalInterface", "V6Prefix", "V4Prefix"} {
 		if n, _ := d.Store().Count(model); n != 0 {
 			objs, _ := d.Store().Find(model, nil)
-			t.Errorf("%d orphaned %s objects after removal: %v", n, model, objs[0].Fields)
+			t.Errorf("%d orphaned %s objects after removal: %v", n, model, objs[0])
 		}
 	}
 	// The freed subnets are reusable without collision: provision a new

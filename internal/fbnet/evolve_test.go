@@ -25,8 +25,8 @@ func TestAddFieldLiveEvolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obj.Fields["asset_url"] != nil {
-		t.Errorf("pre-existing object has non-NULL new field: %v", obj.Fields["asset_url"])
+	if obj.Value("asset_url") != nil {
+		t.Errorf("pre-existing object has non-NULL new field: %v", obj.Value("asset_url"))
 	}
 	// The field is writable and queryable.
 	if _, err := s.Mutate(func(m *Mutation) error {

@@ -2,7 +2,6 @@ package fbnet
 
 import (
 	"fmt"
-	"maps"
 	"regexp"
 	"strings"
 
@@ -314,9 +313,9 @@ func (e *notExpr) match(rs *resolver, model string, row relstore.Row) (bool, err
 // --- path resolution ---
 
 // A query reads through a relstore.View: one pinned epoch of the store
-// (Store.Peek and friends), or a transaction's tables as they stand, its
+// (Store.Find and friends), or a transaction's tables as they stand, its
 // own writes included (Mutation.Find). Either way its rows are the stored
-// maps, read in place; only what a caller keeps is copied.
+// maps, read in place, and the objects it returns are those maps too.
 
 // planRows consults the query planner (planner.go): indexable queries are
 // answered from the unique, secondary, and foreign-key indexes instead of
@@ -413,7 +412,7 @@ func (rs *resolver) resolve(model string, row relstore.Row, path string) ([]any,
 				if !last {
 					return nil, fmt.Errorf("fbnet: path %q traverses computed field %q", path, part)
 				}
-				leaves = append(leaves, fn(Object{Model: cur.model, ID: cur.row.ID, Fields: cur.row.Values}))
+				leaves = append(leaves, fn(Object{Model: cur.model, ID: cur.row.ID, fields: cur.row.Values}))
 				continue
 			}
 			// Reverse connection?
@@ -476,22 +475,17 @@ func (s *Store) Get(model string, fields []string, q Query) ([]Result, error) {
 	return out, err
 }
 
-// Find returns whole objects of a model matching q, in id order: Peek's
-// answer, with each object's fields copied for the caller to keep.
+// Find returns whole objects of a model matching q, in id order.
+// Planning, fetching and matching read one pinned epoch, so the answer is
+// one committed state.
 func (s *Store) Find(model string, q Query) ([]Object, error) {
 	objs, _, _, err := s.Peek(model, q)
-	for i := range objs {
-		objs[i].Fields = maps.Clone(objs[i].Fields)
-	}
 	return objs, err
 }
 
-// Peek is Find without the copies. Planning, fetching and matching read
-// one pinned epoch, so the answer is one committed state: the one at
-// binlog sequence seq, in which the model's table was last touched at
-// tableSeq (TableSeq). The objects' Fields are the stored rows themselves,
-// shared with the store and every other reader: they stay valid, and must
-// never be written.
+// Peek is Find that also names the state it read: the one at binlog
+// sequence seq, in which the model's table was last touched at tableSeq
+// (TableSeq).
 func (s *Store) Peek(model string, q Query) (objs []Object, seq, tableSeq uint64, err error) {
 	err = s.db.View(func(v relstore.View) error {
 		seq = v.Seq()
@@ -515,18 +509,9 @@ func (s *Store) TableSeq(model string) (seq uint64, err error) {
 	return seq, err
 }
 
-// FindOne returns exactly one matching object, erroring on zero or many:
-// PeekOne's answer, with its fields copied for the caller to keep.
+// FindOne returns exactly one matching object, erroring on zero or many.
 func (s *Store) FindOne(model string, q Query) (Object, error) {
-	o, err := s.PeekOne(model, q)
-	o.Fields = maps.Clone(o.Fields)
-	return o, err
-}
-
-// PeekOne is FindOne without the copy: one Peek, whose single object's
-// Fields is the stored row and must never be written.
-func (s *Store) PeekOne(model string, q Query) (Object, error) {
-	objs, _, _, err := s.Peek(model, q)
+	objs, err := s.Find(model, q)
 	return exactlyOne(model, q, objs, err)
 }
 
@@ -597,18 +582,25 @@ func find(reg *Registry, r relstore.View, model string, q Query) ([]Object, erro
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Object, 0, len(rows))
+	// rows is this query's own slice: pack the matches at its front, so
+	// the answer is sized by them, not by the rows looked at.
+	n := 0
 	for _, row := range rows {
 		ok, err := q.match(rs, model, row)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out = append(out, Object{Model: model, ID: row.ID, Fields: row.Values})
+			rows[n] = row
+			n++
 		}
 	}
-	if len(out) == 0 {
+	if n == 0 {
 		return nil, nil
+	}
+	out := make([]Object, n)
+	for i, row := range rows[:n] {
+		out[i] = Object{Model: model, ID: row.ID, fields: row.Values}
 	}
 	return out, nil
 }

@@ -2,35 +2,40 @@ package fbnet
 
 import (
 	"fmt"
-	"maps"
 
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/telemetry"
 )
 
-// Object is a snapshot of one FBNet object. Relation fields hold the id of
-// the referenced object (0 meaning NULL).
+// Object is one FBNet object as it was read. Relation fields hold the id
+// of the referenced object (0 meaning NULL). Its fields are the stored row
+// itself, shared with the store and every other reader: a write never
+// changes a stored row (it installs a new one), so an Object stays as it
+// was read, and nothing outside this package can write it.
 type Object struct {
 	Model  string
 	ID     int64
-	Fields map[string]any
+	fields map[string]any
 }
+
+// Value returns a field's value (nil when NULL or absent).
+func (o Object) Value(field string) any { return o.fields[field] }
 
 // String returns a string field's value ("" when NULL or absent).
 func (o Object) String(field string) string {
-	s, _ := o.Fields[field].(string)
+	s, _ := o.fields[field].(string)
 	return s
 }
 
 // Int returns an int field's value (0 when NULL or absent).
 func (o Object) Int(field string) int64 {
-	n, _ := o.Fields[field].(int64)
+	n, _ := o.fields[field].(int64)
 	return n
 }
 
 // Bool returns a bool field's value.
 func (o Object) Bool(field string) bool {
-	b, _ := o.Fields[field].(bool)
+	b, _ := o.fields[field].(bool)
 	return b
 }
 
@@ -137,18 +142,8 @@ func (s *Store) AddField(model string, f Field) error {
 	return nil
 }
 
-// GetByID fetches one object: PeekByID's answer, with its fields copied
-// for the caller to keep.
+// GetByID fetches one object in one pinned point read.
 func (s *Store) GetByID(model string, id int64) (Object, error) {
-	o, err := s.PeekByID(model, id)
-	o.Fields = maps.Clone(o.Fields)
-	return o, err
-}
-
-// PeekByID is GetByID without the copy, the by-id sibling of Peek: one
-// pinned point read whose Fields is the stored row itself, shared with the
-// store and every other reader. It stays valid, and must never be written.
-func (s *Store) PeekByID(model string, id int64) (Object, error) {
 	if _, ok := s.reg.Model(model); !ok {
 		return Object{}, fmt.Errorf("fbnet: unknown model %q", model)
 	}
@@ -160,7 +155,7 @@ func (s *Store) PeekByID(model string, id int64) (Object, error) {
 	if err != nil {
 		return Object{}, err
 	}
-	return Object{Model: model, ID: row.ID, Fields: row.Values}, nil
+	return Object{Model: model, ID: row.ID, fields: row.Values}, nil
 }
 
 // Count returns the number of objects of a model.
@@ -172,7 +167,9 @@ func (s *Store) Count(model string) (int, error) {
 // write APIs are "wrapped in a single database transaction, and therefore
 // no partial state is visible to other applications before the API call
 // completes successfully" (§4.3.2). All reads within a Mutation observe
-// its uncommitted changes.
+// its uncommitted changes, and read its rows in place
+// (relstore.Tx.View): an Object read before a write of its row keeps the
+// values it was read with.
 type Mutation struct {
 	store *Store
 	tx    *relstore.Tx
@@ -326,8 +323,7 @@ func (m *Mutation) snapshotRefs(model string, id int64) []ObjectRef {
 	return out
 }
 
-// Get fetches one object within the mutation (sees uncommitted changes),
-// its fields copied for the caller to keep.
+// Get fetches one object within the mutation (sees uncommitted changes).
 func (m *Mutation) Get(model string, id int64) (Object, error) {
 	v, err := m.tx.View()
 	if err != nil {
@@ -337,23 +333,16 @@ func (m *Mutation) Get(model string, id int64) (Object, error) {
 	if err != nil {
 		return Object{}, err
 	}
-	return Object{Model: model, ID: row.ID, Fields: maps.Clone(row.Values)}, nil
+	return Object{Model: model, ID: row.ID, fields: row.Values}, nil
 }
 
-// Find returns objects of a model matching the query within the mutation,
-// each with its fields copied for the caller to keep. Planning, matching
-// and relation hops read the transaction's stored rows in place
-// (relstore.Tx.View), so only the objects returned are copied.
+// Find returns objects of a model matching the query within the mutation.
 func (m *Mutation) Find(model string, q Query) ([]Object, error) {
 	v, err := m.tx.View()
 	if err != nil {
 		return nil, err
 	}
-	objs, err := find(m.store.reg, v, model, q)
-	for i := range objs {
-		objs[i].Fields = maps.Clone(objs[i].Fields)
-	}
-	return objs, err
+	return find(m.store.reg, v, model, q)
 }
 
 // FindOne returns exactly one matching object, erroring on zero or many.

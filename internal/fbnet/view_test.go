@@ -2,8 +2,8 @@ package fbnet
 
 import (
 	"errors"
-	"maps"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -90,21 +90,22 @@ func TestFindReadsOneEpoch(t *testing.T) {
 	}
 }
 
-// TestPeekSharesStoredRowsFindCopies: Peek, PeekOne and PeekByID hand out
-// the stored rows (Peek also the sequence they are of and the sequence
-// their table last moved at); the copies of Find, FindOne and GetByID are
-// the caller's to write.
-func TestPeekSharesStoredRowsFindCopies(t *testing.T) {
+// TestReadsHandOutStoredRows: every read — the store's Find, FindOne,
+// GetByID and Peek, and a mutation's Get, Find, FindOne and Referencing —
+// hands out the map View.Get does, not a copy; Peek also the sequence it
+// read at and the sequence its table last moved at.
+func TestReadsHandOutStoredRows(t *testing.T) {
 	s := newTestStore(t)
-	if _, err := s.Mutate(func(m *Mutation) error {
-		_, err := m.Create("Region", map[string]any{"name": "apac"})
+	var region, site int64
+	if _, err := s.Mutate(func(m *Mutation) (err error) {
+		region, err = m.Create("Region", map[string]any{"name": "apac"})
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
 	written := s.DB().Seq()
-	if _, err := s.Mutate(func(m *Mutation) error {
-		_, err := m.Create("Vendor", map[string]any{"name": "vendorA", "syntax": "vendor1"})
+	if _, err := s.Mutate(func(m *Mutation) (err error) {
+		site, err = m.Create("Site", map[string]any{"name": "pop1", "kind": "pop", "region": region})
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -117,49 +118,46 @@ func TestPeekSharesStoredRowsFindCopies(t *testing.T) {
 	if got, err := s.TableSeq("Region"); got != tableSeq || err != nil {
 		t.Fatalf("TableSeq(Region) = %d, %v; want Peek's %d", got, err, tableSeq)
 	}
-	again, _, _, _ := s.Peek("Region", nil)
-	if len(again) != 1 || !sameMap(peeked[0].Fields, again[0].Fields) {
-		t.Error("two Peeks of one row handed out different maps")
-	}
-	found, err := s.Find("Region", Eq("name", "apac"))
-	if err != nil || len(found) != 1 || sameMap(found[0].Fields, peeked[0].Fields) {
-		t.Fatalf("Find = %v, %v; want a copy of the stored row", found, err)
-	}
-	found[0].Fields["name"] = "scribble"
-	if peeked[0].String("name") != "apac" {
-		t.Error("writing Find's copy changed the stored row")
-	}
 
-	var stored relstore.Row
+	stored := map[string]relstore.Row{}
 	if err := s.DB().View(func(v relstore.View) (err error) {
-		stored, err = v.Get("Region", peeked[0].ID)
+		if stored["Region"], err = v.Get("Region", region); err != nil {
+			return err
+		}
+		stored["Site"], err = v.Get("Site", site)
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	byID, err := s.PeekByID("Region", peeked[0].ID)
-	if err != nil || byID.ID != peeked[0].ID || !sameMap(byID.Fields, stored.Values) {
-		t.Fatalf("PeekByID = %v, %v; want the map View.Get hands out", byID, err)
-	}
-	one, err := s.PeekOne("Region", Eq("name", "apac"))
-	if err != nil || !sameMap(one.Fields, stored.Values) {
-		t.Fatalf("PeekOne = %v, %v; want the map View.Get hands out", one, err)
-	}
-	if _, err := s.PeekByID("Region", peeked[0].ID+100); !errors.Is(err, relstore.ErrNoRow) {
-		t.Errorf("PeekByID of a missing id: %v, want ErrNoRow", err)
-	}
-	for name, read := range map[string]func() (Object, error){
-		"GetByID": func() (Object, error) { return s.GetByID("Region", peeked[0].ID) },
-		"FindOne": func() (Object, error) { return s.FindOne("Region", Eq("name", "apac")) },
-	} {
-		got, err := read()
-		if err != nil || sameMap(got.Fields, stored.Values) {
-			t.Fatalf("%s = %v, %v; want a copy of the stored row", name, got, err)
+	one := func(objs []Object, err error) (Object, error) { return exactlyOne("", nil, objs, err) }
+	check := func(name string, got Object, err error) {
+		t.Helper()
+		if want := stored[got.Model]; err != nil || got.ID != want.ID || !sameMap(got.fields, want.Values) {
+			t.Errorf("%s = %v, %v; want the map View.Get hands out", name, got, err)
 		}
-		got.Fields["name"] = "scribble"
-		if byID.String("name") != "apac" {
-			t.Errorf("writing %s's copy changed the stored row", name)
-		}
+	}
+	check("Peek", peeked[0], nil)
+	got, err := one(s.Find("Region", Eq("name", "apac")))
+	check("Find", got, err)
+	got, err = s.FindOne("Region", Eq("name", "apac"))
+	check("FindOne", got, err)
+	got, err = s.GetByID("Region", region)
+	check("GetByID", got, err)
+	if _, err := s.GetByID("Region", region+100); !errors.Is(err, relstore.ErrNoRow) {
+		t.Errorf("GetByID of a missing id: %v, want ErrNoRow", err)
+	}
+	if _, err := s.Mutate(func(m *Mutation) error {
+		got, err := m.Get("Region", region)
+		check("Mutation.Get", got, err)
+		got, err = one(m.Find("Region", Eq("name", "apac")))
+		check("Mutation.Find", got, err)
+		got, err = m.FindOne("Site", Eq("region", region))
+		check("Mutation.FindOne", got, err)
+		got, err = one(m.Referencing("Site", "region", region))
+		check("Mutation.Referencing", got, err)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -167,14 +165,14 @@ func sameMap(a, b map[string]any) bool {
 	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
 
-// TestMutationFindCopiesOnlyWhatItReturns: a Find inside a mutation reads
-// the transaction's rows in place, as a Find outside one reads the
-// published epoch's. Over 256 devices, a scan that follows each device's
-// site relation and returns one device allocates what the same Find on
-// the committed store allocates, not a row map per device or per hop; the
-// one object it returns is a copy the caller may write, and the
-// mutation's own writes are seen.
-func TestMutationFindCopiesOnlyWhatItReturns(t *testing.T) {
+// TestMutationReadsRowsInPlace: a Find inside a mutation reads the
+// transaction's rows in place, as a Find outside one reads the published
+// epoch's. Over 256 devices, a scan that follows each device's site
+// relation and returns one device allocates what the same Find on the
+// committed store allocates, not a row map per device or per hop. The
+// mutation's own writes are seen by a later read and never by an object
+// read before them: an update installs a new row.
+func TestMutationReadsRowsInPlace(t *testing.T) {
 	s := bigStore(t, 256)
 	q := And(Contains("site.name", "pop"), Contains("name", "00042"))
 	find := func(f func(string, Query) ([]Object, error)) func() {
@@ -192,16 +190,18 @@ func TestMutationFindCopiesOnlyWhatItReturns(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		objs[0].Fields["role"] = "scribble"
 		if err := m.Update("Device", objs[0].ID, map[string]any{"drain_state": "drained"}); err != nil {
 			return err
+		}
+		if objs[0].String("drain_state") != "undrained" {
+			t.Errorf("an object read before the update now reads %v, want drain_state undrained", objs[0])
 		}
 		again, err := m.FindOne("Device", Eq("id", objs[0].ID))
 		if err != nil {
 			return err
 		}
 		if again.String("role") != "psw" || again.String("drain_state") != "drained" {
-			t.Errorf("after writing Find's copy and updating the row: %v, want role psw, drain_state drained", again.Fields)
+			t.Errorf("a read after the update = %v, want role psw, drain_state drained", again)
 		}
 		return nil
 	}); err != nil {
@@ -214,23 +214,36 @@ func TestMutationFindCopiesOnlyWhatItReturns(t *testing.T) {
 
 // TestScanOnLocalFieldAllocatesPerReturnedRow: a predicate on a value
 // field of the scanned model is read straight from each row, so a scan
-// of 256 devices that returns one allocates that row's copy plus a
-// constant, not a resolve frontier per device looked at. Contains plans
-// as a scan.
+// of 256 devices that returns one allocates a constant number of times,
+// not a resolve frontier per device looked at, and its bytes are the
+// scan's id and row slices, not an answer sized by the rows looked at.
+// Contains plans as a scan.
 func TestScanOnLocalFieldAllocatesPerReturnedRow(t *testing.T) {
-	s := bigStore(t, 256)
+	const rows = 256
+	s := bigStore(t, rows)
 	q := Contains("name", "00042")
-	var objs []Object
-	allocs := testing.AllocsPerRun(20, func() {
-		var err error
-		if objs, err = s.Find("Device", q); err != nil || len(objs) != 1 {
+	find := func() {
+		if objs, err := s.Find("Device", q); err != nil || len(objs) != 1 {
 			t.Fatalf("Find = %v, %v; want dev00042", objs, err)
 		}
-	})
-	rowCopy := testing.AllocsPerRun(20, func() { maps.Clone(objs[0].Fields) })
+	}
 	// The constant is four: the resolver, the scan's id and row slices,
 	// the answer. Reading the field through resolve cost one more per row.
-	if allocs > rowCopy+6 {
-		t.Errorf("a 256-row scan returning one row allocated %v times, want at most the row's copy (%v) + 6", allocs, rowCopy)
+	if allocs := testing.AllocsPerRun(20, find); allocs > 6 {
+		t.Errorf("a %d-row scan returning one row allocated %v times, want at most 6", rows, allocs)
+	}
+	// The scan's slices hold an id (8 bytes) and a relstore.Row (16) per
+	// row looked at. An answer sized by those rows added an Object (32)
+	// per row.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		find()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(24*rows+2048); bytes > limit {
+		t.Errorf("a %d-row scan returning one row allocated %d bytes, want at most %d", rows, bytes, limit)
 	}
 }

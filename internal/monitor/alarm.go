@@ -686,9 +686,7 @@ func (ae *AlarmEngine) timelineLocked(from, to time.Time, withAlarms bool) []Tim
 		out = append(out, e)
 	}
 	if ae.store != nil {
-		// The stored rows are read in place (Peek): the timeline copies
-		// the fields it shows, never the rows.
-		if changes, _, _, err := ae.store.Peek("DesignChange", nil); err == nil {
+		if changes, err := ae.store.Find("DesignChange", nil); err == nil {
 			for _, c := range changes {
 				add(TimelineEntry{
 					At: time.Unix(c.Int("created_unix"), 0), Stage: "design",
@@ -699,7 +697,7 @@ func (ae *AlarmEngine) timelineLocked(from, to time.Time, withAlarms bool) []Tim
 				})
 			}
 		}
-		if events, _, _, err := ae.store.Peek("OperationalEvent", nil); err == nil {
+		if events, err := ae.store.Find("OperationalEvent", nil); err == nil {
 			for _, ev := range events {
 				kind := ev.String("kind")
 				stage := "monitor"

@@ -593,10 +593,10 @@ type derivedOp struct {
 
 // storedKey and reportedKey return a row's identity: its key strings
 // joined by NUL, which for a one-column key is that string, no copy.
-func (o *observation) storedKey(fields map[string]any) string {
+func (o *observation) storedKey(s fbnet.Object) string {
 	var parts [4]string
 	for i, col := range o.cols[:o.keyLen] {
-		parts[i], _ = fields[col].(string)
+		parts[i] = s.String(col)
 	}
 	return strings.Join(parts[:o.keyLen], "\x00")
 }
@@ -629,7 +629,7 @@ func (o *observation) plan(stored []fbnet.Object) []derivedOp {
 	keys := make([]string, len(stored))
 	byKey := make(map[string]current, len(stored))
 	for i, s := range stored {
-		keys[i] = o.storedKey(s.Fields)
+		keys[i] = o.storedKey(s)
 		byKey[keys[i]] = current{stored: int32(i), row: -1}
 	}
 	var ops []derivedOp
@@ -648,7 +648,7 @@ func (o *observation) plan(stored []fbnet.Object) []derivedOp {
 			if cur.row >= 0 {
 				was = o.rows[int(cur.row)*n+c]
 			} else {
-				was = stored[cur.stored].Fields[o.cols[c]]
+				was = stored[cur.stored].Value(o.cols[c])
 			}
 			if c != o.stamp && was != v {
 				cols |= 1 << c
@@ -730,7 +730,7 @@ func DeriveCircuits(store *fbnet.Store) (int, error) {
 // observeCircuits reads the LLDP rows and returns the circuits they
 // confirm, as an observation of the whole DerivedCircuit table.
 func observeCircuits(store *fbnet.Store) (*observation, error) {
-	neighbors, _, _, err := store.Peek("DerivedLldpNeighbor", nil)
+	neighbors, err := store.Find("DerivedLldpNeighbor", nil)
 	if err != nil {
 		return nil, err
 	}

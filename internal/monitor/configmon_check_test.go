@@ -53,7 +53,7 @@ func TestCheckDeviceVerdictEqualsColdDiff(t *testing.T) {
 				t.Fatal(err)
 			}
 			if row.String("config_hash") != revctl.Hash(tc.running) || row.Bool("conforms") != cold.Empty() {
-				t.Errorf("DerivedConfig = %v, want hash %s conforms %v", row.Fields, revctl.Hash(tc.running), cold.Empty())
+				t.Errorf("DerivedConfig = %v, want hash %s conforms %v", row, revctl.Hash(tc.running), cold.Empty())
 			}
 			if backup, err := repo.GetHead(BackupPath("dev00")); err != nil || backup != tc.running {
 				t.Errorf("backup = %q, %v; want the collected config", backup, err)
@@ -101,7 +101,7 @@ func TestRepeatedConformingCheckWritesNothing(t *testing.T) {
 		t.Errorf("backup history has %d revisions, want 1", len(revs))
 	}
 	if now := row(); now.ID != was.ID || now.Int("collected_unix") != first.Unix() {
-		t.Errorf("DerivedConfig = id %d %v, want id %d stamped %d", now.ID, now.Fields, was.ID, first.Unix())
+		t.Errorf("DerivedConfig = id %d %v, want id %d stamped %d", now.ID, now, was.ID, first.Unix())
 	}
 	// Measured at 62 allocations: the collection's poll and job spec, the
 	// peek that finds the row unchanged. A diff of the two configs, a hash
@@ -121,7 +121,7 @@ func TestRepeatedConformingCheckWritesNothing(t *testing.T) {
 		t.Fatalf("check after drift = %+v, %v; want a deviation", d, err)
 	}
 	if now := row(); now.ID != was.ID || now.Int("collected_unix") != drifted.Unix() || now.Bool("conforms") {
-		t.Errorf("DerivedConfig after drift = id %d %v, want id %d stamped %d, not conforming", now.ID, now.Fields, was.ID, drifted.Unix())
+		t.Errorf("DerivedConfig after drift = id %d %v, want id %d stamped %d, not conforming", now.ID, now, was.ID, drifted.Unix())
 	}
 }
 

@@ -78,7 +78,7 @@ func readDerived(t *testing.T, store *fbnet.Store) (mirror, map[string]int64) {
 		for _, o := range objs {
 			row := make([]any, len(spec.cols))
 			for i, col := range spec.cols {
-				row[i] = o.Fields[col]
+				row[i] = o.Value(col)
 			}
 			k := mirrorKey(table, row)
 			if _, dup := got[table][k]; dup {

@@ -78,7 +78,7 @@ func TestDerivedWriteReplansAfterConcurrentCommit(t *testing.T) {
 	}
 	var got, want [][]any
 	for _, r := range rows {
-		got = append(got, []any{r.Fields["name"], r.Fields["oper_status"], r.Fields["last_change_unix"]})
+		got = append(got, []any{r.Value("name"), r.Value("oper_status"), r.Value("last_change_unix")})
 	}
 	for i := 0; i < 4; i++ {
 		status := "up"

@@ -285,7 +285,7 @@ func TestDeriveCircuitsFromLLDP(t *testing.T) {
 	objs, _ := store.Find("DerivedCircuit", nil)
 	for _, o := range objs {
 		if o.String("a_device") >= o.String("z_device") {
-			t.Errorf("non-canonical circuit orientation: %+v", o.Fields)
+			t.Errorf("non-canonical circuit orientation: %+v", o)
 		}
 	}
 	// Idempotent re-derivation.

@@ -12,7 +12,7 @@ func TestAlterAddColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Existing row reads NULL.
-	row, _ := db.Get("device", id)
+	row, _ := viewGet(db, "device", id)
 	if row.Get("os_version") != nil {
 		t.Errorf("existing row new column = %v", row.Get("os_version"))
 	}
@@ -26,7 +26,7 @@ func TestAlterAddColumn(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	row, _ = db.Get("device", id)
+	row, _ = viewGet(db, "device", id)
 	if row.String("os_version") != "7.3.2" {
 		t.Errorf("updated value = %q", row.String("os_version"))
 	}
@@ -101,7 +101,7 @@ func TestAlterReplicates(t *testing.T) {
 	if _, ok := def.column("os_version"); !ok {
 		t.Error("replica schema missing evolved column")
 	}
-	rows, _ := rep.DB().Select("device", func(r Row) bool { return r.String("os_version") == "x" })
+	rows, _ := viewSelect(rep.DB(), "device", func(r Row) bool { return r.String("os_version") == "x" })
 	if len(rows) != 1 {
 		t.Errorf("replica rows with evolved value = %d", len(rows))
 	}

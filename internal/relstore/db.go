@@ -292,54 +292,18 @@ func (t *table) get(id int64) (Row, error) {
 }
 
 // scan returns the rows matching pred (nil matches all) in ascending id
-// order: the stored maps when share is set, copies otherwise.
-func (t *table) scan(pred func(Row) bool, share bool) []Row {
+// order; their Values are the stored maps.
+func (t *table) scan(pred func(Row) bool) []Row {
 	var out []Row
 	if pred == nil && len(t.rows) > 0 {
 		out = make([]Row, 0, len(t.rows))
 	}
 	for _, id := range sortedIDs(t.rows) {
-		r := Row{ID: id, Values: t.rows[id]}
-		if !share {
-			r.Values = copyValues(r.Values)
-		}
-		if pred == nil || pred(r) {
+		if r := (Row{ID: id, Values: t.rows[id]}); pred == nil || pred(r) {
 			out = append(out, r)
 		}
 	}
 	return out
-}
-
-// Get returns a snapshot of one row by primary key.
-func (db *DB) Get(tableName string, id int64) (Row, error) {
-	if db.downFlag.Load() {
-		return Row{}, fmt.Errorf("relstore: %s is down", db.name)
-	}
-	e := db.readEpoch()
-	defer e.release()
-	r, err := e.view().Get(tableName, id)
-	if err != nil {
-		return Row{}, err
-	}
-	r.Values = copyValues(r.Values)
-	return r, nil
-}
-
-// Select returns snapshots of all rows matching pred (nil matches all),
-// in ascending id order. pred runs with the read epoch pinned, and a
-// commit waits for that pin while holding the write lock: pred must not
-// call back into the DB.
-func (db *DB) Select(tableName string, pred func(Row) bool) ([]Row, error) {
-	if db.downFlag.Load() {
-		return nil, fmt.Errorf("relstore: %s is down", db.name)
-	}
-	e := db.readEpoch()
-	defer e.release()
-	t, err := tableIn(e.tables, tableName)
-	if err != nil {
-		return nil, err
-	}
-	return t.scan(pred, false), nil
 }
 
 // Count returns the number of rows in a table.

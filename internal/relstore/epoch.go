@@ -19,11 +19,10 @@ import (
 // a writer's whole group is in the set before the swap, every epoch is
 // transaction-consistent (no torn reads).
 //
-// Rows are immutable once stored: an update installs a new map, so both
-// sets, the binlog entry that inserted a row and every in-process replica
-// hold the same map, and copies are made only where a row leaves the
-// package (Get and Select on DB and Tx) — except through a View, which
-// hands out the stored maps themselves, read-only.
+// Rows are immutable once stored (the row rule): an insert stores a fresh
+// map and an update installs a new one, so both sets, the binlog entry
+// that inserted a row, every in-process replica and every View hold the
+// same map, and no row is ever copied.
 type epoch struct {
 	seq    uint64 // binlog sequence this store reflects
 	tables map[string]*table

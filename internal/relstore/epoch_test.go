@@ -41,7 +41,7 @@ func newPairDB(t *testing.T) *DB {
 // checkPair asserts the snapshot invariant on one read.
 func checkPair(t *testing.T, db *DB, who string) {
 	t.Helper()
-	rows, err := db.Select("pair", nil)
+	rows, err := viewSelect(db, "pair", nil)
 	if err != nil {
 		t.Errorf("%s: %v", who, err)
 		return
@@ -78,7 +78,7 @@ func TestEpochReadsNoTornTransactions(t *testing.T) {
 				default:
 				}
 				checkPair(t, db, fmt.Sprintf("reader%d", r))
-				if _, err := db.Get("pair", int64(i%2)+1); err != nil {
+				if _, err := viewGet(db, "pair", int64(i%2)+1); err != nil {
 					t.Errorf("reader%d: %v", r, err)
 				}
 			}
@@ -128,7 +128,7 @@ func TestEpochReadYourWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row, err := db.Get("pair", 1)
+		row, err := viewGet(db, "pair", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestReplicaEpochConsistencyAndPromotion(t *testing.T) {
 					return
 				default:
 				}
-				if rows, err := rep.DB().Select("pair", nil); err == nil && len(rows) == 2 {
+				if rows, err := viewSelect(rep.DB(), "pair", nil); err == nil && len(rows) == 2 {
 					sum := rows[0].Values["val"].(int64) + rows[1].Values["val"].(int64)
 					if sum != 0 {
 						t.Errorf("replica reader%d: torn group: sum=%d", r, sum)
@@ -223,7 +223,7 @@ func TestReplicaEpochConsistencyAndPromotion(t *testing.T) {
 		}
 		checkPair(t, promoted, "promoted master")
 	}
-	row, err := promoted.Get("pair", 1)
+	row, err := viewGet(promoted, "pair", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestCommittedRowIsStoredOnce(t *testing.T) {
 	if err := rep.CatchUp(); err != nil {
 		t.Fatal(err)
 	}
-	if row, err := rep.DB().Get("device", id); err != nil || row.String("role") != "rsw" {
+	if row, err := viewGet(rep.DB(), "device", id); err != nil || row.String("role") != "rsw" {
 		t.Errorf("replica reads %v, %v after the update", row, err)
 	}
 }
@@ -341,7 +341,7 @@ func TestPinnedReaderDelaysCommitNotReads(t *testing.T) {
 	var once sync.Once
 	selected := make(chan error, 1)
 	go func() {
-		_, err := db.Select("pair", func(Row) bool {
+		_, err := viewSelect(db, "pair", func(Row) bool {
 			once.Do(func() { close(entered) })
 			<-release
 			return true
@@ -361,7 +361,7 @@ func TestPinnedReaderDelaysCommitNotReads(t *testing.T) {
 	for db.ReadSeq() != db.Seq() || db.Seq() < 5 { // 1 DDL + 2 inserts + this group of 2
 		runtime.Gosched()
 	}
-	if row, err := db.Get("pair", 1); err != nil || row.Int("val") != 7 {
+	if row, err := viewGet(db, "pair", 1); err != nil || row.Int("val") != 7 {
 		t.Errorf("Get beside the pinned reader = %v, %v; want the committed val 7", row, err)
 	}
 	select {

@@ -3,12 +3,14 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // The seeded histories below drive one master and one replica through
@@ -34,7 +36,7 @@ func (m *naiveStore) clone() *naiveStore {
 		c.nextID[name] = m.nextID[name]
 		c.rows[name] = map[int64]map[string]any{}
 		for id, row := range m.rows[name] {
-			c.rows[name][id] = copyValues(row)
+			c.rows[name][id] = maps.Clone(row)
 		}
 	}
 	return c
@@ -81,7 +83,7 @@ func (m *naiveStore) insert(table string, vals map[string]any) (int64, error) {
 		return 0, err
 	}
 	m.nextID[table]++
-	m.rows[table][m.nextID[table]] = copyValues(vals)
+	m.rows[table][m.nextID[table]] = maps.Clone(vals)
 	return m.nextID[table], nil
 }
 
@@ -143,40 +145,47 @@ func (m *naiveStore) referencing(table, col string, ref int64) []int64 {
 	return m.ids(table, func(_ int64, row map[string]any) bool { return row[col] == ref })
 }
 
-// rowReader is the read API DB and View share.
-type rowReader interface {
-	Get(table string, id int64) (Row, error)
-	Select(table string, pred func(Row) bool) ([]Row, error)
-	LookupUnique(table, col string, v any) (int64, bool, error)
-	LookupIndexed(table, col string, v any) ([]int64, error)
-	Referencing(table, fkCol string, refID int64) ([]int64, error)
-}
+// keptRows is every stored row a View handed out during one history, by
+// map identity, with the copy taken when it was first read. The row rule
+// (epoch.go) says nothing that follows — updates, rollbacks, the spare
+// set's replay, a replica's apply, a promotion — ever writes one.
+type keptRows map[unsafe.Pointer]keptRow
 
-// assertServed compares db's reads with the model, and then, inside one
-// View, the view's reads and its Seq, which must be seq, the sequence the
-// model is of.
-func assertServed(t *testing.T, where string, db *DB, want *naiveStore, seq uint64) {
+type keptRow struct{ row, snapshot map[string]any }
+
+// keep records row, or checks one handed out before still reads as it did.
+func (k keptRows) keep(t *testing.T, where string, row map[string]any) {
 	t.Helper()
-	assertReads(t, where, db, want)
-	if err := db.View(func(v View) error {
-		if v.Seq() != seq {
-			t.Fatalf("%s: view at seq %d, want %d", where, v.Seq(), seq)
-		}
-		assertReads(t, where+" (view)", v, want)
-		return nil
-	}); err != nil {
-		t.Fatalf("%s: View: %v", where, err)
+	p := reflect.ValueOf(row).UnsafePointer()
+	was, ok := k[p]
+	if !ok {
+		k[p] = keptRow{row: row, snapshot: maps.Clone(row)}
+	} else if !reflect.DeepEqual(row, was.snapshot) {
+		t.Fatalf("%s: a stored row read as %v is now %v", where, was.snapshot, row)
 	}
 }
 
-// assertReads compares every read API of got with the model. Rows a DB
-// hands out are scribbled on afterwards: they are copies, so the next
-// comparison fails if one was not. A View — of the DB or of an open
-// transaction — hands out the stored rows, so there Get and Select must
-// return the same map.
-func assertReads(t *testing.T, where string, got rowReader, want *naiveStore) {
+// assertServed compares, inside one View of db, the view's reads with the
+// model and its Seq with seq, the sequence the model is of.
+func (h *history) assertServed(where string, db *DB, want *naiveStore, seq uint64) {
+	h.t.Helper()
+	if err := db.View(func(v View) error {
+		if v.Seq() != seq {
+			h.t.Fatalf("%s: view at seq %d, want %d", where, v.Seq(), seq)
+		}
+		h.assertReads(where, v, want)
+		return nil
+	}); err != nil {
+		h.t.Fatalf("%s: View: %v", where, err)
+	}
+}
+
+// assertReads compares every read of a View — of a DB or of an open
+// transaction — with the model. Get and Select hand out the stored rows,
+// so they must return the same map, and each is kept to check later.
+func (h *history) assertReads(where string, got View, want *naiveStore) {
+	t := h.t
 	t.Helper()
-	_, shared := got.(View)
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("%s: %s", where, fmt.Sprintf(format, args...))
@@ -203,15 +212,10 @@ func assertReads(t *testing.T, where string, got rowReader, want *naiveStore) {
 			if err != nil || !sameRow(def, one, want.rows[table][r.ID]) {
 				fail("Get(%s, %d) = %v, %v; want %v", table, r.ID, one.Values, err, want.rows[table][r.ID])
 			}
-			if shared {
-				if reflect.ValueOf(r.Values).UnsafePointer() != reflect.ValueOf(one.Values).UnsafePointer() {
-					fail("Get(%s, %d) and Select handed out different maps for one stored row", table, r.ID)
-				}
-				continue
+			if reflect.ValueOf(r.Values).UnsafePointer() != reflect.ValueOf(one.Values).UnsafePointer() {
+				fail("Get(%s, %d) and Select handed out different maps for one stored row", table, r.ID)
 			}
-			for k := range r.Values {
-				r.Values[k], one.Values[k] = "scribble", "scribble"
-			}
+			h.kept.keep(t, where, r.Values)
 		}
 		odd, err := got.Select(table, func(r Row) bool { return r.ID%2 == 1 })
 		wantOdd := want.ids(table, func(id int64, _ map[string]any) bool { return id%2 == 1 })
@@ -312,6 +316,7 @@ type history struct {
 	model     *naiveStore
 	committed map[uint64]*naiveStore
 	extraCols int
+	kept      keptRows
 	// serving is what the concurrent reader reads: the current master and
 	// the current replica's DB.
 	serving atomic.Pointer[[2]*DB]
@@ -420,13 +425,13 @@ func (h *history) transaction(step int) {
 	if ok {
 		v, err := tx.View()
 		h.must(err)
-		assertReads(h.t, "inside the open transaction", v, h.model)
-		assertReads(h.t, "master beside an open transaction", h.master, before)
+		h.assertReads("inside the open transaction", v, h.model)
+		h.assertServed("master beside an open transaction", h.master, before, h.master.Seq())
 	}
 	if !ok || h.r.Intn(5) == 0 {
 		h.must(tx.Rollback())
 		h.model = before
-		assertReads(h.t, "master after a rollback", h.master, h.model)
+		h.assertServed("master after a rollback", h.master, h.model, h.master.Seq())
 		return
 	}
 	h.must(tx.Update("ledger", 2, map[string]any{"val": -v}))
@@ -443,7 +448,7 @@ func (h *history) commit(where string) {
 		h.t.Fatalf("%s: reads at seq %d, log at %d", where, h.master.ReadSeq(), h.master.Seq())
 	}
 	h.committed[h.master.Seq()] = h.model.clone()
-	assertServed(h.t, where, h.master, h.model, h.master.Seq())
+	h.assertServed(where, h.master, h.model, h.master.Seq())
 }
 
 func (h *history) alter() {
@@ -465,7 +470,7 @@ func (h *history) replicate() {
 	} else {
 		h.must(h.replica.CatchUp())
 	}
-	assertServed(h.t, "replica", h.replica.DB(), h.committed[h.replica.Applied()], h.replica.Applied())
+	h.assertServed("replica", h.replica.DB(), h.committed[h.replica.Applied()], h.replica.Applied())
 }
 
 // failover kills the master, possibly with the replica behind, promotes
@@ -473,7 +478,7 @@ func (h *history) replicate() {
 // what the promoted server had applied.
 func (h *history) failover() {
 	h.master.SetDown(true)
-	if _, err := h.master.Get("ledger", 1); err == nil {
+	if _, err := viewGet(h.master, "ledger", 1); err == nil {
 		h.t.Fatal("a dead master still serves reads")
 	}
 	promoted := h.replica.Promote()
@@ -489,7 +494,7 @@ func (h *history) failover() {
 	h.model = h.committed[at].clone()
 	h.master, h.replica = promoted, NewReplica(promoted, "replica-of-promoted")
 	h.serving.Store(&[2]*DB{h.master, h.replica.DB()})
-	assertServed(h.t, "promoted master", h.master, h.model, at)
+	h.assertServed("promoted master", h.master, h.model, at)
 }
 
 // runHistory plays steps of the seeded history; afterStep, if not nil,
@@ -497,7 +502,7 @@ func (h *history) failover() {
 func runHistory(t *testing.T, seed int64, steps int, afterStep func(h *history)) {
 	h := &history{t: t, r: rand.New(rand.NewSource(seed)), master: NewDB("master"),
 		model:     &naiveStore{defs: map[string]TableDef{}, rows: map[string]map[int64]map[string]any{}, nextID: map[string]int64{}},
-		committed: map[uint64]*naiveStore{}}
+		committed: map[uint64]*naiveStore{}, kept: keptRows{}}
 	h.replica = NewReplica(h.master, "replica")
 	h.committed[0] = h.model.clone()
 	for _, def := range historySchema {
@@ -520,12 +525,14 @@ func runHistory(t *testing.T, seed int64, steps int, afterStep func(h *history))
 	h.must(h.replica.CatchUp()) // whenever the master dies, its successor has the schema
 	h.serving.Store(&[2]*DB{h.master, h.replica.DB()})
 
-	// The concurrent reader: whichever servers are current, one Select of
-	// the ledger, and the two rows one View reads by id, never see half a
+	// The concurrent reader: whichever servers are current, the ledger one
+	// View selects, and the two rows it reads by id, never show half a
 	// group. (A dead master refuses the read; a replica that has not
 	// replayed the ledger yet has no rows.)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop) // first, also when a check fails the test
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -536,12 +543,11 @@ func runHistory(t *testing.T, seed int64, steps int, afterStep func(h *history))
 			default:
 			}
 			for _, db := range h.serving.Load() {
-				rows, err := db.Select("ledger", nil)
-				if err == nil && len(rows) == 2 && rows[0].Int("val")+rows[1].Int("val") != 0 {
-					t.Errorf("seed %d: %s served half a group: ledger %v", seed, db.Name(), rows)
-					return
-				}
 				db.View(func(v View) error {
+					rows, err := v.Select("ledger", nil)
+					if err == nil && len(rows) == 2 && rows[0].Int("val")+rows[1].Int("val") != 0 {
+						t.Errorf("seed %d: %s served half a group: ledger %v", seed, db.Name(), rows)
+					}
 					first, err := v.Get("ledger", 1)
 					if err != nil {
 						return err
@@ -574,15 +580,20 @@ func runHistory(t *testing.T, seed int64, steps int, afterStep func(h *history))
 			afterStep(h)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	for _, k := range h.kept {
+		if !reflect.DeepEqual(k.row, k.snapshot) {
+			t.Fatalf("seed %d: a stored row read as %v ended the history as %v", seed, k.snapshot, k.row)
+		}
+	}
 }
 
 // TestStoreEqualsNaiveModelOverRandomHistories is the store's differential
 // test (ROADMAP item 9): after every commit, inside every open transaction,
 // after every rollback, on the replica at whatever point it has applied and
-// on a master promoted from it, every read API agrees with naiveStore — a
-// View's too, and its Seq names the commit the model is of.
+// on a master promoted from it, every read of a View agrees with
+// naiveStore, and its Seq names the commit the model is of. Every row a
+// View handed out still reads, when handed out again and when the history
+// ends, as it did when first read.
 //
 // Each table's seq is the Seq of the last log entry naming it, in both
 // table sets of the left-right pair — each as of the sequence it
@@ -649,7 +660,7 @@ func TestLogEntriesNeverChange(t *testing.T) {
 
 func deepCopyEntry(e LogEntry) LogEntry {
 	if e.Values != nil {
-		e.Values = copyValues(e.Values)
+		e.Values = maps.Clone(e.Values)
 	}
 	if e.Def != nil {
 		def := *e.Def

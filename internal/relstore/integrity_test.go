@@ -147,7 +147,7 @@ func TestQuickReferentialIntegrity(t *testing.T) {
 
 func idsOf(t *testing.T, db *DB, table string) []int64 {
 	t.Helper()
-	rows, err := db.Select(table, nil)
+	rows, err := viewSelect(db, table, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func assertIntegrity(t *testing.T, db *DB, seed int64, step int) {
 	exists := map[string]map[int64]bool{}
 	for _, table := range []string{"device", "linecard", "pif", "circuit"} {
 		exists[table] = map[int64]bool{}
-		rows, err := db.Select(table, nil)
+		rows, err := viewSelect(db, table, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func assertIntegrity(t *testing.T, db *DB, seed int64, step int) {
 		}
 	}
 	check := func(table, col, ref string) {
-		rows, _ := db.Select(table, nil)
+		rows, _ := viewSelect(db, table, nil)
 		for _, r := range rows {
 			v := r.Get(col)
 			if v == nil {
@@ -250,7 +250,7 @@ func TestDeleteNullsOnlyRowsItKeeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []int64{doomed, kept} {
-		if row, err := db.Get("a_leaf", id); err != nil || row.Get("parent_id") != p {
+		if row, err := viewGet(db, "a_leaf", id); err != nil || row.Get("parent_id") != p {
 			t.Fatalf("after a rollback a_leaf %d = %v, %v; want it back, parent_id %d", id, row, err, p)
 		}
 	}
@@ -270,7 +270,7 @@ func TestDeleteNullsOnlyRowsItKeeps(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("the delete logged\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	if row, err := db.Get("a_leaf", kept); err != nil || row.Get("parent_id") != nil {
+	if row, err := viewGet(db, "a_leaf", kept); err != nil || row.Get("parent_id") != nil {
 		t.Errorf("a_leaf %d = %v, %v; want it kept with parent_id NULL", kept, row, err)
 	}
 }

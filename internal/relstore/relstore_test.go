@@ -8,6 +8,24 @@ import (
 	"testing/quick"
 )
 
+// viewGet and viewSelect read one row, or the rows pred matches, through
+// one View of db: the stored maps, which a test never writes.
+func viewGet(db *DB, table string, id int64) (r Row, err error) {
+	err = db.View(func(v View) error {
+		r, err = v.Get(table, id)
+		return err
+	})
+	return r, err
+}
+
+func viewSelect(db *DB, table string, pred func(Row) bool) (rows []Row, err error) {
+	err = db.View(func(v View) error {
+		rows, err = v.Select(table, pred)
+		return err
+	})
+	return rows, err
+}
+
 // newTestDB builds a small FBNet-like schema: device <- linecard <- pif,
 // with a circuit referencing two pifs.
 func newTestDB(t testing.TB) *DB {
@@ -78,7 +96,7 @@ func insertDevice(t testing.TB, db *DB, name string) int64 {
 func TestInsertAndGet(t *testing.T) {
 	db := newTestDB(t)
 	id := insertDevice(t, db, "psw1.pop1")
-	row, err := db.Get("device", id)
+	row, err := viewGet(db, "device", id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +176,7 @@ func TestUpdate(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	row, _ := db.Get("device", id)
+	row, _ := viewGet(db, "device", id)
 	if row.String("role") != "pr" || !row.Bool("drained") {
 		t.Errorf("update not applied: %+v", row)
 	}
@@ -239,7 +257,7 @@ func TestDeleteCascadeAndSetNull(t *testing.T) {
 			t.Errorf("%s not cascaded: %d rows remain", tbl, n)
 		}
 	}
-	cir, err := db.Get("circuit", cirID)
+	cir, err := viewGet(db, "circuit", cirID)
 	if err != nil {
 		t.Fatalf("circuit should survive: %v", err)
 	}
@@ -256,7 +274,7 @@ func TestRollbackRestoresEverything(t *testing.T) {
 		lcID, _ = tx.Insert("linecard", map[string]any{"slot": 1, "device_id": devID})
 		return nil
 	})
-	before, _ := db.Select("device", nil)
+	before, _ := viewSelect(db, "device", nil)
 
 	tx, err := db.Begin()
 	if err != nil {
@@ -275,15 +293,15 @@ func TestRollbackRestoresEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	after, _ := db.Select("device", nil)
+	after, _ := viewSelect(db, "device", nil)
 	if len(after) != len(before) {
 		t.Fatalf("device count %d after rollback, want %d", len(after), len(before))
 	}
-	row, err := db.Get("device", devID)
+	row, err := viewGet(db, "device", devID)
 	if err != nil || row.String("name") != "psw1" {
 		t.Errorf("device not restored: %+v, %v", row, err)
 	}
-	if _, err := db.Get("linecard", lcID); err != nil {
+	if _, err := viewGet(db, "linecard", lcID); err != nil {
 		t.Errorf("cascaded delete not rolled back: %v", err)
 	}
 	// Unique index restored: the renamed value is free, the original is taken.
@@ -326,7 +344,7 @@ func TestTxIsolation(t *testing.T) {
 	// until the transaction finishes (single-writer lock model).
 	done := make(chan int)
 	go func() {
-		rows, _ := db.Select("device", nil)
+		rows, _ := viewSelect(db, "device", nil)
 		done <- len(rows)
 	}()
 	tx.Rollback()
@@ -379,7 +397,7 @@ func TestReferencing(t *testing.T) {
 func TestServerDown(t *testing.T) {
 	db := newTestDB(t)
 	db.SetDown(true)
-	if _, err := db.Select("device", nil); err == nil {
+	if _, err := viewSelect(db, "device", nil); err == nil {
 		t.Error("reads should fail on a down server")
 	}
 	if _, err := db.Begin(); err == nil {
@@ -447,7 +465,7 @@ func TestReplicationConverges(t *testing.T) {
 	if rep.Lag() != 0 {
 		t.Errorf("lag after CatchUp = %d", rep.Lag())
 	}
-	row, err := rep.DB().Get("device", devID)
+	row, err := viewGet(rep.DB(), "device", devID)
 	if err != nil || row.String("name") != "psw1" {
 		t.Errorf("replica row = %+v, %v", row, err)
 	}
@@ -598,7 +616,7 @@ func BenchmarkSelectScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := db.Select("device", func(r Row) bool { return r.String("role") == "psw" })
+		rows, err := viewSelect(db, "device", func(r Row) bool { return r.String("role") == "psw" })
 		if err != nil || len(rows) != 5000 {
 			b.Fatalf("%v %d", err, len(rows))
 		}

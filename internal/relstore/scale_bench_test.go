@@ -65,7 +65,7 @@ func buildScaleDB(tb testing.TB, n int) *DB {
 // and an indexed site lookup — the planner's bread and butter.
 func readMix(b *testing.B, db *DB, i, n int) {
 	id := int64(i%n) + 1
-	if _, err := db.Get("device", id); err != nil {
+	if _, err := viewGet(db, "device", id); err != nil {
 		b.Fatal(err)
 	}
 	if _, _, err := db.LookupUnique("device", "name", fmt.Sprintf("dev%06d", i%n)); err != nil {

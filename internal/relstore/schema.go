@@ -10,8 +10,8 @@
 //
 // Concurrency model: a DB is safe for concurrent use; writes go through
 // transactions which hold the write lock for their duration (single-writer,
-// like a table-locked MySQL), reads pin the published table set without a
-// lock and return copies, or the shared rows themselves through a View.
+// like a table-locked MySQL), and rows are read through a View, which pins
+// the published table set without a lock and hands out the stored rows.
 package relstore
 
 import (
@@ -235,14 +235,6 @@ func (r Row) Float(col string) float64 {
 		return f
 	}
 	return 0
-}
-
-func copyValues(m map[string]any) map[string]any {
-	out := make(map[string]any, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // sortedIDs returns the keys of a row map in ascending order, giving scans

@@ -52,7 +52,7 @@ type LogEntry struct {
 // ErrTxDone is returned when using a transaction after Commit or Rollback.
 var ErrTxDone = errors.New("relstore: transaction already finished")
 
-// ErrNoRow is wrapped by Get when the requested primary key is absent.
+// ErrNoRow is wrapped by View.Get when the requested primary key is absent.
 var ErrNoRow = errors.New("no such row")
 
 // undoEntry records how to reverse one applied operation.

@@ -9,7 +9,7 @@ import "fmt"
 // Rows come out as the stored maps themselves, not copies. A stored row is
 // never written (the row rule, epoch.go), so such a map stays valid after
 // the view ends; a caller may keep it but must never write to it. Id lists
-// are copies, as on DB.
+// are copies.
 //
 // A View is valid only inside the function DB.View hands it to; one from
 // Tx.View reads an open transaction's tables instead, and only while it
@@ -24,8 +24,8 @@ func (e *epoch) view() View { return View{seq: e.seq, tables: e.tables} }
 
 // View runs fn over the published epoch, pinned until fn returns —
 // whatever fn returns, or if it panics. A commit that replaces the epoch
-// waits for the pin while holding the write lock, so fn, like a Select
-// predicate, must not call back into the DB.
+// waits for the pin while holding the write lock, so fn, and any Select
+// predicate it passes, must not call back into the DB.
 func (db *DB) View(fn func(View) error) error {
 	if db.downFlag.Load() {
 		return fmt.Errorf("relstore: %s is down", db.name)
@@ -67,7 +67,7 @@ func (v View) Select(tableName string, pred func(Row) bool) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.scan(pred, true), nil
+	return t.scan(pred), nil
 }
 
 // LookupUnique finds a row id by a unique column value.

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/vendorcfg"
 )
@@ -438,18 +437,18 @@ func newModel() *model {
 	}
 }
 
-// load builds the model of the store at sequence seq: one Find per tracked
-// model, each row fed through apply as an insert.
-func load(tx *fbnet.Mutation, seq uint64) (*model, error) {
+// load builds the model of the store as one view reads it, at v.Seq():
+// each tracked model's rows fed through apply as inserts.
+func load(v relstore.View) (*model, error) {
 	m := newModel()
-	m.seq, m.st.born = seq, seq
+	m.seq, m.st.born = v.Seq(), v.Seq()
 	for _, name := range trackedModels {
-		objs, err := tx.Find(name, nil)
+		rows, err := v.Select(name, nil)
 		if err != nil {
 			return nil, fmt.Errorf("verify: loading %s: %w", name, err)
 		}
-		for _, o := range objs {
-			m.apply(&relstore.LogEntry{Op: relstore.OpInsert, Table: name, RowID: o.ID, Values: o.Fields})
+		for _, r := range rows {
+			m.apply(&relstore.LogEntry{Op: relstore.OpInsert, Table: name, RowID: r.ID, Values: r.Values})
 		}
 	}
 	return m, nil

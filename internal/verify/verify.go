@@ -38,6 +38,7 @@ import (
 
 	"github.com/robotron-net/robotron/internal/confdiff"
 	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/telemetry"
 	"github.com/robotron-net/robotron/internal/vendorcfg"
 )
@@ -269,10 +270,10 @@ func (c *Checker) sync() (applied int, rebuilt bool, err error) {
 		}
 		c.m = nil
 	}
-	// Rebuild inside one store transaction: it holds the write lock, so
-	// the Finds read one committed state and Seq names it.
-	_, err = c.store.Mutate(func(tx *fbnet.Mutation) error {
-		m, err := load(tx, db.Seq())
+	// Rebuild from one pinned view: one committed state, which its Seq
+	// names.
+	err = db.View(func(v relstore.View) error {
+		m, err := load(v)
 		if err == nil {
 			c.m = m
 			c.rebuilds.Inc()

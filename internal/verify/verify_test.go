@@ -517,8 +517,8 @@ func TestParseCircuitEnd(t *testing.T) {
 }
 
 // TestDownStoreFailsClosed: the gate never vouches for a store it cannot
-// read. A cold checker fails on its first Find; a warm one needs no rows,
-// so it must notice for itself.
+// read. A cold checker fails on its view of the store; a warm one needs
+// no rows, so it must notice for itself.
 func TestDownStoreFailsClosed(t *testing.T) {
 	eachChecker(t, func(t *testing.T, d *design.Designer, g *configgen.Generator, c *Checker) {
 		configs := renderSite(t, c.store, g)
@@ -534,9 +534,10 @@ func TestDownStoreFailsClosed(t *testing.T) {
 	})
 }
 
-// TestWarmCheckReadsNoRows: a cold run issues one Find per tracked model;
-// a warm run — even one that has a design change to absorb and a
-// violation to find — issues no store query at all.
+// TestWarmCheckReadsNoRows: a cold run rebuilds the model, reading its
+// rows through one relstore view rather than FBNet queries; a warm run —
+// even one that has a design change to absorb and a violation to find —
+// rebuilds nothing and issues no store query at all.
 func TestWarmCheckReadsNoRows(t *testing.T) {
 	d, g, c := newFleet(t)
 	store := d.Store()
@@ -548,11 +549,11 @@ func TestWarmCheckReadsNoRows(t *testing.T) {
 	}
 	configs := renderSite(t, c.store, g)
 	before := queries()
-	if _, err := c.Check(configs); err != nil {
-		t.Fatal(err)
+	if res, err := c.Check(configs); err != nil || !res.Rebuilt {
+		t.Fatalf("cold check: rebuilt=%v err=%v, want a rebuild", res.Rebuilt, err)
 	}
-	if got := queries() - before; got != int64(len(trackedModels)) {
-		t.Errorf("cold check issued %d queries, want one per tracked model (%d)", got, len(trackedModels))
+	if got := queries() - before; got != 0 {
+		t.Errorf("cold check issued %d FBNet queries, want 0: it reads rows through one view", got)
 	}
 	s, err := store.FindOne("BgpV6Session", fbnet.Eq("id", int64(1)))
 	if err != nil {
