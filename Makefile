@@ -26,10 +26,11 @@ tier1: verify-gate store design reconcile fuzz-smoke sim obs
 # before the first session, no check errors, every designed device rolled
 # out) and the shared-model contracts (one rebuild, fail-closed) in core,
 # under the race detector. See DESIGN.md §12. The gate checks what the generator
-# hands it, so the generator's own follower rides along: memo ≡ cold over
-# 40 seeded histories with the read-set oracle's derive counts, one log
-# read per generation, and nothing cached unchecked under a racing writer
-# (DESIGN.md §8).
+# hands it, and the generator's memo follows the gate's model, so it rides
+# along: memo ≡ cold over 40 seeded histories (every device whose derived
+# data a step changed re-derived, nothing on a repeat), the model reading
+# each log entry once however many devices generate, and nothing cached
+# unchecked under a racing writer (DESIGN.md §8).
 verify-gate:
 	$(GO) test -race -v -timeout 10m ./internal/verify/
 	$(GO) test -race -timeout 5m -run 'TestVerifyGate|TestTurnUp' ./internal/core/
@@ -52,15 +53,22 @@ verify-gate:
 # union, one with a branch that would scan scanned once), the fbnet service that
 # serves it over the wire, the thriftlite plan cache that service and the
 # generator encode with (many goroutines on a cold cache get the bytes of a
-# serial run), and the follower that leans on ReadSeq — the generator's
-# memo caching nothing it has not checked against the log, concurrent
-# generation, and derivations that read the stored rows in place and leave
-# every one as it was (DESIGN.md §8).
+# serial run), and the generator's memo, which follows the verify model
+# that leans on ReadSeq — caching nothing it has not checked against the
+# model's stamps, memo ≡ cold over seeded histories (-short), every column
+# of every row flipped in turn with the model stamping every device whose
+# derived data the flip changed, concurrent generation, and derivations
+# that read the stored rows in place and leave every one as it was
+# (DESIGN.md §8) — and the writer beside it: ipam's span index answering
+# as the linear scan it replaced over seeded Allocate/Reserve/Free
+# sequences.
 store:
 	$(GO) test -race -timeout 5m ./internal/relstore/ ./internal/fbnet/service/
 	$(GO) test -race -timeout 5m -run 'TestFindReadsOneEpoch|TestReadsHandOutStoredRows|TestMutationReadsRowsInPlace|TestScanOnLocalFieldAllocatesPerReturnedRow|TestPlanner|TestQuickPlannerEquivalence' ./internal/fbnet/
 	$(GO) test -race -timeout 5m -run 'TestPlansConcurrentOnColdCache|TestBadTagsRejected' ./internal/thriftlite/
-	$(GO) test -race -timeout 5m -run 'TestMemoNeverCachesUnchecked|TestGeneratorConcurrentUse|TestDeriveLeavesStoredRowsUntouched' ./internal/configgen/
+	$(GO) test -race -timeout 5m -run 'TestMemoNeverCachesUnchecked|TestGeneratorConcurrentUse|TestDeriveLeavesStoredRowsUntouched|TestModelStampsWhatDerivationsRead' ./internal/configgen/
+	$(GO) test -race -short -timeout 5m -run 'TestMemoEqualsColdOverRandomHistories' ./internal/configgen/
+	$(GO) test -race -timeout 5m -run 'TestSpansAnswerAsTheLinearScan' ./internal/ipam/
 
 # The design tools' write path under the race detector: the write-set
 # golden (every design op's FBNet rows, in binlog order, and pool

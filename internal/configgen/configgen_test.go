@@ -10,6 +10,7 @@ import (
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/revctl"
 	"github.com/robotron-net/robotron/internal/vendorcfg"
+	"github.com/robotron-net/robotron/internal/verify"
 )
 
 func testCtx(domain string) design.ChangeContext {
@@ -48,7 +49,7 @@ func newEmpty(t testing.TB) (*design.Designer, *Generator) {
 	if err := d.EnsureStandardHardware(); err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGenerator(store, revctl.NewRepo())
+	g, err := NewGenerator(store, revctl.NewRepo(), verify.NewChecker(store, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package configgen
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -13,37 +15,15 @@ import (
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/revctl"
 	"github.com/robotron-net/robotron/internal/telemetry"
+	"github.com/robotron-net/robotron/internal/verify"
 )
 
 // The memo ≡ cold property: after any history of design changes, template
 // recommits and monitoring writes, a long-lived generator — whose memo
-// followed every step through the binlog with its one cursor — produces
-// byte for byte what a generator that never saw any of it produces, and
-// re-derives exactly the devices the read-set oracle below says a step
-// invalidated. The hand-picked memo tests are instances of it.
-
-// invalidatedBy is the per-device revalidation the memo ran before it
-// followed the log with one cursor — every memoized device scanning the
-// entries logged since it was last looked at — kept as the reference the
-// index-driven follower is held to.
-func invalidatedBy(e *deriveEntry, entries []relstore.LogEntry) bool {
-	for i := range entries {
-		le := &entries[i]
-		switch le.Op {
-		case relstore.OpCreateTable, relstore.OpAlterAddColumn:
-			return true
-		}
-		if _, ok := e.deps[dep{le.Table, "", le.RowID}]; ok {
-			return true
-		}
-		for col, v := range le.Values {
-			if _, ok := e.deps[dep{le.Table, col, v}]; ok {
-				return true
-			}
-		}
-	}
-	return false
-}
+// followed every step through the intent model's stamps — produces byte
+// for byte what a generator that never saw any of it produces, re-derives
+// every device whose derived data a step changed, and re-derives nothing
+// on an immediate repeat. The hand-picked memo tests are instances of it.
 
 // memoHistory is one seeded world plus the step generator's handle on it.
 type memoHistory struct {
@@ -52,10 +32,11 @@ type memoHistory struct {
 	g   *Generator
 	n   int // names minted so far
 
-	// What the oracle needs of the last full generation: the memo as it
-	// stood and the log position it stood at.
+	// What the checks need of the last full generation: the memo as it
+	// stood, and each device's data as a cold derive read it then (nil
+	// when it did not derive).
 	memo map[string]*deriveEntry
-	seq  uint64
+	data map[string]*DeviceData
 }
 
 // newMemoHistory builds a POP cluster, a small DC cluster and a four-router
@@ -112,7 +93,7 @@ func newMemoHistory(t *testing.T, seed int64) *memoHistory {
 	must(h.firewall())
 	_, err = d.AttachFirewall(testCtx("pop"), "edge-in", []string{"pr1.pop1-c1", "psw2.pop1-c1", "fsw1.dc1-c1", "bb0.bb1"})
 	must(err)
-	h.g, err = NewGenerator(store, revctl.NewRepo())
+	h.g, err = NewGenerator(store, revctl.NewRepo(), verify.NewChecker(store, nil))
 	must(err)
 	return h
 }
@@ -233,6 +214,33 @@ var memoSteps = []struct {
 			return m.Update("FirewallRule", rule.ID, map[string]any{"dst_port": int64(2000 + h.rng.Intn(1000))})
 		})
 	}},
+	{"mpls-tunnel", func(h *memoHistory) error {
+		// A new tunnel, a new bandwidth or tail, or a new loopback on a
+		// tail: each changes only the configs of the tunnels' heads.
+		head, hok := h.meshRouter()
+		tail, tok := h.meshRouter()
+		if !hok || !tok {
+			return fmt.Errorf("no mesh routers")
+		}
+		h.n++
+		tun, ok := h.pick("MplsTunnel", nil)
+		return h.mutate(func(m *fbnet.Mutation) error {
+			switch op := h.rng.Intn(4); {
+			case !ok || op == 0:
+				_, err := m.Create("MplsTunnel", map[string]any{
+					"name": fmt.Sprintf("te-%d", h.n), "head_device": head.ID, "tail_device": tail.ID,
+					"bandwidth_mbps": int64(1000 * h.n)})
+				return err
+			case op == 1:
+				return m.Update("MplsTunnel", tun.ID, map[string]any{"bandwidth_mbps": int64(1000 * h.n)})
+			case op == 2:
+				return m.Update("MplsTunnel", tun.ID, map[string]any{"tail_device": tail.ID})
+			default:
+				return m.Update("Device", tun.Ref("tail_device"), map[string]any{
+					"loopback_v6": fmt.Sprintf("2401:db00:eeee::%x/128", h.n)})
+			}
+		})
+	}},
 	{"template-recommit", func(h *memoHistory) error {
 		path := TemplatePath([]string{"vendor1", "vendor2"}[h.rng.Intn(2)])
 		body, err := h.g.repo.GetHead(path)
@@ -294,38 +302,34 @@ func (h *memoHistory) deviceNames(t *testing.T) []string {
 }
 
 // assertStep regenerates the whole fleet and holds the memo to the cold
-// generator's bytes, to the oracle's invalidation count, and to silence on
-// an immediate repeat.
+// generator's bytes, to re-deriving every device whose cold-derived data
+// changed since the last full generation, and to silence on an immediate
+// repeat.
 func (h *memoHistory) assertStep(t *testing.T, step string) {
 	t.Helper()
 	names := h.deviceNames(t)
-	before := h.g.Stats()
-	configs := assertMemoEqualsCold(t, h.g, names, step)
-
-	delta := h.g.store.DB().EntriesSince(h.seq)
-	want := int64(0)
-	for name := range configs {
-		if e := h.memo[name]; e == nil || e.syslog != h.g.SyslogTarget || invalidatedBy(e, delta) {
-			want++
-		}
+	data := make(map[string]*DeviceData, len(names))
+	for _, name := range names {
+		data[name], _ = h.g.DeriveDeviceData(name) // nil when it fails; the configs compare its error
 	}
+	configs := assertMemoEqualsCold(t, h.g, names, step)
 	after := h.g.Stats()
-	if got := after.Derives - before.Derives; got != want {
-		t.Fatalf("%s: %d devices re-derived, the read-set oracle invalidates %d (of %d, over %d log entries)",
-			step, got, want, len(configs), len(delta))
+	h.g.memoMu.Lock()
+	memo := maps.Clone(h.g.derived)
+	h.g.memoMu.Unlock()
+	for name := range configs {
+		if reflect.DeepEqual(data[name], h.data[name]) {
+			continue
+		}
+		if e := memo[name]; e == nil || e == h.memo[name] {
+			t.Fatalf("%s: the derived data of %s changed and the memo did not re-derive it", step, name)
+		}
 	}
 	h.g.GenerateMany(names, 4) // its errors are the first call's, compared above
 	if again := h.g.Stats(); again.Derives != after.Derives || again.Renders != after.Renders {
 		t.Fatalf("%s: an immediate repeat re-derived or re-rendered: %+v -> %+v", step, after, again)
 	}
-
-	h.g.memoMu.Lock()
-	h.memo = make(map[string]*deriveEntry, len(h.g.derived))
-	for name, e := range h.g.derived {
-		h.memo[name] = e
-	}
-	h.g.memoMu.Unlock()
-	h.seq = h.g.store.DB().Seq()
+	h.memo, h.data = memo, data
 }
 
 // TestMemoEqualsColdOverRandomHistories is the universal form of the memo
@@ -372,14 +376,17 @@ func TestMemoEqualsColdOverRandomHistories(t *testing.T) {
 	}
 }
 
-// TestGenerateFollowsEachLogEntryOnce: the memo reads the binlog with one
-// cursor. N entries committed between generations cost N entries followed
-// however many memoized devices are then generated, and nothing after that.
+// TestGenerateFollowsEachLogEntryOnce: the memo reads no binlog of its
+// own; the intent model it follows reads each entry once. Writes no
+// derivation reads — monitoring rows, operational events, another site's
+// design change — committed between generations cost no derivation, and
+// the model reads each of their entries once however many memoized devices
+// are then generated, and nothing after that.
 func TestGenerateFollowsEachLogEntryOnce(t *testing.T) {
-	_, g := newPOP(t)
+	d, g := newPOP(t)
 	reg := telemetry.NewRegistry()
-	g.Instrument(reg)
-	followed := reg.Counter("robotron_generate_log_entries_followed_total")
+	g.intent.(*verify.Checker).Instrument(reg)
+	read := reg.Counter("robotron_verify_delta_entries_total")
 	names := []string{
 		"pr1.pop1-c1", "pr2.pop1-c1",
 		"psw1.pop1-c1", "psw2.pop1-c1", "psw3.pop1-c1", "psw4.pop1-c1",
@@ -387,12 +394,9 @@ func TestGenerateFollowsEachLogEntryOnce(t *testing.T) {
 	if _, err := g.GenerateMany(names, 4); err != nil {
 		t.Fatal(err)
 	}
-	db := g.store.DB()
-	if got := followed.Value(); got != int64(db.Seq()) {
-		t.Fatalf("first generation followed %d entries of a %d-entry log", got, db.Seq())
-	}
 
-	base, seq := followed.Value(), db.Seq()
+	db := g.store.DB()
+	base, seq := read.Value(), db.Seq()
 	for tx := 0; tx < 5; tx++ {
 		_, err := g.store.Mutate(func(m *fbnet.Mutation) error {
 			for i := 0; i < 40; i++ {
@@ -402,11 +406,20 @@ func TestGenerateFollowsEachLogEntryOnce(t *testing.T) {
 					return err
 				}
 			}
-			return nil
+			_, err := m.Create("DerivedConfig", map[string]any{
+				"device_name": names[tx], "config_hash": "h", "collected_unix": int64(tx), "conforms": true,
+			})
+			return err
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := d.EnsureSite("pop2", "pop", "apac"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.BuildCluster(testCtx("pop"), "pop2", "pop2-c1", design.POPGen1()); err != nil {
+		t.Fatal(err)
 	}
 	n := int64(db.Seq() - seq)
 	if n < 200 {
@@ -418,8 +431,8 @@ func TestGenerateFollowsEachLogEntryOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := followed.Value() - base; got != n {
-		t.Errorf("generating %d warm devices after %d new entries followed %d entries, want %d", len(names), n, got, n)
+	if got := read.Value() - base; got != n {
+		t.Errorf("generating %d warm devices after %d new entries read %d entries, want %d", len(names), n, got, n)
 	}
 	if after := g.Stats(); after.Derives != stats.Derives || after.DeriveHits != stats.DeriveHits+int64(len(names)) {
 		t.Errorf("unrelated entries cost derivations: %+v -> %+v", stats, after)
@@ -427,19 +440,20 @@ func TestGenerateFollowsEachLogEntryOnce(t *testing.T) {
 	if _, err := g.GenerateMany(names, 4); err != nil {
 		t.Fatal(err)
 	}
-	if got := followed.Value() - base; got != n {
-		t.Errorf("a second generation over an unchanged log followed %d more entries", got-n)
+	if got := read.Value() - base; got != n {
+		t.Errorf("a second generation over an unchanged log read %d more entries", got-n)
 	}
 }
 
 // TestMemoNeverCachesUnchecked: two ways a derivation could be cached
-// without ever being held against a log entry it did not see, each of which
+// without ever being held against a change it did not see, each of which
 // would leave the device on a stale config for good. (1) A commit is in the
 // binlog an instant before the read path reflects it: a generation landing
-// in between must not follow the entry and then cache what it derived from
-// the rows as they were. (2) A derive reads the rows, a concurrent
-// generation follows the entry that then changes them, and the first would
-// store its result behind the cursor. Each round races one commit against
+// in between must not follow a model stamped with the commit and then
+// cache what it derived from the rows as they were. (2) A derive reads the
+// rows, a concurrent generation follows the model past the commit that
+// then changes them, and the first would store its result behind the
+// stamp that dropped the device. Each round races one commit against
 // two goroutines generating from an empty memo and, once the commit has
 // returned, requires the next generation to carry it.
 func TestMemoNeverCachesUnchecked(t *testing.T) {
@@ -490,10 +504,10 @@ func TestMemoNeverCachesUnchecked(t *testing.T) {
 }
 
 // TestMemoCachesPastUnrelatedEntries: a derive that a concurrent
-// generation overtook — it followed entries logged after the derive began
-// — is still cached when none of those entries touches its read set, and
-// is not cached when one does. Whether a derivation is cached thus depends
-// on what was logged, not on how concurrent generations interleaved.
+// generation overtook — it followed the model past the stamp the derive
+// began at — is still cached when no stamp since names its device, and is
+// not cached when one does. Whether a derivation is cached thus depends on
+// what changed, not on how concurrent generations interleaved.
 func TestMemoCachesPastUnrelatedEntries(t *testing.T) {
 	_, g := newPOP(t)
 	const name = "psw1.pop1-c1"
@@ -504,12 +518,15 @@ func TestMemoCachesPastUnrelatedEntries(t *testing.T) {
 	overtaken := func(write func(*fbnet.Mutation) error) (cached bool) {
 		t.Helper()
 		g.ResetMemo()
-		at := g.followLog()
+		at, err := g.follow()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := g.store.Mutate(write); err != nil {
 			t.Fatal(err)
 		}
-		if g.followLog() == at {
-			t.Fatal("the write logged nothing")
+		if now, err := g.follow(); err != nil || now == at {
+			t.Fatalf("the model did not move past the write (%v)", err)
 		}
 		if _, _, err := g.deriveCached(name, at); err != nil {
 			t.Fatal(err)
@@ -524,7 +541,7 @@ func TestMemoCachesPastUnrelatedEntries(t *testing.T) {
 		})
 		return err
 	}) {
-		t.Error("a derive overtaken by an entry outside its read set was not cached")
+		t.Error("a derive overtaken by a write no derivation reads was not cached")
 	}
 	if overtaken(func(m *fbnet.Mutation) error {
 		return m.Update("Device", dev.ID, map[string]any{"loopback_v6": "2401:db00:ffff::1/128"})

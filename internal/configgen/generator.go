@@ -18,19 +18,23 @@ import (
 // (Fig. 10): fetch related objects, derive the per-device Thrift data
 // object, combine with the vendor template.
 type Generator struct {
-	store *fbnet.Store
-	repo  *revctl.Repo
+	store  *fbnet.Store
+	repo   *revctl.Repo
+	intent Intent
 
 	mu    sync.Mutex
 	cache map[string]*tmpl.Template // template path+hash -> parsed template
 
-	// memoMu guards the memoization layer (memo.go): cached derivations
-	// and rendered configs. Work counters live on the telemetry registry
+	// followMu serializes follow (memo.go); memoMu guards the memoization
+	// layer: cached derivations and rendered configs, and the stamps they
+	// are current at. Work counters live on the telemetry registry
 	// (metrics field) and are atomic.
+	followMu sync.Mutex
 	memoMu   sync.Mutex
 	derived  map[string]*deriveEntry // device name -> memoized derivation
-	index    map[dep][]*deriveEntry  // read-set dep -> derivations holding it
-	cursor   uint64                  // binlog sequence followed so far
+	stamp    uint64                  // intent model stamp followed so far
+	rebuilt  uint64                  // stamp of the last model rebuild followed
+	dropped  map[string]uint64       // device name -> stamp of the follow that last dropped it
 	rendered map[string]string       // template hash + wire hash -> config
 
 	// metrics is bound to a private registry until Instrument rebinds it
@@ -49,14 +53,12 @@ type genMetrics struct {
 	renders    *telemetry.Counter
 	renderHits *telemetry.Counter
 	roundTrips *telemetry.Counter
-	followed   *telemetry.Counter
 	deviceSec  *telemetry.Histogram
 }
 
 func bindGenMetrics(reg *telemetry.Registry) genMetrics {
 	reg.Help("robotron_generate_derives_total", "full derivations executed")
 	reg.Help("robotron_generate_derive_hits_total", "derivations answered from the memo cache")
-	reg.Help("robotron_generate_log_entries_followed_total", "binlog entries read to keep the derivation memo current")
 	reg.Help("robotron_generate_device_seconds", "per-device config generation latency")
 	return genMetrics{
 		derives:    reg.Counter("robotron_generate_derives_total"),
@@ -64,7 +66,6 @@ func bindGenMetrics(reg *telemetry.Registry) genMetrics {
 		renders:    reg.Counter("robotron_generate_renders_total"),
 		renderHits: reg.Counter("robotron_generate_render_hits_total"),
 		roundTrips: reg.Counter("robotron_generate_roundtrips_total"),
-		followed:   reg.Counter("robotron_generate_log_entries_followed_total"),
 		deviceSec:  reg.Histogram("robotron_generate_device_seconds"),
 	}
 }
@@ -79,15 +80,17 @@ func (g *Generator) Instrument(reg *telemetry.Registry) {
 
 // NewGenerator creates a generator over an FBNet store and a config
 // repository, seeding the built-in vendor templates if the repository does
-// not hold them yet.
-func NewGenerator(store *fbnet.Store, repo *revctl.Repo) (*Generator, error) {
+// not hold them yet. Its derivation memo follows intent, a resident model
+// of the same store (memo.go).
+func NewGenerator(store *fbnet.Store, repo *revctl.Repo, intent Intent) (*Generator, error) {
 	g := &Generator{
-		store: store, repo: repo,
+		store: store, repo: repo, intent: intent,
 		cache:    make(map[string]*tmpl.Template),
+		derived:  make(map[string]*deriveEntry),
+		dropped:  make(map[string]uint64),
 		rendered: make(map[string]string),
 		metrics:  bindGenMetrics(telemetry.NewRegistry()),
 	}
-	g.forgetAllLocked()
 	for syntax, body := range map[string]string{
 		"vendor1": Vendor1FullTemplate,
 		"vendor2": Vendor2FullTemplate,
@@ -102,32 +105,33 @@ func NewGenerator(store *fbnet.Store, repo *revctl.Repo) (*Generator, error) {
 	return g, nil
 }
 
-// Repo returns the generator's config repository.
-func (g *Generator) Repo() *revctl.Repo { return g.repo }
-
 // DeriveDeviceData derives the dynamic config data for one device from
 // FBNet Desired objects. The result is always freshly computed (and safe
 // for the caller to mutate); the memoized path lives in GenerateDevice.
 func (g *Generator) DeriveDeviceData(deviceName string) (*DeviceData, error) {
-	return g.derive(g.newDeriveCtx(), deviceName)
+	return g.derive(deviceName)
 }
 
-// derive computes a device's data object, reading through dc so the read
-// set is recorded for memoization.
-func (g *Generator) derive(dc *deriveCtx, deviceName string) (*DeviceData, error) {
-	dev, err := dc.findDevice(deviceName)
+// derive computes a device's data object. The objects it reads are the
+// stored rows themselves, as every FBNet read's are: it keeps the values
+// it needs, never the row. Each read pins its own epoch, not one per
+// derivation: a pinned epoch holds the next commit spinning under the
+// write lock until it is released (DESIGN.md §13.2), and derivations run
+// while others commit.
+func (g *Generator) derive(deviceName string) (*DeviceData, error) {
+	dev, err := g.store.FindOne("Device", fbnet.Eq("name", deviceName))
 	if err != nil {
 		return nil, err
 	}
-	hw, err := dc.getByID("HardwareProfile", dev.Ref("hw_profile"))
+	hw, err := g.store.GetByID("HardwareProfile", dev.Ref("hw_profile"))
 	if err != nil {
 		return nil, err
 	}
-	vendor, err := dc.getByID("Vendor", hw.Ref("vendor"))
+	vendor, err := g.store.GetByID("Vendor", hw.Ref("vendor"))
 	if err != nil {
 		return nil, err
 	}
-	site, err := dc.getByID("Site", dev.Ref("site"))
+	site, err := g.store.GetByID("Site", dev.Ref("site"))
 	if err != nil {
 		return nil, err
 	}
@@ -143,50 +147,37 @@ func (g *Generator) derive(dc *deriveCtx, deviceName string) (*DeviceData, error
 	}
 
 	// Aggregated interfaces with member ports and addressing.
-	aggIDs, err := dc.referencing("AggregatedInterface", "device", dev.ID)
-	if err != nil {
-		return nil, err
-	}
-	for _, aggID := range aggIDs {
-		agg, err := dc.getByID("AggregatedInterface", aggID)
-		if err != nil {
-			return nil, err
-		}
+	err = g.referencing("AggregatedInterface", "device", dev.ID, func(agg fbnet.Object) error {
 		ad := AggregatedInterfaceData{
 			Name:   agg.String("name"),
 			Number: int32(agg.Int("number")),
 			MTU:    int32(agg.Int("mtu")),
 		}
-		pifIDs, err := dc.referencing("PhysicalInterface", "agg_interface", aggID)
-		if err != nil {
-			return nil, err
-		}
-		for _, pifID := range pifIDs {
-			pif, err := dc.getByID("PhysicalInterface", pifID)
-			if err != nil {
-				return nil, err
-			}
+		err := g.referencing("PhysicalInterface", "agg_interface", agg.ID, func(pif fbnet.Object) error {
 			ad.Pifs = append(ad.Pifs, PhysicalInterfaceData{Name: pif.String("name")})
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		sort.Slice(ad.Pifs, func(i, j int) bool { return ad.Pifs[i].Name < ad.Pifs[j].Name })
-		for _, pm := range []string{"V6Prefix", "V4Prefix"} {
-			pfxIDs, err := dc.referencing(pm, "interface", aggID)
+		for _, pm := range [...]struct {
+			model string
+			dst   *string
+		}{{"V6Prefix", &ad.V6Prefix}, {"V4Prefix", &ad.V4Prefix}} {
+			err := g.referencing(pm.model, "interface", agg.ID, func(p fbnet.Object) error {
+				*pm.dst = p.String("prefix")
+				return nil
+			})
 			if err != nil {
-				return nil, err
-			}
-			for _, pid := range pfxIDs {
-				p, err := dc.getByID(pm, pid)
-				if err != nil {
-					return nil, err
-				}
-				if pm == "V6Prefix" {
-					ad.V6Prefix = p.String("prefix")
-				} else {
-					ad.V4Prefix = p.String("prefix")
-				}
+				return err
 			}
 		}
 		data.Aggs = append(data.Aggs, ad)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(data.Aggs, func(i, j int) bool { return data.Aggs[i].Number < data.Aggs[j].Number })
 
@@ -197,99 +188,97 @@ func (g *Generator) derive(dc *deriveCtx, deviceName string) (*DeviceData, error
 	for _, sm := range []struct{ model, family string }{
 		{"BgpV6Session", "v6"}, {"BgpV4Session", "v4"},
 	} {
-		if err := g.deriveBGP(dc, dev.ID, sm.model, sm.family, data, policyIDs); err != nil {
+		if err := g.deriveBGP(dev.ID, sm.model, sm.family, data, policyIDs); err != nil {
 			return nil, err
 		}
 	}
 	sort.Slice(data.BGPNeighbors, func(i, j int) bool { return data.BGPNeighbors[i].Addr < data.BGPNeighbors[j].Addr })
-	if err := g.derivePolicies(dc, policyIDs, data); err != nil {
+	if err := g.derivePolicies(policyIDs, data); err != nil {
 		return nil, err
 	}
 
 	// MPLS-TE tunnels headed at this device (§2.3).
-	tunnelIDs, err := dc.referencing("MplsTunnel", "head_device", dev.ID)
-	if err != nil {
-		return nil, err
-	}
-	for _, tid := range tunnelIDs {
-		t, err := dc.getByID("MplsTunnel", tid)
+	err = g.referencing("MplsTunnel", "head_device", dev.ID, func(t fbnet.Object) error {
+		tail, err := g.store.GetByID("Device", t.Ref("tail_device"))
 		if err != nil {
-			return nil, err
-		}
-		tail, err := dc.getByID("Device", t.Ref("tail_device"))
-		if err != nil {
-			return nil, err
+			return err
 		}
 		data.MplsTunnels = append(data.MplsTunnels, MplsTunnelData{
 			Name:          t.String("name"),
 			TailLoopback:  vendorcfg.Addr(tail.String("loopback_v6")),
 			BandwidthMbps: t.Int("bandwidth_mbps"),
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(data.MplsTunnels, func(i, j int) bool { return data.MplsTunnels[i].Name < data.MplsTunnels[j].Name })
 
 	// Firewall policies attached to this device (§5.3.2).
-	attachIDs, err := dc.referencing("DeviceFirewall", "device", dev.ID)
-	if err != nil {
-		return nil, err
-	}
-	for _, aid := range attachIDs {
-		att, err := dc.getByID("DeviceFirewall", aid)
+	err = g.referencing("DeviceFirewall", "device", dev.ID, func(att fbnet.Object) error {
+		policy, err := g.store.GetByID("FirewallPolicy", att.Ref("policy"))
 		if err != nil {
-			return nil, err
-		}
-		policy, err := dc.getByID("FirewallPolicy", att.Ref("policy"))
-		if err != nil {
-			return nil, err
+			return err
 		}
 		fd := FirewallData{Name: policy.String("name"), Direction: policy.String("direction")}
-		ruleIDs, err := dc.referencing("FirewallRule", "policy", policy.ID)
-		if err != nil {
-			return nil, err
-		}
-		for _, rid := range ruleIDs {
-			rule, err := dc.getByID("FirewallRule", rid)
-			if err != nil {
-				return nil, err
-			}
+		err = g.referencing("FirewallRule", "policy", policy.ID, func(rule fbnet.Object) error {
 			fd.Rules = append(fd.Rules, FirewallRuleData{
 				Seq: rule.Int("seq"), Action: rule.String("action"),
 				Protocol: rule.String("protocol"), SrcPrefix: rule.String("src_prefix"),
 				DstPort: rule.Int("dst_port"),
 			})
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		sort.Slice(fd.Rules, func(i, j int) bool { return fd.Rules[i].Seq < fd.Rules[j].Seq })
 		data.Firewalls = append(data.Firewalls, fd)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(data.Firewalls, func(i, j int) bool { return data.Firewalls[i].Name < data.Firewalls[j].Name })
 	return data, nil
 }
 
+// referencing calls fn with each row of model whose fkCol references id.
+func (g *Generator) referencing(model, fkCol string, id int64, fn func(fbnet.Object) error) error {
+	ids, err := g.store.DB().Referencing(model, fkCol, id)
+	if err != nil {
+		return err
+	}
+	for _, rid := range ids {
+		o, err := g.store.GetByID(model, rid)
+		if err != nil {
+			return err
+		}
+		if err := fn(o); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // deriveBGP adds this device's view of every session it participates in,
 // recording any routing policies the local side must render.
-func (g *Generator) deriveBGP(dc *deriveCtx, devID int64, model, family string, data *DeviceData, policyIDs map[int64]bool) error {
+func (g *Generator) deriveBGP(devID int64, model, family string, data *DeviceData, policyIDs map[int64]bool) error {
 	prefixModel := "V6Prefix"
 	if family == "v4" {
 		prefixModel = "V4Prefix"
 	}
 	// Sessions where this device is the local side: neighbor is remote_addr.
-	localIDs, err := dc.referencing(model, "local_device", devID)
-	if err != nil {
-		return err
-	}
-	for _, sid := range localIDs {
-		s, err := dc.getByID(model, sid)
-		if err != nil {
-			return err
-		}
+	err := g.referencing(model, "local_device", devID, func(s fbnet.Object) error {
 		if data.LocalAS == 0 {
 			data.LocalAS = s.Int("local_as")
 		}
 		addr := s.String("remote_addr")
 		if addr == "" {
-			continue
+			return nil
 		}
-		desc, err := g.peerDescription(dc, s.Ref("remote_device"))
+		desc, err := g.peerDescription(s.Ref("remote_device"))
 		if err != nil {
 			return err
 		}
@@ -302,7 +291,7 @@ func (g *Generator) deriveBGP(dc *deriveCtx, devID int64, model, family string, 
 			"import_policy": &n.ImportPolicy, "export_policy": &n.ExportPolicy,
 		} {
 			if pid := s.Ref(field); pid != 0 {
-				p, err := dc.getByID("RoutingPolicy", pid)
+				p, err := g.store.GetByID("RoutingPolicy", pid)
 				if err != nil {
 					return err
 				}
@@ -311,32 +300,22 @@ func (g *Generator) deriveBGP(dc *deriveCtx, devID int64, model, family string, 
 			}
 		}
 		data.BGPNeighbors = append(data.BGPNeighbors, n)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// Sessions where this device is the remote side: the neighbor address
 	// is the local side's prefix address (eBGP over a bundle) or its v6
 	// loopback (iBGP mesh).
-	remoteIDs, err := dc.referencing(model, "remote_device", devID)
-	if err != nil {
-		return err
-	}
-	for _, sid := range remoteIDs {
-		s, err := dc.getByID(model, sid)
-		if err != nil {
-			return err
-		}
+	return g.referencing(model, "remote_device", devID, func(s fbnet.Object) error {
 		if data.LocalAS == 0 {
 			data.LocalAS = s.Int("remote_as")
 		}
-		peerDevID := s.Ref("local_device")
-		var addr string
-		if pfxID := s.Ref("local_prefix"); pfxID != 0 {
-			p, err := dc.getByID(prefixModel, pfxID)
-			if err != nil {
-				return err
-			}
-			addr = vendorcfg.Addr(p.String("prefix"))
-		} else if peerDevID != 0 {
-			peer, err := dc.getByID("Device", peerDevID)
+		// One read of the local side's row serves its loopback and name.
+		desc, addr := "external peer", ""
+		if peerID := s.Ref("local_device"); peerID != 0 {
+			peer, err := g.store.GetByID("Device", peerID)
 			if err != nil {
 				return err
 			}
@@ -344,21 +323,24 @@ func (g *Generator) deriveBGP(dc *deriveCtx, devID int64, model, family string, 
 			if family == "v4" {
 				lo = peer.String("loopback_v4")
 			}
-			addr = vendorcfg.Addr(lo)
+			desc, addr = "to "+peer.String("name"), vendorcfg.Addr(lo)
+		}
+		if pfxID := s.Ref("local_prefix"); pfxID != 0 {
+			p, err := g.store.GetByID(prefixModel, pfxID)
+			if err != nil {
+				return err
+			}
+			addr = vendorcfg.Addr(p.String("prefix"))
 		}
 		if addr == "" {
-			continue
-		}
-		desc, err := g.peerDescription(dc, peerDevID)
-		if err != nil {
-			return err
+			return nil
 		}
 		data.BGPNeighbors = append(data.BGPNeighbors, BGPNeighborData{
 			Addr: addr, RemoteAS: s.Int("local_as"), Family: family,
 			SessionType: s.String("session_type"), Description: desc,
 		})
-	}
-	return nil
+		return nil
+	})
 }
 
 // derivePolicies loads the referenced routing policies with their terms.
@@ -366,25 +348,21 @@ func (g *Generator) deriveBGP(dc *deriveCtx, devID int64, model, family string, 
 // import policy is "still under development" is exactly the §8 incident
 // ("an engineer used Robotron to turn up the session, instantly saturating
 // the egress link").
-func (g *Generator) derivePolicies(dc *deriveCtx, policyIDs map[int64]bool, data *DeviceData) error {
+func (g *Generator) derivePolicies(policyIDs map[int64]bool, data *DeviceData) error {
 	for pid := range policyIDs {
-		p, err := dc.getByID("RoutingPolicy", pid)
+		p, err := g.store.GetByID("RoutingPolicy", pid)
 		if err != nil {
 			return err
 		}
 		pd := PolicyData{Name: p.String("name")}
-		termIDs, err := dc.referencing("PolicyTerm", "policy", pid)
-		if err != nil {
-			return err
-		}
-		for _, tid := range termIDs {
-			t, err := dc.getByID("PolicyTerm", tid)
-			if err != nil {
-				return err
-			}
+		err = g.referencing("PolicyTerm", "policy", pid, func(t fbnet.Object) error {
 			pd.Terms = append(pd.Terms, PolicyTermData{
 				Seq: t.Int("seq"), MatchPrefix: t.String("match_prefix"), Action: t.String("action"),
 			})
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		if len(pd.Terms) == 0 {
 			return fmt.Errorf("configgen: %s references routing policy %q which has no terms (not yet implemented); refusing to generate",
@@ -397,11 +375,11 @@ func (g *Generator) derivePolicies(dc *deriveCtx, policyIDs map[int64]bool, data
 	return nil
 }
 
-func (g *Generator) peerDescription(dc *deriveCtx, devID int64) (string, error) {
+func (g *Generator) peerDescription(devID int64) (string, error) {
 	if devID == 0 {
 		return "external peer", nil
 	}
-	peer, err := dc.getByID("Device", devID)
+	peer, err := g.store.GetByID("Device", devID)
 	if err != nil {
 		return "", err
 	}
@@ -409,16 +387,20 @@ func (g *Generator) peerDescription(dc *deriveCtx, devID int64) (string, error) 
 }
 
 // GenerateDevice produces the full vendor-specific config for one device.
-// Derivation is memoized against the store's binlog (memo.go). On a fresh
+// Derivation is memoized against the intent model's stamps (memo.go). On a fresh
 // result the derived data is round-tripped through its Thrift wire form —
 // config generation consumes exactly what would cross the RPC boundary —
 // and rendered; when the exact (template, wire) pair was rendered before,
 // both the round-trip and the render are skipped.
 func (g *Generator) GenerateDevice(deviceName string) (string, error) {
-	return g.generateDevice(deviceName, g.followLog(), nil)
+	at, err := g.follow()
+	if err != nil {
+		return "", err
+	}
+	return g.generateDevice(deviceName, at, nil)
 }
 
-// generateDevice is GenerateDevice at a followed log position, recording
+// generateDevice is GenerateDevice at a followed model stamp, recording
 // memo/render outcomes onto an optional span (nil span = untraced).
 func (g *Generator) generateDevice(deviceName string, at uint64, sp *telemetry.Span) (string, error) {
 	start := time.Now()
@@ -432,12 +414,13 @@ func (g *Generator) generateDevice(deviceName string, at uint64, sp *telemetry.S
 	} else {
 		sp.SetAttr("memo", "miss")
 	}
-	path := TemplatePath(e.data.Vendor)
-	body, err := g.repo.GetHead(path)
-	if err != nil {
-		return "", fmt.Errorf("configgen: no template for vendor %q: %w", e.data.Vendor, err)
+	// The render key reads the hash revctl stored with the template's head,
+	// not the template itself.
+	head, ok := g.repo.Head(TemplatePath(e.data.Vendor))
+	if !ok {
+		return "", fmt.Errorf("configgen: no template for vendor %q", e.data.Vendor)
 	}
-	rkey := revctl.Hash(body) + "\x00" + e.wireHash
+	rkey := head.Hash + "\x00" + e.wireHash
 	g.memoMu.Lock()
 	cfg, hit := g.rendered[rkey]
 	g.memoMu.Unlock()
@@ -451,7 +434,7 @@ func (g *Generator) generateDevice(deviceName string, at uint64, sp *telemetry.S
 	if err := thriftlite.Unmarshal(e.wire, &decoded); err != nil {
 		return "", fmt.Errorf("configgen: deserializing device data for %s: %w", deviceName, err)
 	}
-	t, err := g.compile(path, body)
+	t, err := g.compile(head)
 	if err != nil {
 		return "", err
 	}
@@ -467,20 +450,24 @@ func (g *Generator) generateDevice(deviceName string, at uint64, sp *telemetry.S
 	return out, nil
 }
 
-// compile parses a template, caching by path + content hash so repository
-// updates take effect while repeat renders stay cheap. {% include %} paths
-// resolve against the config repository, letting vendor templates share
-// reviewed common sections.
-func (g *Generator) compile(path, body string) (*tmpl.Template, error) {
-	key := path + "@" + revctl.Hash(body)
+// compile parses a template revision, caching by path + content hash so
+// repository updates take effect while repeat renders stay cheap.
+// {% include %} paths resolve against the config repository, letting
+// vendor templates share reviewed common sections.
+func (g *Generator) compile(rev revctl.Revision) (*tmpl.Template, error) {
+	key := rev.Path + "@" + rev.Hash
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if t, ok := g.cache[key]; ok {
 		return t, nil
 	}
-	t, err := tmpl.ParseWithLoader(path, body, g.repo.GetHead)
+	body, err := g.repo.Get(rev.Path, rev.Number)
 	if err != nil {
-		return nil, fmt.Errorf("configgen: template %s: %w", path, err)
+		return nil, err
+	}
+	t, err := tmpl.ParseWithLoader(rev.Path, body, g.repo.GetHead)
+	if err != nil {
+		return nil, fmt.Errorf("configgen: template %s: %w", rev.Path, err)
 	}
 	g.cache[key] = t
 	return t, nil

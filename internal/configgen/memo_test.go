@@ -10,6 +10,7 @@ import (
 
 	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/verify"
 )
 
 // TestMemoizedSiteRegeneration: regenerating an unchanged site is answered
@@ -318,7 +319,7 @@ func TestGeneratorConcurrentUse(t *testing.T) {
 // identical per-device failures.
 func assertMemoEqualsCold(t *testing.T, g *Generator, names []string, step string) map[string]string {
 	t.Helper()
-	cold, err := NewGenerator(g.store, g.repo)
+	cold, err := NewGenerator(g.store, g.repo, verify.NewChecker(g.store, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,12 @@ func New(opts Options) (*Robotron, error) {
 		return nil, err
 	}
 	repo := revctl.NewRepo()
-	gen, err := configgen.NewGenerator(store, repo)
+	// The gate's resident model is what the generator's memo follows, as
+	// the fleet and monitoring syncs do: no follower of its own.
+	verifier := verify.NewChecker(store, func(device string) (string, error) {
+		return repo.GetHead(configgen.GoldenPath(device))
+	})
+	gen, err := configgen.NewGenerator(store, repo, verifier)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +234,6 @@ func New(opts Options) (*Robotron, error) {
 	deployer.Instrument(reg)
 	cm.Instrument(reg)
 	jm.Instrument(reg)
-	verifier := verify.NewChecker(store, gen.Golden)
 	verifier.Instrument(reg)
 	alarms := monitor.NewAlarmEngine(opts.Clock, ts, store)
 	alarms.Instrument(reg)

@@ -156,18 +156,17 @@ func testGateRejects(t *testing.T, roll func(*Robotron, []string, string) error,
 	}
 
 	// The trace says what the gate run cost: a few re-evaluated checks on
-	// the model the provisioning run had built — not a rebuild. An
-	// incremental change's gate follows the flipped session through the
-	// binlog itself; a turn-up's SyncFleet has already read that delta
-	// through the same model.
+	// the model the provisioning run had built — not a rebuild — and no
+	// binlog entry: the change's generate stage (and a turn-up's SyncFleet
+	// before it) has already read the delta through the same model.
 	trace, _ := r.Tracer.Last()
 	sp, ok := trace.Find("verify")
 	if !ok {
 		t.Fatalf("rejected change's trace has no verify span: %+v", trace)
 	}
 	if sp.Attrs["rebuilt"] != "false" || sp.Attrs["rechecked"] == "" || sp.Attrs["rechecked"] == "0" ||
-		(!turnUp && (sp.Attrs["delta_entries"] == "" || sp.Attrs["delta_entries"] == "0")) {
-		t.Errorf("verify span attrs = %v, want rebuilt=false and non-zero rechecked (and delta_entries for an incremental change)", sp.Attrs)
+		sp.Attrs["delta_entries"] != "0" {
+		t.Errorf("verify span attrs = %v, want rebuilt=false, non-zero rechecked and no delta entries", sp.Attrs)
 	}
 
 	// The escape hatch: with the gate off (-no-verify), an equivalent

@@ -12,7 +12,7 @@ package ipam
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -21,9 +21,10 @@ import (
 type Pool struct {
 	mu   sync.Mutex
 	root netip.Prefix
-	// allocated maps each handed-out prefix to an owner tag (circuit name,
-	// device name, ...) for auditability.
-	allocated map[netip.Prefix]string
+	// spans holds the handed-out prefixes in address order, each with an
+	// owner tag (circuit name, device name, ...) for auditability. They
+	// are disjoint, so a prefix is found by binary search.
+	spans []span
 	// cursor[bits] is the next candidate subnet of that length, advanced on
 	// allocation; Free resets it so freed space is found again.
 	cursor map[int]netip.Prefix
@@ -38,9 +39,8 @@ func NewPool(root string) (*Pool, error) {
 	}
 	p = p.Masked()
 	return &Pool{
-		root:      p,
-		allocated: make(map[netip.Prefix]string),
-		cursor:    make(map[int]netip.Prefix),
+		root:   p,
+		cursor: make(map[int]netip.Prefix),
 	}, nil
 }
 
@@ -70,7 +70,7 @@ func (p *Pool) Allocate(bits int, owner string) (netip.Prefix, error) {
 	}
 	for p.root.Overlaps(cand) {
 		if !p.overlapsAllocated(cand) {
-			p.allocated[cand] = owner
+			p.add(cand, owner)
 			if next, err := nextSubnet(cand); err == nil {
 				p.cursor[bits] = next
 			} else {
@@ -105,7 +105,7 @@ func (p *Pool) Reserve(prefix netip.Prefix, owner string) error {
 	if p.overlapsAllocated(prefix) {
 		return fmt.Errorf("ipam: %s conflicts with an existing allocation", prefix)
 	}
-	p.allocated[prefix] = owner
+	p.add(prefix, owner)
 	return nil
 }
 
@@ -114,10 +114,11 @@ func (p *Pool) Free(prefix netip.Prefix) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	prefix = prefix.Masked()
-	if _, ok := p.allocated[prefix]; !ok {
+	i, ok := p.find(prefix)
+	if !ok {
 		return fmt.Errorf("ipam: %s was not allocated from this pool", prefix)
 	}
-	delete(p.allocated, prefix)
+	p.spans = slices.Delete(p.spans, i, i+1)
 	// Rewind the cursor so the freed space is reconsidered. An invalid
 	// cursor (legacy wrapped-state) rewinds too: a zero netip.Addr sorts
 	// before every real address, so Less alone would never reclaim.
@@ -131,23 +132,20 @@ func (p *Pool) Free(prefix netip.Prefix) error {
 func (p *Pool) Owner(prefix netip.Prefix) string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.allocated[prefix.Masked()]
+	if i, ok := p.find(prefix.Masked()); ok {
+		return p.spans[i].owner
+	}
+	return ""
 }
 
 // Allocations returns all handed-out prefixes in address order.
 func (p *Pool) Allocations() []netip.Prefix {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]netip.Prefix, 0, len(p.allocated))
-	for pfx := range p.allocated {
-		out = append(out, pfx)
+	out := make([]netip.Prefix, len(p.spans))
+	for i, s := range p.spans {
+		out[i] = s.pfx
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr() != out[j].Addr() {
-			return out[i].Addr().Less(out[j].Addr())
-		}
-		return out[i].Bits() < out[j].Bits()
-	})
 	return out
 }
 
@@ -155,16 +153,41 @@ func (p *Pool) Allocations() []netip.Prefix {
 func (p *Pool) Used() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.allocated)
+	return len(p.spans)
 }
 
+// span is one handed-out prefix and its owner.
+type span struct {
+	pfx   netip.Prefix
+	owner string
+}
+
+// search returns the index of the first span starting at or after addr.
+func (p *Pool) search(addr netip.Addr) int {
+	i, _ := slices.BinarySearchFunc(p.spans, addr, func(s span, a netip.Addr) int { return s.pfx.Addr().Compare(a) })
+	return i
+}
+
+// find returns the index of the span that is prefix, if one is.
+func (p *Pool) find(prefix netip.Prefix) (int, bool) {
+	i := p.search(prefix.Addr())
+	return i, i < len(p.spans) && p.spans[i].pfx == prefix
+}
+
+// overlapsAllocated reports whether cand overlaps a span. Two prefixes
+// overlap exactly when one holds the other's first address, and the spans
+// are disjoint: only the last span starting before cand can hold cand's
+// first address, and only the first starting at or after it can start
+// inside cand.
 func (p *Pool) overlapsAllocated(cand netip.Prefix) bool {
-	for a := range p.allocated {
-		if a.Overlaps(cand) {
-			return true
-		}
-	}
-	return false
+	i := p.search(cand.Addr())
+	return i < len(p.spans) && cand.Contains(p.spans[i].pfx.Addr()) ||
+		i > 0 && p.spans[i-1].pfx.Contains(cand.Addr())
+}
+
+// add records a prefix that overlaps no span.
+func (p *Pool) add(prefix netip.Prefix, owner string) {
+	p.spans = slices.Insert(p.spans, p.search(prefix.Addr()), span{prefix, owner})
 }
 
 // nextSubnet returns the subnet immediately after p at the same length.

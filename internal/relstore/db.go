@@ -424,12 +424,11 @@ func (db *DB) ReadSeq() uint64 {
 }
 
 // EntriesSince returns the binlog entries with Seq > after, for followers
-// (replicas, the spare table set, the verify model, the config generator's
-// memo) that tail the log from their own cursor. The result is the log's
-// own suffix, not a copy: the binlog is append-only and entries are
-// immutable once appended, so reading it after binlogMu is released races
-// only with writes past its length, and it is capped so an append through
-// it cannot reach the log.
+// (replicas, the spare table set, the verify model) that tail the log from
+// their own cursor. The result is the log's own suffix, not a copy: the
+// binlog is append-only and entries are immutable once appended, so
+// reading it after binlogMu is released races only with writes past its
+// length, and it is capped so an append through it cannot reach the log.
 func (db *DB) EntriesSince(after uint64) []LogEntry {
 	db.binlogMu.RLock()
 	log := db.binlog

@@ -76,7 +76,7 @@ func newHistory(t testing.TB, seed int64) *history {
 	must(err)
 	_, err = d.AddBackboneCircuit(testCtx("backbone"), "bb1.bb1", "pr2.bb1", 2)
 	must(err)
-	h.g, err = configgen.NewGenerator(store, revctl.NewRepo())
+	h.g, err = configgen.NewGenerator(store, revctl.NewRepo(), NewChecker(store, nil))
 	must(err)
 	return h
 }
@@ -400,7 +400,7 @@ func (h *history) candidates() map[string]string {
 // what they are for — the changes a consumer is handed — is compared in
 // AlsoEquivalent instead.
 func canonical(m *model) model {
-	for _, idx := range []map[int64][]int64{m.aggsByDev, m.circsByLG} {
+	for _, idx := range []map[int64][]int64{m.aggsByDev, m.circsByLG, m.tunsByTail, m.attachByFw} {
 		for _, ids := range idx {
 			slices.Sort(ids)
 		}
@@ -408,7 +408,7 @@ func canonical(m *model) model {
 	for _, names := range m.portNames {
 		slices.Sort(names)
 	}
-	for _, idx := range []map[int64][]rowKey{m.pfxByAgg, m.sessByDev} {
+	for _, idx := range []map[int64][]rowKey{m.pfxByAgg, m.sessByDev, m.sessByPol} {
 		for _, ks := range idx {
 			slices.SortFunc(ks, compareRowKeys)
 		}

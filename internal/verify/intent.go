@@ -76,19 +76,61 @@ func (c *Checker) Intent(read func(Intent) error) error {
 // listed (All), the same code is the full derivation.
 func (in Intent) Since(stamp uint64) Changes {
 	m := in.m
-	ch := Changes{Stamp: m.seq, All: stamp == 0 || stamp < m.st.born}
+	ch := Changes{Stamp: m.seq, All: m.predates(stamp)}
 	if ch.All {
 		stamp = 0
 	}
-	ch.Devices, ch.Circuits = m.devicesSince(stamp), m.circuitsSince(stamp)
-	for name, at := range m.st.gone {
-		if at > stamp {
-			ch.Gone = append(ch.Gone, name)
-		}
-	}
+	ch.Devices, ch.Circuits, ch.Gone = m.devicesSince(stamp), m.circuitsSince(stamp), m.goneSince(stamp)
 	slices.Sort(ch.Gone)
 	return ch
 }
+
+// goneSince returns the names given up after stamp that no device holds.
+func (m *model) goneSince(stamp uint64) (names []string) {
+	for name, at := range m.st.gone {
+		if at > stamp {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// DevicesSince is Since for configgen's derivation memo, which sees the
+// Checker through an interface of its own and so reads no Intent. It
+// brings the model up to date as Intent does and returns the model's stamp
+// and whether stamp predates the model (all); otherwise names lists,
+// unsorted, the devices whose generated config reads a row that changed
+// after stamp, and the names gone since (Intent.configSince).
+func (c *Checker) DevicesSince(stamp uint64) (now uint64, all bool, names []string, err error) {
+	err = c.Intent(func(in Intent) error {
+		now, all = in.m.seq, in.m.predates(stamp)
+		if !all {
+			names = in.configSince(stamp)
+		}
+		return nil
+	})
+	return now, all, names, err
+}
+
+// configSince returns the devices whose generated config reads a row that
+// changed after stamp, and the names gone since. That is more than the
+// view's Devices: a device's bundles with their members and prefixes, the
+// sessions it is either end of with the far end's row and the prefix it
+// speaks from, those sessions' routing policies and terms, the tunnels it
+// heads with each tail's row, and its firewall policies and rules.
+func (in Intent) configSince(stamp uint64) (names []string) {
+	m := in.m
+	m.stampedSince(stamp, func(k stampKey) {
+		if k.kind == configStamp {
+			names = append(names, m.devs[k.id].name)
+		}
+	})
+	return append(names, m.goneSince(stamp)...)
+}
+
+// predates reports whether stamp is older than the model: a consumer's
+// first read, or one from before a rebuild.
+func (m *model) predates(stamp uint64) bool { return stamp == 0 || stamp < m.st.born }
 
 // Devices returns every device, sorted by name.
 func (in Intent) Devices() []Device { return in.m.devicesSince(0) }
@@ -101,7 +143,7 @@ func (in Intent) Circuits() []Circuit { return in.m.circuitsSince(0) }
 func (m *model) devicesSince(stamp uint64) []Device {
 	var out []Device
 	m.stampedSince(stamp, func(k stampKey) {
-		if !k.circuit {
+		if k.kind == viewStamp {
 			d := m.devs[k.id]
 			out = append(out, Device{
 				Name: d.name, Role: d.role, Site: m.sites[d.site].name,
@@ -118,7 +160,7 @@ func (m *model) devicesSince(stamp uint64) []Device {
 func (m *model) circuitsSince(stamp uint64) []Circuit {
 	var ids []int64
 	m.stampedSince(stamp, func(k stampKey) {
-		if !k.circuit {
+		if k.kind != circuitStamp {
 			return
 		}
 		if c := m.circs[k.id]; c.status != "decommissioned" && c.a != 0 && c.z != 0 {

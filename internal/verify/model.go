@@ -16,7 +16,7 @@ import (
 //
 // The model is the system's one in-memory copy of the Desired topology:
 // the handful of fields the invariants and the derivations outside the
-// gate (intent.go) read, for the thirteen models below, in compact rows
+// gate (intent.go) read, for the nineteen models below, in compact rows
 // with the secondary indexes the checks need. It follows the store through
 // its binlog: each sync folds the entries since the last one into the rows.
 // Every row that changes marks the checks that read it (old and new key
@@ -27,14 +27,18 @@ import (
 //
 // The same linking also stamps, for the view's consumers (intent.go), each
 // device and circuit with the sequence of the sync that changed what the
-// view derives from it; a cold model stamps every one with its load.
+// view derives from it; a cold model stamps every one with its load. A
+// device's stamp covers every row its generated config is derived from
+// (configgen's derivation memo follows it), so the model keeps the routing
+// policy, firewall and MPLS tunnel rows too, though no invariant reads them.
 
 // trackedModels are the FBNet models the model keeps, referenced models
 // first (the order a cold load feeds them in).
 var trackedModels = []string{
 	"Site", "Vendor", "HardwareProfile", "Device", "Linecard", "AggregatedInterface",
 	"PhysicalInterface", "LinkGroup", "Circuit",
-	"V6Prefix", "V4Prefix", "BgpV6Session", "BgpV4Session",
+	"V6Prefix", "V4Prefix", "RoutingPolicy", "PolicyTerm", "BgpV6Session", "BgpV4Session",
+	"MplsTunnel", "FirewallPolicy", "FirewallRule", "DeviceFirewall",
 }
 
 // rowKey identifies a prefix or session row: the two address families
@@ -70,7 +74,7 @@ func (k rowKey) prefixModel() string {
 	return "V6Prefix"
 }
 
-// --- rows: only the columns an invariant reads ---
+// --- rows: only the columns an invariant or a generated config reads ---
 
 type site struct{ name string }
 
@@ -81,7 +85,7 @@ type hwProfile struct{ vendor int64 }
 type device struct {
 	name, role        string
 	site, cluster, hw int64
-	lo4, lo6          string
+	lo4, lo6, mgmt    string
 }
 
 // meshed reports whether the device belongs in the backbone's iBGP full
@@ -94,13 +98,14 @@ func (d device) meshed() bool {
 type linecard struct{ dev int64 }
 
 type bundle struct { // AggregatedInterface
-	dev  int64
-	name string
+	dev         int64
+	name        string
+	number, mtu int64
 }
 
 type port struct { // PhysicalInterface
-	lc   int64
-	name string
+	lc, agg int64
+	name    string
 }
 
 type linkGroup struct{ a, z int64 }
@@ -125,7 +130,28 @@ type session struct {
 	local, remote, localPrefix int64
 	localAS, remoteAS          int64
 	kind, remoteAddr           string
+	importPolicy, exportPolicy int64
 }
+
+// configRefs lists the models only generated configs read, with the
+// columns of each that lead to the devices whose configs read a row: a
+// configRow keeps those references and no other value, since every column
+// of these models is rendered and any change to a row stamps.
+var configRefs = map[string][]string{
+	"RoutingPolicy":  nil,
+	"PolicyTerm":     {"policy"},
+	"MplsTunnel":     {"head_device", "tail_device"},
+	"FirewallPolicy": nil,
+	"FirewallRule":   {"policy"},
+	"DeviceFirewall": {"device", "policy"},
+}
+
+type configKey struct {
+	table string
+	id    int64
+}
+
+type configRow [2]int64 // the row's configRefs, in order
 
 // internal reports whether both endpoints are distinct modeled devices.
 func (s session) internal() bool { return s.local != 0 && s.remote != 0 && s.local != s.remote }
@@ -174,6 +200,8 @@ func (r *device) set(col string, v any) {
 		r.lo4 = asString(v)
 	case "loopback_v6":
 		r.lo6 = asString(v)
+	case "mgmt_ip":
+		r.mgmt = asString(v)
 	}
 }
 
@@ -189,6 +217,10 @@ func (r *bundle) set(col string, v any) {
 		r.dev = asInt(v)
 	case "name":
 		r.name = asString(v)
+	case "number":
+		r.number = asInt(v)
+	case "mtu":
+		r.mtu = asInt(v)
 	}
 }
 
@@ -196,6 +228,8 @@ func (r *port) set(col string, v any) {
 	switch col {
 	case "linecard":
 		r.lc = asInt(v)
+	case "agg_interface":
+		r.agg = asInt(v)
 	case "name":
 		r.name = asString(v)
 	}
@@ -253,6 +287,10 @@ func (r *session) set(col string, v any) {
 		r.kind = asString(v)
 	case "remote_addr":
 		r.remoteAddr = asString(v)
+	case "import_policy":
+		r.importPolicy = asInt(v)
+	case "export_policy":
+		r.exportPolicy = asInt(v)
 	}
 }
 
@@ -312,15 +350,19 @@ type model struct {
 	circs   map[int64]circuit
 	pfxs    map[rowKey]prefix
 	sess    map[rowKey]session
+	cfg     map[configKey]configRow // rows of the configRefs models
 
-	devByName map[string]int64
-	aggsByDev map[int64][]int64
-	portNames map[int64][]string // a device's physical interface names
-	pfxByAgg  map[int64][]rowKey
-	sessByDev map[int64][]rowKey // sessions the device is either end of
-	sessByPfx map[rowKey][]rowKey
-	circsByLG map[int64][]int64 // a link group's circuits
-	peers     map[int64][]peer  // per device, in both directions
+	devByName  map[string]int64
+	aggsByDev  map[int64][]int64
+	portNames  map[int64][]string // a device's physical interface names
+	pfxByAgg   map[int64][]rowKey
+	sessByDev  map[int64][]rowKey // sessions the device is either end of
+	sessByPfx  map[rowKey][]rowKey
+	sessByPol  map[int64][]rowKey // sessions importing or exporting through a routing policy
+	tunsByTail map[int64][]int64  // tunnels ending at a device
+	attachByFw map[int64][]int64  // a firewall policy's DeviceFirewall attachments
+	circsByLG  map[int64][]int64  // a link group's circuits
+	peers      map[int64][]peer   // per device, in both directions
 	// circEnds holds, per circuit counted in peers, the devices it was
 	// counted between: a delete may remove a circuit's ports before the
 	// circuit itself, leaving its ends unresolvable when it goes.
@@ -347,10 +389,11 @@ type model struct {
 // stamps record which sync changed what the view derives from a device —
 // its row, site, hardware profile or vendor, ports, or the sessions it is
 // the local end of — or from a circuit — its row, or the names its ends
-// resolve to (Intent.Since). A stamp is the binlog sequence the model
-// reached with that sync, so stamps only grow, across rebuilds too. log
-// lists the rows in the order they were stamped, so what changed after a
-// stamp is a suffix of it, found by binary search.
+// resolve to (Intent.Since); and, apart, what a device's generated config
+// derives from (Checker.DevicesSince). A stamp is the binlog sequence the
+// model reached with that sync, so stamps only grow, across rebuilds too.
+// log lists the rows in the order they were stamped, so what changed after
+// a stamp is a suffix of it, found by binary search.
 type stamps struct {
 	born uint64              // the sequence the model was loaded at: every row carries it or later
 	at   map[stampKey]uint64 // a row's last stamp
@@ -359,9 +402,17 @@ type stamps struct {
 }
 
 type stampKey struct {
-	circuit bool // else a device
-	id      int64
+	kind stampKind
+	id   int64
 }
+
+type stampKind uint8
+
+const (
+	viewStamp    stampKind = iota // a device's view
+	circuitStamp                  // a circuit
+	configStamp                   // what a device's generated config derives from
+)
 
 type stamped struct {
 	stampKey
@@ -397,7 +448,7 @@ func (m *model) stamp(k stampKey) {
 }
 
 func (m *model) holds(k stampKey) bool {
-	if k.circuit {
+	if k.kind == circuitStamp {
 		_, ok := m.circs[k.id]
 		return ok
 	}
@@ -425,10 +476,12 @@ func newModel() *model {
 		aggs: map[int64]bundle{}, ports: map[int64]port{},
 		groups: map[int64]linkGroup{}, circs: map[int64]circuit{},
 		pfxs: map[rowKey]prefix{}, sess: map[rowKey]session{},
+		cfg:       map[configKey]configRow{},
 		devByName: map[string]int64{},
 		aggsByDev: map[int64][]int64{}, portNames: map[int64][]string{},
 		pfxByAgg: map[int64][]rowKey{}, sessByDev: map[int64][]rowKey{},
 		sessByPfx: map[rowKey][]rowKey{}, peers: map[int64][]peer{},
+		sessByPol: map[int64][]rowKey{}, tunsByTail: map[int64][]int64{}, attachByFw: map[int64][]int64{},
 		circsByLG: map[int64][]int64{}, circEnds: map[int64][2]int64{},
 		subnets: map[netip.Prefix][]rowKey{},
 		dirty:   map[checkKey]struct{}{}, found: map[checkKey][]Violation{},
@@ -496,6 +549,34 @@ func (m *model) apply(e *relstore.LogEntry) bool {
 	case "BgpV6Session", "BgpV4Session":
 		return applyRow(m, m.sess, rowKey{e.Table == "BgpV4Session", id}, e, (*session).set, (*model).linkSession)
 	}
+	if refs, ok := configRefs[e.Table]; ok {
+		return m.applyConfig(configKey{e.Table, id}, refs, e)
+	}
+	return true
+}
+
+// applyConfig is apply for the models only generated configs read. Unlike
+// applyRow it links every update: all their columns are rendered.
+func (m *model) applyConfig(k configKey, refs []string, e *relstore.LogEntry) bool {
+	old, had := m.cfg[k]
+	if e.Op == relstore.OpUpdate && !had {
+		return false
+	}
+	if had {
+		m.linkConfig(k, old, false)
+	}
+	if e.Op == relstore.OpDelete {
+		delete(m.cfg, k)
+		return true
+	}
+	row := old
+	for i, col := range refs {
+		if v, ok := e.Values[col]; ok {
+			row[i] = asInt(v)
+		}
+	}
+	m.linkConfig(k, row, true)
+	m.cfg[k] = row
 	return true
 }
 
@@ -560,10 +641,28 @@ func index[K, V comparable](idx map[K][]V, k K, v V, add bool) {
 // Each link function is called with add=false for a row as it was and
 // add=true for the row as it is; both calls mark every stored check that
 // prints or reads the row, and stamp every device and circuit whose view
-// reads it.
+// reads it and every device whose generated config does.
 
-func (m *model) stampDevice(id int64)  { m.stamp(stampKey{id: id}) }
-func (m *model) stampCircuit(id int64) { m.stamp(stampKey{circuit: true, id: id}) }
+// stampDevice stamps a device's view and its config, stampView and
+// stampConfig one of the two; id 0, an unset reference, names no device.
+func (m *model) stampDevice(id int64) {
+	m.stampView(id)
+	m.stampConfig(id)
+}
+
+func (m *model) stampView(id int64) {
+	if id != 0 {
+		m.stamp(stampKey{viewStamp, id})
+	}
+}
+
+func (m *model) stampConfig(id int64) {
+	if id != 0 {
+		m.stamp(stampKey{configStamp, id})
+	}
+}
+
+func (m *model) stampCircuit(id int64) { m.stamp(stampKey{circuitStamp, id}) }
 
 // touchCircuitsWhere stamps and marks the circuits an end of which
 // matches: renaming a port or a device moves the names they resolve to and
@@ -638,6 +737,9 @@ func (m *model) markSubnetsOn(dev int64) {
 // circuits and bundles, the subnets with an end on it and, for a mesh
 // router, the mesh; its role and cluster feed reachability and the mesh.
 // A name it gives up is recorded as gone until a device takes it again.
+// The configs of the devices it shares a session with name it and may
+// peer with its loopback, and those of the tunnels ending at it route to
+// its loopback: they are stamped with it.
 func (m *model) linkDevice(id int64, d device, add bool) {
 	if add {
 		m.devByName[d.name] = id
@@ -652,8 +754,14 @@ func (m *model) linkDevice(id int64, d device, add bool) {
 	}
 	m.stampDevice(id)
 	m.mark(checkClaims, rowKey{id: id})
-	for _, s := range m.sessByDev[id] {
-		m.mark(checkSession, s)
+	for _, k := range m.sessByDev[id] {
+		m.mark(checkSession, k)
+		s := m.sess[k]
+		m.stampConfig(s.local)
+		m.stampConfig(s.remote)
+	}
+	for _, t := range m.tunsByTail[id] {
+		m.stampConfig(m.cfg[configKey{"MplsTunnel", t}][0])
 	}
 	m.markSubnetsOn(id)
 	m.reachStale = true
@@ -661,13 +769,20 @@ func (m *model) linkDevice(id int64, d device, add bool) {
 
 func (m *model) linkBundle(id int64, b bundle, add bool) {
 	index(m.aggsByDev, b.dev, id, add)
+	m.stampConfig(b.dev)
 	m.markPrefixesOn(id)
 }
 
+// linkPort stamps the view of the port's device and, when it is a bundle
+// member, the config of the bundle's device: a config lists the members of
+// its bundles.
 func (m *model) linkPort(id int64, p port, add bool) {
 	dev := m.lcs[p.lc].dev
 	index(m.portNames, dev, p.name, add)
-	m.stampDevice(dev)
+	m.stampView(dev)
+	if p.agg != 0 {
+		m.stampConfig(m.aggs[p.agg].dev)
+	}
 	if !add {
 		m.touchCircuitsWhere(func(port int64) bool { return port == id })
 	}
@@ -758,16 +873,21 @@ func (m *model) adjacent(a, z int64) bool {
 	return slices.ContainsFunc(m.peers[a], func(p peer) bool { return p.dev == z })
 }
 
+// linkPrefix stamps the device of the bundle it addresses and the remote
+// ends of the sessions sourced from it, whose configs name it as the
+// neighbor.
 func (m *model) linkPrefix(k rowKey, p prefix, add bool) {
 	if p.iface != 0 {
 		index(m.pfxByAgg, p.iface, k, add)
 		if p.purpose == "p2p" {
 			m.mark(checkBundle, rowKey{id: p.iface})
 		}
+		m.stampConfig(m.aggs[p.iface].dev)
 	}
 	m.mark(checkPrefix, k)
 	for _, s := range m.sessByPfx[k] {
 		m.mark(checkSession, s)
+		m.stampConfig(m.sess[s].remote)
 	}
 	if !p.tracked() || !p.net.IsValid() {
 		return
@@ -840,6 +960,8 @@ func (m *model) overlapped(s netip.Prefix) bool {
 	return false
 }
 
+// linkSession stamps the view of its local end, whose peer it is, and the
+// config of both ends: each renders its side of the session.
 func (m *model) linkSession(k rowKey, s session, add bool) {
 	index(m.sessByDev, s.local, k, add)
 	if s.remote != 0 && s.remote != s.local {
@@ -848,14 +970,49 @@ func (m *model) linkSession(k rowKey, s session, add bool) {
 	if s.localPrefix != 0 {
 		index(m.sessByPfx, rowKey{k.v4, s.localPrefix}, k, add)
 	}
-	if s.local != 0 {
-		m.stampDevice(s.local) // its peers
+	for _, pol := range [2]int64{s.importPolicy, s.exportPolicy} {
+		if pol != 0 {
+			index(m.sessByPol, pol, k, add)
+		}
 	}
+	m.stampDevice(s.local)
+	m.stampConfig(s.remote)
 	m.mark(checkSession, k)
 	m.mark(checkClaims, rowKey{id: s.local})
 	m.mark(checkClaims, rowKey{id: s.remote})
 	if !k.v4 && s.kind == "ibgp" {
 		m.mark(checkMesh, rowKey{})
+	}
+}
+
+// linkConfig stamps the configs that render a row of a configRefs model:
+// those of the local ends of the sessions importing or exporting through a
+// routing policy, of a tunnel's head, and of the devices a firewall policy
+// is attached to.
+func (m *model) linkConfig(k configKey, r configRow, add bool) {
+	switch k.table {
+	case "RoutingPolicy", "PolicyTerm":
+		policy := k.id
+		if k.table == "PolicyTerm" {
+			policy = r[0]
+		}
+		for _, s := range m.sessByPol[policy] {
+			m.stampConfig(m.sess[s].local)
+		}
+	case "MplsTunnel":
+		index(m.tunsByTail, r[1], k.id, add)
+		m.stampConfig(r[0])
+	case "FirewallPolicy", "FirewallRule":
+		policy := k.id
+		if k.table == "FirewallRule" {
+			policy = r[0]
+		}
+		for _, a := range m.attachByFw[policy] {
+			m.stampConfig(m.cfg[configKey{"DeviceFirewall", a}][0])
+		}
+	case "DeviceFirewall":
+		index(m.attachByFw, r[1], k.id, add)
+		m.stampConfig(r[0])
 	}
 }
 

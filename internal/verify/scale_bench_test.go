@@ -48,7 +48,7 @@ func newDCFleet(tb testing.TB, devices int) *dcFleet {
 		}
 		f.clusters = append(f.clusters, site+"-c1")
 	}
-	if f.g, err = configgen.NewGenerator(store, revctl.NewRepo()); err != nil {
+	if f.g, err = configgen.NewGenerator(store, revctl.NewRepo(), NewChecker(store, nil)); err != nil {
 		tb.Fatal(err)
 	}
 	return f

@@ -242,11 +242,12 @@ func compareViolations(a, b Violation) int {
 	)
 }
 
-// sync brings the resident model to the store's current binlog sequence
-// and reports what that cost: entries applied, and whether the model had to
-// be reloaded. The sequence is captured first and entries are applied only
-// up to it (commits publish whole transactions, so it is a transaction
-// boundary): the model is the store at one sequence. A store that is down
+// sync brings the resident model to the sequence the store's read path
+// reflects (ReadSeq) and reports what that cost: entries applied, and
+// whether the model had to be reloaded. The sequence is captured first and
+// entries are applied only up to it (commits publish whole transactions,
+// so it is a transaction boundary): the model is the store at one
+// sequence, and a row read after the sync is at least as new as the model. A store that is down
 // is an error even though a warm model needs no rows from it — neither the
 // gate nor a derivation vouches for a store it cannot read. The delta and
 // rebuild counters advance here, whichever reader paid for the sync.
@@ -256,7 +257,7 @@ func (c *Checker) sync() (applied int, rebuilt bool, err error) {
 		return 0, false, fmt.Errorf("verify: store %s is down", db.Name())
 	}
 	if c.m != nil {
-		seq := db.Seq()
+		seq := db.ReadSeq()
 		followed := true
 		entries := db.EntriesSince(c.m.seq)
 		c.m.seq = seq // the stamp of what the entries change; a model that cannot follow is dropped

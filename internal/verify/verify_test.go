@@ -49,7 +49,7 @@ func newFleet(t *testing.T) (*design.Designer, *configgen.Generator, *Checker) {
 	if _, err := d.BuildCluster(testCtx("pop"), "pop1", "pop1-c1", design.POPGen1()); err != nil {
 		t.Fatal(err)
 	}
-	g, err := configgen.NewGenerator(store, revctl.NewRepo())
+	g, err := configgen.NewGenerator(store, revctl.NewRepo(), NewChecker(store, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
