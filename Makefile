@@ -1,12 +1,29 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race loc journals journals-diff verify-gate store design reconcile fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
+.PHONY: tier1 clock build vet test race loc journals journals-diff verify-gate store design reconcile fuzz-smoke chaos sim obs bench bench-pipeline bench-check bench-generate bench-reconcile bench-telemetry bench-scale
 
 # Tier-1 gate: what CI and reviewers run before merging.
-tier1: verify-gate store design reconcile fuzz-smoke sim obs
+tier1: verify-gate store design reconcile fuzz-smoke sim obs clock
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# One clock (DESIGN.md §14.2): an instance's timers, stamps and backoff
+# all read the clock core.New resolves, so a VirtualClock decides every
+# expiry. Twenty runs each under the race detector: the virtual clock's
+# firing order and its Sleep; the commit-confirm grace expiring on a
+# VirtualClock while Confirm and Rollback race it, in process and over
+# TCP, and an explicit rollback that comes after a device's own timer
+# rolled it back leaving it rolled back; §5.3's expiry end to end in core (every vendor-1 and vendor-2
+# device back on its previous config once the grace lapses, no timer
+# left, at deploy parallelism 1 and 8); New refusing a Reconcile.Clock
+# that is not Options.Clock; and the job manager's one scheduler (Start
+# on a VirtualClock, the live job set, the wall-clock smoke test).
+clock:
+	$(GO) test -race -count=20 -timeout 10m ./internal/vclock/
+	$(GO) test -race -count=20 -timeout 10m -run 'TestPendingConfirmExpireRace|TestRemoteCommitConfirmExpiry|TestRollbackAfterNativeExpiryKeepsTheRollback' ./internal/deploy/
+	$(GO) test -race -count=20 -timeout 10m -run 'TestCommitConfirmExpiresOnTheVirtualClock|TestNewRejectsASecondClock' ./internal/core/
+	$(GO) test -race -count=20 -timeout 10m -run 'TestRunVirtualDeterministicCounts|TestStartStopRealTime|TestStartedManagerFollowsLiveJobSet' ./internal/monitor/
 
 # Pre-deploy intent verification gate: the invariant checker's mutation
 # tests (flip an ASN, leak a subnet, orphan a circuit, partition a

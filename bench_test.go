@@ -17,6 +17,7 @@ import (
 	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/experiments"
 	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // BenchmarkFig12ArchEvolution replays a quarter of architecture evolution
@@ -144,7 +145,7 @@ func BenchmarkMaterializeLargeCluster(b *testing.B) {
 // worker pool, not the sum of per-device commit delays.
 func slowFleet(b *testing.B, n int, delay time.Duration) (*netsim.Fleet, *deploy.Deployer) {
 	b.Helper()
-	fleet := netsim.NewFleet()
+	fleet := netsim.NewFleet(vclock.RealClock())
 	for i := 0; i < n; i++ {
 		vendor := netsim.Vendor1
 		if i%2 == 1 {
@@ -162,7 +163,7 @@ func slowFleet(b *testing.B, n int, delay time.Duration) (*netsim.Fleet, *deploy
 		}
 		d.SetCommitDelay(delay)
 	}
-	return fleet, deploy.NewDeployer(deploy.FleetResolver(fleet))
+	return fleet, deploy.NewDeployer(deploy.FleetResolver(fleet), vclock.RealClock())
 }
 
 func slowFleetConfig(v netsim.Vendor, name string, rev int) string {

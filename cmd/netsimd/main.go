@@ -26,6 +26,7 @@ import (
 	"syscall"
 
 	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 	syslogAddr := flag.String("syslog", "", "UDP syslog destination (optional)")
 	flag.Parse()
 
-	fleet := netsim.NewFleet()
+	fleet := netsim.NewFleet(vclock.RealClock())
 	var sink func(netsim.SyslogMessage)
 	if *syslogAddr != "" {
 		var err error

@@ -15,6 +15,7 @@ import (
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/fbnet/service"
 	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // sampleRe matches one Prometheus text-format sample line:
@@ -66,9 +67,10 @@ func TestMetricsScrapeExposesChaosSeries(t *testing.T) {
 		Verbs: []string{"commit"}, MaxCount: 1})
 	policy.Add(netsim.FaultRule{Kind: netsim.FaultDropAfter, Probability: 1,
 		Verbs: []string{"commit"}, MaxCount: 1})
-	retry := &deploy.RetryPolicy{Seed: 7, Sleep: func(time.Duration) {}}
+	retry := &deploy.RetryPolicy{Seed: 7}
 
 	r, err := core.New(core.Options{
+		Clock:            vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)),
 		FaultPolicy:      policy,
 		DeployRetry:      retry,
 		EnableReconciler: true,

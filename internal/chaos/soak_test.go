@@ -71,15 +71,15 @@ func TestChaosSoak(t *testing.T) {
 
 	policy := soakPolicy()
 	policy.SetDisabled(true) // provision a clean baseline first
-	retry := &deploy.RetryPolicy{Seed: soakSeed, MaxAttempts: 6, Sleep: func(time.Duration) {}}
+	retry := &deploy.RetryPolicy{Seed: soakSeed, MaxAttempts: 6}
 	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 
 	r, err := core.New(core.Options{
+		Clock:            clk,
 		FaultPolicy:      policy,
 		DeployRetry:      retry,
 		EnableReconciler: true,
 		Reconcile: reconcile.Config{
-			Clock:             clk,
 			DampingThreshold:  -1, // chaos re-detects drift; damping would mass-quarantine
 			BudgetMaxDevices:  128,
 			BudgetMaxFraction: 1,

@@ -9,6 +9,7 @@ import (
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/revctl"
+	"github.com/robotron-net/robotron/internal/vclock"
 	"github.com/robotron-net/robotron/internal/vendorcfg"
 	"github.com/robotron-net/robotron/internal/verify"
 )
@@ -196,7 +197,7 @@ func TestGenerateVendor2Config(t *testing.T) {
 // -> netsim device commit, for both vendors.
 func TestGeneratedConfigsLoadOnDevices(t *testing.T) {
 	_, g := newPOP(t)
-	fleet := netsim.NewFleet()
+	fleet := netsim.NewFleet(vclock.RealClock())
 	for _, tc := range []struct {
 		name   string
 		vendor netsim.Vendor

@@ -88,8 +88,8 @@ func TestObsEndpointsMatchSnapshot(t *testing.T) {
 func TestObsReconcileEndpointMatchesSnapshot(t *testing.T) {
 	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 	r, err := New(Options{
+		Clock:            clk,
 		EnableReconciler: true,
-		Reconcile:        reconcile.Config{Clock: clk},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -85,7 +85,7 @@ type Robotron struct {
 	// Logf receives progress output; nil silences it.
 	Logf func(format string, args ...any)
 
-	// clock is the override from Options.Clock; nil means wall clock.
+	// clock is the instance's one clock (Options.Clock).
 	clock vclock.Clock
 
 	// derived keeps the intent-derived jobs and rules (DeriveMonitoring);
@@ -143,16 +143,25 @@ type Options struct {
 	// it, commits are single-shot and any injected fault fails the
 	// device's deployment.
 	DeployRetry *deploy.RetryPolicy
-	// Clock, when non-nil, becomes the time source for the whole
-	// instance: device syslog/counter timestamps, collection stamps,
-	// audit events, the reconciler, and alarm evaluation. Simulations
-	// pass a VirtualClock for deterministic, byte-identical runs; nil
-	// keeps the wall clock.
+	// Clock is the instance's one clock; nil is the wall clock. Every
+	// component that schedules, waits or stamps runs on it: the devices'
+	// syslog, counters and native commit-confirm timers, the deployer's
+	// grace, commit timeout and retry backoff, the job manager's schedule
+	// and collection stamps, audit events, the reconciler, and alarm
+	// evaluation. Simulations pass a VirtualClock for deterministic,
+	// byte-identical runs. A Reconcile.Clock, if set, must be this clock.
 	Clock vclock.Clock
 }
 
 // New builds a complete Robotron instance over fresh state.
 func New(opts Options) (*Robotron, error) {
+	clock := opts.Clock
+	if clock == nil {
+		clock = vclock.RealClock()
+	}
+	if opts.Reconcile.Clock != nil && opts.Reconcile.Clock != opts.Clock {
+		return nil, fmt.Errorf("core: Reconcile.Clock is not Options.Clock: an instance runs on one clock")
+	}
 	store := opts.Store
 	if store == nil {
 		var err error
@@ -178,15 +187,12 @@ func New(opts Options) (*Robotron, error) {
 	if err != nil {
 		return nil, err
 	}
-	fleet := netsim.NewFleet()
+	fleet := netsim.NewFleet(clock)
 	if opts.FaultPolicy != nil {
 		fleet.SetFaultPolicy(opts.FaultPolicy)
 	}
-	jm := monitor.NewJobManager(monitor.FleetDeviceResolver(fleet))
+	jm := monitor.NewJobManager(monitor.FleetDeviceResolver(fleet), clock)
 	jm.SetDeviceLister(func() []string { return monitor.SortedDeviceNames(fleet) })
-	if opts.Clock != nil {
-		jm.SetClock(opts.Clock)
-	}
 	ts := monitor.NewTimeseriesBackend()
 	for _, b := range []monitor.Backend{ts, monitor.NewDerivedBackend(store, ts), monitor.NewConfigBackend(repo)} {
 		if err := jm.RegisterBackend(b); err != nil {
@@ -218,7 +224,7 @@ func New(opts Options) (*Robotron, error) {
 			Devices: []string{a.Message.Host}, Backends: []string{"fbnet-derived"},
 		})
 	})
-	deployer := deploy.NewDeployer(deploy.FleetResolver(fleet))
+	deployer := deploy.NewDeployer(deploy.FleetResolver(fleet), clock)
 	reg := opts.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -235,7 +241,7 @@ func New(opts Options) (*Robotron, error) {
 	cm.Instrument(reg)
 	jm.Instrument(reg)
 	verifier.Instrument(reg)
-	alarms := monitor.NewAlarmEngine(opts.Clock, ts, store)
+	alarms := monitor.NewAlarmEngine(clock, ts, store)
 	alarms.Instrument(reg)
 	alarms.Subscribe(cls)
 	derived := monitor.NewDerivation(jm, alarms)
@@ -260,7 +266,7 @@ func New(opts Options) (*Robotron, error) {
 		VerifyIntent: true,
 
 		Alarms:  alarms,
-		clock:   opts.Clock,
+		clock:   clock,
 		derived: derived,
 		plant: plant{
 			devices:  reg.Counter("robotron_fleet_sync_visited_total", telemetry.L("kind", "device")...),
@@ -278,9 +284,7 @@ func New(opts Options) (*Robotron, error) {
 		if rc.Alert == nil {
 			rc.Alert = opts.Logf
 		}
-		if rc.Clock == nil {
-			rc.Clock = opts.Clock
-		}
+		rc.Clock = clock
 		if rc.DeployRetry == nil {
 			rc.DeployRetry = opts.DeployRetry
 		}
@@ -404,15 +408,6 @@ func (r *Robotron) logf(format string, args ...any) {
 	}
 }
 
-// now is the instance's time source: Options.Clock when provided, else
-// the wall clock.
-func (r *Robotron) now() time.Time {
-	if r.clock != nil {
-		return r.clock.Now()
-	}
-	return time.Now()
-}
-
 // SyncFleet materializes the physical network implied by FBNet Desired
 // state into the simulator: devices exist, cables follow circuits, and
 // every device logs to the classifier. Idempotent. In production this is
@@ -485,9 +480,6 @@ func (r *Robotron) syncPlant(recable bool) (moved int, err error) {
 			return moved, err
 		}
 		d.SetSyslogSink(func(m netsim.SyslogMessage) { r.Classifier.Process(m) })
-		if r.clock != nil {
-			d.SetTimeFunc(r.clock.Now)
-		}
 	}
 	// Cable per Desired circuit.
 	for _, c := range ch.Circuits {
@@ -668,7 +660,7 @@ func (r *Robotron) rollout(tr *telemetry.Span, devices []string, opts deploy.Opt
 	if err != nil {
 		return rep, err
 	}
-	if err := audit.RecordDeploy(r.Store, c.kind, len(configs), c.detail, r.now().Unix()); err != nil {
+	if err := audit.RecordDeploy(r.Store, c.kind, len(configs), c.detail, r.clock.Now().Unix()); err != nil {
 		return rep, err
 	}
 	if err := r.DeriveMonitoring(); err != nil {
@@ -686,7 +678,7 @@ func (r *Robotron) verifyGate(configs map[string]string, tr *telemetry.Span) err
 	if !r.VerifyIntent {
 		// A bypassed gate still leaves a visible trail in the operational
 		// record.
-		return audit.RecordGateBypass(r.Store, len(configs), r.now().Unix())
+		return audit.RecordGateBypass(r.Store, len(configs), r.clock.Now().Unix())
 	}
 	sp := tr.Child("verify")
 	res, err := r.Verifier.Check(configs)
@@ -702,7 +694,7 @@ func (r *Robotron) verifyGate(configs map[string]string, tr *telemetry.Span) err
 	for _, v := range res.Violations {
 		summaries = append(summaries, fmt.Sprintf("[%s] %s: %s", v.Invariant, v.Device, v.Detail))
 	}
-	if err := audit.RecordGate(r.Store, res.Devices, summaries, r.now().Unix()); err != nil {
+	if err := audit.RecordGate(r.Store, res.Devices, summaries, r.clock.Now().Unix()); err != nil {
 		return err
 	}
 	if !res.Pass() {

@@ -11,6 +11,7 @@ import (
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/monitor"
 	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 func testCtx(domain string) design.ChangeContext {
@@ -334,7 +335,7 @@ func TestMonitoringPipelineRealTime(t *testing.T) {
 	r := newRobotron(t)
 	provisionPOP(t, r)
 	// Re-install jobs with tiny periods for the real-time path.
-	jm := monitor.NewJobManager(monitor.FleetDeviceResolver(r.Fleet))
+	jm := monitor.NewJobManager(monitor.FleetDeviceResolver(r.Fleet), vclock.RealClock())
 	jm.RegisterBackend(monitor.NewTimeseriesBackend())
 	jm.AddJob(monitor.JobSpec{Name: "fast", Period: 5 * time.Millisecond,
 		Engine: monitor.EngineSNMP, Data: monitor.DataCounters,

@@ -62,8 +62,8 @@ func TestTurnUpRollsOutEveryDesignedDevice(t *testing.T) {
 func TestTurnUpContract(t *testing.T) {
 	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 	r, err := New(Options{
+		Clock:            clk,
 		EnableReconciler: true,
-		Reconcile:        reconcile.Config{Clock: clk},
 	})
 	if err != nil {
 		t.Fatal(err)

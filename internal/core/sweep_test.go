@@ -18,8 +18,9 @@ import (
 func TestSweepDeliversADriftOnce(t *testing.T) {
 	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 	r, err := New(Options{
+		Clock:            clk,
 		EnableReconciler: true,
-		Reconcile:        reconcile.Config{Clock: clk, DampingThreshold: 1},
+		Reconcile:        reconcile.Config{DampingThreshold: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 
 	"github.com/robotron-net/robotron/internal/deploy"
 	"github.com/robotron-net/robotron/internal/design"
-	"github.com/robotron-net/robotron/internal/reconcile"
 	"github.com/robotron-net/robotron/internal/telemetry"
 	"github.com/robotron-net/robotron/internal/vclock"
 )
@@ -24,8 +23,8 @@ func newTracedPOP(t *testing.T) (*Robotron, []string) {
 	t.Helper()
 	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 	r, err := New(Options{
+		Clock:            clk,
 		EnableReconciler: true,
-		Reconcile:        reconcile.Config{Clock: clk},
 	})
 	if err != nil {
 		t.Fatal(err)

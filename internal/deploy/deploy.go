@@ -46,6 +46,7 @@ import (
 	"github.com/robotron-net/robotron/internal/fanout"
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/telemetry"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // Target is the management session surface the deployer needs from a
@@ -190,11 +191,14 @@ func (r Report) Failed() []Result {
 	return out
 }
 
-// Deployer executes deployments against a device fleet.
+// Deployer executes deployments against a device fleet. Every wait it
+// makes — the commit-confirm grace, the per-device commit timeout and the
+// retry backoff — runs on its clock.
 type Deployer struct {
 	Resolve Resolver
 
-	met deployMetrics
+	clock vclock.Clock
+	met   deployMetrics
 }
 
 // deployMetrics are the deployer's registry bindings; the zero value
@@ -243,8 +247,10 @@ func (d *Deployer) Instrument(reg *telemetry.Registry) {
 	d.met = bindDeployMetrics(reg)
 }
 
-// NewDeployer returns a deployer using the given resolver.
-func NewDeployer(r Resolver) *Deployer { return &Deployer{Resolve: r} }
+// NewDeployer returns a deployer using the given resolver and clock.
+func NewDeployer(r Resolver, clock vclock.Clock) *Deployer {
+	return &Deployer{Resolve: r, clock: clock}
+}
 
 // ErrDrainRequired is returned by initial provisioning for devices still
 // carrying traffic ("network devices must be completely drained").
@@ -276,7 +282,7 @@ func (d *Deployer) withRetry(opts Options, name string, op func() error) error {
 	if opts.Retry == nil {
 		return op()
 	}
-	return retryIdempotent(*opts.Retry, name, d.met, op)
+	return d.retryIdempotent(*opts.Retry, name, op)
 }
 
 // InitialProvision erases and installs configs on clean (drained) devices,
@@ -460,7 +466,7 @@ func (d *Deployer) Deploy(configs map[string]string, opts Options) (Report, erro
 		}
 	}
 	phases := partitionPhases(targets, opts.Phases)
-	pending := &Pending{notify: nf.notify, rollbacks: d.met.rollbacks}
+	pending := &Pending{clock: d.clock, notify: nf.notify, rollbacks: d.met.rollbacks}
 	committed := make([]string, 0, len(configs)) // commit-completion order
 
 	// settle drains every straggler's in-flight commit and returns the
@@ -584,7 +590,7 @@ func (d *Deployer) runPhase(phase phaseSet, targets map[string]Target, configs m
 	// failure while the in-flight commit keeps running on its own
 	// goroutine, handed back as a straggler to drain later.
 	commit := func(t Target, cfg string) error {
-		return commitOneRetry(t, cfg, opts.ConfirmGrace, pending, opts.Retry, d.met, nf)
+		return d.commitOneRetry(t, cfg, opts.ConfirmGrace, pending, opts.Retry, nf)
 	}
 	commitWithDeadline := func(t Target, cfg string) (error, <-chan error) {
 		if opts.CommitTimeout <= 0 {
@@ -592,12 +598,13 @@ func (d *Deployer) runPhase(phase phaseSet, targets map[string]Target, configs m
 		}
 		done := make(chan error, 1)
 		go func() { done <- commit(t, cfg) }()
-		timer := time.NewTimer(opts.CommitTimeout)
+		expired := make(chan struct{})
+		timer := d.clock.AfterFunc(opts.CommitTimeout, func() { close(expired) })
 		defer timer.Stop()
 		select {
 		case err := <-done:
 			return err, nil
-		case <-timer.C:
+		case <-expired:
 			return fmt.Errorf("deploy: %s did not finish applying within %v", t.Name(), opts.CommitTimeout), done
 		}
 	}
@@ -718,13 +725,14 @@ func partitionPhases(targets map[string]Target, phases []Phase) []phaseSet {
 // Robotron will rollback the changes." Safe for concurrent use: the
 // worker pool adds devices while Confirm/Rollback/expiry race to settle.
 type Pending struct {
+	clock     vclock.Clock
 	notify    func(string, ...any)
 	rollbacks *telemetry.Counter // nil no-op when the deployer is uninstrumented
 
 	mu      sync.Mutex
 	native  []Target // devices with device-native commit-confirmed
 	emul    []Target // devices whose rollback the deployer emulates
-	timer   *time.Timer
+	timer   vclock.Timer
 	settled bool
 }
 
@@ -741,7 +749,7 @@ func (p *Pending) add(t Target, native bool) {
 func (p *Pending) arm(grace time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.timer = time.AfterFunc(grace, p.expire)
+	p.timer = p.clock.AfterFunc(grace, p.expire)
 }
 
 // Devices returns the names of devices pending confirmation.
@@ -843,8 +851,16 @@ func (p *Pending) rollbackAll() {
 	}
 	for _, t := range native {
 		// Force the native rollback now rather than waiting for the
-		// device timer: roll back explicitly, then confirm the (now
-		// reverted) state to disarm the device timer.
+		// device timer: confirm to disarm the timer, then roll back. A
+		// confirm that fails leaves the device to its own timer — which
+		// may have fired already, and rolling back after it would revert
+		// its rollback onto the unconfirmed config.
+		if err := t.Confirm(); err != nil {
+			if p.notify != nil {
+				p.notify("rollback of %s left to its commit-confirm timer: %v", t.Name(), err)
+			}
+			continue
+		}
 		if err := t.Rollback(); err != nil {
 			if p.notify != nil {
 				p.notify("rollback of %s failed: %v", t.Name(), err)
@@ -852,7 +868,6 @@ func (p *Pending) rollbackAll() {
 		} else {
 			p.rollbacks.Inc()
 		}
-		_ = t.Confirm()
 	}
 }
 

@@ -8,13 +8,29 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // newTestFleet builds a fleet of n vendor-alternating devices with a
-// baseline config committed.
+// baseline config committed, and its deployer, on the wall clock.
 func newTestFleet(t testing.TB, n int) (*netsim.Fleet, *Deployer, map[string]string) {
 	t.Helper()
-	fleet := netsim.NewFleet()
+	return newFleetOn(t, n, vclock.RealClock())
+}
+
+// newVirtualFleet is newTestFleet with the fleet and the deployer on one
+// VirtualClock: grace timers fire only as the test advances it, and retry
+// backoff takes no time.
+func newVirtualFleet(t testing.TB, n int) (*netsim.Fleet, *Deployer, *vclock.VirtualClock) {
+	t.Helper()
+	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
+	fleet, dep, _ := newFleetOn(t, n, clk)
+	return fleet, dep, clk
+}
+
+func newFleetOn(t testing.TB, n int, clock vclock.Clock) (*netsim.Fleet, *Deployer, map[string]string) {
+	t.Helper()
+	fleet := netsim.NewFleet(clock)
 	baseline := map[string]string{}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("dev%02d", i)
@@ -39,7 +55,7 @@ func newTestFleet(t testing.TB, n int) (*netsim.Fleet, *Deployer, map[string]str
 		}
 		baseline[name] = cfg
 	}
-	return fleet, NewDeployer(FleetResolver(fleet)), baseline
+	return fleet, NewDeployer(FleetResolver(fleet), clock), baseline
 }
 
 // baseConfig emits a small valid config for the vendor; rev changes its
@@ -327,20 +343,16 @@ func TestCommitConfirmFlow(t *testing.T) {
 }
 
 func TestCommitConfirmExpiryRollsBackBothVendors(t *testing.T) {
-	fleet, dep, _ := newTestFleet(t, 2)
+	fleet, dep, clk := newVirtualFleet(t, 2)
 	cfgs := newConfigs(fleet, 2)
 	rep, err := dep.Deploy(cfgs, Options{ConfirmGrace: 40 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !rep.Pending.Settled() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Allow the device-native (vendor2) timer to fire as well.
-	d1, _ := fleet.Device("dev01")
-	for d1.ConfirmPending() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// The deployer's timer and the device-native (vendor2) one both fire.
+	clk.Advance(40 * time.Millisecond)
+	if !rep.Pending.Settled() {
+		t.Fatal("pending not settled after the grace")
 	}
 	for _, d := range fleet.Devices() {
 		cfg, _ := d.RunningConfig()

@@ -7,6 +7,7 @@ import (
 
 	"github.com/robotron-net/robotron/internal/confdiff"
 	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // driftingTarget edits its device's running config out of band once, as
@@ -74,7 +75,7 @@ func TestDeployDiffStatsEqualColdRecompute(t *testing.T) {
 			return d, nil
 		}
 		return base(name)
-	})
+	}, vclock.RealClock())
 
 	rep, err := dep.Deploy(cfgs, Options{})
 	if err != nil {
@@ -139,7 +140,7 @@ func TestStageIssuesOneReadPerDevice(t *testing.T) {
 	want := map[string]int{"load-config": 1, "compare": 1, "discard": 1, "show running-config": 1}
 	for _, dev := range fleet.Devices() {
 		c := &verbCounter{Device: dev, verbs: map[string]int{}}
-		dep := NewDeployer(func(string) (Target, error) { return c, nil })
+		dep := NewDeployer(func(string) (Target, error) { return c, nil }, vclock.RealClock())
 		before := dev.MgmtOps()
 		_, err := dep.Deploy(map[string]string{dev.Name(): baseConfig(dev.Vendor(), dev.Name(), 2)},
 			Options{Review: func(string, string) bool { return false }})

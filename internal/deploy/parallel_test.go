@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // timeDeploy runs one deployment and returns its wall-clock duration.
@@ -84,7 +85,7 @@ func TestParallelDeploySpeedup(t *testing.T) {
 			return nil, err
 		}
 		return witnessedTarget{Target: tgt, w: w}, nil
-	})
+	}, vclock.RealClock())
 	serial := timeDeploy(t, dep, newConfigs(fleet, 2), Options{Parallelism: 1})
 	if serial < 16*delay {
 		t.Fatalf("serial run implausibly fast: %v", serial)
@@ -221,7 +222,7 @@ func TestNonAtomicConfirmGraceFailureReturnsPending(t *testing.T) {
 // the health-gate failure exit — unconfirmed commits auto-expire instead
 // of leaving emulated devices permanently committed.
 func TestNonAtomicConfirmGraceHealthGateArmsPending(t *testing.T) {
-	fleet, dep, _ := newTestFleet(t, 4)
+	fleet, dep, clk := newVirtualFleet(t, 4)
 	cfgs := newConfigs(fleet, 2)
 	rep, err := dep.Deploy(cfgs, Options{
 		ConfirmGrace: 40 * time.Millisecond,
@@ -237,14 +238,14 @@ func TestNonAtomicConfirmGraceHealthGateArmsPending(t *testing.T) {
 		t.Fatal("halted commit-confirmed deployment must return the pending set")
 	}
 	// Left alone, the grace timer rolls every provisional commit back.
-	deadline := time.Now().Add(2 * time.Second)
-	for !rep.Pending.Settled() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	clk.Advance(40 * time.Millisecond)
+	if !rep.Pending.Settled() {
+		t.Fatal("pending not settled after the grace")
 	}
 	for _, name := range rep.Pending.Devices() {
 		d, _ := fleet.Device(name)
-		for d.ConfirmPending() && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
+		if d.ConfirmPending() {
+			t.Errorf("%s native rollback timer still armed", name)
 		}
 		cfg, _ := d.RunningConfig()
 		if !strings.Contains(cfg, "9001") {
@@ -294,24 +295,31 @@ func TestReviewRejectionDiscardsCandidates(t *testing.T) {
 
 // TestPendingConfirmExpireRace: Confirm racing the grace-expiry timer must
 // settle exactly once — either the confirmation wins (configs stay) or the
-// expiry wins (configs roll back), never a half of each. Run under -race.
+// expiry wins (configs roll back), never a half of each. The fleet and the
+// deployer share one VirtualClock, advanced past the grace on a goroutine
+// of its own, so the expiry races Confirm and Rollback without the grace
+// lapsing before the deployment's health gate. Run under -race.
 func TestPendingConfirmExpireRace(t *testing.T) {
+	const grace = time.Millisecond
 	for i := 0; i < 25; i++ {
-		fleet, dep, _ := newTestFleet(t, 2)
+		fleet, dep, clk := newVirtualFleet(t, 2)
 		cfgs := newConfigs(fleet, 2)
-		rep, err := dep.Deploy(cfgs, Options{ConfirmGrace: time.Millisecond})
+		rep, err := dep.Deploy(cfgs, Options{ConfirmGrace: grace})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
 		outcomes := make([]error, 3)
-		for j := 0; j < 3; j++ {
+		for j := 0; j < 4; j++ {
 			wg.Add(1)
 			go func(j int) {
 				defer wg.Done()
-				if j == 2 {
+				switch j {
+				case 3:
+					clk.Advance(2 * grace)
+				case 2:
 					outcomes[j] = rep.Pending.Rollback()
-				} else {
+				default:
 					outcomes[j] = rep.Pending.Confirm()
 				}
 			}(j)
@@ -342,13 +350,8 @@ func TestPendingConfirmExpireRace(t *testing.T) {
 		if boundary {
 			continue
 		}
-		// Wait for any native device timers to quiesce before asserting
-		// a coherent final state: both devices on 9001 or both on 9002.
-		deadline := time.Now().Add(2 * time.Second)
-		d1, _ := fleet.Device("dev01")
-		for d1.ConfirmPending() && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
+		// Every timer has fired or been stopped: assert a coherent final
+		// state, both devices on 9001 or both on 9002.
 		confirmed := false
 		for j, err := range outcomes {
 			if err == nil && j != 2 {
@@ -364,6 +367,30 @@ func TestPendingConfirmExpireRace(t *testing.T) {
 			case confirmed && !strings.Contains(cfg, "9002"):
 				t.Fatalf("iteration %d: %s lost config after confirm won: %q", i, d.Name(), cfg)
 			}
+		}
+	}
+}
+
+// TestRollbackAfterNativeExpiryKeepsTheRollback: a device whose own
+// commit-confirm timer rolled it back before the deployment's explicit
+// Rollback reached it stays rolled back: the explicit rollback must not
+// revert the device's rollback onto the unconfirmed config. The device's
+// clock runs ahead of the deployer's so its timer fires first.
+func TestRollbackAfterNativeExpiryKeepsTheRollback(t *testing.T) {
+	devClk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
+	fleet, _, _ := newFleetOn(t, 2, devClk)
+	dep := NewDeployer(FleetResolver(fleet), vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)))
+	rep, err := dep.Deploy(newConfigs(fleet, 2), Options{ConfirmGrace: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	devClk.Advance(time.Minute) // dev01 (vendor2) rolls itself back
+	if err := rep.Pending.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range fleet.Devices() {
+		if cfg, _ := d.RunningConfig(); !strings.Contains(cfg, "9001") {
+			t.Errorf("%s runs %q after the rollback, want the previous config", d.Name(), cfg)
 		}
 	}
 }
@@ -474,7 +501,7 @@ func TestDeployStageRunsInThePool(t *testing.T) {
 				gt.fail = errVendor
 			}
 			return gt, nil
-		})
+		}, vclock.RealClock())
 		var reviewed []string
 		_, err := dep.Deploy(cfgs, Options{Parallelism: workers, Review: func(device, _ string) bool {
 			reviewed = append(reviewed, device)

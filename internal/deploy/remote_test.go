@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // RemoteResolver resolves deployment targets over the TCP management
@@ -30,19 +31,19 @@ func remoteResolver(t *testing.T, addr string) Resolver {
 
 var _ Target = (*netsim.RemoteDevice)(nil)
 
-func newRemoteFleet(t *testing.T, n int) (*netsim.Fleet, *Deployer, string) {
+func newRemoteFleet(t *testing.T, n int, clock vclock.Clock) (*netsim.Fleet, *Deployer, string) {
 	t.Helper()
-	fleet, _, _ := newTestFleet(t, n)
+	fleet, _, _ := newFleetOn(t, n, clock)
 	srv, err := fleet.ServeMgmt("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	return fleet, NewDeployer(remoteResolver(t, srv.Addr())), srv.Addr()
+	return fleet, NewDeployer(remoteResolver(t, srv.Addr()), clock), srv.Addr()
 }
 
 func TestRemoteDeploySimple(t *testing.T) {
-	fleet, dep, _ := newRemoteFleet(t, 4)
+	fleet, dep, _ := newRemoteFleet(t, 4, vclock.RealClock())
 	cfgs := newConfigs(fleet, 2)
 	rep, err := dep.Deploy(cfgs, Options{})
 	if err != nil {
@@ -60,7 +61,7 @@ func TestRemoteDeploySimple(t *testing.T) {
 }
 
 func TestRemoteDryrunVendorSplit(t *testing.T) {
-	fleet, dep, _ := newRemoteFleet(t, 2)
+	fleet, dep, _ := newRemoteFleet(t, 2, vclock.RealClock())
 	diffs, err := dep.Dryrun(newConfigs(fleet, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestRemoteDryrunVendorSplit(t *testing.T) {
 }
 
 func TestRemoteErrNotSupportedIdentity(t *testing.T) {
-	_, dep, _ := newRemoteFleet(t, 1)
+	_, dep, _ := newRemoteFleet(t, 1, vclock.RealClock())
 	tgt, err := dep.Resolve("dev00") // vendor1
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +92,7 @@ func TestRemoteErrNotSupportedIdentity(t *testing.T) {
 }
 
 func TestRemoteAtomicRollback(t *testing.T) {
-	fleet, dep, _ := newRemoteFleet(t, 3)
+	fleet, dep, _ := newRemoteFleet(t, 3, vclock.RealClock())
 	cfgs := newConfigs(fleet, 2)
 	d2, _ := fleet.Device("dev02")
 	opts := Options{
@@ -118,21 +119,24 @@ func TestRemoteAtomicRollback(t *testing.T) {
 	}
 }
 
+// TestRemoteCommitConfirmExpiry lets the grace lapse on the fleet's and
+// the deployer's one VirtualClock: the deployer rolls the emulated device
+// back over TCP, and the vendor2 device's native timer fires in the same
+// Advance.
 func TestRemoteCommitConfirmExpiry(t *testing.T) {
-	fleet, dep, _ := newRemoteFleet(t, 2)
+	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
+	fleet, dep, _ := newRemoteFleet(t, 2, clk)
 	cfgs := newConfigs(fleet, 2)
 	rep, err := dep.Deploy(cfgs, Options{ConfirmGrace: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !rep.Pending.Settled() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	clk.Advance(50 * time.Millisecond)
+	if !rep.Pending.Settled() {
+		t.Fatal("pending not settled after the grace")
 	}
-	// Device-native (vendor2) timer fires independently.
-	d1, _ := fleet.Device("dev01")
-	for d1.ConfirmPending() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if d1, _ := fleet.Device("dev01"); d1.ConfirmPending() {
+		t.Fatal("dev01's native rollback timer still armed after the grace")
 	}
 	for _, d := range fleet.Devices() {
 		cfg, _ := d.RunningConfig()
@@ -143,7 +147,7 @@ func TestRemoteCommitConfirmExpiry(t *testing.T) {
 }
 
 func TestRemoteDrainCheck(t *testing.T) {
-	fleet, dep, _ := newRemoteFleet(t, 2)
+	fleet, dep, _ := newRemoteFleet(t, 2, vclock.RealClock())
 	d, _ := fleet.Device("dev01")
 	d.SetTrafficLoad(0.9)
 	_, err := dep.InitialProvision(newConfigs(fleet, 2), Options{})

@@ -81,8 +81,6 @@ type RetryPolicy struct {
 	// Seed makes the jitter stream reproducible; combined with the
 	// device name so concurrent devices draw independent streams.
 	Seed int64
-	// Sleep replaces time.Sleep in tests. Nil uses time.Sleep.
-	Sleep func(time.Duration)
 }
 
 // The backoff before retry n is retryBaseDelay·2ⁿ⁻¹, capped at
@@ -118,20 +116,13 @@ func (p RetryPolicy) delay(n int, rng *rand.Rand) time.Duration {
 	return time.Duration(float64(d) * (1 - retryJitter*rng.Float64()))
 }
 
-func (p RetryPolicy) sleep(d time.Duration) {
-	if p.Sleep != nil {
-		p.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
-// pause books one backoff sleep: metrics, then sleep.
-func (p RetryPolicy) pause(n int, rng *rand.Rand, met deployMetrics) {
-	d := p.delay(n, rng)
-	met.retries.Inc()
-	met.backoffSec.Observe(d.Seconds())
-	p.sleep(d)
+// pause books one backoff before retry n: metrics, then a sleep on the
+// deployer's clock.
+func (d *Deployer) pause(p RetryPolicy, n int, rng *rand.Rand) {
+	delay := p.delay(n, rng)
+	d.met.retries.Inc()
+	d.met.backoffSec.Observe(delay.Seconds())
+	d.clock.Sleep(delay)
 }
 
 // commitStage tells the retry loop which operation an error came from:
@@ -180,8 +171,8 @@ func commitAttemptOnce(t Target, cfg string, grace time.Duration, pending *Pendi
 // rollback/settlement paths. A nil policy is a budget of one attempt with
 // nothing left for a retry or a readback: the device's own error is the
 // result.
-func commitOneRetry(t Target, cfg string, grace time.Duration, pending *Pending,
-	policy *RetryPolicy, met deployMetrics, nf *notifier) error {
+func (d *Deployer) commitOneRetry(t Target, cfg string, grace time.Duration, pending *Pending,
+	policy *RetryPolicy, nf *notifier) error {
 
 	if policy == nil {
 		_, _, err := commitAttemptOnce(t, cfg, grace, pending)
@@ -192,7 +183,7 @@ func commitOneRetry(t Target, cfg string, grace time.Duration, pending *Pending,
 	var lastErr error
 	for attempt := 1; attempt <= rp.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			rp.pause(attempt-1, rng, met)
+			d.pause(rp, attempt-1, rng)
 		}
 		stage, native, err := commitAttemptOnce(t, cfg, grace, pending)
 		if err == nil {
@@ -211,7 +202,7 @@ func commitOneRetry(t Target, cfg string, grace time.Duration, pending *Pending,
 			nf.notify("%s: %s error (attempt %d/%d), will retry: %v", t.Name(), class, attempt, rp.MaxAttempts, err)
 			continue
 		case ClassAmbiguous:
-			applied, rerr := resolveAmbiguousCommit(t, cfg, rp, met)
+			applied, rerr := d.resolveAmbiguousCommit(t, cfg, rp)
 			if rerr != nil {
 				return fmt.Errorf("deploy: %s: ambiguous commit unresolvable (%v) after: %w", t.Name(), rerr, err)
 			}
@@ -219,14 +210,14 @@ func commitOneRetry(t Target, cfg string, grace time.Duration, pending *Pending,
 				// The commit landed before the session died; do not
 				// drive it again. Register the provisional commit the
 				// same way the direct path would have.
-				met.ambigApplied.Inc()
+				d.met.ambigApplied.Inc()
 				nf.notify("%s: ambiguous commit resolved: config already applied (attempt %d)", t.Name(), attempt)
 				if grace > 0 {
 					pending.add(t, native)
 				}
 				return nil
 			}
-			met.ambigRetried.Inc()
+			d.met.ambigRetried.Inc()
 			nf.notify("%s: ambiguous commit resolved: not applied, retrying (attempt %d/%d)", t.Name(), attempt, rp.MaxAttempts)
 			continue
 		}
@@ -238,9 +229,9 @@ func commitOneRetry(t Target, cfg string, grace time.Duration, pending *Pending,
 // applied by reading the running config back and comparing it against
 // the intent. The readback is idempotent, so it retries like any other
 // read (the same flaky session may still be flaky).
-func resolveAmbiguousCommit(t Target, cfg string, rp RetryPolicy, met deployMetrics) (bool, error) {
+func (d *Deployer) resolveAmbiguousCommit(t Target, cfg string, rp RetryPolicy) (bool, error) {
 	var running string
-	err := retryIdempotent(rp, t.Name(), met, func() (err error) {
+	err := d.retryIdempotent(rp, t.Name(), func() (err error) {
 		running, err = t.RunningConfig()
 		return err
 	})
@@ -253,13 +244,13 @@ func resolveAmbiguousCommit(t Target, cfg string, rp RetryPolicy, met deployMetr
 // retryIdempotent runs an idempotent read-side operation (dryrun,
 // readback, health check) under the retry budget: transient and
 // ambiguous errors retry, permanent errors return immediately.
-func retryIdempotent(rp RetryPolicy, device string, met deployMetrics, op func() error) error {
+func (d *Deployer) retryIdempotent(rp RetryPolicy, device string, op func() error) error {
 	rp = rp.withDefaults()
 	rng := rp.rng(device + "|read")
 	var lastErr error
 	for attempt := 1; attempt <= rp.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			rp.pause(attempt-1, rng, met)
+			d.pause(rp, attempt-1, rng)
 		}
 		err := op()
 		if err == nil {

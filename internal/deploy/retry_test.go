@@ -73,10 +73,8 @@ func (c countingTarget) CommitConfirmed(grace time.Duration) error {
 	return c.Target.CommitConfirmed(grace)
 }
 
-func noSleep(rp *RetryPolicy) { rp.Sleep = func(time.Duration) {} }
-
 func TestDeployRetriesTransientFault(t *testing.T) {
-	fleet, dep, _ := newTestFleet(t, 4)
+	fleet, dep, _ := newVirtualFleet(t, 4)
 	p := netsim.NewFaultPolicy(11)
 	p.Add(netsim.FaultRule{Kind: netsim.FaultTransient, Probability: 1, Verbs: []string{"commit"}, MaxCount: 2})
 	fleet.SetFaultPolicy(p)
@@ -84,7 +82,6 @@ func TestDeployRetriesTransientFault(t *testing.T) {
 	dep.Instrument(reg)
 
 	rp := &RetryPolicy{Seed: 1}
-	noSleep(rp)
 	cfgs := newConfigs(fleet, 2)
 	rep, err := dep.Deploy(cfgs, Options{Retry: rp})
 	if err != nil {
@@ -105,7 +102,7 @@ func TestDeployRetriesTransientFault(t *testing.T) {
 // arrived. The retry layer must read the config back, see it matches the
 // intent, and report success WITHOUT driving the commit a second time.
 func TestAmbiguousCommitResolvedWithoutDoubleCommit(t *testing.T) {
-	fleet, _, _ := newTestFleet(t, 1)
+	fleet, _, clk := newVirtualFleet(t, 1)
 	p := netsim.NewFaultPolicy(5)
 	p.Add(netsim.FaultRule{Kind: netsim.FaultDropAfter, Probability: 1, Verbs: []string{"commit"}, MaxCount: 1})
 	fleet.SetFaultPolicy(p)
@@ -118,12 +115,11 @@ func TestAmbiguousCommitResolvedWithoutDoubleCommit(t *testing.T) {
 			return nil, err
 		}
 		return countingTarget{Target: tgt, commits: &commits}, nil
-	})
+	}, clk)
 	reg := telemetry.NewRegistry()
 	dep.Instrument(reg)
 
 	rp := &RetryPolicy{Seed: 1}
-	noSleep(rp)
 	cfgs := newConfigs(fleet, 2)
 	rep, err := dep.Deploy(cfgs, Options{Retry: rp})
 	if err != nil {
@@ -146,7 +142,7 @@ func TestAmbiguousCommitResolvedWithoutDoubleCommit(t *testing.T) {
 // Drop BEFORE apply: readback shows the old config, so resolution must
 // conclude "not applied" and drive the commit again.
 func TestAmbiguousCommitNotAppliedRetries(t *testing.T) {
-	fleet, dep, _ := newTestFleet(t, 1)
+	fleet, dep, _ := newVirtualFleet(t, 1)
 	p := netsim.NewFaultPolicy(5)
 	p.Add(netsim.FaultRule{Kind: netsim.FaultDropBefore, Probability: 1, Verbs: []string{"commit"}, MaxCount: 1})
 	fleet.SetFaultPolicy(p)
@@ -154,7 +150,6 @@ func TestAmbiguousCommitNotAppliedRetries(t *testing.T) {
 	dep.Instrument(reg)
 
 	rp := &RetryPolicy{Seed: 1}
-	noSleep(rp)
 	cfgs := newConfigs(fleet, 2)
 	if _, err := dep.Deploy(cfgs, Options{Retry: rp}); err != nil {
 		t.Fatalf("deploy: %v", err)
@@ -174,13 +169,12 @@ func TestAmbiguousCommitNotAppliedRetries(t *testing.T) {
 // commit-confirmed verb; after resolution the pending set must still
 // know about the device so the confirm step completes the rollout.
 func TestAmbiguousCommitConfirmedResolves(t *testing.T) {
-	fleet, dep, _ := newTestFleet(t, 2)
+	fleet, dep, clk := newVirtualFleet(t, 2)
 	p := netsim.NewFaultPolicy(5)
 	p.Add(netsim.FaultRule{Kind: netsim.FaultDropAfter, Probability: 1, Verbs: []string{"commit-confirmed", "commit"}, MaxCount: 1})
 	fleet.SetFaultPolicy(p)
 
 	rp := &RetryPolicy{Seed: 1}
-	noSleep(rp)
 	cfgs := newConfigs(fleet, 2)
 	rep, err := dep.Deploy(cfgs, Options{Retry: rp, ConfirmGrace: 2 * time.Second})
 	if err != nil {
@@ -194,7 +188,7 @@ func TestAmbiguousCommitConfirmedResolves(t *testing.T) {
 	}
 	// Outlive the grace period: a lost pending registration would roll
 	// the device back here.
-	time.Sleep(2500 * time.Millisecond)
+	clk.Advance(2500 * time.Millisecond)
 	for _, d := range fleet.Devices() {
 		if cfg, _ := d.RunningConfig(); cfg != cfgs[d.Name()] {
 			t.Errorf("%s rolled back after confirm — pending registration lost", d.Name())
@@ -203,14 +197,13 @@ func TestAmbiguousCommitConfirmedResolves(t *testing.T) {
 }
 
 func TestRetryBudgetExhaustionFails(t *testing.T) {
-	fleet, dep, _ := newTestFleet(t, 1)
+	fleet, dep, _ := newVirtualFleet(t, 1)
 	p := netsim.NewFaultPolicy(5)
 	// Unlimited transient faults: the budget must run out.
 	p.Add(netsim.FaultRule{Kind: netsim.FaultTransient, Probability: 1, Verbs: []string{"commit"}})
 	fleet.SetFaultPolicy(p)
 
 	rp := &RetryPolicy{Seed: 1, MaxAttempts: 3}
-	noSleep(rp)
 	_, err := dep.Deploy(newConfigs(fleet, 2), Options{Retry: rp})
 	if err == nil {
 		t.Fatal("deploy should fail once the retry budget is exhausted")
@@ -221,18 +214,17 @@ func TestRetryBudgetExhaustionFails(t *testing.T) {
 }
 
 func TestPermanentErrorFailsFast(t *testing.T) {
-	fleet, dep, _ := newTestFleet(t, 2)
+	fleet, _, clk := newVirtualFleet(t, 2)
 	var commits atomic.Int64
 	base := FleetResolver(fleet)
-	dep = NewDeployer(func(name string) (Target, error) {
+	dep := NewDeployer(func(name string) (Target, error) {
 		tgt, err := base(name)
 		if err != nil {
 			return nil, err
 		}
 		return countingTarget{Target: tgt, commits: &commits}, nil
-	})
+	}, clk)
 	rp := &RetryPolicy{Seed: 1}
-	noSleep(rp)
 	// Invalid config: a permanent rejection the retry loop must not chew
 	// on (dev01 is Vendor2, whose syntax check rejects unbalanced blocks).
 	_, err := dep.Deploy(map[string]string{"dev01": "ae0 {\n unbalanced\n"}, Options{Retry: rp})
@@ -245,14 +237,13 @@ func TestPermanentErrorFailsFast(t *testing.T) {
 }
 
 func TestInitialProvisionRetriesFaults(t *testing.T) {
-	fleet, dep, _ := newTestFleet(t, 4)
+	fleet, dep, _ := newVirtualFleet(t, 4)
 	p := netsim.NewFaultPolicy(21)
 	p.Add(netsim.FaultRule{Kind: netsim.FaultTransient, Probability: 0.4, Verbs: []string{"erase", "load-config", "commit"}})
 	p.Add(netsim.FaultRule{Kind: netsim.FaultDropAfter, Probability: 0.2, Verbs: []string{"commit"}})
 	fleet.SetFaultPolicy(p)
 
 	rp := &RetryPolicy{Seed: 1, MaxAttempts: 8}
-	noSleep(rp)
 	cfgs := newConfigs(fleet, 3)
 	if _, err := dep.InitialProvision(cfgs, Options{Retry: rp}); err != nil {
 		t.Fatalf("provision under chaos: %v", err)

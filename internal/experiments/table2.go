@@ -7,6 +7,7 @@ import (
 	"github.com/robotron-net/robotron/internal/core"
 	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/monitor"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // Table 2: monitoring events in a 24-hour period by mechanism. The paper
@@ -58,7 +59,8 @@ func table2Jobs(devices []string) []monitor.JobSpec {
 // RunTable2 provisions a POP, runs the virtual day, and merges the passive
 // stream.
 func RunTable2(cfg Table2Config) (Table2Result, error) {
-	r, err := core.New(core.Options{})
+	clk := vclock.NewVirtualClock(time.Unix(1_750_000_000, 0))
+	r, err := core.New(core.Options{Clock: clk})
 	if err != nil {
 		return Table2Result{}, err
 	}
@@ -82,7 +84,9 @@ func RunTable2(cfg Table2Config) (Table2Result, error) {
 			return Table2Result{}, err
 		}
 	}
-	r.JobManager.RunVirtual(time.Duration(cfg.Hours) * time.Hour)
+	r.JobManager.Start()
+	clk.Advance(time.Duration(cfg.Hours) * time.Hour)
+	r.JobManager.Stop()
 
 	// Passive share: the per-device syslog rate implied by the paper's mix
 	// (active : syslog = 79.27 : 20.73) applied to this fleet and window.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // Ablation: the classifier's literal fast path (DESIGN.md design choice).
@@ -108,7 +109,7 @@ func TestAnycastCollectorGroup(t *testing.T) {
 		defer col.Close()
 		collectors = append(collectors, col)
 	}
-	fleet := netsim.NewFleet()
+	fleet := netsim.NewFleet(vclock.RealClock())
 	const n = 9
 	for i := 0; i < n; i++ {
 		d, _ := fleet.AddDevice(fmt.Sprintf("dev%d", i), netsim.Vendor1, "psw", "pop1")

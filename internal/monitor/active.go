@@ -255,31 +255,26 @@ type JobManager struct {
 	specs       []JobSpec
 	version     uint64 // moves with every change to specs
 	stats       *EventStats
-	stopCh      chan struct{}
-	wake        chan struct{} // kicked when the job set changes
-	wg          sync.WaitGroup
-	running     bool
-	clock       vclock.Clock // stamps every collection; the wall clock until SetClock
+	sched       *schedule    // the started schedule, nil when stopped
+	clock       vclock.Clock // schedules every execution and stamps every collection
 	pollWidth   int          // the engine tier's width; 0 is fanout.DefaultWidth
 }
 
-// NewJobManager creates a job manager with the standard engines.
-func NewJobManager(resolve DeviceResolver) *JobManager {
+// NewJobManager creates a job manager with the standard engines on clock.
+func NewJobManager(resolve DeviceResolver, clock vclock.Clock) *JobManager {
 	return &JobManager{
 		resolve:  resolve,
 		engines:  NewEngines(),
 		backends: make(map[string]Backend),
 		stats:    newEventStats(),
-		wake:     make(chan struct{}, 1),
-		clock:    vclock.RealClock(),
+		clock:    clock,
 	}
 }
 
-// jobsChanged nudges a started manager to re-plan its next fire.
+// jobsChanged re-plans a started manager's next fire. jm.mu is held.
 func (jm *JobManager) jobsChanged() {
-	select {
-	case jm.wake <- struct{}{}:
-	default:
+	if jm.sched != nil {
+		jm.armLocked(jm.sched)
 	}
 }
 
@@ -289,15 +284,6 @@ func (jm *JobManager) SetDeviceLister(list func() []string) {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	jm.listDevices = list
-}
-
-// SetClock makes every collection timestamp come from clock instead of
-// the wall clock, so sample ages and alarm windows line up with a virtual
-// clock in simulation.
-func (jm *JobManager) SetClock(clock vclock.Clock) {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	jm.clock = clock
 }
 
 // RegisterBackend installs a named backend.
@@ -645,17 +631,13 @@ func (jm *JobManager) backendsOf(spec *JobSpec, buf []Backend) []Backend {
 	return buf
 }
 
-// nextDue is the one scheduler behind Start and RunVirtual: it returns
-// the installed jobs that fire earliest, in name order, and their fire
-// offset, appending them to buf. It reads the live job list on every
-// call, so AddJob and ReplaceJobs take effect at the next fire: a job
-// first seen at offset now is scheduled one period later, and one no
-// longer installed is forgotten. due is the caller's per-run schedule,
-// job name -> next fire offset.
-func (jm *JobManager) nextDue(due map[string]time.Duration, now time.Duration, buf []JobSpec) (specs []JobSpec, at time.Duration) {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	specs = buf[:0]
+// nextDueLocked returns the installed jobs that fire earliest, in name
+// order, and their fire offset. It reads the live
+// job list on every call, so AddJob and ReplaceJobs take effect at the
+// next fire: a job first seen at offset now is scheduled one period
+// later, and one no longer installed is forgotten. due is the schedule's
+// job name -> next fire offset. jm.mu is held.
+func (jm *JobManager) nextDueLocked(due map[string]time.Duration, now time.Duration) (specs []JobSpec, at time.Duration) {
 	for _, s := range jm.specs {
 		d, seen := due[s.Name]
 		if !seen {
@@ -684,96 +666,100 @@ func (jm *JobManager) nextDue(due map[string]time.Duration, now time.Duration, b
 	return specs, at
 }
 
+// schedule is one Start's run: the jobs' next fire offsets from begin
+// and the clock timer armed for the earliest. exec serializes its
+// executions, and Stop waits on it for one in flight.
+type schedule struct {
+	begin time.Time
+	due   map[string]time.Duration // guarded by jm.mu
+	timer vclock.Timer             // guarded by jm.mu
+	exec  sync.Mutex
+}
+
 // Start launches periodic polling of the installed jobs, each on its
-// period, until Stop. The job set is live: jobs swapped in by
-// ReplaceJobs after Start are polled, swapped-out ones stop.
+// period, until Stop. The schedule runs on the manager's clock: a timer
+// armed for the next due instant runs the execution in its callback, so
+// on a VirtualClock the jobs execute inline during Advance, in fire-time
+// order, the jobs due at one instant as one execution. The job set is
+// live: jobs swapped in by ReplaceJobs after Start are polled,
+// swapped-out ones stop.
 func (jm *JobManager) Start() {
 	jm.mu.Lock()
-	if jm.running {
+	defer jm.mu.Unlock()
+	if jm.sched != nil {
+		return
+	}
+	jm.sched = &schedule{begin: jm.clock.Now(), due: make(map[string]time.Duration)}
+	jm.armLocked(jm.sched)
+}
+
+// armLocked replaces sc's timer with one for its next due instant; with
+// no job installed none is armed until the job set changes. jm.mu is
+// held.
+func (jm *JobManager) armLocked(sc *schedule) {
+	if sc.timer != nil {
+		sc.timer.Stop()
+		sc.timer = nil
+	}
+	now := jm.clock.Now().Sub(sc.begin)
+	specs, at := jm.nextDueLocked(sc.due, now)
+	if len(specs) > 0 {
+		sc.timer = jm.clock.AfterFunc(at-now, func() { jm.fire(sc) })
+	}
+}
+
+// fire executes the jobs of sc that are due and arms the next fire. A
+// stale timer, one whose schedule was stopped or re-planned, finds
+// nothing due and only re-arms.
+func (jm *JobManager) fire(sc *schedule) {
+	sc.exec.Lock()
+	defer sc.exec.Unlock()
+	jm.mu.Lock()
+	if jm.sched != sc {
 		jm.mu.Unlock()
 		return
 	}
-	jm.running = true
-	stop := make(chan struct{})
-	jm.stopCh = stop
+	now := jm.clock.Now().Sub(sc.begin)
+	specs, at := jm.nextDueLocked(sc.due, now)
+	due := len(specs) > 0 && at <= now
 	jm.mu.Unlock()
-	jm.wg.Add(1)
-	go func() {
-		defer jm.wg.Done()
-		begin := time.Now()
-		due := make(map[string]time.Duration)
-		var specs []JobSpec
-		for {
-			now := time.Since(begin)
-			var at time.Duration
-			specs, at = jm.nextDue(due, now, specs)
-			if len(specs) > 0 && at <= now {
-				jm.execute(specs)
-				// Like a ticker, a slow poll drops missed fires
-				// instead of bursting to catch up.
-				for _, spec := range specs {
-					due[spec.Name] = max(at+spec.Period, time.Since(begin))
-				}
-				continue
-			}
-			if !jm.sleep(stop, at-now, len(specs) > 0) {
-				return
-			}
-		}
-	}()
-}
-
-// sleep blocks until d elapses (forever when nothing is due), the job
-// set changes, or stop closes; it reports whether to keep running.
-func (jm *JobManager) sleep(stop <-chan struct{}, d time.Duration, due bool) bool {
-	var fire <-chan time.Time
 	if due {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		fire = t.C
+		jm.execute(specs)
 	}
-	select {
-	case <-stop:
-		return false
-	case <-jm.wake:
-	case <-fire:
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	if due {
+		// Like a ticker, a slow poll drops missed fires instead of
+		// bursting to catch up.
+		after := jm.clock.Now().Sub(sc.begin)
+		for _, spec := range specs {
+			sc.due[spec.Name] = max(at+spec.Period, after)
+		}
 	}
-	return true
+	if jm.sched == sc {
+		jm.armLocked(sc)
+	}
 }
 
-// Stop halts periodic polling.
+// Stop halts periodic polling. It waits out an execution in flight, so
+// nothing executes after it returns; it must not be called from a
+// backend the execution stores to.
 func (jm *JobManager) Stop() {
 	jm.mu.Lock()
-	if !jm.running {
+	sc := jm.sched
+	if sc == nil {
 		jm.mu.Unlock()
 		return
 	}
-	jm.running = false
-	close(jm.stopCh)
-	jm.mu.Unlock()
-	jm.wg.Wait()
-}
-
-// RunVirtual simulates a wall-clock window without sleeping: each job
-// executes as many times as its period fits into the window, interleaved
-// in fire-time order; the jobs that fire at one instant run as one
-// execution. Deterministic; used by the Table 2 experiment.
-func (jm *JobManager) RunVirtual(window time.Duration) {
-	due := make(map[string]time.Duration)
-	now := time.Duration(0)
-	var specs []JobSpec
-	for {
-		var at time.Duration
-		specs, at = jm.nextDue(due, now, specs)
-		if len(specs) == 0 || at > window {
-			return
-		}
-		jm.execute(specs)
-		for _, spec := range specs {
-			due[spec.Name] = at + spec.Period
-		}
-		now = at
+	jm.sched = nil
+	if sc.timer != nil {
+		sc.timer.Stop()
 	}
+	jm.mu.Unlock()
+	// An execution in flight holds exec; a timer that fires later finds
+	// the schedule gone.
+	sc.exec.Lock()
+	sc.exec.Unlock()
 }
 
 // FormatTable2 renders event statistics in the layout of the paper's

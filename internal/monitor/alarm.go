@@ -178,13 +178,10 @@ type AlarmEngine struct {
 	mRules    *telemetry.Counter
 }
 
-// NewAlarmEngine builds an engine over the given stores. clock may be nil
-// (wall clock); store may be nil (BGP-state rules never fire; correlation
-// sees only the reconcile journal).
+// NewAlarmEngine builds an engine over the given stores on clock. store
+// may be nil (BGP-state rules never fire; correlation sees only the
+// reconcile journal).
 func NewAlarmEngine(clock vclock.Clock, ts *TimeseriesBackend, store *fbnet.Store) *AlarmEngine {
-	if clock == nil {
-		clock = vclock.RealClock()
-	}
 	return &AlarmEngine{
 		clock:  clock,
 		ts:     ts,

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // Regression: Store used to record only in_octets for interface
@@ -95,7 +96,7 @@ func TestHistoriesCostWhatTheyHold(t *testing.T) {
 		t.Errorf("1,000 one-sample series allocated %d bytes, want under 1 MB", got)
 	}
 
-	ae := NewAlarmEngine(nil, ts, nil)
+	ae := NewAlarmEngine(vclock.RealClock(), ts, nil)
 	alert := Alert{Rule: "link-flap", Message: netsim.SyslogMessage{Host: "sw1", Time: time.Unix(1, 0)}}
 	for i := 0; i < 10000; i++ {
 		ae.ObserveAlert(alert)

@@ -10,6 +10,7 @@ import (
 	"github.com/robotron-net/robotron/internal/experiments"
 	"github.com/robotron-net/robotron/internal/monitor"
 	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // netsimTexts drives a small wired fleet through every verb and event
@@ -22,7 +23,7 @@ func netsimTexts(t *testing.T) []string {
 		mu    sync.Mutex // a confirm timer emits from its own goroutine
 		texts []string
 	)
-	fleet := netsim.NewFleet()
+	fleet := netsim.NewFleet(vclock.RealClock())
 	add := func(name string, v netsim.Vendor, cfg string) *netsim.Device {
 		d, err := fleet.AddDevice(name, v, "psw", "pop1")
 		if err != nil {

@@ -67,13 +67,12 @@ func TestCheckDeviceVerdictEqualsColdDiff(t *testing.T) {
 // revision, keeps the DerivedConfig row and its stamp, and allocates
 // within a fixed bound; a drift moves the stamp to the check that saw it.
 func TestRepeatedConformingCheckWritesNothing(t *testing.T) {
-	fleet, jm, store, repo := newMonitoredFleet(t, 1)
+	first := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	clk := vclock.NewVirtualClock(first)
+	fleet, jm, store, repo := newMonitoredFleetOn(t, 1, clk)
 	dev, _ := fleet.Device("dev00")
 	golden, _ := dev.RunningConfig()
 	cm := NewConfigMonitor(jm, repo, store, func(string) (string, error) { return golden, nil })
-	first := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	clk := vclock.NewVirtualClock(first)
-	jm.SetClock(clk)
 	if d, err := cm.CheckDevice("dev00"); err != nil || d != nil {
 		t.Fatalf("first check = %+v, %v; want conforming", d, err)
 	}

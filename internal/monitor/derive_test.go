@@ -82,7 +82,7 @@ func deriveFixture(t *testing.T) *fbnet.Store {
 // derivedJobManager is a job manager with the backends derived jobs name.
 func derivedJobManager(t *testing.T, store *fbnet.Store) *JobManager {
 	t.Helper()
-	jm := NewJobManager(nil)
+	jm := NewJobManager(nil, vclock.RealClock())
 	ts := NewTimeseriesBackend()
 	if err := jm.RegisterBackend(ts); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func derivedJobManager(t *testing.T, store *fbnet.Store) *JobManager {
 // the first Sync of a fresh Derivation, which derives every device.
 func deriveFrom(t *testing.T, store *fbnet.Store) (jobs []JobSpec, rules []AlarmRule) {
 	t.Helper()
-	jm, ae := derivedJobManager(t, store), NewAlarmEngine(nil, NewTimeseriesBackend(), store)
+	jm, ae := derivedJobManager(t, store), NewAlarmEngine(vclock.RealClock(), NewTimeseriesBackend(), store)
 	if _, err := NewDerivation(jm, ae).Sync(verify.NewChecker(store, nil)); err != nil {
 		t.Fatal(err)
 	}

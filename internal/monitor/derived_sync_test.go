@@ -646,9 +646,8 @@ func syncAfterUnrelatedCommit(t *testing.T, store *fbnet.Store, planned func() f
 // Derived row records can be the wall clock's, and an engine polled
 // outside a job carries no time at all.
 func TestDerivedRowsCarryNoWallTime(t *testing.T) {
-	fleet, jm, store, _ := newMonitoredFleet(t, 1)
 	at := time.Date(2001, 9, 9, 1, 46, 40, 0, time.UTC)
-	jm.SetClock(vclock.NewVirtualClock(at))
+	fleet, jm, store, _ := newMonitoredFleetOn(t, 1, vclock.NewVirtualClock(at))
 	dev, _ := fleet.Device("dev00")
 	for typ, eng := range NewEngines() {
 		for _, data := range []DataType{DataCounters, DataInterfaces, DataLLDP, DataBGP, DataConfig, DataVersion} {

@@ -43,9 +43,10 @@ type tierWorld struct {
 func newTierWorld(t *testing.T, seed int64, width int) *tierWorld {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	vc := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 	w := &tierWorld{
-		fleet: netsim.NewFleet(),
-		vc:    vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)),
+		fleet: netsim.NewFleet(vc),
+		vc:    vc,
 		ts:    NewTimeseriesBackend(),
 		repo:  revctl.NewRepo(),
 	}
@@ -57,7 +58,6 @@ func newTierWorld(t *testing.T, seed int64, width int) *tierWorld {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.SetTimeFunc(w.vc.Now)
 		var b strings.Builder
 		fmt.Fprintf(&b, "hostname %s\n", names[i])
 		for port := 1; port <= 2+rng.Intn(4); port++ {
@@ -105,9 +105,8 @@ func newTierWorld(t *testing.T, seed int64, width int) *tierWorld {
 		t.Fatal(err)
 	}
 	w.ddl = w.store.DB().Seq()
-	w.jm = NewJobManager(FleetDeviceResolver(w.fleet))
+	w.jm = NewJobManager(FleetDeviceResolver(w.fleet), w.vc)
 	w.jm.SetPollWidth(width)
-	w.jm.SetClock(w.vc)
 	w.jm.SetDeviceLister(func() []string { return SortedDeviceNames(w.fleet) })
 	for _, b := range []Backend{w.ts, NewDerivedBackend(w.store, w.ts), NewConfigBackend(w.repo)} {
 		if err := w.jm.RegisterBackend(b); err != nil {
@@ -257,7 +256,7 @@ func TestEngineTierRaisesAPollPanicOnTheCaller(t *testing.T) {
 	}
 	jm := NewJobManager(func(name string) (DeviceAPI, error) {
 		return panickyDevice{name}, nil
-	})
+	}, vclock.RealClock())
 	defer func() {
 		if p := recover(); p != "dev07 exploded" {
 			t.Fatalf("recovered %v, want the poll's panic", p)

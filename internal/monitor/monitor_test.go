@@ -101,7 +101,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 	defer col.Close()
 
 	// Devices log to the collector's (anycast) address over UDP.
-	fleet := netsim.NewFleet()
+	fleet := netsim.NewFleet(vclock.RealClock())
 	d, _ := fleet.AddDevice("psw1", netsim.Vendor1, "psw", "pop1")
 	sink, err := netsim.UDPSyslogSink(col.Addr())
 	if err != nil {
@@ -137,7 +137,14 @@ func TestCollectorEndToEnd(t *testing.T) {
 // FBNet store.
 func newMonitoredFleet(t testing.TB, n int) (*netsim.Fleet, *JobManager, *fbnet.Store, *revctl.Repo) {
 	t.Helper()
-	fleet := netsim.NewFleet()
+	return newMonitoredFleetOn(t, n, vclock.RealClock())
+}
+
+// newMonitoredFleetOn is newMonitoredFleet with the fleet and the job
+// manager on clock.
+func newMonitoredFleetOn(t testing.TB, n int, clock vclock.Clock) (*netsim.Fleet, *JobManager, *fbnet.Store, *revctl.Repo) {
+	t.Helper()
+	fleet := netsim.NewFleet(clock)
 	for i := 0; i < n; i++ {
 		d, err := fleet.AddDevice(fmt.Sprintf("dev%02d", i), netsim.Vendor1, "psw", "pop1")
 		if err != nil {
@@ -158,7 +165,7 @@ func newMonitoredFleet(t testing.TB, n int) (*netsim.Fleet, *JobManager, *fbnet.
 		t.Fatal(err)
 	}
 	repo := revctl.NewRepo()
-	jm := NewJobManager(FleetDeviceResolver(fleet))
+	jm := NewJobManager(FleetDeviceResolver(fleet), clock)
 	ts := NewTimeseriesBackend()
 	for _, b := range []Backend{ts, NewDerivedBackend(store, ts), NewConfigBackend(repo)} {
 		if err := jm.RegisterBackend(b); err != nil {
@@ -322,13 +329,19 @@ func TestDeriveCircuitsRequiresBothSides(t *testing.T) {
 	}
 }
 
+// TestRunVirtualDeterministicCounts: Start on a VirtualClock runs every
+// job as many times as its period fits into the advanced hour, inline in
+// Advance, and nothing after Stop.
 func TestRunVirtualDeterministicCounts(t *testing.T) {
-	_, jm, _, _ := newMonitoredFleet(t, 2)
+	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
+	_, jm, _, _ := newMonitoredFleetOn(t, 2, clk)
 	jm.AddJob(JobSpec{Name: "fast", Period: time.Minute, Engine: EngineSNMP,
 		Data: DataCounters, Devices: []string{"dev00", "dev01"}})
 	jm.AddJob(JobSpec{Name: "slow", Period: 10 * time.Minute, Engine: EngineCLI,
 		Data: DataConfig, Devices: []string{"dev00"}})
-	jm.RunVirtual(time.Hour)
+	jm.Start()
+	clk.Advance(time.Hour)
+	jm.Stop()
 	counts := jm.Stats().Counts()
 	if counts[EngineSNMP] != 120 { // 60 runs x 2 devices
 		t.Errorf("snmp events = %d, want 120", counts[EngineSNMP])
@@ -336,64 +349,77 @@ func TestRunVirtualDeterministicCounts(t *testing.T) {
 	if counts[EngineCLI] != 6 {
 		t.Errorf("cli events = %d, want 6", counts[EngineCLI])
 	}
+	clk.Advance(time.Hour)
+	if after := jm.Stats().Counts(); after[EngineSNMP] != counts[EngineSNMP] || after[EngineCLI] != counts[EngineCLI] {
+		t.Errorf("polling continued after Stop: %v -> %v", counts, after)
+	}
+	if n := clk.PendingTimers(); n != 0 {
+		t.Errorf("Stop left %d timer(s) armed", n)
+	}
 }
 
+// TestStartStopRealTime is the wall-clock smoke test of the scheduler:
+// jobs run on their period, a job swapped in by ReplaceJobs after Start
+// is followed, and nothing executes after Stop returns.
 func TestStartStopRealTime(t *testing.T) {
-	_, jm, _, _ := newMonitoredFleet(t, 1)
-	jm.AddJob(JobSpec{Name: "fast", Period: 10 * time.Millisecond, Engine: EngineSNMP,
+	_, jm, _, _ := newMonitoredFleet(t, 2)
+	jm.AddJob(JobSpec{Name: "fast", Period: 2 * time.Millisecond, Engine: EngineSNMP,
 		Data: DataCounters, Devices: []string{"dev00"}})
 	jm.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for jm.Stats().Counts()[EngineSNMP] < 3 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	waitFor := func(e EngineType, n int64) bool {
+		deadline := time.Now().Add(2 * time.Second)
+		for jm.Stats().Counts()[e] < n && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		return jm.Stats().Counts()[e] >= n
 	}
-	jm.Stop()
-	if jm.Stats().Counts()[EngineSNMP] < 3 {
+	if !waitFor(EngineSNMP, 3) {
 		t.Errorf("periodic polling produced %d events", jm.Stats().Counts()[EngineSNMP])
 	}
-	n := jm.Stats().Counts()[EngineSNMP]
-	time.Sleep(30 * time.Millisecond)
-	if jm.Stats().Counts()[EngineSNMP] != n {
-		t.Error("polling continued after Stop")
+	if err := jm.ReplaceJobs("derived-", []JobSpec{{Name: "derived-cli", Period: 2 * time.Millisecond,
+		Engine: EngineCLI, Data: DataConfig, Devices: []string{"dev01"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if !waitFor(EngineCLI, 3) {
+		t.Errorf("job swapped in after Start was polled %d time(s)", jm.Stats().Counts()[EngineCLI])
+	}
+	jm.Stop()
+	counts := jm.Stats().Counts()
+	time.Sleep(20 * time.Millisecond)
+	if after := jm.Stats().Counts(); after[EngineSNMP] != counts[EngineSNMP] || after[EngineCLI] != counts[EngineCLI] {
+		t.Errorf("polling continued after Stop: %v -> %v", counts, after)
 	}
 }
 
 // TestStartedManagerFollowsLiveJobSet pins the stale-job-set fix: core
 // calls ReplaceJobs("derived-", ...) after every provision and deploy, so
-// a started manager must poll a job swapped in after Start and stop
-// polling the one swapped out.
+// a started manager must poll a job swapped in after Start — into an
+// empty job set too — and stop polling the one swapped out.
 func TestStartedManagerFollowsLiveJobSet(t *testing.T) {
-	_, jm, _, _ := newMonitoredFleet(t, 2)
+	clk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
+	_, jm, _, _ := newMonitoredFleetOn(t, 2, clk)
 	snmp := JobSpec{Name: "derived-old", Period: 5 * time.Millisecond, Engine: EngineSNMP,
 		Data: DataCounters, Devices: []string{"dev00"}}
 	cli := JobSpec{Name: "derived-new", Period: 5 * time.Millisecond, Engine: EngineCLI,
 		Data: DataConfig, Devices: []string{"dev01"}}
+	jm.Start()
+	defer jm.Stop()
 	if err := jm.ReplaceJobs("derived-", []JobSpec{snmp}); err != nil {
 		t.Fatal(err)
 	}
-	jm.Start()
-	defer jm.Stop()
-	waitFor := func(e EngineType, n int64) bool {
-		deadline := time.Now().Add(2 * time.Second)
-		for jm.Stats().Counts()[e] < n && time.Now().Before(deadline) {
-			time.Sleep(2 * time.Millisecond)
-		}
-		return jm.Stats().Counts()[e] >= n
-	}
-	if !waitFor(EngineSNMP, 2) {
-		t.Fatal("the job installed before Start was never polled")
+	clk.Advance(10 * time.Millisecond)
+	if got := jm.Stats().Counts()[EngineSNMP]; got != 2 {
+		t.Fatalf("the job installed after Start was polled %d time(s), want 2", got)
 	}
 	if err := jm.ReplaceJobs("derived-", []JobSpec{cli}); err != nil {
 		t.Fatal(err)
 	}
-	if !waitFor(EngineCLI, 3) {
-		t.Fatalf("job swapped in after Start was polled %d time(s)", jm.Stats().Counts()[EngineCLI])
+	clk.Advance(15 * time.Millisecond)
+	if got := jm.Stats().Counts()[EngineCLI]; got != 3 {
+		t.Fatalf("job swapped in after Start was polled %d time(s), want 3", got)
 	}
-	// At most one in-flight poll of the old job may land after the swap.
-	old := jm.Stats().Counts()[EngineSNMP]
-	waitFor(EngineCLI, jm.Stats().Counts()[EngineCLI]+4)
-	if got := jm.Stats().Counts()[EngineSNMP]; got > old+1 {
-		t.Errorf("swapped-out job kept polling: %d -> %d", old, got)
+	if got := jm.Stats().Counts()[EngineSNMP]; got != 2 {
+		t.Errorf("swapped-out job kept polling: 2 -> %d", got)
 	}
 }
 
@@ -477,15 +503,14 @@ func TestConfigMonitorDetectsDriftAndRestores(t *testing.T) {
 }
 
 func TestConfigMonitorConformingChangeIsQuiet(t *testing.T) {
-	fleet, jm, store, repo := newMonitoredFleet(t, 1)
+	at := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	fleet, jm, store, repo := newMonitoredFleetOn(t, 1, vclock.NewVirtualClock(at))
 	dev, _ := fleet.Device("dev00")
 	cfg, _ := dev.RunningConfig()
 	repo.Commit("golden/dev00", cfg, "robotron", "provisioned")
 	cm := NewConfigMonitor(jm, repo, store, func(d string) (string, error) {
 		return repo.GetHead("golden/" + d)
 	})
-	at := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	jm.SetClock(vclock.NewVirtualClock(at))
 	devn, err := cm.CheckDevice("dev00")
 	if err != nil {
 		t.Fatal(err)

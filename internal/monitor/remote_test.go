@@ -8,6 +8,7 @@ import (
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/relstore"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 var _ DeviceAPI = (*netsim.RemoteDevice)(nil)
@@ -16,7 +17,7 @@ var _ DeviceAPI = (*netsim.RemoteDevice)(nil)
 // the management CLI rather than in process — the transport the paper's
 // CLI engine actually uses.
 func TestMonitoringOverTCP(t *testing.T) {
-	fleet := netsim.NewFleet()
+	fleet := netsim.NewFleet(vclock.RealClock())
 	for i := 0; i < 3; i++ {
 		d, _ := fleet.AddDevice(fmt.Sprintf("dev%02d", i), netsim.Vendor1, "psw", "pop1")
 		d.LoadConfig(fmt.Sprintf("hostname dev%02d\ninterface et1/1\n", i))
@@ -52,7 +53,7 @@ func TestMonitoringOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jm := NewJobManager(resolver)
+	jm := NewJobManager(resolver, vclock.RealClock())
 	ts := NewTimeseriesBackend()
 	jm.RegisterBackend(ts)
 	jm.RegisterBackend(NewDerivedBackend(store, ts))

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/robotron-net/robotron/internal/vclock"
 	"github.com/robotron-net/robotron/internal/vendorcfg"
 )
 
@@ -116,7 +117,7 @@ type Device struct {
 	bgpPeers    map[string]*BGPPeerStatus
 	lldp        map[string]LLDPNeighbor // keyed by local interface
 	traffic     float64                 // offered load 0..1; >0 means draining required
-	confirmTmr  *time.Timer
+	confirmTmr  vclock.Timer
 	confirmPrev string
 	commitDelay time.Duration // simulated config-apply time
 
@@ -147,7 +148,9 @@ type Device struct {
 	// (SetDown, Reboot, RemoveLinecard) so the device is marked dirty for
 	// the next incremental recompute pass.
 	onHealth func(*Device)
-	now      func() time.Time
+	// clock stamps syslog, counters and uptime and runs the native
+	// commit-confirm timer.
+	clock vclock.Clock
 	// faults, when set, injects failures into management verbs (see
 	// faults.go); both the in-process API and the TCP CLI go through it.
 	faults *FaultPolicy
@@ -173,20 +176,24 @@ type ifaceState struct {
 	rate      uint64 // octets per second when up
 }
 
-// NewDevice creates a healthy device with an empty config.
+// NewDevice creates a healthy device with an empty config on the wall
+// clock; a fleet's devices run on the fleet's clock.
 func NewDevice(name string, vendor Vendor, role, site string) *Device {
-	d := &Device{
+	return newDevice(name, vendor, role, site, vclock.RealClock())
+}
+
+func newDevice(name string, vendor Vendor, role, site string, clock vclock.Clock) *Device {
+	return &Device{
 		name:      name,
 		vendor:    vendor,
 		role:      role,
 		site:      site,
-		bootTime:  time.Now(),
+		bootTime:  clock.Now(),
 		osVersion: osVersionFor(vendor),
 		ifaces:    make(map[string]*ifaceState),
 		bgpPeers:  make(map[string]*BGPPeerStatus),
-		now:       time.Now,
+		clock:     clock,
 	}
-	return d
 }
 
 func osVersionFor(v Vendor) string {
@@ -216,23 +223,11 @@ func (d *Device) SetSyslogSink(sink func(SyslogMessage)) {
 	d.syslogSink = sink
 }
 
-// SetTimeFunc replaces the device's time source (syslog timestamps,
-// traffic counters, uptime) and rebases the boot instant onto it, so a
-// device driven by a virtual clock reports deterministic, monotonic
-// operational state. Scenario runs point every device at the shared
-// virtual clock.
-func (d *Device) SetTimeFunc(now func() time.Time) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.now = now
-	d.bootTime = now()
-}
-
 // emit sends a syslog message; callers must not hold d.mu.
 func (d *Device) emit(severity int, app, format string, args ...any) {
 	d.mu.Lock()
 	sink := d.syslogSink
-	now := d.now()
+	now := d.clock.Now()
 	d.mu.Unlock()
 	if sink == nil {
 		return
@@ -481,7 +476,7 @@ func (d *Device) commitConfirmedOp(grace time.Duration) error {
 	if d.confirmTmr != nil {
 		d.confirmTmr.Stop()
 	}
-	d.confirmTmr = time.AfterFunc(grace, func() { d.confirmExpired() })
+	d.confirmTmr = d.clock.AfterFunc(grace, d.confirmExpired)
 	cb := d.onCommit
 	d.mu.Unlock()
 
@@ -850,7 +845,7 @@ func (d *Device) ShowInterfaces() ([]IfaceStatus, error) {
 }
 
 func (d *Device) advanceCountersLocked() {
-	elapsed := d.now().Sub(d.bootTime).Seconds()
+	elapsed := d.clock.Now().Sub(d.bootTime).Seconds()
 	for _, st := range d.ifaces {
 		if st.operUp {
 			st.inOctets = uint64(elapsed * float64(st.rate) * (0.5 + d.traffic))
@@ -900,7 +895,7 @@ func (d *Device) ShowVersion() (VersionInfo, error) {
 		Name:      d.name,
 		Vendor:    string(d.vendor),
 		OSVersion: d.osVersion,
-		UptimeS:   int64(d.now().Sub(d.bootTime).Seconds()),
+		UptimeS:   int64(d.clock.Now().Sub(d.bootTime).Seconds()),
 	}, nil
 }
 
@@ -966,7 +961,7 @@ func (d *Device) Reachable() bool {
 func (d *Device) Reboot() {
 	d.emit(2, "system", "DEVICE_REBOOT: System reboot requested")
 	d.mu.Lock()
-	d.bootTime = d.now()
+	d.bootTime = d.clock.Now()
 	var flapped []string
 	for name, st := range d.ifaces {
 		if st.operUp {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // faultSchedule runs n commits against a fresh device under policy p and
@@ -181,7 +183,7 @@ func TestFaultPolicyMaxCountAndDisable(t *testing.T) {
 }
 
 func TestMgmtTCPConnDropAndRedial(t *testing.T) {
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	f.AddDevice("pr1.pop1", Vendor2, "pr", "pop1")
 	p := NewFaultPolicy(3)
 	p.Add(FaultRule{Kind: FaultDropAfter, Probability: 1, Verbs: []string{"commit"}, MaxCount: 1})
@@ -215,7 +217,7 @@ func TestMgmtTCPConnDropAndRedial(t *testing.T) {
 }
 
 func TestMgmtTCPGarbledReply(t *testing.T) {
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	f.AddDevice("pr1.pop1", Vendor2, "pr", "pop1")
 	p := NewFaultPolicy(3)
 	p.Add(FaultRule{Kind: FaultGarbled, Probability: 1, Verbs: []string{"show running-config"}, MaxCount: 1})
@@ -246,7 +248,7 @@ func TestMgmtTCPGarbledReply(t *testing.T) {
 }
 
 func TestMgmtClientDeadlineTimeout(t *testing.T) {
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	f.AddDevice("pr1.pop1", Vendor2, "pr", "pop1")
 	p := NewFaultPolicy(3)
 	p.Add(FaultRule{Kind: FaultLatency, Probability: 1, Latency: 300 * time.Millisecond, Verbs: []string{"show running-config"}, MaxCount: 1})

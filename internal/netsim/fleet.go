@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // Fleet owns a set of devices and the cabling between them. It derives
@@ -26,6 +28,7 @@ import (
 // (recompute_oracle_test.go); the incremental engine's results are
 // property-tested to be a fixed point of it.
 type Fleet struct {
+	clock   vclock.Clock // every device's clock
 	mu      sync.Mutex
 	devices map[string]*Device
 	cables  []cable
@@ -70,9 +73,10 @@ type cable struct {
 	aDev, aIf, zDev, zIf string
 }
 
-// NewFleet returns an empty fleet.
-func NewFleet() *Fleet {
+// NewFleet returns an empty fleet whose devices run on clock.
+func NewFleet(clock vclock.Clock) *Fleet {
 	return &Fleet{
+		clock:          clock,
 		devices:        make(map[string]*Device),
 		cablesByDev:    make(map[string][]cable),
 		devTokens:      make(map[string][]string),
@@ -91,7 +95,7 @@ func (f *Fleet) AddDevice(name string, vendor Vendor, role, site string) (*Devic
 	if _, dup := f.devices[name]; dup {
 		return nil, fmt.Errorf("netsim: device %q already exists", name)
 	}
-	d := NewDevice(name, vendor, role, site)
+	d := newDevice(name, vendor, role, site, f.clock)
 	d.onCommit = func(dd *Device) { f.deviceChanged(dd, true) }
 	d.onManual = func(dd *Device) { f.deviceChanged(dd, false) }
 	d.onHealth = func(dd *Device) { f.healthChanged(dd) }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/robotron-net/robotron/internal/vclock"
 	"github.com/robotron-net/robotron/internal/vendorcfg"
 )
 
@@ -17,7 +18,7 @@ import (
 // peer address is a prefix of it). Matching is now by exact address
 // token.
 func TestBGPExactAddressMatch(t *testing.T) {
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	a, _ := f.AddDevice("a", Vendor1, "psw", "s")
 	b, _ := f.AddDevice("b", Vendor1, "psw", "s")
 
@@ -143,7 +144,7 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 
 func runRandomHistory(t *testing.T, seed int64, shape historyShape) {
 	rng := rand.New(rand.NewSource(seed))
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	const nDev = 12
 	devs := make([]*Device, nDev)
 	for i := range devs {
@@ -409,7 +410,7 @@ func meshConfig(i, n int, withLoopback bool) string {
 // buildMeshFleet commits meshConfig on n routers.
 func buildMeshFleet(tb testing.TB, n int) *Fleet {
 	tb.Helper()
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	for i := 0; i < n; i++ {
 		d, err := f.AddDevice(fmt.Sprintf("r%03d", i), Vendor1, "bb", "bench")
 		if err != nil {
@@ -464,7 +465,7 @@ func TestMeshCommitAllocsLinear(t *testing.T) {
 // from map iteration.
 func TestFlushOrderDeterministic(t *testing.T) {
 	run := func() []string {
-		f := NewFleet()
+		f := NewFleet(vclock.RealClock())
 		var log []string
 		add := func(name, cfg string) *Device {
 			d, err := f.AddDevice(name, Vendor1, "psw", "s")

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 const v1Config = `hostname psw-a.pop1
@@ -296,7 +298,7 @@ func TestEraseLogsOnlyWhatItChanged(t *testing.T) {
 }
 
 func TestFleetWiringDrivesLinkState(t *testing.T) {
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	a, _ := f.AddDevice("psw-a.pop1", Vendor1, "psw", "pop1")
 	z, _ := f.AddDevice("pr1.pop1", Vendor2, "pr", "pop1")
 	if _, err := f.AddDevice("psw-a.pop1", Vendor1, "psw", "pop1"); err == nil {
@@ -354,7 +356,7 @@ func TestFleetWiringDrivesLinkState(t *testing.T) {
 }
 
 func TestWireValidation(t *testing.T) {
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	f.AddDevice("a", Vendor1, "psw", "s")
 	f.AddDevice("b", Vendor1, "psw", "s")
 	f.AddDevice("c", Vendor1, "psw", "s")
@@ -370,7 +372,7 @@ func TestWireValidation(t *testing.T) {
 }
 
 func TestBGPStateFollowsConfigs(t *testing.T) {
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	a, _ := f.AddDevice("a", Vendor1, "psw", "pop1")
 	b, _ := f.AddDevice("b", Vendor1, "pr", "pop1")
 	a.LoadConfig("interface ae0\n ip addr 10.0.0.0/31\nrouter bgp 65001\n neighbor 10.0.0.1 remote-as 65000\n")
@@ -388,7 +390,7 @@ func TestBGPStateFollowsConfigs(t *testing.T) {
 }
 
 func TestRebootAndLinecardFailures(t *testing.T) {
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	d, _ := f.AddDevice("a", Vendor1, "psw", "pop1")
 	var msgs []SyslogMessage
 	var mu sync.Mutex
@@ -420,7 +422,7 @@ func TestRebootAndLinecardFailures(t *testing.T) {
 }
 
 func TestCountersAdvance(t *testing.T) {
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	a, _ := f.AddDevice("a", Vendor1, "psw", "pop1")
 	b, _ := f.AddDevice("b", Vendor1, "psw", "pop1")
 	a.LoadConfig("interface et1/1\n")
@@ -514,7 +516,7 @@ func TestUDPSyslogDelivery(t *testing.T) {
 }
 
 func TestMgmtServerEndToEnd(t *testing.T) {
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	d, _ := f.AddDevice("pr1.pop1", Vendor2, "pr", "pop1")
 	_ = d
 	srv, err := f.ServeMgmt("127.0.0.1:0")
@@ -554,7 +556,7 @@ func TestMgmtServerEndToEnd(t *testing.T) {
 }
 
 func TestMgmtNoDeviceSelected(t *testing.T) {
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	f.AddDevice("a", Vendor1, "psw", "pop1")
 	srv, err := f.ServeMgmt("127.0.0.1:0")
 	if err != nil {
@@ -578,7 +580,7 @@ func TestMgmtNoDeviceSelected(t *testing.T) {
 // config directly (no candidate/commit), reparses it, and emits a
 // CONFIG_CHANGED syslog so monitoring can notice.
 func TestInjectRunningConfig(t *testing.T) {
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	d, _ := f.AddDevice("psw1.pop1", Vendor1, "psw", "pop1")
 	if err := d.LoadConfig("hostname psw1.pop1\ninterface et1/1\n"); err != nil {
 		t.Fatal(err)

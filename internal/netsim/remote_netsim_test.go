@@ -5,11 +5,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 func newRemotePair(t *testing.T) (*Fleet, *RemoteDevice, *RemoteDevice) {
 	t.Helper()
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	d1, _ := f.AddDevice("psw1.pop1", Vendor1, "psw", "pop1")
 	d1.SetTrafficLoad(0.25)
 	f.AddDevice("pr1.pop1", Vendor2, "pr", "pop1")

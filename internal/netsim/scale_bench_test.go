@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
 // The scale benchmarks measure the netsim hot path — what a single config
@@ -50,7 +52,7 @@ neighbor %s remote-as 65000
 // buildRingFleet wires n devices in a ring and commits every config.
 func buildRingFleet(tb testing.TB, n int) *Fleet {
 	tb.Helper()
-	f := NewFleet()
+	f := NewFleet(vclock.RealClock())
 	for i := 0; i < n; i++ {
 		if _, err := f.AddDevice(fmt.Sprintf("dev%06d", i), Vendor1, "bb", "bench"); err != nil {
 			tb.Fatal(err)

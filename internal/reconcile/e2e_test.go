@@ -24,7 +24,7 @@ var e2eT0 = time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 // under the given config (Clock is filled in by the caller via cfg).
 func newReconciledPOP(t testing.TB, cfg reconcile.Config) *core.Robotron {
 	t.Helper()
-	r, err := core.New(core.Options{EnableReconciler: true, Reconcile: cfg})
+	r, err := core.New(core.Options{Clock: cfg.Clock, EnableReconciler: true, Reconcile: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,8 @@ type DeviceStatus struct {
 // Config tunes the reconciler. The zero value selects the defaults below.
 type Config struct {
 	// Clock drives all scheduling; nil uses the wall clock. Tests pass a
-	// VirtualClock for deterministic runs.
+	// VirtualClock for deterministic runs. core.New sets it to the
+	// instance's one clock and rejects any other.
 	Clock vclock.Clock
 
 	// SweepInterval is the period of the full-fleet conformance sweep

@@ -217,7 +217,7 @@ func (e *engine) build() error {
 	}
 	var retry *deploy.RetryPolicy
 	if f.Deploy.RetryAttempts > 0 {
-		retry = &deploy.RetryPolicy{Seed: f.Seed, MaxAttempts: f.Deploy.RetryAttempts, Sleep: func(time.Duration) {}}
+		retry = &deploy.RetryPolicy{Seed: f.Seed, MaxAttempts: f.Deploy.RetryAttempts}
 	}
 	var store *fbnet.Store
 	if f.Service != nil {
@@ -247,7 +247,6 @@ func (e *engine) build() error {
 		GenerateParallelism: par,
 		EnableReconciler:    true,
 		Reconcile: reconcile.Config{
-			Clock:             e.clock,
 			DampingThreshold:  f.Reconciler.DampingThreshold,
 			DampingWindow:     f.Reconciler.DampingWindow,
 			BudgetMaxDevices:  f.Reconciler.BudgetMaxDevices,

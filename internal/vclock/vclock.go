@@ -1,13 +1,17 @@
-// Package vclock provides the deterministic time source shared by every
-// subsystem that schedules future work: the reconciler's backoff and
-// sweep timers, and the scenario engine's event sequencing.
+// Package vclock provides the one time source of a Robotron instance.
+// core.New resolves it once (Options.Clock, else RealClock) and hands the
+// same value to every component that schedules, waits or stamps: the
+// deployer's commit-confirm grace, commit timeout and retry backoff, the
+// simulated fleet's device clocks and native commit-confirm timers, the
+// job manager's scheduler and collection stamps, the alarm engine, the
+// reconciler's backoff and sweep timers, audit stamps, and the scenario
+// engine's event sequencing.
 //
 // The real clock delegates to the runtime; the VirtualClock is manually
 // advanced and fires timers inline in a strict (due time, creation order)
 // sequence, so a test or scenario that advances past several deadlines
 // observes every callback in a single deterministic order regardless of
-// goroutine scheduling. It was born in internal/reconcile and promoted
-// here when the scenario engine needed the same guarantee.
+// goroutine scheduling.
 package vclock
 
 import (
@@ -25,6 +29,9 @@ type Clock interface {
 	// AfterFunc schedules f to run once after d. The returned Timer's
 	// Stop cancels the call if it has not fired yet.
 	AfterFunc(d time.Duration, f func()) Timer
+	// Sleep waits d. On a VirtualClock it returns at once: a wait costs
+	// no virtual time; only Advance moves the clock.
+	Sleep(d time.Duration)
 }
 
 // Timer is a cancelable pending call.
@@ -43,6 +50,8 @@ func (realClock) Now() time.Time { return time.Now() }
 func (realClock) AfterFunc(d time.Duration, f func()) Timer {
 	return time.AfterFunc(d, f)
 }
+
+func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
 
 // VirtualClock is a manually advanced clock. Timers fire inline during
 // Advance, strictly ordered by (due time, creation order), so a test that
@@ -87,6 +96,9 @@ func (c *VirtualClock) AfterFunc(d time.Duration, f func()) Timer {
 	c.due = append(c.due, t)
 	return t
 }
+
+// Sleep returns at once without moving the clock.
+func (c *VirtualClock) Sleep(time.Duration) {}
 
 func (t *vtimer) Stop() bool {
 	t.clock.mu.Lock()

@@ -114,3 +114,16 @@ func TestConcurrentAfterFuncRace(t *testing.T) {
 		t.Fatalf("fired = %d, want %d", fired, 8*50)
 	}
 }
+
+// TestVirtualSleepCostsNoTime pins the virtual Sleep: it returns at once,
+// moves no time and fires no timer, so only Advance moves
+// the clock.
+func TestVirtualSleepCostsNoTime(t *testing.T) {
+	c := NewVirtualClock(epoch)
+	fired := false
+	c.AfterFunc(time.Millisecond, func() { fired = true })
+	c.Sleep(time.Hour)
+	if !c.Now().Equal(epoch) || fired {
+		t.Fatalf("after Sleep: now = %v, fired = %v; want %v, false", c.Now(), fired, epoch)
+	}
+}

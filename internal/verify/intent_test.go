@@ -11,6 +11,7 @@ import (
 
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/monitor"
+	"github.com/robotron-net/robotron/internal/vclock"
 	"github.com/robotron-net/robotron/internal/verify"
 )
 
@@ -47,14 +48,14 @@ type derivedSets struct {
 
 func newDerivedSets(t *testing.T, store *fbnet.Store) derivedSets {
 	t.Helper()
-	jm := monitor.NewJobManager(nil)
+	jm := monitor.NewJobManager(nil, vclock.RealClock())
 	ts := monitor.NewTimeseriesBackend()
 	for _, b := range []monitor.Backend{ts, monitor.NewDerivedBackend(store, ts)} {
 		if err := jm.RegisterBackend(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ae := monitor.NewAlarmEngine(nil, monitor.NewTimeseriesBackend(), store)
+	ae := monitor.NewAlarmEngine(vclock.RealClock(), monitor.NewTimeseriesBackend(), store)
 	return derivedSets{jm, ae, monitor.NewDerivation(jm, ae)}
 }
 
