@@ -234,11 +234,19 @@ sim:
 # drift cuts psw1's addresses, the derived bgp-session-down alarm fires
 # correlated with the causing config-changed event, and resolves after
 # reconciliation. See DESIGN.md §15 and README "Operational timeline".
+# One registry (DESIGN.md §10): a fresh instance's commit counter holds the
+# standard-hardware transaction and the job manager's and generator's
+# stats are the registry's counters (TestCountsFromConstruction), every
+# family a drill exports has HELP, and a promoted master counts its
+# commits, and the replicas a promotion rebuilt report lag and health, on
+# the registry the service deployment was built with.
 obs:
 	$(GO) test -race -timeout 5m \
 		-run 'Alarm|Derive|ReplaceJobs|Timeseries|Timeline|Correlation|Classifier|Evaluate|SessionRead|EngineTier' \
 		./internal/monitor/
-	$(GO) test -race -timeout 5m -run 'TestObs|TestAlarms|TestDerive|TestDelta' ./internal/core/
+	$(GO) test -race -timeout 5m -run 'TestObs|TestAlarms|TestDerive|TestDelta|TestCountsFromConstruction' ./internal/core/
+	$(GO) test -race -timeout 5m -run 'TestEveryExportedFamilyHasHelp' ./internal/scenario/
+	$(GO) test -race -timeout 5m -run 'TestMasterDeathDegradedReadsThenPromotion' ./internal/fbnet/service/
 	$(GO) run -race ./cmd/robotron sim run examples/scenarios/bgp-down-alarm-correlated.yaml
 
 # Paper-evaluation and system benchmarks (Figures 12-16, Tables 2-3,

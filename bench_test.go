@@ -163,7 +163,7 @@ func slowFleet(b *testing.B, n int, delay time.Duration) (*netsim.Fleet, *deploy
 		}
 		d.SetCommitDelay(delay)
 	}
-	return fleet, deploy.NewDeployer(deploy.FleetResolver(fleet), vclock.RealClock())
+	return fleet, deploy.NewDeployer(deploy.FleetResolver(fleet), vclock.RealClock(), nil)
 }
 
 func slowFleetConfig(v netsim.Vendor, name string, rev int) string {

@@ -34,7 +34,7 @@ func main() {
 	flag.Parse()
 
 	regionList := strings.Split(*regions, ",")
-	d, err := service.NewDeployment(fbnet.NewCatalog(), *master, regionList, *readReplicas)
+	d, err := service.NewDeployment(fbnet.NewCatalog(), *master, regionList, *readReplicas, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)

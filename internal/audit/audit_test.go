@@ -13,7 +13,7 @@ import (
 // matching Derived state (everything healthy).
 func seed(t testing.TB) *fbnet.Store {
 	t.Helper()
-	db := relstore.NewDB("m")
+	db := relstore.NewDB("m", nil)
 	store, err := fbnet.Open(db, fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func mutate(t *testing.T, store *fbnet.Store, fn func(*fbnet.Mutation) error) {
 
 // run audits the store through a fresh checker's view of it.
 func run(store *fbnet.Store) (Report, error) {
-	return Run(store, verify.NewChecker(store, nil))
+	return Run(store, verify.NewChecker(store, nil, nil))
 }
 
 func TestHealthyNetworkIsClean(t *testing.T) {

@@ -81,12 +81,11 @@ func TestMetricsScrapeExposesChaosSeries(t *testing.T) {
 	defer r.Reconciler.Stop()
 
 	// A store deployment failing over shares the same registry.
-	dep, err := service.NewDeployment(fbnet.NewCatalog(), "ash", []string{"ash", "fra"}, 1)
+	dep, err := service.NewDeployment(fbnet.NewCatalog(), "ash", []string{"ash", "fra"}, 1, r.Telemetry)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dep.Close()
-	dep.Instrument(r.Telemetry)
 	dep.KillMaster()
 	if _, err := dep.PromoteBest(); err != nil {
 		t.Fatal(err)

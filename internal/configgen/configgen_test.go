@@ -9,6 +9,7 @@ import (
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/revctl"
+	"github.com/robotron-net/robotron/internal/telemetry"
 	"github.com/robotron-net/robotron/internal/vclock"
 	"github.com/robotron-net/robotron/internal/vendorcfg"
 	"github.com/robotron-net/robotron/internal/verify"
@@ -35,10 +36,12 @@ func newPOP(t testing.TB) (*design.Designer, *Generator) {
 }
 
 // newEmpty returns a designer and a generator over a store that holds the
-// standard hardware and nothing else.
+// standard hardware and nothing else. The store, the generator and the
+// intent model it follows count into one registry.
 func newEmpty(t testing.TB) (*design.Designer, *Generator) {
 	t.Helper()
-	db := relstore.NewDB("master")
+	reg := telemetry.NewRegistry()
+	db := relstore.NewDB("master", reg)
 	store, err := fbnet.Open(db, fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +53,7 @@ func newEmpty(t testing.TB) (*design.Designer, *Generator) {
 	if err := d.EnsureStandardHardware(); err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGenerator(store, revctl.NewRepo(), verify.NewChecker(store, nil))
+	g, err := NewGenerator(store, revctl.NewRepo(), verify.NewChecker(store, nil, reg), reg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,8 @@ type memoHistory struct {
 // and a firewall policy attached to a device of each site.
 func newMemoHistory(t *testing.T, seed int64) *memoHistory {
 	t.Helper()
-	store, err := fbnet.Open(relstore.NewDB("master"), fbnet.NewCatalog())
+	reg := telemetry.NewRegistry()
+	store, err := fbnet.Open(relstore.NewDB("master", reg), fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func newMemoHistory(t *testing.T, seed int64) *memoHistory {
 	must(h.firewall())
 	_, err = d.AttachFirewall(testCtx("pop"), "edge-in", []string{"pr1.pop1-c1", "psw2.pop1-c1", "fsw1.dc1-c1", "bb0.bb1"})
 	must(err)
-	h.g, err = NewGenerator(store, revctl.NewRepo(), verify.NewChecker(store, nil))
+	h.g, err = NewGenerator(store, revctl.NewRepo(), verify.NewChecker(store, nil, reg), reg)
 	must(err)
 	return h
 }
@@ -384,9 +385,7 @@ func TestMemoEqualsColdOverRandomHistories(t *testing.T) {
 // are then generated, and nothing after that.
 func TestGenerateFollowsEachLogEntryOnce(t *testing.T) {
 	d, g := newPOP(t)
-	reg := telemetry.NewRegistry()
-	g.intent.(*verify.Checker).Instrument(reg)
-	read := reg.Counter("robotron_verify_delta_entries_total")
+	read := g.store.DB().Telemetry().Counter("robotron_verify_delta_entries_total")
 	names := []string{
 		"pr1.pop1-c1", "pr2.pop1-c1",
 		"psw1.pop1-c1", "psw2.pop1-c1", "psw3.pop1-c1", "psw4.pop1-c1",

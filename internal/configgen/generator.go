@@ -37,16 +37,15 @@ type Generator struct {
 	dropped  map[string]uint64       // device name -> stamp of the follow that last dropped it
 	rendered map[string]string       // template hash + wire hash -> config
 
-	// metrics is bound to a private registry until Instrument rebinds it
-	// to the shared one; a nil registry disables instrumentation.
+	// metrics is bound to the registry the generator was built with.
 	metrics genMetrics
 
 	// SyslogTarget is stamped into generated configs as the logging host.
 	SyslogTarget string
 }
 
-// genMetrics holds the generator's registry-backed counters. All
-// fields may be nil (no-op) when instrumentation is disabled.
+// genMetrics holds the generator's registry-backed counters; on a nil
+// registry every field is nil and counts nothing.
 type genMetrics struct {
 	derives    *telemetry.Counter
 	deriveHits *telemetry.Counter
@@ -59,6 +58,9 @@ type genMetrics struct {
 func bindGenMetrics(reg *telemetry.Registry) genMetrics {
 	reg.Help("robotron_generate_derives_total", "full derivations executed")
 	reg.Help("robotron_generate_derive_hits_total", "derivations answered from the memo cache")
+	reg.Help("robotron_generate_renders_total", "template renders executed")
+	reg.Help("robotron_generate_render_hits_total", "renders answered from the rendered-config cache")
+	reg.Help("robotron_generate_roundtrips_total", "thrift wire round-trips decoded before a render")
 	reg.Help("robotron_generate_device_seconds", "per-device config generation latency")
 	return genMetrics{
 		derives:    reg.Counter("robotron_generate_derives_total"),
@@ -70,26 +72,20 @@ func bindGenMetrics(reg *telemetry.Registry) genMetrics {
 	}
 }
 
-// Instrument rebinds the generator's work counters onto reg, making
-// them visible to reg's exporters. Instrument(nil) disables counting
-// entirely (Stats then reads zero); call before generating — counts
-// accumulated on the previous registry are not carried over.
-func (g *Generator) Instrument(reg *telemetry.Registry) {
-	g.metrics = bindGenMetrics(reg)
-}
-
 // NewGenerator creates a generator over an FBNet store and a config
 // repository, seeding the built-in vendor templates if the repository does
 // not hold them yet. Its derivation memo follows intent, a resident model
-// of the same store (memo.go).
-func NewGenerator(store *fbnet.Store, repo *revctl.Repo, intent Intent) (*Generator, error) {
+// of the same store (memo.go). It counts its work into reg (Stats reads
+// those counters; on a nil registry it counts nothing and Stats reads
+// zero).
+func NewGenerator(store *fbnet.Store, repo *revctl.Repo, intent Intent, reg *telemetry.Registry) (*Generator, error) {
 	g := &Generator{
 		store: store, repo: repo, intent: intent,
 		cache:    make(map[string]*tmpl.Template),
 		derived:  make(map[string]*deriveEntry),
 		dropped:  make(map[string]uint64),
 		rendered: make(map[string]string),
-		metrics:  bindGenMetrics(telemetry.NewRegistry()),
+		metrics:  bindGenMetrics(reg),
 	}
 	for syntax, body := range map[string]string{
 		"vendor1": Vendor1FullTemplate,

@@ -78,10 +78,9 @@ type GenStats struct {
 	RoundTrips int64 // thrift wire round-trips decoded
 }
 
-// Stats returns a snapshot of the generator's work counters. Since the
-// counters migrated onto the telemetry registry this is a thin view
-// over the registry-backed values; it reads all zeros after
-// Instrument(nil).
+// Stats returns a snapshot of the generator's work counters: a view over
+// the robotron_generate_* counters of the registry it was built with (all
+// zeros on a nil registry).
 func (g *Generator) Stats() GenStats {
 	return GenStats{
 		Derives:    g.metrics.derives.Value(),

@@ -319,7 +319,7 @@ func TestGeneratorConcurrentUse(t *testing.T) {
 // identical per-device failures.
 func assertMemoEqualsCold(t *testing.T, g *Generator, names []string, step string) map[string]string {
 	t.Helper()
-	cold, err := NewGenerator(g.store, g.repo, verify.NewChecker(g.store, nil))
+	cold, err := NewGenerator(g.store, g.repo, verify.NewChecker(g.store, nil, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,15 @@ import (
 
 // benchMemoizedRegen runs the BenchmarkGenerateSiteMemoized harness —
 // warm site, one device invalidated per iteration — against a generator
-// whose metrics are bound to reg (nil = detached no-op counters).
+// built on reg (nil = no-op counters) over the bench site's store.
 func benchMemoizedRegen(b *testing.B, reg *telemetry.Registry) {
-	g := newBenchSite(b)
-	g.Instrument(reg)
+	site := newBenchSite(b)
+	g, err := NewGenerator(site.store, site.repo, site.intent, reg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var tunnelID int64
-	_, err := g.store.Mutate(func(m *fbnet.Mutation) error {
+	_, err = g.store.Mutate(func(m *fbnet.Mutation) error {
 		head, err := m.FindOne("Device", fbnet.Eq("name", "pr1.bench-c1"))
 		if err != nil {
 			return err
@@ -50,8 +53,8 @@ func benchMemoizedRegen(b *testing.B, reg *telemetry.Registry) {
 	}
 }
 
-// BenchmarkTelemetryOverhead compares memoized site regeneration with
-// metrics bound to a live registry against the detached (nil) bindings;
+// BenchmarkTelemetryOverhead compares memoized site regeneration by a
+// generator built on a live registry against one built on nil;
 // the instrumented run must stay within a few percent of disabled.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("instrumented", func(b *testing.B) { benchMemoizedRegen(b, telemetry.NewRegistry()) })

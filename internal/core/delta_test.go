@@ -213,7 +213,7 @@ func TestDeltaEqualsColdOverRandomHistories(t *testing.T) {
 			if err := warm.DeriveMonitoring(); err != nil {
 				t.Fatal(err)
 			}
-			cold.derived = monitor.NewDerivation(cold.JobManager, cold.Alarms)
+			cold.derived = monitor.NewDerivation(cold.JobManager, cold.Alarms, nil)
 			if err := cold.DeriveMonitoring(); err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +262,7 @@ func TestDeltaEqualsColdOverRandomHistories(t *testing.T) {
 					t.Fatal(err)
 				}
 				clk.Advance(time.Duration(1+rng.Intn(11)) * time.Minute)
-				fresh := monitor.NewAlarmEngine(clk, warm.Timeseries, warm.Store)
+				fresh := monitor.NewAlarmEngine(clk, warm.Timeseries, warm.Store, nil)
 				fresh.ReplaceRules(warm.Alarms.Rules())
 				if got, want := breaches(warm.Alarms.Evaluate()), breaches(fresh.Evaluate()); !reflect.DeepEqual(got, want) {
 					t.Fatalf("after %s: the pass by delta fires %v, a full pass %v", at, got, want)

@@ -149,7 +149,7 @@ func TestGlobalNetworkOfNetworks(t *testing.T) {
 // checker's stored checks, network-wide, with no rendered configs.
 func gateViolations(t *testing.T, store *fbnet.Store) []verify.Violation {
 	t.Helper()
-	res, err := verify.NewChecker(store, nil).Check(nil)
+	res, err := verify.NewChecker(store, nil, nil).Check(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

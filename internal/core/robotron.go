@@ -109,7 +109,8 @@ type Options struct {
 	// Logf receives progress output.
 	Logf func(format string, args ...any)
 	// Store attaches to an existing FBNet store (e.g. a service
-	// deployment's master) instead of creating a fresh one.
+	// deployment's master) instead of creating a fresh one. It keeps
+	// counting into the registry its server was built with.
 	Store *fbnet.Store
 	// DeployParallelism bounds concurrent device commits: those of one
 	// rollout phase, and the reconciler's remediations that fall due
@@ -129,9 +130,10 @@ type Options struct {
 	// backoff, sweep); the zero value selects the package defaults.
 	// Alert defaults to Logf when unset.
 	Reconcile reconcile.Config
-	// Telemetry attaches the instance to an existing metrics registry
-	// (e.g. one shared with a service deployment); nil creates a private
-	// one. All subsystems are instrumented either way.
+	// Telemetry is the instance's one metrics registry (e.g. one shared
+	// with a service deployment); nil creates a private one. Every
+	// component New builds is built on it and counts from its first
+	// operation.
 	Telemetry *telemetry.Registry
 	// FaultPolicy, when non-nil, arms deterministic fault injection on
 	// every simulated device (present and future) and instruments the
@@ -162,10 +164,14 @@ func New(opts Options) (*Robotron, error) {
 	if opts.Reconcile.Clock != nil && opts.Reconcile.Clock != opts.Clock {
 		return nil, fmt.Errorf("core: Reconcile.Clock is not Options.Clock: an instance runs on one clock")
 	}
+	reg := opts.Telemetry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	store := opts.Store
 	if store == nil {
 		var err error
-		store, err = fbnet.Open(relstore.NewDB("fbnet-master"), fbnet.NewCatalog())
+		store, err = fbnet.Open(relstore.NewDB("fbnet-master", reg), fbnet.NewCatalog())
 		if err != nil {
 			return nil, err
 		}
@@ -182,8 +188,8 @@ func New(opts Options) (*Robotron, error) {
 	// the fleet and monitoring syncs do: no follower of its own.
 	verifier := verify.NewChecker(store, func(device string) (string, error) {
 		return repo.GetHead(configgen.GoldenPath(device))
-	})
-	gen, err := configgen.NewGenerator(store, repo, verifier)
+	}, reg)
+	gen, err := configgen.NewGenerator(store, repo, verifier, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +197,7 @@ func New(opts Options) (*Robotron, error) {
 	if opts.FaultPolicy != nil {
 		fleet.SetFaultPolicy(opts.FaultPolicy)
 	}
-	jm := monitor.NewJobManager(monitor.FleetDeviceResolver(fleet), clock)
+	jm := monitor.NewJobManager(monitor.FleetDeviceResolver(fleet), clock, reg)
 	jm.SetDeviceLister(func() []string { return monitor.SortedDeviceNames(fleet) })
 	ts := monitor.NewTimeseriesBackend()
 	for _, b := range []monitor.Backend{ts, monitor.NewDerivedBackend(store, ts), monitor.NewConfigBackend(repo)} {
@@ -202,7 +208,7 @@ func New(opts Options) (*Robotron, error) {
 	cls := monitor.NewClassifier()
 	monitor.StandardRules(cls)
 	monitor.RecordEvents(cls, store)
-	cm := monitor.NewConfigMonitor(jm, repo, store, gen.Golden)
+	cm := monitor.NewConfigMonitor(jm, repo, store, gen.Golden, reg)
 	cm.Attach(cls)
 	// Event-driven collection: a link or BGP state alert triggers an
 	// immediate targeted poll of the reporting device, so Derived models
@@ -224,28 +230,16 @@ func New(opts Options) (*Robotron, error) {
 			Devices: []string{a.Message.Host}, Backends: []string{"fbnet-derived"},
 		})
 	})
-	deployer := deploy.NewDeployer(deploy.FleetResolver(fleet), clock)
-	reg := opts.Telemetry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	deployer := deploy.NewDeployer(deploy.FleetResolver(fleet), clock, reg)
 	tracer := telemetry.NewTracer(telemetry.DefaultTraceRing)
 	reg.Help("robotron_traces_started_total", "pipeline traces started")
 	tracer.SetStartedCounter(reg.Counter("robotron_traces_started_total"))
-	store.Instrument(reg)
-	gen.Instrument(reg)
 	if opts.FaultPolicy != nil {
 		opts.FaultPolicy.Instrument(reg)
 	}
-	deployer.Instrument(reg)
-	cm.Instrument(reg)
-	jm.Instrument(reg)
-	verifier.Instrument(reg)
-	alarms := monitor.NewAlarmEngine(clock, ts, store)
-	alarms.Instrument(reg)
+	alarms := monitor.NewAlarmEngine(clock, ts, store, reg)
 	alarms.Subscribe(cls)
-	derived := monitor.NewDerivation(jm, alarms)
-	derived.Instrument(reg)
+	derived := monitor.NewDerivation(jm, alarms, reg)
 	reg.Help("robotron_fleet_sync_visited_total", "Devices and circuits SyncFleet and ApplyRecabling visited: those the design changed since the last sync, or every one after the fleet was recabled from outside.")
 	r := &Robotron{
 		Store:      store,

@@ -11,6 +11,7 @@ import (
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/monitor"
 	"github.com/robotron-net/robotron/internal/netsim"
+	"github.com/robotron-net/robotron/internal/telemetry"
 	"github.com/robotron-net/robotron/internal/vclock"
 )
 
@@ -335,7 +336,7 @@ func TestMonitoringPipelineRealTime(t *testing.T) {
 	r := newRobotron(t)
 	provisionPOP(t, r)
 	// Re-install jobs with tiny periods for the real-time path.
-	jm := monitor.NewJobManager(monitor.FleetDeviceResolver(r.Fleet), vclock.RealClock())
+	jm := monitor.NewJobManager(monitor.FleetDeviceResolver(r.Fleet), vclock.RealClock(), telemetry.NewRegistry())
 	jm.RegisterBackend(monitor.NewTimeseriesBackend())
 	jm.AddJob(monitor.JobSpec{Name: "fast", Period: 5 * time.Millisecond,
 		Engine: monitor.EngineSNMP, Data: monitor.DataCounters,

@@ -11,6 +11,8 @@ import (
 
 	"github.com/robotron-net/robotron/internal/deploy"
 	"github.com/robotron-net/robotron/internal/design"
+	"github.com/robotron-net/robotron/internal/monitor"
+	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/telemetry"
 	"github.com/robotron-net/robotron/internal/vclock"
 )
@@ -246,5 +248,60 @@ func TestMetricsEndpointScrape(t *testing.T) {
 	}
 	if !found {
 		t.Error("/traces missing the generate-and-deploy trace")
+	}
+}
+
+// TestCountsFromConstruction: every component New builds counts into the
+// instance's registry from its first operation. A fresh instance has
+// committed the standard hardware, and the store's commit counter holds
+// every row-writing transaction in the log; after a provision and an
+// observation the job manager's and the generator's stats are the
+// registry's counters.
+func TestCountsFromConstruction(t *testing.T) {
+	r := newRobotron(t)
+	db := r.Store.DB()
+	txs := map[uint64]bool{}
+	for _, e := range db.EntriesSince(0) {
+		switch e.Op {
+		case relstore.OpInsert, relstore.OpUpdate, relstore.OpDelete:
+			txs[e.TxID] = true
+		}
+	}
+	if len(txs) == 0 {
+		t.Fatal("a fresh instance committed no rows")
+	}
+	commits, _ := r.Telemetry.Value("robotron_relstore_tx_commits_total", telemetry.L("server", db.Name())...)
+	if int(commits) != len(txs) {
+		t.Errorf("tx_commits_total = %v on a fresh instance, want the %d row-writing transactions in its log", commits, len(txs))
+	}
+
+	provisionPOP(t, r)
+	if _, err := r.ObserveOnce(); err != nil {
+		t.Fatal(err)
+	}
+	counts := r.JobManager.Stats().Counts()
+	if len(counts) == 0 {
+		t.Fatal("an observation polled nothing")
+	}
+	for e := range monitor.NewEngines() {
+		v, _ := r.Telemetry.Value("robotron_monitor_polls_total", telemetry.L("engine", string(e))...)
+		if int64(v) != counts[e] {
+			t.Errorf("robotron_monitor_polls_total{engine=%q} = %v, Stats().Counts() = %d", e, v, counts[e])
+		}
+	}
+	st := r.Generator.Stats()
+	if st.Derives == 0 {
+		t.Fatal("a provision derived nothing")
+	}
+	for name, want := range map[string]int64{
+		"robotron_generate_derives_total":     st.Derives,
+		"robotron_generate_derive_hits_total": st.DeriveHits,
+		"robotron_generate_renders_total":     st.Renders,
+		"robotron_generate_render_hits_total": st.RenderHits,
+		"robotron_generate_roundtrips_total":  st.RoundTrips,
+	} {
+		if v, _ := r.Telemetry.Value(name); int64(v) != want {
+			t.Errorf("%s = %v, Generator.Stats() reads %d", name, v, want)
+		}
 	}
 }

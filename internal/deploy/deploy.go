@@ -201,9 +201,8 @@ type Deployer struct {
 	met   deployMetrics
 }
 
-// deployMetrics are the deployer's registry bindings; the zero value
-// (all nil) records nothing, so an uninstrumented Deployer pays only
-// nil-receiver checks.
+// deployMetrics are the deployer's registry bindings; on a nil registry
+// they are all nil and record nothing, paying only nil-receiver checks.
 type deployMetrics struct {
 	commitOK     *telemetry.Counter
 	commitFail   *telemetry.Counter
@@ -237,19 +236,11 @@ func bindDeployMetrics(reg *telemetry.Registry) deployMetrics {
 	}
 }
 
-// Instrument binds the deployer's commit/rollback counters and latency
-// histograms to reg. Instrument(nil) detaches them again.
-func (d *Deployer) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		d.met = deployMetrics{}
-		return
-	}
-	d.met = bindDeployMetrics(reg)
-}
-
-// NewDeployer returns a deployer using the given resolver and clock.
-func NewDeployer(r Resolver, clock vclock.Clock) *Deployer {
-	return &Deployer{Resolve: r, clock: clock}
+// NewDeployer returns a deployer using the given resolver and clock that
+// counts its commits and rollbacks, and times its phases and commits,
+// into reg (nil records nothing).
+func NewDeployer(r Resolver, clock vclock.Clock, reg *telemetry.Registry) *Deployer {
+	return &Deployer{Resolve: r, clock: clock, met: bindDeployMetrics(reg)}
 }
 
 // ErrDrainRequired is returned by initial provisioning for devices still
@@ -727,7 +718,7 @@ func partitionPhases(targets map[string]Target, phases []Phase) []phaseSet {
 type Pending struct {
 	clock     vclock.Clock
 	notify    func(string, ...any)
-	rollbacks *telemetry.Counter // nil no-op when the deployer is uninstrumented
+	rollbacks *telemetry.Counter // nil no-op when the deployer was built on a nil registry
 
 	mu      sync.Mutex
 	native  []Target // devices with device-native commit-confirmed

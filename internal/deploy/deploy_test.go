@@ -55,7 +55,7 @@ func newFleetOn(t testing.TB, n int, clock vclock.Clock) (*netsim.Fleet, *Deploy
 		}
 		baseline[name] = cfg
 	}
-	return fleet, NewDeployer(FleetResolver(fleet), clock), baseline
+	return fleet, NewDeployer(FleetResolver(fleet), clock, nil), baseline
 }
 
 // baseConfig emits a small valid config for the vendor; rev changes its

@@ -75,7 +75,7 @@ func TestDeployDiffStatsEqualColdRecompute(t *testing.T) {
 			return d, nil
 		}
 		return base(name)
-	}, vclock.RealClock())
+	}, vclock.RealClock(), nil)
 
 	rep, err := dep.Deploy(cfgs, Options{})
 	if err != nil {
@@ -140,7 +140,7 @@ func TestStageIssuesOneReadPerDevice(t *testing.T) {
 	want := map[string]int{"load-config": 1, "compare": 1, "discard": 1, "show running-config": 1}
 	for _, dev := range fleet.Devices() {
 		c := &verbCounter{Device: dev, verbs: map[string]int{}}
-		dep := NewDeployer(func(string) (Target, error) { return c, nil }, vclock.RealClock())
+		dep := NewDeployer(func(string) (Target, error) { return c, nil }, vclock.RealClock(), nil)
 		before := dev.MgmtOps()
 		_, err := dep.Deploy(map[string]string{dev.Name(): baseConfig(dev.Vendor(), dev.Name(), 2)},
 			Options{Review: func(string, string) bool { return false }})

@@ -85,7 +85,7 @@ func TestParallelDeploySpeedup(t *testing.T) {
 			return nil, err
 		}
 		return witnessedTarget{Target: tgt, w: w}, nil
-	}, vclock.RealClock())
+	}, vclock.RealClock(), nil)
 	serial := timeDeploy(t, dep, newConfigs(fleet, 2), Options{Parallelism: 1})
 	if serial < 16*delay {
 		t.Fatalf("serial run implausibly fast: %v", serial)
@@ -379,7 +379,7 @@ func TestPendingConfirmExpireRace(t *testing.T) {
 func TestRollbackAfterNativeExpiryKeepsTheRollback(t *testing.T) {
 	devClk := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 	fleet, _, _ := newFleetOn(t, 2, devClk)
-	dep := NewDeployer(FleetResolver(fleet), vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)))
+	dep := NewDeployer(FleetResolver(fleet), vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)), nil)
 	rep, err := dep.Deploy(newConfigs(fleet, 2), Options{ConfirmGrace: time.Minute})
 	if err != nil {
 		t.Fatal(err)
@@ -501,7 +501,7 @@ func TestDeployStageRunsInThePool(t *testing.T) {
 				gt.fail = errVendor
 			}
 			return gt, nil
-		}, vclock.RealClock())
+		}, vclock.RealClock(), nil)
 		var reviewed []string
 		_, err := dep.Deploy(cfgs, Options{Parallelism: workers, Review: func(device, _ string) bool {
 			reviewed = append(reviewed, device)

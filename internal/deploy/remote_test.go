@@ -39,7 +39,7 @@ func newRemoteFleet(t *testing.T, n int, clock vclock.Clock) (*netsim.Fleet, *De
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	return fleet, NewDeployer(remoteResolver(t, srv.Addr()), clock), srv.Addr()
+	return fleet, NewDeployer(remoteResolver(t, srv.Addr()), clock, nil), srv.Addr()
 }
 
 func TestRemoteDeploySimple(t *testing.T) {

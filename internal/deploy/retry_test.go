@@ -74,12 +74,12 @@ func (c countingTarget) CommitConfirmed(grace time.Duration) error {
 }
 
 func TestDeployRetriesTransientFault(t *testing.T) {
-	fleet, dep, _ := newVirtualFleet(t, 4)
+	fleet, _, clk := newVirtualFleet(t, 4)
 	p := netsim.NewFaultPolicy(11)
 	p.Add(netsim.FaultRule{Kind: netsim.FaultTransient, Probability: 1, Verbs: []string{"commit"}, MaxCount: 2})
 	fleet.SetFaultPolicy(p)
 	reg := telemetry.NewRegistry()
-	dep.Instrument(reg)
+	dep := NewDeployer(FleetResolver(fleet), clk, reg)
 
 	rp := &RetryPolicy{Seed: 1}
 	cfgs := newConfigs(fleet, 2)
@@ -109,15 +109,14 @@ func TestAmbiguousCommitResolvedWithoutDoubleCommit(t *testing.T) {
 
 	var commits atomic.Int64
 	base := FleetResolver(fleet)
+	reg := telemetry.NewRegistry()
 	dep := NewDeployer(func(name string) (Target, error) {
 		tgt, err := base(name)
 		if err != nil {
 			return nil, err
 		}
 		return countingTarget{Target: tgt, commits: &commits}, nil
-	}, clk)
-	reg := telemetry.NewRegistry()
-	dep.Instrument(reg)
+	}, clk, reg)
 
 	rp := &RetryPolicy{Seed: 1}
 	cfgs := newConfigs(fleet, 2)
@@ -142,12 +141,12 @@ func TestAmbiguousCommitResolvedWithoutDoubleCommit(t *testing.T) {
 // Drop BEFORE apply: readback shows the old config, so resolution must
 // conclude "not applied" and drive the commit again.
 func TestAmbiguousCommitNotAppliedRetries(t *testing.T) {
-	fleet, dep, _ := newVirtualFleet(t, 1)
+	fleet, _, clk := newVirtualFleet(t, 1)
 	p := netsim.NewFaultPolicy(5)
 	p.Add(netsim.FaultRule{Kind: netsim.FaultDropBefore, Probability: 1, Verbs: []string{"commit"}, MaxCount: 1})
 	fleet.SetFaultPolicy(p)
 	reg := telemetry.NewRegistry()
-	dep.Instrument(reg)
+	dep := NewDeployer(FleetResolver(fleet), clk, reg)
 
 	rp := &RetryPolicy{Seed: 1}
 	cfgs := newConfigs(fleet, 2)
@@ -223,7 +222,7 @@ func TestPermanentErrorFailsFast(t *testing.T) {
 			return nil, err
 		}
 		return countingTarget{Target: tgt, commits: &commits}, nil
-	}, clk)
+	}, clk, nil)
 	rp := &RetryPolicy{Seed: 1}
 	// Invalid config: a permanent rejection the retry loop must not chew
 	// on (dev01 is Vendor2, whose syntax check rejects unbalanced blocks).

@@ -109,7 +109,7 @@ func TestEnsureRacesCreateOnce(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i++ {
-		store, err := fbnet.Open(relstore.NewDB("master"), fbnet.NewCatalog())
+		store, err := fbnet.Open(relstore.NewDB("master", nil), fbnet.NewCatalog())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func testCtx(domain string) ChangeContext {
 
 func newTestDesigner(t testing.TB) *Designer {
 	t.Helper()
-	db := relstore.NewDB("master")
+	db := relstore.NewDB("master", nil)
 	store, err := fbnet.Open(db, fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ var update = flag.Bool("update", false, "rewrite testdata/design_writes.golden")
 // the golden pins the order of the cascaded deletes and of the SET NULL
 // updates too.
 func TestDesignWritesGolden(t *testing.T) {
-	db := relstore.NewDB("master")
+	db := relstore.NewDB("master", nil)
 	store, err := fbnet.Open(db, fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)

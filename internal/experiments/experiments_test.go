@@ -98,8 +98,8 @@ func TestTable2Mix(t *testing.T) {
 		s["thrift"] > s["cli"] && s["cli"] > s["rpcxml"]) {
 		t.Errorf("mechanism ordering broken: %v", s)
 	}
-	if res.Stats.Errors() != 0 {
-		t.Errorf("poll errors = %d", res.Stats.Errors())
+	if res.PollErrors != 0 {
+		t.Errorf("poll errors = %d", res.PollErrors)
 	}
 	if !strings.Contains(res.Format(), "SNMP (active)") {
 		t.Error("format missing SNMP row")

@@ -39,7 +39,7 @@ type Fig12Result struct {
 // RunFig12 replays the architecture evolution.
 func RunFig12(cfg Fig12Config) (Fig12Result, error) {
 	r := rng(cfg.Seed)
-	db := relstore.NewDB("fig12")
+	db := relstore.NewDB("fig12", nil)
 	store, err := fbnet.Open(db, fbnet.NewCatalog())
 	if err != nil {
 		return Fig12Result{}, err

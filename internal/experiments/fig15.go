@@ -46,7 +46,7 @@ type Fig15Result struct {
 // RunFig15 executes the year of design changes.
 func RunFig15(cfg Fig15Config) (Fig15Result, error) {
 	r := rng(cfg.Seed)
-	db := relstore.NewDB("fig15")
+	db := relstore.NewDB("fig15", nil)
 	store, err := fbnet.Open(db, fbnet.NewCatalog())
 	if err != nil {
 		return Fig15Result{}, err

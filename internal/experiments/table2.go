@@ -33,6 +33,9 @@ type Table2Result struct {
 	Stats        *monitor.EventStats
 	SyslogEvents int64
 	Shares       map[string]float64
+	// PollErrors is robotron_monitor_poll_errors_total at the end of the
+	// window.
+	PollErrors int64
 }
 
 // table2Jobs is the production-shaped job mix: periods are chosen so the
@@ -100,7 +103,8 @@ func RunTable2(cfg Table2Config) (Table2Result, error) {
 	for _, m := range msgs {
 		cls.Process(m)
 	}
-	res := Table2Result{Stats: r.JobManager.Stats(), SyslogEvents: cls.Total()}
+	pollErrors, _ := r.Telemetry.Value("robotron_monitor_poll_errors_total")
+	res := Table2Result{Stats: r.JobManager.Stats(), SyslogEvents: cls.Total(), PollErrors: int64(pollErrors)}
 	counts := res.Stats.Counts()
 	total := float64(res.SyslogEvents)
 	for _, n := range counts {

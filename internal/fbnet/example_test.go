@@ -10,7 +10,7 @@ import (
 // The §4.2 API shape: transactional writes, then reads with local and
 // indirect fields.
 func Example() {
-	db := relstore.NewDB("example")
+	db := relstore.NewDB("example", nil)
 	store, err := fbnet.Open(db, fbnet.NewCatalog())
 	if err != nil {
 		panic(err)

@@ -6,11 +6,18 @@ import (
 	"testing"
 
 	"github.com/robotron-net/robotron/internal/relstore"
+	"github.com/robotron-net/robotron/internal/telemetry"
 )
 
 func newTestStore(t testing.TB) *Store {
 	t.Helper()
-	db := relstore.NewDB("master")
+	return newTestStoreOn(t, nil)
+}
+
+// newTestStoreOn is newTestStore counting into reg.
+func newTestStoreOn(t testing.TB, reg *telemetry.Registry) *Store {
+	t.Helper()
+	db := relstore.NewDB("master", reg)
 	s, err := Open(db, NewCatalog())
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"github.com/robotron-net/robotron/internal/relstore"
-	"github.com/robotron-net/robotron/internal/telemetry"
 )
 
 // Group partitions models into Desired (engineer-maintained design intent)
@@ -115,21 +114,6 @@ type Registry struct {
 	order    []string
 	reverses map[string][]reverse                // target model -> incoming relations
 	computed map[string]map[string]ComputedField // model -> field -> derivation
-
-	// Plan-choice counters shared by every read surface over this model
-	// registry (Store, ReadOnlyView, Mutation); nil no-ops until
-	// Instrument.
-	mPlanIndexed *telemetry.Counter
-	mPlanScanned *telemetry.Counter
-}
-
-// Instrument registers plan-choice counters on reg: every planned query
-// is counted as either answered from indexes or as a full table scan
-// (robotron_fbnet_queries_planned_total{strategy=...}).
-func (r *Registry) Instrument(reg *telemetry.Registry) {
-	reg.Help("robotron_fbnet_queries_planned_total", "read queries by planner strategy")
-	r.mPlanIndexed = reg.Counter("robotron_fbnet_queries_planned_total", telemetry.Label{Key: "strategy", Value: "indexed"})
-	r.mPlanScanned = reg.Counter("robotron_fbnet_queries_planned_total", telemetry.Label{Key: "strategy", Value: "scan"})
 }
 
 // NewRegistry returns an empty model registry.

@@ -11,7 +11,13 @@ import (
 // bigStore seeds n devices for planner benchmarks/tests.
 func bigStore(t testing.TB, n int) *Store {
 	t.Helper()
-	s := newTestStore(t)
+	return bigStoreOn(t, n, nil)
+}
+
+// bigStoreOn is bigStore counting into reg.
+func bigStoreOn(t testing.TB, n int, reg *telemetry.Registry) *Store {
+	t.Helper()
+	s := newTestStoreOn(t, reg)
 	_, err := s.Mutate(func(m *Mutation) error {
 		region, _ := m.Create("Region", map[string]any{"name": "r"})
 		site, _ := m.Create("Site", map[string]any{"name": "pop1", "kind": "pop", "region": region})
@@ -105,9 +111,8 @@ func TestPlannerMatchesScan(t *testing.T) {
 // planned, however deep the branches nest; one branch the planner cannot
 // answer sends the whole Or to the scan, once.
 func TestPlannerPlansOrByUnion(t *testing.T) {
-	s := bigStore(t, 50)
 	reg := telemetry.NewRegistry()
-	s.Instrument(reg)
+	s := bigStoreOn(t, 50, reg)
 	count := func(strategy string) float64 {
 		v, _ := reg.Value("robotron_fbnet_queries_planned_total", telemetry.L("strategy", strategy)...)
 		return v

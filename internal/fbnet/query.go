@@ -322,14 +322,14 @@ func (e *notExpr) match(rs *resolver, model string, row relstore.Row) (bool, err
 // scanning the table; everything else falls back to the full scan. The
 // caller still evaluates the query against the planned rows, so a planner
 // strategy only has to return a superset-free exact candidate set.
-func planRows(reg *Registry, r relstore.View, model string, q Query) ([]relstore.Row, error) {
-	if rows, ok, err := planIndexed(reg, r, model, q); err != nil || ok {
+func planRows(s *Store, r relstore.View, model string, q Query) ([]relstore.Row, error) {
+	if rows, ok, err := planIndexed(s.reg, r, model, q); err != nil || ok {
 		if err == nil {
-			reg.mPlanIndexed.Inc()
+			s.planned.indexed.Inc()
 		}
 		return rows, err
 	}
-	reg.mPlanScanned.Inc()
+	s.planned.scanned.Inc()
 	return r.Select(model, nil)
 }
 
@@ -469,7 +469,7 @@ func (s *Store) Get(model string, fields []string, q Query) ([]Result, error) {
 	var out []Result
 	err := s.db.View(func(v relstore.View) error {
 		var err error
-		out, err = get(s.reg, v, model, fields, q)
+		out, err = get(s, v, model, fields, q)
 		return err
 	})
 	return out, err
@@ -492,7 +492,7 @@ func (s *Store) Peek(model string, q Query) (objs []Object, seq, tableSeq uint64
 		if tableSeq, err = v.TableSeq(model); err != nil {
 			return err
 		}
-		objs, err = find(s.reg, v, model, q)
+		objs, err = find(s, v, model, q)
 		return err
 	})
 	return objs, seq, tableSeq, err
@@ -530,7 +530,8 @@ func exactlyOne(model string, q Query, objs []Object, err error) (Object, error)
 	}
 }
 
-func get(reg *Registry, r relstore.View, model string, fields []string, q Query) ([]Result, error) {
+func get(s *Store, r relstore.View, model string, fields []string, q Query) ([]Result, error) {
+	reg := s.reg
 	if _, ok := reg.Model(model); !ok {
 		return nil, fmt.Errorf("fbnet: unknown model %q", model)
 	}
@@ -538,7 +539,7 @@ func get(reg *Registry, r relstore.View, model string, fields []string, q Query)
 		q = All()
 	}
 	rs := &resolver{reg: reg, r: r}
-	rows, err := planRows(reg, r, model, q)
+	rows, err := planRows(s, r, model, q)
 	if err != nil {
 		return nil, err
 	}
@@ -570,7 +571,8 @@ func get(reg *Registry, r relstore.View, model string, fields []string, q Query)
 	return out, nil
 }
 
-func find(reg *Registry, r relstore.View, model string, q Query) ([]Object, error) {
+func find(s *Store, r relstore.View, model string, q Query) ([]Object, error) {
+	reg := s.reg
 	if _, ok := reg.Model(model); !ok {
 		return nil, fmt.Errorf("fbnet: unknown model %q", model)
 	}
@@ -578,7 +580,7 @@ func find(reg *Registry, r relstore.View, model string, q Query) ([]Object, erro
 		q = All()
 	}
 	rs := &resolver{reg: reg, r: r}
-	rows, err := planRows(reg, r, model, q)
+	rows, err := planRows(s, r, model, q)
 	if err != nil {
 		return nil, err
 	}

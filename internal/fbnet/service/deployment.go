@@ -31,8 +31,6 @@ type Deployment struct {
 	// restores writes: reads keep serving stale-but-consistent data from
 	// replicas while every write errors cleanly.
 	degraded bool
-	// reg re-instruments rebuilt stores/replicas after a promotion.
-	reg *telemetry.Registry
 	// promotions counts replica promotions (telemetry; nil-safe).
 	promotions *telemetry.Counter
 
@@ -52,11 +50,18 @@ type regionState struct {
 // masterRegion; every listed region gets a local database (replica for
 // non-master regions) fronted by readReplicas read service replicas. The
 // master region also runs the write service.
-func NewDeployment(registry *fbnet.Registry, masterRegion string, regions []string, readReplicas int) (*Deployment, error) {
+//
+// Its observability surface is on tel (nil counts nothing): the master
+// store's planner and transaction metrics, per non-master region the
+// replica's replication-lag gauge and health check, a degraded-mode gauge
+// (1 while writes are unavailable) and a promotions counter. A replica
+// reports where its master does, so the stores and replicas a promotion
+// rebuilds report there too.
+func NewDeployment(registry *fbnet.Registry, masterRegion string, regions []string, readReplicas int, tel *telemetry.Registry) (*Deployment, error) {
 	if readReplicas <= 0 {
 		readReplicas = 1
 	}
-	masterDB := relstore.NewDB("db." + masterRegion)
+	masterDB := relstore.NewDB("db."+masterRegion, tel)
 	masterStore, err := fbnet.Open(masterDB, registry)
 	if err != nil {
 		return nil, err
@@ -68,6 +73,15 @@ func NewDeployment(registry *fbnet.Registry, masterRegion string, regions []stri
 		regions:      make(map[string]*regionState),
 		replicasPer:  readReplicas,
 	}
+	tel.Help("robotron_service_degraded", "1 while the store deployment is read-only (master dead, not yet promoted)")
+	tel.GaugeFunc("robotron_service_degraded", func() float64 {
+		if d.Degraded() {
+			return 1
+		}
+		return 0
+	})
+	tel.Help("robotron_service_promotions_total", "replica-to-master promotions performed")
+	d.promotions = tel.Counter("robotron_service_promotions_total")
 	seen := map[string]bool{}
 	for _, r := range regions {
 		if seen[r] {
@@ -108,33 +122,6 @@ func NewDeployment(registry *fbnet.Registry, masterRegion string, regions []stri
 		return nil, err
 	}
 	return d, nil
-}
-
-// Instrument registers the deployment's observability surface on reg:
-// the master store's planner and transaction metrics, per non-master
-// region the replica's replication-lag gauge and health check, a
-// degraded-mode gauge (1 while writes are unavailable) and a promotions
-// counter. The registry is retained: stores and replicas rebuilt by a
-// later promotion re-instrument themselves automatically.
-func (d *Deployment) Instrument(reg *telemetry.Registry) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.reg = reg
-	reg.Help("robotron_service_degraded", "1 while the store deployment is read-only (master dead, not yet promoted)")
-	reg.GaugeFunc("robotron_service_degraded", func() float64 {
-		if d.Degraded() {
-			return 1
-		}
-		return 0
-	})
-	reg.Help("robotron_service_promotions_total", "replica-to-master promotions performed")
-	d.promotions = reg.Counter("robotron_service_promotions_total")
-	d.masterStore.Instrument(reg)
-	for _, rs := range d.regions {
-		if rs.replica != nil {
-			rs.replica.Instrument(reg)
-		}
-	}
 }
 
 // Degraded reports whether the deployment is in read-only degraded mode.
@@ -387,16 +374,6 @@ func (d *Deployment) promoteLocked(newMasterRegion string) error {
 	d.masterStore = newStore
 	d.degraded = false
 	d.promotions.Inc()
-	if d.reg != nil {
-		// Rebuilt store and replicas pick up the existing registry so
-		// lag gauges and health checks stay live after failover.
-		d.masterStore.Instrument(d.reg)
-		for _, rs := range d.regions {
-			if rs.replica != nil {
-				rs.replica.Instrument(d.reg)
-			}
-		}
-	}
 	return nil
 }
 

@@ -30,11 +30,12 @@ func metricLine(body, name string) string {
 // TestMasterDeathDegradedReadsThenPromotion is the acceptance path: the
 // master dies mid-run, reads keep serving replicated state while the
 // degraded gauge goes to 1 and writes fail cleanly; promotion restores
-// writes and clears the gauge.
+// writes and clears the gauge. The promoted master counts its commits, and
+// the replicas the promotion rebuilt report their lag and health, on the
+// registry the deployment was built with.
 func TestMasterDeathDegradedReadsThenPromotion(t *testing.T) {
-	d, c := newDeployment(t)
 	reg := telemetry.NewRegistry()
-	d.Instrument(reg)
+	d, c := newDeploymentOn(t, reg)
 	seedDevices(t, d, c)
 
 	d.KillMaster()
@@ -75,9 +76,14 @@ func TestMasterDeathDegradedReadsThenPromotion(t *testing.T) {
 	}
 
 	// Writes resume against the new master and replicate out.
+	commits := telemetry.L("server", "db."+promoted)
+	before, _ := reg.Value("robotron_relstore_tx_commits_total", commits...)
 	c.RefreshTopology(d)
 	if _, err := c.Write(ctx(), []WriteOp{CreateOp("Region", map[string]any{"name": "revived"})}); err != nil {
 		t.Fatalf("write after promotion: %v", err)
+	}
+	if after, ok := reg.Value("robotron_relstore_tx_commits_total", commits...); !ok || after != before+1 {
+		t.Errorf("new master's tx_commits_total = %v (registered %v), want %v", after, ok, before+1)
 	}
 	if err := d.Replicate(); err != nil {
 		t.Fatal(err)
@@ -86,15 +92,40 @@ func TestMasterDeathDegradedReadsThenPromotion(t *testing.T) {
 	if err != nil || len(res) != 1 {
 		t.Errorf("post-promotion replicated read: %v, %d rows", err, len(res))
 	}
+	// Every replica the promotion rebuilt follows the new master: its lag
+	// gauge reads 0 once replicated, and its health check answers.
+	statuses, _ := reg.Health()
+	rebuilt := 0
+	for region := range d.Lag() {
+		rebuilt++
+		name := "db." + region
+		if lag, ok := reg.Value("robotron_relstore_replication_lag", telemetry.L("replica", name)...); !ok || lag != 0 {
+			t.Errorf("%s lag gauge = %v (registered %v), want 0", name, lag, ok)
+		}
+		found := false
+		for _, st := range statuses {
+			if st.Name == "relstore-replica-"+name {
+				found = true
+				if !st.OK || st.Detail != "lag=0" {
+					t.Errorf("%s health = %+v, want healthy at lag=0", name, st)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("no health check for %s", name)
+		}
+	}
+	if rebuilt != 1 {
+		t.Errorf("%d rebuilt replicas, want 1", rebuilt)
+	}
 }
 
 // TestFailoverWatchAutoPromotes kills the master database out from under
 // the deployment (no explicit KillMaster call) and expects the watcher to
 // detect the death, enter degraded mode, and promote a replica on its own.
 func TestFailoverWatchAutoPromotes(t *testing.T) {
-	d, c := newDeployment(t)
 	reg := telemetry.NewRegistry()
-	d.Instrument(reg)
+	d, c := newDeploymentOn(t, reg)
 	seedDevices(t, d, c)
 
 	d.StartFailoverWatch(5 * time.Millisecond)

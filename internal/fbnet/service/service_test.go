@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/telemetry"
 )
 
 func ctx() context.Context { return context.Background() }
@@ -15,7 +16,13 @@ func ctx() context.Context { return context.Background() }
 // region and a Region object seeded through the write API.
 func newDeployment(t testing.TB) (*Deployment, *Client) {
 	t.Helper()
-	d, err := NewDeployment(fbnet.NewCatalog(), "ash", []string{"ash", "fra", "sin"}, 2)
+	return newDeploymentOn(t, nil)
+}
+
+// newDeploymentOn is newDeployment reporting on reg.
+func newDeploymentOn(t testing.TB, reg *telemetry.Registry) (*Deployment, *Client) {
+	t.Helper()
+	d, err := NewDeployment(fbnet.NewCatalog(), "ash", []string{"ash", "fra", "sin"}, 2, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

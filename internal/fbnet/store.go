@@ -46,11 +46,20 @@ func (o Object) Ref(field string) int64 { return o.Int(field) }
 type Store struct {
 	reg *Registry
 	db  *relstore.DB
+	// planned counts every planned query as answered from indexes or by
+	// a full table scan, on the registry db counts into; views over
+	// other servers (ReadOnlyView) and mutations share the counters.
+	planned plannedCounters
 }
+
+type plannedCounters struct{ indexed, scanned *telemetry.Counter }
 
 // Open creates (or verifies) one table per registered model on db and
 // returns the store. Opening the same registry against a database that
-// already has the tables (e.g. a promoted replica) is not an error.
+// already has the tables (e.g. a promoted replica) is not an error. The
+// store counts its planned queries
+// (robotron_fbnet_queries_planned_total{strategy=...}) into the registry
+// db counts into.
 func Open(db *relstore.DB, reg *Registry) (*Store, error) {
 	existing := make(map[string]bool)
 	for _, t := range db.Tables() {
@@ -82,28 +91,25 @@ func Open(db *relstore.DB, reg *Registry) (*Store, error) {
 			return nil, fmt.Errorf("fbnet: creating table for model %s: %w", name, err)
 		}
 	}
-	return &Store{reg: reg, db: db}, nil
+	tel := db.Telemetry()
+	tel.Help("robotron_fbnet_queries_planned_total", "read queries by planner strategy")
+	return &Store{reg: reg, db: db, planned: plannedCounters{
+		indexed: tel.Counter("robotron_fbnet_queries_planned_total", telemetry.Label{Key: "strategy", Value: "indexed"}),
+		scanned: tel.Counter("robotron_fbnet_queries_planned_total", telemetry.Label{Key: "strategy", Value: "scan"}),
+	}}, nil
 }
 
 // Registry returns the store's model registry.
 func (s *Store) Registry() *Registry { return s.reg }
-
-// Instrument registers the store's planner counters and the backing
-// server's transaction metrics on reg. Views and mutations sharing the
-// model registry are covered automatically.
-func (s *Store) Instrument(reg *telemetry.Registry) {
-	s.reg.Instrument(reg)
-	s.db.Instrument(reg)
-}
 
 // DB returns the underlying database (used by the service layer for
 // replication wiring).
 func (s *Store) DB() *relstore.DB { return s.db }
 
 // ReadOnlyView returns a Store over a different database (typically a
-// replica) sharing this store's registry.
+// replica) sharing this store's registry and planner counters.
 func (s *Store) ReadOnlyView(db *relstore.DB) *Store {
-	return &Store{reg: s.reg, db: db}
+	return &Store{reg: s.reg, db: db, planned: s.planned}
 }
 
 // AddField evolves a model in place with a new value field — the paper's
@@ -342,7 +348,7 @@ func (m *Mutation) Find(model string, q Query) ([]Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	return find(m.store.reg, v, model, q)
+	return find(m.store, v, model, q)
 }
 
 // FindOne returns exactly one matching object, erroring on zero or many.

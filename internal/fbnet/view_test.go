@@ -24,7 +24,7 @@ func TestFindReadsOneEpoch(t *testing.T) {
 		{Name: "color", Type: relstore.ColString, Indexed: true},
 		{Name: "gen", Type: relstore.ColInt},
 	}})
-	s, err := Open(relstore.NewDB("lamps"), reg)
+	s, err := Open(relstore.NewDB("lamps", nil), reg)
 	if err != nil {
 		t.Fatal(err)
 	}

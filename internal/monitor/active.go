@@ -179,68 +179,39 @@ type JobSpec struct {
 	Backends   []string
 }
 
-// EventStats counts collection events per engine type (Table 2). Syslog
-// (passive) events are counted by the classifier and merged in reports.
+// EventStats counts collection events per engine type (Table 2) on the
+// registry the job manager was built with:
+// robotron_monitor_polls_total{engine} and
+// robotron_monitor_poll_errors_total. Syslog (passive) events are counted
+// by the classifier and merged in reports.
 type EventStats struct {
-	mu     sync.Mutex
-	counts map[EngineType]int64
-	errors int64
-
-	// Registry mirrors, nil (no-op) until instrument.
-	reg     *telemetry.Registry
-	mPolls  map[EngineType]*telemetry.Counter
-	mErrors *telemetry.Counter
+	polls  map[EngineType]*telemetry.Counter // one per engine; fixed at construction
+	errors *telemetry.Counter
 }
 
-func newEventStats() *EventStats {
-	return &EventStats{counts: make(map[EngineType]int64)}
-}
-
-func (s *EventStats) instrument(reg *telemetry.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reg = reg
-	s.mPolls = make(map[EngineType]*telemetry.Counter)
-	s.mErrors = reg.Counter("robotron_monitor_poll_errors_total")
-}
-
-func (s *EventStats) add(e EngineType, n int64) {
-	s.mu.Lock()
-	s.counts[e] += n
-	if s.reg != nil {
-		c, ok := s.mPolls[e]
-		if !ok {
-			c = s.reg.Counter("robotron_monitor_polls_total", telemetry.Label{Key: "engine", Value: string(e)})
-			s.mPolls[e] = c
-		}
-		c.Add(n)
+func newEventStats(engines map[EngineType]Engine, reg *telemetry.Registry) *EventStats {
+	reg.Help("robotron_monitor_polls_total", "successful active-monitoring polls per engine")
+	reg.Help("robotron_monitor_poll_errors_total", "active-monitoring polls or backend stores that failed")
+	s := &EventStats{
+		polls:  make(map[EngineType]*telemetry.Counter, len(engines)),
+		errors: reg.Counter("robotron_monitor_poll_errors_total"),
 	}
-	s.mu.Unlock()
+	for e := range engines {
+		s.polls[e] = reg.Counter("robotron_monitor_polls_total", telemetry.Label{Key: "engine", Value: string(e)})
+	}
+	return s
 }
 
-func (s *EventStats) addError() {
-	s.mu.Lock()
-	s.errors++
-	s.mErrors.Inc()
-	s.mu.Unlock()
-}
-
-// Counts returns per-engine event counts.
+// Counts returns the per-engine event counts, the engines that polled
+// nothing left out (all of them on a nil registry).
 func (s *EventStats) Counts() map[EngineType]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[EngineType]int64, len(s.counts))
-	for k, v := range s.counts {
-		out[k] = v
+	out := make(map[EngineType]int64, len(s.polls))
+	for e, c := range s.polls {
+		if n := c.Value(); n > 0 {
+			out[e] = n
+		}
 	}
 	return out
-}
-
-// Errors returns the number of failed polls.
-func (s *EventStats) Errors() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.errors
 }
 
 // JobManager is the top tier of the active monitoring pipeline.
@@ -260,13 +231,15 @@ type JobManager struct {
 	pollWidth   int          // the engine tier's width; 0 is fanout.DefaultWidth
 }
 
-// NewJobManager creates a job manager with the standard engines on clock.
-func NewJobManager(resolve DeviceResolver, clock vclock.Clock) *JobManager {
+// NewJobManager creates a job manager with the standard engines on clock,
+// counting its polls into reg (Stats; nil counts nothing).
+func NewJobManager(resolve DeviceResolver, clock vclock.Clock, reg *telemetry.Registry) *JobManager {
+	engines := NewEngines()
 	return &JobManager{
 		resolve:  resolve,
-		engines:  NewEngines(),
+		engines:  engines,
 		backends: make(map[string]Backend),
-		stats:    newEventStats(),
+		stats:    newEventStats(engines, reg),
 		clock:    clock,
 	}
 }
@@ -448,15 +421,6 @@ func (jm *JobManager) Jobs() []JobSpec {
 // Stats returns the event counters.
 func (jm *JobManager) Stats() *EventStats { return jm.stats }
 
-// Instrument mirrors the job manager's poll counters onto reg
-// (robotron_monitor_polls_total{engine=...} and
-// robotron_monitor_poll_errors_total). The EventStats getters remain
-// the authoritative view.
-func (jm *JobManager) Instrument(reg *telemetry.Registry) {
-	reg.Help("robotron_monitor_polls_total", "successful active-monitoring polls per engine")
-	jm.stats.instrument(reg)
-}
-
 // RunOnce executes jobs immediately, once each — the "ad-hoc monitoring
 // jobs on-demand" path of config monitoring, and one collection of every
 // installed job — and returns their collections in (job, device) order.
@@ -541,11 +505,11 @@ func (jm *JobManager) execute(jobs []JobSpec) []Collection {
 			panic(r.panicV)
 		}
 		if p.err != nil || r.err != nil {
-			jm.stats.addError()
+			jm.stats.errors.Inc()
 			return
 		}
 		spec := &jobs[p.job]
-		jm.stats.add(spec.Engine, 1)
+		jm.stats.polls[spec.Engine].Inc()
 		if backendsJob != p.job {
 			backendsJob, backends = p.job, jm.backendsOf(spec, backends[:0])
 		}
@@ -554,7 +518,7 @@ func (jm *JobManager) execute(jobs []JobSpec) []Collection {
 		out = append(out, col)
 		for _, b := range backends {
 			if err := b.Store(col); err != nil {
-				jm.stats.addError()
+				jm.stats.errors.Inc()
 			}
 		}
 	}

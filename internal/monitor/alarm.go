@@ -169,7 +169,8 @@ type AlarmEngine struct {
 	// sessions is the last read of observed BGP sessions (sessionStates).
 	sessions sessionRead
 
-	// metrics, nil (no-op) until Instrument
+	// metrics on the registry the engine was built with; the per-rule
+	// counters are registered as rules first fire or resolve.
 	reg       *telemetry.Registry
 	mFired    map[string]*telemetry.Counter
 	mResolved map[string]*telemetry.Counter
@@ -178,18 +179,30 @@ type AlarmEngine struct {
 	mRules    *telemetry.Counter
 }
 
-// NewAlarmEngine builds an engine over the given stores on clock. store
+// NewAlarmEngine builds an engine over the given stores on clock, counting
+// its passes and alarm transitions into reg (nil counts nothing). store
 // may be nil (BGP-state rules never fire; correlation sees only the
 // reconcile journal).
-func NewAlarmEngine(clock vclock.Clock, ts *TimeseriesBackend, store *fbnet.Store) *AlarmEngine {
+func NewAlarmEngine(clock vclock.Clock, ts *TimeseriesBackend, store *fbnet.Store, reg *telemetry.Registry) *AlarmEngine {
+	reg.Help("robotron_alarms_fired_total", "alarms that reached the firing state, per rule")
+	reg.Help("robotron_alarms_resolved_total", "firing alarms that resolved, per rule")
+	reg.Help("robotron_alarms_firing", "alarms currently firing")
+	reg.Help("robotron_alarm_evaluations_total", "alarm evaluation passes")
+	reg.Help("robotron_alarm_rules_evaluated_total", "alarm rules evaluated: those of the devices whose inputs moved since the last pass")
 	return &AlarmEngine{
-		clock:  clock,
-		ts:     ts,
-		store:  store,
-		active: make(map[alarmKey]*Alarm),
-		full:   true,
-		dirty:  make(map[string]bool),
-		picked: make(map[string]bool),
+		clock:     clock,
+		ts:        ts,
+		store:     store,
+		active:    make(map[alarmKey]*Alarm),
+		full:      true,
+		dirty:     make(map[string]bool),
+		picked:    make(map[string]bool),
+		reg:       reg,
+		mFired:    make(map[string]*telemetry.Counter),
+		mResolved: make(map[string]*telemetry.Counter),
+		mFiring:   reg.Gauge("robotron_alarms_firing"),
+		mEvals:    reg.Counter("robotron_alarm_evaluations_total"),
+		mRules:    reg.Counter("robotron_alarm_rules_evaluated_total"),
 	}
 }
 
@@ -212,23 +225,6 @@ func (ae *AlarmEngine) ObserveAlert(a Alert) {
 	ae.mu.Lock()
 	defer ae.mu.Unlock()
 	ae.alerts.push(a)
-}
-
-// Instrument mirrors alarm lifecycle transitions onto reg.
-func (ae *AlarmEngine) Instrument(reg *telemetry.Registry) {
-	ae.mu.Lock()
-	defer ae.mu.Unlock()
-	ae.reg = reg
-	reg.Help("robotron_alarms_fired_total", "alarms that reached the firing state, per rule")
-	reg.Help("robotron_alarms_resolved_total", "firing alarms that resolved, per rule")
-	reg.Help("robotron_alarms_firing", "alarms currently firing")
-	reg.Help("robotron_alarm_evaluations_total", "alarm evaluation passes")
-	reg.Help("robotron_alarm_rules_evaluated_total", "alarm rules evaluated: those of the devices whose inputs moved since the last pass")
-	ae.mFired = make(map[string]*telemetry.Counter)
-	ae.mResolved = make(map[string]*telemetry.Counter)
-	ae.mFiring = reg.Gauge("robotron_alarms_firing")
-	ae.mEvals = reg.Counter("robotron_alarm_evaluations_total")
-	ae.mRules = reg.Counter("robotron_alarm_rules_evaluated_total")
 }
 
 // ruleRun is the rules of one family on one device, in key order. The
@@ -337,7 +333,7 @@ func (ae *AlarmEngine) dropOrphansLocked(on map[string]bool) {
 		if on != nil && !on[id.device] || ae.hasRuleLocked(id) {
 			continue
 		}
-		if al.State == AlarmFiring && ae.mFiring != nil {
+		if al.State == AlarmFiring {
 			ae.mFiring.Dec()
 		}
 		delete(ae.active, id)
@@ -385,9 +381,7 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 	now := ae.clock.Now()
 	ae.mu.Lock()
 	defer ae.mu.Unlock()
-	if ae.mEvals != nil {
-		ae.mEvals.Inc()
-	}
+	ae.mEvals.Inc()
 	picked := ae.pickLocked()
 	// Every alarm that fires in this pass looks back over the same window:
 	// assemble it on the first fire, and not at all on a quiet pass.
@@ -441,10 +435,8 @@ func (ae *AlarmEngine) Evaluate() []Alarm {
 				al.ResolvedAt = now
 				ae.resolved.push(*al)
 				delete(ae.active, id)
-				if ae.mFiring != nil {
-					ae.mFiring.Dec()
-					ae.ruleCounter(ae.mResolved, "robotron_alarms_resolved_total", r.Name).Inc()
-				}
+				ae.mFiring.Dec()
+				ae.ruleCounter(ae.mResolved, "robotron_alarms_resolved_total", r.Name).Inc()
 			case al != nil:
 				// Pending breach cleared before PendingFor elapsed: no alarm.
 				delete(ae.active, id)
@@ -481,10 +473,8 @@ func (ae *AlarmEngine) maybeFireLocked(r *AlarmRule, al *Alarm, now time.Time, c
 	al.State = AlarmFiring
 	al.FiredAt = now
 	al.Correlated = correlated()
-	if ae.mFiring != nil {
-		ae.mFiring.Inc()
-		ae.ruleCounter(ae.mFired, "robotron_alarms_fired_total", r.Name).Inc()
-	}
+	ae.mFiring.Inc()
+	ae.ruleCounter(ae.mFired, "robotron_alarms_fired_total", r.Name).Inc()
 }
 
 func (ae *AlarmEngine) ruleCounter(m map[string]*telemetry.Counter, metric, rule string) *telemetry.Counter {

@@ -82,7 +82,7 @@ type deltaHistory struct {
 
 func newDeltaHistory(t *testing.T, seed int64) *deltaHistory {
 	t.Helper()
-	store, err := fbnet.Open(relstore.NewDB("alarm-delta"), fbnet.NewCatalog())
+	store, err := fbnet.Open(relstore.NewDB("alarm-delta", nil), fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func newDeltaHistory(t *testing.T, seed int64) *deltaHistory {
 		devices: slices.Clone(deltaDevices),
 	}
 	h.derived = NewDerivedBackend(store, h.ts)
-	engine := func() *AlarmEngine { return NewAlarmEngine(h.vc, h.ts, store) }
+	engine := func() *AlarmEngine { return NewAlarmEngine(h.vc, h.ts, store, nil) }
 	h.warm, h.cold, h.warm2, h.cold2 = engine(), engine(), engine(), engine()
 	var rules []AlarmRule
 	for _, d := range h.devices {
@@ -367,7 +367,7 @@ func TestAlarmEnginesReadBesideWriters(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	cold := NewAlarmEngine(h.vc, h.ts, h.store)
+	cold := NewAlarmEngine(h.vc, h.ts, h.store, nil)
 	cold.ReplaceRules(rules)
 	want := cold.Evaluate()
 	if len(want) == 0 {

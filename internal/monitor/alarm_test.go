@@ -13,15 +13,18 @@ import (
 	"github.com/robotron-net/robotron/internal/vclock"
 )
 
+// alarmFixture builds an engine over a fresh store, both counting into one
+// registry (registryOf the store).
 func alarmFixture(t *testing.T) (*vclock.VirtualClock, *TimeseriesBackend, *fbnet.Store, *AlarmEngine) {
 	t.Helper()
 	vc := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 	ts := NewTimeseriesBackend()
-	store, err := fbnet.Open(relstore.NewDB("alarm-test"), fbnet.NewCatalog())
+	reg := telemetry.NewRegistry()
+	store, err := fbnet.Open(relstore.NewDB("alarm-test", reg), fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return vc, ts, store, NewAlarmEngine(vc, ts, store)
+	return vc, ts, store, NewAlarmEngine(vc, ts, store, reg)
 }
 
 // pushSample stores one sample under key (device/metric) and marks the
@@ -42,9 +45,8 @@ func observeSessions(t *testing.T, ts *TimeseriesBackend, store *fbnet.Store, de
 }
 
 func TestThresholdAlarmLifecycle(t *testing.T) {
-	vc, ts, _, ae := alarmFixture(t)
-	reg := telemetry.NewRegistry()
-	ae.Instrument(reg)
+	vc, ts, store, ae := alarmFixture(t)
+	reg := registryOf(store)
 	ae.ReplaceRules([]AlarmRule{{
 		Name: "cpu-high", Kind: KindThreshold, Device: "dev1", Key: "cpu_util",
 		Op: ">=", Value: 0.9, Urgency: Major,
@@ -301,9 +303,8 @@ func TestTimelineMergedAndOrdered(t *testing.T) {
 }
 
 func TestReplaceRulesDropsStaleActiveAlarms(t *testing.T) {
-	vc, ts, _, ae := alarmFixture(t)
-	reg := telemetry.NewRegistry()
-	ae.Instrument(reg)
+	vc, ts, store, ae := alarmFixture(t)
+	reg := registryOf(store)
 	ae.ReplaceRules([]AlarmRule{{
 		Name: "cpu-high", Kind: KindThreshold, Device: "dev1", Key: "cpu_util",
 		Op: ">", Value: 0.5, Urgency: Major,
@@ -323,11 +324,12 @@ func TestReplaceRulesDropsStaleActiveAlarms(t *testing.T) {
 }
 
 // quietEngine is an engine with an absence and a flatline rule on each of
-// devices live devices: none is breached.
+// devices live devices: none is breached. It counts into a registry of its
+// own, ae.reg.
 func quietEngine(devices int) *AlarmEngine {
 	vc := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 	ts := NewTimeseriesBackend()
-	ae := NewAlarmEngine(vc, ts, nil)
+	ae := NewAlarmEngine(vc, ts, nil, telemetry.NewRegistry())
 	rules := make([]AlarmRule, 0, devices*2)
 	for i := 0; i < devices; i++ {
 		dev := fmt.Sprintf("dev%03d", i)
@@ -384,8 +386,7 @@ func BenchmarkAlarmEvaluate(b *testing.B) {
 func TestEvaluateCostsWhatTheCollectionMoved(t *testing.T) {
 	ae := quietEngine(256)
 	vc := ae.clock.(*vclock.VirtualClock)
-	reg := telemetry.NewRegistry()
-	ae.Instrument(reg)
+	reg := ae.reg
 	var seen float64
 	evaluated := func() float64 {
 		v, _ := reg.Value("robotron_alarm_rules_evaluated_total")
@@ -424,8 +425,7 @@ func TestEvaluateCostsWhatTheCollectionMoved(t *testing.T) {
 func TestEvaluateAllocatesNothingPerRule(t *testing.T) {
 	allocs := func(devices int) float64 {
 		ae := quietEngine(devices)
-		reg := telemetry.NewRegistry()
-		ae.Instrument(reg)
+		reg := ae.reg
 		names := make([]string, devices)
 		for i := range names {
 			names[i] = fmt.Sprintf("dev%03d", i)
@@ -494,8 +494,7 @@ func TestBGPStateAlarmSurvivesStoreOutage(t *testing.T) {
 // it, and one after a session row changed.
 func TestEvaluatePlansOneQueryForAllSessionRules(t *testing.T) {
 	_, store, ae := bgpDownFixture(t, 12)
-	reg := telemetry.NewRegistry()
-	store.Instrument(reg)
+	reg := registryOf(store)
 	planned := func() (n float64) {
 		for _, strategy := range []string{"indexed", "scan"} {
 			v, _ := reg.Value("robotron_fbnet_queries_planned_total", telemetry.L("strategy", strategy)...)

@@ -96,7 +96,7 @@ func TestHistoriesCostWhatTheyHold(t *testing.T) {
 		t.Errorf("1,000 one-sample series allocated %d bytes, want under 1 MB", got)
 	}
 
-	ae := NewAlarmEngine(vclock.RealClock(), ts, nil)
+	ae := NewAlarmEngine(vclock.RealClock(), ts, nil, nil)
 	alert := Alert{Rule: "link-flap", Message: netsim.SyslogMessage{Host: "sw1", Time: time.Unix(1, 0)}}
 	for i := 0; i < 10000; i++ {
 		ae.ObserveAlert(alert)

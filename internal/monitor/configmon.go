@@ -24,30 +24,9 @@ type ConfigMonitor struct {
 	mu          sync.Mutex
 	deviations  ring[Deviation]
 	handlers    []func(Deviation)
-	checkErrs   int64
-	checkPanics int64
 	errHandlers []func(device string, err error)
 
-	// Registry-backed mirrors of the counters above; nil (no-op) until
-	// Instrument.
-	mChecks     *telemetry.Counter
-	mCheckErrs  *telemetry.Counter
-	mPanics     *telemetry.Counter
-	mDeviations *telemetry.Counter
-}
-
-// Instrument mirrors the monitor's counters onto reg so they appear in
-// /metrics. The authoritative counts (CheckErrors, CheckPanics) remain
-// the in-struct fields, updated under cm.mu together with the hooks.
-func (cm *ConfigMonitor) Instrument(reg *telemetry.Registry) {
-	reg.Help("robotron_monitor_check_errors_total", "event-triggered config checks that errored")
-	reg.Help("robotron_monitor_check_panics_total", "panics recovered from backend config checks")
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	cm.mChecks = reg.Counter("robotron_monitor_checks_total")
-	cm.mCheckErrs = reg.Counter("robotron_monitor_check_errors_total")
-	cm.mPanics = reg.Counter("robotron_monitor_check_panics_total")
-	cm.mDeviations = reg.Counter("robotron_monitor_deviations_total")
+	checks, checkErrs, panics, deviationsFound *telemetry.Counter
 }
 
 // Deviation is one detected divergence between running and golden config.
@@ -60,10 +39,22 @@ type Deviation struct {
 	At      time.Time
 }
 
-// NewConfigMonitor builds a config monitor. golden resolves a device's
-// golden config (typically configgen.Generator.Golden).
-func NewConfigMonitor(jm *JobManager, repo *revctl.Repo, store *fbnet.Store, golden func(string) (string, error)) *ConfigMonitor {
-	return &ConfigMonitor{jm: jm, repo: repo, store: store, golden: golden}
+// NewConfigMonitor builds a config monitor that counts its checks, their
+// errors and recovered panics, and the deviations they find into reg
+// (nil counts nothing). golden resolves a device's golden config
+// (typically configgen.Generator.Golden).
+func NewConfigMonitor(jm *JobManager, repo *revctl.Repo, store *fbnet.Store, golden func(string) (string, error), reg *telemetry.Registry) *ConfigMonitor {
+	reg.Help("robotron_monitor_checks_total", "config checks run (CheckDevice)")
+	reg.Help("robotron_monitor_check_errors_total", "event-triggered config checks that errored")
+	reg.Help("robotron_monitor_check_panics_total", "panics recovered from backend config checks")
+	reg.Help("robotron_monitor_deviations_total", "config checks that found running differing from golden")
+	return &ConfigMonitor{
+		jm: jm, repo: repo, store: store, golden: golden,
+		checks:          reg.Counter("robotron_monitor_checks_total"),
+		checkErrs:       reg.Counter("robotron_monitor_check_errors_total"),
+		panics:          reg.Counter("robotron_monitor_check_panics_total"),
+		deviationsFound: reg.Counter("robotron_monitor_deviations_total"),
+	}
 }
 
 // Attach subscribes the monitor to the classifier: every CONFIG_CHANGED
@@ -110,43 +101,20 @@ func (cm *ConfigMonitor) OnCheckError(h func(device string, err error)) {
 	cm.errHandlers = append(cm.errHandlers, h)
 }
 
-// CheckErrors reports how many event-triggered checks have errored.
-func (cm *ConfigMonitor) CheckErrors() int64 {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	return cm.checkErrs
-}
-
-// CheckPanics reports how many panics were recovered from backend
-// checks. Each recovered panic is also counted as a check error.
-func (cm *ConfigMonitor) CheckPanics() int64 {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	return cm.checkPanics
-}
-
 // noteCheckError advances the error counter and notifies every
 // OnCheckError subscriber under one critical section, so the counter
-// and the hook can never diverge: an observer that sees checkErrs == N
-// knows exactly N handler invocation rounds have been entered, and a
-// concurrent OnCheckError registration cannot land between the count
-// and the callbacks. Handlers must not call back into the monitor.
+// and the hook can never diverge: an observer that sees
+// robotron_monitor_check_errors_total == N knows exactly N handler
+// invocation rounds have been entered, and a concurrent OnCheckError
+// registration cannot land between the count and the callbacks.
+// Handlers must not call back into the monitor.
 func (cm *ConfigMonitor) noteCheckError(device string, err error) {
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
-	cm.checkErrs++
-	cm.mCheckErrs.Inc()
+	cm.checkErrs.Inc()
 	for _, h := range cm.errHandlers {
 		h(device, err)
 	}
-}
-
-// notePanic counts a panic recovered from a backend check.
-func (cm *ConfigMonitor) notePanic() {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	cm.checkPanics++
-	cm.mPanics.Inc()
 }
 
 // CheckDevice collects the device's running config now, archives it, and
@@ -154,13 +122,14 @@ func (cm *ConfigMonitor) notePanic() {
 // records it in Deviations; it tells no subscriber, so the caller that
 // asked is the one that acts on it.
 // A panic out of the collection backends or the golden resolver is
-// recovered and surfaced as an error (and counted via CheckPanics), so
+// recovered and surfaced as an error (and counted in
+// robotron_monitor_check_panics_total), so
 // one broken backend cannot kill the classifier's alert goroutine.
 func (cm *ConfigMonitor) CheckDevice(device string) (dev *Deviation, err error) {
-	cm.mChecks.Inc()
+	cm.checks.Inc()
 	defer func() {
 		if p := recover(); p != nil {
-			cm.notePanic()
+			cm.panics.Inc()
 			dev, err = nil, fmt.Errorf("monitor: check of %s panicked: %v", device, p)
 		}
 	}()
@@ -210,7 +179,7 @@ func (cm *ConfigMonitor) CheckDevice(device string) (dev *Deviation, err error) 
 	}
 	cm.mu.Lock()
 	cm.deviations.push(found)
-	cm.mDeviations.Inc()
+	cm.deviationsFound.Inc()
 	cm.mu.Unlock()
 	return &found, nil
 }

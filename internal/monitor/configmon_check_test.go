@@ -32,7 +32,7 @@ func TestCheckDeviceVerdictEqualsColdDiff(t *testing.T) {
 			if err := dev.InjectRunningConfig(tc.running); err != nil {
 				t.Fatal(err)
 			}
-			cm := NewConfigMonitor(jm, repo, store, func(string) (string, error) { return golden, nil })
+			cm := NewConfigMonitor(jm, repo, store, func(string) (string, error) { return golden, nil }, registryOf(store))
 			got, err := cm.CheckDevice("dev00")
 			if err != nil {
 				t.Fatal(err)
@@ -72,7 +72,7 @@ func TestRepeatedConformingCheckWritesNothing(t *testing.T) {
 	fleet, jm, store, repo := newMonitoredFleetOn(t, 1, clk)
 	dev, _ := fleet.Device("dev00")
 	golden, _ := dev.RunningConfig()
-	cm := NewConfigMonitor(jm, repo, store, func(string) (string, error) { return golden, nil })
+	cm := NewConfigMonitor(jm, repo, store, func(string) (string, error) { return golden, nil }, registryOf(store))
 	if d, err := cm.CheckDevice("dev00"); err != nil || d != nil {
 		t.Fatalf("first check = %+v, %v; want conforming", d, err)
 	}
@@ -131,7 +131,7 @@ func TestCommentOnlyDriftCountsItsLines(t *testing.T) {
 	fleet, jm, store, repo := newMonitoredFleet(t, 1)
 	dev, _ := fleet.Device("dev00")
 	golden, _ := dev.RunningConfig()
-	cm := NewConfigMonitor(jm, repo, store, func(string) (string, error) { return golden, nil })
+	cm := NewConfigMonitor(jm, repo, store, func(string) (string, error) { return golden, nil }, registryOf(store))
 	if err := dev.ApplyManualChange("! chaos drift dev00"); err != nil {
 		t.Fatal(err)
 	}

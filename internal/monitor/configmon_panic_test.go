@@ -4,24 +4,24 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"github.com/robotron-net/robotron/internal/telemetry"
 )
 
 // TestConfigMonitorRecoversPanickingCheck: a panic out of a backend
 // check (here the golden resolver) must not kill the classifier's
 // alert path — it is converted to a check error, counted in both
-// CheckErrors and CheckPanics, and delivered to OnCheckError.
+// robotron_monitor_check_errors_total and _check_panics_total, and
+// delivered to OnCheckError.
 func TestConfigMonitorRecoversPanickingCheck(t *testing.T) {
 	_, jm, store, repo := newMonitoredFleet(t, 1)
 	cls := NewClassifier()
 	StandardRules(cls)
+	reg := registryOf(store)
 	cm := NewConfigMonitor(jm, repo, store, func(d string) (string, error) {
 		panic("golden store corrupted")
-	})
-	reg := telemetry.NewRegistry()
-	cm.Instrument(reg)
+	}, reg)
 	cm.Attach(cls)
+	panics := func() int64 { return counterValue(reg, "robotron_monitor_check_panics_total") }
+	checkErrs := func() int64 { return counterValue(reg, "robotron_monitor_check_errors_total") }
 
 	var mu sync.Mutex
 	var heard []string
@@ -35,29 +35,22 @@ func TestConfigMonitorRecoversPanickingCheck(t *testing.T) {
 	if _, err := cm.CheckDevice("dev00"); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("CheckDevice err = %v, want recovered panic", err)
 	}
-	if n := cm.CheckPanics(); n != 1 {
-		t.Errorf("CheckPanics = %d, want 1", n)
+	if n := panics(); n != 1 {
+		t.Errorf("check panics = %d, want 1", n)
 	}
 	// Alert-triggered call: same recovery, plus the error-counter/hook
 	// pair advances together.
 	cls.Process(msg("dev00", "CONFIG_CHANGED: configuration changed out-of-band"))
-	if n := cm.CheckErrors(); n != 1 {
-		t.Errorf("CheckErrors = %d, want 1 (only the alert-triggered check routes to noteCheckError)", n)
+	if n := checkErrs(); n != 1 {
+		t.Errorf("check errors = %d, want 1 (only the alert-triggered check routes to noteCheckError)", n)
 	}
-	if n := cm.CheckPanics(); n != 2 {
-		t.Errorf("CheckPanics = %d, want 2", n)
+	if n := panics(); n != 2 {
+		t.Errorf("check panics = %d, want 2", n)
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(heard) != 1 || !strings.Contains(heard[0], "dev00") || !strings.Contains(heard[0], "panicked") {
 		t.Fatalf("OnCheckError heard = %v", heard)
-	}
-	// Registry mirrors agree with the authoritative getters.
-	if v := reg.Counter("robotron_monitor_check_panics_total").Value(); v != 2 {
-		t.Errorf("panic counter on registry = %d, want 2", v)
-	}
-	if v := reg.Counter("robotron_monitor_check_errors_total").Value(); v != 1 {
-		t.Errorf("error counter on registry = %d, want 1", v)
 	}
 }
 
@@ -70,12 +63,12 @@ func TestNoteCheckErrorAtomicWithHook(t *testing.T) {
 	_, jm, store, repo := newMonitoredFleet(t, 1)
 	cm := NewConfigMonitor(jm, repo, store, func(d string) (string, error) {
 		return "", nil
-	})
+	}, registryOf(store))
 	var calls int64
 	cm.OnCheckError(func(device string, err error) {
 		calls++ // guarded by cm.mu: handlers run under the monitor's lock
-		if calls != cm.checkErrs {
-			t.Errorf("handler saw calls=%d but checkErrs=%d", calls, cm.checkErrs)
+		if n := cm.checkErrs.Value(); calls != n {
+			t.Errorf("handler saw calls=%d but check errors=%d", calls, n)
 		}
 	})
 	var wg sync.WaitGroup
@@ -89,8 +82,8 @@ func TestNoteCheckErrorAtomicWithHook(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := cm.CheckErrors(); n != 800 {
-		t.Errorf("CheckErrors = %d, want 800", n)
+	if n := cm.checkErrs.Value(); n != 800 {
+		t.Errorf("check errors = %d, want 800", n)
 	}
 	cm.mu.Lock()
 	defer cm.mu.Unlock()

@@ -92,21 +92,15 @@ type Derivation struct {
 	jobsVer  uint64 // jm's and ae's Version right after this Derivation last wrote them
 	rulesVer uint64
 
-	derived *telemetry.Counter // nil (a no-op) until Instrument
+	derived *telemetry.Counter // robotron_monitor_derived_devices_total
 }
 
 // NewDerivation returns a Derivation over the job manager's and the alarm
-// engine's sets; its first Sync derives every device.
-func NewDerivation(jm *JobManager, ae *AlarmEngine) *Derivation {
-	return &Derivation{jm: jm, ae: ae}
-}
-
-// Instrument registers robotron_monitor_derived_devices_total on reg.
-func (d *Derivation) Instrument(reg *telemetry.Registry) {
+// engine's sets, counting the devices it re-derives into reg (nil counts
+// nothing); its first Sync derives every device.
+func NewDerivation(jm *JobManager, ae *AlarmEngine, reg *telemetry.Registry) *Derivation {
 	reg.Help("robotron_monitor_derived_devices_total", "Devices whose collection jobs and alarm rules were re-derived from intent.")
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.derived = reg.Counter("robotron_monitor_derived_devices_total")
+	return &Derivation{jm: jm, ae: ae, derived: reg.Counter("robotron_monitor_derived_devices_total")}
 }
 
 // Sync re-derives the jobs and rules of the devices the checker's view

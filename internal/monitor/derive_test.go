@@ -20,7 +20,7 @@ import (
 // no BGP.
 func deriveFixture(t *testing.T) *fbnet.Store {
 	t.Helper()
-	store, err := fbnet.Open(relstore.NewDB("derive-test"), fbnet.NewCatalog())
+	store, err := fbnet.Open(relstore.NewDB("derive-test", nil), fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func deriveFixture(t *testing.T) *fbnet.Store {
 // derivedJobManager is a job manager with the backends derived jobs name.
 func derivedJobManager(t *testing.T, store *fbnet.Store) *JobManager {
 	t.Helper()
-	jm := NewJobManager(nil, vclock.RealClock())
+	jm := NewJobManager(nil, vclock.RealClock(), nil)
 	ts := NewTimeseriesBackend()
 	if err := jm.RegisterBackend(ts); err != nil {
 		t.Fatal(err)
@@ -97,8 +97,8 @@ func derivedJobManager(t *testing.T, store *fbnet.Store) *JobManager {
 // the first Sync of a fresh Derivation, which derives every device.
 func deriveFrom(t *testing.T, store *fbnet.Store) (jobs []JobSpec, rules []AlarmRule) {
 	t.Helper()
-	jm, ae := derivedJobManager(t, store), NewAlarmEngine(vclock.RealClock(), NewTimeseriesBackend(), store)
-	if _, err := NewDerivation(jm, ae).Sync(verify.NewChecker(store, nil)); err != nil {
+	jm, ae := derivedJobManager(t, store), NewAlarmEngine(vclock.RealClock(), NewTimeseriesBackend(), store, nil)
+	if _, err := NewDerivation(jm, ae, nil).Sync(verify.NewChecker(store, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
 	return jm.Jobs(), ae.Rules()
@@ -238,7 +238,7 @@ func TestReplaceJobsSwapsDerivedPrefix(t *testing.T) {
 // slice; and a swap — wholesale or by device — drops exactly the active
 // alarms whose rule is gone, leaving every other one as it was.
 func TestReplaceRulesKeepsDerivedOrder(t *testing.T) {
-	store, err := fbnet.Open(relstore.NewDB("order-test"), fbnet.NewCatalog())
+	store, err := fbnet.Open(relstore.NewDB("order-test", nil), fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestReplaceRulesKeepsDerivedOrder(t *testing.T) {
 	_, rules := deriveFrom(t, store)
 	vc := vclock.NewVirtualClock(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
 	ts := NewTimeseriesBackend()
-	ae := NewAlarmEngine(vc, ts, store)
+	ae := NewAlarmEngine(vc, ts, store, nil)
 	ae.ReplaceRules(rules)
 	if !reflect.DeepEqual(ae.Rules(), rules) {
 		t.Fatal("a derived rule set installed in a different order")

@@ -263,7 +263,8 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 			// ev draws the events around the polls (historyEvent), apart
 			// from rng, so the polls are the same with or without them.
 			ev := rand.New(rand.NewSource(-seed))
-			store, err := fbnet.Open(relstore.NewDB("derived-sync"), fbnet.NewCatalog())
+			reg := telemetry.NewRegistry()
+			store, err := fbnet.Open(relstore.NewDB("derived-sync", reg), fbnet.NewCatalog())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,8 +272,6 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 			if err := replica.CatchUp(); err != nil { // whenever the master dies, its successor has the schema
 				t.Fatal(err)
 			}
-			reg := telemetry.NewRegistry()
-			store.Instrument(reg)
 			commits := reg.Counter("robotron_relstore_tx_commits_total", telemetry.L("server", "derived-sync")...)
 			planned := func() (n float64) {
 				for _, strategy := range []string{"indexed", "scan"} {
@@ -395,11 +394,11 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 					}
 					// The master dies with what the replica has not applied;
 					// the replica serves from here on, the backend, the
-					// config monitor and the model re-pointed at it.
+					// config monitor and the model re-pointed at it. It has
+					// counted into the master's registry from the start.
 					store.DB().SetDown(true)
 					promoted := replica.Promote()
 					replica = nil
-					promoted.Instrument(reg)
 					commits = reg.Counter("robotron_relstore_tx_commits_total", telemetry.L("server", promoted.Name())...)
 					store = store.ReadOnlyView(promoted)
 					backend.store, cm.store = store, store

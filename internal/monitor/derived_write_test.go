@@ -31,12 +31,11 @@ func interfacesCollection(dev string, n int, first string, at time.Time) Collect
 
 func derivedStore(t testing.TB) (*fbnet.Store, *telemetry.Registry) {
 	t.Helper()
-	store, err := fbnet.Open(relstore.NewDB("derived"), fbnet.NewCatalog())
+	reg := telemetry.NewRegistry()
+	store, err := fbnet.Open(relstore.NewDB("derived", reg), fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	store.Instrument(reg)
 	return store, reg
 }
 

@@ -12,6 +12,7 @@ import (
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/revctl"
+	"github.com/robotron-net/robotron/internal/telemetry"
 	"github.com/robotron-net/robotron/internal/vclock"
 )
 
@@ -101,11 +102,12 @@ func newTierWorld(t *testing.T, seed int64, width int) *tierWorld {
 	}
 
 	var err error
-	if w.store, err = fbnet.Open(relstore.NewDB("engine-tier"), fbnet.NewCatalog()); err != nil {
+	reg := telemetry.NewRegistry()
+	if w.store, err = fbnet.Open(relstore.NewDB("engine-tier", reg), fbnet.NewCatalog()); err != nil {
 		t.Fatal(err)
 	}
 	w.ddl = w.store.DB().Seq()
-	w.jm = NewJobManager(FleetDeviceResolver(w.fleet), w.vc)
+	w.jm = NewJobManager(FleetDeviceResolver(w.fleet), w.vc, reg)
 	w.jm.SetPollWidth(width)
 	w.jm.SetDeviceLister(func() []string { return SortedDeviceNames(w.fleet) })
 	for _, b := range []Backend{w.ts, NewDerivedBackend(w.store, w.ts), NewConfigBackend(w.repo)} {
@@ -156,7 +158,7 @@ func newTierWorld(t *testing.T, seed int64, width int) *tierWorld {
 			t.Fatal(err)
 		}
 	}
-	w.ae = NewAlarmEngine(w.vc, w.ts, w.store)
+	w.ae = NewAlarmEngine(w.vc, w.ts, w.store, reg)
 	w.ae.ReplaceRules(rules)
 	return w
 }
@@ -234,10 +236,13 @@ func TestEngineTierEqualsSerial(t *testing.T) {
 		if g, w := parallel.jm.Stats().Counts(), serial.jm.Stats().Counts(); !reflect.DeepEqual(g, w) {
 			t.Fatalf("seed %d: polls %v, want %v", seed, g, w)
 		}
-		if g, w := parallel.jm.Stats().Errors(), serial.jm.Stats().Errors(); g != w {
+		pollErrors := func(w *tierWorld) int64 {
+			return counterValue(registryOf(w.store), "robotron_monitor_poll_errors_total")
+		}
+		if g, w := pollErrors(parallel), pollErrors(serial); g != w {
 			t.Fatalf("seed %d: %d poll errors, want %d", seed, g, w)
 		}
-		if serial.jm.Stats().Errors() == 0 {
+		if pollErrors(serial) == 0 {
 			t.Fatalf("seed %d: no poll failed; the world downs no device and garbles no config", seed)
 		}
 		if g, w := parallel.ae.Snapshot(), serial.ae.Snapshot(); !reflect.DeepEqual(g, w) {
@@ -256,7 +261,7 @@ func TestEngineTierRaisesAPollPanicOnTheCaller(t *testing.T) {
 	}
 	jm := NewJobManager(func(name string) (DeviceAPI, error) {
 		return panickyDevice{name}, nil
-	}, vclock.RealClock())
+	}, vclock.RealClock(), nil)
 	defer func() {
 		if p := recover(); p != "dev07 exploded" {
 			t.Fatalf("recovered %v, want the poll's panic", p)

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRecordEventsPopulatesOperationalEvents(t *testing.T) {
-	db := relstore.NewDB("m")
+	db := relstore.NewDB("m", nil)
 	store, err := fbnet.Open(db, fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)

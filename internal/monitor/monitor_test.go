@@ -11,6 +11,7 @@ import (
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/revctl"
+	"github.com/robotron-net/robotron/internal/telemetry"
 	"github.com/robotron-net/robotron/internal/vclock"
 )
 
@@ -141,7 +142,8 @@ func newMonitoredFleet(t testing.TB, n int) (*netsim.Fleet, *JobManager, *fbnet.
 }
 
 // newMonitoredFleetOn is newMonitoredFleet with the fleet and the job
-// manager on clock.
+// manager on clock. The store and the job manager count into one registry,
+// the store's server's (registryOf).
 func newMonitoredFleetOn(t testing.TB, n int, clock vclock.Clock) (*netsim.Fleet, *JobManager, *fbnet.Store, *revctl.Repo) {
 	t.Helper()
 	fleet := netsim.NewFleet(clock)
@@ -159,13 +161,14 @@ func newMonitoredFleetOn(t testing.TB, n int, clock vclock.Clock) (*netsim.Fleet
 			t.Fatal(err)
 		}
 	}
-	db := relstore.NewDB("master")
+	reg := telemetry.NewRegistry()
+	db := relstore.NewDB("master", reg)
 	store, err := fbnet.Open(db, fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
 	repo := revctl.NewRepo()
-	jm := NewJobManager(FleetDeviceResolver(fleet), clock)
+	jm := NewJobManager(FleetDeviceResolver(fleet), clock, reg)
 	ts := NewTimeseriesBackend()
 	for _, b := range []Backend{ts, NewDerivedBackend(store, ts), NewConfigBackend(repo)} {
 		if err := jm.RegisterBackend(b); err != nil {
@@ -173,6 +176,16 @@ func newMonitoredFleetOn(t testing.TB, n int, clock vclock.Clock) (*netsim.Fleet
 		}
 	}
 	return fleet, jm, store, repo
+}
+
+// registryOf is the registry store's server counts into: the one a test
+// world built every component on.
+func registryOf(store *fbnet.Store) *telemetry.Registry { return store.DB().Telemetry() }
+
+// counterValue reads one counter of reg (0 when it is not registered).
+func counterValue(reg *telemetry.Registry, name string, labels ...telemetry.Label) int64 {
+	v, _ := reg.Value(name, labels...)
+	return int64(v)
 }
 
 func TestJobValidation(t *testing.T) {
@@ -308,7 +321,7 @@ func TestDeriveCircuitsFromLLDP(t *testing.T) {
 // TestDeriveCircuitsRequiresBothSides: a one-sided LLDP claim (far side
 // down) must not produce a circuit.
 func TestDeriveCircuitsRequiresBothSides(t *testing.T) {
-	db := relstore.NewDB("m")
+	db := relstore.NewDB("m", nil)
 	store, _ := fbnet.Open(db, fbnet.NewCatalog())
 	_, err := store.Mutate(func(m *fbnet.Mutation) error {
 		_, err := m.Create("DerivedLldpNeighbor", map[string]any{
@@ -424,13 +437,13 @@ func TestStartedManagerFollowsLiveJobSet(t *testing.T) {
 }
 
 func TestUnreachableDeviceCountsError(t *testing.T) {
-	fleet, jm, _, _ := newMonitoredFleet(t, 2)
+	fleet, jm, store, _ := newMonitoredFleet(t, 2)
 	d, _ := fleet.Device("dev01")
 	d.SetDown(true)
 	jm.RunOnce(JobSpec{Name: "c", Period: time.Minute, Engine: EngineSNMP,
 		Data: DataCounters, Devices: []string{"dev00", "dev01"}})
-	if jm.Stats().Errors() != 1 {
-		t.Errorf("errors = %d, want 1", jm.Stats().Errors())
+	if n := counterValue(registryOf(store), "robotron_monitor_poll_errors_total"); n != 1 {
+		t.Errorf("errors = %d, want 1", n)
 	}
 	if jm.Stats().Counts()[EngineSNMP] != 1 {
 		t.Errorf("successful polls = %d, want 1", jm.Stats().Counts()[EngineSNMP])
@@ -447,7 +460,7 @@ func TestConfigMonitorDetectsDriftAndRestores(t *testing.T) {
 	StandardRules(cls)
 	cm := NewConfigMonitor(jm, repo, store, func(d string) (string, error) {
 		return repo.GetHead("golden/" + d)
-	})
+	}, registryOf(store))
 	cm.Attach(cls)
 	var mu sync.Mutex
 	var notified []Deviation
@@ -510,7 +523,7 @@ func TestConfigMonitorConformingChangeIsQuiet(t *testing.T) {
 	repo.Commit("golden/dev00", cfg, "robotron", "provisioned")
 	cm := NewConfigMonitor(jm, repo, store, func(d string) (string, error) {
 		return repo.GetHead("golden/" + d)
-	})
+	}, registryOf(store))
 	devn, err := cm.CheckDevice("dev00")
 	if err != nil {
 		t.Fatal(err)
@@ -541,9 +554,9 @@ func TestFormatTables(t *testing.T) {
 	if !strings.Contains(t3, "CRITICAL") || !strings.Contains(t3, "IGNORED") {
 		t.Errorf("table3 = %q", t3)
 	}
-	stats := newEventStats()
-	stats.add(EngineSNMP, 100)
-	stats.add(EngineCLI, 20)
+	stats := newEventStats(NewEngines(), telemetry.NewRegistry())
+	stats.polls[EngineSNMP].Add(100)
+	stats.polls[EngineCLI].Add(20)
 	t2 := FormatTable2(stats, 40)
 	if !strings.Contains(t2, "SNMP (active)") || !strings.Contains(t2, "Syslog (passive)") {
 		t.Errorf("table2 = %q", t2)
@@ -602,7 +615,7 @@ func TestConfigMonitorReportsCheckErrors(t *testing.T) {
 	StandardRules(cls)
 	cm := NewConfigMonitor(jm, repo, store, func(d string) (string, error) {
 		return repo.GetHead("golden/" + d)
-	})
+	}, registryOf(store))
 	cm.Attach(cls)
 	var mu sync.Mutex
 	type checkErr struct {
@@ -619,8 +632,8 @@ func TestConfigMonitorReportsCheckErrors(t *testing.T) {
 	dev.SetDown(true)
 	cls.Process(msg("dev00", "CONFIG_CHANGED: configuration changed out-of-band"))
 
-	if n := cm.CheckErrors(); n != 1 {
-		t.Errorf("CheckErrors = %d, want 1", n)
+	if n := counterValue(registryOf(store), "robotron_monitor_check_errors_total"); n != 1 {
+		t.Errorf("check errors = %d, want 1", n)
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/netsim"
 	"github.com/robotron-net/robotron/internal/relstore"
+	"github.com/robotron-net/robotron/internal/telemetry"
 	"github.com/robotron-net/robotron/internal/vclock"
 )
 
@@ -48,12 +49,13 @@ func TestMonitoringOverTCP(t *testing.T) {
 		}
 	}()
 
-	db := relstore.NewDB("m")
+	reg := telemetry.NewRegistry()
+	db := relstore.NewDB("m", reg)
 	store, err := fbnet.Open(db, fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	jm := NewJobManager(resolver, vclock.RealClock())
+	jm := NewJobManager(resolver, vclock.RealClock(), reg)
 	ts := NewTimeseriesBackend()
 	jm.RegisterBackend(ts)
 	jm.RegisterBackend(NewDerivedBackend(store, ts))
@@ -71,8 +73,8 @@ func TestMonitoringOverTCP(t *testing.T) {
 			t.Fatalf("%s over TCP: %v", spec.Name, err)
 		}
 	}
-	if jm.Stats().Errors() != 0 {
-		t.Errorf("poll errors over TCP: %d", jm.Stats().Errors())
+	if n := counterValue(reg, "robotron_monitor_poll_errors_total"); n != 0 {
+		t.Errorf("poll errors over TCP: %d", n)
 	}
 	if n, _ := store.Count("DerivedDevice"); n != 3 {
 		t.Errorf("DerivedDevice = %d", n)

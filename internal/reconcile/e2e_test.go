@@ -222,13 +222,14 @@ func TestE2ECheckErrorRetryQueue(t *testing.T) {
 	d.SetDown(true)
 	// Provisioning-time commits already error a few checks (no golden
 	// yet), so assert the delta from this event only.
-	base := r.ConfigMon.CheckErrors()
+	checkErrs := r.Telemetry.Counter("robotron_monitor_check_errors_total")
+	base := checkErrs.Value()
 	// The change event arrives but the collection fails.
 	r.Classifier.Process(netsim.SyslogMessage{
 		Host: victim, App: "config", Severity: 5,
 		Text: "CONFIG_CHANGED: configuration changed out-of-band",
 	})
-	if n := r.ConfigMon.CheckErrors(); n != base+1 {
+	if n := checkErrs.Value(); n != base+1 {
 		t.Fatalf("monitor check errors = %d, want %d", n, base+1)
 	}
 	// Device comes back already drifted; the syslog for the out-of-band

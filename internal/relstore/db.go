@@ -154,32 +154,52 @@ type DB struct {
 	epochPtr atomic.Pointer[epoch]
 	spare    *epoch
 
-	// Telemetry mirrors; nil (no-op) until Instrument.
+	// reg is the registry the server counts into, from construction on;
+	// its replicas report there too.
+	reg        *telemetry.Registry
 	mCommits   *telemetry.Counter
 	mRollbacks *telemetry.Counter
 }
 
-// NewDB creates an empty database server with the given name.
-func NewDB(name string) *DB {
-	db := &DB{name: name}
+// NewDB creates an empty database server with the given name, counting
+// its transactions and exporting its binlog sequence on reg (nil counts
+// nothing), all labeled with the server name.
+func NewDB(name string, reg *telemetry.Registry) *DB {
+	db := newDB(name, reg)
+	db.exportSeq()
+	return db
+}
+
+// newDB is a server with its transaction counters bound; a replica's
+// exports its binlog sequence once promoted (Replica.Promote).
+func newDB(name string, reg *telemetry.Registry) *DB {
+	reg.Help("robotron_relstore_tx_commits_total", "write transactions committed, per server")
+	reg.Help("robotron_relstore_tx_rollbacks_total", "write transactions rolled back, per server")
+	server := telemetry.Label{Key: "server", Value: name}
+	db := &DB{
+		name:       name,
+		reg:        reg,
+		mCommits:   reg.Counter("robotron_relstore_tx_commits_total", server),
+		mRollbacks: reg.Counter("robotron_relstore_tx_rollbacks_total", server),
+	}
 	db.epochPtr.Store(&epoch{tables: make(map[string]*table)})
 	db.spare = &epoch{tables: make(map[string]*table)}
 	return db
 }
 
+// exportSeq registers the server's binlog sequence gauge.
+func (db *DB) exportSeq() {
+	db.reg.Help("robotron_relstore_binlog_seq", "last binlog sequence committed, per server")
+	db.reg.GaugeFunc("robotron_relstore_binlog_seq", func() float64 { return float64(db.Seq()) },
+		telemetry.Label{Key: "server", Value: db.name})
+}
+
 // Name returns the server name.
 func (db *DB) Name() string { return db.name }
 
-// Instrument registers this server's transaction counters and binlog
-// sequence gauge on reg, labeled with the server name.
-func (db *DB) Instrument(reg *telemetry.Registry) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	server := telemetry.Label{Key: "server", Value: db.name}
-	db.mCommits = reg.Counter("robotron_relstore_tx_commits_total", server)
-	db.mRollbacks = reg.Counter("robotron_relstore_tx_rollbacks_total", server)
-	reg.GaugeFunc("robotron_relstore_binlog_seq", func() float64 { return float64(db.Seq()) }, server)
-}
+// Telemetry returns the registry the server counts into (nil when it
+// counts nothing). Stores over the server count there too.
+func (db *DB) Telemetry() *telemetry.Registry { return db.reg }
 
 // CreateTable registers a new table. Schema changes are recorded in the
 // binlog so replicas converge.

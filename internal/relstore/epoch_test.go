@@ -14,7 +14,7 @@ import (
 // torn read breaks it.
 func newPairDB(t *testing.T) *DB {
 	t.Helper()
-	db := NewDB("epoch-test")
+	db := NewDB("epoch-test", nil)
 	err := db.CreateTable(TableDef{
 		Name: "pair",
 		Columns: []Column{

@@ -13,7 +13,7 @@ import (
 // present in one table but not the other.
 func pairDB(t testing.TB) *DB {
 	t.Helper()
-	db := NewDB("pair-master")
+	db := NewDB("pair-master", nil)
 	for _, name := range []string{"a", "b"} {
 		if err := db.CreateTable(TableDef{
 			Name:    name,

@@ -500,7 +500,7 @@ func (h *history) failover() {
 // runHistory plays steps of the seeded history; afterStep, if not nil,
 // runs after each.
 func runHistory(t *testing.T, seed int64, steps int, afterStep func(h *history)) {
-	h := &history{t: t, r: rand.New(rand.NewSource(seed)), master: NewDB("master"),
+	h := &history{t: t, r: rand.New(rand.NewSource(seed)), master: NewDB("master", nil),
 		model:     &naiveStore{defs: map[string]TableDef{}, rows: map[string]map[int64]map[string]any{}, nextID: map[string]int64{}},
 		committed: map[uint64]*naiveStore{}, kept: keptRows{}}
 	h.replica = NewReplica(h.master, "replica")

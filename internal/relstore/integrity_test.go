@@ -205,7 +205,7 @@ func randName(r *rand.Rand) string {
 // cascade, even when that row's SET NULL key comes first in the referrer
 // order. A rollback brings every row back as it was.
 func TestDeleteNullsOnlyRowsItKeeps(t *testing.T) {
-	db := NewDB("delete-order")
+	db := NewDB("delete-order", nil)
 	for _, def := range []TableDef{
 		{Name: "parent", Columns: []Column{{Name: "name", Type: ColString}}},
 		{Name: "child", Columns: []Column{{Name: "parent_id", Type: ColInt}},

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"github.com/robotron-net/robotron/internal/telemetry"
 )
 
 // viewGet and viewSelect read one row, or the rows pred matches, through
@@ -30,7 +32,13 @@ func viewSelect(db *DB, table string, pred func(Row) bool) (rows []Row, err erro
 // with a circuit referencing two pifs.
 func newTestDB(t testing.TB) *DB {
 	t.Helper()
-	db := NewDB("master.test")
+	return newTestDBOn(t, nil)
+}
+
+// newTestDBOn is newTestDB counting into reg.
+func newTestDBOn(t testing.TB, reg *telemetry.Registry) *DB {
+	t.Helper()
+	db := NewDB("master.test", reg)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -138,7 +146,7 @@ func TestInsertValidations(t *testing.T) {
 }
 
 func TestColumnValidator(t *testing.T) {
-	db := NewDB("m")
+	db := NewDB("m", nil)
 	err := db.CreateTable(TableDef{
 		Name: "prefix",
 		Columns: []Column{{
@@ -202,7 +210,7 @@ func TestUpdateUniqueIndexMoves(t *testing.T) {
 }
 
 func TestDeleteRestrict(t *testing.T) {
-	db := NewDB("m")
+	db := NewDB("m", nil)
 	if err := db.CreateTable(TableDef{Name: "a", Columns: []Column{{Name: "x", Type: ColInt}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +422,7 @@ func TestServerDown(t *testing.T) {
 }
 
 func TestBadSchemas(t *testing.T) {
-	db := NewDB("m")
+	db := NewDB("m", nil)
 	cases := []struct {
 		name string
 		def  TableDef
@@ -554,7 +562,7 @@ func TestQuickTransactionAtomicity(t *testing.T) {
 		Commit bool
 	}
 	f := func(ops []op) bool {
-		db := NewDB("m")
+		db := NewDB("m", nil)
 		if err := db.CreateTable(TableDef{Name: "d", Columns: []Column{{Name: "name", Type: ColString}}}); err != nil {
 			return false
 		}

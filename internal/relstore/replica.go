@@ -36,9 +36,24 @@ type Replica struct {
 
 // NewReplica creates an empty replica of master named name. The replica
 // converges by replaying the master's binlog from the beginning (schema
-// changes included).
+// changes included). It reports on the master's registry: its server's
+// transaction counters, and, labeled with its name, a replication-lag
+// gauge (master binlog seq − replica applied seq) and a health check
+// that fails while the replica is down.
 func NewReplica(master *DB, name string) *Replica {
-	return &Replica{master: master, db: NewDB(name)}
+	r := &Replica{master: master, db: newDB(name, master.reg)}
+	reg := master.reg
+	reg.Help("robotron_relstore_replication_lag", "binlog entries the replica is behind the master")
+	reg.GaugeFunc("robotron_relstore_replication_lag",
+		func() float64 { return float64(r.Lag()) },
+		telemetry.Label{Key: "replica", Value: name})
+	reg.RegisterHealth("relstore-replica-"+name, func() (string, error) {
+		if !r.db.Healthy() {
+			return "", fmt.Errorf("replica %s is down", name)
+		}
+		return fmt.Sprintf("lag=%d", r.Lag()), nil
+	})
+	return r
 }
 
 // DB returns the replica's database for (read-only) queries. Callers must
@@ -50,23 +65,6 @@ func (r *Replica) Applied() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.applied
-}
-
-// Instrument registers the replica's replication-lag gauge
-// (master binlog seq − replica applied seq) and a health check that
-// fails while the replica is down, both labeled with the replica name.
-func (r *Replica) Instrument(reg *telemetry.Registry) {
-	name := r.db.Name()
-	reg.Help("robotron_relstore_replication_lag", "binlog entries the replica is behind the master")
-	reg.GaugeFunc("robotron_relstore_replication_lag",
-		func() float64 { return float64(r.Lag()) },
-		telemetry.Label{Key: "replica", Value: name})
-	reg.RegisterHealth("relstore-replica-"+name, func() (string, error) {
-		if !r.db.Healthy() {
-			return "", fmt.Errorf("replica %s is down", name)
-		}
-		return fmt.Sprintf("lag=%d", r.Lag()), nil
-	})
 }
 
 // Lag returns how many binlog entries the replica is behind the master.
@@ -194,9 +192,11 @@ func (r *Replica) StopAuto() {
 
 // Promote catches the replica up as far as the master allows (a dead
 // master yields whatever has already been applied) and returns the
-// underlying DB to serve as the new master. The caller owns re-pointing
-// other replicas at it. Mirrors §4.3.3: "when the master goes down, the
-// slave in the nearest data center is promoted to master".
+// underlying DB to serve as the new master, which from now on also
+// exports its binlog sequence. The caller owns re-pointing other replicas
+// at it, and they report on the registry it counts into. Mirrors §4.3.3:
+// "when the master goes down, the slave in the nearest data center is
+// promoted to master".
 func (r *Replica) Promote() *DB {
 	r.StopAuto()
 	r.mu.Lock()
@@ -204,6 +204,7 @@ func (r *Replica) Promote() *DB {
 	if r.master.Healthy() {
 		_ = r.catchUpLocked()
 	}
+	r.db.exportSeq()
 	return r.db
 }
 

@@ -25,7 +25,7 @@ func scaleRowSizes() []int {
 // buildScaleDB creates a device table with n rows spread over n/64 sites.
 func buildScaleDB(tb testing.TB, n int) *DB {
 	tb.Helper()
-	db := NewDB("bench-master")
+	db := NewDB("bench-master", nil)
 	err := db.CreateTable(TableDef{
 		Name: "device",
 		Columns: []Column{

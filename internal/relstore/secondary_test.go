@@ -8,7 +8,7 @@ import (
 // secondaryDB builds a schema with a non-unique Indexed column.
 func secondaryDB(t testing.TB) *DB {
 	t.Helper()
-	db := NewDB("master.sec")
+	db := NewDB("master.sec", nil)
 	if err := db.CreateTable(TableDef{
 		Name: "device",
 		Columns: []Column{
@@ -128,7 +128,7 @@ func TestSecondaryIndexReplicates(t *testing.T) {
 }
 
 func TestSecondaryIndexNullNotIndexed(t *testing.T) {
-	db := NewDB("m")
+	db := NewDB("m", nil)
 	if err := db.CreateTable(TableDef{
 		Name: "t",
 		Columns: []Column{
@@ -154,7 +154,7 @@ func TestSecondaryIndexNullNotIndexed(t *testing.T) {
 }
 
 func TestSecondaryIndexIntNormalization(t *testing.T) {
-	db := NewDB("m")
+	db := NewDB("m", nil)
 	if err := db.CreateTable(TableDef{
 		Name:    "t",
 		Columns: []Column{{Name: "n", Type: ColInt, Indexed: true}},

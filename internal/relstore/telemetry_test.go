@@ -34,10 +34,9 @@ func lagGauge(t *testing.T, reg *telemetry.Registry, replica string) float64 {
 // TestReplicationLagGaugeConvergesToZero: writes on the master open a
 // lag visible through the gauge; CatchUp drives it back to zero.
 func TestReplicationLagGaugeConvergesToZero(t *testing.T) {
-	master := newTestDB(t)
-	rep := NewReplica(master, "replica.test")
 	reg := telemetry.NewRegistry()
-	rep.Instrument(reg)
+	master := newTestDBOn(t, reg)
+	rep := NewReplica(master, "replica.test")
 
 	// The replica has applied nothing: schema entries alone open a lag.
 	if lag := lagGauge(t, reg, "replica.test"); lag == 0 {
@@ -73,13 +72,12 @@ func TestReplicationLagGaugeConvergesToZero(t *testing.T) {
 	}
 }
 
-// TestReplicaHealthCheck: the replica's health check carries the lag
-// detail and fails when the replica goes down.
+// TestReplicaHealthCheck: the replica's health check, on its master's
+// registry, carries the lag detail and fails when the replica goes down.
 func TestReplicaHealthCheck(t *testing.T) {
-	master := newTestDB(t)
-	rep := NewReplica(master, "replica.hc")
 	reg := telemetry.NewRegistry()
-	rep.Instrument(reg)
+	master := newTestDBOn(t, reg)
+	rep := NewReplica(master, "replica.hc")
 	statuses, ok := reg.Health()
 	if !ok || len(statuses) != 1 || !strings.Contains(statuses[0].Detail, "lag=") {
 		t.Fatalf("health = %+v ok=%v", statuses, ok)
@@ -93,9 +91,8 @@ func TestReplicaHealthCheck(t *testing.T) {
 // TestTxCountersOnRegistry: commits and rollbacks are counted per
 // server under the existing db.mu critical sections.
 func TestTxCountersOnRegistry(t *testing.T) {
-	db := newTestDB(t)
 	reg := telemetry.NewRegistry()
-	db.Instrument(reg)
+	db := newTestDBOn(t, reg)
 	insertDevice(t, db, "psw1")
 	insertDevice(t, db, "psw2")
 	_ = db.WithTx(func(tx *Tx) error {
@@ -118,5 +115,27 @@ func TestTxCountersOnRegistry(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `robotron_relstore_binlog_seq{server="master.test"}`) {
 		t.Errorf("scrape missing binlog seq gauge:\n%s", b.String())
+	}
+}
+
+// TestPromotedReplicaCountsOnItsMastersRegistry: a replica's server counts
+// into its master's registry from construction, so once promoted its
+// commits count with nothing registered again; it exports its binlog
+// sequence from the promotion on.
+func TestPromotedReplicaCountsOnItsMastersRegistry(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	master := newTestDBOn(t, reg)
+	rep := NewReplica(master, "replica.promo")
+	server := telemetry.L("server", "replica.promo")
+	if _, ok := reg.Value("robotron_relstore_binlog_seq", server...); ok {
+		t.Error("a replica exports a binlog_seq before it is promoted")
+	}
+	promoted := rep.Promote()
+	if seq, ok := reg.Value("robotron_relstore_binlog_seq", server...); !ok || seq != float64(promoted.Seq()) {
+		t.Errorf("promoted binlog_seq = %v (registered %v), want %d", seq, ok, promoted.Seq())
+	}
+	insertDevice(t, promoted, "psw1")
+	if v, _ := reg.Value("robotron_relstore_tx_commits_total", server...); v != 1 {
+		t.Errorf("promoted server's commits = %v, want 1", v)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // next commit, which waits for the replaced epoch's readers to leave,
 // finishes instead of spinning forever.
 func TestViewReleasesPinOnErrorAndPanic(t *testing.T) {
-	db := NewDB("pins")
+	db := NewDB("pins", nil)
 	if err := db.CreateTable(TableDef{Name: "t", Columns: []Column{{Name: "v", Type: ColInt}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestViewReleasesPinOnErrorAndPanic(t *testing.T) {
 // TestViewOfDownDBRefuses: a dead server serves no view, as it serves no
 // Get or Select.
 func TestViewOfDownDBRefuses(t *testing.T) {
-	db := NewDB("down")
+	db := NewDB("down", nil)
 	db.SetDown(true)
 	called := false
 	if err := db.View(func(View) error { called = true; return nil }); err == nil || called {

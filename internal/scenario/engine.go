@@ -221,11 +221,10 @@ func (e *engine) build() error {
 	}
 	var store *fbnet.Store
 	if f.Service != nil {
-		dep, err := service.NewDeployment(fbnet.NewCatalog(), f.Service.Regions[0], f.Service.Regions, f.Service.Replicas)
+		dep, err := service.NewDeployment(fbnet.NewCatalog(), f.Service.Regions[0], f.Service.Regions, f.Service.Replicas, e.reg)
 		if err != nil {
 			return e.setup("service tier", err)
 		}
-		dep.Instrument(e.reg)
 		e.dep = dep
 		store = dep.MasterStore()
 	}

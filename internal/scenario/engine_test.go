@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -377,6 +378,49 @@ func TestExampleScenariosDeterministic(t *testing.T) {
 			}
 			if r1.Journal != r2.Journal {
 				t.Fatal("journals diverge between runs")
+			}
+		})
+	}
+}
+
+// TestEveryExportedFamilyHasHelp runs every shipped drill and scrapes its
+// registry as the run ends: every metric family the run exports carries a
+// HELP line beside its TYPE line.
+func TestEveryExportedFamilyHasHelp(t *testing.T) {
+	matches, _ := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.yaml"))
+	for _, path := range matches {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			f, err := Load(path)
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			var scrape bytes.Buffer
+			attach := func(r *core.Robotron) (func(error), error) {
+				return func(error) {
+					if err := r.Telemetry.WritePrometheus(&scrape); err != nil {
+						t.Error(err)
+					}
+				}, nil
+			}
+			if _, err := Run(f, Options{Attach: attach}); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			help := map[string]bool{}
+			var typed []string
+			for _, line := range strings.Split(scrape.String(), "\n") {
+				if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+					help[strings.Fields(rest)[0]] = true
+				} else if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+					typed = append(typed, strings.Fields(rest)[0])
+				}
+			}
+			if len(typed) == 0 {
+				t.Fatal("the run exported no metric family")
+			}
+			for _, fam := range typed {
+				if !help[fam] {
+					t.Errorf("%s has a TYPE line and no HELP line", fam)
+				}
 			}
 		})
 	}

@@ -319,7 +319,7 @@ func TestGateCoversDesignRules(t *testing.T) {
 	states, unparsed, unseen := 0, 0, 0
 	for seed := int64(1); seed <= int64(histories); seed++ {
 		h := newHistory(t, seed)
-		c := NewChecker(h.store, nil)
+		c := NewChecker(h.store, nil, nil)
 		raw := false // a raw write has committed in this history
 		compare := func(step string) {
 			t.Helper()

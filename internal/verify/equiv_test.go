@@ -37,7 +37,7 @@ type history struct {
 // backbone mesh with two circuits.
 func newHistory(t testing.TB, seed int64) *history {
 	t.Helper()
-	store, err := fbnet.Open(relstore.NewDB("master"), fbnet.NewCatalog())
+	store, err := fbnet.Open(relstore.NewDB("master", nil), fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func newHistory(t testing.TB, seed int64) *history {
 	must(err)
 	_, err = d.AddBackboneCircuit(testCtx("backbone"), "bb1.bb1", "pr2.bb1", 2)
 	must(err)
-	h.g, err = configgen.NewGenerator(store, revctl.NewRepo(), NewChecker(store, nil))
+	h.g, err = configgen.NewGenerator(store, revctl.NewRepo(), NewChecker(store, nil, nil), nil)
 	must(err)
 	return h
 }
@@ -444,7 +444,7 @@ func assertEquivalent(t *testing.T, h *history, warm *Checker, step string) {
 	if err != nil {
 		t.Fatalf("after %s: warm check: %v", step, err)
 	}
-	fresh := NewChecker(h.store, h.g.Golden)
+	fresh := NewChecker(h.store, h.g.Golden, nil)
 	want, err := fresh.Check(configs)
 	if err != nil {
 		t.Fatalf("after %s: cold check: %v", step, err)
@@ -481,7 +481,7 @@ func TestWarmEqualsColdOverRandomHistories(t *testing.T) {
 	ran := map[string]int{}
 	for seed := int64(1); seed <= int64(histories); seed++ {
 		h := newHistory(t, seed)
-		warm := NewChecker(h.store, h.g.Golden)
+		warm := NewChecker(h.store, h.g.Golden, nil)
 		assertEquivalent(t, h, warm, "set-up")
 		for i := 0; i < length; i++ {
 			s := steps[h.rng.Intn(len(steps))]
@@ -521,7 +521,7 @@ func TestWarmEqualsColdOverRandomHistories(t *testing.T) {
 // Since still holds exactly the devices a cold model lists.
 func TestStampLogStaysBounded(t *testing.T) {
 	h := newHistory(t, 1)
-	c := NewChecker(h.store, h.g.Golden)
+	c := NewChecker(h.store, h.g.Golden, nil)
 	var stamp uint64
 	kept := map[string]Device{}
 	follow := func() {
@@ -581,7 +581,7 @@ func TestStampLogStaysBounded(t *testing.T) {
 	}
 	follow()
 	var cold []Device
-	if err := NewChecker(h.store, nil).Intent(func(in Intent) error { cold = in.Devices(); return nil }); err != nil {
+	if err := NewChecker(h.store, nil, nil).Intent(func(in Intent) error { cold = in.Devices(); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(kept) != len(cold) {
@@ -603,7 +603,7 @@ func TestStampLogStaysBounded(t *testing.T) {
 // long-lived checker still agrees with a fresh one.
 func TestConcurrentChecksFollowAWriter(t *testing.T) {
 	h := newHistory(t, 7)
-	warm := NewChecker(h.store, h.g.Golden)
+	warm := NewChecker(h.store, h.g.Golden, nil)
 	if _, err := warm.Check(nil); err != nil {
 		t.Fatal(err)
 	}

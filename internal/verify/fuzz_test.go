@@ -31,7 +31,7 @@ func renderedWorld(f *testing.F) (*model, map[string]string) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	c := NewChecker(h.store, nil)
+	c := NewChecker(h.store, nil, nil)
 	if _, err := c.Check(nil); err != nil {
 		f.Fatal(err)
 	}

@@ -48,15 +48,15 @@ type derivedSets struct {
 
 func newDerivedSets(t *testing.T, store *fbnet.Store) derivedSets {
 	t.Helper()
-	jm := monitor.NewJobManager(nil, vclock.RealClock())
+	jm := monitor.NewJobManager(nil, vclock.RealClock(), nil)
 	ts := monitor.NewTimeseriesBackend()
 	for _, b := range []monitor.Backend{ts, monitor.NewDerivedBackend(store, ts)} {
 		if err := jm.RegisterBackend(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ae := monitor.NewAlarmEngine(vclock.RealClock(), monitor.NewTimeseriesBackend(), store)
-	return derivedSets{jm, ae, monitor.NewDerivation(jm, ae)}
+	ae := monitor.NewAlarmEngine(vclock.RealClock(), monitor.NewTimeseriesBackend(), store, nil)
+	return derivedSets{jm, ae, monitor.NewDerivation(jm, ae, nil)}
 }
 
 // sync brings the sets up to c's view and copies them out.

@@ -26,7 +26,7 @@ type dcFleet struct {
 
 func newDCFleet(tb testing.TB, devices int) *dcFleet {
 	tb.Helper()
-	store, err := fbnet.Open(relstore.NewDB("master"), fbnet.NewCatalog())
+	store, err := fbnet.Open(relstore.NewDB("master", nil), fbnet.NewCatalog())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func newDCFleet(tb testing.TB, devices int) *dcFleet {
 		}
 		f.clusters = append(f.clusters, site+"-c1")
 	}
-	if f.g, err = configgen.NewGenerator(store, revctl.NewRepo(), NewChecker(store, nil)); err != nil {
+	if f.g, err = configgen.NewGenerator(store, revctl.NewRepo(), NewChecker(store, nil, nil), nil); err != nil {
 		tb.Fatal(err)
 	}
 	return f
@@ -102,7 +102,7 @@ func BenchmarkScaleVerifyCheck(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("fleet=%d", n), func(b *testing.B) {
 			f := newDCFleet(b, n)
-			c := NewChecker(f.store, f.g.Golden)
+			c := NewChecker(f.store, f.g.Golden, nil)
 			if res, err := c.Check(nil); err != nil || !res.Pass() {
 				b.Fatalf("warming check: res=%+v err=%v", res, err)
 			}

@@ -25,7 +25,7 @@ func TestVerifyCheckScaleGuard(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := heap()
-	c := NewChecker(f.store, f.g.Golden)
+	c := NewChecker(f.store, f.g.Golden, nil)
 	if res, err := c.Check(nil); err != nil || !res.Pass() {
 		t.Fatalf("warming check: res=%+v err=%v", res, err)
 	}

@@ -214,7 +214,7 @@ func TestSymmetryStatementsMatchTokenOracle(t *testing.T) {
 	configs, expected, unstated, read := 0, 0, 0, 0
 	for seed := int64(1); seed <= int64(histories); seed++ {
 		h := newHistory(t, seed)
-		c := NewChecker(h.store, nil)
+		c := NewChecker(h.store, nil, nil)
 		compare := func(step string) {
 			t.Helper()
 			if _, err := c.Check(nil); err != nil {

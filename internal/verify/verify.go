@@ -154,14 +154,11 @@ type Checker struct {
 	rebuilds   *telemetry.Counter
 }
 
-// NewChecker builds a gate over the store. golden may be nil when no
-// config repository exists (hunks are then diffed against empty).
-func NewChecker(store *fbnet.Store, golden func(device string) (string, error)) *Checker {
-	return &Checker{store: store, golden: golden}
-}
-
-// Instrument registers the robotron_verify_* metrics on reg.
-func (c *Checker) Instrument(reg *telemetry.Registry) {
+// NewChecker builds a gate over the store, counting its runs into the
+// robotron_verify_* metrics of reg (nil counts nothing). golden may be
+// nil when no config repository exists (hunks are then diffed against
+// empty).
+func NewChecker(store *fbnet.Store, golden func(device string) (string, error), reg *telemetry.Registry) *Checker {
 	reg.Help("robotron_verify_runs_total", "Pre-deploy verification gate runs.")
 	reg.Help("robotron_verify_rejections_total", "Gate runs that rejected a deployment.")
 	reg.Help("robotron_verify_violations_total", "Invariant violations found by the gate, by invariant.")
@@ -169,19 +166,24 @@ func (c *Checker) Instrument(reg *telemetry.Registry) {
 	reg.Help("robotron_verify_delta_entries_total", "Binlog entries read to bring the gate's resident model up to date.")
 	reg.Help("robotron_verify_rechecked_keys_total", "Stored checks re-evaluated because the delta touched what they read, by invariant.")
 	reg.Help("robotron_verify_model_rebuilds_total", "Reloads of the resident model from the store (first sync, schema change).")
-	c.runs = reg.Counter("robotron_verify_runs_total")
-	c.rejections = reg.Counter("robotron_verify_rejections_total")
-	c.violations = map[Invariant]*telemetry.Counter{}
-	c.rechecked = map[Invariant]*telemetry.Counter{}
+	c := &Checker{
+		store:      store,
+		golden:     golden,
+		runs:       reg.Counter("robotron_verify_runs_total"),
+		rejections: reg.Counter("robotron_verify_rejections_total"),
+		violations: map[Invariant]*telemetry.Counter{},
+		rechecked:  map[Invariant]*telemetry.Counter{},
+		latency:    reg.Histogram("robotron_verify_seconds"),
+		entries:    reg.Counter("robotron_verify_delta_entries_total"),
+		rebuilds:   reg.Counter("robotron_verify_model_rebuilds_total"),
+	}
 	for _, inv := range Invariants {
 		c.violations[inv] = reg.Counter("robotron_verify_violations_total",
 			telemetry.L("invariant", string(inv))...)
 		c.rechecked[inv] = reg.Counter("robotron_verify_rechecked_keys_total",
 			telemetry.L("invariant", string(inv))...)
 	}
-	c.latency = reg.Histogram("robotron_verify_seconds")
-	c.entries = reg.Counter("robotron_verify_delta_entries_total")
-	c.rebuilds = reg.Counter("robotron_verify_model_rebuilds_total")
+	return c
 }
 
 // Check verifies the rendered configs (device name → config text) against

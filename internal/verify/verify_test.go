@@ -28,10 +28,12 @@ func testCtx(domain string) design.ChangeContext {
 
 // newFleet builds a known-good POP cluster, renders its configs, commits
 // them as goldens (the diff baseline a later mutation is compared to),
-// and returns the pieces a mutation test needs.
+// and returns the pieces a mutation test needs. The store and the gate it
+// returns count into one registry (registryOf).
 func newFleet(t *testing.T) (*design.Designer, *configgen.Generator, *Checker) {
 	t.Helper()
-	db := relstore.NewDB("master")
+	reg := telemetry.NewRegistry()
+	db := relstore.NewDB("master", reg)
 	store, err := fbnet.Open(db, fbnet.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +51,7 @@ func newFleet(t *testing.T) (*design.Designer, *configgen.Generator, *Checker) {
 	if _, err := d.BuildCluster(testCtx("pop"), "pop1", "pop1-c1", design.POPGen1()); err != nil {
 		t.Fatal(err)
 	}
-	g, err := configgen.NewGenerator(store, revctl.NewRepo(), NewChecker(store, nil))
+	g, err := configgen.NewGenerator(store, revctl.NewRepo(), NewChecker(store, nil, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +60,11 @@ func newFleet(t *testing.T) (*design.Designer, *configgen.Generator, *Checker) {
 			t.Fatal(err)
 		}
 	}
-	return d, g, NewChecker(store, g.Golden)
+	return d, g, NewChecker(store, g.Golden, reg)
 }
+
+// registryOf is the registry newFleet built c and its store on.
+func registryOf(c *Checker) *telemetry.Registry { return c.store.DB().Telemetry() }
 
 func renderSite(t *testing.T, store *fbnet.Store, g *configgen.Generator) map[string]string {
 	t.Helper()
@@ -113,8 +118,7 @@ func eachChecker(t *testing.T, run func(t *testing.T, d *design.Designer, g *con
 // and the gate records its run in telemetry.
 func TestCleanFleetPasses(t *testing.T) {
 	d, g, c := newFleet(t)
-	reg := telemetry.NewRegistry()
-	c.Instrument(reg)
+	reg := registryOf(c)
 	res, err := c.Check(renderSite(t, c.store, g))
 	if err != nil {
 		t.Fatal(err)
@@ -183,9 +187,11 @@ func TestCleanFleetPasses(t *testing.T) {
 	}
 }
 
-// TestUninstrumentedCheckerWorks: the gate must not require telemetry.
+// TestUninstrumentedCheckerWorks: the gate must not require telemetry: one
+// built on a nil registry checks as any other.
 func TestUninstrumentedCheckerWorks(t *testing.T) {
-	_, g, c := newFleet(t)
+	_, g, fleet := newFleet(t)
+	c := NewChecker(fleet.store, g.Golden, nil)
 	if res, err := c.Check(renderSite(t, c.store, g)); err != nil || !res.Pass() {
 		t.Fatalf("uninstrumented check: res=%+v err=%v", res, err)
 	}
@@ -200,8 +206,7 @@ func TestFlippedASNRejected(t *testing.T) {
 
 func testFlippedASNRejected(t *testing.T, d *design.Designer, g *configgen.Generator, c *Checker) {
 	store := d.Store()
-	reg := telemetry.NewRegistry()
-	c.Instrument(reg)
+	reg := registryOf(c)
 	ss, err := store.Find("BgpV6Session", fbnet.Eq("session_type", "ebgp"))
 	if err != nil || len(ss) == 0 {
 		t.Fatalf("no ebgp sessions: %v", err)
@@ -541,8 +546,7 @@ func TestDownStoreFailsClosed(t *testing.T) {
 func TestWarmCheckReadsNoRows(t *testing.T) {
 	d, g, c := newFleet(t)
 	store := d.Store()
-	reg := telemetry.NewRegistry()
-	store.Instrument(reg)
+	reg := registryOf(c)
 	queries := func() int64 {
 		return reg.Counter("robotron_fbnet_queries_planned_total", telemetry.L("strategy", "indexed")...).Value() +
 			reg.Counter("robotron_fbnet_queries_planned_total", telemetry.L("strategy", "scan")...).Value()
