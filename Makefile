@@ -212,8 +212,16 @@ sim:
 # rule (the `Derive` pattern also selects the TestDerived* tests: Derived
 # tables ≡ latest observation over seeded histories in monitor, with the
 # in-place verdict ≡ a rolled-back transaction and a re-plan after a
-# racing commit; the unchanged path's no-commit and allocation guard; the
-# steady-cycle binlog and transaction counters in core; DESIGN.md §15.5),
+# racing commit; the memo's in-place compare of a collection ≡ building
+# its observation and comparing that, over seeded collections of the four
+# data types (`TestDerivedCompareInPlaceEqualsObserve`); the unchanged
+# path's no-commit and zero-allocation guard; the steady-cycle binlog and
+# transaction counters in core; DESIGN.md §15.5), the timeline's kept
+# store read ≡ a cold engine's read over seeded histories with outages and
+# a promotion, and no query while both tables stand
+# (`TestTimelineReuseEqualsColdRead`, §15.3), CollectOnce running the
+# installed jobs in place ≡ RunOnce of them (`TestCollectOnceEqualsRunOnce`
+# in core: series, binlog, backups, poll counts and alarms; §15.6),
 # the zero-allocation store into full time series (`Timeseries`), a pass
 # by delta through held series handles and the last session read ≡ a
 # pass over every rule that reads everything afresh, over seeded
@@ -244,7 +252,7 @@ obs:
 	$(GO) test -race -timeout 5m \
 		-run 'Alarm|Derive|ReplaceJobs|Timeseries|Timeline|Correlation|Classifier|Evaluate|SessionRead|EngineTier' \
 		./internal/monitor/
-	$(GO) test -race -timeout 5m -run 'TestObs|TestAlarms|TestDerive|TestDelta|TestCountsFromConstruction' ./internal/core/
+	$(GO) test -race -timeout 5m -run 'TestObs|TestAlarms|TestDerive|TestDelta|TestCountsFromConstruction|TestCollectOnce' ./internal/core/
 	$(GO) test -race -timeout 5m -run 'TestEveryExportedFamilyHasHelp' ./internal/scenario/
 	$(GO) test -race -timeout 5m -run 'TestMasterDeathDegradedReadsThenPromotion' ./internal/fbnet/service/
 	$(GO) run -race ./cmd/robotron sim run examples/scenarios/bgp-down-alarm-correlated.yaml

@@ -715,12 +715,10 @@ func (r *Robotron) DevicesOfSite(site string) ([]string, error) {
 }
 
 // CollectOnce runs every installed job once, as one execution of the
-// engine tier, and refreshes derived circuits: the "one monitoring cycle"
-// primitive used by audits and examples.
+// engine tier (JobManager.RunInstalled), and refreshes derived circuits:
+// the "one monitoring cycle" primitive used by audits and examples.
 func (r *Robotron) CollectOnce() error {
-	if _, err := r.JobManager.RunOnce(r.JobManager.Jobs()...); err != nil {
-		return err
-	}
+	r.JobManager.RunInstalled()
 	_, err := monitor.DeriveCircuits(r.Store)
 	return err
 }

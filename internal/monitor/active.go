@@ -422,10 +422,9 @@ func (jm *JobManager) Jobs() []JobSpec {
 func (jm *JobManager) Stats() *EventStats { return jm.stats }
 
 // RunOnce executes jobs immediately, once each — the "ad-hoc monitoring
-// jobs on-demand" path of config monitoring, and one collection of every
-// installed job — and returns their collections in (job, device) order.
-// A job may leave its period zero: it runs once. Every job is validated
-// before any runs.
+// jobs on-demand" path of config monitoring and audits — and returns their
+// collections in (job, device) order. A job may leave its period zero: it
+// runs once. Every job is validated before any runs.
 func (jm *JobManager) RunOnce(specs ...JobSpec) ([]Collection, error) {
 	for _, spec := range specs {
 		if spec.Period == 0 {
@@ -435,7 +434,21 @@ func (jm *JobManager) RunOnce(specs ...JobSpec) ([]Collection, error) {
 			return nil, err
 		}
 	}
-	return jm.execute(specs), nil
+	out := []Collection{}
+	jm.execute(specs, &out)
+	return out, nil
+}
+
+// RunInstalled executes every installed job once, as one execution: one
+// monitoring cycle. The jobs run as installed — each was validated when
+// it was — and their collections go to the backends only. Specs are only
+// ever appended or swapped wholesale, so the installed slice, read under
+// the lock, is run in place.
+func (jm *JobManager) RunInstalled() {
+	jm.mu.Lock()
+	specs := jm.specs
+	jm.mu.Unlock()
+	jm.execute(specs, nil)
 }
 
 // pollLookahead is how many polls per worker may run ahead of storing.
@@ -473,8 +486,9 @@ func (jm *JobManager) pollOne(jobs []JobSpec, p *poll) (r polled) {
 // marks, the Derived writes, poll and error counts and each collection's
 // stamp therefore do not depend on goroutine timing. Workers run at most
 // pollLookahead polls each ahead of storing, and a panic in a poll is
-// raised again on the caller.
-func (jm *JobManager) execute(jobs []JobSpec) []Collection {
+// raised again on the caller. The collections are appended to out unless
+// it is nil.
+func (jm *JobManager) execute(jobs []JobSpec, out *[]Collection) {
 	jm.mu.Lock()
 	list, clock, pollWidth := jm.listDevices, jm.clock, jm.pollWidth
 	jm.mu.Unlock()
@@ -497,7 +511,9 @@ func (jm *JobManager) execute(jobs []JobSpec) []Collection {
 	// The deploy and generate pools' width rule: an execution over fewer
 	// devices runs fewer workers.
 	width := fanout.Width(pollWidth, len(devices))
-	out := make([]Collection, 0, len(polls))
+	if out != nil {
+		*out = slices.Grow(*out, len(polls))
+	}
 	var backends []Backend
 	backendsJob := -1 // the job backends are of
 	store := func(p *poll, r polled) {
@@ -515,7 +531,9 @@ func (jm *JobManager) execute(jobs []JobSpec) []Collection {
 		}
 		col := r.col
 		col.At = clock.Now()
-		out = append(out, col)
+		if out != nil {
+			*out = append(*out, col)
+		}
 		for _, b := range backends {
 			if err := b.Store(col); err != nil {
 				jm.stats.errors.Inc()
@@ -531,7 +549,7 @@ func (jm *JobManager) execute(jobs []JobSpec) []Collection {
 			}
 			store(p, r)
 		}
-		return out
+		return
 	}
 	for i := range polls {
 		polls[i].worker %= width
@@ -580,7 +598,6 @@ func (jm *JobManager) execute(jobs []JobSpec) []Collection {
 		}
 		store(p, r)
 	}
-	return out
 }
 
 // backendsOf appends the registered backends a job names to buf.
@@ -688,7 +705,7 @@ func (jm *JobManager) fire(sc *schedule) {
 	due := len(specs) > 0 && at <= now
 	jm.mu.Unlock()
 	if due {
-		jm.execute(specs)
+		jm.execute(specs, nil)
 	}
 	jm.mu.Lock()
 	defer jm.mu.Unlock()

@@ -168,6 +168,9 @@ type AlarmEngine struct {
 
 	// sessions is the last read of observed BGP sessions (sessionStates).
 	sessions sessionRead
+	// changes and events are the last reads of the timeline's two store
+	// streams (storeStream).
+	changes, events streamRead
 
 	// metrics on the registry the engine was built with; the per-rule
 	// counters are registered as rules first fire or resolve.
@@ -530,6 +533,68 @@ func (ae *AlarmEngine) sessionStates() (map[[2]string]string, error) {
 	return states, nil
 }
 
+// streamRead is one read of a store table's timeline entries, from server
+// db when the table was at seq. The zero value holds no read.
+type streamRead struct {
+	db      *relstore.DB
+	seq     uint64
+	entries []TimelineEntry
+}
+
+// storeStream returns the timeline entries of model's rows, one per row in
+// id order, formatted by entry. While the table's seq on the server last
+// read has not moved, that read still holds and is returned without a
+// query; any other call reads the rows in place (Peek) and keeps what it
+// formatted. A failed read returns no entries — never the last read — and
+// leaves none for the next call. ae.mu is held.
+func (ae *AlarmEngine) storeStream(last *streamRead, model string, entry func(fbnet.Object) TimelineEntry) []TimelineEntry {
+	db := ae.store.DB()
+	if last.db == db {
+		if seq, err := ae.store.TableSeq(model); err == nil && seq == last.seq {
+			return last.entries
+		}
+	}
+	rows, _, seq, err := ae.store.Peek(model, nil)
+	if err != nil {
+		*last = streamRead{}
+		return nil
+	}
+	entries := make([]TimelineEntry, len(rows))
+	for i, row := range rows {
+		entries[i] = entry(row)
+	}
+	*last = streamRead{db: db, seq: seq, entries: entries}
+	return entries
+}
+
+// designEntry is a DesignChange row's timeline entry.
+func designEntry(c fbnet.Object) TimelineEntry {
+	return TimelineEntry{
+		At: time.Unix(c.Int("created_unix"), 0), Stage: "design",
+		Device: "-", Kind: "design-change",
+		Detail: fmt.Sprintf("%s %s: %s (+%d ~%d -%d)",
+			c.String("employee_id"), c.String("ticket_id"), c.String("description"),
+			c.Int("num_created"), c.Int("num_modified"), c.Int("num_deleted")),
+	}
+}
+
+// eventEntry is an OperationalEvent row's timeline entry, staged by kind.
+func eventEntry(ev fbnet.Object) TimelineEntry {
+	kind := ev.String("kind")
+	stage := "monitor"
+	switch kind {
+	case "verify-gate":
+		stage = "verify"
+	case "deploy", "provision":
+		stage = "deploy"
+	}
+	return TimelineEntry{
+		At: time.Unix(ev.Int("at_unix"), 0), Stage: stage,
+		Device: ev.String("device_name"), Kind: kind,
+		Detail: ev.String("urgency") + " " + ev.String("detail"),
+	}
+}
+
 // evalLocked decides whether one rule of run is breached right now, given
 // the tail of its series (the zero tail for a rule that reads none); an
 // error means what the rule observes could not be read. An unbreached
@@ -673,33 +738,11 @@ func (ae *AlarmEngine) timelineLocked(from, to time.Time, withAlarms bool) []Tim
 		out = append(out, e)
 	}
 	if ae.store != nil {
-		if changes, err := ae.store.Find("DesignChange", nil); err == nil {
-			for _, c := range changes {
-				add(TimelineEntry{
-					At: time.Unix(c.Int("created_unix"), 0), Stage: "design",
-					Device: "-", Kind: "design-change",
-					Detail: fmt.Sprintf("%s %s: %s (+%d ~%d -%d)",
-						c.String("employee_id"), c.String("ticket_id"), c.String("description"),
-						c.Int("num_created"), c.Int("num_modified"), c.Int("num_deleted")),
-				})
-			}
+		for _, e := range ae.storeStream(&ae.changes, "DesignChange", designEntry) {
+			add(e)
 		}
-		if events, err := ae.store.Find("OperationalEvent", nil); err == nil {
-			for _, ev := range events {
-				kind := ev.String("kind")
-				stage := "monitor"
-				switch kind {
-				case "verify-gate":
-					stage = "verify"
-				case "deploy", "provision":
-					stage = "deploy"
-				}
-				add(TimelineEntry{
-					At: time.Unix(ev.Int("at_unix"), 0), Stage: stage,
-					Device: ev.String("device_name"), Kind: kind,
-					Detail: ev.String("urgency") + " " + ev.String("detail"),
-				})
-			}
+		for _, e := range ae.storeStream(&ae.events, "OperationalEvent", eventEntry) {
+			add(e)
 		}
 	}
 	if ae.journal != nil {

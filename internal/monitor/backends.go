@@ -376,20 +376,22 @@ func NewDerivedBackend(store *fbnet.Store, marks *TimeseriesBackend) *DerivedBac
 func (b *DerivedBackend) Name() string { return "fbnet-derived" }
 
 // Store implements Backend: the Derived rows of the collection's device
-// become what the collection reports. An observation the memo has
-// verified returns at once; any other is synced (syncDerived), and the
-// memo keeps it only if the sync found nothing to write.
+// become what the collection reports. A collection the memo has verified
+// returns at once, compared in place (reports) before anything is built;
+// any other is observed and synced (syncDerived), and the memo keeps it
+// only if the sync found nothing to write.
 func (b *DerivedBackend) Store(col Collection) error {
-	key, db := memoKey{col.Data, col.Device}, b.store.DB()
-	v := b.recall(key)
-	o := observe(col, v.rows)
-	if o == nil {
+	shape := derivedOf(col.Data)
+	if shape == nil {
 		return nil
 	}
-	unchanged, err := b.verifies(v, db, o)
+	key, db := memoKey{col.Data, col.Device}, b.store.DB()
+	v := b.recall(key)
+	unchanged, err := b.verifies(v, db, shape.model, col)
 	if unchanged {
 		return nil
 	}
+	o := observe(col, v.rows)
 	var changed bool
 	var tableSeq uint64
 	if err == nil {
@@ -415,15 +417,15 @@ func (b *DerivedBackend) recall(key memoKey) verified {
 	return b.memo[key]
 }
 
-// verifies reports whether v verified o on db already: o reports, row for
-// row and column for column (the stamp aside), what a peek of o's table
-// on db found stored at the seq the table is at now. Reading the seq pins
-// the published epoch, so a server that is down makes it fail.
-func (b *DerivedBackend) verifies(v verified, db *relstore.DB, o *observation) (bool, error) {
-	if v.db != db || !o.repeats(v.rows) {
+// verifies reports whether v verified col on db already: col reports, row
+// for row and column for column (the stamp aside), what a peek of model's
+// table on db found stored at the seq the table is at now. Reading the seq
+// pins the published epoch, so a server that is down makes it fail.
+func (b *DerivedBackend) verifies(v verified, db *relstore.DB, model string, col Collection) (bool, error) {
+	if v.db != db || !reports(col, v.rows) {
 		return false, nil
 	}
-	seq, err := b.store.TableSeq(o.model)
+	seq, err := b.store.TableSeq(model)
 	return err == nil && seq == v.seq, err
 }
 
@@ -457,21 +459,40 @@ type observation struct {
 	rows  []any
 }
 
+// derivedOf returns the Derived model a collection of data type d feeds;
+// nil when it feeds none.
+func derivedOf(d DataType) *derivedShape {
+	switch d {
+	case DataVersion:
+		return &derivedDevice
+	case DataInterfaces:
+		return &derivedInterface
+	case DataLLDP:
+		return &derivedLLDP
+	case DataBGP:
+		return &derivedBGP
+	}
+	return nil
+}
+
 // observe turns a collection into the observation of the Derived model it
 // feeds; nil when it feeds none. like is an earlier observation's rows of
 // the same scope, or nil: a value equal to the one at the same position
 // there is taken from there, already boxed (put). The device name and the
 // collection time are boxed once, not once per row.
 func observe(col Collection, like []any) *observation {
+	shape := derivedOf(col.Data)
+	if shape == nil {
+		return nil
+	}
 	dev, at := any(col.Device), any(col.At.Unix())
-	o := &observation{scope: fbnet.Eq("device_name", dev)}
+	o := &observation{derivedShape: shape, scope: fbnet.Eq("device_name", dev)}
 	b := &rowBuilder{like: like}
 	switch col.Data {
 	case DataVersion:
-		o.derivedShape, o.scope = &derivedDevice, fbnet.Eq("name", dev)
+		o.scope = fbnet.Eq("name", dev)
 		b.rows = []any{dev, col.Version.Vendor, col.Version.OSVersion, col.Version.UptimeS, at} // last_seen_unix always moves
 	case DataInterfaces:
-		o.derivedShape = &derivedInterface
 		b.rows = make([]any, 0, len(col.Interfaces)*len(o.cols))
 		for _, ifc := range col.Interfaces {
 			put(b, ifc.Name)
@@ -481,7 +502,6 @@ func observe(col Collection, like []any) *observation {
 			b.rows = append(b.rows, at)
 		}
 	case DataLLDP:
-		o.derivedShape = &derivedLLDP
 		b.rows = make([]any, 0, len(col.LLDP)*len(o.cols))
 		for _, n := range col.LLDP {
 			put(b, n.LocalInterface)
@@ -490,7 +510,6 @@ func observe(col Collection, like []any) *observation {
 			b.rows = append(b.rows, dev)
 		}
 	case DataBGP:
-		o.derivedShape = &derivedBGP
 		b.rows = make([]any, 0, len(col.BGP)*len(o.cols))
 		for _, p := range col.BGP {
 			put(b, p.PeerAddr)
@@ -498,11 +517,65 @@ func observe(col Collection, like []any) *observation {
 			put(b, p.Family)
 			put(b, p.State)
 		}
-	default:
-		return nil
 	}
 	o.rows = b.rows
 	return o
+}
+
+// reports reports whether the observation of col would hold rows,
+// position for position, in every column but the stamp. It reads the
+// collection's fields in place, in observe's column order, so a repeat
+// builds no observation. Values compare as boxed ones do: the same type
+// and the same value. The stamp aside, plan reads nothing of the reported
+// rows, so on the same stored rows two observations reports calls equal
+// plan alike.
+func reports(col Collection, rows []any) bool {
+	switch col.Data {
+	case DataVersion:
+		v := col.Version
+		return v != nil && len(rows) == 5 && is(rows[0], col.Device) && is(rows[1], v.Vendor) &&
+			is(rows[2], v.OSVersion) && is(rows[3], v.UptimeS) && is(rows[4], col.At.Unix())
+	case DataInterfaces:
+		if len(rows) != 5*len(col.Interfaces) {
+			return false
+		}
+		for i, ifc := range col.Interfaces {
+			r := rows[5*i : 5*i+5] // r[4] is the stamp
+			if !is(r[0], ifc.Name) || !is(r[1], col.Device) || !is(r[2], ifc.OperStatus) || !is(r[3], ifc.SpeedMbps) {
+				return false
+			}
+		}
+		return true
+	case DataLLDP:
+		if len(rows) != 4*len(col.LLDP) {
+			return false
+		}
+		for i, n := range col.LLDP {
+			r := rows[4*i : 4*i+4]
+			if !is(r[0], n.LocalInterface) || !is(r[1], n.NeighborDevice) || !is(r[2], n.NeighborInterface) || !is(r[3], col.Device) {
+				return false
+			}
+		}
+		return true
+	case DataBGP:
+		if len(rows) != 4*len(col.BGP) {
+			return false
+		}
+		for i, p := range col.BGP {
+			r := rows[4*i : 4*i+4]
+			if !is(r[0], p.PeerAddr) || !is(r[1], col.Device) || !is(r[2], p.Family) || !is(r[3], p.State) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// is reports whether the boxed value v holds want: the same type and value.
+func is[T comparable](v any, want T) bool {
+	got, ok := v.(T)
+	return ok && got == want
 }
 
 // rowBuilder appends an observation's values, column-aligned, beside like,
@@ -512,11 +585,9 @@ type rowBuilder struct{ rows, like []any }
 // put appends v, boxed afresh only when like holds no equal value at the
 // same position: an observation that repeats the last one boxes nothing.
 func put[T comparable](b *rowBuilder, v T) {
-	if i := len(b.rows); i < len(b.like) {
-		if was, ok := b.like[i].(T); ok && was == v {
-			b.rows = append(b.rows, b.like[i])
-			return
-		}
+	if i := len(b.rows); i < len(b.like) && is(b.like[i], v) {
+		b.rows = append(b.rows, b.like[i])
+		return
 	}
 	b.rows = append(b.rows, v)
 }
@@ -538,22 +609,6 @@ func syncDerived(store *fbnet.Store, o *observation) (changed bool, tableSeq uin
 		return false, tableSeq, nil
 	}
 	return true, 0, o.write(store, ops, seq)
-}
-
-// repeats reports whether o reports rows, position for position, in
-// every column but the stamp. The stamp aside, plan reads nothing of the
-// reported rows, so on the same stored rows the two plan alike.
-func (o *observation) repeats(rows []any) bool {
-	if len(rows) != len(o.rows) {
-		return false
-	}
-	n := len(o.cols)
-	for i, v := range o.rows {
-		if i%n != o.stamp && rows[i] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // write applies ops, planned on the rows as of binlog sequence seq, in one

@@ -323,7 +323,7 @@ func TestDerivedTablesMirrorLatestObservation(t *testing.T) {
 					t.Helper()
 					assertVerdict(t, store, observed())
 					if data != DataConfig {
-						hit, voided := assertMemo(t, backend, observed(), memoKey{data, dev})
+						hit, voided := assertMemo(t, backend, col, observed(), memoKey{data, dev})
 						populated["the memo answered unchanged"] = populated["the memo answered unchanged"] || hit
 						populated["a moved table seq voided a memo entry"] = populated["a moved table seq voided a memo entry"] || voided
 					}
@@ -489,15 +489,16 @@ func (c *Collection) sortRows() {
 }
 
 // assertMemo checks the Derived backend's memo against a fresh peek: it
-// answers that o changes nothing only where a fresh peek plans no write.
+// answers that col, observed as o, changes nothing only where a fresh peek
+// plans no write.
 // It reports whether the memo answered so, and whether it declined an
 // entry that repeats o on the same server only because the table's seq
 // moved, where a fresh peek does plan a write: the case a memo that
 // ignored the seq would get wrong.
-func assertMemo(t *testing.T, b *DerivedBackend, o *observation, key memoKey) (hit, voided bool) {
+func assertMemo(t *testing.T, b *DerivedBackend, col Collection, o *observation, key memoKey) (hit, voided bool) {
 	t.Helper()
 	v, db := b.recall(key), b.store.DB()
-	hit, err := b.verifies(v, db, o)
+	hit, err := b.verifies(v, db, o.model, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +510,7 @@ func assertMemo(t *testing.T, b *DerivedBackend, o *observation, key memoKey) (h
 	if hit && writes {
 		t.Fatalf("the memo calls %s of %s unchanged; a fresh peek plans a write", o.model, key.device)
 	}
-	return hit, v.db == db && o.repeats(v.rows) && v.seq != tableSeq && writes
+	return hit, v.db == db && reports(col, v.rows) && v.seq != tableSeq && writes
 }
 
 // tamper edits dev's scope of table behind the sync's back — a column of

@@ -93,9 +93,8 @@ func TestDerivedWriteReplansAfterConcurrentCommit(t *testing.T) {
 
 // TestDerivedUnchangedStoreCommitsNothing guards the unchanged path: a
 // 48-interface collection that repeats what is stored opens no
-// transaction and allocates a bounded, small number of objects — no copy
-// of a stored row, no row map, and, since the memo answers and lends its
-// boxes, no plan and no boxed value per row.
+// transaction and allocates nothing — the memo compares the collection in
+// place, so no observation, row, scope or boxed value is built.
 func TestDerivedUnchangedStoreCommitsNothing(t *testing.T) {
 	store, reg := derivedStore(t)
 	backend := NewDerivedBackend(store, NewTimeseriesBackend())
@@ -114,9 +113,8 @@ func TestDerivedUnchangedStoreCommitsNothing(t *testing.T) {
 	if n := commits.Value() - before; n != 0 {
 		t.Errorf("unchanged stores committed %d transactions", n)
 	}
-	const bound = 12
-	if allocs > bound {
-		t.Errorf("an unchanged 48-interface store allocates %v objects, want at most %d", allocs, bound)
+	if allocs != 0 {
+		t.Errorf("an unchanged 48-interface store allocates %v objects, want 0", allocs)
 	}
 }
 

@@ -292,3 +292,42 @@ func (d panickyDevice) Counters() (map[string]float64, error) {
 	}
 	return map[string]float64{"cpu_util": 1}, nil
 }
+
+// TestEngineTierRunsInstalledBesideJobChanges: RunInstalled runs the
+// installed slice in place while AddJob and ReplaceJobs change the set on
+// another goroutine, and with the set at rest it polls every installed
+// job once. Run under -race.
+func TestEngineTierRunsInstalledBesideJobChanges(t *testing.T) {
+	_, jm, _, _ := newMonitoredFleet(t, 4)
+	devices := []string{"dev00", "dev01", "dev02", "dev03"}
+	spec := func(name string) JobSpec {
+		return JobSpec{Name: name, Period: time.Minute, Engine: EngineSNMP, Data: DataCounters, Devices: devices, Backends: []string{"timeseries"}}
+	}
+	if err := jm.AddJob(spec("base")); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range 50 {
+			if err := jm.AddJob(spec(fmt.Sprintf("added-%d", i))); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := jm.ReplaceJobs("swapped-", []JobSpec{spec(fmt.Sprintf("swapped-%d", i))}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for range 50 {
+		jm.RunInstalled()
+	}
+	<-done
+	polls := func() int64 { return jm.Stats().Counts()[EngineSNMP] }
+	before := polls()
+	jm.RunInstalled()
+	if got, want := polls()-before, int64(len(jm.Jobs())*len(devices)); got != want {
+		t.Fatalf("one run of the installed set polled %d times, want %d", got, want)
+	}
+}
